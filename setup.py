@@ -1,8 +1,9 @@
 """Setuptools entry point.
 
-The pyproject.toml [project] table is the canonical metadata; this shim exists
-so that editable installs work on environments whose setuptools predates full
-PEP 660 support (no `wheel` package available offline).
+This file is the package's only metadata (there is no pyproject.toml).  It
+stays a plain setuptools script so that editable installs work on
+environments whose setuptools predates full PEP 660 support (no `wheel`
+package available offline).
 """
 
 from setuptools import find_packages, setup

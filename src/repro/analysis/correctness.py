@@ -9,9 +9,10 @@ The paper's qualitative claims are about *correctness*, not just size:
   exactly.
 
 This module turns those claims into measurable quantities.  Every write the
-store accepted is in the :class:`~repro.kvstore.write_log.WriteLog` with its
-ground-truth causal history; after replicas converge, the surviving siblings
-of each key are compared against the log's causal frontier:
+store accepted is in the :class:`~repro.kvstore.write_log.WriteLog`, which
+rebuilds each write's ground-truth causal history from the origin dots its
+writer had read (``write_log.history_of``); after replicas converge, the
+surviving siblings of each key are compared against the log's causal frontier:
 
 * **lost update** — a frontier write (not causally superseded by any other
   write) that no replica still stores;
@@ -95,6 +96,18 @@ class CorrectnessReport:
             return 0.0
         return self.total_lost_updates / self.keys_checked
 
+    def add(self, verdict: KeyCorrectness) -> None:
+        """Fold one key's verdict into the totals."""
+        self.per_key[verdict.key] = verdict
+        self.keys_checked += 1
+        if verdict.is_correct:
+            self.keys_correct += 1
+        self.total_lost_updates += len(verdict.lost_updates)
+        self.total_false_concurrency += len(verdict.false_concurrency_pairs)
+        self.total_sibling_surplus += verdict.sibling_surplus
+        self.total_sibling_deficit += verdict.sibling_deficit
+        self.total_session_superseded += len(verdict.session_superseded)
+
     def as_row(self) -> List[object]:
         """Row for the benchmark report tables."""
         return [
@@ -129,9 +142,11 @@ def check_key(key: str,
     frontier_dots = [record.origin_dot for record in frontier]
     surviving_dots = [sibling.origin_dot for sibling in surviving_siblings]
 
-    surviving_histories = {
-        sibling.origin_dot: sibling.history for sibling in surviving_siblings
-    }
+    # Ground-truth histories of the survivors, in origin-dot order; each
+    # history's ``event`` is the survivor's origin dot.
+    surviving_histories = [
+        write_log.history_of(dot) for dot in sorted(surviving_dots)
+    ]
 
     # A frontier write is lost when it neither survived itself nor is causally
     # included in some surviving sibling (the latter cannot happen for true
@@ -147,7 +162,7 @@ def check_key(key: str,
         if record.origin_dot in surviving_dots:
             continue
         covered = any(
-            record.origin_dot in history for history in surviving_histories.values()
+            record.origin_dot in history for history in surviving_histories
         )
         if covered:
             continue
@@ -164,23 +179,18 @@ def check_key(key: str,
 
     # False concurrency: surviving pairs whose ground-truth histories are ordered.
     false_pairs: List[Tuple[Dot, Dot]] = []
-    ordered_siblings = sorted(surviving_siblings, key=lambda s: s.origin_dot)
-    for index, first in enumerate(ordered_siblings):
-        for second in ordered_siblings[index + 1:]:
-            relation = first.history.compare(second.history)
-            if relation in (Ordering.BEFORE, Ordering.AFTER):
-                false_pairs.append((first.origin_dot, second.origin_dot))
+    for index, first in enumerate(surviving_histories):
+        for second in surviving_histories[index + 1:]:
+            if first.compare(second) in (Ordering.BEFORE, Ordering.AFTER):
+                false_pairs.append((first.event, second.event))
 
     # Spurious siblings: survivors that the ground truth says are dominated by
     # another *survivor* (the visible symptom of false concurrency).
-    spurious: List[Dot] = []
-    for sibling in ordered_siblings:
-        for other in ordered_siblings:
-            if sibling is other:
-                continue
-            if sibling.history.compare(other.history) is Ordering.BEFORE:
-                spurious.append(sibling.origin_dot)
-                break
+    spurious = [
+        history.event for history in surviving_histories
+        if any(history.compare(other) is Ordering.BEFORE
+               for other in surviving_histories)
+    ]
 
     return KeyCorrectness(
         key=key,
@@ -188,7 +198,7 @@ def check_key(key: str,
         surviving=sorted(surviving_dots),
         lost_updates=sorted(lost),
         false_concurrency_pairs=false_pairs,
-        spurious_siblings=sorted(spurious),
+        spurious_siblings=spurious,
         session_superseded=sorted(session_superseded),
     )
 
@@ -219,16 +229,7 @@ def check_cluster(cluster, write_log: Optional[WriteLog] = None) -> CorrectnessR
             if siblings:
                 surviving = siblings
                 break
-        verdict = check_key(key, surviving, log)
-        report.per_key[key] = verdict
-        report.keys_checked += 1
-        if verdict.is_correct:
-            report.keys_correct += 1
-        report.total_lost_updates += len(verdict.lost_updates)
-        report.total_false_concurrency += len(verdict.false_concurrency_pairs)
-        report.total_sibling_surplus += verdict.sibling_surplus
-        report.total_sibling_deficit += verdict.sibling_deficit
-        report.total_session_superseded += len(verdict.session_superseded)
+        report.add(check_key(key, surviving, log))
     return report
 
 
@@ -250,14 +251,5 @@ def check_store(store: SyncReplicatedStore,
         replicas = store.replicas_for(key)
         reference_replica = replicas[0] if replicas else None
         surviving = store.siblings(key, reference_replica) if reference_replica else []
-        verdict = check_key(key, surviving, log)
-        report.per_key[key] = verdict
-        report.keys_checked += 1
-        if verdict.is_correct:
-            report.keys_correct += 1
-        report.total_lost_updates += len(verdict.lost_updates)
-        report.total_false_concurrency += len(verdict.false_concurrency_pairs)
-        report.total_sibling_surplus += verdict.sibling_surplus
-        report.total_sibling_deficit += verdict.sibling_deficit
-        report.total_session_superseded += len(verdict.session_superseded)
+        report.add(check_key(key, surviving, log))
     return report

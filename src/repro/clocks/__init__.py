@@ -13,7 +13,7 @@ from .causal_history_mechanism import CausalHistoryMechanism
 from .client_vv import ClientVVMechanism
 from .dvv_mechanism import DVVMechanism
 from .dvvset_mechanism import DVVSetMechanism
-from .interface import CausalityMechanism, ReadResult, Sibling, merge_histories
+from .interface import CausalityMechanism, ReadResult, Sibling
 from .lamport import LamportClock, LamportTimestamp
 from .ordered_vv import OrderedVersionVector
 from .pruning import (
@@ -57,7 +57,6 @@ __all__ = [
     "available",
     "create",
     "create_many",
-    "merge_histories",
     "pruned_client_vv",
     "register",
 ]

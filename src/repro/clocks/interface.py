@@ -16,11 +16,14 @@ a :class:`CausalityMechanism`:
 
 Each mechanism owns its per-key replica state (``state``) and its context
 representation; the store treats both as opaque.  Alongside the
-mechanism-specific clock, every stored version carries a
-:class:`Sibling` record with the *ground-truth* causal history of the write,
-maintained by the store independently of the mechanism, so that the analysis
-layer can detect when a mechanism loses updates, falsely orders concurrent
-writes, or manufactures false concurrency.
+mechanism-specific clock, every stored version is a :class:`Sibling` record
+naming the write by a globally unique *origin dot*.  That dot is all the
+ground truth a stored version carries: the write's causal history lives in the
+oracle's side channel (:class:`~repro.kvstore.write_log.WriteLog`, which
+rebuilds it from the origin dots each writer had read), so the analysis layer
+can detect when a mechanism loses updates, falsely orders concurrent writes,
+or manufactures false concurrency without any of it riding storage or the
+wire.
 """
 
 from __future__ import annotations
@@ -28,9 +31,8 @@ from __future__ import annotations
 import abc
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Generic, List, Optional, Sequence, Tuple, TypeVar
+from typing import Any, Generic, List, Optional, TypeVar
 
-from ..core.causal_history import CausalHistory
 from ..core.dot import Dot
 
 State = TypeVar("State")
@@ -51,10 +53,8 @@ class Sibling:
     origin_dot:
         A globally unique identifier of the write event (minted by the store's
         oracle, *not* by the mechanism under test).  Used by the analysis
-        layer as the ground-truth event id.
-    history:
-        The ground-truth causal history of the write: the union of the
-        histories the writing client had observed, plus ``origin_dot``.
+        layer as the ground-truth event id; the write's causal history is
+        ``write_log.history_of(origin_dot)``, never stored here.
     writer:
         The client that issued the write (informational; used by reports).
     uid:
@@ -64,7 +64,6 @@ class Sibling:
 
     value: Any
     origin_dot: Dot
-    history: CausalHistory
     writer: Optional[str] = None
     uid: int = field(default_factory=lambda: next(_sibling_ids))
 
@@ -170,14 +169,3 @@ class CausalityMechanism(abc.ABC, Generic[State, Context]):
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"<{type(self).__name__} name={self.name!r}>"
 
-
-def merge_histories(siblings: Sequence[Sibling]) -> CausalHistory:
-    """Union of the ground-truth histories of a sibling set.
-
-    This is what a reading client "knows" after a GET, and therefore the
-    ground-truth causal past of its next write.
-    """
-    merged = CausalHistory.empty()
-    for sibling in siblings:
-        merged = merged.merge(sibling.history)
-    return merged

@@ -59,9 +59,17 @@ _set_attr = object.__setattr__
 # ---------------------------------------------------------------------- #
 # Low-level primitives (LEB128 varints, length-prefixed UTF-8 strings)
 # ---------------------------------------------------------------------- #
+#: Longest varint the decoder accepts: ten 7-bit groups, enough for every
+#: counter, length and 64-bit zigzag integer the codecs write.  Without a cap
+#: a run of continuation bytes makes the decoder build a megabit integer one
+#: shift at a time — quadratic work inside one frame.
+_MAX_VARINT_BITS = 70
+_VARINT_LIMIT = 1 << _MAX_VARINT_BITS
+
+
 def _encode_varint(value: int) -> bytes:
-    if value < 0:
-        raise SerializationError(f"cannot encode negative integer {value}")
+    if not 0 <= value < _VARINT_LIMIT:
+        raise SerializationError(f"cannot encode integer {value} as a varint")
     out = bytearray()
     while True:
         byte = value & 0x7F
@@ -85,6 +93,8 @@ def _decode_varint(data: bytes, offset: int) -> Tuple[int, int]:
         if not byte & 0x80:
             return result, offset
         shift += 7
+        if shift >= _MAX_VARINT_BITS:
+            raise SerializationError("varint longer than 10 bytes")
 
 
 def _encode_str(value: str) -> bytes:

@@ -39,7 +39,7 @@ from .codec import (  # noqa: F401  (re-exported; the wire codec imports these)
 from .dot import Dot
 from .dvv import DottedVersionVector
 from .dvvset import DVVSet
-from .exceptions import SerializationError
+from .exceptions import ClockError, SerializationError
 from .version_vector import VersionVector
 
 Clock = Union[CausalHistory, VersionVector, DottedVersionVector, DVVSet]
@@ -65,7 +65,18 @@ def encode(clock: Clock) -> bytes:
 
 
 def decode(data: bytes) -> Clock:
-    """Decode a byte string produced by :func:`encode`."""
+    """Decode a byte string produced by :func:`encode`.
+
+    Malformed input of any kind — truncation, invalid UTF-8, fields a clock
+    constructor rejects — raises :class:`SerializationError`.
+    """
+    try:
+        return _decode(data)
+    except (UnicodeDecodeError, ClockError) as exc:
+        raise SerializationError(f"malformed clock encoding: {exc!r}") from exc
+
+
+def _decode(data: bytes) -> Clock:
     if not data:
         raise SerializationError("empty input")
     tag, offset = data[:1], 1

@@ -8,8 +8,12 @@ pieces of client-side bookkeeping the protocol needs:
   the next write can supersede what was read (the store never trusts clients
   to do more than echo the context back);
 * minting the **ground-truth identity** of each write it issues — a unique
-  dot ``(client_id, seq)`` plus the ground-truth causal history of the write —
-  which the correctness oracle uses and the mechanisms never see.
+  dot ``(client_id, seq)`` — and noting, on the context of each read, the
+  origin dots that read returned.  Those two facts are all the correctness
+  oracle needs: whoever issues the write reports ``(dot, dots read)`` to the
+  :class:`~repro.kvstore.write_log.WriteLog`, which rebuilds causal histories
+  when a run is judged.  No history is built, merged or sent on the request
+  path, and the mechanisms never see any of it.
 
 Sessions also expose convenience ``get``/``put`` wrappers over a store
 object, which is what the examples and workload generators use.
@@ -18,10 +22,9 @@ object, which is what the examples and workload generators use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
-from ..clocks.interface import ReadResult, Sibling, merge_histories
-from ..core.causal_history import CausalHistory
+from ..clocks.interface import ReadResult, Sibling
 from ..core.dot import Dot
 from .context import CausalContext
 
@@ -69,7 +72,6 @@ class ClientSession:
     def __init__(self, client_id: str) -> None:
         self.client_id = client_id
         self._write_seq = 0
-        self._observed: Dict[str, CausalHistory] = {}
         self._contexts: Dict[str, CausalContext] = {}
         #: Number of get/put operations issued (reports).
         self.stats = {"gets": 0, "puts": 0}
@@ -77,10 +79,6 @@ class ClientSession:
     # ------------------------------------------------------------------ #
     # Causal bookkeeping
     # ------------------------------------------------------------------ #
-    def observed_history(self, key: str) -> CausalHistory:
-        """Ground-truth history of everything this client has seen of ``key``."""
-        return self._observed.get(key, CausalHistory.empty())
-
     def last_context(self, key: str) -> Optional[CausalContext]:
         """The causal context from the client's most recent read of ``key``."""
         return self._contexts.get(key)
@@ -91,32 +89,26 @@ class ClientSession:
                     mechanism_name: str) -> CausalContext:
         """Record the outcome of a read and build the context for the next write.
 
-        The context's ground-truth history covers exactly what *this* read
+        The context's ``read_dots`` name exactly the writes *this* read
         returned — the same information the mechanism context encodes — so the
         oracle and the mechanism under test are judged on identical inputs.
-        The session separately accumulates everything it has ever seen
-        (:meth:`observed_history`), which reports may use but contexts do not.
         """
-        seen_now = merge_histories(read.siblings)
-        self._observed[key] = self.observed_history(key).merge(seen_now)
         context = CausalContext(
             key=key,
             mechanism_context=read.context,
-            observed_history=seen_now,
             mechanism_name=mechanism_name,
+            read_dots=tuple(sibling.origin_dot for sibling in read.siblings),
         )
         self._contexts[key] = context
         return context
 
-    def prepare_write(self,
-                      key: str,
-                      value: Any,
-                      context: Optional[CausalContext] = None) -> Sibling:
-        """Mint the ground-truth identity of a new write of ``key``.
+    def prepare_write(self, key: str, value: Any) -> Sibling:
+        """Mint the ground-truth identity of a new write of ``key``: a fresh dot.
 
-        The write's ground-truth causal history is the history carried by the
-        context the write is issued with, plus the write's own fresh dot.
-        This matches the correctness criterion of the DVV literature: a PUT
+        The write's ground-truth causal parents are the ``read_dots`` of the
+        context it is issued with, which the issuer reports to the write log
+        (:meth:`~repro.kvstore.write_log.WriteLog.report_parents`).  This
+        matches the correctness criterion of the DVV literature: a PUT
         supersedes exactly the versions covered by the context it supplies —
         a blind write (no context) is causally concurrent with everything,
         even if the client *happened* to have read the key before, because the
@@ -124,11 +116,7 @@ class ClientSession:
         """
         self._write_seq += 1
         dot = Dot(self.client_id, self._write_seq)
-        base_history = (
-            context.observed_history if context is not None else CausalHistory.empty()
-        )
-        history = CausalHistory(dot, base_history.events())
-        return Sibling(value=value, origin_dot=dot, history=history, writer=self.client_id)
+        return Sibling(value=value, origin_dot=dot, writer=self.client_id)
 
     def forget(self, key: str) -> None:
         """Drop the session's context for ``key`` (models an expired session).
@@ -137,12 +125,10 @@ class ClientSession:
         creates siblings in production systems.
         """
         self._contexts.pop(key, None)
-        self._observed.pop(key, None)
 
     def forget_all(self) -> None:
         """Drop every per-key context (fresh session, same client identity)."""
         self._contexts.clear()
-        self._observed.clear()
 
     # ------------------------------------------------------------------ #
     # Convenience wrappers over a store object

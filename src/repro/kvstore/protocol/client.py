@@ -14,9 +14,9 @@ async request mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional
 
-from ...clocks.interface import Sibling
+from ...clocks.interface import ReadResult
 from ...network.message import Message, MessageType
 from ...obs.trace import NO_TRACER
 from ..client import ClientSession, GetResult, PutResult
@@ -44,14 +44,6 @@ class RequestRecord:
     def latency_ms(self) -> float:
         """End-to-end latency in milliseconds (simulated or wall-clock)."""
         return self.finished_at - self.started_at
-
-
-class _SyntheticRead:
-    """Adapter giving :meth:`ClientSession.absorb_read` the shape it expects."""
-
-    def __init__(self, siblings: Sequence[Sibling], context: Any) -> None:
-        self.siblings = list(siblings)
-        self.context = context
 
 
 class ClientProtocol:
@@ -127,7 +119,11 @@ class ClientProtocol:
         """Issue a PUT for ``key``; ``callback`` fires when the reply arrives."""
         self.now = now
         context = self.session.last_context(key) if use_context else None
-        sibling = self.session.prepare_write(key, value, context)
+        sibling = self.session.prepare_write(key, value)
+        # The oracle's side channel: this is the one place that holds both
+        # the context and a write log (the frame carries neither).
+        self.env.write_log.report_parents(
+            sibling.origin_dot, context.read_dots if context is not None else ())
         context_bytes = (
             self.env.mechanism.context_bytes(context.mechanism_context)
             if context is not None else 0
@@ -300,7 +296,7 @@ class ClientProtocol:
         key = message.payload["key"]
         siblings = message.payload["siblings"]
 
-        read = _SyntheticRead(siblings, message.payload["mechanism_context"])
+        read = ReadResult(siblings, message.payload["mechanism_context"])
         context = self.session.absorb_read(key, read, self.env.mechanism.name)
         result = GetResult(
             key=key,
@@ -336,7 +332,7 @@ class ClientProtocol:
 
         # The put reply carries the post-write context (Riak's "return body"
         # mode); absorbing it keeps the session able to chain further writes.
-        read = _SyntheticRead(message.payload["siblings"], message.payload["mechanism_context"])
+        read = ReadResult(message.payload["siblings"], message.payload["mechanism_context"])
         context = self.session.absorb_read(key, read, self.env.mechanism.name)
         result = PutResult(
             key=key,

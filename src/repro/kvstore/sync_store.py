@@ -140,7 +140,9 @@ class SyncReplicatedStore:
             )
         coordinator = server_id if server_id else self.coordinator_for(key)
         node = self.node(coordinator)
-        sibling = client.prepare_write(key, value, context)
+        sibling = client.prepare_write(key, value)
+        self.write_log.report_parents(
+            sibling.origin_dot, context.read_dots if context is not None else ())
         new_state = node.local_write(key, context, sibling, client.client_id)
         self.write_log.append(key, sibling, coordinator, client.client_id, self._clock)
 

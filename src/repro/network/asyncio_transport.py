@@ -20,13 +20,22 @@ address nobody listens on, or over a connection that breaks, is a counted,
 silent drop (``stats.dropped_unknown_destination``).  The protocol already
 tolerates lost messages — deadlines, read repair and anti-entropy exist for
 exactly that — so the backend never retries or errors a send.
+
+Inbound faults are contained and counted the same way.  A frame that does not
+decode (``stats.decode_errors``) closes the one connection it arrived on — a
+byte stream that lost framing cannot be resynchronised — while the listener
+and every other connection keep serving.  An exception out of the node's handler
+(``stats.handler_errors``) is logged with its traceback and costs that one
+message; the connection and the endpoint keep serving.
 """
 
 from __future__ import annotations
 
 import asyncio
+import logging
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
+from ..core.exceptions import SerializationError
 from .base import ProtocolTransport
 from .message import Message
 from .transport import TransportStats
@@ -36,6 +45,8 @@ from .wire import frame_message, read_message
 Address = Union[Tuple[str, str, int], Tuple[str, str]]
 
 MessageHandler = Callable[[Message], None]
+
+logger = logging.getLogger(__name__)
 
 
 class _TimerHandle:
@@ -148,11 +159,23 @@ class AsyncioEndpoint(ProtocolTransport):
                 self.stats.record_delivered(message.msg_type.value,
                                             message.size_bytes)
                 if self.handler is not None:
-                    self.handler(message)
+                    try:
+                        self.handler(message)
+                    except Exception:
+                        # A handler bug must not take the reader task (and
+                        # every later frame on this connection) down with it.
+                        self.stats.handler_errors += 1
+                        logger.exception(
+                            "%s: handler failed on %s from %s", self.node_id,
+                            message.msg_type.value, message.sender)
         except asyncio.CancelledError:
             pass  # endpoint closing; finish normally so close() can await us
         except (asyncio.IncompleteReadError, ConnectionError):
             pass  # peer closed (or died); it will redial if it needs us
+        except SerializationError as exc:
+            self.stats.decode_errors += 1
+            logger.warning("%s: closing connection on undecodable frame: %s",
+                           self.node_id, exc)
         finally:
             writer.close()
             if task is not None and task in self._reader_tasks:

@@ -35,6 +35,12 @@ class TransportStats:
     byte-series built from :meth:`bytes_for` no longer over-report traffic
     that never reached a handler.  A duplicated message that arrives twice is
     counted as delivered twice — it really did cross the wire twice.
+
+    ``decode_errors`` (an inbound frame that did not decode; the connection
+    it arrived on was closed) and ``handler_errors`` (a node's handler raised
+    on a delivered message; the connection stayed up) are counted by the
+    real-socket backend.  The simulator passes objects, not bytes, and lets
+    handler exceptions fail the run, so both stay 0 there.
     """
 
     sent: int = 0
@@ -49,6 +55,8 @@ class TransportStats:
     deadlines_set: int = 0
     deadlines_fired: int = 0
     deadlines_cancelled: int = 0
+    decode_errors: int = 0
+    handler_errors: int = 0
     per_type: Dict[str, int] = field(default_factory=dict)
     bytes_per_type: Dict[str, int] = field(default_factory=dict)
     delivered_bytes_per_type: Dict[str, int] = field(default_factory=dict)

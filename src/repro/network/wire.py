@@ -26,6 +26,17 @@ Two deliberate choices:
   Uids are process-local sequence numbers; within one process (the backend's
   intended deployment for experiments) preserving them keeps report output
   stable, and between processes they are only used for display.
+
+Since ``WIRE_VERSION`` 2 no frame carries the correctness oracle: a sibling
+(``G``) is value + origin dot + writer + uid and a causal context (``C``) is
+key + mechanism context + mechanism name.  Ground-truth causal histories live
+in :class:`~repro.kvstore.write_log.WriteLog`; an ``H`` record appears on the
+wire only as the ``causal_history`` *mechanism's* own clock, so every other
+mechanism's frames stay bounded by its metadata.
+
+Every decoding failure — truncation, an unknown tag, invalid UTF-8, a clock
+whose fields violate its invariants — surfaces from :func:`decode_message` as
+:class:`SerializationError`, the one exception a reader has to handle.
 """
 
 from __future__ import annotations
@@ -39,7 +50,7 @@ from ..core.causal_history import CausalHistory
 from ..core.dot import Dot
 from ..core.dvv import DottedVersionVector
 from ..core.dvvset import DVVSet
-from ..core.exceptions import SerializationError
+from ..core.exceptions import ClockError, SerializationError
 from ..core.serialization import (
     _decode_actor,
     _decode_str,
@@ -55,7 +66,7 @@ from ..kvstore.context import CausalContext
 from .message import Message, MessageType
 
 #: Bumped when the frame layout or a tag changes incompatibly.
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 #: Upper bound on one frame's body (guards against a corrupted length prefix
 #: making the reader try to buffer gigabytes).
@@ -63,6 +74,10 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 _LENGTH = struct.Struct(">I")
 _FLOAT = struct.Struct(">d")
+
+#: What decoding corrupt bytes can raise besides SerializationError itself;
+#: :func:`decode_message` maps them all to SerializationError.
+_MALFORMED = (UnicodeDecodeError, ClockError, TypeError, RecursionError)
 
 
 # ---------------------------------------------------------------------- #
@@ -163,7 +178,6 @@ def _encode_value(value: Any, out: bytearray) -> None:
         _encode_value(value.value, record)
         record += _encode_str(value.origin_dot.actor)
         record += _encode_varint(value.origin_dot.counter)
-        _encode_value(value.history, record)
         _encode_value(value.writer, record)
         record += _encode_varint(value.uid)
         if isinstance(value.value, (str, int, float, bool, bytes, type(None))):
@@ -173,7 +187,6 @@ def _encode_value(value: Any, out: bytearray) -> None:
         out += b"C"
         out += _encode_str(value.key)
         _encode_value(value.mechanism_context, out)
-        _encode_value(value.observed_history, out)
         out += _encode_str(value.mechanism_name)
     else:
         raise SerializationError(
@@ -288,20 +301,17 @@ def _decode_value(data: bytes, offset: int) -> Tuple[Any, int]:
         value, offset = _decode_value(data, offset)
         actor, offset = _decode_actor(data, offset)
         counter, offset = _decode_varint(data, offset)
-        history, offset = _decode_value(data, offset)
         writer, offset = _decode_value(data, offset)
         uid, offset = _decode_varint(data, offset)
         return Sibling(value=value, origin_dot=Dot(actor, counter),
-                       history=history, writer=writer, uid=uid), offset
+                       writer=writer, uid=uid), offset
     if tag == b"C":
         key, offset = _decode_str(data, offset)
         mechanism_context, offset = _decode_value(data, offset)
-        observed_history, offset = _decode_value(data, offset)
         mechanism_name, offset = _decode_str(data, offset)
         return CausalContext(
             key=key,
             mechanism_context=mechanism_context,
-            observed_history=observed_history,
             mechanism_name=mechanism_name,
         ), offset
     raise SerializationError(f"unknown wire tag {tag!r}")
@@ -327,7 +337,21 @@ def encode_message(message: Message) -> bytes:
 
 
 def decode_message(data: bytes) -> Message:
-    """Decode one frame body back into a :class:`Message`."""
+    """Decode one frame body back into a :class:`Message`.
+
+    The one boundary where malformed input is classified: whatever a corrupt
+    body trips over further down — invalid UTF-8 in a string, a clock
+    constructor rejecting its fields, an unhashable dict key or set member,
+    nesting deeper than the interpreter's stack — leaves here as
+    :class:`SerializationError`.
+    """
+    try:
+        return _decode_message(data)
+    except _MALFORMED as exc:
+        raise SerializationError(f"malformed frame: {exc!r}") from exc
+
+
+def _decode_message(data: bytes) -> Message:
     if not data:
         raise SerializationError("empty frame")
     version = data[0]

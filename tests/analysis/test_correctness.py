@@ -6,14 +6,13 @@ import pytest
 
 from repro.analysis import CorrectnessReport, check_key, check_store
 from repro.clocks import DVVMechanism, ServerVVMechanism, Sibling, create
-from repro.core import CausalHistory, Dot
+from repro.core import Dot
 from repro.kvstore import ClientSession, SyncReplicatedStore, WriteLog
 from repro.workloads import figure1_trace, replay_trace
 
 
-def make_sibling(value, writer, seq, past=()):
-    dot = Dot(writer, seq)
-    return Sibling(value=value, origin_dot=dot, history=CausalHistory(dot, past), writer=writer)
+def make_sibling(value, writer, seq):
+    return Sibling(value=value, origin_dot=Dot(writer, seq), writer=writer)
 
 
 class TestCheckKey:
@@ -44,16 +43,18 @@ class TestCheckKey:
 
     def test_superseded_write_is_not_lost(self):
         first = make_sibling("v1", "c1", 1)
-        second = make_sibling("v2", "c2", 1, past=first.history.events())
+        second = make_sibling("v2", "c2", 1)
         log = self.build_log(first, second)
+        log.report_parents(second.origin_dot, [first.origin_dot])
         verdict = check_key("k", [second], log)
         assert verdict.is_correct
         assert verdict.lost_updates == []
 
     def test_false_concurrency_detected(self):
         first = make_sibling("v1", "c1", 1)
-        second = make_sibling("v2", "c2", 1, past=first.history.events())
+        second = make_sibling("v2", "c2", 1)
         log = self.build_log(first, second)
+        log.report_parents(second.origin_dot, [first.origin_dot])
         verdict = check_key("k", [first, second], log)
         assert not verdict.is_correct
         assert len(verdict.false_concurrency_pairs) == 1

@@ -4,12 +4,12 @@ WinFS-style dotted-VVE mechanism."""
 from __future__ import annotations
 
 from repro.clocks import ClientVVMechanism, DottedVVEMechanism, Sibling
-from repro.core import CausalHistory, Dot
+from repro.core import Dot
 
 
 def sibling(value, writer, seq):
     dot = Dot(writer, seq)
-    return Sibling(value=value, origin_dot=dot, history=CausalHistory(dot), writer=writer)
+    return Sibling(value=value, origin_dot=dot, writer=writer)
 
 
 class TestClientVVCorrectness:

@@ -5,13 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.clocks import DVVMechanism, DVVSetMechanism, Sibling
-from repro.core import CausalHistory, Dot, VersionVector
+from repro.core import Dot, VersionVector
 
 
-def sibling(value, writer, seq, history_events=()):
-    dot = Dot(writer, seq)
-    return Sibling(value=value, origin_dot=dot,
-                   history=CausalHistory(dot, history_events), writer=writer)
+def sibling(value, writer, seq):
+    return Sibling(value=value, origin_dot=Dot(writer, seq), writer=writer)
 
 
 @pytest.fixture(params=[DVVMechanism, DVVSetMechanism], ids=["dvv", "dvvset"])

@@ -11,18 +11,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.clocks import Sibling, merge_histories
-from repro.core import CausalHistory, Dot
+from repro.clocks import Sibling
+from repro.core import Dot
 
 
-def make_sibling(value: str, writer: str, seq: int, history_events=()) -> Sibling:
-    dot = Dot(writer, seq)
-    return Sibling(
-        value=value,
-        origin_dot=dot,
-        history=CausalHistory(dot, history_events),
-        writer=writer,
-    )
+def make_sibling(value: str, writer: str, seq: int) -> Sibling:
+    return Sibling(value=value, origin_dot=Dot(writer, seq), writer=writer)
 
 
 def fingerprint(mechanism, state):
@@ -58,24 +52,17 @@ class TestBasicWriteRead:
         first = make_sibling("v1", "c1", 1)
         state = m.write(m.empty_state(), m.empty_context(), first, "A", "c1")
         context = m.read(state).context
-        second = make_sibling("v2", "c1", 2, history_events=first.history.events())
+        second = make_sibling("v2", "c1", 2)
         state = m.write(state, context, second, "A", "c1")
         assert [s.value for s in m.siblings(state)] == ["v2"]
 
     def test_chain_of_rmw_keeps_single_version(self, any_mechanism):
         m = any_mechanism
         state = m.empty_state()
-        previous_history = CausalHistory.empty()
         for seq in range(1, 6):
             context = m.read(state).context
-            sibling = Sibling(
-                value=f"v{seq}",
-                origin_dot=Dot("c1", seq),
-                history=CausalHistory(Dot("c1", seq), previous_history.events()),
-                writer="c1",
-            )
+            sibling = make_sibling(f"v{seq}", "c1", seq)
             state = m.write(state, context, sibling, "A", "c1")
-            previous_history = sibling.history
         assert [s.value for s in m.siblings(state)] == ["v5"]
 
     def test_metadata_grows_after_write(self, any_mechanism):
@@ -146,7 +133,7 @@ class TestMerge:
         state_b = m.merge(m.empty_state(), state_a)
 
         context = m.read(state_a).context
-        second = make_sibling("v2", "c1", 2, history_events=first.history.events())
+        second = make_sibling("v2", "c1", 2)
         state_a = m.write(state_a, context, second, "A", "c1")
 
         state_b = m.merge(state_b, state_a)

@@ -13,12 +13,12 @@ from repro.clocks import (
     Sibling,
     SizeBoundedPruning,
 )
-from repro.core import CausalHistory, Dot, Ordering, VersionVector
+from repro.core import Dot, Ordering, VersionVector
 
 
 def sibling(value, writer, seq):
     dot = Dot(writer, seq)
-    return Sibling(value=value, origin_dot=dot, history=CausalHistory(dot), writer=writer)
+    return Sibling(value=value, origin_dot=dot, writer=writer)
 
 
 class TestPolicies:

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from repro.clocks import DVVMechanism, ServerVVMechanism, Sibling
-from repro.core import CausalHistory, Dot, Ordering
+from repro.core import Dot, Ordering
 
 
 def sibling(value, writer, seq):
     dot = Dot(writer, seq)
-    return Sibling(value=value, origin_dot=dot, history=CausalHistory(dot), writer=writer)
+    return Sibling(value=value, origin_dot=dot, writer=writer)
 
 
 def figure1_coordinator_state(mechanism):

@@ -6,6 +6,13 @@ It was generated from the pre-refactor encoders — before the memoizing
 canonical-bytes layer existed — so the tests asserting against it prove the
 refactor changed *where* bytes are computed, never *which* bytes.
 
+One deliberate format change since: ``WIRE_VERSION`` 2 took the correctness
+oracle off the wire, so the ``wire`` hex of exactly two cases — ``sibling``
+and ``context`` — lost its embedded causal history (a sibling is value +
+origin dot + writer + uid, a context is key + mechanism context + mechanism
+name).  Every clock entry and every ``serialization`` hex is still the
+pre-refactor capture.
+
 Regenerate (only when the wire format deliberately changes, never to make a
 refactor pass) with::
 
@@ -39,7 +46,6 @@ def build_cases():
     sibling = Sibling(
         value="shopping-cart",
         origin_dot=Dot("B", 2),
-        history=CausalHistory(Dot("B", 2), [Dot("A", 1)]),
         writer="client-7",
         uid=42,
     )
@@ -66,7 +72,7 @@ def build_cases():
         ("sibling", "sibling", sibling),
         ("context", "context",
          CausalContext(key="cart", mechanism_context=vv,
-                       observed_history=history, mechanism_name="dvv")),
+                       mechanism_name="dvv")),
     ]
 
 

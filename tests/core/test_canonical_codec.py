@@ -256,8 +256,6 @@ def _walk_canonical(value, out):
                 _walk_canonical(item, out)
         for item in value.anonymous:
             _walk_canonical(item, out)
-    elif isinstance(value, Sibling):
-        _walk_canonical(value.history, out)
     elif isinstance(value, (list, tuple, frozenset)):
         for item in value:
             _walk_canonical(item, out)
@@ -278,17 +276,14 @@ def test_mechanism_traces_keep_memo_consistent(mechanism_name, trace):
     across update (write), sync/merge, join (read context) and prune paths."""
     mechanism = create(mechanism_name)
     replicas = {"S0": mechanism.empty_state(), "S1": mechanism.empty_state()}
-    history = CausalHistory.empty()
     seq = 0
     for op, server, stale in trace:
         if op == "write":
             seq += 1
             read = mechanism.read(replicas[server])
             context = mechanism.empty_context() if stale else read.context
-            dot = Dot("oracle", seq)
-            history = CausalHistory(dot, history.events())
-            sibling = Sibling(value=f"v{seq}", origin_dot=dot,
-                              history=history, writer="c0")
+            sibling = Sibling(value=f"v{seq}", origin_dot=Dot("oracle", seq),
+                              writer="c0")
             replicas[server] = mechanism.write(
                 replicas[server], context, sibling, server, "c0")
         else:

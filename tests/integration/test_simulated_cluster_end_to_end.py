@@ -75,14 +75,14 @@ class TestPartitionsAndFailures:
 
         # Route around the placement service: send directly to reachable nodes.
         from repro.network.message import Message, MessageType
-        alice_sibling = alice.session.prepare_write("k", "from-alice", None)
+        alice_sibling = alice.session.prepare_write("k", "from-alice")
         cluster.transport.send(Message(
             sender=alice.address, receiver=alice_coordinator,
             msg_type=MessageType.COORDINATE_PUT,
             payload={"key": "k", "sibling": alice_sibling, "context": None,
                      "client_id": "alice"},
             size_bytes=32))
-        bob_sibling = bob.session.prepare_write("k", "from-bob", None)
+        bob_sibling = bob.session.prepare_write("k", "from-bob")
         cluster.transport.send(Message(
             sender=bob.address, receiver=bob_coordinator,
             msg_type=MessageType.COORDINATE_PUT,

@@ -97,7 +97,7 @@ class TestStorageNodeRestarts:
                                              depth=2, counters=node.stats))
         client = ClientSession("writer")
         for index in range(5):
-            sibling = client.prepare_write(f"key-{index}", f"v{index}", None)
+            sibling = client.prepare_write(f"key-{index}", f"v{index}")
             node.local_write(f"key-{index}", None, sibling, client.client_id)
         return node, client
 
@@ -115,7 +115,7 @@ class TestStorageNodeRestarts:
         node, client = self.build_node()
         node.shutdown()
         # a write that sneaks in after the flush invalidates the clean mark
-        sibling = client.prepare_write("late", "surprise", None)
+        sibling = client.prepare_write("late", "surprise")
         node.local_write("late", None, sibling, client.client_id)
         rebuilds_before = node.stats["full_rebuilds"]
         node.restart()

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.clocks import DVVMechanism, Sibling
-from repro.core import CausalHistory, Dot, VersionVector
+from repro.core import Dot, VersionVector
 from repro.kvstore import ClientSession, GetResult, SyncReplicatedStore
 from repro.kvstore.context import CausalContext
 
@@ -15,14 +15,20 @@ class TestCausalContext:
         context = CausalContext.initial("k", "dvv", VersionVector.empty())
         assert context.key == "k"
         assert context.mechanism_name == "dvv"
-        assert len(context.observed_history) == 0
+        assert context.read_dots == ()
 
-    def test_with_mechanism_context_and_merged_history(self):
-        context = CausalContext.initial("k", "dvv", VersionVector.empty())
+    def test_with_mechanism_context_keeps_read_dots(self):
+        context = CausalContext(key="k", mechanism_context=VersionVector.empty(),
+                                mechanism_name="dvv", read_dots=(Dot("c1", 1),))
         updated = context.with_mechanism_context(VersionVector({"A": 1}))
         assert updated.mechanism_context == VersionVector({"A": 1})
-        extended = updated.merged_history(CausalHistory(Dot("c1", 1)))
-        assert Dot("c1", 1) in extended.observed_history
+        assert updated.read_dots == (Dot("c1", 1),)
+
+    def test_read_dots_take_no_part_in_equality(self):
+        bare = CausalContext.initial("k", "dvv", VersionVector.empty())
+        noted = CausalContext(key="k", mechanism_context=VersionVector.empty(),
+                              mechanism_name="dvv", read_dots=(Dot("c1", 1),))
+        assert bare == noted
 
 
 class TestClientSession:
@@ -34,23 +40,19 @@ class TestClientSession:
         assert second.origin_dot == Dot("c1", 2)
 
     def test_write_history_follows_supplied_context(self):
+        store = SyncReplicatedStore(DVVMechanism(), server_ids=("A",))
         session = ClientSession("c1")
-        base = session.prepare_write("k", "v1")
-        context = CausalContext(
-            key="k",
-            mechanism_context=VersionVector({"A": 1}),
-            observed_history=base.history,
-            mechanism_name="dvv",
-        )
-        follow_up = session.prepare_write("k", "v2", context)
-        assert base.origin_dot in follow_up.history
+        base = session.put(store, "k", "v1").sibling
+        session.get(store, "k")
+        follow_up = session.put(store, "k", "v2").sibling
+        assert base.origin_dot in store.write_log.history_of(follow_up.origin_dot)
         # a context-less write is causally independent
-        blind = session.prepare_write("k", "v3")
-        assert base.origin_dot not in blind.history
+        blind = session.put(store, "k", "v3", use_context=False).sibling
+        assert base.origin_dot not in store.write_log.history_of(blind.origin_dot)
 
     def test_absorb_read_tracks_context_and_observations(self):
         session = ClientSession("c1")
-        sibling = Sibling("v1", Dot("w", 1), CausalHistory(Dot("w", 1)), writer="w")
+        sibling = Sibling("v1", Dot("w", 1), writer="w")
 
         class FakeRead:
             siblings = [sibling]
@@ -58,13 +60,12 @@ class TestClientSession:
 
         context = session.absorb_read("k", FakeRead(), "dvv")
         assert context.mechanism_context == VersionVector({"A": 1})
-        assert Dot("w", 1) in context.observed_history
+        assert context.read_dots == (Dot("w", 1),)
         assert session.last_context("k") is context
-        assert Dot("w", 1) in session.observed_history("k")
 
     def test_forget_clears_context(self):
         session = ClientSession("c1")
-        sibling = Sibling("v1", Dot("w", 1), CausalHistory(Dot("w", 1)), writer="w")
+        sibling = Sibling("v1", Dot("w", 1), writer="w")
 
         class FakeRead:
             siblings = [sibling]
@@ -73,7 +74,6 @@ class TestClientSession:
         session.absorb_read("k", FakeRead(), "dvv")
         session.forget("k")
         assert session.last_context("k") is None
-        assert len(session.observed_history("k")) == 0
         session.absorb_read("k", FakeRead(), "dvv")
         session.forget_all()
         assert session.last_context("k") is None

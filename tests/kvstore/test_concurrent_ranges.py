@@ -27,7 +27,7 @@ def diverge(node, keys=DIVERGENT_KEYS) -> None:
     client = ClientSession("divergent-writer")
     for index in range(keys):
         key = f"key-{index}"
-        sibling = client.prepare_write(key, f"v{index}", None)
+        sibling = client.prepare_write(key, f"v{index}")
         node.local_write(key, None, sibling, client.client_id)
 
 

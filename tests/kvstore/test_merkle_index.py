@@ -30,7 +30,7 @@ def indexed_node(node_id="A", fanout=16, depth=2):
 def write(node, client, key, value):
     read = node.local_read(key)
     context = client.absorb_read(key, read, node.mechanism.name)
-    sibling = client.prepare_write(key, value, context)
+    sibling = client.prepare_write(key, value)
     node.local_write(key, context, sibling, client.client_id)
 
 

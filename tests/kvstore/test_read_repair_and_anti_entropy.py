@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.clocks import DVVMechanism, Sibling
-from repro.core import CausalHistory, ConfigurationError, Dot
+from repro.core import ConfigurationError, Dot
 from repro.kvstore import (
     AntiEntropyDaemon,
     AntiEntropyScheduler,
@@ -19,7 +19,7 @@ from repro.network import Simulation
 
 def sibling(value, writer="c1", seq=1):
     dot = Dot(writer, seq)
-    return Sibling(value=value, origin_dot=dot, history=CausalHistory(dot), writer=writer)
+    return Sibling(value=value, origin_dot=dot, writer=writer)
 
 
 class TestReadRepairPlanning:

@@ -5,14 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.clocks import DVVMechanism, Sibling
-from repro.core import CausalHistory, Dot, StaleContextError
+from repro.core import Dot, StaleContextError
 from repro.kvstore import NodeStorage, StorageNode
 from repro.kvstore.context import CausalContext
 
 
 def sibling(value, writer="c1", seq=1):
     dot = Dot(writer, seq)
-    return Sibling(value=value, origin_dot=dot, history=CausalHistory(dot), writer=writer)
+    return Sibling(value=value, origin_dot=dot, writer=writer)
 
 
 class TestNodeStorage:

@@ -24,7 +24,7 @@ from repro.kvstore.server import StorageNode
 def write(node, client, key, value):
     read = node.local_read(key)
     context = client.absorb_read(key, read, node.mechanism.name)
-    sibling = client.prepare_write(key, value, context)
+    sibling = client.prepare_write(key, value)
     node.local_write(key, context, sibling, client.client_id)
 
 

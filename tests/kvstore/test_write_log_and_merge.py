@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.clocks import DVVMechanism, Sibling
-from repro.core import CausalHistory, ConfigurationError, Dot
+from repro.core import ConfigurationError, Dot
 from repro.kvstore import (
     CallbackResolver,
     ClientSession,
@@ -18,11 +18,9 @@ from repro.kvstore import (
 )
 
 
-def record(key, writer, seq, past=(), value=None):
-    dot = Dot(writer, seq)
+def record(key, writer, seq, value=None):
     sibling = Sibling(value=value if value is not None else f"{writer}-{seq}",
-                      origin_dot=dot,
-                      history=CausalHistory(dot, past),
+                      origin_dot=Dot(writer, seq),
                       writer=writer)
     return WriteRecord(key=key, sibling=sibling, server_id="A", client_id=writer)
 
@@ -41,8 +39,9 @@ class TestWriteLog:
     def test_latest_frontier_excludes_dominated_writes(self):
         log = WriteLog()
         first = record("k", "c1", 1)
-        second = record("k", "c1", 2, past=first.history.events())
+        second = record("k", "c1", 2)
         concurrent = record("k", "c2", 1)
+        log.report_parents(second.origin_dot, [first.origin_dot])
         for entry in (first, second, concurrent):
             log.record(entry)
         frontier_dots = {entry.origin_dot for entry in log.latest_frontier("k")}
@@ -59,8 +58,7 @@ class TestWriteLog:
 class TestResolvers:
     def make_siblings(self, *values):
         return [
-            Sibling(value=value, origin_dot=Dot("c", index + 1),
-                    history=CausalHistory(Dot("c", index + 1)), writer="c")
+            Sibling(value=value, origin_dot=Dot("c", index + 1), writer="c")
             for index, value in enumerate(values)
         ]
 

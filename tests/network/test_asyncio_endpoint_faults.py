@@ -1,0 +1,97 @@
+"""An ``AsyncioEndpoint`` contains hostile input and handler bugs.
+
+Driven over a real Unix-domain socket with hand-written bytes, so the faults
+arrive exactly as a broken or malicious peer would deliver them.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import logging
+import struct
+
+from repro.network.asyncio_transport import AsyncioEndpoint
+from repro.network.message import Message, MessageType
+from repro.network.wire import frame_message
+
+
+def ping(tag: str) -> Message:
+    return Message(sender="peer", receiver="A", msg_type=MessageType.PING,
+                   payload={"tag": tag}, size_bytes=1)
+
+
+async def _send_raw(path: str, data: bytes) -> bytes:
+    """Write ``data`` on a fresh connection; return what the peer sends until
+    it closes (empty — the endpoint never writes on inbound connections)."""
+    reader, writer = await asyncio.open_unix_connection(path=path)
+    writer.write(data)
+    await writer.drain()
+    try:
+        return await asyncio.wait_for(reader.read(), timeout=2.0)
+    finally:
+        writer.close()
+
+
+async def _until(predicate, timeout: float = 2.0) -> None:
+    deadline = asyncio.get_running_loop().time() + timeout
+    while not predicate():
+        assert asyncio.get_running_loop().time() < deadline, "condition never held"
+        await asyncio.sleep(0.005)
+
+
+def test_bad_frame_and_handler_bug_are_counted_and_contained(tmp_path, caplog,
+                                                             recwarn):
+    path = str(tmp_path / "A.sock")
+    delivered = []
+
+    def handler(message: Message) -> None:
+        if message.payload["tag"] == "boom":
+            raise RuntimeError("handler bug")
+        delivered.append(message.payload["tag"])
+
+    loop_errors = []
+
+    async def scenario() -> AsyncioEndpoint:
+        asyncio.get_running_loop().set_exception_handler(
+            lambda _loop, context: loop_errors.append(context))
+        endpoint = AsyncioEndpoint("A", {"A": ("unix", path)}, handler=handler)
+        await endpoint.start()
+        try:
+            # 1. a well-framed body that is not a message: the connection is
+            #    closed from the endpoint's side (read() returns at EOF).
+            garbage = b"\xff\xfe\xfd not a message"
+            assert await _send_raw(
+                path, struct.pack(">I", len(garbage)) + garbage) == b""
+            await _until(lambda: endpoint.stats.decode_errors == 1)
+
+            # 2. a handler that raises costs one message, not the connection:
+            #    the next frame on the *same* connection is delivered.
+            _, writer = await asyncio.open_unix_connection(path=path)
+            writer.write(frame_message(ping("boom")) + frame_message(ping("after")))
+            await writer.drain()
+            await _until(lambda: delivered == ["after"])
+            assert endpoint.stats.handler_errors == 1
+            writer.close()
+
+            # 3. a fresh connection is still served.
+            _, writer = await asyncio.open_unix_connection(path=path)
+            writer.write(frame_message(ping("fresh")))
+            await writer.drain()
+            await _until(lambda: delivered == ["after", "fresh"])
+            writer.close()
+            return endpoint
+        finally:
+            await endpoint.close()
+
+    with caplog.at_level(logging.DEBUG):
+        endpoint = asyncio.run(scenario())
+
+    assert endpoint.stats.decode_errors == 1
+    assert endpoint.stats.handler_errors == 1
+    assert endpoint.stats.delivered == 3  # boom, after, fresh — not the garbage
+    assert loop_errors == []
+    assert "Task exception was never retrieved" not in caplog.text
+    assert not [w for w in recwarn.list
+                if "never retrieved" in str(w.message)]
+    # the handler's traceback is logged, not lost
+    assert "handler bug" in caplog.text

@@ -88,12 +88,11 @@ def test_mechanism_states_roundtrip(mechanism_name):
     session = ClientSession("c1")
     state = mechanism.empty_state()
     for value in ("v1", "v2"):
-        sibling = session.prepare_write("cart", value, None)
+        sibling = session.prepare_write("cart", value)
         state = mechanism.write(state, mechanism.empty_context(), sibling,
                                 "A", "c1")
     read = mechanism.read(state)
     context = CausalContext(key="cart", mechanism_context=read.context,
-                            observed_history=None,
                             mechanism_name=mechanism_name)
 
     decoded = roundtrip({"key": "cart", "state": state, "context": context})
@@ -108,7 +107,7 @@ def test_mechanism_states_roundtrip(mechanism_name):
 
 
 def test_sibling_keeps_uid_and_writer():
-    sibling = ClientSession("c9").prepare_write("k", "value", None)
+    sibling = ClientSession("c9").prepare_write("k", "value")
     decoded = roundtrip({"sibling": sibling})
     wired = decoded.payload["sibling"]
     assert wired == sibling

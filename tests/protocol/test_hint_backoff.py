@@ -52,7 +52,7 @@ def build_node(node_id: str = "A") -> ProtocolNode:
 
 def hold_hint(node: ProtocolNode, target_id: str, key: str = "cart") -> None:
     mechanism = node.env.mechanism
-    sibling = ClientSession("writer").prepare_write(key, "beer", None)
+    sibling = ClientSession("writer").prepare_write(key, "beer")
     state = mechanism.write(mechanism.empty_state(), mechanism.empty_context(),
                             sibling, node.node_id, "writer")
     node.store.store_hint(target_id, key, state)

@@ -46,7 +46,7 @@ def build_env(sloppy: bool = True, request_mode: str = "async",
 def coordinate_put(env, key: str = "cart", value: str = "beer",
                    client_id: str = "c1") -> Message:
     """A COORDINATE_PUT message as the client machine would send it."""
-    sibling = ClientSession(client_id).prepare_write(key, value, None)
+    sibling = ClientSession(client_id).prepare_write(key, value)
     return Message(
         sender=f"client:{client_id}",
         receiver=env.placement.primary_replicas(key)[0],
