@@ -15,7 +15,12 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from ..core import serialization
-from ..core.dvv import DottedVersionVector, join as dvv_join, update as dvv_update
+from ..core.dvv import (
+    DottedVersionVector,
+    join as dvv_join,
+    merge_versions,
+    update as dvv_update,
+)
 from ..core.version_vector import VersionVector
 from .interface import CausalityMechanism, ReadResult, Sibling
 
@@ -65,18 +70,7 @@ class DVVMechanism(CausalityMechanism[DVVState, VersionVector]):
         return survivors + ((new_clock, sibling),)
 
     def merge(self, state_a: DVVState, state_b: DVVState) -> DVVState:
-        by_dot = {}
-        for clock, sibling in state_a + state_b:
-            existing = by_dot.get(clock.dot)
-            if existing is None or clock.causal_past.descends(existing[0].causal_past):
-                by_dot[clock.dot] = (clock, sibling)
-        entries = list(by_dot.values())
-        survivors = [
-            (clock, sibling) for clock, sibling in entries
-            if not any(clock.happens_before(other) for other, _ in entries)
-        ]
-        survivors.sort(key=lambda item: item[0].dot)
-        return tuple(survivors)
+        return tuple(merge_versions(state_a + state_b))
 
     # ------------------------------------------------------------------ #
     # Metadata accounting

@@ -24,8 +24,10 @@ The canonical encoding is **byte-identical** to the historic
 and, for the registered baseline clocks, to the wire value codec's body
 (tags ``E``/``X``) — pinned by ``tests/core/golden_clock_encodings.json``.
 Consumers therefore share one encoding instead of four: ``encoded_size`` is a
-length of the cached bytes, the wire codec embeds them verbatim (retagging
-``D``→``W`` for DVVs), and the Merkle layers hash them at most once.
+length of the cached bytes, the wire codec embeds them as the body of a
+length-prefixed record (tagging DVVs ``W``, not ``D``) and fills the memo of
+what it decodes from the bytes that arrived, and the Merkle layers hash them
+at most once.
 
 Cache-effectiveness counters are kept module-wide (:func:`codec_stats` /
 :func:`reset_codec_stats`) so benchmarks can report a hit ratio.

@@ -26,8 +26,11 @@ storage server needs (following the companion technical report, reference [4]):
 * :func:`update` — mint the clock for a new version written by a client that
   supplied causal context ``ctx`` at server ``r`` currently holding
   ``server_versions``.
-* :func:`sync` — merge the version sets of two replicas, discarding versions
-  that are in the causal past of another version.
+* :func:`merge_versions` — the merge kernel: the live versions of a union of
+  version sets, discarding every version that is in the causal past of
+  another; :func:`sync` applies it to two replicas' clocks and
+  :class:`~repro.clocks.dvv_mechanism.DVVMechanism` to ``(clock, sibling)``
+  pairs.
 * :func:`discard` — drop the versions already covered by a client context.
 * :func:`join` — summarise a set of versions into the version-vector context
   handed back to clients on GET.
@@ -35,13 +38,16 @@ storage server needs (following the companion technical report, reference [4]):
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+import itertools
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from .causal_history import CausalHistory
 from .comparison import Ordering
 from .dot import Actor, Dot
 from .exceptions import InvalidClockError
 from .version_vector import VersionVector
+
+T = TypeVar("T")
 
 
 class DottedVersionVector:
@@ -236,6 +242,51 @@ def discard(versions: Sequence[DottedVersionVector],
     return [v for v in versions if not covered_by_context(v, context)]
 
 
+def merge_versions(entries: Iterable[Tuple[DottedVersionVector, T]]
+                   ) -> List[Tuple[DottedVersionVector, T]]:
+    """The one merge kernel: the live ``(clock, item)`` pairs of a union.
+
+    Pairs with the same dot are one version; the one with the larger causal
+    past wins (the later pair on a tie).  A version then survives iff no other
+    version's causal past contains its dot.  A dot is inside the join of a set
+    of version vectors iff it is inside one of them, and a DVV's own past
+    never contains its own dot, so "no other past contains it" is one
+    membership test against the pointwise maximum of *all* pasts: one pass to
+    build that ceiling, one O(1) test per entry — O(entries x replicas), the
+    paper's check used once per entry instead of once per pair.  The result is
+    sorted by dot so replicas converge to identical sibling lists.
+    """
+    by_dot: Dict[Dot, Tuple[DottedVersionVector, T]] = {}
+    for entry in entries:
+        clock = entry[0]
+        existing = by_dot.get(clock._dot)
+        if (existing is None or clock is existing[0]
+                or clock._vv.descends(existing[0]._vv)):
+            by_dot[clock._dot] = entry
+    covered = _ceiling_of_pasts(clock for clock, _ in by_dot.values()).get
+    survivors = [entry for dot, entry in by_dot.items()
+                 if dot.counter > covered(dot.actor, 0)]
+    survivors.sort(key=_dot_order)
+    return survivors
+
+
+def _dot_order(entry: Tuple[DottedVersionVector, object]) -> Tuple[Actor, int]:
+    """Sort key equal to :class:`Dot`'s own order, without comparing Dots."""
+    dot = entry[0]._dot
+    return dot.actor, dot.counter
+
+
+def _ceiling_of_pasts(clocks: Iterable[DottedVersionVector]) -> Dict[Actor, int]:
+    """Pointwise maximum of the clocks' causal pasts, as a plain dict."""
+    ceiling: Dict[Actor, int] = {}
+    top = ceiling.get
+    for clock in clocks:
+        for actor, counter in clock._vv._entries.items():
+            if counter > top(actor, 0):
+                ceiling[actor] = counter
+    return ceiling
+
+
 def sync(left: Sequence[DottedVersionVector],
          right: Sequence[DottedVersionVector]) -> List[DottedVersionVector]:
     """Merge the version sets of two replicas (anti-entropy / read repair).
@@ -245,15 +296,9 @@ def sync(left: Sequence[DottedVersionVector],
     collapsed.  Order of the result is deterministic (sorted by dot) so that
     replicas converge to identical sibling lists.
     """
-    by_dot = {}
-    for version in list(left) + list(right):
-        existing = by_dot.get(version.dot)
-        if existing is None or version.causal_past.descends(existing.causal_past):
-            by_dot[version.dot] = version
-    merged = list(by_dot.values())
-    survivors = [v for v in merged if not obsoleted_by(v, merged)]
-    survivors.sort(key=lambda v: v.dot)
-    return survivors
+    merged = merge_versions((version, None)
+                            for version in itertools.chain(left, right))
+    return [version for version, _ in merged]
 
 
 def join(versions: Iterable[DottedVersionVector]) -> VersionVector:
@@ -263,7 +308,10 @@ def join(versions: Iterable[DottedVersionVector]) -> VersionVector:
     (:meth:`DottedVersionVector.to_version_vector`); a client that later PUTs
     with this context supersedes exactly the versions it read.
     """
-    acc = VersionVector.empty()
+    versions = list(versions)
+    ceiling = _ceiling_of_pasts(versions)
     for version in versions:
-        acc = acc.merge(version.to_version_vector())
-    return acc
+        dot = version._dot
+        if dot.counter > ceiling.get(dot.actor, 0):
+            ceiling[dot.actor] = dot.counter
+    return VersionVector(ceiling)

@@ -22,7 +22,7 @@ object, which is what the examples and workload generators use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from ..clocks.interface import ReadResult, Sibling
 from ..core.dot import Dot
@@ -83,24 +83,35 @@ class ClientSession:
         """The causal context from the client's most recent read of ``key``."""
         return self._contexts.get(key)
 
+    def absorb(self,
+               key: str,
+               mechanism_context: Any,
+               read_dots: Iterable[Dot],
+               mechanism_name: str) -> CausalContext:
+        """Record a reply's context for ``key``: the one entry point for both
+        GET and PUT replies, and the context of the session's next write.
+
+        ``read_dots`` are the origin dots of the siblings the context covers
+        — the same information the mechanism context encodes — so the oracle
+        and the mechanism under test are judged on identical inputs.
+        """
+        context = CausalContext(
+            key=key,
+            mechanism_context=mechanism_context,
+            mechanism_name=mechanism_name,
+            read_dots=tuple(read_dots),
+        )
+        self._contexts[key] = context
+        return context
+
     def absorb_read(self,
                     key: str,
                     read: ReadResult,
                     mechanism_name: str) -> CausalContext:
-        """Record the outcome of a read and build the context for the next write.
-
-        The context's ``read_dots`` name exactly the writes *this* read
-        returned — the same information the mechanism context encodes — so the
-        oracle and the mechanism under test are judged on identical inputs.
-        """
-        context = CausalContext(
-            key=key,
-            mechanism_context=read.context,
-            mechanism_name=mechanism_name,
-            read_dots=tuple(sibling.origin_dot for sibling in read.siblings),
-        )
-        self._contexts[key] = context
-        return context
+        """:meth:`absorb` for a replica-local read (siblings in hand)."""
+        return self.absorb(
+            key, read.context,
+            (sibling.origin_dot for sibling in read.siblings), mechanism_name)
 
     def prepare_write(self, key: str, value: Any) -> Sibling:
         """Mint the ground-truth identity of a new write of ``key``: a fresh dot.

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
-from ...clocks.interface import ReadResult
 from ...network.message import Message, MessageType
 from ...obs.trace import NO_TRACER
 from ..client import ClientSession, GetResult, PutResult
@@ -296,8 +295,10 @@ class ClientProtocol:
         key = message.payload["key"]
         siblings = message.payload["siblings"]
 
-        read = ReadResult(siblings, message.payload["mechanism_context"])
-        context = self.session.absorb_read(key, read, self.env.mechanism.name)
+        context = self.session.absorb(
+            key, message.payload["mechanism_context"],
+            [sibling.origin_dot for sibling in siblings],
+            self.env.mechanism.name)
         result = GetResult(
             key=key,
             values=[s.value for s in siblings],
@@ -330,15 +331,19 @@ class ClientProtocol:
         started = self._started.pop(request_id, self.now)
         key = message.payload["key"]
 
-        # The put reply carries the post-write context (Riak's "return body"
-        # mode); absorbing it keeps the session able to chain further writes.
-        read = ReadResult(message.payload["siblings"], message.payload["mechanism_context"])
-        context = self.session.absorb_read(key, read, self.env.mechanism.name)
+        # The put reply carries the post-write context and the origin dots
+        # it covers, not the sibling bodies; absorbing it keeps the session
+        # able to chain further writes.  The sibling this request wrote is
+        # the one the client sent.
+        read_dots = message.payload["read_dots"]
+        context = self.session.absorb(
+            key, message.payload["mechanism_context"], read_dots,
+            self.env.mechanism.name)
         result = PutResult(
             key=key,
             context=context,
             coordinator=message.payload["coordinator"],
-            sibling=message.payload["sibling"],
+            sibling=info["payload"]["sibling"],
         )
         self.records.append(RequestRecord(
             operation="put",
@@ -348,7 +353,7 @@ class ClientProtocol:
             finished_at=self.now,
             ok=True,
             coordinator=message.payload["coordinator"],
-            sibling_count=len(message.payload["siblings"]),
+            sibling_count=len(read_dots),
             context_bytes=message.payload.get("context_bytes", 0),
         ))
         if callback is not None:

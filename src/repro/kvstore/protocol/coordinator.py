@@ -60,7 +60,6 @@ class CoordinatorSession:
     done: bool = False
     # put-only fields
     new_state: Any = None
-    sibling: Optional[Sibling] = None
     # async-mode fields
     mode: str = "membership"
     tried: List[str] = field(default_factory=list)       # every node contacted
@@ -323,7 +322,7 @@ class Coordinator:
         new_state = node.store.local_write(key, context, sibling, client_id)
         env.write_log.append(key, sibling, node.node_id, client_id, node.now)
         if env.request_mode == "async":
-            self._coordinate_put_async(message, key, sibling, new_state)
+            self._coordinate_put_async(message, key, new_state)
             return
 
         request_id = next(self._request_ids)
@@ -334,7 +333,6 @@ class Coordinator:
             request_id=message.msg_id,
             needed=min(config.w, max(len(replicas), 1)),
             new_state=new_state,
-            sibling=sibling,
         )
         self.sessions[request_id] = pending
         self._trace_begin(pending, message)
@@ -365,7 +363,7 @@ class Coordinator:
         self._maybe_finish_put(request_id)
 
     def _coordinate_put_async(self, message: Message, key: str,
-                              sibling: Sibling, new_state: Any) -> None:
+                              new_state: Any) -> None:
         """Deadline-driven PUT: fan out to the primaries, collect W acks.
 
         The membership view is not consulted; a primary that does not ack
@@ -385,7 +383,6 @@ class Coordinator:
             request_id=message.msg_id,
             needed=min(config.w, max(len(extended), 1)),
             new_state=new_state,
-            sibling=sibling,
             mode="async",
         )
         self.sessions[request_id] = pending
@@ -626,13 +623,16 @@ class Coordinator:
             sender=node.node_id,
             receiver=pending.client_address,
             msg_type=MessageType.PUT_REPLY,
+            # The context and the origin dots of the siblings it covers: all
+            # a session keeps of a reply.  No sibling body rides back — the
+            # client holds the one it sent, and reading values is what GET
+            # is for.
             payload={
                 "key": pending.key,
                 "coordinator": node.node_id,
                 "mechanism_context": read.context,
-                "siblings": list(read.siblings),
+                "read_dots": [s.origin_dot for s in read.siblings],
                 "context_bytes": context_bytes,
-                "sibling": pending.sibling,
             },
             size_bytes=context_bytes + env.request_overhead_bytes,
             request_id=pending.request_id,

@@ -19,7 +19,14 @@ Failure semantics match the simulated transport's stance: a send toward an
 address nobody listens on, or over a connection that breaks, is a counted,
 silent drop (``stats.dropped_unknown_destination``).  The protocol already
 tolerates lost messages — deadlines, read repair and anti-entropy exist for
-exactly that — so the backend never retries or errors a send.
+exactly that — so the backend never retries or errors a send.  A peer that
+closed its end (it restarted, or dropped the connection on a bad frame) is
+noticed on the next send, which forgets the dead stream and redials.
+
+Each endpoint owns the :class:`~repro.network.wire.RecordTable` its inbound
+frames are decoded against, so a clock or sibling record this node has already
+decoded — on any connection — is not parsed again (``stats.record_hits`` /
+``stats.record_misses``).
 
 Inbound faults are contained and counted the same way.  A frame that does not
 decode (``stats.decode_errors``) closes the one connection it arrived on — a
@@ -39,7 +46,7 @@ from ..core.exceptions import SerializationError
 from .base import ProtocolTransport
 from .message import Message
 from .transport import TransportStats
-from .wire import frame_message, read_message
+from .wire import RecordTable, frame_message, read_message
 
 #: Where an endpoint listens: ``("tcp", host, port)`` or ``("unix", path)``.
 Address = Union[Tuple[str, str, int], Tuple[str, str]]
@@ -68,10 +75,15 @@ class _Peer:
 
     def __init__(self, address: Address) -> None:
         self.address = address
+        #: Both halves of the outbound stream.  Nothing is ever read from it;
+        #: the reader is kept because EOF on it is how a peer that closed its
+        #: end shows (``write`` on a lost transport does not raise).
+        self.reader: Optional[asyncio.StreamReader] = None
         self.writer: Optional[asyncio.StreamWriter] = None
         self.connect_task: Optional[asyncio.Task] = None
-        #: Frames queued while the connection is still being established.
-        self.backlog: List[bytes] = []
+        #: ``(frame, message type, modelled size)`` of every frame queued
+        #: while the connection is still being established.
+        self.backlog: List[Tuple[bytes, str, int]] = []
 
 
 class AsyncioEndpoint(ProtocolTransport):
@@ -101,6 +113,7 @@ class AsyncioEndpoint(ProtocolTransport):
         self.address_book = address_book
         self.handler = handler
         self.stats = TransportStats()
+        self._records = RecordTable()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.base_events.Server] = None
         self._peers: Dict[str, _Peer] = {}
@@ -153,11 +166,14 @@ class AsyncioEndpoint(ProtocolTransport):
         task = asyncio.current_task()
         if task is not None:
             self._reader_tasks.append(task)
+        stats, records = self.stats, self._records
         try:
             while True:
-                message = await read_message(reader)
-                self.stats.record_delivered(message.msg_type.value,
-                                            message.size_bytes)
+                message = await read_message(reader, records)
+                stats.record_hits = records.hits
+                stats.record_misses = records.misses
+                stats.record_delivered(message.msg_type.value,
+                                       message.size_bytes)
                 if self.handler is not None:
                     try:
                         self.handler(message)
@@ -186,53 +202,62 @@ class AsyncioEndpoint(ProtocolTransport):
     # ------------------------------------------------------------------ #
     def send(self, message: Message) -> None:
         """Frame and write toward the receiver's endpoint, best-effort."""
+        msg_type = message.msg_type.value
         self.stats.sent += 1
         self.stats.bytes_sent += message.size_bytes
-        self.stats.record_type(message.msg_type.value, message.size_bytes)
+        self.stats.record_type(msg_type, message.size_bytes)
         if self._closed or message.receiver not in self.address_book:
-            self.stats.dropped_unknown_destination += 1
-            self.stats.record_dropped(message.msg_type.value, message.size_bytes)
+            self._drop(msg_type, message.size_bytes)
             return
         frame = frame_message(message)
         peer = self._peers.get(message.receiver)
         if peer is None:
             peer = _Peer(self.address_book[message.receiver])
             self._peers[message.receiver] = peer
-        if peer.writer is not None:
+        writer = peer.writer
+        if writer is not None and (writer.is_closing()
+                                   or peer.reader.at_eof()):
+            # The peer closed its end: forget the stream, queue, redial.
+            writer.close()
+            writer = peer.reader = peer.writer = None
+        if writer is not None:
             try:
-                peer.writer.write(frame)
+                writer.write(frame)
             except (ConnectionError, RuntimeError):
                 # Broken pipe: drop this frame, forget the stream so the
                 # next send redials.  The protocol tolerates the loss.
-                self._drop(message)
-                peer.writer = None
+                self._drop(msg_type, message.size_bytes)
+                peer.reader = peer.writer = None
             return
-        peer.backlog.append(frame)
+        peer.backlog.append((frame, msg_type, message.size_bytes))
         if peer.connect_task is None:
             peer.connect_task = self._require_loop().create_task(
                 self._connect(message.receiver, peer))
 
-    def _drop(self, message: Message) -> None:
+    def _drop(self, msg_type: str, size_bytes: int) -> None:
         self.stats.dropped_unknown_destination += 1
-        self.stats.record_dropped(message.msg_type.value, message.size_bytes)
+        self.stats.record_dropped(msg_type, size_bytes)
 
     async def _connect(self, peer_id: str, peer: _Peer) -> None:
         try:
             if peer.address[0] == "unix":
-                _, writer = await asyncio.open_unix_connection(path=peer.address[1])
+                reader, writer = await asyncio.open_unix_connection(
+                    path=peer.address[1])
             else:
-                _, writer = await asyncio.open_connection(
+                reader, writer = await asyncio.open_connection(
                     host=peer.address[1], port=peer.address[2])
         except OSError:
-            # Nobody listening: everything queued for this peer is dropped,
-            # and the *next* send attempts a fresh connection.
-            peer.backlog.clear()
+            # Nobody listening: everything queued for this peer is a counted
+            # drop, and the *next* send attempts a fresh connection.
+            backlog, peer.backlog = peer.backlog, []
             peer.connect_task = None
+            for _, msg_type, size_bytes in backlog:
+                self._drop(msg_type, size_bytes)
             return
-        peer.writer = writer
+        peer.reader, peer.writer = reader, writer
         peer.connect_task = None
         backlog, peer.backlog = peer.backlog, []
-        for frame in backlog:
+        for frame, _, _ in backlog:
             writer.write(frame)
 
     # ------------------------------------------------------------------ #

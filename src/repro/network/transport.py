@@ -40,7 +40,9 @@ class TransportStats:
     it arrived on was closed) and ``handler_errors`` (a node's handler raised
     on a delivered message; the connection stayed up) are counted by the
     real-socket backend.  The simulator passes objects, not bytes, and lets
-    handler exceptions fail the run, so both stay 0 there.
+    handler exceptions fail the run, so both stay 0 there — as do
+    ``record_hits`` / ``record_misses``, the clock and sibling records an
+    endpoint's decoder found in its record table / had to parse.
     """
 
     sent: int = 0
@@ -57,6 +59,8 @@ class TransportStats:
     deadlines_cancelled: int = 0
     decode_errors: int = 0
     handler_errors: int = 0
+    record_hits: int = 0
+    record_misses: int = 0
     per_type: Dict[str, int] = field(default_factory=dict)
     bytes_per_type: Dict[str, int] = field(default_factory=dict)
     delivered_bytes_per_type: Dict[str, int] = field(default_factory=dict)

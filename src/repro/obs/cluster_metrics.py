@@ -33,7 +33,7 @@ _TRANSPORT_FIELDS = (
     "dropped_unknown_destination", "duplicated",
     "bytes_sent", "bytes_delivered", "bytes_dropped",
     "deadlines_set", "deadlines_fired", "deadlines_cancelled",
-    "decode_errors", "handler_errors",
+    "decode_errors", "handler_errors", "record_hits", "record_misses",
 )
 
 

@@ -6,11 +6,16 @@ It was generated from the pre-refactor encoders — before the memoizing
 canonical-bytes layer existed — so the tests asserting against it prove the
 refactor changed *where* bytes are computed, never *which* bytes.
 
-One deliberate format change since: ``WIRE_VERSION`` 2 took the correctness
-oracle off the wire, so the ``wire`` hex of exactly two cases — ``sibling``
-and ``context`` — lost its embedded causal history (a sibling is value +
-origin dot + writer + uid, a context is key + mechanism context + mechanism
-name).  Every clock entry and every ``serialization`` hex is still the
+Two deliberate format changes since, both to the ``wire`` column only.
+``WIRE_VERSION`` 2 took the correctness oracle off the wire, so the ``wire``
+hex of exactly two cases — ``sibling`` and ``context`` — lost its embedded
+causal history (a sibling is value + origin dot + writer + uid, a context is
+key + mechanism context + mechanism name).  ``WIRE_VERSION`` 3 made clocks and
+siblings length-prefixed records (``tag · varint(body length) · body``, bodies
+unchanged; the ``E`` nested in ``dotted_vve`` stays unprefixed) and the
+sibling's writer a bare string, so the ``wire`` hex of the 13 cases holding a
+``V W E X H`` or ``G`` moved — every case but the two ``dvvset_*`` ones, whose
+values are plain strings.  Every ``serialization`` hex is still the
 pre-refactor capture.
 
 Regenerate (only when the wire format deliberately changes, never to make a

@@ -316,7 +316,7 @@ def test_wire_decode_interns_actor_ids():
     clock = DottedVersionVector(Dot(actor, 2), VersionVector({actor: 1}))
     buf = bytearray()
     wire._encode_value(clock, buf)
-    decoded, _ = wire._decode_value(bytes(buf), 0)
+    decoded, _ = wire._decode_value(bytes(buf), 0, None)
     assert decoded.dot.actor is next(iter(decoded.causal_past.entries()))
 
 

@@ -47,12 +47,12 @@ class ReferenceOracle:
 
     def watch(self, session: ClientSession) -> None:
         """Observe what ``session`` reads and which dots it mints."""
-        absorb_read, prepare_write = session.absorb_read, session.prepare_write
+        absorb, prepare_write = session.absorb, session.prepare_write
 
-        def absorbing(key, read, mechanism_name):
-            context = absorb_read(key, read, mechanism_name)
+        def absorbing(key, mechanism_context, read_dots, mechanism_name):
+            context = absorb(key, mechanism_context, read_dots, mechanism_name)
             seen = frozenset().union(
-                *(self.history[sibling.origin_dot] for sibling in read.siblings))
+                *(self.history[dot] for dot in context.read_dots))
             self._seen[id(context)] = (context, seen)
             return context
 
@@ -61,7 +61,7 @@ class ReferenceOracle:
             self.minted.append(sibling)
             return sibling
 
-        session.absorb_read = absorbing
+        session.absorb = absorbing
         session.prepare_write = minting
 
     def wrote(self, context: Optional[CausalContext]) -> None:

@@ -95,3 +95,85 @@ def test_bad_frame_and_handler_bug_are_counted_and_contained(tmp_path, caplog,
                 if "never retrieved" in str(w.message)]
     # the handler's traceback is logged, not lost
     assert "handler bug" in caplog.text
+
+
+def test_send_redials_a_peer_that_restarted_on_the_same_address(tmp_path):
+    """``write`` on a stream the peer closed does not raise; without a check
+    every later frame toward a restarted node would vanish uncounted."""
+    book = {"A": ("unix", str(tmp_path / "A.sock")),
+            "B": ("unix", str(tmp_path / "B.sock"))}
+    delivered = []
+
+    def to_b(tag: str) -> Message:
+        return Message(sender="A", receiver="B", msg_type=MessageType.PING,
+                       payload={"tag": tag}, size_bytes=1)
+
+    async def scenario() -> AsyncioEndpoint:
+        sender = AsyncioEndpoint("A", book)
+        await sender.start()
+        first = AsyncioEndpoint(
+            "B", book, handler=lambda m: delivered.append(m.payload["tag"]))
+        await first.start()
+        try:
+            sender.send(to_b("before"))
+            await _until(lambda: delivered == ["before"])
+            await first.close()
+
+            second = AsyncioEndpoint(
+                "B", book, handler=lambda m: delivered.append(m.payload["tag"]))
+            await second.start()
+            try:
+                # A frame written before the old listener's EOF reaches the
+                # sender is lost on any stream transport; wait for the EOF.
+                await _until(lambda: sender._peers["B"].reader.at_eof())
+                for index in range(5):
+                    sender.send(to_b(f"after-{index}"))
+                await _until(lambda: len(delivered) == 6)
+            finally:
+                await second.close()
+            return sender
+        finally:
+            await sender.close()
+
+    sender = asyncio.run(scenario())
+    assert delivered == ["before"] + [f"after-{index}" for index in range(5)]
+    assert sender.stats.dropped_unknown_destination == 0
+
+
+def test_frames_dropped_from_a_connect_backlog_are_counted(tmp_path):
+    book = {"A": ("unix", str(tmp_path / "A.sock")),
+            "B": ("unix", str(tmp_path / "B.sock"))}
+    delivered = []
+
+    def to_b(tag: str) -> Message:
+        return Message(sender="A", receiver="B", msg_type=MessageType.PING,
+                       payload={"tag": tag}, size_bytes=7)
+
+    async def scenario() -> AsyncioEndpoint:
+        sender = AsyncioEndpoint("A", book)
+        await sender.start()
+        try:
+            # B is in the book but nobody listens there yet: the frames wait
+            # in the connect backlog and are dropped when the dial fails.
+            for index in range(3):
+                sender.send(to_b(f"lost-{index}"))
+            await _until(
+                lambda: sender.stats.dropped_unknown_destination == 3)
+            assert sender.stats.bytes_dropped == 3 * 7
+            assert sender.stats.dropped_bytes_per_type == {"ping": 3 * 7}
+
+            listener = AsyncioEndpoint(
+                "B", book, handler=lambda m: delivered.append(m.payload["tag"]))
+            await listener.start()
+            try:
+                sender.send(to_b("found"))
+                await _until(lambda: delivered == ["found"])
+            finally:
+                await listener.close()
+            return sender
+        finally:
+            await sender.close()
+
+    sender = asyncio.run(scenario())
+    assert sender.stats.sent == 4
+    assert sender.stats.dropped_unknown_destination == 3

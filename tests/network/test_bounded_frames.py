@@ -5,8 +5,9 @@ degree, so the frame that replicates a write must not grow with the number of
 writes the key has seen — while the causal-history baseline (Figure 1a) grows
 with every write and client-id version vectors grow with every client.
 
-Every size here is ``len(frame_message(message))`` of a ``REPLICA_PUT`` as
-the asyncio transport framed it for a Unix-domain socket.
+Every size here is ``len(frame_message(message))`` as the asyncio transport
+framed it for a Unix-domain socket — of a ``REPLICA_PUT``, and of the
+``PUT_REPLY`` that acknowledges a write to a key with many siblings.
 """
 
 from __future__ import annotations
@@ -19,9 +20,11 @@ import pytest
 
 from repro.clocks import create, interface
 from repro.cluster import QuorumConfig
+from repro.core import Dot
 from repro.kvstore.asyncio_cluster import AsyncioCluster
 from repro.network import asyncio_transport, message
 from repro.network.message import MessageType
+from repro.network.wire import decode_message
 
 #: Writes issued before measuring, so that every counter that rides the frame
 #: (the client's write sequence, the coordinator's per-key counter) stays in
@@ -107,3 +110,45 @@ def test_client_vv_frame_outgrows_dvv_with_rotating_client_ids(
         last[mechanism_name] = frames[-1]
     # client_vv keeps one entry per client that ever wrote; dvv one per server.
     assert last["client_vv"] > last["dvv"] + 31 * len("client-00")
+
+
+def test_put_reply_carries_origin_dots_not_sibling_bodies(monkeypatch):
+    """A write's acknowledgement must not grow with the *values* a hot key
+    holds: the client needs its next context, and reads values with GET."""
+    frames = {}
+    frame_message = asyncio_transport.frame_message
+
+    def recording(msg):
+        frame = frame_message(msg)
+        frames[msg.msg_type] = frame          # the last of each type
+        return frame
+
+    monkeypatch.setattr(asyncio_transport, "frame_message", recording)
+    values = [f"value-{index:02d}-" + "x" * 54 for index in range(30)]
+
+    async def scenario():
+        cluster = AsyncioCluster(
+            create("dvv"), server_ids=("A", "B", "C"),
+            quorum=QuorumConfig(n=3, r=2, w=2, sloppy=True),
+            anti_entropy_interval_ms=None, hint_replay_interval_ms=None,
+            replica_timeout_ms=2000.0, request_timeout_ms=5000.0)
+        async with cluster:
+            client = await cluster.client("c1")
+            for value in values:              # blind writes: 30 siblings
+                written = await client.put("cart", value, use_context=False)
+                assert written.sibling.value == value
+            read = await client.get("cart")
+            assert sorted(read.values) == values
+            return client.records[-2].sibling_count
+
+    assert asyncio.run(scenario()) == 30
+    put_reply = frames[MessageType.PUT_REPLY]
+    get_reply = frames[MessageType.GET_REPLY]
+    payload = decode_message(put_reply[4:]).payload
+    assert sorted(payload) == ["context_bytes", "coordinator", "key",
+                               "mechanism_context", "read_dots"]
+    assert len(payload["read_dots"]) == 30
+    assert all(isinstance(dot, Dot) for dot in payload["read_dots"])
+    assert not any(value.encode() in put_reply for value in values)
+    assert all(value.encode() in get_reply for value in values)
+    assert len(put_reply) * 3 < len(get_reply)

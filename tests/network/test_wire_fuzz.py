@@ -1,4 +1,4 @@
-"""Mutation fuzz of the version-2 wire codec.
+"""Mutation fuzz of the version-3 wire codec.
 
 The corpus is real traffic: for every registered mechanism, two eventful
 simulated-cluster runs (node failure with hinted handoff, a join with key
@@ -156,7 +156,7 @@ def test_corpus_covers_every_message_type_and_round_trips(mechanism_name):
         decoded, rest = unframe(frame)
         assert decoded == message
         assert rest == b""
-        assert frame[4] == WIRE_VERSION == 2
+        assert frame[4] == WIRE_VERSION == 3
 
 
 @pytest.mark.parametrize("mechanism_name", MECHANISMS)

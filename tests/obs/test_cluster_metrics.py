@@ -89,6 +89,16 @@ class TestSnapshotSchema:
                      "node.A.pending_hints"):
             assert name in snap, name
 
+    def test_record_table_counters_are_reported_by_both_backends(self):
+        sim = run_simulated_workload().metrics_snapshot()
+        assert sim["transport.record_hits"] == sim["transport.record_misses"] == 0
+        cluster, _ = asyncio.run(run_asyncio_workload())
+        real = cluster.metrics_snapshot()
+        # 6 writes to 2 keys: every write is parsed once per receiving
+        # endpoint, and replicas see the surviving pairs again on later puts.
+        assert real["transport.record_misses"] > 0
+        assert real["transport.record_hits"] > 0
+
     def test_snapshot_reads_do_not_mutate(self):
         cluster = run_simulated_workload()
         assert cluster.metrics_snapshot() == cluster.metrics_snapshot()
