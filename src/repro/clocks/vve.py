@@ -290,22 +290,19 @@ class DottedVVE:
 # tags so network frames can embed the cached encodings verbatim.
 def _encode_vve(clock: VersionVectorWithExceptions) -> bytes:
     out = bytearray(b"E")
-    out += codec._encode_vv_body(clock.base)
+    codec._write_vv_body(out, clock.base)
     exceptions = sorted(clock.exceptions)
-    out += codec._encode_varint(len(exceptions))
+    codec._write_varint(out, len(exceptions))
     for dot in exceptions:
-        out += codec._encode_str(dot.actor)
-        out += codec._encode_varint(dot.counter)
+        codec._write_dot(out, dot)
     return bytes(out)
 
 
 def _encode_dotted_vve(clock: DottedVVE) -> bytes:
-    return (
-        b"X"
-        + codec._encode_str(clock.dot.actor)
-        + codec._encode_varint(clock.dot.counter)
-        + codec.canonical_bytes(clock.causal_past)
-    )
+    out = bytearray(b"X")
+    codec._write_dot(out, clock.dot)
+    out += codec.canonical_bytes(clock.causal_past)
+    return bytes(out)
 
 
 from ..core import codec  # noqa: E402  (bottom import breaks the cycle)

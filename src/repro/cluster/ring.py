@@ -12,6 +12,7 @@ number of clients.
 from __future__ import annotations
 
 import bisect
+import functools
 import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
@@ -19,8 +20,10 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from ..core.exceptions import ConfigurationError
 
 
+@functools.lru_cache(maxsize=65536)
 def _hash_position(token: str) -> int:
-    """Map a token to a position on the 128-bit ring."""
+    """Map a token to a position on the 128-bit ring (memoised: a request
+    asks for its key's position a dozen times, membership never changes it)."""
     return int.from_bytes(hashlib.md5(token.encode("utf-8")).digest(), "big")
 
 

@@ -69,73 +69,89 @@ _MAX_VARINT_BITS = 70
 _VARINT_LIMIT = 1 << _MAX_VARINT_BITS
 
 
-def _encode_varint(value: int) -> bytes:
+def _write_varint(out: bytearray, value: int) -> None:
+    """Append ``value`` to ``out`` as an LEB128 varint."""
+    if 0 <= value < 0x80:
+        out.append(value)
+        return
     if not 0 <= value < _VARINT_LIMIT:
         raise SerializationError(f"cannot encode integer {value} as a varint")
-    out = bytearray()
-    while True:
-        byte = value & 0x7F
+    while value >= 0x80:
+        out.append(value & 0x7F | 0x80)
         value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return bytes(out)
+    out.append(value)
 
 
+def _write_str(out: bytearray, value: str) -> None:
+    raw = value.encode("utf-8")
+    if len(raw) < 0x80:
+        out.append(len(raw))
+    else:
+        _write_varint(out, len(raw))
+    out += raw
+
+
+def _write_dot(out: bytearray, dot: Dot) -> None:
+    _write_str(out, dot.actor)
+    _write_varint(out, dot.counter)
+
+
+def _write_vv_body(out: bytearray, vv: VersionVector) -> None:
+    _write_varint(out, len(vv))
+    for actor, counter in vv.items():
+        _write_str(out, actor)
+        _write_varint(out, counter)
+
+
+# The readers index ``data`` directly: running off the end is an IndexError,
+# which the two decoding boundaries (``serialization.decode`` and
+# ``wire.decode_message``) report as a truncated encoding.
 def _decode_varint(data: bytes, offset: int) -> Tuple[int, int]:
-    result = 0
-    shift = 0
+    result = data[offset]
+    offset += 1
+    if result < 0x80:
+        return result, offset
+    result &= 0x7F
+    shift = 7
     while True:
-        if offset >= len(data):
-            raise SerializationError("truncated varint")
         byte = data[offset]
         offset += 1
         result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
+        if byte < 0x80:
             return result, offset
         shift += 7
         if shift >= _MAX_VARINT_BITS:
             raise SerializationError("varint longer than 10 bytes")
 
 
-def _encode_str(value: str) -> bytes:
-    raw = value.encode("utf-8")
-    return _encode_varint(len(raw)) + raw
-
-
 def _decode_str(data: bytes, offset: int) -> Tuple[str, int]:
-    length, offset = _decode_varint(data, offset)
-    if offset + length > len(data):
+    length = data[offset]
+    if length < 0x80:
+        offset += 1
+    else:
+        length, offset = _decode_varint(data, offset)
+    end = offset + length
+    if end > len(data):
         raise SerializationError("truncated string")
-    return data[offset:offset + length].decode("utf-8"), offset + length
-
-
-def intern_actor(actor: str) -> str:
-    """Return the process-wide shared instance of an actor-id string.
-
-    Decode paths run this on every actor id they parse, so a decoded
-    cluster's clock entries share one string object per actor instead of one
-    per message — cheaper equality checks in the comparison hot paths and a
-    smaller resident set for long-lived stored states.
-    """
-    return sys.intern(actor)
+    return data[offset:end].decode("utf-8"), end
 
 
 def _decode_actor(data: bytes, offset: int) -> Tuple[str, int]:
-    """Decode a length-prefixed actor id, interned."""
+    """Decode a length-prefixed actor id, interned: a decoded cluster's clock
+    entries share one string object per actor instead of one per message."""
     actor, offset = _decode_str(data, offset)
     return sys.intern(actor), offset
 
 
-def _encode_vv_body(vv: VersionVector) -> bytes:
-    out = bytearray(_encode_varint(len(vv)))
-    for actor, counter in vv.items():
-        out += _encode_str(actor)
-        out += _encode_varint(counter)
-    return bytes(out)
+def _decode_dot(data: bytes, offset: int) -> Tuple[Dot, int]:
+    actor, offset = _decode_actor(data, offset)
+    counter, offset = _decode_varint(data, offset)
+    return Dot(actor, counter), offset
 
 
+# ---------------------------------------------------------------------- #
+# Clock bodies (everything after the tag), shared with the wire codec
+# ---------------------------------------------------------------------- #
 def _decode_vv_body(data: bytes, offset: int) -> Tuple[VersionVector, int]:
     count, offset = _decode_varint(data, offset)
     entries: Dict[str, int] = {}
@@ -144,6 +160,26 @@ def _decode_vv_body(data: bytes, offset: int) -> Tuple[VersionVector, int]:
         counter, offset = _decode_varint(data, offset)
         entries[actor] = counter
     return VersionVector(entries), offset
+
+
+def _decode_dvv_body(data: bytes, offset: int
+                     ) -> Tuple[DottedVersionVector, int]:
+    dot, offset = _decode_dot(data, offset)
+    past, offset = _decode_vv_body(data, offset)
+    return DottedVersionVector(dot, past), offset
+
+
+def _decode_history_body(data: bytes, offset: int) -> Tuple[CausalHistory, int]:
+    has_event, offset = _decode_varint(data, offset)
+    event = None
+    if has_event:
+        event, offset = _decode_dot(data, offset)
+    count, offset = _decode_varint(data, offset)
+    dots: List[Dot] = []
+    for _ in range(count):
+        dot, offset = _decode_dot(data, offset)
+        dots.append(dot)
+    return CausalHistory.from_events(dots, event), offset
 
 
 def _value_to_str(value: Any) -> str:
@@ -187,39 +223,43 @@ def cache_hit_ratio(stats: Dict[str, int], prefix: str = "encode") -> float:
 # Cold encoders (run once per instance)
 # ---------------------------------------------------------------------- #
 def _encode_vv(vv: VersionVector) -> bytes:
-    return b"V" + _encode_vv_body(vv)
+    out = bytearray(b"V")
+    _write_vv_body(out, vv)
+    return bytes(out)
 
 
 def _encode_dvv(clock: DottedVersionVector) -> bytes:
-    body = _encode_str(clock.dot.actor) + _encode_varint(clock.dot.counter)
-    return b"D" + body + _encode_vv_body(clock.causal_past)
+    out = bytearray(b"D")
+    _write_dot(out, clock.dot)
+    _write_vv_body(out, clock.causal_past)
+    return bytes(out)
 
 
 def _encode_history(clock: CausalHistory) -> bytes:
     dots = sorted(clock.events())
     out = bytearray(b"H")
     event = clock.event
-    out += _encode_varint(1 if event is not None else 0)
+    out.append(1 if event is not None else 0)
     if event is not None:
-        out += _encode_str(event.actor) + _encode_varint(event.counter)
-    out += _encode_varint(len(dots))
+        _write_dot(out, event)
+    _write_varint(out, len(dots))
     for dot in dots:
-        out += _encode_str(dot.actor) + _encode_varint(dot.counter)
+        _write_dot(out, dot)
     return bytes(out)
 
 
 def _encode_dvvset(clock: DVVSet) -> bytes:
     out = bytearray(b"S")
-    out += _encode_varint(len(clock.entries))
+    _write_varint(out, len(clock.entries))
     for actor, counter, values in clock.entries:
-        out += _encode_str(actor)
-        out += _encode_varint(counter)
-        out += _encode_varint(len(values))
+        _write_str(out, actor)
+        _write_varint(out, counter)
+        _write_varint(out, len(values))
         for value in values:
-            out += _encode_str(_value_to_str(value))
-    out += _encode_varint(len(clock.anonymous))
+            _write_str(out, _value_to_str(value))
+    _write_varint(out, len(clock.anonymous))
     for value in clock.anonymous:
-        out += _encode_str(_value_to_str(value))
+        _write_str(out, _value_to_str(value))
     return bytes(out)
 
 
@@ -349,7 +389,6 @@ __all__ = [
     "codec_stats",
     "fingerprint",
     "hexfingerprint",
-    "intern_actor",
     "is_canonical_type",
     "register_encoder",
     "reset_codec_stats",

@@ -15,26 +15,23 @@ every stored value.  This module provides:
 The binary encoding itself lives in :mod:`repro.core.codec`, the canonical-
 bytes layer: clocks are immutable, so the encoding is computed once per
 instance and memoized, and :func:`encode` / :func:`encoded_size` here are
-cache reads after the first call.  The byte format is unchanged — the low-
-level helpers (``_encode_varint`` & co.) are re-exported so existing
-importers (the wire codec, tests) keep working.
+cache reads after the first call.  The primitives and the clock-body parsers
+are :mod:`~repro.core.codec`'s too — one set, shared with the wire codec.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple, Union
+from typing import Any, Dict, Tuple, Union
 
 from . import codec
 from .causal_history import CausalHistory
-from .codec import (  # noqa: F401  (re-exported; the wire codec imports these)
+from .codec import (
     _decode_actor,
+    _decode_dvv_body,
+    _decode_history_body,
     _decode_str,
     _decode_varint,
     _decode_vv_body,
-    _encode_str,
-    _encode_varint,
-    _encode_vv_body,
-    _value_to_str,
 )
 from .dot import Dot
 from .dvv import DottedVersionVector
@@ -43,13 +40,6 @@ from .exceptions import ClockError, SerializationError
 from .version_vector import VersionVector
 
 Clock = Union[CausalHistory, VersionVector, DottedVersionVector, DVVSet]
-
-_TYPE_TAGS = {
-    VersionVector: b"V",
-    DottedVersionVector: b"D",
-    CausalHistory: b"H",
-    DVVSet: b"S",
-}
 
 
 # ---------------------------------------------------------------------- #
@@ -64,72 +54,53 @@ def encode(clock: Clock) -> bytes:
     return codec.canonical_bytes(clock)
 
 
+def _decode_dvvset_body(data: bytes, offset: int) -> Tuple[DVVSet, int]:
+    entry_count_, offset = _decode_varint(data, offset)
+    entries = []
+    for _ in range(entry_count_):
+        actor, offset = _decode_actor(data, offset)
+        counter, offset = _decode_varint(data, offset)
+        value_count, offset = _decode_varint(data, offset)
+        values = []
+        for _ in range(value_count):
+            value, offset = _decode_str(data, offset)
+            values.append(value)
+        entries.append((actor, counter, tuple(values)))
+    anon_count, offset = _decode_varint(data, offset)
+    anonymous = []
+    for _ in range(anon_count):
+        value, offset = _decode_str(data, offset)
+        anonymous.append(value)
+    return DVVSet(entries, anonymous), offset
+
+
+_BODY_DECODERS = {
+    b"V": _decode_vv_body,
+    b"D": _decode_dvv_body,
+    b"H": _decode_history_body,
+    b"S": _decode_dvvset_body,
+}
+
+
 def decode(data: bytes) -> Clock:
     """Decode a byte string produced by :func:`encode`.
 
     Malformed input of any kind — truncation, invalid UTF-8, fields a clock
     constructor rejects — raises :class:`SerializationError`.
     """
-    try:
-        return _decode(data)
-    except (UnicodeDecodeError, ClockError) as exc:
-        raise SerializationError(f"malformed clock encoding: {exc!r}") from exc
-
-
-def _decode(data: bytes) -> Clock:
     if not data:
         raise SerializationError("empty input")
-    tag, offset = data[:1], 1
-    if tag == b"V":
-        vv, offset = _decode_vv_body(data, offset)
-        _check_consumed(data, offset)
-        return vv
-    if tag == b"D":
-        actor, offset = _decode_actor(data, offset)
-        counter, offset = _decode_varint(data, offset)
-        vv, offset = _decode_vv_body(data, offset)
-        _check_consumed(data, offset)
-        return DottedVersionVector(Dot(actor, counter), vv)
-    if tag == b"H":
-        has_event, offset = _decode_varint(data, offset)
-        event = None
-        if has_event:
-            actor, offset = _decode_actor(data, offset)
-            counter, offset = _decode_varint(data, offset)
-            event = Dot(actor, counter)
-        count, offset = _decode_varint(data, offset)
-        dots: List[Dot] = []
-        for _ in range(count):
-            actor, offset = _decode_actor(data, offset)
-            counter, offset = _decode_varint(data, offset)
-            dots.append(Dot(actor, counter))
-        _check_consumed(data, offset)
-        return CausalHistory.from_events(dots, event)
-    if tag == b"S":
-        entry_count_, offset = _decode_varint(data, offset)
-        entries = []
-        for _ in range(entry_count_):
-            actor, offset = _decode_actor(data, offset)
-            counter, offset = _decode_varint(data, offset)
-            value_count, offset = _decode_varint(data, offset)
-            values = []
-            for _ in range(value_count):
-                value, offset = _decode_str(data, offset)
-                values.append(value)
-            entries.append((actor, counter, tuple(values)))
-        anon_count, offset = _decode_varint(data, offset)
-        anonymous = []
-        for _ in range(anon_count):
-            value, offset = _decode_str(data, offset)
-            anonymous.append(value)
-        _check_consumed(data, offset)
-        return DVVSet(entries, anonymous)
-    raise SerializationError(f"unknown clock tag {tag!r}")
-
-
-def _check_consumed(data: bytes, offset: int) -> None:
+    decode_body = _BODY_DECODERS.get(data[:1])
+    if decode_body is None:
+        raise SerializationError(f"unknown clock tag {data[:1]!r}")
+    try:
+        clock, offset = decode_body(data, 1)
+    except (UnicodeDecodeError, ClockError, IndexError) as exc:
+        raise SerializationError(f"malformed clock encoding: {exc!r}") from exc
     if offset != len(data):
-        raise SerializationError(f"trailing bytes after decoding ({len(data) - offset} left)")
+        raise SerializationError(
+            f"trailing bytes after decoding ({len(data) - offset} left)")
+    return clock
 
 
 # ---------------------------------------------------------------------- #

@@ -9,19 +9,27 @@ frames and lazily opens one persistent outbound connection per peer it sends
 to, so the socket topology mirrors the message-passing model the protocol
 was written against.
 
-Everything runs on one event loop; per-connection reader coroutines decode
-frames and hand messages to the node's handler synchronously, exactly like
-the simulator's delivery callback.  Timers map to ``loop.call_later`` and the
-clock to ``loop.time()`` — the state machines never notice they moved from
-virtual milliseconds to wall-clock milliseconds.
+Everything runs on one event loop, and a frame is handled in the callback
+that received it: every accepted connection is an :class:`asyncio.Protocol`
+that owns its receive buffer, and its ``data_received`` cuts each complete
+frame off that buffer (:func:`~repro.network.wire.split_frames`), decodes it
+and hands the message to the node's handler synchronously, exactly like the
+simulator's delivery callback — no stream reader, no task per connection.
+Timers map to ``loop.call_later`` and the clock to ``loop.time()`` — the state
+machines never notice they moved from virtual milliseconds to wall-clock
+milliseconds.
 
 Failure semantics match the simulated transport's stance: a send toward an
 address nobody listens on, or over a connection that breaks, is a counted,
 silent drop (``stats.dropped_unknown_destination``).  The protocol already
 tolerates lost messages — deadlines, read repair and anti-entropy exist for
 exactly that — so the backend never retries or errors a send.  A peer that
-closed its end (it restarted, or dropped the connection on a bad frame) is
-noticed on the next send, which forgets the dead stream and redials.
+closed its end (it restarted, or dropped the connection on a bad frame) closes
+the outbound transport — the protocol default on EOF — which the next send
+notices: it forgets the dead connection and redials.  What waits toward one
+peer is bounded: past :data:`MAX_QUEUED_BYTES` in the transport's write buffer
+(a peer that stopped reading) or in the connect backlog, a frame is a counted
+drop too (``stats.dropped_backpressure``).
 
 Each endpoint owns the :class:`~repro.network.wire.RecordTable` its inbound
 frames are decoded against, so a clock or sibling record this node has already
@@ -40,18 +48,23 @@ from __future__ import annotations
 
 import asyncio
 import logging
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 from ..core.exceptions import SerializationError
+from . import wire
 from .base import ProtocolTransport
 from .message import Message
 from .transport import TransportStats
-from .wire import RecordTable, frame_message, read_message
+from .wire import MAX_FRAME_BYTES, RecordTable, frame_message, split_frames
 
 #: Where an endpoint listens: ``("tcp", host, port)`` or ``("unix", path)``.
 Address = Union[Tuple[str, str, int], Tuple[str, str]]
 
 MessageHandler = Callable[[Message], None]
+
+#: Most bytes an endpoint lets wait toward one peer — in the transport's write
+#: buffer or, while dialling, in the connect backlog — before it sheds frames.
+MAX_QUEUED_BYTES = 2 * MAX_FRAME_BYTES
 
 logger = logging.getLogger(__name__)
 
@@ -70,20 +83,63 @@ class _TimerHandle:
         self._handle.cancel()
 
 
-class _Peer:
-    """One lazily-connected outbound stream to a fixed peer address."""
+class _Peer(asyncio.Protocol):
+    """One lazily-connected outbound connection to a fixed peer address.
+
+    Nothing is ever read from it.  It is its own connection's protocol for the
+    default ``eof_received``: a peer that closes its end closes the transport,
+    so ``is_closing()`` is how :meth:`AsyncioEndpoint.send` sees a dead peer
+    (``write`` on a lost transport does not raise).
+    """
 
     def __init__(self, address: Address) -> None:
         self.address = address
-        #: Both halves of the outbound stream.  Nothing is ever read from it;
-        #: the reader is kept because EOF on it is how a peer that closed its
-        #: end shows (``write`` on a lost transport does not raise).
-        self.reader: Optional[asyncio.StreamReader] = None
-        self.writer: Optional[asyncio.StreamWriter] = None
+        self.transport: Optional[asyncio.Transport] = None
         self.connect_task: Optional[asyncio.Task] = None
         #: ``(frame, message type, modelled size)`` of every frame queued
-        #: while the connection is still being established.
+        #: while the connection is still being established, and their bytes.
         self.backlog: List[Tuple[bytes, str, int]] = []
+        self.backlog_bytes = 0
+
+
+class _Inbound(asyncio.Protocol):
+    """One accepted connection: owns its receive buffer, cuts frames off it
+    and decodes and dispatches each in the callback that received it."""
+
+    def __init__(self, endpoint: "AsyncioEndpoint") -> None:
+        self.endpoint = endpoint
+        self.buffer = bytearray()
+        self.transport: Optional[asyncio.Transport] = None
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        if self.endpoint._closed:       # accepted just as the endpoint closed
+            transport.close()
+        else:
+            self.endpoint._inbound.add(transport)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        # The peer closed (or died), possibly mid-frame; it will redial if it
+        # needs us.
+        self.endpoint._inbound.discard(self.transport)
+
+    def data_received(self, data: bytes) -> None:
+        endpoint = self.endpoint
+        stats, records = endpoint.stats, endpoint._records
+        stats.socket_reads += 1
+        self.buffer += data
+        try:
+            for body in split_frames(self.buffer):
+                # Looked up on the module at call time: a tracer that wraps
+                # ``wire.decode_message`` sees every inbound frame.
+                endpoint._deliver(wire.decode_message(body, records))
+        except SerializationError as exc:
+            stats.decode_errors += 1
+            logger.warning("%s: closing connection on undecodable frame: %s",
+                           endpoint.node_id, exc)
+            self.transport.close()
+        stats.record_hits = records.hits
+        stats.record_misses = records.misses
 
 
 class AsyncioEndpoint(ProtocolTransport):
@@ -117,7 +173,7 @@ class AsyncioEndpoint(ProtocolTransport):
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.base_events.Server] = None
         self._peers: Dict[str, _Peer] = {}
-        self._reader_tasks: List[asyncio.Task] = []
+        self._inbound: Set[asyncio.Transport] = set()
         self._closed = False
 
     # ------------------------------------------------------------------ #
@@ -125,77 +181,49 @@ class AsyncioEndpoint(ProtocolTransport):
     # ------------------------------------------------------------------ #
     async def start(self) -> None:
         """Bind the listen socket and start accepting inbound connections."""
-        self._loop = asyncio.get_running_loop()
+        loop = self._loop = asyncio.get_running_loop()
         address = self.address_book[self.node_id]
         if address[0] == "unix":
-            self._server = await asyncio.start_unix_server(
-                self._accept, path=address[1])
+            self._server = await loop.create_unix_server(
+                lambda: _Inbound(self), path=address[1])
         elif address[0] == "tcp":
-            self._server = await asyncio.start_server(
-                self._accept, host=address[1], port=address[2])
+            self._server = await loop.create_server(
+                lambda: _Inbound(self), host=address[1], port=address[2])
         else:
             raise ValueError(f"unknown address kind {address[0]!r}")
 
     async def close(self) -> None:
-        """Stop listening, drop every connection, cancel reader tasks."""
+        """Stop listening and drop every connection, inbound and outbound."""
         self._closed = True
+        # Inbound connections first: since 3.12 ``wait_closed`` waits for them.
+        for transport in self._inbound:
+            transport.close()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        for task in self._reader_tasks:
-            task.cancel()
-        for task in self._reader_tasks:
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
-        self._reader_tasks.clear()
         for peer in self._peers.values():
             if peer.connect_task is not None:
                 peer.connect_task.cancel()
-            if peer.writer is not None:
-                peer.writer.close()
+            if peer.transport is not None:
+                peer.transport.close()
         self._peers.clear()
 
     # ------------------------------------------------------------------ #
     # Inbound
     # ------------------------------------------------------------------ #
-    async def _accept(self, reader: asyncio.StreamReader,
-                      writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._reader_tasks.append(task)
-        stats, records = self.stats, self._records
-        try:
-            while True:
-                message = await read_message(reader, records)
-                stats.record_hits = records.hits
-                stats.record_misses = records.misses
-                stats.record_delivered(message.msg_type.value,
-                                       message.size_bytes)
-                if self.handler is not None:
-                    try:
-                        self.handler(message)
-                    except Exception:
-                        # A handler bug must not take the reader task (and
-                        # every later frame on this connection) down with it.
-                        self.stats.handler_errors += 1
-                        logger.exception(
-                            "%s: handler failed on %s from %s", self.node_id,
-                            message.msg_type.value, message.sender)
-        except asyncio.CancelledError:
-            pass  # endpoint closing; finish normally so close() can await us
-        except (asyncio.IncompleteReadError, ConnectionError):
-            pass  # peer closed (or died); it will redial if it needs us
-        except SerializationError as exc:
-            self.stats.decode_errors += 1
-            logger.warning("%s: closing connection on undecodable frame: %s",
-                           self.node_id, exc)
-        finally:
-            writer.close()
-            if task is not None and task in self._reader_tasks:
-                self._reader_tasks.remove(task)
+    def _deliver(self, message: Message) -> None:
+        self.stats.record_delivered(message.msg_type.value, message.size_bytes)
+        if self.handler is not None:
+            try:
+                self.handler(message)
+            except Exception:
+                # A handler bug costs this one message: nothing may escape
+                # ``data_received``, or asyncio tears the connection down.
+                self.stats.handler_errors += 1
+                logger.exception(
+                    "%s: handler failed on %s from %s", self.node_id,
+                    message.msg_type.value, message.sender)
 
     # ------------------------------------------------------------------ #
     # Outbound (the transport contract)
@@ -203,62 +231,64 @@ class AsyncioEndpoint(ProtocolTransport):
     def send(self, message: Message) -> None:
         """Frame and write toward the receiver's endpoint, best-effort."""
         msg_type = message.msg_type.value
-        self.stats.sent += 1
-        self.stats.bytes_sent += message.size_bytes
-        self.stats.record_type(msg_type, message.size_bytes)
+        stats = self.stats
+        stats.sent += 1
+        stats.bytes_sent += message.size_bytes
+        stats.record_type(msg_type, message.size_bytes)
         if self._closed or message.receiver not in self.address_book:
             self._drop(msg_type, message.size_bytes)
             return
-        frame = frame_message(message)
         peer = self._peers.get(message.receiver)
         if peer is None:
             peer = _Peer(self.address_book[message.receiver])
             self._peers[message.receiver] = peer
-        writer = peer.writer
-        if writer is not None and (writer.is_closing()
-                                   or peer.reader.at_eof()):
-            # The peer closed its end: forget the stream, queue, redial.
-            writer.close()
-            writer = peer.reader = peer.writer = None
-        if writer is not None:
-            try:
-                writer.write(frame)
-            except (ConnectionError, RuntimeError):
-                # Broken pipe: drop this frame, forget the stream so the
-                # next send redials.  The protocol tolerates the loss.
-                self._drop(msg_type, message.size_bytes)
-                peer.reader = peer.writer = None
+        transport = peer.transport
+        if transport is not None and transport.is_closing():
+            # The peer closed its end: forget the connection, queue, redial.
+            transport = peer.transport = None
+        queued = (peer.backlog_bytes if transport is None
+                  else transport.get_write_buffer_size())
+        if queued > MAX_QUEUED_BYTES:
+            # The peer is not reading (or not answering the dial): shed.
+            stats.dropped_backpressure += 1
+            stats.record_dropped(msg_type, message.size_bytes)
+            return
+        frame = frame_message(message)
+        if transport is not None:
+            transport.write(frame)
             return
         peer.backlog.append((frame, msg_type, message.size_bytes))
+        peer.backlog_bytes += len(frame)
         if peer.connect_task is None:
             peer.connect_task = self._require_loop().create_task(
-                self._connect(message.receiver, peer))
+                self._connect(peer))
 
     def _drop(self, msg_type: str, size_bytes: int) -> None:
         self.stats.dropped_unknown_destination += 1
         self.stats.record_dropped(msg_type, size_bytes)
 
-    async def _connect(self, peer_id: str, peer: _Peer) -> None:
+    async def _connect(self, peer: _Peer) -> None:
+        loop = self._require_loop()
         try:
             if peer.address[0] == "unix":
-                reader, writer = await asyncio.open_unix_connection(
-                    path=peer.address[1])
+                transport, _ = await loop.create_unix_connection(
+                    lambda: peer, path=peer.address[1])
             else:
-                reader, writer = await asyncio.open_connection(
-                    host=peer.address[1], port=peer.address[2])
+                transport, _ = await loop.create_connection(
+                    lambda: peer, host=peer.address[1], port=peer.address[2])
         except OSError:
             # Nobody listening: everything queued for this peer is a counted
             # drop, and the *next* send attempts a fresh connection.
-            backlog, peer.backlog = peer.backlog, []
-            peer.connect_task = None
+            transport = None
+        peer.connect_task = None
+        backlog, peer.backlog, peer.backlog_bytes = peer.backlog, [], 0
+        if transport is None:
             for _, msg_type, size_bytes in backlog:
                 self._drop(msg_type, size_bytes)
             return
-        peer.reader, peer.writer = reader, writer
-        peer.connect_task = None
-        backlog, peer.backlog = peer.backlog, []
+        peer.transport = transport
         for frame, _, _ in backlog:
-            writer.write(frame)
+            transport.write(frame)
 
     # ------------------------------------------------------------------ #
     # Timers and clock (the transport contract)

@@ -42,7 +42,11 @@ class TransportStats:
     real-socket backend.  The simulator passes objects, not bytes, and lets
     handler exceptions fail the run, so both stay 0 there — as do
     ``record_hits`` / ``record_misses``, the clock and sibling records an
-    endpoint's decoder found in its record table / had to parse.
+    endpoint's decoder found in its record table / had to parse,
+    ``dropped_backpressure``, the frames an endpoint shed because too much
+    was already queued toward their peer, and ``socket_reads``, its
+    ``data_received`` callbacks (``delivered / socket_reads`` is frames per
+    wake-up).
     """
 
     sent: int = 0
@@ -61,6 +65,8 @@ class TransportStats:
     handler_errors: int = 0
     record_hits: int = 0
     record_misses: int = 0
+    dropped_backpressure: int = 0
+    socket_reads: int = 0
     per_type: Dict[str, int] = field(default_factory=dict)
     bytes_per_type: Dict[str, int] = field(default_factory=dict)
     delivered_bytes_per_type: Dict[str, int] = field(default_factory=dict)

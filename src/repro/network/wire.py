@@ -8,14 +8,17 @@ sockets.  Each message travels as one *frame*:
     | length (4B BE) | version | message body (see :func:`encode_message`)|
     +----------------+---------+-----------------------------------------+
 
-The length prefix counts everything after itself.  The body reuses the
-varint/length-prefixed-string primitives of :mod:`repro.core.serialization`
-and adds a small recursive *value* codec for the payload dictionaries, whose
-entries mix plain Python data with the repo's causality types (dots, clocks,
-siblings, causal contexts).  The codec is strict in both directions: an
-unsupported payload type raises :class:`SerializationError` at encode time
-(instead of pickling arbitrary objects), and a malformed or truncated frame
-raises at decode time.
+The length prefix counts everything after itself; :func:`frame_message` writes
+a frame and :func:`split_frames` cuts complete ones off a receive buffer.  The
+body reuses the varint/length-prefixed-string primitives and clock-body
+parsers of :mod:`repro.core.codec` and adds a small recursive *value* codec
+for the payload dictionaries, whose entries mix plain Python data with the
+repo's causality types (dots, clocks, siblings, causal contexts).  Both
+directions are one table lookup per value — the encoder of ``type(value)``,
+the decoder of the tag byte — not a chain of tests.  The codec is strict in
+both directions: an unsupported payload type raises
+:class:`SerializationError` at encode time (instead of pickling arbitrary
+objects), and a malformed or truncated frame raises at decode time.
 
 Two deliberate choices:
 
@@ -56,26 +59,29 @@ whose fields violate its invariants — surfaces from :func:`decode_message` as
 from __future__ import annotations
 
 import struct
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..clocks.interface import Sibling
+from ..clocks.vve import DottedVVE, VersionVectorWithExceptions
 from ..core import codec
 from ..core.causal_history import CausalHistory
+from ..core.codec import (
+    _decode_actor,
+    _decode_dot,
+    _decode_dvv_body,
+    _decode_history_body,
+    _decode_str,
+    _decode_varint,
+    _decode_vv_body,
+    _write_dot,
+    _write_str,
+    _write_varint,
+)
 from ..core.dot import Dot
 from ..core.dvv import DottedVersionVector
 from ..core.dvvset import DVVSet
 from ..core.exceptions import ClockError, SerializationError
-from ..core.serialization import (
-    _decode_actor,
-    _decode_str,
-    _decode_varint,
-    _decode_vv_body,
-    _encode_str,
-    _encode_varint,
-    _encode_vv_body,
-)
 from ..core.version_vector import VersionVector
-from ..clocks.vve import DottedVVE, VersionVectorWithExceptions
 from ..kvstore.context import CausalContext
 from .message import Message, MessageType
 
@@ -118,12 +124,16 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 _LENGTH = struct.Struct(">I")
 _FLOAT = struct.Struct(">d")
 
-#: What decoding corrupt bytes can raise besides SerializationError itself;
+#: What decoding corrupt bytes can raise besides SerializationError itself
+#: (IndexError: a read past the end of a truncated body);
 #: :func:`decode_message` maps them all to SerializationError.
-_MALFORMED = (UnicodeDecodeError, ClockError, TypeError, RecursionError)
+_MALFORMED = (IndexError, UnicodeDecodeError, ClockError, TypeError,
+              RecursionError)
 
 #: Payload values that make a sibling record a pure function of the instance.
 _SCALARS = (str, int, float, bool, bytes, type(None))
+
+_set_attr = object.__setattr__
 
 
 class RecordTable(dict):
@@ -154,258 +164,342 @@ class RecordTable(dict):
 
 
 # ---------------------------------------------------------------------- #
-# Recursive value codec
+# Encoding values: one encoder per type, found by table lookup
 # ---------------------------------------------------------------------- #
-def _zigzag(value: int) -> int:
-    return (value << 1) ^ (value >> 63) if value < 0 else value << 1
-
-
-def _unzigzag(value: int) -> int:
-    return (value >> 1) ^ -(value & 1)
-
-
 def _encode_value(value: Any, out: bytearray) -> None:
-    if value is None:
-        out += b"N"
-    elif value is True:
-        out += b"T"
-    elif value is False:
-        out += b"F"
-    elif isinstance(value, int):
-        out += b"i"
-        out += _encode_varint(_zigzag(value))
-    elif isinstance(value, float):
-        out += b"f"
-        out += _FLOAT.pack(value)
-    elif isinstance(value, str):
-        out += b"s"
-        out += _encode_str(value)
-    elif isinstance(value, (bytes, bytearray)):
-        out += b"b"
-        out += _encode_varint(len(value))
-        out += value
-    elif isinstance(value, list):
-        out += b"l"
-        out += _encode_varint(len(value))
-        for item in value:
-            _encode_value(item, out)
-    elif isinstance(value, tuple):
-        out += b"t"
-        out += _encode_varint(len(value))
-        for item in value:
-            _encode_value(item, out)
-    elif isinstance(value, frozenset):
-        out += b"z"
-        out += _encode_varint(len(value))
-        for item in sorted(value):
-            _encode_value(item, out)
-    elif isinstance(value, dict):
-        out += b"d"
-        out += _encode_varint(len(value))
-        for key, item in value.items():
-            _encode_value(key, out)
-            _encode_value(item, out)
-    elif isinstance(value, Dot):
-        out += b"D"
-        out += _encode_str(value.actor)
-        out += _encode_varint(value.counter)
-    elif isinstance(value, DottedVersionVector):
-        # Canonical tag is "D" (the wire reserves "D" for Dot): a DVV record
-        # is tagged "W", the body layouts are identical.
-        _encode_record(b"W", codec.canonical_bytes(value), out)
-    elif isinstance(value, (VersionVector, VersionVectorWithExceptions,
-                            DottedVVE, CausalHistory)):
-        # V, E, X, H: the canonical tag is the wire tag.
-        encoded = codec.canonical_bytes(value)
-        _encode_record(encoded[:1], encoded, out)
-    elif isinstance(value, DVVSet):
-        # Unlike repro.core.serialization (which stringifies DVVSet values
-        # for size accounting), the wire codec recurses into them: in the
-        # store the values are Sibling records and must survive round-trip.
-        out += b"S"
-        out += _encode_varint(len(value.entries))
-        for actor, counter, values in value.entries:
-            out += _encode_str(actor)
-            out += _encode_varint(counter)
-            out += _encode_varint(len(values))
-            for item in values:
-                _encode_value(item, out)
-        out += _encode_varint(len(value.anonymous))
-        for item in value.anonymous:
-            _encode_value(item, out)
-    elif isinstance(value, Sibling):
-        # Siblings are frozen dataclasses; when the payload value is itself
-        # immutable the whole G-record is a pure function of the instance, so
-        # memoize it (a sibling is re-sent on every replicate/handoff/repair).
-        cached = getattr(value, "_wire_encoded", None)
-        if cached is not None:
-            out += cached
-            return
-        body = bytearray()
-        _encode_value(value.value, body)
-        body += _encode_str(value.origin_dot.actor)
-        body += _encode_varint(value.origin_dot.counter)
-        body += _encode_str(value.writer or "")
-        body += _encode_varint(value.uid)
-        record = b"G" + _encode_varint(len(body)) + body
-        if isinstance(value.value, _SCALARS):
-            object.__setattr__(value, "_wire_encoded", record)
-        out += record
-    elif isinstance(value, CausalContext):
-        out += b"C"
-        out += _encode_str(value.key)
-        _encode_value(value.mechanism_context, out)
-        out += _encode_str(value.mechanism_name)
-    else:
-        raise SerializationError(
-            f"cannot put object of type {type(value).__name__} on the wire"
-        )
+    (_ENCODERS.get(type(value)) or _inherited_encoder(value))(value, out)
 
 
-def _encode_record(tag: bytes, canonical: bytes, out: bytearray) -> None:
-    """``tag · varint(body length) · body`` from a clock's canonical bytes."""
-    out += tag
-    out += _encode_varint(len(canonical) - 1)
-    out += canonical[1:]
+def _inherited_encoder(value: Any) -> Callable[[Any, bytearray], None]:
+    """The encoder of a value whose exact type the table does not hold: that
+    of the first listed type it is an instance of (the table is in tag
+    order, ``bool`` before ``int``), so a subclass travels as its base."""
+    for cls, encoder in _ENCODERS.items():
+        if isinstance(value, cls):
+            return encoder
+    raise SerializationError(
+        f"cannot put object of type {type(value).__name__} on the wire")
+
+
+def _encode_items(items: Any, out: bytearray) -> None:
+    """``varint(count)``, then every item."""
+    _write_varint(out, len(items))
+    encoders = _ENCODERS
+    for item in items:
+        (encoders.get(type(item)) or _inherited_encoder(item))(item, out)
+
+
+def _encode_none(value: None, out: bytearray) -> None:
+    out += b"N"
+
+
+def _encode_bool(value: bool, out: bytearray) -> None:
+    out += b"T" if value else b"F"
+
+
+def _encode_int(value: int, out: bytearray) -> None:
+    out += b"i"
+    # Zigzag: small magnitudes of either sign stay short varints.
+    _write_varint(out, (value << 1) ^ (value >> 63) if value < 0 else value << 1)
+
+
+def _encode_float(value: float, out: bytearray) -> None:
+    out += b"f"
+    out += _FLOAT.pack(value)
+
+
+def _encode_text(value: str, out: bytearray) -> None:
+    out += b"s"
+    _write_str(out, value)
+
+
+def _encode_bytes(value: bytes, out: bytearray) -> None:
+    out += b"b"
+    _write_varint(out, len(value))
+    out += value
+
+
+def _encode_list(value: list, out: bytearray) -> None:
+    out += b"l"
+    _encode_items(value, out)
+
+
+def _encode_tuple(value: tuple, out: bytearray) -> None:
+    out += b"t"
+    _encode_items(value, out)
+
+
+def _encode_frozenset(value: frozenset, out: bytearray) -> None:
+    out += b"z"
+    _encode_items(sorted(value), out)
+
+
+def _encode_dict(value: dict, out: bytearray) -> None:
+    out += b"d"
+    _write_varint(out, len(value))
+    encoders = _ENCODERS
+    for key, item in value.items():
+        (encoders.get(type(key)) or _inherited_encoder(key))(key, out)
+        (encoders.get(type(item)) or _inherited_encoder(item))(item, out)
+
+
+def _encode_dot(value: Dot, out: bytearray) -> None:
+    out += b"D"
+    _write_dot(out, value)
+
+
+def _encode_clock(value: Any, out: bytearray) -> None:
+    """A clock record: ``tag · varint(body length) · body`` from its
+    canonical bytes.  For ``V E X H`` the canonical tag is the wire tag; a
+    DVV's is "D", which the wire reserves for Dot, so its record is tagged
+    "W" (the body layouts are identical)."""
+    encoded = codec.canonical_bytes(value)
+    out += b"W" if isinstance(value, DottedVersionVector) else encoded[:1]
+    _write_varint(out, len(encoded) - 1)
+    out += encoded[1:]
+
+
+def _encode_dvvset(value: DVVSet, out: bytearray) -> None:
+    # Unlike repro.core.serialization (which stringifies DVVSet values
+    # for size accounting), the wire codec recurses into them: in the
+    # store the values are Sibling records and must survive round-trip.
+    out += b"S"
+    _write_varint(out, len(value.entries))
+    for actor, counter, values in value.entries:
+        _write_str(out, actor)
+        _write_varint(out, counter)
+        _encode_items(values, out)
+    _encode_items(value.anonymous, out)
+
+
+def _encode_sibling(value: Sibling, out: bytearray) -> None:
+    # Siblings are frozen dataclasses; when the payload value is itself
+    # immutable the whole G-record is a pure function of the instance, so
+    # memoize it (a sibling is re-sent on every replicate/handoff/repair).
+    cached = getattr(value, "_wire_encoded", None)
+    if cached is not None:
+        out += cached
+        return
+    body = bytearray()
+    _encode_value(value.value, body)
+    _write_dot(body, value.origin_dot)
+    _write_str(body, value.writer or "")
+    _write_varint(body, value.uid)
+    record = bytearray(b"G")
+    _write_varint(record, len(body))
+    record += body
+    if isinstance(value.value, _SCALARS):
+        _set_attr(value, "_wire_encoded", bytes(record))
+    out += record
+
+
+def _encode_context(value: CausalContext, out: bytearray) -> None:
+    out += b"C"
+    _write_str(out, value.key)
+    _encode_value(value.mechanism_context, out)
+    _write_str(out, value.mechanism_name)
+
+
+#: Exact type -> encoder.  The order is the order a subclass is matched in
+#: (:func:`_inherited_encoder`) and must not change: it decides a value's tag.
+_ENCODERS: Dict[type, Callable[[Any, bytearray], None]] = {
+    type(None): _encode_none,
+    bool: _encode_bool,
+    int: _encode_int,
+    float: _encode_float,
+    str: _encode_text,
+    bytes: _encode_bytes,
+    bytearray: _encode_bytes,
+    list: _encode_list,
+    tuple: _encode_tuple,
+    frozenset: _encode_frozenset,
+    dict: _encode_dict,
+    Dot: _encode_dot,
+    DottedVersionVector: _encode_clock,
+    VersionVector: _encode_clock,
+    VersionVectorWithExceptions: _encode_clock,
+    DottedVVE: _encode_clock,
+    CausalHistory: _encode_clock,
+    DVVSet: _encode_dvvset,
+    Sibling: _encode_sibling,
+    CausalContext: _encode_context,
+}
+
+
+# ---------------------------------------------------------------------- #
+# Decoding values: one decoder per tag byte, found by table lookup
+# ---------------------------------------------------------------------- #
+# A decoder is called with the offset just past its tag and returns
+# ``(value, offset past the value)``.  One-byte varints — nearly every length
+# and count — are read inline as ``data[offset]``.
+_Decoder = Callable[[bytes, int, Optional[RecordTable]], Tuple[Any, int]]
 
 
 def _decode_value(data: bytes, offset: int,
                   records: Optional[RecordTable]) -> Tuple[Any, int]:
-    if offset >= len(data):
-        raise SerializationError("truncated value")
-    tag = data[offset:offset + 1]
-    offset += 1
-    if tag == b"N":
-        return None, offset
-    if tag == b"T":
-        return True, offset
-    if tag == b"F":
-        return False, offset
-    if tag == b"i":
+    return _DECODERS[data[offset]](data, offset + 1, records)
+
+
+def _unknown_tag(data: bytes, offset: int, records) -> Tuple[Any, int]:
+    raise SerializationError(f"unknown wire tag {data[offset - 1:offset]!r}")
+
+
+def _decode_int(data: bytes, offset: int, records) -> Tuple[int, int]:
+    raw = data[offset]
+    if raw < 0x80:
+        offset += 1
+    else:
         raw, offset = _decode_varint(data, offset)
-        return _unzigzag(raw), offset
-    if tag == b"f":
-        if offset + 8 > len(data):
-            raise SerializationError("truncated float")
-        return _FLOAT.unpack_from(data, offset)[0], offset + 8
-    if tag == b"s":
-        return _decode_str(data, offset)
-    if tag == b"b":
+    return (raw >> 1) ^ -(raw & 1), offset
+
+
+def _decode_float(data: bytes, offset: int, records) -> Tuple[float, int]:
+    if offset + 8 > len(data):
+        raise SerializationError("truncated float")
+    return _FLOAT.unpack_from(data, offset)[0], offset + 8
+
+
+def _decode_text(data: bytes, offset: int, records) -> Tuple[str, int]:
+    # codec._decode_str, inlined: a string is the most frequent value.
+    length = data[offset]
+    if length < 0x80:
+        offset += 1
+    else:
         length, offset = _decode_varint(data, offset)
-        if offset + length > len(data):
-            raise SerializationError("truncated bytes")
-        return data[offset:offset + length], offset + length
-    if tag in (b"l", b"t", b"z"):
+    end = offset + length
+    if end > len(data):
+        raise SerializationError("truncated string")
+    return data[offset:end].decode("utf-8"), end
+
+
+def _decode_bytes(data: bytes, offset: int, records) -> Tuple[bytes, int]:
+    length, offset = _decode_varint(data, offset)
+    end = offset + length
+    if end > len(data):
+        raise SerializationError("truncated bytes")
+    return data[offset:end], end
+
+
+def _decode_list(data: bytes, offset: int, records) -> Tuple[List[Any], int]:
+    count = data[offset]
+    if count < 0x80:
+        offset += 1
+    else:
         count, offset = _decode_varint(data, offset)
-        items = []
-        for _ in range(count):
-            item, offset = _decode_value(data, offset, records)
-            items.append(item)
-        if tag == b"l":
-            return items, offset
-        if tag == b"t":
-            return tuple(items), offset
-        return frozenset(items), offset
-    if tag == b"d":
+    items: List[Any] = []
+    decoders = _DECODERS
+    for _ in range(count):
+        item, offset = decoders[data[offset]](data, offset + 1, records)
+        items.append(item)
+    return items, offset
+
+
+def _decode_tuple(data: bytes, offset: int, records) -> Tuple[tuple, int]:
+    items, offset = _decode_list(data, offset, records)
+    return tuple(items), offset
+
+
+def _decode_frozenset(data: bytes, offset: int, records) -> Tuple[frozenset, int]:
+    items, offset = _decode_list(data, offset, records)
+    return frozenset(items), offset
+
+
+def _decode_dict(data: bytes, offset: int, records) -> Tuple[Dict[Any, Any], int]:
+    count = data[offset]
+    if count < 0x80:
+        offset += 1
+    else:
         count, offset = _decode_varint(data, offset)
-        entries: Dict[Any, Any] = {}
-        for _ in range(count):
-            key, offset = _decode_value(data, offset, records)
-            item, offset = _decode_value(data, offset, records)
-            entries[key] = item
-        return entries, offset
-    if tag == b"D":
+    entries: Dict[Any, Any] = {}
+    decoders = _DECODERS
+    for _ in range(count):
+        key, offset = decoders[data[offset]](data, offset + 1, records)
+        item, offset = decoders[data[offset]](data, offset + 1, records)
+        entries[key] = item
+    return entries, offset
+
+
+def _decode_dvvset(data: bytes, offset: int, records) -> Tuple[DVVSet, int]:
+    entry_count, offset = _decode_varint(data, offset)
+    entries = []
+    for _ in range(entry_count):
         actor, offset = _decode_actor(data, offset)
         counter, offset = _decode_varint(data, offset)
-        return Dot(actor, counter), offset
-    if tag in _RECORD_BODIES:
-        return _decode_record(data, offset - 1, tag, records)
-    if tag == b"S":
-        entry_count, offset = _decode_varint(data, offset)
-        entries = []
-        for _ in range(entry_count):
-            actor, offset = _decode_actor(data, offset)
-            counter, offset = _decode_varint(data, offset)
-            value_count, offset = _decode_varint(data, offset)
-            values = []
-            for _ in range(value_count):
-                item, offset = _decode_value(data, offset, records)
-                values.append(item)
-            entries.append((actor, counter, tuple(values)))
-        anon_count, offset = _decode_varint(data, offset)
-        anonymous = []
-        for _ in range(anon_count):
-            item, offset = _decode_value(data, offset, records)
-            anonymous.append(item)
-        return DVVSet(entries, anonymous), offset
-    if tag == b"C":
-        key, offset = _decode_str(data, offset)
-        mechanism_context, offset = _decode_value(data, offset, records)
-        mechanism_name, offset = _decode_str(data, offset)
-        return CausalContext(
-            key=key,
-            mechanism_context=mechanism_context,
-            mechanism_name=mechanism_name,
-        ), offset
-    raise SerializationError(f"unknown wire tag {tag!r}")
+        values, offset = _decode_list(data, offset, records)
+        entries.append((actor, counter, tuple(values)))
+    anonymous, offset = _decode_list(data, offset, records)
+    return DVVSet(entries, anonymous), offset
+
+
+def _decode_context(data: bytes, offset: int, records) -> Tuple[CausalContext, int]:
+    key, offset = _decode_str(data, offset)
+    mechanism_context, offset = _DECODERS[data[offset]](data, offset + 1, records)
+    mechanism_name, offset = _decode_str(data, offset)
+    return CausalContext(
+        key=key,
+        mechanism_context=mechanism_context,
+        mechanism_name=mechanism_name,
+    ), offset
 
 
 # ---------------------------------------------------------------------- #
 # Records: decoded at most once per table
 # ---------------------------------------------------------------------- #
-def _decode_record(data: bytes, start: int, tag: bytes,
-                   records: Optional[RecordTable]) -> Tuple[Any, int]:
-    """Decode the record starting at ``data[start]`` (its tag).
+def _record_decoder(canonical_tag: Optional[bytes], decode_body: _Decoder
+                    ) -> _Decoder:
+    """The decoder of one record tag.
 
-    The length prefix delimits the record without parsing it, so its bytes
-    can be looked up first; only a miss runs the body parser, and what it
-    builds keeps those bytes as its encoding memo.
+    ``canonical_tag`` is the tag of the clock's canonical encoding — ``None``
+    for the sibling, which has no canonical form.  The length prefix delimits
+    the record without parsing it, so its bytes can be looked up first; only
+    a miss runs ``decode_body``, and what that builds keeps those bytes as
+    its encoding memo.
     """
-    length, body_start = _decode_varint(data, start + 1)
-    end = body_start + length
-    if end > len(data):
-        raise SerializationError("truncated record")
-    # Sliced only when it can be looked up: a record nested in a sibling's
-    # list value would otherwise copy the rest of the frame once per level.
-    shared = records is not None and end - start <= records.MAX_RECORD_BYTES
-    if shared:
-        record = data[start:end]
-        value = records.get(record)
-        if value is not None:
-            records.hits += 1
+    def decode(data: bytes, offset: int, records) -> Tuple[Any, int]:
+        start = offset - 1
+        length = data[offset]
+        if length < 0x80:
+            offset += 1
+        else:
+            length, offset = _decode_varint(data, offset)
+        end = offset + length
+        if end > len(data):
+            raise SerializationError("truncated record")
+        # Sliced only when it can be looked up: a record nested in a sibling's
+        # list value would otherwise copy the rest of the frame once per level.
+        shared = records is not None and end - start <= records.MAX_RECORD_BYTES
+        if shared:
+            record = data[start:end]
+            value = records.get(record)
+            if value is not None:
+                records.hits += 1
+                return value, end
+            records.misses += 1
+        value, body_end = decode_body(data, offset, records)
+        if body_end != end:
+            raise SerializationError(
+                f"{data[start:start + 1]!r} record is {length} bytes long but "
+                f"its body ends at {body_end - offset}")
+        if canonical_tag is not None:
+            _set_attr(value, "_encoded", canonical_tag + data[offset:end])
+        elif isinstance(value.value, _SCALARS):
+            _set_attr(value, "_wire_encoded", data[start:end])
+        else:
+            # The payload value is mutable: neither the bytes nor the object
+            # may stand in for another arrival.
             return value, end
-        records.misses += 1
-    canonical_tag, decode_body = _RECORD_BODIES[tag]
-    value, offset = decode_body(data, body_start, records)
-    if offset != end:
-        raise SerializationError(
-            f"{tag!r} record is {length} bytes long but its body ends at "
-            f"{offset - body_start}")
-    if canonical_tag is not None:
-        object.__setattr__(value, "_encoded",
-                           canonical_tag + data[body_start:end])
-    elif isinstance(value.value, _SCALARS):
-        object.__setattr__(value, "_wire_encoded", data[start:end])
-    else:
-        # The payload value is mutable: neither the bytes nor the object
-        # may stand in for another arrival.
+        if shared:
+            if len(records) >= records.MAX_RECORDS:
+                records.clear()
+            records[record] = value
         return value, end
-    if shared:
-        if len(records) >= records.MAX_RECORDS:
-            records.clear()
-        records[record] = value
-    return value, end
+    return decode
 
 
-def _decode_vv_record(data: bytes, offset: int, records) -> Tuple[Any, int]:
-    return _decode_vv_body(data, offset)
-
-
-def _decode_dvv_body(data: bytes, offset: int, records) -> Tuple[Any, int]:
-    actor, offset = _decode_actor(data, offset)
-    counter, offset = _decode_varint(data, offset)
-    past, offset = _decode_vv_body(data, offset)
-    return DottedVersionVector(Dot(actor, counter), past), offset
+def _clock_body(decode_body: Callable[[bytes, int], Tuple[Any, int]]) -> _Decoder:
+    """One of :mod:`~repro.core.codec`'s clock-body parsers (shared with
+    ``serialization.decode``) as a record body: a clock nests no record."""
+    return lambda data, offset, records: decode_body(data, offset)
 
 
 def _decode_vve_body(data: bytes, offset: int, records) -> Tuple[Any, int]:
@@ -413,78 +507,82 @@ def _decode_vve_body(data: bytes, offset: int, records) -> Tuple[Any, int]:
     count, offset = _decode_varint(data, offset)
     exceptions = []
     for _ in range(count):
-        actor, offset = _decode_actor(data, offset)
-        counter, offset = _decode_varint(data, offset)
-        exceptions.append(Dot(actor, counter))
+        dot, offset = _decode_dot(data, offset)
+        exceptions.append(dot)
     return VersionVectorWithExceptions(base.entries(), exceptions), offset
 
 
 def _decode_dotted_vve_body(data: bytes, offset: int, records) -> Tuple[Any, int]:
-    actor, offset = _decode_actor(data, offset)
-    counter, offset = _decode_varint(data, offset)
+    dot, offset = _decode_dot(data, offset)
     # The causal past is nested in this record's body: tagged, not prefixed.
     if data[offset:offset + 1] != b"E":
         raise SerializationError("DottedVVE causal past must be a VVE")
     past, offset = _decode_vve_body(data, offset + 1, records)
-    return DottedVVE(Dot(actor, counter), past), offset
-
-
-def _decode_history_body(data: bytes, offset: int, records) -> Tuple[Any, int]:
-    has_event, offset = _decode_varint(data, offset)
-    event = None
-    if has_event:
-        actor, offset = _decode_actor(data, offset)
-        counter, offset = _decode_varint(data, offset)
-        event = Dot(actor, counter)
-    count, offset = _decode_varint(data, offset)
-    dots = []
-    for _ in range(count):
-        actor, offset = _decode_actor(data, offset)
-        counter, offset = _decode_varint(data, offset)
-        dots.append(Dot(actor, counter))
-    return CausalHistory.from_events(dots, event), offset
+    return DottedVVE(dot, past), offset
 
 
 def _decode_sibling_body(data: bytes, offset: int, records) -> Tuple[Any, int]:
-    value, offset = _decode_value(data, offset, records)
-    actor, offset = _decode_actor(data, offset)
-    counter, offset = _decode_varint(data, offset)
+    value, offset = _DECODERS[data[offset]](data, offset + 1, records)
+    origin_dot, offset = _decode_dot(data, offset)
     writer, offset = _decode_str(data, offset)
     uid, offset = _decode_varint(data, offset)
-    return Sibling(value=value, origin_dot=Dot(actor, counter),
+    return Sibling(value=value, origin_dot=origin_dot,
                    writer=writer or None, uid=uid), offset
 
 
-#: Record tag -> (tag of the clock's canonical encoding — ``None`` for the
-#: sibling, which has no canonical form — and the parser of the body).
-_RECORD_BODIES = {
-    b"V": (b"V", _decode_vv_record),
-    b"W": (b"D", _decode_dvv_body),
-    b"E": (b"E", _decode_vve_body),
-    b"X": (b"X", _decode_dotted_vve_body),
-    b"H": (b"H", _decode_history_body),
-    b"G": (None, _decode_sibling_body),
-}
+#: Tag byte -> decoder; every byte that is not a tag raises.
+_DECODERS: List[_Decoder] = [_unknown_tag] * 256
+for _tag, _decoder in {
+    "N": lambda data, offset, records: (None, offset),
+    "T": lambda data, offset, records: (True, offset),
+    "F": lambda data, offset, records: (False, offset),
+    "i": _decode_int,
+    "f": _decode_float,
+    "s": _decode_text,
+    "b": _decode_bytes,
+    "l": _decode_list,
+    "t": _decode_tuple,
+    "z": _decode_frozenset,
+    "d": _decode_dict,
+    "D": lambda data, offset, records: _decode_dot(data, offset),
+    "V": _record_decoder(b"V", _clock_body(_decode_vv_body)),
+    "W": _record_decoder(b"D", _clock_body(_decode_dvv_body)),
+    "E": _record_decoder(b"E", _decode_vve_body),
+    "X": _record_decoder(b"X", _decode_dotted_vve_body),
+    "H": _record_decoder(b"H", _clock_body(_decode_history_body)),
+    "G": _record_decoder(None, _decode_sibling_body),
+    "S": _decode_dvvset,
+    "C": _decode_context,
+}.items():
+    _DECODERS[ord(_tag)] = _decoder
 
 
 # ---------------------------------------------------------------------- #
 # Message bodies and frames
 # ---------------------------------------------------------------------- #
-def encode_message(message: Message) -> bytes:
-    """Encode a message into one frame body (version byte included)."""
+def _encode_into(message: Message, out: bytearray) -> None:
     code = TYPE_CODES.get(message.msg_type)
     if code is None:
         raise SerializationError(
             f"message type {message.msg_type!r} has no wire code")
-    out = bytearray((WIRE_VERSION, code))
-    out += _encode_str(message.sender)
-    out += _encode_str(message.receiver)
-    out += _encode_varint(message.size_bytes)
-    out += _encode_varint(message.msg_id)
-    out += _encode_varint(1 if message.request_id is not None else 0)
-    if message.request_id is not None:
-        out += _encode_varint(message.request_id)
+    out.append(WIRE_VERSION)
+    out.append(code)
+    _write_str(out, message.sender)
+    _write_str(out, message.receiver)
+    _write_varint(out, message.size_bytes)
+    _write_varint(out, message.msg_id)
+    if message.request_id is None:
+        out.append(0)
+    else:
+        out.append(1)
+        _write_varint(out, message.request_id)
     _encode_value(message.payload, out)
+
+
+def encode_message(message: Message) -> bytes:
+    """Encode a message into one frame body (version byte included)."""
+    out = bytearray()
+    _encode_into(message, out)
     return bytes(out)
 
 
@@ -496,10 +594,10 @@ def decode_message(data: bytes,
     tests) every record is parsed.  Either way the message is the same.
 
     The one boundary where malformed input is classified: whatever a corrupt
-    body trips over further down — invalid UTF-8 in a string, a clock
-    constructor rejecting its fields, an unhashable dict key or set member,
-    nesting deeper than the interpreter's stack — leaves here as
-    :class:`SerializationError`.
+    body trips over further down — a field cut short, invalid UTF-8 in a
+    string, a clock constructor rejecting its fields, an unhashable dict key
+    or set member, nesting deeper than the interpreter's stack — leaves here
+    as :class:`SerializationError`.
     """
     try:
         return _decode_message(data, records)
@@ -526,7 +624,7 @@ def _decode_message(data: bytes, records: Optional[RecordTable]) -> Message:
     request_id = None
     if has_request_id:
         request_id, offset = _decode_varint(data, offset)
-    payload, offset = _decode_value(data, offset, records)
+    payload, offset = _DECODERS[data[offset]](data, offset + 1, records)
     if offset != len(data):
         raise SerializationError(
             f"trailing bytes after decoding message ({len(data) - offset} left)"
@@ -544,46 +642,36 @@ def _decode_message(data: bytes, records: Optional[RecordTable]) -> Message:
 
 def frame_message(message: Message) -> bytes:
     """One wire frame: 4-byte big-endian length prefix plus the body."""
-    body = encode_message(message)
-    if len(body) > MAX_FRAME_BYTES:
-        raise SerializationError(
-            f"frame of {len(body)} bytes exceeds MAX_FRAME_BYTES"
-        )
-    return _LENGTH.pack(len(body)) + body
-
-
-def unframe(buffer: bytes) -> Tuple[Any, bytes]:
-    """Split one complete frame off ``buffer``.
-
-    Returns ``(message, rest)`` — or ``(None, buffer)`` when the buffer does
-    not yet hold a complete frame (the caller keeps reading).
-    """
-    if len(buffer) < _LENGTH.size:
-        return None, buffer
-    (length,) = _LENGTH.unpack_from(buffer)
+    out = bytearray(_LENGTH.size)
+    _encode_into(message, out)
+    length = len(out) - _LENGTH.size
     if length > MAX_FRAME_BYTES:
         raise SerializationError(
-            f"frame length {length} exceeds MAX_FRAME_BYTES (corrupt stream?)"
+            f"frame of {length} bytes exceeds MAX_FRAME_BYTES"
         )
-    end = _LENGTH.size + length
-    if len(buffer) < end:
-        return None, buffer
-    return decode_message(buffer[_LENGTH.size:end]), buffer[end:]
+    _LENGTH.pack_into(out, 0, length)
+    return bytes(out)
 
 
-async def read_message(reader,
-                       records: Optional[RecordTable] = None) -> Message:
-    """Read exactly one framed message from an asyncio stream reader.
+def split_frames(buffer: bytearray) -> Iterator[bytes]:
+    """Cut every complete frame off the front of ``buffer``; yield the bodies.
 
-    ``records`` is the reading endpoint's :class:`RecordTable`.  Raises
-    ``asyncio.IncompleteReadError`` on a cleanly closed connection (empty
-    partial read) and :class:`SerializationError` on corruption.
+    The caller owns ``buffer`` and appends what it receives; what is left in
+    it afterwards is the start of a frame still arriving.  The announced
+    length is checked as soon as the 4-byte prefix is there, so a corrupt
+    prefix raises :class:`SerializationError` before anything of that frame is
+    waited for, and a frame that arrives in many chunks is looked at once per
+    chunk, never copied until it is complete.
     """
-    header = await reader.readexactly(_LENGTH.size)
-    (length,) = _LENGTH.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise SerializationError(
-            f"frame length {length} exceeds MAX_FRAME_BYTES (corrupt stream?)"
-        )
-    body = await reader.readexactly(length)
-    return decode_message(body, records)
+    while len(buffer) >= _LENGTH.size:
+        (length,) = _LENGTH.unpack_from(buffer)
+        if length > MAX_FRAME_BYTES:
+            raise SerializationError(
+                f"frame length {length} exceeds MAX_FRAME_BYTES (corrupt stream?)"
+            )
+        end = _LENGTH.size + length
+        if len(buffer) < end:
+            return
+        body = bytes(buffer[_LENGTH.size:end])
+        del buffer[:end]
+        yield body

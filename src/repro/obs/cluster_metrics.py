@@ -34,6 +34,7 @@ _TRANSPORT_FIELDS = (
     "bytes_sent", "bytes_delivered", "bytes_dropped",
     "deadlines_set", "deadlines_fired", "deadlines_cancelled",
     "decode_errors", "handler_errors", "record_hits", "record_misses",
+    "dropped_backpressure", "socket_reads",
 )
 
 

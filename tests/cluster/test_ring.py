@@ -121,3 +121,34 @@ class TestRebalancePlan:
         ring = ConsistentHashRing(["A"], virtual_nodes=4)
         with pytest.raises(ConfigurationError):
             rebalance_plan(ring, ring, ["k"], replication=0)
+
+
+class TestHashMemo:
+    """``_hash_position`` is memoised by token; the ring's answers are not."""
+
+    def test_positions_equal_the_md5_definition_cold_and_memoised(self):
+        import hashlib
+
+        from repro.cluster import ring as ring_module
+
+        ring = ConsistentHashRing(["A", "B", "C"], virtual_nodes=8)
+        ring_module._hash_position.cache_clear()
+        for _ in range(2):                      # second pass is served memoised
+            for key in ("cart", "nœud-β", ""):
+                expected = int.from_bytes(
+                    hashlib.md5(f"key:{key}".encode("utf-8")).digest(), "big")
+                assert ring.key_position(key) == expected
+        info = ring_module._hash_position.cache_info()
+        assert info.hits >= 3 and info.maxsize is not None    # used, and bounded
+
+    def test_membership_changes_move_keys_whose_position_is_memoised(self):
+        keys = [f"key-{i}" for i in range(200)]
+        ring = ConsistentHashRing(["A", "B", "C"], virtual_nodes=16)
+        before = {key: ring.preference_list(key, 2) for key in keys}
+        ring.add_node("D")
+        fresh = ConsistentHashRing(["A", "B", "C", "D"], virtual_nodes=16)
+        after = {key: ring.preference_list(key, 2) for key in keys}
+        assert after == {key: fresh.preference_list(key, 2) for key in keys}
+        assert after != before
+        ring.remove_node("D")
+        assert {key: ring.preference_list(key, 2) for key in keys} == before

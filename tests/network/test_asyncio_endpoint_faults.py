@@ -125,7 +125,8 @@ def test_send_redials_a_peer_that_restarted_on_the_same_address(tmp_path):
             try:
                 # A frame written before the old listener's EOF reaches the
                 # sender is lost on any stream transport; wait for the EOF.
-                await _until(lambda: sender._peers["B"].reader.at_eof())
+                await _until(
+                    lambda: sender._peers["B"].transport.is_closing())
                 for index in range(5):
                     sender.send(to_b(f"after-{index}"))
                 await _until(lambda: len(delivered) == 6)
@@ -177,3 +178,71 @@ def test_frames_dropped_from_a_connect_backlog_are_counted(tmp_path):
     sender = asyncio.run(scenario())
     assert sender.stats.sent == 4
     assert sender.stats.dropped_unknown_destination == 3
+
+
+def test_what_is_queued_toward_a_peer_that_never_reads_is_bounded(tmp_path):
+    """Past ``MAX_QUEUED_BYTES`` — in the connect backlog, then in the write
+    buffer — frames toward that peer are counted drops; other peers are served."""
+    import socket
+
+    from repro.network.asyncio_transport import MAX_QUEUED_BYTES
+
+    book = {name: ("unix", str(tmp_path / f"{name}.sock")) for name in "ABC"}
+    blob = b"x" * (4 << 20)
+    delivered = []
+
+    def bulk() -> Message:
+        return Message(sender="A", receiver="B", payload={"states": blob},
+                       msg_type=MessageType.MERKLE_KEY_STATES, size_bytes=11)
+
+    async def scenario() -> AsyncioEndpoint:
+        loop = asyncio.get_running_loop()
+        listener = socket.socket(socket.AF_UNIX)    # accepts, never reads
+        listener.bind(book["B"][1])
+        listener.listen()
+        listener.setblocking(False)
+        sender = AsyncioEndpoint("A", book)
+        reader = AsyncioEndpoint(
+            "C", book, handler=lambda m: delivered.append(m.payload["tag"]))
+        await sender.start()
+        await reader.start()
+        accepted = None
+        try:
+            frame_bytes = len(frame_message(bulk()))
+            for _ in range(12):                 # 48 MB at a dial still pending
+                sender.send(bulk())
+            peer = sender._peers["B"]
+            assert peer.transport is None
+            assert MAX_QUEUED_BYTES < peer.backlog_bytes \
+                <= MAX_QUEUED_BYTES + frame_bytes
+            queued = len(peer.backlog)
+            assert sender.stats.dropped_backpressure == 12 - queued > 0
+
+            accepted, _ = await loop.sock_accept(listener)
+            await _until(lambda: peer.transport is not None)
+            assert peer.backlog == [] and peer.backlog_bytes == 0
+            # The backlog went into the write buffer (less what the kernel
+            # took): at most one more frame fits under the bound.
+            for _ in range(3):
+                sender.send(bulk())
+            assert MAX_QUEUED_BYTES < peer.transport.get_write_buffer_size() \
+                <= MAX_QUEUED_BYTES + frame_bytes
+            assert sender.stats.dropped_backpressure >= 12 - queued + 2
+
+            sender.send(Message(sender="A", receiver="C", payload={"tag": "ok"},
+                                msg_type=MessageType.PING, size_bytes=1))
+            await _until(lambda: delivered == ["ok"])
+            return sender
+        finally:
+            if accepted is not None:
+                accepted.close()
+            listener.close()
+            await sender.close()
+            await reader.close()
+
+    sender = asyncio.run(scenario())
+    shed = sender.stats.dropped_backpressure
+    assert sender.stats.sent == 16 and shed >= 6
+    assert sender.stats.dropped_bytes_per_type == {"merkle_key_states": shed * 11}
+    assert sender.stats.bytes_dropped == shed * 11
+    assert sender.stats.dropped_unknown_destination == 0

@@ -27,7 +27,7 @@ from repro.network.wire import (
     decode_message,
     encode_message,
     frame_message,
-    unframe,
+    split_frames,
 )
 
 
@@ -146,7 +146,7 @@ def test_decode_rejects_wrong_version_and_truncation():
         decode_message(b"")
 
 
-def test_unframe_handles_partial_and_concatenated_frames():
+def test_split_frames_handles_partial_and_concatenated_frames():
     first = Message(sender="A", receiver="B", msg_type=MessageType.PING,
                     payload={"n": 1}, size_bytes=0)
     second = Message(sender="B", receiver="A", msg_type=MessageType.PING,
@@ -154,19 +154,33 @@ def test_unframe_handles_partial_and_concatenated_frames():
     stream = frame_message(first) + frame_message(second)
 
     # byte-by-byte: no message until a frame is complete, then exactly one
-    buffer = b""
+    buffer = bytearray()
     decoded = []
     for index in range(len(stream)):
         buffer += stream[index:index + 1]
-        while True:
-            message, buffer = unframe(buffer)
-            if message is None:
-                break
-            decoded.append(message)
+        bodies = list(split_frames(buffer))
+        assert len(bodies) <= 1
+        decoded += [decode_message(body) for body in bodies]
     assert [m.payload["n"] for m in decoded] == [1, 2]
     assert buffer == b""
 
+    # all at once, with the start of a third frame behind them
+    buffer = bytearray(stream + stream[:7])
+    assert [decode_message(body) for body in split_frames(buffer)] == decoded
+    assert buffer == stream[:7]
 
-def test_unframe_rejects_absurd_length_prefix():
+
+def test_split_frames_rejects_absurd_length_prefix():
+    buffer = bytearray((MAX_FRAME_BYTES + 1).to_bytes(4, "big") + b"xxxx")
     with pytest.raises(SerializationError):
-        unframe((MAX_FRAME_BYTES + 1).to_bytes(4, "big") + b"xxxx")
+        list(split_frames(buffer))
+
+
+def test_frames_before_a_corrupt_prefix_are_still_cut():
+    ping = Message(sender="A", receiver="B", msg_type=MessageType.PING,
+                   payload={}, size_bytes=0)
+    buffer = bytearray(frame_message(ping) + b"\xff\xff\xff\xff")
+    frames = split_frames(buffer)
+    assert decode_message(next(frames)) == ping
+    with pytest.raises(SerializationError):
+        next(frames)

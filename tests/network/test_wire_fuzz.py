@@ -11,9 +11,10 @@ no sender in the protocol and are built by hand.
 What is asserted:
 
 * unmutated frames round-trip exactly;
-* whatever bytes arrive, :func:`decode_message` and :func:`unframe` either
-  decode them or raise :class:`SerializationError` — no other exception, and
-  no input makes them spin;
+* whatever bytes arrive, :func:`decode_message` and :func:`split_frames` — the
+  splitter an endpoint's ``data_received`` cuts frames with — either decode
+  them or raise :class:`SerializationError` — no other exception, and no
+  input makes them spin;
 * the correctness oracle is off the wire: only the ``causal_history``
   *mechanism* ever puts a causal history (an ``H`` record) in a frame.
 """
@@ -41,7 +42,7 @@ from repro.network.wire import (
     decode_message,
     encode_message,
     frame_message,
-    unframe,
+    split_frames,
 )
 
 MECHANISMS = sorted(available())
@@ -153,9 +154,9 @@ def test_corpus_covers_every_message_type_and_round_trips(mechanism_name):
     assert {m.msg_type for m in messages} == set(MessageType)
     for message in messages:
         frame = frame_message(message)
-        decoded, rest = unframe(frame)
-        assert decoded == message
-        assert rest == b""
+        buffer = bytearray(frame)
+        assert [decode_message(body) for body in split_frames(buffer)] == [message]
+        assert buffer == b""
         assert frame[4] == WIRE_VERSION == 3
 
 
@@ -222,13 +223,13 @@ def test_mutated_bytes_decode_or_raise_serialization_error(mechanism_name, data)
     else:
         assert isinstance(decoded, Message)
 
+    buffer = bytearray(frame)
     try:
-        decoded, rest = unframe(frame)
+        for body in split_frames(buffer):
+            assert isinstance(decode_message(body), Message)
     except SerializationError:
         pass
-    else:
-        assert decoded is None or isinstance(decoded, Message)
-        assert isinstance(rest, bytes)
+    assert frame.endswith(bytes(buffer))    # what is left is a frame's start
 
 
 def _body(payload_bytes: bytes) -> bytes:
@@ -267,5 +268,5 @@ def test_hostile_lengths_and_nesting_fail_fast():
         decode_message(_body(b"l" + b"\xff" * 9 + b"\x01"))
     # A length prefix past MAX_FRAME_BYTES is refused before any buffering.
     with pytest.raises(SerializationError):
-        unframe(struct.pack(">I", 0xFFFFFFFF) + b"x")
+        list(split_frames(bytearray(struct.pack(">I", 0xFFFFFFFF) + b"x")))
     assert time.perf_counter() - started < 5.0

@@ -99,6 +99,16 @@ class TestSnapshotSchema:
         assert real["transport.record_misses"] > 0
         assert real["transport.record_hits"] > 0
 
+    def test_socket_reads_and_shed_frames_are_reported_by_both_backends(self):
+        sim = run_simulated_workload().metrics_snapshot()
+        assert sim["transport.socket_reads"] == 0
+        assert sim["transport.dropped_backpressure"] == 0
+        cluster, _ = asyncio.run(run_asyncio_workload())
+        real = cluster.metrics_snapshot()
+        # At least one frame per wake-up, and nothing shed on a healthy run.
+        assert 0 < real["transport.socket_reads"] <= real["transport.delivered"]
+        assert real["transport.dropped_backpressure"] == 0
+
     def test_snapshot_reads_do_not_mutate(self):
         cluster = run_simulated_workload()
         assert cluster.metrics_snapshot() == cluster.metrics_snapshot()
