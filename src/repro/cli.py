@@ -287,7 +287,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         anti_entropy_strategy=args.anti_entropy,
         request_mode=args.request_mode,
         deadline_mode=args.deadline_mode,
-        merkle_maintenance=args.merkle_maintenance,
         partition_count=args.partitions,
         seed=args.seed,
         tracer=tracer,
@@ -317,7 +316,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             ["request mode", args.request_mode],
             ["quorum mode", args.quorum_mode],
             ["deadline mode", args.deadline_mode],
-            ["merkle maintenance", args.merkle_maintenance],
             ["requests completed", latency.requests],
             ["requests failed", sum(1 for record in records if not record.ok)],
             ["mean latency (ms)", round(latency.overall.mean, 3)],
@@ -359,8 +357,7 @@ def _cmd_cluster_asyncio(args: argparse.Namespace) -> int:
                                 w=min(2, args.servers),
                                 sloppy=args.quorum_mode == "sloppy"),
             deadline_mode=args.deadline_mode,
-            merkle_maintenance=args.merkle_maintenance,
-            partition_count=args.partitions,
+                partition_count=args.partitions,
             tracer=tracer,
         )
         keys = [f"key-{i}" for i in range(args.keys)]
@@ -649,10 +646,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="async-mode replica deadlines: one fixed timeout, or an "
                               "EWMA of each replica's observed ack latency "
                               "(clamped to a floor/ceiling)")
-    cluster.add_argument("--merkle-maintenance", default="incremental",
-                         choices=["incremental", "rebuild"], dest="merkle_maintenance",
-                         help="incremental: write-maintained hash trees (Riak-style); "
-                              "rebuild: re-hash the key space on every exchange")
     cluster.add_argument("--partitions", type=int, default=16,
                          help="fixed vnode partition count: each server keeps one "
                               "store and one Merkle tree per key range")

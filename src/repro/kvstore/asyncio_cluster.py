@@ -49,7 +49,6 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NO_TRACER
 from .client import GetResult, PutResult
 from .merkle import key_fingerprint
-from .merkle_index import VnodeIndexSet
 from .protocol import (
     SYNC_MESSAGE_TYPES,
     ClientProtocol,
@@ -92,18 +91,9 @@ class AsyncServerNode:
 
     def __init__(self, node_id: str, mechanism: CausalityMechanism,
                  env: StaticProtocolEnv,
-                 address_book: Dict[str, Address],
-                 merkle_maintenance: str = "incremental") -> None:
+                 address_book: Dict[str, Address]) -> None:
         self.node_id = node_id
         self.protocol = ProtocolNode(node_id, mechanism, env)
-        if merkle_maintenance == "incremental":
-            self.protocol.store.attach_merkle_index(VnodeIndexSet(
-                mechanism,
-                partition_map=env.placement.partition_map,
-                fanout=env.merkle_fanout,
-                depth=env.merkle_depth,
-                counters=self.protocol.store.stats,
-            ))
         self.endpoint = AsyncioEndpoint(node_id, address_book,
                                         handler=self._handle_message)
         self.runner = EffectRunner(self.endpoint, self._on_timer)
@@ -230,7 +220,6 @@ class AsyncioCluster:
                  sync_batch_size: int = 16,
                  merkle_fanout: int = 16,
                  merkle_depth: int = 2,
-                 merkle_maintenance: str = "incremental",
                  read_repair_batch_ms: float = 2.0,
                  virtual_nodes: int = 32,
                  partition_count: int = DEFAULT_PARTITION_COUNT,
@@ -259,7 +248,6 @@ class AsyncioCluster:
         self._next_port = base_port
         self.anti_entropy_interval_ms = anti_entropy_interval_ms
         self.hint_replay_interval_ms = hint_replay_interval_ms
-        self.merkle_maintenance = merkle_maintenance
 
         self.ring = ConsistentHashRing(server_ids, virtual_nodes=virtual_nodes)
         #: DC assignment: placement becomes DC-aware here exactly as in the
@@ -341,8 +329,7 @@ class AsyncioCluster:
             self._assign_address(server_id)
         for server_id in self.server_ids:
             server = AsyncServerNode(server_id, self.mechanism, self.env,
-                                     self.address_book,
-                                     merkle_maintenance=self.merkle_maintenance)
+                                     self.address_book)
             self.servers[server_id] = server
             await server.start()
         if self.anti_entropy_interval_ms is not None and self._ae_pairs is not None:

@@ -1,9 +1,10 @@
 """Incremental Merkle index: write-maintained hash trees (Riak-style).
 
-The Merkle-delta anti-entropy protocol (:mod:`repro.kvstore.merkle`,
-:mod:`repro.kvstore.simulated`) needs each replica's hash tree at the start of
-every exchange.  Rebuilding that tree from scratch — one fingerprint per key
-plus a full bucket/interior re-hash — makes the *tree* cost of an exchange
+The Merkle-delta anti-entropy protocol
+(:mod:`repro.kvstore.protocol.anti_entropy`) needs each replica's hash tree
+during every exchange.  Rebuilding that tree from scratch — one fingerprint
+per key plus a full bucket/interior re-hash — makes the *tree* cost of an
+exchange
 proportional to the key-space size, defeating the point of the protocol,
 whose *wire* cost is already proportional to the divergence.  Production
 systems do not rebuild: the Riak deployment the paper's evaluation modified
@@ -29,12 +30,14 @@ Riak layout, where each partition carries its own hashtree:
   time a digest is needed, so a burst of writes into one bucket costs a single
   leaf re-hash plus one root-path recomputation, not one per write and never
   a tree rebuild;
-* :meth:`MerkleIndex.snapshot` freezes the current digests into an ordinary
-  :class:`~repro.kvstore.merkle.MerkleTree` (no hashing — the digests are
-  copied), so the existing exchange handlers and :func:`diff_keys` work
-  unchanged and two replicas agree with a from-scratch rebuild bit for bit;
-  per-range anti-entropy snapshots a *single partition's* tree and compares
-  only that range;
+* the exchange reads the index **in place**: :meth:`MerkleIndex.digest_at`,
+  :meth:`~MerkleIndex.child_digests` and
+  :meth:`~MerkleIndex.bucket_fingerprints` answer every question a descent
+  asks from the maintained digests (after a :meth:`~MerkleIndex.flush`),
+  bit for bit what a from-scratch
+  :class:`~repro.kvstore.merkle.MerkleTree` over the same keys would say —
+  nothing is copied per exchange, and per-range anti-entropy touches only
+  the one partition's index it was asked about;
 * the index shares its owner's durability: a crash-restart rebuilds it from
   the surviving :class:`NodeStorage` contents (:meth:`rebuild` — per vnode,
   so only ranges that actually hold keys pay), a disk wipe empties it
@@ -45,10 +48,12 @@ Maintenance cost is observable through the counters the index increments in
 the owning node's stats dict — ``keys_hashed`` (fingerprints computed),
 ``fingerprints_imported`` (maintained digests adopted from a handoff
 instead of hashing), ``buckets_rehashed`` (leaf buckets re-hashed on
-flush), ``full_rebuilds`` (rebuilds from storage) and ``snapshot_digests``
-(maintained digests served to exchanges) — which is what lets the
-anti-entropy benchmark show exchange tree work dropping from O(keys) to
+flush) and ``full_rebuilds`` (rebuilds from storage) — which is what lets
+the anti-entropy benchmark show exchange tree work dropping from O(keys) to
 O(divergent buckets), and handoff tree work dropping to O(1).
+(``snapshot_digests`` counts digests copied out by :meth:`MerkleIndex.snapshot`,
+which only the synchronous store's ``MerkleAntiEntropy`` still calls; it
+stays 0 on the protocol path.)
 """
 
 from __future__ import annotations
@@ -235,8 +240,25 @@ class MerkleIndex:
         return self.digest_at(())
 
     def digest_at(self, path: Tuple[int, ...]) -> bytes:
-        """The maintained digest at a tree path (empty-subtree default)."""
+        """The maintained digest at a tree path (empty-subtree default).
+
+        Like :meth:`child_digests` and :meth:`bucket_fingerprints` this reads
+        the digests as of the last :meth:`flush`; callers flush first.
+        """
         return self._digests.get(path, self._empty[len(path)])
+
+    def child_digests(self, path: Tuple[int, ...]
+                      ) -> List[Tuple[Tuple[int, ...], bytes]]:
+        """``(child_path, digest)`` for every child of ``path`` — one level of
+        the hashtree exchange, read from the maintained digests."""
+        return [(child, self.digest_at(child))
+                for child in (path + (branch,) for branch in range(self.fanout))]
+
+    def bucket_fingerprints(self, path: Tuple[int, ...]) -> Dict[str, bytes]:
+        """``{key: fingerprint}`` of the leaf bucket at ``path``, in key order."""
+        fingerprints = self._fingerprints
+        return {key: fingerprints[key]
+                for key in sorted(self._buckets.get(path, ()))}
 
     def dirty_buckets(self) -> int:
         """Leaf buckets awaiting a re-hash (0 right after any digest query)."""
@@ -260,10 +282,9 @@ class MerkleIndex:
 
         The returned tree is immutable and digest-identical to
         ``MerkleTree.for_node(...)`` over the same keys, but is assembled from
-        the maintained digests without hashing anything — the cheap per-
-        exchange operation that replaces the per-exchange rebuild.  Exchange
-        sessions hold on to it, so later writes do not disturb in-flight
-        level comparisons.
+        the maintained digests without hashing anything.  The synchronous
+        store's ``MerkleAntiEntropy`` diffs two of these per round; the
+        message protocol reads the index in place instead.
         """
         self.flush()
         exported = 0
@@ -359,8 +380,8 @@ class VnodeIndexSet:
     ``rebuild`` / ``reset``) so callers that don't care about ranges — the
     churn property tests, the restart/wipe paths — see one logical index.
     Per-range anti-entropy uses the partition-addressed surface instead:
-    :meth:`partition_root` and :meth:`snapshot_partition` compare and descend
-    a single range without touching the others.
+    :meth:`partition_root` and :meth:`index_for` compare and descend a
+    single range without touching the others.
 
     The whole-node ``root_digest`` is computed by pooling every range's
     maintained fingerprints into one combined tree: bucket digests are
@@ -418,10 +439,6 @@ class VnodeIndexSet:
     def empty_root_digest(self) -> bytes:
         """Root digest of an empty range (what an absent peer range hashes to)."""
         return self._empty_root
-
-    def snapshot_partition(self, partition_id: int) -> MerkleTree:
-        """Freeze one range's digests into a :class:`MerkleTree`."""
-        return self.indexes[partition_id].snapshot()
 
     def reset_vnode(self, partition_id: int) -> None:
         """Empty one range's tree (its slice of the disk was wiped)."""

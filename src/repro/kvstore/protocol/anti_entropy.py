@@ -11,6 +11,19 @@ One :class:`AntiEntropyEngine` per node runs the sync protocols over effects:
   fingerprints, and finally only the divergent keys' states travel, batched
   into ``MERKLE_KEY_STATES`` messages.
 
+Every digest and fingerprint is read from the node's write-maintained
+:class:`~repro.kvstore.merkle_index.VnodeIndexSet` when the message that
+needs it arrives; nothing is copied per exchange, so an exchange costs what
+the divergence costs.  Reading a moving tree is safe — the paper's invariant
+is carried by ``mechanism.merge`` in ``local_merge``, not by which keys a
+descent picks, and states are read at send time — and live: a divergence a
+descent misses leaves the range roots different for the next round, and a
+key healed while the descent was in flight is simply not shipped.
+
+**Reply rule.**  The receiver of ``MERKLE_KEY_STATES`` sends back only what
+the sender lacks: a wanted key whose merged sibling set equals the set it
+just received is dropped from the reply.
+
 Differing ranges are descended **concurrently**: `on_merkle_partition_diff`
 opens every differing range at once and each descends independently (their
 level messages interleave in flight), with an :class:`AntiEntropySession`
@@ -26,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...network.message import Message, MessageType
-from ..merkle import MerkleTree
+from ..merkle import state_fingerprint
 from .effects import Send
 from .util import chunked
 
@@ -54,6 +67,10 @@ class MerkleSyncStats:
     exchanges_clean: int = 0        # root digests matched, nothing to do
     levels_sent: int = 0
     keys_transferred: int = 0
+    #: States received whose merge left the receiver's sibling set as it was
+    #: — wasted transfers; ``keys_unchanged / keys_transferred`` is the
+    #: protocol's waste ratio.
+    keys_unchanged: int = 0
     partitions_compared: int = 0    # per-range root comparisons performed
     partitions_differing: int = 0   # ranges whose roots differed (descended)
     #: High-water mark of simultaneously open range descents on any source
@@ -65,30 +82,21 @@ class MerkleSyncStats:
 class AntiEntropySession:
     """Source-side state of one in-flight Merkle exchange.
 
-    Per-vnode exchanges descend each differing range independently; the
-    session tracks one frozen tree per open partition (``None`` is the
-    whole-keyspace tree of the legacy single-tree protocol) and completes
-    when every opened partition has finished its descent.
+    Differing ranges descend independently; the session tracks which are
+    still open and completes when the last one finishes its descent.
     """
 
     peer_id: str
-    trees: Dict[Optional[int], MerkleTree] = field(default_factory=dict)
     open_partitions: set = field(default_factory=set)
 
 
 class AntiEntropyEngine:
-    """Per-node sync machine: sessions this node started plus peer-side caches."""
+    """Per-node sync machine: the Merkle exchanges this node started."""
 
     def __init__(self, node) -> None:
         self._node = node
-        # Merkle exchange state: sessions this node started (it owns the tree
-        # snapshots and the per-range descents), and cached trees, keyed by
-        # (peer, partition), for exchanges started by others (so digests stay
-        # consistent across levels of one range's descent).
         self.sessions: Dict[int, AntiEntropySession] = {}
         self._session_ids = itertools.count(1)
-        self.peer_trees: Dict[Tuple[str, Optional[int]],
-                              Tuple[int, MerkleTree]] = {}
 
     # ------------------------------------------------------------------ #
     # Full-state exchange
@@ -129,29 +137,11 @@ class AntiEntropyEngine:
     # ------------------------------------------------------------------ #
     # Merkle-delta exchange
     # ------------------------------------------------------------------ #
-    def _merkle_tree(self, partition: Optional[int] = None) -> MerkleTree:
-        """This node's hash tree for one exchange session (or one range of it).
-
-        With incremental maintenance (the default) this snapshots the
-        write-maintained per-vnode index set — digests were kept current by
-        the mutation listeners, so the only work left is flushing dirty
-        buckets and copying digests out; ``partition`` selects a single
-        range's tree, None the combined whole-node tree.  In
-        ``merkle_maintenance="rebuild"`` mode (the pre-index behaviour, kept
-        for the maintenance-cost ablation) the whole key space is re-hashed
-        and the cost is counted in the node's ``full_rebuilds`` /
-        ``keys_hashed`` stats.
-        """
-        node = self._node
-        if node.store.merkle_index is not None:
-            if partition is not None:
-                return node.store.merkle_index.snapshot_partition(partition)
-            return node.store.merkle_index.snapshot()
-        node.store.stats["full_rebuilds"] += 1
-        node.store.stats["keys_hashed"] += len(node.store.storage)
-        return MerkleTree.for_node(node.store,
-                                   fanout=node.env.merkle_fanout,
-                                   depth=node.env.merkle_depth)
+    def _range_index(self, partition: int):
+        """One range's live index, flushed so its digests are current."""
+        index = self._node.store.merkle_index.index_for(partition)
+        index.flush()
+        return index
 
     def open_range_count(self) -> int:
         """Range descents currently open across this node's source sessions."""
@@ -165,14 +155,11 @@ class AntiEntropyEngine:
     def start_merkle_sync_with(self, peer_id: str) -> None:
         """Begin a Merkle-delta exchange with ``peer_id``.
 
-        With per-vnode indexes the exchange opens with one message carrying
-        the root digest of every non-empty local range
-        (``MERKLE_PARTITION_DIGESTS``); the peer compares range by range and
-        names the differing ones, and only those ranges' trees are descended
-        — a mostly-synced pair pays two messages total no matter how many
-        ranges they hold.  Without a maintained index (rebuild mode) the
-        legacy single-tree protocol runs: the whole keyspace is one tree and
-        the exchange starts at its root.
+        The exchange opens with one message carrying the root digest of every
+        non-empty local range (``MERKLE_PARTITION_DIGESTS``); the peer
+        compares range by range and names the differing ones, and only those
+        ranges' trees are descended — a mostly-synced pair pays two messages
+        total no matter how many ranges they hold.
         """
         node = self._node
         env = node.env
@@ -184,37 +171,25 @@ class AntiEntropyEngine:
             if session.peer_id != peer_id
         }
         session_id = next(self._session_ids)
-        session = AntiEntropySession(peer_id)
-        self.sessions[session_id] = session
+        self.sessions[session_id] = AntiEntropySession(peer_id)
         env.merkle_stats.exchanges_started += 1
 
+        # Advertise non-empty ranges only (absent ranges hash to the
+        # well-known empty root on both sides).
         index = node.store.merkle_index
-        if index is not None and hasattr(index, "partition_ids"):
-            # Per-range opening: snapshot and advertise non-empty ranges only
-            # (absent ranges hash to the well-known empty root on both sides).
-            roots: Dict[int, bytes] = {}
-            for partition_id in index.partition_ids():
-                if index.index_for(partition_id).key_count == 0:
-                    continue
-                tree = index.snapshot_partition(partition_id)
-                session.trees[partition_id] = tree
-                roots[partition_id] = tree.root_digest
-            size = (len(roots) * (DIGEST_BYTES + 1)
-                    + env.request_overhead_bytes)
-            node.emit(Send(Message(
-                sender=node.node_id,
-                receiver=peer_id,
-                msg_type=MessageType.MERKLE_PARTITION_DIGESTS,
-                payload={"session": session_id, "roots": roots},
-                size_bytes=size,
-            )))
-            return
-
-        tree = self._merkle_tree()
-        session.trees[None] = tree
-        session.open_partitions.add(None)
-        self._note_range_concurrency()
-        self._send_merkle_level(session_id, peer_id, 0, [((), tree.root_digest)])
+        roots: Dict[int, bytes] = {
+            partition_id: index.partition_root(partition_id)
+            for partition_id in index.partition_ids()
+            if index.index_for(partition_id).key_count
+        }
+        node.emit(Send(Message(
+            sender=node.node_id,
+            receiver=peer_id,
+            msg_type=MessageType.MERKLE_PARTITION_DIGESTS,
+            payload={"session": session_id, "roots": roots},
+            size_bytes=(len(roots) * (DIGEST_BYTES + 1)
+                        + env.request_overhead_bytes),
+        )))
 
     def on_merkle_partition_digests(self, message: Message) -> None:
         """Target side: compare per-range roots, name the differing ranges."""
@@ -224,25 +199,13 @@ class AntiEntropyEngine:
         index = node.store.merkle_index
         stats = node.env.merkle_stats
 
-        # A new exchange from this peer supersedes any cached range trees
-        # left over from an older, possibly abandoned one.
-        for cache_key in [cache_key for cache_key in self.peer_trees
-                          if cache_key[0] == message.sender]:
-            del self.peer_trees[cache_key]
-
         local_live = {partition_id for partition_id in index.partition_ids()
                       if index.index_for(partition_id).key_count > 0}
         compared = sorted(local_live | set(roots))
-        differing: List[int] = []
         empty_root = index.empty_root_digest
-        for partition_id in compared:
-            remote_root = roots.get(partition_id, empty_root)
-            if index.partition_root(partition_id) != remote_root:
-                differing.append(partition_id)
-                # Freeze this range's tree now so every level of the coming
-                # descent compares against the same digests.
-                self.peer_trees[(message.sender, partition_id)] = (
-                    session_id, index.snapshot_partition(partition_id))
+        differing = [partition_id for partition_id in compared
+                     if index.partition_root(partition_id)
+                     != roots.get(partition_id, empty_root)]
         stats.partitions_compared += len(compared)
         stats.partitions_differing += len(differing)
 
@@ -261,8 +224,6 @@ class AntiEntropyEngine:
         descents proceed as parallel sessions whose messages interleave on
         the wire, rather than one range waiting for the previous to finish.
         """
-        node = self._node
-        env = node.env
         session_id = message.payload["session"]
         session = self.sessions.get(session_id)
         if session is None or session.peer_id != message.sender:
@@ -270,35 +231,28 @@ class AntiEntropyEngine:
         differing = message.payload["differing"]
         if not differing:
             self.sessions.pop(session_id, None)
-            env.merkle_stats.exchanges_clean += 1
+            self._node.env.merkle_stats.exchanges_clean += 1
             return
-        for partition_id in differing:
-            tree = session.trees.get(partition_id)
-            if tree is None:
-                # The peer holds keys in a range we have nothing for — descend
-                # with the empty tree so its leaf fingerprints localise them.
-                tree = MerkleTree({}, fanout=env.merkle_fanout,
-                                  depth=env.merkle_depth)
-                session.trees[partition_id] = tree
-            session.open_partitions.add(partition_id)
+        session.open_partitions.update(differing)
         self._note_range_concurrency()
         # The roots already differ (that is what the peer told us), so the
-        # descent of each range starts at its children.
+        # descent of each range starts at its children.  A range the peer
+        # holds keys in and we do not reads as the empty tree here.
         for partition_id in differing:
-            tree = session.trees[partition_id]
-            self._send_merkle_level(session_id, session.peer_id, 1,
-                                    tree.child_digests(()),
-                                    partition=partition_id)
+            self._send_merkle_level(
+                session_id, session.peer_id, 1,
+                self._range_index(partition_id).child_digests(()),
+                partition_id)
 
     def _send_merkle_level(self,
                            session_id: int,
                            peer_id: str,
                            level: int,
                            entries: List[Tuple[Tuple[int, ...], bytes]],
-                           partition: Optional[int] = None) -> None:
+                           partition: int) -> None:
         node = self._node
         node.env.merkle_stats.levels_sent += 1
-        size = (len(entries) * (DIGEST_BYTES + max(level, 1))
+        size = (len(entries) * (DIGEST_BYTES + level)
                 + node.env.request_overhead_bytes)
         node.emit(Send(Message(
             sender=node.node_id,
@@ -310,43 +264,26 @@ class AntiEntropyEngine:
         )))
 
     def on_merkle_sync_request(self, message: Message) -> None:
-        """Target side: compare received digests against the local tree."""
+        """Target side: compare received digests against the local range."""
         node = self._node
-        session_id = message.payload["session"]
         level = message.payload["level"]
-        entries = message.payload["entries"]
-        partition = message.payload.get("partition")
+        partition = message.payload["partition"]
+        index = self._range_index(partition)
 
-        cache_key = (message.sender, partition)
-        cached = self.peer_trees.get(cache_key)
-        if cached is None or cached[0] != session_id:
-            # First message of this session for this range (or an earlier
-            # message was lost and a deeper one arrived) — snapshot a fresh
-            # tree for it.
-            tree = self._merkle_tree(partition)
-            self.peer_trees[cache_key] = (session_id, tree)
-        else:
-            tree = cached[1]
-
-        differing = [tuple(path) for path, digest in entries
-                     if tree.digest_at(path) != digest]
-        at_leaves = level >= tree.depth
+        differing = [path for path, digest in message.payload["entries"]
+                     if index.digest_at(path) != digest]
         buckets: Optional[Dict[Tuple[int, ...], Dict[str, bytes]]] = None
         size = len(differing) * (level + 1) + node.env.request_overhead_bytes
-        if at_leaves and differing:
-            buckets = {path: tree.bucket_fingerprints(path) for path in differing}
+        if level >= index.depth and differing:
+            buckets = {path: index.bucket_fingerprints(path) for path in differing}
             size += sum(len(key.encode("utf-8")) + DIGEST_BYTES
                         for bucket in buckets.values() for key in bucket)
-        if at_leaves or not differing:
-            # This range's descent either finishes here or moves on to key
-            # states, neither of which needs the cached tree snapshot any more.
-            self.peer_trees.pop(cache_key, None)
 
         node.emit(Send(Message(
             sender=node.node_id,
             receiver=message.sender,
             msg_type=MessageType.MERKLE_SYNC_RESPONSE,
-            payload={"session": session_id, "level": level,
+            payload={"session": message.payload["session"], "level": level,
                      "differing": differing, "buckets": buckets,
                      "partition": partition},
             size_bytes=size,
@@ -355,7 +292,7 @@ class AntiEntropyEngine:
     def _finish_merkle_partition(self,
                                  session_id: int,
                                  session: AntiEntropySession,
-                                 partition: Optional[int]) -> None:
+                                 partition: int) -> None:
         """One range's descent is done; the session ends with its last range."""
         session.open_partitions.discard(partition)
         if not session.open_partitions:
@@ -363,46 +300,41 @@ class AntiEntropyEngine:
 
     def on_merkle_sync_response(self, message: Message) -> None:
         """Source side: descend into differing paths or ship divergent keys."""
-        node = self._node
         session_id = message.payload["session"]
         session = self.sessions.get(session_id)
         if session is None or session.peer_id != message.sender:
             return  # stale session (lost messages, duplicate delivery)
         differing = message.payload["differing"]
-        level = message.payload["level"]
-        partition = message.payload.get("partition")
-        tree = session.trees.get(partition)
-        if tree is None:
-            return  # stale range (superseded session id reuse)
+        partition = message.payload["partition"]
+        if partition not in session.open_partitions:
+            return  # this range's descent already finished (duplicate delivery)
 
         if not differing:
-            if partition is None and level == 0:
-                # Legacy single-tree protocol: matching roots end the whole
-                # exchange cleanly.
-                node.env.merkle_stats.exchanges_clean += 1
             self._finish_merkle_partition(session_id, session, partition)
             return
 
+        index = self._range_index(partition)
         buckets = message.payload.get("buckets")
         if buckets is None:
             # Descend one level: ship child digests of every differing path.
             entries: List[Tuple[Tuple[int, ...], bytes]] = []
             for path in differing:
-                entries.extend(tree.child_digests(path))
-            self._send_merkle_level(session_id, session.peer_id, level + 1,
-                                    entries, partition=partition)
+                entries.extend(index.child_digests(path))
+            self._send_merkle_level(session_id, session.peer_id,
+                                    message.payload["level"] + 1, entries,
+                                    partition)
             return
 
         # Leaf level: fingerprints localise the exact divergent keys.
-        divergent: List[str] = []
+        divergent = set()
         for path, peer_fingerprints in buckets.items():
-            own_fingerprints = tree.bucket_fingerprints(tuple(path))
-            for key in sorted(set(own_fingerprints) | set(peer_fingerprints)):
+            own_fingerprints = index.bucket_fingerprints(path)
+            for key in own_fingerprints.keys() | peer_fingerprints.keys():
                 if own_fingerprints.get(key) != peer_fingerprints.get(key):
-                    divergent.append(key)
+                    divergent.add(key)
         peer_id = session.peer_id
         self._finish_merkle_partition(session_id, session, partition)
-        self._send_merkle_key_states(peer_id, sorted(set(divergent)))
+        self._send_merkle_key_states(peer_id, sorted(divergent))
 
     def _send_merkle_key_states(self, peer_id: str, keys: Sequence[str],
                                 want_reply: bool = True) -> None:
@@ -427,13 +359,33 @@ class AntiEntropyEngine:
             )))
 
     def on_merkle_key_states(self, message: Message) -> None:
+        """Merge the received states; reply only with what the sender lacks.
+
+        A wanted key goes back unless the merged sibling set equals the set
+        just received — then the sender already holds everything this node
+        does.  That one rule covers a receiver that had nothing (a rebuild)
+        and one that was merely behind; a key the sender lacks, or one whose
+        merge kept a sibling the sender has not seen, still returns.
+        """
+        node = self._node
+        store = node.store
+        mechanism = node.mechanism
+        index = store.merkle_index
+        settled = set()
+        unchanged = 0
         for key, state in message.payload["states"].items():
-            self._node.store.local_merge(key, state, reason="merkle")
-        want = message.payload.get("want") or []
-        if want:
-            # Reply with the (now merged) local states so both sides converge
-            # in a single exchange.
-            self._send_merkle_key_states(message.sender, want, want_reply=False)
+            before = index.fingerprint(key)
+            merged = store.local_merge(key, state, reason="merkle")
+            after = state_fingerprint(mechanism, merged)
+            if after == before:
+                unchanged += 1
+            if after == state_fingerprint(mechanism, state):
+                settled.add(key)
+        node.env.merkle_stats.keys_unchanged += unchanged
+        reply = [key for key in message.payload.get("want") or ()
+                 if key not in settled]
+        if reply:
+            self._send_merkle_key_states(message.sender, reply, want_reply=False)
 
     # ------------------------------------------------------------------ #
     # Rebalancing handoff (join / decommission)
@@ -441,8 +393,8 @@ class AntiEntropyEngine:
     def send_key_handoff(self, target_id: str, keys: Sequence[str]) -> None:
         """Push the states of ``keys`` to a node that became a replica home.
 
-        When this node maintains an incremental index, each shipped key rides
-        with the fingerprint its range tree already holds, so the receiver
+        Each shipped key rides with the fingerprint this node's range tree
+        already holds, so the receiver
         can adopt the digest instead of re-hashing the state
         (:meth:`StorageNode.ingest_handoff`): moving a vnode's worth of keys
         costs O(1) fresh fingerprints on both sides, not O(keys moved).
@@ -454,11 +406,10 @@ class AntiEntropyEngine:
         for chunk in chunked(held, env.sync_batch_size):
             states = {key: node.store.state_of(key) for key in chunk}
             fingerprints: Dict[str, bytes] = {}
-            if index is not None:
-                for key in chunk:
-                    fingerprint = index.fingerprint(key)
-                    if fingerprint is not None:
-                        fingerprints[key] = fingerprint
+            for key in chunk:
+                fingerprint = index.fingerprint(key)
+                if fingerprint is not None:
+                    fingerprints[key] = fingerprint
             size = (sum(node.payload_state_size(key, state)
                         for key, state in states.items())
                     + len(fingerprints) * DIGEST_BYTES
@@ -475,6 +426,5 @@ class AntiEntropyEngine:
     # Crash recovery
     # ------------------------------------------------------------------ #
     def on_recover(self) -> None:
-        """Drop in-flight exchange snapshots (process memory)."""
+        """Drop in-flight exchange sessions (process memory)."""
         self.sessions.clear()
-        self.peer_trees.clear()

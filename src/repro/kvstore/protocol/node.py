@@ -23,6 +23,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 from ...network.message import Message, MessageType
 from ...obs.trace import NO_TRACER
+from ..merkle_index import VnodeIndexSet
 from ..server import StorageNode
 from .anti_entropy import AntiEntropyEngine
 from .coordinator import Coordinator
@@ -43,6 +44,17 @@ class ProtocolNode:
         self.env = env
         self.store = store if store is not None else StorageNode(
             node_id, mechanism, partition_map=env.placement.partition_map)
+        if self.store.merkle_index is None:
+            # The write-maintained hash trees, one per vnode range, that the
+            # Merkle exchange reads: every storage mutation updates the
+            # mutated key's range tree in place.
+            self.store.attach_merkle_index(VnodeIndexSet(
+                mechanism,
+                partition_map=self.store.storage.partition_map,
+                fanout=env.merkle_fanout,
+                depth=env.merkle_depth,
+                counters=self.store.stats,
+            ))
         #: The node's clock, set by the backend on every entry (simulated
         #: milliseconds or wall-clock milliseconds — the machines never ask).
         self.now = 0.0
@@ -154,7 +166,7 @@ class ProtocolNode:
         vnodes' slices (``wipe_partitions``: those ranges' states, hints and
         trees are dropped, the rest survive and keep their maintained
         digests).  Process memory died either way: queued read-repair pushes,
-        in-flight Merkle exchange snapshots, hint-replay backoff and the
+        in-flight Merkle exchange sessions, hint-replay backoff and the
         replica-latency EWMAs are discarded here — any new process state
         added to the machines that should not survive a crash belongs in
         their ``on_recover`` hooks.

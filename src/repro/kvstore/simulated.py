@@ -58,15 +58,15 @@ compares ranges, not the whole keyspace:
 4. the source computes the exact divergent key set from the fingerprints and
    ships only those keys' states, batched ``sync_batch_size`` keys per
    ``MERKLE_KEY_STATES`` message to amortise per-message latency; the target
-   merges them and replies in kind with its own states for the same keys.
+   merges them and replies with its own state only for the keys where the
+   source still lacks something (a key whose merged sibling set equals the
+   set just received is not mailed back).
 
 Bytes on the wire are therefore proportional to the *divergence*, not the
 store size, and digest comparisons are confined to the ranges that actually
 differ.  All protocol messages pay the normal transport latency/size costs,
 and every merge is idempotent, so lost or duplicated messages merely delay
-convergence until a later round.  (In ``merkle_maintenance="rebuild"`` mode
-no per-range trees exist; the legacy single-tree protocol starts at the
-whole-keyspace root instead.)
+convergence until a later round.
 
 The trees themselves are **incrementally maintained**, Riak-style: each
 server carries a :class:`~repro.kvstore.merkle_index.VnodeIndexSet` — one
@@ -74,11 +74,11 @@ server carries a :class:`~repro.kvstore.merkle_index.VnodeIndexSet` — one
 subscribed to its range's slice of the storage mutation stream — so every
 write path (client puts, replica merges, read repair, Merkle-delta
 transfers, hint replay, rebalancing handoff) re-fingerprints only the
-mutated key and dirties its leaf bucket in the one affected range tree;
-exchange snapshots just flush the dirty buckets and copy digests out.  Tree
-work per exchange is therefore O(divergent buckets), not O(keys) — set
-``merkle_maintenance="rebuild"`` to restore the old rebuild-per-exchange
-behaviour for cost comparisons.  Rebalancing handoff (``KEY_HANDOFF``) ships
+mutated key and dirties its leaf bucket in the one affected range tree.  The
+exchange reads those live trees directly — each handler flushes the one
+range it was asked about and answers from its digests — so tree work per
+exchange is O(divergent buckets), not O(keys), and nothing is copied.
+Rebalancing handoff (``KEY_HANDOFF``) ships
 each key's maintained fingerprint alongside its state, so moving a vnode's
 keys re-hashes ~nothing on either side: the receiver adopts the digests
 (counted in ``fingerprints_imported``) instead of re-fingerprinting.
@@ -163,8 +163,7 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NO_TRACER
 from .anti_entropy import AntiEntropyDaemon, HintedHandoffDaemon
 from .client import GetResult, PutResult
-from .merkle import MERKLE_MAINTENANCE_MODES, key_fingerprint
-from .merkle_index import VnodeIndexSet
+from .merkle import key_fingerprint
 from .protocol import (
     ADAPTIVE_DEADLINE_MULTIPLIER,
     DEADLINE_EWMA_ALPHA,
@@ -307,11 +306,11 @@ class _ClusterEnv:
 class MessageServer:
     """A storage server of the simulated cluster.
 
-    Thin backend shell: it owns the durable :class:`StorageNode` (plus its
-    incrementally-maintained Merkle index), hosts the transport-agnostic
-    :class:`~repro.kvstore.protocol.node.ProtocolNode` that implements the
-    entire message protocol, and runs the effects the machines emit against
-    the simulated transport.
+    Thin backend shell: it hosts the transport-agnostic
+    :class:`~repro.kvstore.protocol.node.ProtocolNode` (which owns the
+    durable :class:`StorageNode` and its write-maintained Merkle index) that
+    implements the entire message protocol, and runs the effects the
+    machines emit against the simulated transport.
     """
 
     def __init__(self,
@@ -321,22 +320,7 @@ class MessageServer:
         self.node_id = node_id
         self.mechanism = mechanism
         self.cluster = cluster
-        node = StorageNode(node_id, mechanism,
-                           partition_map=cluster.partition_map)
-        if cluster.merkle_maintenance == "incremental":
-            # The write-maintained hash trees, one per vnode range: every
-            # storage mutation (client writes, merges, read repair, hint
-            # replay, handoff) updates the mutated key's range tree in place,
-            # so exchanges snapshot per-range digests instead of rebuilding.
-            node.attach_merkle_index(VnodeIndexSet(
-                mechanism,
-                partition_map=cluster.partition_map,
-                fanout=cluster.merkle_fanout,
-                depth=cluster.merkle_depth,
-                counters=node.stats,
-            ))
-        self.protocol = ProtocolNode(node_id, mechanism, cluster.protocol_env,
-                                     store=node)
+        self.protocol = ProtocolNode(node_id, mechanism, cluster.protocol_env)
         self.runner = EffectRunner(cluster.transport, self.protocol.on_timer)
 
     @property
@@ -411,10 +395,6 @@ class MessageServer:
     @property
     def _merkle_sessions(self):
         return self.protocol.anti_entropy.sessions
-
-    @property
-    def _merkle_peer_trees(self):
-        return self.protocol.anti_entropy.peer_trees
 
 
 class SimulatedClient:
@@ -514,12 +494,6 @@ class SimulatedCluster:
         the read-repair batch size).
     merkle_fanout / merkle_depth:
         Shape of the hash trees used by the Merkle-delta exchange.
-    merkle_maintenance:
-        ``"incremental"`` (default) — every server carries a write-maintained
-        :class:`~repro.kvstore.merkle_index.MerkleIndex` and exchanges take
-        cheap digest snapshots; ``"rebuild"`` — the pre-index behaviour of
-        re-hashing the whole key space per exchange, kept for the
-        maintenance-cost ablation.
     read_repair_batch_ms:
         Coalescing window for read-repair pushes: repairs destined for the
         same stale replica within this window ride one READ_REPAIR message
@@ -557,7 +531,6 @@ class SimulatedCluster:
                  sync_batch_size: int = 16,
                  merkle_fanout: int = 16,
                  merkle_depth: int = 2,
-                 merkle_maintenance: str = "incremental",
                  read_repair_batch_ms: float = 2.0,
                  deadline_mode: str = "fixed",
                  deadline_floor_ms: float = 2.0,
@@ -577,11 +550,6 @@ class SimulatedCluster:
         if request_mode not in REQUEST_MODES:
             raise ConfigurationError(
                 f"unknown request mode {request_mode!r}; choose from {REQUEST_MODES}"
-            )
-        if merkle_maintenance not in MERKLE_MAINTENANCE_MODES:
-            raise ConfigurationError(
-                f"unknown merkle maintenance mode {merkle_maintenance!r}; "
-                f"choose from {MERKLE_MAINTENANCE_MODES}"
             )
         if deadline_mode not in DEADLINE_MODES:
             raise ConfigurationError(
@@ -647,7 +615,6 @@ class SimulatedCluster:
         self.sync_batch_size = sync_batch_size
         self.merkle_fanout = merkle_fanout
         self.merkle_depth = merkle_depth
-        self.merkle_maintenance = merkle_maintenance
         self.read_repair_batch_ms = read_repair_batch_ms
         self.deadline_mode = deadline_mode
         self.deadline_floor_ms = deadline_floor_ms

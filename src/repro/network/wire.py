@@ -197,10 +197,19 @@ def _encode_bool(value: bool, out: bytearray) -> None:
     out += b"T" if value else b"F"
 
 
+#: The most negative integer the wire carries (64-bit zigzag).  Non-negative
+#: values are bounded by the varint cap instead: ``_write_varint`` refuses a
+#: zigzag of 2**70 or more, so nothing encodes that would not decode to itself.
+_MIN_INT = -(1 << 63)
+
+
 def _encode_int(value: int, out: bytearray) -> None:
+    if value < _MIN_INT:
+        raise SerializationError(
+            f"integer {value} is below the wire's range ({_MIN_INT})")
     out += b"i"
     # Zigzag: small magnitudes of either sign stay short varints.
-    _write_varint(out, (value << 1) ^ (value >> 63) if value < 0 else value << 1)
+    _write_varint(out, ~(value << 1) if value < 0 else value << 1)
 
 
 def _encode_float(value: float, out: bytearray) -> None:

@@ -110,6 +110,47 @@ class TestLazyMaintenance:
         assert index.keys() == ["k"]
 
 
+class TestLiveDescentQueries:
+    """What the Merkle exchange reads off the index, with no copy made."""
+
+    def test_every_path_answers_like_a_from_scratch_tree(self):
+        node, index = indexed_node(fanout=4, depth=2)
+        client = ClientSession("writer")
+        for i in range(8):
+            write(node, client, f"key-{i}", f"v{i}")
+        index.flush()
+        full = MerkleTree.for_node(node, fanout=4, depth=2)
+        assert index.child_digests(()) == full.child_digests(())
+        for path, _digest in full.child_digests(()):
+            assert index.child_digests(path) == full.child_digests(path)
+            for leaf_path, _leaf_digest in full.child_digests(path):
+                assert index.bucket_fingerprints(leaf_path) == \
+                    full.bucket_fingerprints(leaf_path)
+        assert node.stats["snapshot_digests"] == 0
+
+    def test_empty_paths_read_as_the_empty_tree(self):
+        _node, index = indexed_node(fanout=4, depth=2)
+        empty = MerkleTree({}, fanout=4, depth=2)
+        assert index.child_digests(()) == empty.child_digests(())
+        assert index.child_digests((3,)) == empty.child_digests((3,))
+        assert index.bucket_fingerprints((3, 1)) == {}
+
+    def test_digests_are_as_of_the_last_flush_fingerprints_are_live(self):
+        node, index = indexed_node(fanout=4, depth=2)
+        client = ClientSession("writer")
+        write(node, client, "k", "v1")
+        before = index.root_digest                      # flushes
+        write(node, client, "k", "v2")
+        leaf = next(path for path, _ in index.child_digests(())
+                    for path, _ in index.child_digests(path)
+                    if index.bucket_fingerprints(path))
+        assert index.digest_at(()) == before            # not yet re-hashed
+        assert index.bucket_fingerprints(leaf) == {
+            "k": state_fingerprint(node.mechanism, node.state_of("k"))}
+        index.flush()
+        assert index.digest_at(()) == rebuilt_digest(node, fanout=4, depth=2)
+
+
 class TestSnapshots:
     def test_snapshot_is_a_frozen_merkle_tree(self):
         node, index = indexed_node()

@@ -166,6 +166,43 @@ def test_a_trickling_frame_is_buffered_in_place_in_linear_time():
     assert large < 24 * small
 
 
+def test_a_connection_reads_into_a_chunk_it_keeps_and_grows_it_only_when_filled():
+    """No allocation per read: asyncio fills the connection's own chunk
+    (``BufferedProtocol``); only a read that fills it — a bulk transfer —
+    doubles it, up to the cap."""
+    delivered: List[str] = []
+    endpoint = AsyncioEndpoint(
+        "A", {}, handler=lambda m: delivered.append(m.payload["tag"]))
+    connection = _Inbound(endpoint)
+    assert isinstance(connection, asyncio.BufferedProtocol)
+
+    def read(data: bytes) -> memoryview:
+        """What the selector transport does with ``recv_into``."""
+        chunk = connection.get_buffer(-1)
+        chunk[:len(data)] = data
+        connection.buffer_updated(len(data))
+        return chunk
+
+    small = asyncio_transport.MIN_READ_CHUNK_BYTES
+    frames = frame_message(ping("a")) + frame_message(ping("b"))
+    first = read(frames[:-3])
+    assert len(first) == small
+    assert read(frames[-3:]).obj is first.obj          # same chunk, reused
+    assert delivered == ["a", "b"]
+
+    stream = frame_message(BULK) + frame_message(ping("after"))
+    sizes, at = [], 0
+    while at < len(stream):
+        size = len(connection.get_buffer(-1))
+        sizes.append(size)
+        read(stream[at:at + size])
+        at += size
+    assert delivered == ["a", "b", "bulk", "after"] and connection.buffer == b""
+    assert sizes[:3] == [small, 2 * small, 4 * small]
+    assert max(sizes) == asyncio_transport.MAX_READ_CHUNK_BYTES
+    assert len(connection.get_buffer(-1)) == asyncio_transport.MAX_READ_CHUNK_BYTES
+
+
 def test_every_frame_crosses_the_two_module_level_seams(monkeypatch):
     """Counting wrappers installed the way ``e2e_trace`` installs its spans."""
     calls = {"frame": 0, "decode": 0}

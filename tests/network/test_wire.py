@@ -72,6 +72,25 @@ def test_plain_values_roundtrip():
     assert isinstance(decoded.payload["blob"], bytes)
 
 
+@pytest.mark.parametrize("value", [
+    -(2**63), 2**63 - 1, 2**63, 2**69 - 1,
+], ids=["int64-min", "int64-max", "int64-max+1", "varint-cap"])
+def test_integers_at_the_edges_of_the_wire_range_roundtrip(value):
+    assert roundtrip({"x": value}).payload == {"x": value}
+
+
+@pytest.mark.parametrize("value", [
+    -(2**63) - 1, -(2**64), 2**69,
+], ids=["below-int64-min", "far-below", "past-varint-cap"])
+def test_an_integer_the_wire_cannot_carry_is_refused_not_mangled(value):
+    """Used to frame without error and decode as a different number."""
+    message = Message(sender="A", receiver="B",
+                      msg_type=MessageType.REPLICA_PUT,
+                      payload={"x": value}, size_bytes=0)
+    with pytest.raises(SerializationError):
+        encode_message(message)
+
+
 def test_clock_types_roundtrip():
     vv = VersionVector({"A": 3, "B": 1})
     dvv = DottedVersionVector(Dot("A", 4), vv)

@@ -254,6 +254,24 @@ def test_constructor_and_type_errors_surface_as_serialization_error(payload_byte
         decode_message(_body(payload_bytes))
 
 
+_EDGE_INTEGERS = [-(2**63) - 1, -(2**63), 2**63 - 1, 2**63, 2**69 - 1, 2**69]
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=st.one_of(st.sampled_from(_EDGE_INTEGERS), st.integers(),
+                       st.integers(min_value=-(2**72), max_value=2**72)))
+def test_an_integer_round_trips_to_itself_or_is_refused_at_encode_time(value):
+    """Nothing is encodable that does not decode to the same number."""
+    message = Message(sender="A", receiver="B", msg_type=MessageType.PING,
+                      payload={"x": value}, size_bytes=0, msg_id=1)
+    try:
+        encoded = encode_message(message)
+    except SerializationError:
+        assert not -(2**63) <= value < 2**69
+        return
+    assert decode_message(encoded).payload == {"x": value}
+
+
 def test_hostile_lengths_and_nesting_fail_fast():
     started = time.perf_counter()
     # A megabyte of varint continuation bytes: uncapped, the decoder builds a

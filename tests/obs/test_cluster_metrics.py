@@ -109,6 +109,13 @@ class TestSnapshotSchema:
         assert 0 < real["transport.socket_reads"] <= real["transport.delivered"]
         assert real["transport.dropped_backpressure"] == 0
 
+    def test_merkle_waste_counter_is_reported_by_both_backends(self):
+        """``keys_unchanged / keys_transferred`` is the exchange's waste ratio."""
+        sim = run_simulated_workload().metrics_snapshot()
+        cluster, _ = asyncio.run(run_asyncio_workload())
+        for snap in (sim, cluster.metrics_snapshot()):
+            assert 0 <= snap["merkle.keys_unchanged"] <= snap["merkle.keys_transferred"]
+
     def test_snapshot_reads_do_not_mutate(self):
         cluster = run_simulated_workload()
         assert cluster.metrics_snapshot() == cluster.metrics_snapshot()

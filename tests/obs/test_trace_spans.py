@@ -149,8 +149,7 @@ def test_sloppy_quorum_write_span_tree_asyncio():
 
             # bring the node back as a fresh listener on the same address
             server = AsyncServerNode(down, cluster.mechanism, cluster.env,
-                                     cluster.address_book,
-                                     merkle_maintenance=cluster.merkle_maintenance)
+                                     cluster.address_book)
             await server.start()
             cluster.servers[down] = server
 

@@ -1,12 +1,23 @@
 """The refactor's bit-for-bit contract: the simulator reproduces golden stats.
 
-``golden_cluster_stats.json`` was captured from a fixed-seed cluster run
-*before* the protocol logic moved out of ``simulated.py`` into the
-transport-agnostic state machines.  Re-running the identical scenario through
-the refactored stack must reproduce every number exactly — message counts,
+``golden_cluster_stats.json`` pins a fixed-seed cluster run.  Re-running the
+identical scenario must reproduce every number exactly — message counts,
 bytes, deadlines, virtual timestamps, per-stat totals, Merkle exchange
 counters.  Any drift means the state machines changed behavior, not just
 address.
+
+Both fixtures were first captured before the protocol logic moved out of
+``simulated.py`` and were **re-captured by ISSUE 22**, the change that made
+the Merkle exchange read the live index (no per-exchange tree copy) and stop
+mailing back a state it had just received.  That change exists to send fewer
+anti-entropy messages, and with one global RNG a message not sent shifts
+every later latency draw — so the fields split in two.  ``OUTCOME_FIELDS``
+are what the scenario *achieved*; they were required to be bit-for-bit
+identical across the re-capture.  ``TRAFFIC_FIELDS`` are what it *cost* on
+the wire and in tree work; those moved (none of ``sync_bytes``,
+``merkle.keys_transferred``, ``merkle.levels_sent`` or
+``stat_totals.snapshot_digests`` rose in any scenario).  A field added to a
+fixture later has to be put in one of the two groups.
 
 The scenario is deliberately eventful: four servers, three clients, a mixed
 workload, one node failing mid-run and recovering later — so it exercises
@@ -31,6 +42,47 @@ GOLDEN = json.loads(GOLDEN_PATH.read_text())
 
 MULTI_DC_GOLDEN_PATH = pathlib.Path(__file__).parent / "golden_multi_dc_stats.json"
 MULTI_DC_GOLDEN = json.loads(MULTI_DC_GOLDEN_PATH.read_text())
+
+#: What a scenario achieved — identical before and after ISSUE 22's
+#: re-capture (dotted names reach into the ``merkle`` / ``stat_totals`` maps).
+OUTCOME_FIELDS = frozenset({
+    "records", "ok", "deadlines_set", "metadata_bytes",
+    "merkle.exchanges_started", "merkle.partitions_compared",
+    "stat_totals.reads", "stat_totals.writes", "stat_totals.hints_stored",
+    "stat_totals.hint_replays", "stat_totals.hint_replays_deferred",
+    "stat_totals.pending_hints", "stat_totals.handoffs",
+    "stat_totals.full_rebuilds", "stat_totals.rebuilds_skipped",
+    "stat_totals.fingerprints_imported", "stat_totals.audit_keys_checked",
+    "stat_totals.audit_mismatches",
+    # multi-DC only: the scenario-level verdict
+    "converged", "convergence_rounds", "requests_completed",
+    "requests_failed", "lost_updates", "false_concurrency", "datacenters",
+    "partition_windows",
+})
+
+#: What it cost — anti-entropy traffic and tree work, plus every total
+#: downstream of the message count (one RNG draws all latencies).
+TRAFFIC_FIELDS = frozenset({
+    "sync_bytes", "merkle.keys_transferred", "merkle.keys_unchanged",
+    "merkle.levels_sent", "merkle.exchanges_clean",
+    "merkle.partitions_differing", "stat_totals.snapshot_digests",
+    "stat_totals.merkle_syncs", "stat_totals.keys_hashed",
+    "stat_totals.buckets_rehashed", "stat_totals.merges",
+    "transport_sent", "transport_delivered", "bytes_delivered", "events",
+    "now", "latency_sum",
+})
+
+
+def flatten(scenario: dict) -> dict:
+    """One scenario's fixture entry as ``{dotted field name: value}``."""
+    flat = {}
+    for field, value in scenario.items():
+        if field in ("merkle", "stat_totals"):
+            flat.update({f"{field}.{name}": item for name, item in value.items()})
+        else:
+            flat[field] = value
+    return flat
+
 
 #: Stats added after the golden capture; they observe behavior that did not
 #: exist (or was not counted) then, so the golden scenario must keep them at
@@ -89,6 +141,7 @@ def snapshot(cluster: SimulatedCluster) -> dict:
             "exchanges_clean": merkle.exchanges_clean,
             "levels_sent": merkle.levels_sent,
             "keys_transferred": merkle.keys_transferred,
+            "keys_unchanged": merkle.keys_unchanged,
             "partitions_compared": merkle.partitions_compared,
             "partitions_differing": merkle.partitions_differing,
         },
@@ -162,6 +215,15 @@ def test_multi_dc_scenario_matches_golden_stats(scenario_key):
     for field in expected:
         assert actual[field] == expected[field], (
             f"{scenario_key}: {field} diverged from the multi-DC capture")
+
+
+def test_every_golden_field_is_an_outcome_or_a_traffic_field():
+    assert not OUTCOME_FIELDS & TRAFFIC_FIELDS
+    for scenario_key, expected in {**GOLDEN, **MULTI_DC_GOLDEN}.items():
+        unclassified = set(flatten(expected)) - OUTCOME_FIELDS - TRAFFIC_FIELDS
+        assert not unclassified, (
+            f"{scenario_key}: put {sorted(unclassified)} in OUTCOME_FIELDS "
+            f"or TRAFFIC_FIELDS")
 
 
 def test_multi_dc_golden_fixture_is_eventful():

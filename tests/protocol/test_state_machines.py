@@ -354,3 +354,140 @@ def test_membership_put_skips_unreachable_replicas_and_holds_hints():
     # Membership mode arms no deadlines; the down primary gets a held hint.
     assert set_timers(effects) == []
     assert down in node.store.hint_targets()
+
+
+# --------------------------------------------------------------------------- #
+# Merkle exchange: what comes back after MERKLE_KEY_STATES (the reply rule)
+# --------------------------------------------------------------------------- #
+def write(node, client: ClientSession, key: str, value: str) -> None:
+    """A client write coordinated by ``node`` (read, then put with context)."""
+    context = client.absorb_read(key, node.store.local_read(key),
+                                 node.mechanism.name)
+    node.store.local_write(key, context, client.prepare_write(key, value),
+                           client.client_id)
+
+
+def replicate(source, target, key: str) -> None:
+    target.store.local_merge(key, source.store.state_of(key))
+
+
+def merkle_pair():
+    env = build_env()
+    return env, ProtocolNode("A", env.mechanism, env), ProtocolNode("B", env.mechanism, env)
+
+
+def run_exchange(source, target):
+    """Drive one exchange started by ``source`` to quiescence.
+
+    Returns every message delivered, in delivery order.
+    """
+    nodes = {source.node_id: source, target.node_id: target}
+    queue = sends(source.start_merkle_sync_with(target.node_id, now=0.0))
+    delivered = []
+    while queue:
+        message = queue.pop(0)
+        delivered.append(message)
+        queue.extend(sends(nodes[message.receiver].on_message(message, now=0.0)))
+    return delivered
+
+
+def key_states_to(messages, receiver_id):
+    return [m for m in messages if m.msg_type is MessageType.MERKLE_KEY_STATES
+            and m.receiver == receiver_id]
+
+
+def test_empty_receiver_mails_nothing_back():
+    env, donor, victim = merkle_pair()
+    writer = ClientSession("w")
+    keys = [f"key-{index}" for index in range(40)]
+    for key in keys:
+        write(donor, writer, key, "v")
+
+    messages = run_exchange(donor, victim)
+
+    assert key_states_to(messages, donor.node_id) == []
+    assert env.merkle_stats.keys_transferred == len(keys)
+    assert env.merkle_stats.keys_unchanged == 0
+    assert victim.store.stats["merkle_syncs"] == len(keys)
+    assert donor.store.stats["merkle_syncs"] == 0
+    assert all(victim.store.values_of(key) == ["v"] for key in keys)
+    assert donor.anti_entropy.sessions == {}
+
+
+def test_receiver_strictly_behind_mails_nothing_back():
+    env, ahead, behind = merkle_pair()
+    writer = ClientSession("w")
+    write(ahead, writer, "cart", "v1")
+    replicate(ahead, behind, "cart")
+    write(ahead, writer, "cart", "v2")
+
+    messages = run_exchange(ahead, behind)
+
+    assert key_states_to(messages, ahead.node_id) == []
+    assert env.merkle_stats.keys_transferred == 1
+    assert behind.store.values_of("cart") == ["v2"]
+
+
+def test_concurrent_siblings_on_both_sides_return_merged():
+    env, left, right = merkle_pair()
+    write(left, ClientSession("w1"), "cart", "beer")
+    write(right, ClientSession("w2"), "cart", "wine")
+
+    messages = run_exchange(left, right)
+
+    (reply,) = key_states_to(messages, left.node_id)
+    assert list(reply.payload["states"]) == ["cart"]
+    assert reply.payload["want"] == []
+    assert sorted(left.store.values_of("cart")) == ["beer", "wine"]
+    assert sorted(right.store.values_of("cart")) == ["beer", "wine"]
+    assert env.merkle_stats.keys_transferred == 2
+
+
+def test_key_only_the_receiver_holds_still_returns():
+    env, source, holder = merkle_pair()
+    write(holder, ClientSession("w"), "cart", "beer")
+
+    messages = run_exchange(source, holder)
+
+    (request,) = key_states_to(messages, holder.node_id)
+    assert request.payload == {"states": {}, "want": ["cart"]}
+    (reply,) = key_states_to(messages, source.node_id)
+    assert list(reply.payload["states"]) == ["cart"]
+    assert source.store.values_of("cart") == ["beer"]
+    assert env.merkle_stats.keys_transferred == 1
+
+
+def test_duplicate_key_states_delivery_is_idempotent_and_silent():
+    env, donor, victim = merkle_pair()
+    write(donor, ClientSession("w"), "cart", "beer")
+    messages = run_exchange(donor, victim)
+    (key_states,) = key_states_to(messages, victim.node_id)
+    state_before = victim.store.state_of("cart")
+
+    effects = victim.on_message(key_states, now=1.0)
+
+    assert sends(effects) == []
+    assert victim.store.state_of("cart") == state_before
+    assert env.merkle_stats.keys_unchanged == 1
+
+
+def test_stale_range_response_after_its_descent_finished_is_dropped():
+    """A duplicated leaf response must not ship the range's keys twice."""
+    env, donor, victim = merkle_pair()
+    writer = ClientSession("w")
+    for index in range(40):                 # several ranges differ
+        write(donor, writer, f"key-{index}", "v")
+    queue = sends(donor.start_merkle_sync_with("B", now=0.0))
+    nodes = {"A": donor, "B": victim}
+    replayed = False
+    while queue:
+        message = queue.pop(0)
+        effects = sends(nodes[message.receiver].on_message(message, now=0.0))
+        queue.extend(effects)
+        if (not replayed and message.payload.get("buckets")
+                and donor.anti_entropy.sessions):
+            # same leaf response again while other ranges are still open
+            assert sends(donor.on_message(message, now=0.0)) == []
+            replayed = True
+    assert replayed
+    assert env.merkle_stats.keys_transferred == 40

@@ -1,11 +1,13 @@
 """The reducer of ``tools/bench_pairs.py``, fed canned ``bench_e2e`` result
-lines (no benchmark runs inside pytest)."""
+lines, and where it unpacks the two trees (no benchmark runs inside pytest)."""
 
 from __future__ import annotations
 
 import json
 import pathlib
 import sys
+
+import pytest
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent
 sys.path.insert(0, str(REPO_ROOT / "tools"))
@@ -86,6 +88,28 @@ def test_incorrect_or_failing_runs_are_counted_and_the_table_names_every_metric(
     assert len(lines) == 2 + len(CONTRACT["end_to_end"])
     assert "| `ops_per_s` | 1/s | 1000 / 1000 / 1000 | 1100 / 1100 / 1100 " \
            "| 1.100 | 2/2 | gain |" in table
+
+
+def test_both_trees_are_siblings_with_paths_of_one_length(tmp_path):
+    """A longer path on one side alone moved ``hot_write`` by 13 %."""
+    parent, change = bench_pairs.tree_dirs(tmp_path)
+    assert parent != change
+    assert parent.parent == change.parent == tmp_path
+    assert len(str(parent)) == len(str(change))
+    assert bench_pairs.ROOT not in (parent, change)
+
+
+@pytest.mark.skipif(not (REPO_ROOT / ".git").exists(),
+                    reason="lists files through git; needs a checkout")
+def test_the_change_side_is_a_copy_of_tracked_and_unignored_files(tmp_path):
+    change = tmp_path / "change"
+    bench_pairs.copy_working_tree(change)
+    assert (change / "BENCHMARK.json").read_bytes() == \
+        (REPO_ROOT / "BENCHMARK.json").read_bytes()
+    assert (change / "benchmarks" / "e2e" / "bench_e2e.py").is_file()
+    assert (change / "src" / "repro" / "__init__.py").is_file()
+    assert not (change / ".git").exists()
+    assert not list(change.rglob("__pycache__"))
 
 
 def test_the_real_contract_has_what_the_reducer_reads():
