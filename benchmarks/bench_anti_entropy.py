@@ -1,13 +1,13 @@
-"""Ablation — naive vs Merkle-tree anti-entropy.
+"""Ablation — what the Merkle-delta anti-entropy exchange buys.
 
 Not a figure in the paper, but part of the substrate its evaluation runs on:
 Riak converges replicas with hashtree exchange rather than shipping every key
-every round.  This benchmark quantifies what the Merkle tree buys on this
-substrate (keys transferred per convergence on the synchronous store, and
-bytes of sync traffic on the simulated message-passing cluster) and confirms
-that the choice of anti-entropy strategy does not change any causal outcome —
-both strategies converge to identical sibling sets, only the transfer volume
-differs.
+every round.  The store has one anti-entropy exchange (the Merkle-delta
+protocol); this benchmark measures it on the simulated message-passing
+cluster against references computed from the same run — the bytes full-state
+exchanges would have shipped, and the hash-tree work rebuilding both trees per
+exchange would have cost — plus vnode handoff tree work and sloppy-quorum
+availability under a partition.
 
 Besides the pytest benchmarks, the module runs standalone as a smoke check
 for CI::
@@ -15,7 +15,7 @@ for CI::
     PYTHONPATH=src python benchmarks/bench_anti_entropy.py --smoke
 
 which fails (non-zero exit) if the Merkle-delta protocol stops transferring
-strictly fewer bytes than the full-state exchange on a mostly-synced store.
+strictly fewer bytes than full-state exchanges would on a mostly-synced store.
 """
 
 from __future__ import annotations
@@ -33,124 +33,15 @@ import pytest
 
 from repro.analysis import render_table
 from repro.clocks import create
-from repro.kvstore import AntiEntropyScheduler, ClientSession, MerkleAntiEntropy, SimulatedCluster, SyncReplicatedStore
+from repro.kvstore import SimulatedCluster
 from repro.network import FixedLatency
-from repro.workloads import (
-    WorkloadConfig,
-    generate_workload,
-    replay_trace,
-    run_sloppy_partition_scenario,
-)
-
-KEY_COUNTS = [10, 50, 200]
-DIVERGENT_FRACTION = 0.1
-
-
-def build_diverged_store(keys: int, seed: int = 5):
-    """A store where replicas agree on most keys and diverge on a few."""
-    store = SyncReplicatedStore(create("dvv"), server_ids=("A", "B", "C"))
-    writer = ClientSession("writer")
-    for index in range(keys):
-        key = f"key-{index}"
-        writer.get(store, key, server_id="A")
-        writer.put(store, key, f"value-{index}", server_id="A")
-    store.converge()
-    # now diverge a fraction of the keys with fresh writes at A only
-    late = ClientSession("late-writer")
-    divergent = max(1, int(keys * DIVERGENT_FRACTION))
-    for index in range(divergent):
-        key = f"key-{index * (keys // divergent)}"
-        late.get(store, key, server_id="A")
-        late.put(store, key, f"late-{index}", server_id="A")
-    return store, divergent
-
-
-def naive_transfer_volume(keys: int) -> int:
-    """Keys shipped by the all-keys scheduler until convergence."""
-    store, _ = build_diverged_store(keys)
-    scheduler = AntiEntropyScheduler(store)
-    transferred = 0
-    while not store.is_converged():
-        source_id, target_id = scheduler.run_round()
-        transferred += len(set(store.node(source_id).storage.keys())
-                           | set(store.node(target_id).storage.keys()))
-    return transferred
-
-
-def merkle_transfer_volume(keys: int) -> int:
-    """Keys shipped by the Merkle scheduler until convergence."""
-    store, _ = build_diverged_store(keys)
-    anti_entropy = MerkleAntiEntropy(store)
-    anti_entropy.run_until_converged()
-    return anti_entropy.keys_synced
-
-
-@pytest.fixture(scope="module")
-def transfer_sweep():
-    return {
-        keys: {"naive": naive_transfer_volume(keys), "merkle": merkle_transfer_volume(keys)}
-        for keys in KEY_COUNTS
-    }
-
-
-def test_report_anti_entropy_savings(transfer_sweep, publish):
-    rows = []
-    for keys in KEY_COUNTS:
-        naive = transfer_sweep[keys]["naive"]
-        merkle = transfer_sweep[keys]["merkle"]
-        rows.append([keys, naive, merkle, round(naive / max(merkle, 1), 1)])
-    table = render_table(
-        ["keys", "naive keys transferred", "merkle keys transferred", "savings factor"],
-        rows,
-        title="Ablation — anti-entropy transfer volume until convergence (10% keys divergent)",
-    )
-    publish("ablation_anti_entropy", table)
-    for keys in KEY_COUNTS:
-        assert transfer_sweep[keys]["merkle"] <= transfer_sweep[keys]["naive"]
-    assert transfer_sweep[KEY_COUNTS[-1]]["merkle"] < transfer_sweep[KEY_COUNTS[-1]]["naive"] / 2
-
-
-def test_both_strategies_reach_identical_states():
-    naive_store, _ = build_diverged_store(40)
-    merkle_store, _ = build_diverged_store(40)
-    AntiEntropyScheduler(naive_store).run_until_converged()
-    MerkleAntiEntropy(merkle_store).run_until_converged()
-    for key in naive_store.write_log.keys():
-        naive_values = sorted(map(str, naive_store.values(key, "A")))
-        merkle_values = sorted(map(str, merkle_store.values(key, "A")))
-        assert naive_values == merkle_values
-
-
-@pytest.mark.parametrize("strategy", ["naive", "merkle"])
-def test_benchmark_anti_entropy(benchmark, strategy):
-    def run():
-        if strategy == "naive":
-            return naive_transfer_volume(50)
-        return merkle_transfer_volume(50)
-
-    transferred = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert transferred > 0
-
-
-@pytest.mark.parametrize("mechanism_name", ["dvv", "dvvset"])
-def test_benchmark_workload_with_merkle_convergence(benchmark, mechanism_name):
-    """End-to-end replay + Merkle convergence, per mechanism."""
-    trace = generate_workload(WorkloadConfig(clients=12, keys=6, operations=120, seed=17,
-                                             sync_every=None, final_sync=False))
-
-    def run():
-        replay = replay_trace(trace, create(mechanism_name))
-        MerkleAntiEntropy(replay.store).run_until_converged()
-        return replay
-
-    replay = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert replay.store.is_converged()
+from repro.workloads import run_sloppy_partition_scenario
 
 
 # --------------------------------------------------------------------------- #
-# Message-passing cluster: full-state vs Merkle-delta sync traffic (bytes)
+# Message-passing cluster: Merkle-delta sync traffic vs full state (bytes)
 # --------------------------------------------------------------------------- #
-def build_diverged_cluster(keys: int, strategy: str = "merkle", seed: int = 9):
+def build_diverged_cluster(keys: int, seed: int = 9):
     """A mostly-synced simulated cluster, ready for one convergence.
 
     Builds a 3-server cluster, fully converges it, diverges ~10% of the keys
@@ -162,7 +53,6 @@ def build_diverged_cluster(keys: int, strategy: str = "merkle", seed: int = 9):
         latency=FixedLatency(0.5),
         anti_entropy_interval_ms=None,
         hint_replay_interval_ms=None,
-        anti_entropy_strategy=strategy,
         seed=seed,
     )
     client = cluster.client("writer")
@@ -187,12 +77,45 @@ def build_diverged_cluster(keys: int, strategy: str = "merkle", seed: int = 9):
     return cluster
 
 
-def cluster_sync_bytes(keys: int, strategy: str, seed: int = 9):
-    """Bytes of sync traffic one convergence costs under a sync strategy."""
-    cluster = build_diverged_cluster(keys, strategy=strategy, seed=seed)
+def on_every_exchange(cluster, observe) -> None:
+    """Call ``observe(source_id, peer_id)`` as each Merkle exchange starts."""
+    for server in cluster.servers.values():
+        start = server.start_merkle_sync_with
+
+        def start_observed(peer_id: str, source_id=server.node_id, start=start) -> None:
+            observe(source_id, peer_id)
+            start(peer_id)
+
+        server.start_merkle_sync_with = start_observed
+
+
+def store_bytes(cluster, server_id: str) -> int:
+    """Bytes of shipping one replica's whole store, one state per key."""
+    protocol = cluster.servers[server_id].protocol
+    return sum(protocol.state_size(key, protocol.store.state_of(key))
+               for key in protocol.store.storage.keys())
+
+
+def cluster_sync_bytes(keys: int, seed: int = 9):
+    """Bytes of sync traffic one convergence costs, Merkle-delta vs full state.
+
+    ``"merkle"`` is what the store sends.  ``"full"`` is the reference it is
+    gated against, computed here from the same run: for every exchange the
+    run started, the bytes of shipping both replicas' whole stores —
+    O(total keys) per exchange, whatever the divergence.
+    """
+    cluster = build_diverged_cluster(keys, seed=seed)
+    sync_bytes = {"full": 0}
+
+    def count_full_state(source_id: str, peer_id: str) -> None:
+        sync_bytes["full"] += (store_bytes(cluster, source_id)
+                               + store_bytes(cluster, peer_id))
+
+    on_every_exchange(cluster, count_full_state)
     before = cluster.sync_bytes()
     rounds = cluster.converge()
-    return cluster.sync_bytes() - before, rounds, cluster
+    sync_bytes["merkle"] = cluster.sync_bytes() - before
+    return sync_bytes, rounds, cluster
 
 
 # --------------------------------------------------------------------------- #
@@ -223,20 +146,12 @@ def cluster_tree_work(keys: int, seed: int = 9):
     cluster = build_diverged_cluster(keys, seed=seed)
     rebuild = dict.fromkeys(TREE_WORK_STATS, 0)
 
-    def count_rebuilds(server):
-        start = server.start_merkle_sync_with
+    def count_rebuilds(source_id: str, peer_id: str) -> None:
+        rebuild["full_rebuilds"] += 2
+        rebuild["keys_hashed"] += (len(cluster.servers[source_id].node.storage)
+                                   + len(cluster.servers[peer_id].node.storage))
 
-        def start_counted(peer_id: str) -> None:
-            rebuild["full_rebuilds"] += 2
-            rebuild["keys_hashed"] += (
-                len(server.node.storage)
-                + len(cluster.servers[peer_id].node.storage))
-            start(peer_id)
-
-        server.start_merkle_sync_with = start_counted
-
-    for server in cluster.servers.values():
-        count_rebuilds(server)
+    on_every_exchange(cluster, count_rebuilds)
     before = tree_work_totals(cluster)
     rounds = cluster.converge()
     after = tree_work_totals(cluster)
@@ -290,11 +205,7 @@ CLUSTER_KEY_COUNTS = [20, 60, 150]
 
 @pytest.fixture(scope="module")
 def cluster_byte_sweep():
-    return {
-        keys: {strategy: cluster_sync_bytes(keys, strategy)[0]
-               for strategy in ("full", "merkle")}
-        for keys in CLUSTER_KEY_COUNTS
-    }
+    return {keys: cluster_sync_bytes(keys)[0] for keys in CLUSTER_KEY_COUNTS}
 
 
 def test_report_cluster_sync_bytes(cluster_byte_sweep, publish):
@@ -304,7 +215,8 @@ def test_report_cluster_sync_bytes(cluster_byte_sweep, publish):
         merkle = cluster_byte_sweep[keys]["merkle"]
         rows.append([keys, full, merkle, round(full / max(merkle, 1), 1)])
     table = render_table(
-        ["keys", "full-state sync bytes", "merkle-delta sync bytes", "savings factor"],
+        ["keys", "full-state bytes (reference)", "merkle-delta sync bytes",
+         "savings factor"],
         rows,
         title="Simulated cluster — sync bytes until convergence (10% keys divergent)",
     )
@@ -390,16 +302,6 @@ def test_report_handoff_tree_work(publish):
         assert stats["keys_hashed"] == 0
 
 
-def test_cluster_strategies_reach_identical_states():
-    _, _, full_cluster = cluster_sync_bytes(40, "full")
-    _, _, merkle_cluster = cluster_sync_bytes(40, "merkle")
-    assert full_cluster.is_converged() and merkle_cluster.is_converged()
-    for key in full_cluster.key_universe():
-        full_values = sorted(map(repr, full_cluster.servers["A"].node.values_of(key)))
-        merkle_values = sorted(map(repr, merkle_cluster.servers["A"].node.values_of(key)))
-        assert full_values == merkle_values
-
-
 # --------------------------------------------------------------------------- #
 # Sloppy vs strict quorums: availability and latency under a partition
 # --------------------------------------------------------------------------- #
@@ -459,9 +361,10 @@ def run_smoke(keys: int = 60,
     """Quick regression gate for CI.
 
     Four checks: (1) merkle-delta anti-entropy must transfer fewer bytes
-    than the full-state exchange; (2) on a large keyspace, the incremental
-    Merkle index must do less hash-tree work per convergence than building
-    both sides' trees from scratch per exchange would; (3) a whole-vnode join handoff must import the
+    than full-state exchanges would have in the same run; (2) on a large
+    keyspace, the incremental Merkle index must do less hash-tree work per
+    convergence than building both sides' trees from scratch per exchange
+    would; (3) a whole-vnode join handoff must import the
     sender's maintained fingerprints instead of re-hashing the moved states
     (O(1) fresh fingerprints, not O(keys moved)); (4) under a partition, the
     async request mode's sloppy quorums must complete writes that strict
@@ -469,25 +372,26 @@ def run_smoke(keys: int = 60,
     written to ``results_path`` as JSON for CI artifacts.
     """
     results: dict = {"keys": keys}
-    full_bytes, full_rounds, _ = cluster_sync_bytes(keys, "full")
-    merkle_bytes, merkle_rounds, merkle_cluster = cluster_sync_bytes(keys, "merkle")
+    sync_bytes, rounds, merkle_cluster = cluster_sync_bytes(keys)
+    full_bytes, merkle_bytes = sync_bytes["full"], sync_bytes["merkle"]
     print(render_table(
-        ["strategy", "sync bytes", "rounds"],
-        [["full", full_bytes, full_rounds], ["merkle", merkle_bytes, merkle_rounds]],
+        ["exchange", "sync bytes", "rounds"],
+        [["full state (reference)", full_bytes, rounds],
+         ["merkle", merkle_bytes, rounds]],
         title=f"Anti-entropy smoke ({keys} keys, 10% divergent)",
     ))
     if not merkle_cluster.is_converged():
-        print("FAIL: merkle strategy did not converge", file=sys.stderr)
+        print("FAIL: merkle exchange did not converge", file=sys.stderr)
         return 1
     if merkle_bytes >= full_bytes:
         print("FAIL: merkle-delta sync no longer transfers fewer bytes than "
-              f"full-state exchange ({merkle_bytes} >= {full_bytes})", file=sys.stderr)
+              f"full-state exchanges would ({merkle_bytes} >= {full_bytes})",
+              file=sys.stderr)
         return 1
     print(f"OK: merkle-delta saves {full_bytes - merkle_bytes} bytes "
           f"({full_bytes / max(merkle_bytes, 1):.1f}x)")
     results["sync_bytes"] = {"full": full_bytes, "merkle": merkle_bytes,
-                             "full_rounds": full_rounds,
-                             "merkle_rounds": merkle_rounds}
+                             "full_rounds": rounds, "merkle_rounds": rounds}
     results["per_range_exchange"] = per_range_exchange_stats(keys)
 
     # Incremental hash-tree maintenance: a large keyspace so the O(keys)

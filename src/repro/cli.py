@@ -196,7 +196,6 @@ def cmd_churn(args: argparse.Namespace) -> int:
     scenario_fn = CHURN_SCENARIOS[args.scenario]
     kwargs = dict(seed=args.seed,
                   quorum_mode=args.quorum_mode,
-                  anti_entropy_strategy=args.anti_entropy,
                   tracer=tracer)
     # Optional knobs only some scenarios accept (pass-through when set and
     # supported; quietly ignored by scenarios without the parameter).
@@ -284,7 +283,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
                             sloppy=args.quorum_mode == "sloppy"),
         latency=SizeDependentLatency(base=FixedLatency(0.25), bytes_per_ms=args.bytes_per_ms),
         anti_entropy_interval_ms=50.0,
-        anti_entropy_strategy=args.anti_entropy,
         request_mode=args.request_mode,
         deadline_mode=args.deadline_mode,
         partition_count=args.partitions,
@@ -606,8 +604,6 @@ def build_parser() -> argparse.ArgumentParser:
     churn.add_argument("--scenario", default="elasticity",
                        choices=sorted(CHURN_SCENARIOS))
     churn.add_argument("--mechanism", default="dvv", choices=available())
-    churn.add_argument("--anti-entropy", default="merkle", choices=["merkle", "full"],
-                       dest="anti_entropy")
     churn.add_argument("--quorum-mode", default="sloppy", choices=["strict", "sloppy"],
                        dest="quorum_mode",
                        help="strict quorums fail writes when primaries are unreachable; "
@@ -633,8 +629,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="sim: deterministic simulator in virtual time; "
                               "asyncio: the same protocol over real Unix-domain "
                               "sockets, reporting wall-clock numbers")
-    cluster.add_argument("--anti-entropy", default="merkle", choices=["merkle", "full"],
-                         dest="anti_entropy")
     cluster.add_argument("--request-mode", default="membership",
                          choices=["membership", "async"], dest="request_mode",
                          help="membership: coordinators consult the failure detector; "

@@ -8,7 +8,13 @@ Two store frontends share the same replica-local machinery
   correctness / metadata experiments.
 * :class:`~repro.kvstore.simulated.SimulatedCluster` — message-passing over
   the discrete-event network simulator with quorums, read repair and
-  anti-entropy; used by the latency experiment and the integration tests.
+  Merkle-delta anti-entropy; used by the latency experiment and the
+  integration tests.
+
+The synchronous store merges replica pairs directly (``sync_key`` /
+``sync_all`` / ``converge``); the clusters heal replicas with one
+anti-entropy engine,
+:class:`~repro.kvstore.protocol.anti_entropy.AntiEntropyEngine`.
 
 The message protocol itself lives in :mod:`repro.kvstore.protocol` as
 transport-agnostic state machines; besides the simulator,
@@ -16,20 +22,11 @@ transport-agnostic state machines; besides the simulator,
 TCP/Unix-domain sockets for wall-clock benchmarking.
 """
 
-from .anti_entropy import AntiEntropyDaemon, AntiEntropyScheduler, HintedHandoffDaemon
+from .anti_entropy import AntiEntropyDaemon, HintedHandoffDaemon
 from .asyncio_cluster import AsyncClusterClient, AsyncioCluster, AsyncServerNode
 from .client import ClientSession, GetResult, PutResult
 from .context import CausalContext
-from .merkle import (
-    MERKLE_MAINTENANCE_MODES,
-    DiffStats,
-    MerkleAntiEntropy,
-    MerkleTree,
-    bucket_path,
-    diff_keys,
-    key_fingerprint,
-    state_fingerprint,
-)
+from .merkle import MerkleTree, bucket_path, diff_keys, key_fingerprint, state_fingerprint
 from .merkle_index import MerkleIndex, VnodeIndexSet
 from .merge import (
     CallbackResolver,
@@ -56,22 +53,18 @@ from .write_log import WriteLog, WriteRecord
 
 __all__ = [
     "DEADLINE_MODES",
-    "MERKLE_MAINTENANCE_MODES",
     "REQUEST_MODES",
     "AntiEntropyDaemon",
-    "AntiEntropyScheduler",
     "AsyncClusterClient",
     "AsyncServerNode",
     "AsyncioCluster",
     "CallbackResolver",
     "CausalContext",
     "ClientSession",
-    "DiffStats",
     "GetResult",
     "Hint",
     "HintedHandoffDaemon",
     "LastWriterWins",
-    "MerkleAntiEntropy",
     "MerkleIndex",
     "MerkleSyncStats",
     "MerkleTree",

@@ -1,33 +1,21 @@
-"""Anti-entropy: background replica synchronisation.
+"""Anti-entropy daemons for the simulated message-passing cluster.
 
 Dynamo-style stores converge replicas in two ways: read repair (on the read
 path, see :mod:`repro.kvstore.read_repair`) and a background anti-entropy
 process that periodically exchanges state between replica pairs — the dotted
-"server sync" arrows in the paper's Figure 1.  This module provides both the
-direct form used with the synchronous store and the
-:class:`~repro.network.simulator.PeriodicTask`-driven daemons for the
-simulated message-passing cluster.
+"server sync" arrows in the paper's Figure 1.  The exchange itself is the
+Merkle-delta protocol of :mod:`repro.kvstore.protocol.anti_entropy`; this
+module only decides *when* it runs, as
+:class:`~repro.network.simulator.PeriodicTask`-driven daemons:
 
-Two sync strategies exist on the simulated cluster (selected by
-``SimulatedCluster(anti_entropy_strategy=...)``):
+* :class:`AntiEntropyDaemon` starts an exchange for one replica pair per tick
+  and tracks membership churn (joins, departures, crashes), skipping pairs
+  with an unreachable endpoint.
+* :class:`HintedHandoffDaemon` periodically replays coordinator-held hints to
+  replicas that have recovered.
 
-* ``"full"`` — the original exchange: the source ships the state of every key
-  it holds in one ``SYNC_REQUEST`` and the target replies in kind.  Bytes on
-  the wire are proportional to the *store size* regardless of divergence.
-* ``"merkle"`` (default) — the Merkle-delta protocol: the source ships tree
-  digests level by level (``MERKLE_SYNC_REQUEST`` / ``MERKLE_SYNC_RESPONSE``),
-  the pair descend only into subtrees whose digests differ, and finally
-  exchange states only for the diverged keys, batched into
-  ``MERKLE_KEY_STATES`` messages.  Bytes on the wire are proportional to the
-  *divergence*, which is what lets the DVV/DVVSet metadata advantage show up
-  in sync traffic.  The message handlers live in
-  :mod:`repro.kvstore.simulated`; the tree itself in
-  :mod:`repro.kvstore.merkle`.
-
-The :class:`AntiEntropyDaemon` below schedules replica pairs for either
-strategy and tracks membership churn (joins, departures, crashes), skipping
-pairs with an unreachable endpoint.  The :class:`HintedHandoffDaemon`
-periodically replays coordinator-held hints to replicas that have recovered.
+The synchronous store has no daemon: its ``sync_key`` / ``sync_all`` /
+``converge`` merge replica pairs directly.
 """
 
 from __future__ import annotations
@@ -36,67 +24,15 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..core.exceptions import ConfigurationError
 from ..network.simulator import PeriodicTask, Simulation
-from .sync_store import SyncReplicatedStore
-
-
-class AntiEntropyScheduler:
-    """Round-robin pair scheduling for synchronous stores.
-
-    Each call to :meth:`run_round` synchronises every key between one pair of
-    replicas, cycling deterministically through all pairs so that repeated
-    rounds converge the whole cluster without requiring all-pairs exchanges
-    every time (which would hide the cost differences between mechanisms).
-    """
-
-    def __init__(self, store: SyncReplicatedStore) -> None:
-        self.store = store
-        self._pair_index = 0
-        self.rounds_run = 0
-
-    def _pairs(self) -> List[Tuple[str, str]]:
-        servers = sorted(self.store.servers)
-        return [
-            (servers[i], servers[j])
-            for i in range(len(servers))
-            for j in range(i + 1, len(servers))
-        ]
-
-    def run_round(self, key: Optional[str] = None) -> Tuple[str, str]:
-        """Synchronise one replica pair (all keys, or one key); returns the pair."""
-        pairs = self._pairs()
-        if not pairs:
-            raise ConfigurationError("anti-entropy needs at least two servers")
-        source_id, target_id = pairs[self._pair_index % len(pairs)]
-        self._pair_index += 1
-        self.rounds_run += 1
-        keys = [key] if key is not None else self._keys_of(source_id, target_id)
-        for key_to_sync in keys:
-            self.store.sync_key(key_to_sync, source_id, target_id, bidirectional=True)
-        return source_id, target_id
-
-    def run_until_converged(self, max_rounds: int = 100) -> int:
-        """Run rounds until the store converges; returns the number of rounds."""
-        for round_number in range(1, max_rounds + 1):
-            self.run_round()
-            if self.store.is_converged():
-                return round_number
-        raise ConfigurationError(f"store did not converge within {max_rounds} rounds")
-
-    def _keys_of(self, *server_ids: str) -> List[str]:
-        keys = set()
-        for server_id in server_ids:
-            keys.update(self.store.node(server_id).storage.keys())
-        return sorted(keys)
 
 
 class AntiEntropyDaemon:
     """Periodic anti-entropy for the simulated message-passing cluster.
 
     The daemon does not touch node state directly; it asks the cluster to
-    start an exchange between a replica pair (full-state or Merkle-delta,
-    whatever the cluster is configured for), so the exchanged state pays the
-    same latency/size costs as every other message (keeping the latency
-    experiment honest).
+    start a Merkle-delta exchange between a replica pair, so the exchanged
+    state pays the same latency/size costs as every other message (keeping
+    the latency experiment honest).
 
     The pair rotation is membership-aware: nodes can be added and removed at
     runtime (elastic clusters), and pairs with an endpoint the ``eligible``

@@ -1,14 +1,17 @@
-"""Merkle-tree assisted anti-entropy (Riak/Dynamo "hashtree exchange").
+"""Merkle trees for anti-entropy (Riak/Dynamo "hashtree exchange").
 
-Exchanging the full state of every key on every anti-entropy round (as the
-basic :class:`~repro.kvstore.anti_entropy.AntiEntropyScheduler` does) is
-simple but wasteful: most keys agree most of the time.  Production systems —
+Exchanging the full state of every key on every anti-entropy round is simple
+but wasteful: most keys agree most of the time.  Production systems —
 including the Riak deployment the paper's evaluation modified — summarise each
 replica's key space in a Merkle tree and exchange only the hashes, descending
 into subtrees whose hashes differ and finally transferring only the keys that
 actually diverge.
 
-This module provides:
+This module holds the shared hashing primitives (key fingerprints and bucket
+placement) that the write-maintained index
+(:mod:`repro.kvstore.merkle_index`) and the exchange
+(:mod:`repro.kvstore.protocol.anti_entropy`) run on, plus two from-scratch
+reference implementations that tests compare them against:
 
 * :class:`MerkleTree` — a fixed-fanout hash tree over a key space, built from
   ``(key, fingerprint)`` pairs.  Fingerprints are derived from the ground-truth
@@ -17,21 +20,17 @@ This module provides:
   sibling set.
 * :func:`diff_keys` — the keys whose fingerprints differ between two trees
   (descending only into differing buckets).
-* :class:`MerkleAntiEntropy` — a scheduler for the synchronous store that uses
-  the tree diff to synchronise only divergent keys, and records how much
-  transfer the tree saved (reported by the anti-entropy efficiency test).
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core import codec
 from ..core.exceptions import ConfigurationError
 from .server import StorageNode
-from .sync_store import SyncReplicatedStore
 
 
 def _hash_bytes(payload: bytes) -> bytes:
@@ -102,8 +101,7 @@ class MerkleTree:
     def __init__(self,
                  fingerprints: Dict[str, bytes],
                  fanout: int = 16,
-                 depth: int = 2,
-                 prebuilt_root: Optional[MerkleNode] = None) -> None:
+                 depth: int = 2) -> None:
         if fanout < 2:
             raise ConfigurationError(f"fanout must be >= 2, got {fanout}")
         if depth < 1:
@@ -111,10 +109,7 @@ class MerkleTree:
         self.fanout = fanout
         self.depth = depth
         self._fingerprints = dict(fingerprints)
-        # ``prebuilt_root`` lets an incrementally maintained index snapshot
-        # itself as a MerkleTree without re-hashing anything (the digests were
-        # already paid for, one leaf path at a time, on the write path).
-        self.root = prebuilt_root if prebuilt_root is not None else self._build()
+        self.root = self._build()
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -204,18 +199,7 @@ class MerkleTree:
         return hash(self.root_digest)
 
 
-@dataclass
-class DiffStats:
-    """How much work a tree-driven comparison did (for the efficiency report)."""
-
-    nodes_compared: int = 0
-    buckets_descended: int = 0
-    keys_compared: int = 0
-    keys_divergent: int = 0
-
-
-def diff_keys(left: MerkleTree, right: MerkleTree,
-              stats: Optional[DiffStats] = None) -> List[str]:
+def diff_keys(left: MerkleTree, right: MerkleTree) -> List[str]:
     """Keys whose fingerprints differ between the two trees.
 
     Only descends into subtrees whose digests differ, and only compares the
@@ -224,20 +208,14 @@ def diff_keys(left: MerkleTree, right: MerkleTree,
     """
     if left.fanout != right.fanout or left.depth != right.depth:
         raise ConfigurationError("cannot diff Merkle trees with different shapes")
-    stats = stats if stats is not None else DiffStats()
     divergent: List[str] = []
 
     def walk(a: MerkleNode, b: MerkleNode) -> None:
-        stats.nodes_compared += 1
         if a.digest == b.digest:
             return
         if a.is_leaf and b.is_leaf:
-            stats.buckets_descended += 1
-            keys = set(a.keys) | set(b.keys)
-            for key in sorted(keys):
-                stats.keys_compared += 1
+            for key in sorted(set(a.keys) | set(b.keys)):
                 if left.fingerprint(key) != right.fingerprint(key):
-                    stats.keys_divergent += 1
                     divergent.append(key)
             return
         for child_a, child_b in zip(a.children, b.children):
@@ -245,126 +223,3 @@ def diff_keys(left: MerkleTree, right: MerkleTree,
 
     walk(left.root, right.root)
     return divergent
-
-
-#: How replica hash trees are obtained for an exchange: incrementally
-#: maintained on every write (the default, Riak-style persistent hashtrees)
-#: or rebuilt from scratch per exchange (the pre-index behaviour, kept for
-#: the maintenance-cost ablation).
-MERKLE_MAINTENANCE_MODES = ("incremental", "rebuild")
-
-
-class MerkleAntiEntropy:
-    """Anti-entropy for the synchronous store driven by Merkle-tree diffs.
-
-    Each round picks the next replica pair (round-robin), obtains both trees,
-    and synchronises only the keys the diff reports.  Statistics accumulate
-    across rounds so tests and benchmarks can compare the transfer volume
-    against the naive all-keys exchange.
-
-    With ``maintenance="incremental"`` (the default) each replica carries a
-    write-maintained :class:`~repro.kvstore.merkle_index.MerkleIndex` (attached
-    here if the node does not have one yet) and a round takes cheap digest
-    snapshots; ``maintenance="rebuild"`` re-hashes the full key space per
-    round, the cost the index exists to remove.
-    """
-
-    def __init__(self, store: SyncReplicatedStore, fanout: int = 16, depth: int = 2,
-                 maintenance: str = "incremental") -> None:
-        if maintenance not in MERKLE_MAINTENANCE_MODES:
-            raise ConfigurationError(
-                f"unknown merkle maintenance mode {maintenance!r}; "
-                f"choose from {MERKLE_MAINTENANCE_MODES}"
-            )
-        self.store = store
-        self.fanout = fanout
-        self.depth = depth
-        self.maintenance = maintenance
-        self._pair_index = 0
-        self.rounds_run = 0
-        self.keys_synced = 0
-        self.keys_skipped = 0
-        self.diff_stats = DiffStats()
-        if maintenance == "incremental":
-            from .merkle_index import MerkleIndex  # circular-import guard
-            for node in self.store.servers.values():
-                index = node.merkle_index
-                if index is None or index.fanout != fanout or index.depth != depth:
-                    node.attach_merkle_index(
-                        MerkleIndex(node.mechanism, fanout=fanout, depth=depth,
-                                    counters=node.stats)
-                    )
-
-    def _pairs(self) -> List[Tuple[str, str]]:
-        servers = sorted(self.store.servers)
-        return [
-            (servers[i], servers[j])
-            for i in range(len(servers))
-            for j in range(i + 1, len(servers))
-        ]
-
-    def _universe(self, *nodes: StorageNode) -> Set[str]:
-        keys: Set[str] = set()
-        for node in nodes:
-            keys.update(node.storage.keys())
-        return keys
-
-    def _trees(self, source: StorageNode,
-               target: StorageNode) -> Tuple[MerkleTree, MerkleTree, int]:
-        """Both replicas' trees plus the key-universe size (for accounting).
-
-        A snapshot covers only the keys the replica holds while a rebuild
-        covers the shared universe (absent keys hash to the empty fingerprint);
-        both conventions localise exactly the same divergent keys as long as
-        the two sides use the same one.  Only the rebuild branch pays the
-        O(universe) sort + double re-hash; the incremental branch's cost is
-        the snapshots (dirty-bucket flush + digest copy).
-        """
-        if self.maintenance == "incremental":
-            left = source.merkle_index.snapshot()
-            right = target.merkle_index.snapshot()
-            total = len(left._fingerprints.keys() | right._fingerprints.keys())
-            return left, right, total
-        universe = sorted(self._universe(source, target))
-        trees = []
-        for node in (source, target):
-            node.stats["full_rebuilds"] += 1
-            node.stats["keys_hashed"] += len(universe)
-            trees.append(MerkleTree.for_node(node, universe,
-                                             fanout=self.fanout, depth=self.depth))
-        return trees[0], trees[1], len(universe)
-
-    def run_round(self) -> Tuple[str, str, List[str]]:
-        """Synchronise one replica pair; returns the pair and the keys transferred."""
-        pairs = self._pairs()
-        if not pairs:
-            raise ConfigurationError("Merkle anti-entropy needs at least two servers")
-        source_id, target_id = pairs[self._pair_index % len(pairs)]
-        self._pair_index += 1
-        self.rounds_run += 1
-
-        source = self.store.node(source_id)
-        target = self.store.node(target_id)
-        left, right, total_keys = self._trees(source, target)
-        divergent = diff_keys(left, right, self.diff_stats)
-
-        for key in divergent:
-            self.store.sync_key(key, source_id, target_id, bidirectional=True)
-        self.keys_synced += len(divergent)
-        self.keys_skipped += total_keys - len(divergent)
-        return source_id, target_id, divergent
-
-    def run_until_converged(self, max_rounds: int = 100) -> int:
-        """Run rounds until the store converges; returns the number of rounds."""
-        for round_number in range(1, max_rounds + 1):
-            self.run_round()
-            if self.store.is_converged():
-                return round_number
-        raise ConfigurationError(f"store did not converge within {max_rounds} rounds")
-
-    def efficiency(self) -> float:
-        """Fraction of key exchanges avoided compared to an all-keys exchange."""
-        total = self.keys_synced + self.keys_skipped
-        if total == 0:
-            return 0.0
-        return self.keys_skipped / total

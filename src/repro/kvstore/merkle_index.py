@@ -51,9 +51,9 @@ instead of hashing), ``buckets_rehashed`` (leaf buckets re-hashed on
 flush) and ``full_rebuilds`` (rebuilds from storage) — which is what lets
 the anti-entropy benchmark show exchange tree work dropping from O(keys) to
 O(divergent buckets), and handoff tree work dropping to O(1).
-(``snapshot_digests`` counts digests copied out by :meth:`MerkleIndex.snapshot`,
-which only the synchronous store's ``MerkleAntiEntropy`` still calls; it
-stays 0 on the protocol path.)
+(``snapshot_digests`` is registered so cluster stats keep their shape, and
+stays 0: the exchange reads the index in place, and nothing copies digests
+out of it.)
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ from ..clocks.interface import CausalityMechanism
 from ..cluster.ring import PartitionMap
 from ..core.exceptions import ConfigurationError
 from .merkle import (
-    MerkleNode,
     MerkleTree,
     _hash_bytes,
     bucket_path,
@@ -278,35 +277,9 @@ class MerkleIndex:
         return self._fingerprints.get(key)
 
     def snapshot(self) -> MerkleTree:
-        """Freeze the current digests into a :class:`MerkleTree`.
-
-        The returned tree is immutable and digest-identical to
-        ``MerkleTree.for_node(...)`` over the same keys, but is assembled from
-        the maintained digests without hashing anything.  The synchronous
-        store's ``MerkleAntiEntropy`` diffs two of these per round; the
-        message protocol reads the index in place instead.
-        """
+        """Freeze the current fingerprints into a :class:`MerkleTree`."""
         self.flush()
-        exported = 0
-
-        def build(path: Tuple[int, ...], level: int) -> MerkleNode:
-            nonlocal exported
-            exported += 1
-            if level == self.depth:
-                return MerkleNode(digest=self.digest_at(path),
-                                  keys=sorted(self._buckets.get(path, ())))
-            return MerkleNode(
-                digest=self.digest_at(path),
-                children=[build(path + (branch,), level + 1)
-                          for branch in range(self.fanout)],
-            )
-
-        root = build((), 0)
-        self.counters["snapshot_digests"] += exported
-        # MerkleTree.__init__ copies the fingerprint dict, which is what
-        # freezes the snapshot against further index updates.
-        return MerkleTree(self._fingerprints, fanout=self.fanout,
-                          depth=self.depth, prebuilt_root=root)
+        return MerkleTree(self._fingerprints, fanout=self.fanout, depth=self.depth)
 
     # ------------------------------------------------------------------ #
     # Storage attachment (listener plumbing)

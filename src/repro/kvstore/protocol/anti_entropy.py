@@ -1,15 +1,13 @@
-"""Anti-entropy state machine: Merkle-delta and full-state exchanges.
+"""Anti-entropy state machine: the store's one replica-sync exchange.
 
-One :class:`AntiEntropyEngine` per node runs the sync protocols over effects:
-
-* **full-state** (``SYNC_REQUEST`` / ``SYNC_REPLY``) — the source ships every
-  key it holds, the target merges and replies in kind;
-* **Merkle-delta** — the per-vnode hashtree exchange: one
-  ``MERKLE_PARTITION_DIGESTS`` / ``MERKLE_PARTITION_DIFF`` round trip compares
-  per-range roots, then each differing range's tree is descended level by
-  level (``MERKLE_SYNC_REQUEST`` / ``MERKLE_SYNC_RESPONSE``) down to leaf
-  fingerprints, and finally only the divergent keys' states travel, batched
-  into ``MERKLE_KEY_STATES`` messages.
+One :class:`AntiEntropyEngine` per node runs the Merkle-delta protocol over
+effects — the per-vnode hashtree exchange Riak uses: one
+``MERKLE_PARTITION_DIGESTS`` / ``MERKLE_PARTITION_DIFF`` round trip compares
+per-range roots, then each differing range's tree is descended level by
+level (``MERKLE_SYNC_REQUEST`` / ``MERKLE_SYNC_RESPONSE``) down to leaf
+fingerprints, and finally only the divergent keys' states travel, batched
+into ``MERKLE_KEY_STATES`` messages.  The same engine pushes rebalancing
+handoffs (``KEY_HANDOFF``).
 
 Every digest and fingerprint is read from the node's write-maintained
 :class:`~repro.kvstore.merkle_index.VnodeIndexSet` when the message that
@@ -46,11 +44,9 @@ from .util import chunked
 #: Wire size of one tree digest in the Merkle exchange (sha256).
 DIGEST_BYTES = 32
 
-#: Message types that carry anti-entropy traffic (either strategy); the single
-#: source of truth for "sync bytes" measurements in reports and benchmarks.
+#: Message types that carry anti-entropy traffic; the single source of truth
+#: for "sync bytes" measurements in reports and benchmarks.
 SYNC_MESSAGE_TYPES = (
-    MessageType.SYNC_REQUEST.value,
-    MessageType.SYNC_REPLY.value,
     MessageType.MERKLE_PARTITION_DIGESTS.value,
     MessageType.MERKLE_PARTITION_DIFF.value,
     MessageType.MERKLE_SYNC_REQUEST.value,
@@ -97,42 +93,6 @@ class AntiEntropyEngine:
         self._node = node
         self.sessions: Dict[int, AntiEntropySession] = {}
         self._session_ids = itertools.count(1)
-
-    # ------------------------------------------------------------------ #
-    # Full-state exchange
-    # ------------------------------------------------------------------ #
-    def start_sync_with(self, peer_id: str) -> None:
-        """Begin a full-state anti-entropy exchange with ``peer_id`` (push-pull)."""
-        node = self._node
-        states = {key: node.store.state_of(key) for key in node.store.storage.keys()}
-        node.emit(Send(Message(
-            sender=node.node_id,
-            receiver=peer_id,
-            msg_type=MessageType.SYNC_REQUEST,
-            payload={"states": states},
-            size_bytes=sum(node.state_size(k, s) for k, s in states.items()),
-        )))
-
-    def on_sync_request(self, message: Message) -> None:
-        node = self._node
-        states = message.payload["states"]
-        reply_states = {}
-        for key, state in states.items():
-            node.store.local_merge(key, state)
-        for key in node.store.storage.keys():
-            reply_states[key] = node.store.state_of(key)
-        node.emit(Send(Message(
-            sender=node.node_id,
-            receiver=message.sender,
-            msg_type=MessageType.SYNC_REPLY,
-            payload={"states": reply_states},
-            size_bytes=sum(node.state_size(k, s) for k, s in reply_states.items()),
-            request_id=message.request_id,
-        )))
-
-    def on_sync_reply(self, message: Message) -> None:
-        for key, state in message.payload["states"].items():
-            self._node.store.local_merge(key, state)
 
     # ------------------------------------------------------------------ #
     # Merkle-delta exchange

@@ -73,8 +73,6 @@ class ProtocolNode:
             MessageType.REPLICA_PUT: self.replica.on_replica_put,
             MessageType.REPLICA_PUT_ACK: self.coordinator.on_replica_put_ack,
             MessageType.READ_REPAIR: self.replica.on_read_repair,
-            MessageType.SYNC_REQUEST: self.anti_entropy.on_sync_request,
-            MessageType.SYNC_REPLY: self.anti_entropy.on_sync_reply,
             MessageType.MERKLE_PARTITION_DIGESTS:
                 self.anti_entropy.on_merkle_partition_digests,
             MessageType.MERKLE_PARTITION_DIFF:
@@ -134,11 +132,6 @@ class ProtocolNode:
     def start_merkle_sync_with(self, peer_id: str, now: float) -> EffectList:
         self.now = now
         self.anti_entropy.start_merkle_sync_with(peer_id)
-        return self._drain()
-
-    def start_sync_with(self, peer_id: str, now: float) -> EffectList:
-        self.now = now
-        self.anti_entropy.start_sync_with(peer_id)
         return self._drain()
 
     def replay_hints(self, now: float) -> Tuple[EffectList, int]:

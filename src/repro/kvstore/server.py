@@ -29,8 +29,8 @@ MERGE_COUNTERS = {
 }
 
 #: Hash-tree maintenance counters, seeded to zero on every node so cluster
-#: stat totals keep a stable shape whether the node carries an incremental
-#: Merkle index, rebuilds trees per exchange, or does no anti-entropy at all.
+#: stat totals keep a stable shape whether or not the node carries a Merkle
+#: index.
 #: The :class:`~repro.kvstore.merkle_index.MerkleIndex` increments them.
 INDEX_COUNTERS = ("keys_hashed", "buckets_rehashed", "full_rebuilds",
                   "snapshot_digests", "fingerprints_imported",
@@ -49,8 +49,8 @@ class StorageNode:
         self.mechanism = mechanism
         self.storage = NodeStorage(mechanism, partition_map=partition_map)
         #: Incremental Merkle index over this node's key space, when attached
-        #: (see :meth:`attach_merkle_index`); None means exchanges rebuild
-        #: trees from scratch.
+        #: (see :meth:`attach_merkle_index`); None on the synchronous
+        #: store's nodes, which merge replica pairs directly.
         self.merkle_index = None
         #: Operation counters for diagnostics and reports.  ``merges`` counts
         #: ordinary replication/read-repair merges only; hint replays, Merkle
@@ -109,7 +109,7 @@ class StorageNode:
         """Merge a remote replica's state for ``key`` into the local one.
 
         ``reason`` selects the stats counter: ``"merge"`` (replication, read
-        repair, full-state sync), ``"hint"`` (hinted-handoff replay),
+        repair, synchronous-store sync), ``"hint"`` (hinted-handoff replay),
         ``"merkle"`` (Merkle-delta anti-entropy transfer) or ``"handoff"``
         (rebalancing after a membership change).
         """

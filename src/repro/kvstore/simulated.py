@@ -27,9 +27,8 @@ connections — see ``ARCHITECTURE.md`` for the layering):
   R/W quorum, performs read repair on divergent read replies, and answers the
   client.
 * A background :class:`~repro.kvstore.anti_entropy.AntiEntropyDaemon`
-  periodically synchronises replica pairs, by default with the **Merkle-delta
-  protocol** (below); the original full-state exchange remains available via
-  ``anti_entropy_strategy="full"``.
+  periodically synchronises replica pairs with the **Merkle-delta protocol**
+  (below), the store's one anti-entropy exchange.
 
 Every machine consumes decoded messages and timer events and emits effects;
 an :class:`~repro.kvstore.protocol.effects.EffectRunner` per hosted node
@@ -186,7 +185,6 @@ from .write_log import WriteLog
 
 __all__ = [
     "ADAPTIVE_DEADLINE_MULTIPLIER",
-    "ANTI_ENTROPY_STRATEGIES",
     "DEADLINE_EWMA_ALPHA",
     "DEADLINE_MODES",
     "DIGEST_BYTES",
@@ -199,9 +197,6 @@ __all__ = [
     "SimulatedCluster",
     "default_value_size",
 ]
-
-ANTI_ENTROPY_STRATEGIES = ("merkle", "full")
-
 
 class _ClusterEnv:
     """Protocol-env view over a live :class:`SimulatedCluster`.
@@ -342,11 +337,6 @@ class MessageServer:
         self.runner.run(effects)
         return batches
 
-    def start_sync_with(self, peer_id: str) -> None:
-        """Begin a full-state anti-entropy exchange with ``peer_id``."""
-        self.runner.run(
-            self.protocol.start_sync_with(peer_id, self.cluster.simulation.now))
-
     def start_merkle_sync_with(self, peer_id: str) -> None:
         """Begin a Merkle-delta exchange with ``peer_id``."""
         self.runner.run(
@@ -467,9 +457,6 @@ class SimulatedCluster:
         Transport unreliability knobs.
     anti_entropy_interval_ms:
         Period of the background replica synchronisation (None disables it).
-    anti_entropy_strategy:
-        ``"merkle"`` (default) for the Merkle-delta exchange, ``"full"`` for
-        the original all-keys state exchange.
     hint_replay_interval_ms:
         Period of the hinted-handoff replay daemon (None disables hinted
         handoff entirely — no hints are stored).
@@ -521,7 +508,6 @@ class SimulatedCluster:
                  loss_probability: float = 0.0,
                  duplicate_probability: float = 0.0,
                  anti_entropy_interval_ms: Optional[float] = 100.0,
-                 anti_entropy_strategy: str = "merkle",
                  hint_replay_interval_ms: Optional[float] = 50.0,
                  hint_backoff_multiplier: float = 6.0,
                  request_mode: str = "membership",
@@ -542,11 +528,6 @@ class SimulatedCluster:
                  tracer: Optional[Any] = None) -> None:
         if not server_ids:
             raise ConfigurationError("at least one server id is required")
-        if anti_entropy_strategy not in ANTI_ENTROPY_STRATEGIES:
-            raise ConfigurationError(
-                f"unknown anti-entropy strategy {anti_entropy_strategy!r}; "
-                f"choose from {ANTI_ENTROPY_STRATEGIES}"
-            )
         if request_mode not in REQUEST_MODES:
             raise ConfigurationError(
                 f"unknown request mode {request_mode!r}; choose from {REQUEST_MODES}"
@@ -611,7 +592,6 @@ class SimulatedCluster:
         self.request_timeout_ms = request_timeout_ms
         self.client_timeout_ms = (client_timeout_ms if client_timeout_ms is not None
                                   else request_timeout_ms * 1.5)
-        self.anti_entropy_strategy = anti_entropy_strategy
         self.sync_batch_size = sync_batch_size
         self.merkle_fanout = merkle_fanout
         self.merkle_depth = merkle_depth
@@ -642,7 +622,7 @@ class SimulatedCluster:
         if anti_entropy_interval_ms is not None and len(server_ids) > 1:
             self.anti_entropy = AntiEntropyDaemon(
                 self.simulation,
-                self._trigger_sync,
+                self.start_exchange,
                 list(server_ids),
                 interval_ms=anti_entropy_interval_ms,
                 eligible=self.membership.is_up,
@@ -676,18 +656,10 @@ class SimulatedCluster:
         self.transport.register(client.address, client.handle_message)
         return client
 
-    def _trigger_sync(self, source_id: str, target_id: str) -> None:
-        self.start_exchange(source_id, target_id)
-
-    def start_exchange(self, source_id: str, target_id: str,
-                       strategy: Optional[str] = None) -> None:
-        """Start one anti-entropy exchange using the configured strategy."""
+    def start_exchange(self, source_id: str, target_id: str) -> None:
+        """Start one Merkle-delta exchange from ``source_id`` to ``target_id``."""
         source = self.servers.get(source_id)
-        if source is None:
-            return
-        if (strategy or self.anti_entropy_strategy) == "full":
-            source.start_sync_with(target_id)
-        else:
+        if source is not None:
             source.start_merkle_sync_with(target_id)
 
     def _hint_sources(self) -> List[str]:
@@ -779,7 +751,7 @@ class SimulatedCluster:
         elif self._anti_entropy_interval_ms is not None and len(self.servers) > 1:
             self.anti_entropy = AntiEntropyDaemon(
                 self.simulation,
-                self._trigger_sync,
+                self.start_exchange,
                 list(self.servers),
                 interval_ms=self._anti_entropy_interval_ms,
                 eligible=self.membership.is_up,
@@ -888,8 +860,7 @@ class SimulatedCluster:
             self.hinted_handoff.stop()
         self.simulation.run_until_idle(max_events=max_events)
 
-    def run_anti_entropy_round(self, strategy: Optional[str] = None,
-                               settle: bool = True) -> None:
+    def run_anti_entropy_round(self, settle: bool = True) -> None:
         """Start one exchange for every reachable server pair, then settle.
 
         Used by tests and scenarios to force convergence deterministically
@@ -900,7 +871,7 @@ class SimulatedCluster:
             for target_id in server_ids[i + 1:]:
                 if (self.membership.is_up(source_id)
                         and self.can_reach(source_id, target_id)):
-                    self.start_exchange(source_id, target_id, strategy)
+                    self.start_exchange(source_id, target_id)
         if settle:
             self.simulation.run_until_idle()
 
@@ -920,7 +891,7 @@ class SimulatedCluster:
                 return False
         return True
 
-    def converge(self, max_rounds: int = 30, strategy: Optional[str] = None) -> int:
+    def converge(self, max_rounds: int = 30) -> int:
         """Run anti-entropy rounds until every replica agrees; returns rounds.
 
         Stops the background daemons first (they are periodic tasks and would
@@ -932,7 +903,7 @@ class SimulatedCluster:
         if self.is_converged():
             return 0
         for round_number in range(1, max_rounds + 1):
-            self.run_anti_entropy_round(strategy)
+            self.run_anti_entropy_round()
             if self.is_converged():
                 return round_number
         raise ConfigurationError(f"cluster did not converge within {max_rounds} rounds")
@@ -957,7 +928,7 @@ class SimulatedCluster:
         return sum(server.node.metadata_bytes() for server in self.servers.values())
 
     def sync_bytes(self) -> int:
-        """Total bytes sent so far on anti-entropy messages (either strategy)."""
+        """Total bytes sent so far on anti-entropy messages."""
         return self.transport.stats.bytes_for(*SYNC_MESSAGE_TYPES)
 
     def sibling_counts(self, key: str) -> Dict[str, int]:

@@ -177,13 +177,11 @@ class SyncReplicatedStore:
     def sync_all(self, key: Optional[str] = None) -> None:
         """One full round of pairwise synchronisation between all replicas."""
         keys = [key] if key is not None else self._all_keys()
-        server_ids = sorted(self.servers)
         for key_to_sync in keys:
-            replicas = [s for s in self.replicas_for(key_to_sync) if s in self.servers]
+            replicas = self.replicas_for(key_to_sync)
             for i, source_id in enumerate(replicas):
                 for target_id in replicas[i + 1:]:
                     self.sync_key(key_to_sync, source_id, target_id, bidirectional=True)
-        del server_ids  # placement decides per-key replicas; kept for clarity
 
     def converge(self, key: Optional[str] = None, max_rounds: int = 10) -> int:
         """Run sync rounds until every replica of every key holds identical siblings.

@@ -33,14 +33,9 @@ class MessageType(enum.Enum):
     REPLICA_PUT_ACK = "replica_put_ack"
     READ_REPAIR = "read_repair"
 
-    # Replica <-> replica (background)
-    SYNC_REQUEST = "sync_request"
-    SYNC_REPLY = "sync_reply"
-
-    # Merkle-delta anti-entropy (level-by-level hashtree exchange).  With
-    # per-vnode indexes the exchange opens with a partition-root comparison
-    # (PARTITION_DIGESTS / PARTITION_DIFF) and then descends each differing
-    # range independently; without them the whole keyspace is one tree.
+    # Replica <-> replica anti-entropy: the Merkle-delta hashtree exchange
+    # opens with a partition-root comparison (PARTITION_DIGESTS /
+    # PARTITION_DIFF), then descends each differing range level by level.
     MERKLE_PARTITION_DIGESTS = "merkle_partition_digests"
     MERKLE_PARTITION_DIFF = "merkle_partition_diff"
     MERKLE_SYNC_REQUEST = "merkle_sync_request"

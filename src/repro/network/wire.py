@@ -102,8 +102,8 @@ TYPE_CODES: Dict[MessageType, int] = {
     MessageType.REPLICA_PUT: 8,
     MessageType.REPLICA_PUT_ACK: 9,
     MessageType.READ_REPAIR: 10,
-    MessageType.SYNC_REQUEST: 11,
-    MessageType.SYNC_REPLY: 12,
+    # 11 and 12 belonged to the retired full-state exchange's request and
+    # reply; they are never reused.
     MessageType.MERKLE_PARTITION_DIGESTS: 13,
     MessageType.MERKLE_PARTITION_DIFF: 14,
     MessageType.MERKLE_SYNC_REQUEST: 15,

@@ -359,7 +359,6 @@ def run_elasticity_scenario(mechanism: CausalityMechanism,
                             keys: int = 6,
                             clients: int = 4,
                             quorum_mode: str = "sloppy",
-                            anti_entropy_strategy: str = "merkle",
                             tracer=None) -> ChurnReport:
     """Elastic cluster under load: two nodes join and one leaves mid-run.
 
@@ -380,7 +379,6 @@ def run_elasticity_scenario(mechanism: CausalityMechanism,
         quorum=QuorumConfig(n=3, r=2, w=2, sloppy=(quorum_mode == "sloppy")),
         latency=FixedLatency(0.5),
         anti_entropy_interval_ms=25.0,
-        anti_entropy_strategy=anti_entropy_strategy,
         hint_replay_interval_ms=40.0,
         seed=seed,
         tracer=tracer,
@@ -419,7 +417,6 @@ def run_flappy_replica_scenario(mechanism: CausalityMechanism,
                                 flaps: int = 3,
                                 wipe_on_recover: bool = False,
                                 quorum_mode: str = "sloppy",
-                                anti_entropy_strategy: str = "merkle",
                                 tracer=None) -> ChurnReport:
     """A replica repeatedly crashes and recovers while writes keep flowing.
 
@@ -439,7 +436,6 @@ def run_flappy_replica_scenario(mechanism: CausalityMechanism,
         quorum=QuorumConfig(n=3, r=2, w=2, sloppy=(quorum_mode == "sloppy")),
         latency=FixedLatency(0.5),
         anti_entropy_interval_ms=30.0,
-        anti_entropy_strategy=anti_entropy_strategy,
         hint_replay_interval_ms=25.0,
         seed=seed,
         tracer=tracer,
@@ -476,7 +472,6 @@ def run_sloppy_partition_scenario(mechanism: CausalityMechanism,
                                   keys: int = 4,
                                   clients: int = 4,
                                   quorum_mode: str = "sloppy",
-                                  anti_entropy_strategy: str = "merkle",
                                   tracer=None) -> ChurnReport:
     """Availability under partition with deadline-driven (async) coordination.
 
@@ -503,7 +498,6 @@ def run_sloppy_partition_scenario(mechanism: CausalityMechanism,
         quorum=QuorumConfig(n=3, r=2, w=2, sloppy=(quorum_mode == "sloppy")),
         latency=FixedLatency(0.5),
         anti_entropy_interval_ms=50.0,
-        anti_entropy_strategy=anti_entropy_strategy,
         hint_replay_interval_ms=25.0,
         request_mode="async",
         replica_timeout_ms=6.0,
@@ -553,7 +547,6 @@ def run_hot_key_scenario(mechanism: CausalityMechanism,
                          zipf_s: float = 1.1,
                          stale_write_fraction: float = 0.35,
                          quorum_mode: str = "sloppy",
-                         anti_entropy_strategy: str = "merkle",
                          sample_every_ms: float = 40.0,
                          tracer=None) -> ChurnReport:
     """Zipfian traffic hammers one contended key — the Figure-1 story at scale.
@@ -578,7 +571,6 @@ def run_hot_key_scenario(mechanism: CausalityMechanism,
         quorum=QuorumConfig(n=3, r=2, w=2, sloppy=(quorum_mode == "sloppy")),
         latency=FixedLatency(0.5),
         anti_entropy_interval_ms=40.0,
-        anti_entropy_strategy=anti_entropy_strategy,
         hint_replay_interval_ms=30.0,
         seed=seed,
         tracer=tracer,
@@ -645,7 +637,6 @@ def run_multi_dc_scenario(mechanism: CausalityMechanism,
                           keys: int = 4,
                           clients: int = 4,
                           quorum_mode: str = "sloppy",
-                          anti_entropy_strategy: str = "merkle",
                           partition_window: Sequence[float] = (0.3, 0.75),
                           tracer=None) -> ChurnReport:
     """Two datacenters, WAN latency, and a full cross-DC partition.
@@ -676,7 +667,6 @@ def run_multi_dc_scenario(mechanism: CausalityMechanism,
         latency=WanLatency(topology),
         topology=topology,
         anti_entropy_interval_ms=150.0,
-        anti_entropy_strategy=anti_entropy_strategy,
         hint_replay_interval_ms=60.0,
         request_mode="async",
         replica_timeout_ms=50.0,
@@ -723,7 +713,6 @@ def run_soak_scenario(mechanism: CausalityMechanism,
                       stale_write_fraction: float = 0.25,
                       flaps: int = 2,
                       quorum_mode: str = "sloppy",
-                      anti_entropy_strategy: str = "merkle",
                       sample_every_ms: float = 100.0,
                       tracer=None) -> ChurnReport:
     """Long mixed run: churn × skew × WAN partition flap, all at once.
@@ -753,7 +742,6 @@ def run_soak_scenario(mechanism: CausalityMechanism,
         latency=WanLatency(topology),
         topology=topology,
         anti_entropy_interval_ms=120.0,
-        anti_entropy_strategy=anti_entropy_strategy,
         hint_replay_interval_ms=50.0,
         request_mode="async",
         replica_timeout_ms=50.0,

@@ -1,4 +1,4 @@
-"""Unit tests for Merkle-tree assisted anti-entropy."""
+"""Unit tests for the reference Merkle tree and its diff."""
 
 from __future__ import annotations
 
@@ -7,13 +7,7 @@ import pytest
 from repro.clocks import DVVMechanism
 from repro.core import ConfigurationError
 from repro.kvstore import ClientSession, SyncReplicatedStore
-from repro.kvstore.merkle import (
-    DiffStats,
-    MerkleAntiEntropy,
-    MerkleTree,
-    diff_keys,
-    key_fingerprint,
-)
+from repro.kvstore.merkle import MerkleTree, bucket_path, diff_keys, key_fingerprint
 
 
 def populated_store(keys=10, servers=("A", "B", "C")):
@@ -24,6 +18,19 @@ def populated_store(keys=10, servers=("A", "B", "C")):
         client.get(store, key, server_id=servers[0])
         client.put(store, key, f"value-{index}", server_id=servers[0])
     return store
+
+
+def compared_keys(tree):
+    """Record every key ``diff_keys`` compares, via ``tree``'s lookups."""
+    seen = []
+    lookup = tree.fingerprint
+
+    def fingerprint(key):
+        seen.append(key)
+        return lookup(key)
+
+    tree.fingerprint = fingerprint
+    return seen
 
 
 class TestMerkleTree:
@@ -104,22 +111,19 @@ class TestDiffKeys:
         universe = store.node("A").storage.keys()
         tree_a = MerkleTree.for_node(store.node("A"), universe)
         tree_b = MerkleTree.for_node(store.node("B"), universe)
-        stats = DiffStats()
-        divergent = diff_keys(tree_a, tree_b, stats)
-        assert divergent == ["key-7"]
+        compared = compared_keys(tree_a)
+        assert diff_keys(tree_a, tree_b) == ["key-7"]
         # far fewer per-key comparisons than the 50-key universe
-        assert stats.keys_compared < 20
-        assert stats.keys_divergent == 1
+        assert len(compared) < 20
 
     def test_identical_trees_compare_only_the_root(self):
         store = populated_store(keys=10)
         store.converge()
         tree_a = MerkleTree.for_node(store.node("A"))
         tree_b = MerkleTree.for_node(store.node("B"))
-        stats = DiffStats()
-        assert diff_keys(tree_a, tree_b, stats) == []
-        assert stats.nodes_compared == 1
-        assert stats.keys_compared == 0
+        compared = compared_keys(tree_a)
+        assert diff_keys(tree_a, tree_b) == []
+        assert compared == []
 
     def test_mismatched_shapes_rejected(self):
         tree_a = MerkleTree({}, fanout=4, depth=2)
@@ -138,16 +142,12 @@ class TestDiffKeys:
         universe = store.node("A").storage.keys()
         tree_a = MerkleTree.for_node(store.node("A"), universe)
         tree_b = MerkleTree.for_node(store.node("B"), universe)
-        stats = DiffStats()
-        assert diff_keys(tree_a, tree_b, stats) == ["key-11"]
-        assert stats.buckets_descended == 1
-        assert stats.keys_divergent == 1
+        compared = compared_keys(tree_a)
+        assert diff_keys(tree_a, tree_b) == ["key-11"]
         # only the divergent bucket's keys were fingerprint-compared
-        bucket_keys = stats.keys_compared
-        assert bucket_keys < 64 / 4
-        # root + its 16 children + the 16 leaves of the single differing
-        # branch — the other 15 branches are never descended into
-        assert stats.nodes_compared == 1 + 16 + 16
+        assert {bucket_path(key, 16, 2) for key in compared} == {
+            bucket_path("key-11", 16, 2)}
+        assert len(compared) < 64 / 4
 
     def test_tree_updates_after_key_deletion(self):
         """Deleting a key changes the tree and the diff localises exactly it."""
@@ -166,33 +166,3 @@ class TestDiffKeys:
         tree_b = MerkleTree.for_node(store.node("B"))
         assert diff_keys(after, tree_b) == ["key-5"]
 
-
-class TestMerkleAntiEntropy:
-    def test_converges_the_store(self):
-        store = populated_store(keys=15)
-        anti_entropy = MerkleAntiEntropy(store)
-        rounds = anti_entropy.run_until_converged()
-        assert store.is_converged()
-        assert rounds >= 1
-        assert anti_entropy.keys_synced > 0
-
-    def test_skips_already_synchronised_keys(self):
-        store = populated_store(keys=30)
-        store.converge()
-        client = ClientSession("late-writer")
-        client.get(store, "key-9", server_id="A")
-        client.put(store, "key-9", "changed", server_id="A")
-        anti_entropy = MerkleAntiEntropy(store)
-        anti_entropy.run_until_converged()
-        assert anti_entropy.efficiency() > 0.5
-        assert anti_entropy.keys_synced < 30
-
-    def test_requires_two_servers(self):
-        store = SyncReplicatedStore(DVVMechanism(), server_ids=("A",))
-        with pytest.raises(ConfigurationError):
-            MerkleAntiEntropy(store).run_round()
-
-    def test_efficiency_of_empty_run(self):
-        store = SyncReplicatedStore(DVVMechanism(), server_ids=("A", "B"))
-        anti_entropy = MerkleAntiEntropy(store)
-        assert anti_entropy.efficiency() == 0.0

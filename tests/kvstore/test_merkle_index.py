@@ -8,13 +8,8 @@ import pytest
 
 from repro.clocks import DVVMechanism
 from repro.core import ConfigurationError
-from repro.kvstore import ClientSession, SyncReplicatedStore
-from repro.kvstore.merkle import (
-    MerkleAntiEntropy,
-    MerkleTree,
-    diff_keys,
-    state_fingerprint,
-)
+from repro.kvstore import ClientSession
+from repro.kvstore.merkle import MerkleTree, diff_keys, state_fingerprint
 from repro.kvstore.merkle_index import MerkleIndex
 from repro.kvstore.server import StorageNode
 
@@ -192,11 +187,25 @@ class TestSnapshots:
         write(node_a, late, "key-7", "changed")
         assert diff_keys(index_a.snapshot(), index_b.snapshot()) == ["key-7"]
 
-    def test_snapshot_digest_counter_advances(self):
+    def test_snapshot_flushes_pending_writes(self):
         node, index = indexed_node()
-        before = node.stats["snapshot_digests"]
+        client = ClientSession("writer")
+        for i in range(6):
+            write(node, client, f"key-{i}", f"v{i}")
+        assert index.dirty_buckets() > 0
+        snap = index.snapshot()
+        assert index.dirty_buckets() == 0
+        assert snap.root_digest == index.root_digest == rebuilt_digest(node)
+
+    def test_snapshot_leaves_the_digest_counter_at_zero(self):
+        """``snapshot_digests`` stays a counter (the cluster-stats goldens
+        pin it) but a snapshot re-hashes nothing beyond a flush."""
+        node, index = indexed_node()
+        client = ClientSession("writer")
+        write(node, client, "k", "v1")
         index.snapshot()
-        assert node.stats["snapshot_digests"] > before
+        index.snapshot()
+        assert node.stats["snapshot_digests"] == 0
 
 
 class TestDurability:
@@ -233,47 +242,3 @@ class TestDurability:
         assert second.keys() == ["k"]
         assert first.keys() == []   # detached: no longer fed mutations
 
-
-class TestSyncStoreAntiEntropyUsesIndex:
-    def populated_store(self, keys=30):
-        store = SyncReplicatedStore(DVVMechanism(), server_ids=("A", "B", "C"))
-        client = ClientSession("writer")
-        for index in range(keys):
-            key = f"key-{index}"
-            client.get(store, key, server_id="A")
-            client.put(store, key, f"value-{index}", server_id="A")
-        return store
-
-    def test_incremental_round_attaches_and_converges(self):
-        store = self.populated_store()
-        anti_entropy = MerkleAntiEntropy(store)
-        assert all(node.merkle_index is not None
-                   for node in store.servers.values())
-        anti_entropy.run_until_converged()
-        assert store.is_converged()
-        assert all(node.stats["full_rebuilds"] == 1    # the attach-time seed
-                   for node in store.servers.values())
-
-    def test_incremental_matches_rebuild_outcome(self):
-        store_a, store_b = self.populated_store(), self.populated_store()
-        MerkleAntiEntropy(store_a, maintenance="incremental").run_until_converged()
-        MerkleAntiEntropy(store_b, maintenance="rebuild").run_until_converged()
-        for key in store_a.write_log.keys():
-            assert sorted(map(str, store_a.values(key, "A"))) == \
-                sorted(map(str, store_b.values(key, "A")))
-
-    def test_incremental_skips_synced_keys_like_rebuild(self):
-        store = self.populated_store()
-        store.converge()
-        client = ClientSession("late-writer")
-        client.get(store, "key-9", server_id="A")
-        client.put(store, "key-9", "changed", server_id="A")
-        anti_entropy = MerkleAntiEntropy(store)
-        anti_entropy.run_until_converged()
-        assert anti_entropy.efficiency() > 0.5
-        assert anti_entropy.keys_synced < 30
-
-    def test_unknown_maintenance_mode_rejected(self):
-        store = self.populated_store(keys=2)
-        with pytest.raises(ConfigurationError):
-            MerkleAntiEntropy(store, maintenance="clairvoyant")

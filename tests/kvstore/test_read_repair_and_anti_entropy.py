@@ -1,4 +1,4 @@
-"""Unit tests for read repair planning and anti-entropy scheduling."""
+"""Unit tests for read repair planning and the anti-entropy daemon."""
 
 from __future__ import annotations
 
@@ -8,10 +8,7 @@ from repro.clocks import DVVMechanism, Sibling
 from repro.core import ConfigurationError, Dot
 from repro.kvstore import (
     AntiEntropyDaemon,
-    AntiEntropyScheduler,
-    ClientSession,
     ReadRepairStats,
-    SyncReplicatedStore,
     plan_read_repair,
 )
 from repro.network import Simulation
@@ -109,37 +106,6 @@ class TestReadRepairPlanning:
         assert stats.replicas_repaired == 1
         assert stats.repair_rate == 0.5
         assert stats.as_dict()["repair_rate"] == 0.5
-
-
-class TestAntiEntropyScheduler:
-    def populate(self, store):
-        for index, server in enumerate(sorted(store.servers)):
-            client = ClientSession(f"client-{index}")
-            client.get(store, "k", server_id=server)
-            client.put(store, "k", f"v-{server}", server_id=server)
-
-    def test_round_robin_pairs_converge_store(self):
-        store = SyncReplicatedStore(DVVMechanism(), server_ids=("A", "B", "C"))
-        self.populate(store)
-        scheduler = AntiEntropyScheduler(store)
-        rounds = scheduler.run_until_converged()
-        assert store.is_converged()
-        assert rounds == scheduler.rounds_run
-        assert sorted(store.values("k", "A")) == ["v-A", "v-B", "v-C"]
-
-    def test_single_round_syncs_one_pair(self):
-        store = SyncReplicatedStore(DVVMechanism(), server_ids=("A", "B", "C"))
-        self.populate(store)
-        scheduler = AntiEntropyScheduler(store)
-        pair = scheduler.run_round("k")
-        assert len(set(pair)) == 2
-        assert not store.is_converged("k")  # three-way divergence needs more rounds
-
-    def test_requires_two_servers(self):
-        store = SyncReplicatedStore(DVVMechanism(), server_ids=("A",))
-        scheduler = AntiEntropyScheduler(store)
-        with pytest.raises(ConfigurationError):
-            scheduler.run_round()
 
 
 class TestAntiEntropyDaemon:

@@ -6,8 +6,8 @@ import pytest
 
 from repro.clocks import ClientVVMechanism, DVVMechanism
 from repro.cluster import QuorumConfig
-from repro.kvstore import SimulatedCluster, default_value_size
-from repro.network import FixedLatency, SizeDependentLatency
+from repro.kvstore import ClientSession, MerkleTree, SimulatedCluster, default_value_size, diff_keys
+from repro.network import FixedLatency, MessageType, SizeDependentLatency
 
 
 def build_cluster(mechanism=None, **kwargs):
@@ -263,6 +263,56 @@ def seed_converged(cluster, keys):
     return client
 
 
+def write_at(server_id, key, value):
+    """Divergence: a write applied at one replica only, never replicated."""
+    def diverge(cluster):
+        node = cluster.servers[server_id].node
+        writer = ClientSession(f"late-{server_id}")
+        context = writer.absorb_read(key, node.local_read(key), node.mechanism.name)
+        node.local_write(key, context, writer.prepare_write(key, value), writer.client_id)
+    return diverge
+
+
+def wipe(server_id):
+    """Divergence: one replica crashes and comes back with an empty disk."""
+    def diverge(cluster):
+        cluster.fail_node(server_id)
+        cluster.recover_node(server_id, wipe=True)
+    return diverge
+
+
+DIVERGENCES = {
+    "late_write": [write_at("n1", "k3", "late")],
+    "key_on_one_side": [write_at("n1", "only-n1", "a"), write_at("n2", "only-n2", "b")],
+    "wiped_peer": [wipe("n2")],
+    "wiped_source": [wipe("n1")],
+    "concurrent_write": [write_at("n1", "k5", "left"), write_at("n2", "k5", "right")],
+    "scattered_writes": [write_at("n1", f"k{i}", "late") for i in range(0, 24, 5)]
+                        + [write_at("n2", "k7", "late")],
+}
+
+
+def diverged_cluster(divergence):
+    """A converged 3-node cluster with ``divergence`` applied to n1 / n2.
+
+    A small tree puts several keys in every leaf bucket, so shipping a whole
+    differing bucket instead of its divergent keys would be visible.
+    """
+    cluster = build_cluster(hint_replay_interval_ms=None, partition_count=2,
+                            merkle_fanout=2, merkle_depth=2)
+    seed_converged(cluster, [f"k{i}" for i in range(24)])
+    cluster.run_anti_entropy_round()
+    assert cluster.is_converged()
+    for diverge in DIVERGENCES[divergence]:
+        diverge(cluster)
+    return cluster
+
+
+def reference_diff(cluster, left="n1", right="n2"):
+    return diff_keys(MerkleTree.for_node(cluster.servers[left].node),
+                     MerkleTree.for_node(cluster.servers[right].node))
+
+
 class TestMerkleAntiEntropyProtocol:
     def test_clean_exchange_costs_one_digest_roundtrip(self):
         cluster = build_cluster(hint_replay_interval_ms=None)
@@ -298,17 +348,71 @@ class TestMerkleAntiEntropyProtocol:
         assert "diverged" in map(str, cluster.servers["n2"].node.values_of(key))
         assert cluster.merkle_stats.keys_transferred <= 2  # one key, both directions
 
-    def test_full_strategy_still_available(self):
-        cluster = build_cluster(anti_entropy_strategy="full", hint_replay_interval_ms=None)
-        seed_converged(cluster, ["a", "b"])
+    @pytest.mark.parametrize("divergence", sorted(DIVERGENCES))
+    def test_exchange_ships_exactly_the_divergent_keys(self, divergence):
+        """The keys the source names in its MERKLE_KEY_STATES (states it
+        sends plus keys it asks back) are exactly what the from-scratch
+        reference diff of the two replicas says differs — each key once."""
+        cluster = diverged_cluster(divergence)
+        expected = reference_diff(cluster)
+        assert expected
+
+        cluster.transport.trace_enabled = True
         cluster.start_exchange("n1", "n2")
         cluster.simulation.run_until_idle()
-        assert cluster.transport.stats.per_type.get("sync_request", 0) == 1
-        assert cluster.merkle_stats.exchanges_started == 0
+        named = []
+        for message in cluster.transport.trace:
+            if (message.sender == "n1"
+                    and message.msg_type is MessageType.MERKLE_KEY_STATES):
+                named.extend(set(message.payload["states"]) | set(message.payload["want"]))
+        assert sorted(named) == sorted(expected)
 
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(Exception):
-            build_cluster(anti_entropy_strategy="telepathy")
+    @pytest.mark.parametrize("divergence", sorted(DIVERGENCES))
+    def test_one_exchange_converges_the_pair(self, divergence):
+        """States flow both ways in one exchange: afterwards the reference
+        diff of the pair is empty and both hold the same values."""
+        cluster = diverged_cluster(divergence)
+        divergent = reference_diff(cluster)
+        cluster.start_exchange("n1", "n2")
+        cluster.simulation.run_until_idle()
+        assert reference_diff(cluster) == []
+        left, right = cluster.servers["n1"].node, cluster.servers["n2"].node
+        for key in divergent:
+            assert sorted(map(str, left.values_of(key))) == \
+                sorted(map(str, right.values_of(key)))
+
+    def test_concurrent_writes_both_survive_the_exchange(self):
+        cluster = diverged_cluster("concurrent_write")
+        cluster.start_exchange("n1", "n2")
+        cluster.simulation.run_until_idle()
+        for server_id in ("n1", "n2"):
+            assert sorted(map(str, cluster.servers[server_id].node.values_of("k5"))) == \
+                ["left", "right"]
+
+    def test_exchange_after_healing_is_clean(self):
+        """A pair one exchange just healed has nothing left to ship."""
+        cluster = diverged_cluster("scattered_writes")
+        cluster.start_exchange("n1", "n2")
+        cluster.simulation.run_until_idle()
+        clean_before = cluster.merkle_stats.exchanges_clean
+        transferred_before = cluster.merkle_stats.keys_transferred
+        states_before = cluster.transport.stats.per_type.get("merkle_key_states", 0)
+        cluster.start_exchange("n2", "n1")
+        cluster.simulation.run_until_idle()
+        assert cluster.merkle_stats.exchanges_clean == clean_before + 1
+        assert cluster.merkle_stats.keys_transferred == transferred_before
+        assert cluster.transport.stats.per_type.get("merkle_key_states", 0) == states_before
+
+    def test_daemon_ticks_start_merkle_exchanges(self):
+        """Every exchange the periodic daemon starts is a Merkle exchange."""
+        cluster = build_cluster(anti_entropy_interval_ms=20.0, hint_replay_interval_ms=None)
+        client = cluster.client("alice")
+        for i in range(6):
+            client.put(f"k{i}", f"v{i}")
+        cluster.run(until=200)
+        cluster.drain()
+        assert cluster.anti_entropy.exchanges_started > 0
+        assert cluster.merkle_stats.exchanges_started == cluster.anti_entropy.exchanges_started
 
     def test_sync_batching_splits_large_transfers(self):
         cluster = build_cluster(sync_batch_size=2, hint_replay_interval_ms=None)

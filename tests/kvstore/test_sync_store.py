@@ -91,6 +91,69 @@ class TestReplication:
         values = store.values("k", "A")
         assert sorted(values) == ["v-A", "v-B", "v-C"]
 
+    def test_one_way_sync_leaves_the_source_unchanged(self):
+        store = make_store()
+        for server in ("A", "B"):
+            writer = ClientSession(f"writer-{server}")
+            writer.get(store, "k", server_id=server)
+            writer.put(store, "k", f"v-{server}", server_id=server)
+        store.sync_key("k", "A", "B", bidirectional=False)
+        assert store.values("k", "A") == ["v-A"]
+        assert sorted(store.values("k", "B")) == ["v-A", "v-B"]
+
+    def test_one_pair_sync_leaves_a_three_way_divergence_open(self):
+        store = make_store(servers=("A", "B", "C"))
+        for server in ("A", "B", "C"):
+            writer = ClientSession(f"writer-{server}")
+            writer.get(store, "k", server_id=server)
+            writer.put(store, "k", f"v-{server}", server_id=server)
+        store.sync_key("k", "A", "B")
+        assert store.is_converged("k") is False
+        assert sorted(store.values("k", "A")) == sorted(store.values("k", "B")) == ["v-A", "v-B"]
+        assert store.values("k", "C") == ["v-C"]
+
+    def test_sync_all_of_one_key_leaves_other_keys_alone(self):
+        store = make_store()
+        client = ClientSession("c1")
+        for key in ("k1", "k2"):
+            client.get(store, key, server_id="A")
+            client.put(store, key, f"{key}-v1", server_id="A")
+        store.sync_all("k1")
+        assert store.is_converged("k1")
+        assert not store.is_converged("k2")
+        assert store.values("k2", "B") == []
+
+    @pytest.mark.parametrize("mechanism_name", ["dvv", "dvvset", "client_vv", "server_vv"])
+    def test_full_replication_converges_in_one_round(self, mechanism_name):
+        store = make_store(create(mechanism_name), servers=("A", "B", "C"))
+        for server in ("A", "B", "C"):
+            writer = ClientSession(f"writer-{server}")
+            for key in ("k1", "k2"):
+                writer.get(store, key, server_id=server)
+                writer.put(store, key, f"{key}-{server}", server_id=server)
+        assert store.converge() == 1
+        assert store.is_converged()
+
+    def test_converge_gives_up_after_max_rounds(self, monkeypatch):
+        store = make_store()
+        client = ClientSession("c1")
+        client.get(store, "k", server_id="A")
+        client.put(store, "k", "v1", server_id="A")
+        rounds = []
+        monkeypatch.setattr(store, "is_converged", lambda key=None: False)
+        monkeypatch.setattr(store, "sync_all", lambda key=None: rounds.append(key))
+        with pytest.raises(ConfigurationError):
+            store.converge(max_rounds=3)
+        assert rounds == [None, None, None]
+
+    def test_one_server_store_is_converged_at_once(self):
+        store = make_store(servers=("A",))
+        client = ClientSession("c1")
+        client.get(store, "k")
+        client.put(store, "k", "v1")
+        assert store.converge() == 1
+        assert store.values("k", "A") == ["v1"]
+
     def test_sibling_counts(self):
         store = make_store()
         alice, bob = ClientSession("alice"), ClientSession("bob")
@@ -125,6 +188,21 @@ class TestPlacementIntegration:
                 assert values == ["v1"]
             else:
                 assert values == []
+
+    def test_sync_all_keeps_every_key_on_its_preference_list(self):
+        store = self.make_placed_store()
+        client = ClientSession("c1")
+        keys = [f"key-{i}" for i in range(12)]
+        for key in keys:
+            client.get(store, key)
+            client.put(store, key, f"{key}-v1")
+        store.sync_all()
+        assert store.is_converged()
+        for key in keys:
+            replicas = store.replicas_for(key)
+            for server_id in store.servers:
+                expected = [f"{key}-v1"] if server_id in replicas else []
+                assert store.values(key, server_id) == expected
 
     def test_coordinator_is_first_active_replica(self):
         store = self.make_placed_store()

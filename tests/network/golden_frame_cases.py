@@ -124,10 +124,6 @@ def build_cases() -> List[Tuple[str, Message]]:
                             {"key": "cart", "ok": True, "stale": False}),
         "read_repair": (MessageType.READ_REPAIR,
                         {"states": {"cart": hot[:2], "inv": anonymous}}),
-        "sync_request": (MessageType.SYNC_REQUEST,
-                         {"keys": ["cart", "inv"], "round": 0}),
-        "sync_reply": (MessageType.SYNC_REPLY,
-                       {"states": [("inv", anonymous)], "ratio": 0.25}),
         "merkle_partition_digests": (MessageType.MERKLE_PARTITION_DIGESTS,
                                      {"session": 3, "digests": {0: digest,
                                                                 7: digest[::-1]}}),

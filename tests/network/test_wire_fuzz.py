@@ -2,7 +2,7 @@
 
 The corpus is real traffic: for every registered mechanism, two eventful
 simulated-cluster runs (node failure with hinted handoff, a join with key
-handoff, Merkle and full-state anti-entropy, a stale replica that gets read
+handoff, Merkle anti-entropy, a stale replica that gets read
 repaired, an unreachable quorum) are recorded off the transport, so every
 ``MessageType`` appears with the payload shape the protocol really sends and
 with that mechanism's own states and contexts inside.  ``PING``/``PONG`` have
@@ -51,13 +51,13 @@ MECHANISMS = sorted(available())
 # --------------------------------------------------------------------------- #
 # Corpus
 # --------------------------------------------------------------------------- #
-def _churn_traffic(mechanism_name: str, strategy: str) -> List[Message]:
+def _churn_traffic(mechanism_name: str) -> List[Message]:
     """Failure + hints + join + anti-entropy under mixed client traffic."""
     cluster = SimulatedCluster(
         create(mechanism_name), server_ids=("A", "B", "C", "D"),
         quorum=QuorumConfig(n=3, r=2, w=2, sloppy=True), seed=7,
         request_mode="async", anti_entropy_interval_ms=40.0,
-        anti_entropy_strategy=strategy, hint_replay_interval_ms=25.0)
+        hint_replay_interval_ms=25.0)
     cluster.transport.trace_enabled = True
     rng = random.Random(3)
     clients = [cluster.client(f"c{index}") for index in range(3)]
@@ -108,8 +108,7 @@ def _repair_and_error_traffic(mechanism_name: str) -> List[Message]:
 @functools.lru_cache(maxsize=None)
 def corpus(mechanism_name: str) -> Tuple[Message, ...]:
     """Per message type, the smallest and the largest message observed."""
-    messages = (_churn_traffic(mechanism_name, "merkle")
-                + _churn_traffic(mechanism_name, "full")
+    messages = (_churn_traffic(mechanism_name)
                 + _repair_and_error_traffic(mechanism_name))
     ping = Message(sender="A", receiver="B", msg_type=MessageType.PING,
                    payload={}, size_bytes=8)

@@ -79,11 +79,6 @@ class TestClusterCommand:
         assert "requests completed" in output
         assert "mean latency (ms)" in output
 
-    def test_full_strategy_selectable(self, capsys):
-        assert main(["cluster", "--mechanism", "dvv", "--clients", "2",
-                     "--duration-ms", "100", "--anti-entropy", "full"]) == 0
-        assert "requests completed" in capsys.readouterr().out
-
     def test_async_request_mode_run(self, capsys):
         assert main(["cluster", "--mechanism", "dvv", "--clients", "2",
                      "--duration-ms", "120", "--request-mode", "async",
