@@ -1,10 +1,11 @@
 """Ablation — cost of the individual kernel operations per clock type.
 
-DESIGN.md calls out the server-side kernel (update / sync / join) as the part
-of the design whose cost determines the per-request overhead of each
-mechanism.  This benchmark measures those operations in isolation, so the
-end-to-end latency differences seen in E4 can be attributed: is it the bytes
-on the wire, the clock computation, or both?
+The server-side kernel (update / sync / join) is the part of the design whose
+cost determines the per-request overhead of each mechanism.  This benchmark
+measures those operations in isolation, so the latency differences the
+simulated cluster shows (E4, ``tests/integration/test_workload_matrix.py``)
+can be attributed: is it the bytes on the wire, the clock computation, or
+both?
 """
 
 from __future__ import annotations
@@ -158,7 +159,7 @@ def _representative_clocks():
 #: floor — a genuine cache regression (back to O(entries) walks) overshoots
 #: both bounds by orders of magnitude.
 PERF_GATE_MECHANISM = "dvvset"
-PERF_GATE_METRICS = ("encode_ns", "fingerprint_ns")
+PERF_GATE_METRICS = ("encode_ns",)
 PERF_GATE_FLOOR_NS = 2000.0
 
 
@@ -181,12 +182,12 @@ def check_perf_gate(baseline: dict, fresh: dict) -> list:
 
 
 def run_smoke(results_path: str, iterations: int = 2000) -> int:
-    """Measure encode/fingerprint/decode cost and encoded size per clock type.
+    """Measure encode/decode cost and encoded size per clock type.
 
-    Encode and fingerprint run against one representative instance per
-    mechanism, so after the first (cold) iteration every call is served from
-    the canonical-bytes memo — exactly the store's steady state, where the
-    same stored clocks are re-encoded per request.  ``cache_hit_ratio``
+    Encode runs against one representative instance per mechanism, so after
+    the first (cold) iteration every call is served from the canonical-bytes
+    memo — exactly the store's steady state, where the same stored clocks are
+    re-encoded per request.  ``cache_hit_ratio``
     reports encodes served from cache / total for the measured loop.
     """
     import json
@@ -222,22 +223,20 @@ def run_smoke(results_path: str, iterations: int = 2000) -> int:
             return 1
         codec.reset_codec_stats()
         encode_ns = cost_ns(encode, clock)
-        fingerprint_ns = cost_ns(codec.fingerprint, clock)
         stats = codec.codec_stats()
         measured = {
             "encode_ns": round(encode_ns, 1),
-            "fingerprint_ns": round(fingerprint_ns, 1),
             "decode_ns": round(cost_ns(decode, encoded), 1),
             "encoded_bytes": encoded_size(clock),
             "entries": entry_count(clock),
             "cache_hit_ratio": round(codec.cache_hit_ratio(stats, "encode"), 4),
         }
         results["mechanisms"][name] = measured
-        rows.append([name, measured["encode_ns"], measured["fingerprint_ns"],
+        rows.append([name, measured["encode_ns"],
                      measured["decode_ns"], measured["encoded_bytes"],
                      measured["entries"], measured["cache_hit_ratio"]])
     print(render_table(
-        ["mechanism", "encode (ns)", "fingerprint (ns)", "decode (ns)",
+        ["mechanism", "encode (ns)", "decode (ns)",
          "bytes", "entries", "hit ratio"],
         rows, title="Clock wire-codec smoke"))
 

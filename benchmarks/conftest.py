@@ -1,10 +1,9 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark module regenerates one of the paper's tables/figures (see
-DESIGN.md's experiment index).  Besides the pytest-benchmark timings, each
-module renders the paper-style table with :func:`repro.analysis.render_table`
-and stores it under ``benchmarks/results/`` so EXPERIMENTS.md can be updated
-from the artefacts of a run.  Run with ``-s`` to also see the tables inline.
+Besides the pytest-benchmark timings, a benchmark module renders its report
+table with :func:`repro.analysis.render_table` and stores it under
+``benchmarks/results/`` through the ``publish`` fixture.  Run with ``-s`` to
+also see the tables inline.
 """
 
 from __future__ import annotations

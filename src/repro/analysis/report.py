@@ -1,8 +1,8 @@
 """Plain-text table rendering for benchmark and example output.
 
-The benchmarks print the same rows/series the paper reports; this module keeps
-that presentation in one place so every experiment's output looks the same and
-the EXPERIMENTS.md tables can be copy-pasted from benchmark runs.
+The CLI, the benchmarks and the examples print the same rows/series the paper
+reports; this module keeps that presentation in one place so every table looks
+the same.
 """
 
 from __future__ import annotations

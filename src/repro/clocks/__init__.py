@@ -1,10 +1,10 @@
 """Causality mechanisms: the paper's baselines, related work, and the DVV plug-ins.
 
-This subpackage hosts every causality-tracking mechanism the paper discusses —
+This subpackage hosts every causality-tracking mechanism the paper compares —
 per-server version vectors, per-client version vectors (with and without
-pruning), dotted version vectors, dotted version vector sets, version vectors
-with exceptions, ordered version vectors, classic vector clocks and Lamport
-clocks — together with the :class:`~repro.clocks.interface.CausalityMechanism`
+pruning), dotted version vectors, dotted version vector sets, WinFS-style
+version vectors with exceptions and the causal-history ground truth —
+together with the :class:`~repro.clocks.interface.CausalityMechanism`
 strategy interface that lets the simulated store replay identical workloads
 under each of them.
 """
@@ -14,8 +14,6 @@ from .client_vv import ClientVVMechanism
 from .dvv_mechanism import DVVMechanism
 from .dvvset_mechanism import DVVSetMechanism
 from .interface import CausalityMechanism, ReadResult, Sibling
-from .lamport import LamportClock, LamportTimestamp
-from .ordered_vv import OrderedVersionVector
 from .pruning import (
     DropOldestWriters,
     GoldingSafePruning,
@@ -26,7 +24,6 @@ from .pruning import (
 )
 from .registry import available, create, create_many, pruned_client_vv, register
 from .server_vv import ServerVVMechanism
-from .vector_clock import DottedEventStamp, DottedVectorClock, VectorClock
 from .vve import DottedVVE, VersionVectorWithExceptions
 from .vve_mechanism import DottedVVEMechanism
 
@@ -34,25 +31,19 @@ __all__ = [
     "CausalHistoryMechanism",
     "CausalityMechanism",
     "ClientVVMechanism",
-    "DottedEventStamp",
     "DottedVVE",
     "DottedVVEMechanism",
-    "DottedVectorClock",
     "DropOldestWriters",
     "DVVMechanism",
     "DVVSetMechanism",
     "GoldingSafePruning",
-    "LamportClock",
-    "LamportTimestamp",
     "NoPruning",
-    "OrderedVersionVector",
     "PrunedClientVVMechanism",
     "PruningPolicy",
     "ReadResult",
     "ServerVVMechanism",
     "Sibling",
     "SizeBoundedPruning",
-    "VectorClock",
     "VersionVectorWithExceptions",
     "available",
     "create",

@@ -9,7 +9,7 @@ events, unlike plain version vectors which only encode prefixes.
 
 We implement VVEs both as a general-purpose exact dot-set (used by the
 anti-entropy log exchange in the store) and as a baseline causality mechanism
-in the related-work benchmark (E6): correct like DVV, but with a potentially
+in the related-work check (E6): correct like DVV, but with a potentially
 larger footprint because exceptions accumulate under interleaved updates.
 """
 
@@ -32,7 +32,7 @@ class VersionVectorWithExceptions:
     The denoted history is ``{(a, n) | 1 <= n <= base[a]} \\ exceptions``.
     """
 
-    __slots__ = ("_base", "_exceptions", "_encoded", "_fingerprint")
+    __slots__ = ("_base", "_exceptions", "_encoded")
 
     def __init__(self,
                  base: Optional[Mapping[Actor, int]] = None,
@@ -49,7 +49,6 @@ class VersionVectorWithExceptions:
         object.__setattr__(self, "_base", base_vv)
         object.__setattr__(self, "_exceptions", exception_set)
         object.__setattr__(self, "_encoded", None)
-        object.__setattr__(self, "_fingerprint", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(
@@ -215,13 +214,12 @@ class DottedVVE:
     rather than being bounded by the number of replicas.
     """
 
-    __slots__ = ("_dot", "_past", "_encoded", "_fingerprint")
+    __slots__ = ("_dot", "_past", "_encoded")
 
     def __init__(self, dot: Dot, past: VersionVectorWithExceptions) -> None:
         object.__setattr__(self, "_dot", dot)
         object.__setattr__(self, "_past", past)
         object.__setattr__(self, "_encoded", None)
-        object.__setattr__(self, "_fingerprint", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(

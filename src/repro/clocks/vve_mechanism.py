@@ -7,9 +7,10 @@ single-object, replace-all-versions-you-read storage model of Dynamo-style
 stores this extra power is unnecessary — DVVs with a single dot suffice — and
 it costs extra metadata whenever exceptions accumulate.
 
-``DottedVVEMechanism`` implements that design so the related-work benchmark
-can show: causal behaviour identical to DVV on the storage workloads, larger
-metadata footprint under interleaved concurrent writes.
+``DottedVVEMechanism`` implements that design so the related-work check (E6,
+``tests/integration/test_workload_matrix.py``) can show: causal behaviour
+identical to DVV on the storage workloads, larger metadata footprint under
+interleaved concurrent writes.
 """
 
 from __future__ import annotations

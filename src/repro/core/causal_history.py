@@ -38,7 +38,7 @@ class CausalHistory:
     :meth:`events` returns and what comparisons operate on.
     """
 
-    __slots__ = ("_event", "_past", "_encoded", "_fingerprint")
+    __slots__ = ("_event", "_past", "_encoded")
 
     def __init__(self, event: Optional[Dot] = None, past: Iterable[Dot] = ()) -> None:
         past_set = frozenset(past)
@@ -52,7 +52,6 @@ class CausalHistory:
             self, "_past", past_set - ({event} if event is not None else frozenset())
         )
         object.__setattr__(self, "_encoded", None)
-        object.__setattr__(self, "_fingerprint", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(

@@ -5,16 +5,11 @@ Every clock type in the repo (:class:`~repro.core.version_vector.VersionVector`,
 :class:`~repro.core.causal_history.CausalHistory`,
 :class:`~repro.core.dvvset.DVVSet`, plus the WinFS baselines registered by
 :mod:`repro.clocks.vve`) is a strictly immutable value object, so its compact
-binary encoding — and the sha256 fingerprint of that encoding — is a pure
-function of the instance.  Before this layer existed the same clock state was
-re-encoded from scratch in at least four independent places (size accounting,
-wire frames, Merkle fingerprints, JSON); now each instance carries two memo
-slots, ``_encoded`` and ``_fingerprint``, filled on first use:
+binary encoding is a pure function of the instance.  Each instance carries one
+memo slot, ``_encoded``, filled on first use:
 
 * :func:`canonical_bytes` returns the canonical encoding, O(entries) the
   first time and an attribute read afterwards;
-* :func:`fingerprint` returns ``sha256(canonical_bytes)``, memoized the same
-  way;
 * :func:`sibling_set_fingerprint` memoizes the mechanism-independent Merkle
   key fingerprint (over sorted sibling origin dots), so a replica merge or
   handoff that reproduces an already-seen sibling set hashes nothing.
@@ -23,11 +18,10 @@ The canonical encoding is **byte-identical** to the historic
 :func:`repro.core.serialization.encode` output (tags ``V``/``D``/``H``/``S``)
 and, for the registered baseline clocks, to the wire value codec's body
 (tags ``E``/``X``) — pinned by ``tests/core/golden_clock_encodings.json``.
-Consumers therefore share one encoding instead of four: ``encoded_size`` is a
-length of the cached bytes, the wire codec embeds them as the body of a
+Consumers therefore share one encoding: ``encoded_size`` is a length of the
+cached bytes, and the wire codec embeds them as the body of a
 length-prefixed record (tagging DVVs ``W``, not ``D``) and fills the memo of
-what it decodes from the bytes that arrived, and the Merkle layers hash them
-at most once.
+what it decodes from the bytes that arrived.
 
 Cache-effectiveness counters are kept module-wide (:func:`codec_stats` /
 :func:`reset_codec_stats`) so benchmarks can report a hit ratio.
@@ -50,9 +44,9 @@ from .dvvset import DVVSet
 from .exceptions import SerializationError
 from .version_vector import VersionVector
 
-#: Slots every canonical clock type reserves for the memoized encoding and
-#: fingerprint (declared in each class's ``__slots__``, initialised to None).
-MEMO_SLOTS = ("_encoded", "_fingerprint")
+#: Slots every canonical clock type reserves for the memoized encoding
+#: (declared in each class's ``__slots__``, initialised to None).
+MEMO_SLOTS = ("_encoded",)
 
 _sha256 = hashlib.sha256
 _set_attr = object.__setattr__
@@ -194,6 +188,7 @@ def _value_to_str(value: Any) -> str:
 _STATS = {
     "encode_hits": 0,
     "encode_misses": 0,
+    # Never counted; kept at zero because benchmarks/e2e/e2e_child.py reads them.
     "fingerprint_hits": 0,
     "fingerprint_misses": 0,
     "state_fp_hits": 0,
@@ -314,28 +309,6 @@ def canonical_bytes(clock: Any) -> bytes:
     return encoded
 
 
-def fingerprint(clock: Any) -> bytes:
-    """``sha256(canonical_bytes(clock))``, memoized on the instance."""
-    try:
-        digest = clock._fingerprint
-    except AttributeError:
-        raise SerializationError(
-            f"cannot fingerprint object of type {type(clock).__name__}"
-        ) from None
-    if digest is not None:
-        _STATS["fingerprint_hits"] += 1
-        return digest
-    _STATS["fingerprint_misses"] += 1
-    digest = _sha256(canonical_bytes(clock)).digest()
-    _set_attr(clock, "_fingerprint", digest)
-    return digest
-
-
-def hexfingerprint(clock: Any) -> str:
-    """Hex form of :func:`fingerprint` (for logs and reports)."""
-    return fingerprint(clock).hex()
-
-
 # ---------------------------------------------------------------------- #
 # Sibling-set fingerprints (the Merkle layers' unit of work)
 # ---------------------------------------------------------------------- #
@@ -387,8 +360,6 @@ __all__ = [
     "canonical_bytes",
     "clear_state_fingerprint_cache",
     "codec_stats",
-    "fingerprint",
-    "hexfingerprint",
     "is_canonical_type",
     "register_encoder",
     "reset_codec_stats",

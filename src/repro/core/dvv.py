@@ -60,7 +60,7 @@ class DottedVersionVector:
     represent versions written concurrently through the same server.
     """
 
-    __slots__ = ("_dot", "_vv", "_encoded", "_fingerprint")
+    __slots__ = ("_dot", "_vv", "_encoded")
 
     def __init__(self, dot: Dot, causal_past: Optional[VersionVector] = None) -> None:
         if not isinstance(dot, Dot):
@@ -75,7 +75,6 @@ class DottedVersionVector:
         object.__setattr__(self, "_dot", dot)
         object.__setattr__(self, "_vv", vv)
         object.__setattr__(self, "_encoded", None)
-        object.__setattr__(self, "_fingerprint", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(

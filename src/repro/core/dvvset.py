@@ -50,7 +50,7 @@ Entry = Tuple[Actor, int, Tuple[V, ...]]
 class DVVSet(Generic[V]):
     """A dotted version vector set holding sibling values and their causality."""
 
-    __slots__ = ("_entries", "_anonymous", "_encoded", "_fingerprint")
+    __slots__ = ("_entries", "_anonymous", "_encoded")
 
     def __init__(self,
                  entries: Iterable[Entry] = (),
@@ -75,7 +75,6 @@ class DVVSet(Generic[V]):
         object.__setattr__(self, "_entries", tuple(normalised))
         object.__setattr__(self, "_anonymous", tuple(anonymous))
         object.__setattr__(self, "_encoded", None)
-        object.__setattr__(self, "_fingerprint", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(
@@ -203,10 +202,6 @@ class DVVSet(Generic[V]):
         context_only = DVVSet(self._entries, ())
         merged = context_only.sync(server_clock)
         return merged.event(server_id, value)
-
-    def advance(self, server_id: Actor, value: V) -> "DVVSet[V]":
-        """Shortcut for a blind server-local write (no client context, no stored clock)."""
-        return DVVSet(self._entries, self._anonymous).event(server_id, value)
 
     def sync(self, other: "DVVSet[V]") -> "DVVSet[V]":
         """Merge two replica clocks, keeping exactly the concurrent values.

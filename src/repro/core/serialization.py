@@ -10,7 +10,8 @@ every stored value.  This module provides:
   byte sizes and to exercise round-trip correctness in the tests;
 * a JSON-compatible encoding for human inspection and for the examples;
 * :func:`encoded_size` / :func:`entry_count`, the two measurements the
-  metadata-size experiments (E2/E4 in DESIGN.md) report.
+  metadata-size checks (E2/E4, in ``tests/integration/test_workload_matrix.py``)
+  report.
 
 The binary encoding itself lives in :mod:`repro.core.codec`, the canonical-
 bytes layer: clocks are immutable, so the encoding is computed once per

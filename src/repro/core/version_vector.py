@@ -32,7 +32,7 @@ class VersionVector:
     over different actor sets compare correctly without padding.
     """
 
-    __slots__ = ("_entries", "_encoded", "_fingerprint")
+    __slots__ = ("_entries", "_encoded")
 
     def __init__(self, entries: Optional[Mapping[Actor, int]] = None) -> None:
         clean: Dict[Actor, int] = {}
@@ -48,7 +48,6 @@ class VersionVector:
                     clean[actor] = counter
         object.__setattr__(self, "_entries", clean)
         object.__setattr__(self, "_encoded", None)
-        object.__setattr__(self, "_fingerprint", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(

@@ -145,12 +145,8 @@ class EffectRunner:
             self._transport.cancel_task(handle)
 
     # ------------------------------------------------------------------ #
-    # Introspection / lifecycle
+    # Lifecycle
     # ------------------------------------------------------------------ #
-    def armed_timers(self) -> List[TimerId]:
-        """Ids of currently armed timers (diagnostics and tests)."""
-        return list(self._timers)
-
     def cancel_all(self) -> None:
         """Disarm every armed timer (backend shutdown/crash cleanup)."""
         for timer_id in list(self._timers):

@@ -1,8 +1,9 @@
 """Simulated network substrate: event loop, transport, latency and partitions.
 
 This subpackage replaces the physical cluster of the paper's Riak evaluation
-with a deterministic discrete-event simulation.  See ``DESIGN.md`` §5 for why
-the substitution preserves the behaviours the experiments measure.
+with a deterministic discrete-event simulation.  Transmission time is charged
+per byte (:class:`SizeDependentLatency`), so the paper's "smaller metadata,
+lower latency" effect survives the substitution.
 """
 
 from .latency import (

@@ -165,6 +165,39 @@ class TestNamedScenarios:
         assert result.store.values("obj", "A") == ["v4"]
 
 
+def race_on_one_key(mechanism_name: str, writers: int):
+    """Replay ``writers`` concurrent blind-context writes to one key, converge,
+    and return (surviving siblings, ground-truth siblings, oracle report)."""
+    result = replay_trace(concurrent_writers_trace(writers=writers),
+                          create(mechanism_name))
+    result.store.converge()
+    store = result.store
+    replica = store.replicas_for("contested")[0]
+    return (len(store.siblings("contested", replica)),
+            len(store.write_log.latest_frontier("contested")),
+            check_store(store))
+
+
+class TestConcurrentWritersSweep:
+    """E5: N clients race on one key through three servers.  Exact mechanisms
+    keep all N versions; per-server VVs collapse the writes that share a
+    coordinator, so they lose updates once N exceeds the server count."""
+
+    @pytest.mark.parametrize("writers", [2, 4, 8, 16])
+    @pytest.mark.parametrize("name", ["dvv", "dvvset", "client_vv", "causal_history"])
+    def test_exact_mechanisms_keep_every_concurrent_write(self, name, writers):
+        siblings, expected, report = race_on_one_key(name, writers)
+        assert expected == writers
+        assert siblings == writers
+        assert report.total_lost_updates == 0
+
+    @pytest.mark.parametrize("writers", [4, 8, 16])
+    def test_server_vv_drops_writes_through_a_shared_coordinator(self, writers):
+        siblings, expected, report = race_on_one_key("server_vv", writers)
+        assert siblings < expected == writers
+        assert report.total_lost_updates > 0
+
+
 class TestChurnScenarios:
     def test_elasticity_scenario_converges_and_rebalances(self):
         from repro.workloads import run_elasticity_scenario
