@@ -15,20 +15,30 @@ Two coordination modes exist (``env.request_mode``):
 * ``"membership"`` — the coordinator consults the membership view's failure
   detector (``placement.active_replicas``) to decide whom to contact and for
   whom to hold hints.
-* ``"async"`` — Dynamo-style timeout-driven coordination: fan out to the
-  key's N *primary* replicas regardless of the membership view, arm a
-  per-replica deadline, and collect R/W acks.  A replica whose deadline fires
-  under a **sloppy** quorum is replaced by the next node on the ring, which
-  accepts the write together with a hint naming the intended primary; a
-  strict quorum (or an exhausted ring) holds the hint locally and fails the
-  request with ``ERROR_REPLY`` once the quorum is infeasible or the overall
-  request deadline fires.
+* ``"async"`` — Dynamo-style timeout-driven coordination over the key's N
+  *primary* replicas, regardless of the membership view: arm a per-replica
+  deadline on every contact and collect R/W acks.  A PUT writes to every
+  primary.  A GET asks only as many primaries as its read quorum still
+  lacks after the coordinator's own reply; the other primaries are the
+  session's *reserve*, ranked unsuspected first (see
+  :class:`~repro.kvstore.protocol.latency.PeerLatencyTracker`), then — on a
+  multi-DC topology — the coordinator's own datacenter, then ring order.  A
+  hedge timer (twice the asked replica's EWMA, at least
+  ``deadline_floor_ms``) asks the reserve if the quorum is still short; a
+  contacted replica's deadline asks it too, before anything else.  A replica
+  whose deadline fires is then, under a **sloppy** quorum, replaced by the
+  next node on the ring, which accepts the write together with a hint naming
+  the intended primary; a strict quorum (or an exhausted ring) holds the hint
+  locally and fails the request with ``ERROR_REPLY`` once the quorum is
+  infeasible or the overall request deadline fires.
 
 Timer ids armed by this machine:
 
 * ``("replica", coordination_id, replica_id)`` — one contacted replica's ack
   deadline;
 * ``("request", coordination_id)`` — the overall request deadline;
+* ``("hedge", coordination_id)`` — a GET's cue to ask its reserve ("task"
+  kind: it detects no failure, it only stops waiting on a slow reply);
 * ``("repair-flush",)`` — the read-repair coalescing window ("task" kind: it
   is scheduled work, not a failure-detection deadline).
 """
@@ -60,9 +70,15 @@ class CoordinatorSession:
     done: bool = False
     # put-only fields
     new_state: Any = None
+    #: modelled size of every REPLICA_PUT this session sends (one state,
+    #: sized once per coordination)
+    state_size: int = 0
     # async-mode fields
     mode: str = "membership"
     tried: List[str] = field(default_factory=list)       # every node contacted
+    #: get-only: primaries not asked yet, in the order they will be asked
+    reserve: List[str] = field(default_factory=list)
+    hedge: bool = False              # the hedge timer is armed
     timed_out: List[str] = field(default_factory=list)
     #: replica -> True while its ack deadline is armed.  The machine only
     #: tracks *that* a timer is armed; the backend holds the actual handle.
@@ -87,6 +103,10 @@ class Coordinator:
         self.sessions: Dict[int, CoordinatorSession] = {}
         self._request_ids = itertools.count(1)
         self.read_repair_stats = ReadRepairStats()
+        #: hedge timers that fired, and reserve primaries asked (by a hedge
+        #: or by a contacted replica's deadline)
+        self.read_hedges = 0
+        self.reserve_contacts = 0
         # Read-repair pushes are coalesced per target replica (mirroring
         # MERKLE_KEY_STATES batching): repairs queue here and flush as one
         # READ_REPAIR message per target when the batch fills or the
@@ -213,7 +233,13 @@ class Coordinator:
         self._maybe_finish_get(request_id)
 
     def _coordinate_get_async(self, message: Message, key: str) -> None:
-        """Deadline-driven GET: fan out to the primaries, extend on timeout."""
+        """Deadline-driven GET: ask the primaries R still needs, hedge the rest.
+
+        A reply past the quorum is dropped unread, so asking every primary
+        costs a request and a reply per extra primary on every read.  The
+        primaries not asked wait in the session's reserve until the hedge or
+        a deadline says the quorum is slow.
+        """
         node = self._node
         env = node.env
         config = env.quorum
@@ -238,12 +264,65 @@ class Coordinator:
         if node.node_id in primaries or config.sloppy:
             pending.replies.append((node.node_id, node.store.state_of(key)))
             pending.replied_nodes.append(node.node_id)
-        for replica_id in primaries:
-            if replica_id == node.node_id:
-                continue
-            self._send_async_replica_request(request_id, pending, replica_id)
+        ranked = self._rank_primaries(
+            [replica_id for replica_id in primaries if replica_id != node.node_id])
+        wanted = pending.needed - len(pending.replies)
+        deadlines = [self._send_async_replica_request(request_id, pending, replica_id)
+                     for replica_id in ranked[:wanted]]
+        pending.reserve = ranked[wanted:]
         self._arm_request_deadline(request_id, pending)
+        if pending.reserve and deadlines:
+            self._arm_hedge(request_id, pending, min(deadlines))
         self._maybe_finish_get(request_id)
+
+    def _rank_primaries(self, replica_ids: List[str]) -> List[str]:
+        """The order a GET asks primaries in: unsuspected first, then (on a
+        multi-DC topology) the coordinator's own DC, then ring order."""
+        node = self._node
+        suspected = node.latency.suspected
+        topology = node.env.placement.topology
+        if topology is not None and topology.spans_multiple_dcs:
+            home = topology.dc_of(node.node_id)
+            return sorted(replica_ids, key=lambda replica_id: (
+                replica_id in suspected, topology.dc_of(replica_id) != home))
+        if suspected:
+            return sorted(replica_ids, key=suspected.__contains__)
+        return replica_ids
+
+    def _arm_hedge(self, coordination_id: int, pending: CoordinatorSession,
+                   deadline_ms: float) -> None:
+        """Arm the GET's hedge, unless a deadline would fire no later."""
+        node = self._node
+        floor_ms = node.env.deadline_floor_ms
+        delay_ms = max(node.latency.hedge_ms(replica_id, floor_ms)
+                       for replica_id in pending.deadlines)
+        if delay_ms >= deadline_ms:
+            return
+        pending.hedge = True
+        node.emit(SetTimer(("hedge", coordination_id), delay_ms, kind="task",
+                           label=f"read-hedge:{pending.key}"))
+
+    def on_hedge(self, coordination_id: int) -> None:
+        """The quorum is slower than the asked replicas usually are: ask the
+        reserve now rather than at the first deadline."""
+        pending = self.sessions.get(coordination_id)
+        if pending is None or pending.done:
+            return
+        pending.hedge = False
+        self.read_hedges += 1
+        self._trace_point(pending, "read.hedged", replicas=list(pending.reserve))
+        self._ask_reserve(coordination_id, pending)
+
+    def _ask_reserve(self, coordination_id: int,
+                     pending: CoordinatorSession) -> None:
+        """Contact every reserve primary (the hedge has nothing left to do)."""
+        reserve, pending.reserve = pending.reserve, []
+        if pending.hedge:
+            pending.hedge = False
+            self._node.emit(ClearTimer(("hedge", coordination_id)))
+        self.reserve_contacts += len(reserve)
+        for replica_id in reserve:
+            self._send_async_replica_request(coordination_id, pending, replica_id)
 
     def on_replica_get_reply(self, message: Message) -> None:
         coordination_id = message.payload["coordination_id"]
@@ -333,6 +412,7 @@ class Coordinator:
             request_id=message.msg_id,
             needed=min(config.w, max(len(replicas), 1)),
             new_state=new_state,
+            state_size=node.state_size(key, new_state),
         )
         self.sessions[request_id] = pending
         self._trace_begin(pending, message)
@@ -348,7 +428,7 @@ class Coordinator:
                 receiver=replica_id,
                 msg_type=MessageType.REPLICA_PUT,
                 payload={"key": key, "state": new_state, "coordination_id": request_id},
-                size_bytes=node.state_size(key, new_state),
+                size_bytes=pending.state_size,
                 request_id=request_id,
             )))
         # Hinted handoff: primaries this coordinator cannot reach right now
@@ -383,6 +463,7 @@ class Coordinator:
             request_id=message.msg_id,
             needed=min(config.w, max(len(extended), 1)),
             new_state=new_state,
+            state_size=node.state_size(key, new_state),
             mode="async",
         )
         self.sessions[request_id] = pending
@@ -414,8 +495,11 @@ class Coordinator:
     def _send_async_replica_request(self, coordination_id: int,
                                     pending: CoordinatorSession,
                                     replica_id: str,
-                                    hint_for: Optional[str] = None) -> None:
-        """Contact one replica (primary or fallback) and arm its deadline."""
+                                    hint_for: Optional[str] = None) -> float:
+        """Contact one replica (primary or fallback) and arm its deadline.
+
+        Returns the deadline armed, in ms.
+        """
         node = self._node
         env = node.env
         pending.tried.append(replica_id)
@@ -436,7 +520,7 @@ class Coordinator:
                 receiver=replica_id,
                 msg_type=MessageType.REPLICA_PUT,
                 payload=payload,
-                size_bytes=node.state_size(pending.key, pending.new_state),
+                size_bytes=pending.state_size,
                 request_id=coordination_id,
             )
         else:
@@ -451,11 +535,13 @@ class Coordinator:
         node.emit(Send(message))
         pending.sent_at[replica_id] = node.now
         pending.deadlines[replica_id] = True
+        deadline_ms = self.replica_deadline_ms(replica_id)
         node.emit(SetTimer(
             ("replica", coordination_id, replica_id),
-            self.replica_deadline_ms(replica_id),
+            deadline_ms,
             label=f"replica-deadline:{pending.kind}:{replica_id}",
         ))
+        return deadline_ms
 
     def replica_deadline_ms(self, replica_id: str) -> float:
         """How long to wait for this replica's ack before giving up on it."""
@@ -503,7 +589,13 @@ class Coordinator:
             self._cleanup_if_settled(coordination_id, pending)
             return
         pending.timed_out.append(replica_id)
+        node.latency.suspect(replica_id)
         self._trace_replica_end(pending, replica_id, "timeout")
+        if pending.reserve:
+            # Untried primaries go out before any fallback is picked:
+            # ``fallbacks_for`` may rank a same-DC non-primary ahead of an
+            # untried cross-DC primary.
+            self._ask_reserve(coordination_id, pending)
         # The primary this contact was (transitively) standing in for.
         primary = pending.standing_in.get(replica_id, replica_id)
         extend = env.quorum.sloppy and (pending.kind == "put" or not pending.done)
@@ -574,6 +666,9 @@ class Coordinator:
         if pending.request_deadline:
             self._node.emit(ClearTimer(("request", coordination_id)))
             pending.request_deadline = False
+        if pending.hedge:
+            self._node.emit(ClearTimer(("hedge", coordination_id)))
+            pending.hedge = False
         # Replicas no longer awaited (quorum met or request failed): close
         # their spans so the tree has no dangling opens.
         self._trace_end_replicas(pending, "cancelled")

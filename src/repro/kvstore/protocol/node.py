@@ -122,6 +122,8 @@ class ProtocolNode:
             self.coordinator.on_replica_deadline(timer_id[1], timer_id[2])
         elif kind == "request":
             self.coordinator.on_request_deadline(timer_id[1])
+        elif kind == "hedge":
+            self.coordinator.on_hedge(timer_id[1])
         elif kind == "repair-flush":
             self.coordinator.flush_all_read_repairs()
         return self._drain()
@@ -159,8 +161,8 @@ class ProtocolNode:
         vnodes' slices (``wipe_partitions``: those ranges' states, hints and
         trees are dropped, the rest survive and keep their maintained
         digests).  Process memory died either way: queued read-repair pushes,
-        in-flight Merkle exchange sessions, hint-replay backoff and the
-        replica-latency EWMAs are discarded here — any new process state
+        in-flight Merkle exchange sessions, hint-replay backoff, the
+        replica-latency EWMAs and the suspected peers are discarded here — any new process state
         added to the machines that should not survive a crash belongs in
         their ``on_recover`` hooks.
         """

@@ -2,8 +2,8 @@
 
 :func:`build_cluster_registry` registers every pre-existing stats object of a
 cluster — storage counters, transport byte/deadline accounting, Merkle
-exchange stats, read-repair counters, request records — into one
-:class:`~repro.obs.metrics.MetricsRegistry`, purely through duck-typed
+exchange stats, read-hedge and read-repair counters, request records — into
+one :class:`~repro.obs.metrics.MetricsRegistry`, purely through duck-typed
 attributes both :class:`~repro.kvstore.simulated.SimulatedCluster` and
 :class:`~repro.kvstore.asyncio_cluster.AsyncioCluster` expose.  The snapshot
 schema is therefore **identical across backends**: the only structural
@@ -43,6 +43,7 @@ def build_cluster_registry(cluster: Any) -> MetricsRegistry:
     registry = MetricsRegistry()
     registry.register_source("storage", cluster.stat_totals)
     registry.register_source("merkle", lambda: _merkle_totals(cluster))
+    registry.register_source("coordinator", lambda: _coordinator_totals(cluster))
     registry.register_source("read_repair", lambda: _read_repair_totals(cluster))
     registry.register_source("transport", lambda: _transport_totals(cluster))
     registry.register_source("requests", lambda: _request_totals(cluster))
@@ -75,6 +76,14 @@ def _read_repair_totals(cluster: Any) -> Dict[str, int]:
         for name in totals:
             totals[name] += getattr(stats, name)
     return totals
+
+
+def _coordinator_totals(cluster: Any) -> Dict[str, int]:
+    """Read hedges fired and reserve primaries asked, summed over coordinators."""
+    coordinators = [server.protocol.coordinator
+                    for server in cluster.servers.values()]
+    return {"read_hedges": sum(c.read_hedges for c in coordinators),
+            "reserve_contacts": sum(c.reserve_contacts for c in coordinators)}
 
 
 def _endpoints(cluster: Any):

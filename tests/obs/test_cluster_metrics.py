@@ -116,6 +116,17 @@ class TestSnapshotSchema:
         for snap in (sim, cluster.metrics_snapshot()):
             assert 0 <= snap["merkle.keys_unchanged"] <= snap["merkle.keys_transferred"]
 
+    def test_read_hedge_counters_are_reported_by_both_backends(self):
+        """Zero on a healthy run; the golden scenario's crash makes reads hedge."""
+        sim = run_simulated_workload().metrics_snapshot()
+        cluster, _ = asyncio.run(run_asyncio_workload())
+        for snap in (sim, cluster.metrics_snapshot()):
+            assert snap["coordinator.read_hedges"] == 0
+            assert snap["coordinator.reserve_contacts"] == 0
+        failing = run_golden_scenario("dvv", "async").metrics_snapshot()
+        assert failing["coordinator.read_hedges"] > 0
+        assert failing["coordinator.reserve_contacts"] > 0
+
     def test_snapshot_reads_do_not_mutate(self):
         cluster = run_simulated_workload()
         assert cluster.metrics_snapshot() == cluster.metrics_snapshot()

@@ -167,6 +167,36 @@ def test_sloppy_quorum_write_span_tree_asyncio():
     assert_sloppy_write_trace(sink, trace_id, down)
 
 
+def test_hedged_read_span_tree_simulated():
+    """A read whose asked replica is down: the hedge's contact opens a
+    ``replica.get`` span like any other, next to a ``read.hedged`` point."""
+    sink = InMemoryTraceSink()
+    cluster = SimulatedCluster(
+        create("dvv"), server_ids=SERVER_IDS, quorum=QUORUM, seed=42,
+        request_mode="async", anti_entropy_interval_ms=None,
+        hint_replay_interval_ms=None, tracer=Tracer(sink))
+    key, down = pick_key(cluster.placement)
+    reserve = cluster.placement.primary_replicas(key)[2]
+    client = cluster.client("c1")
+
+    cluster.fail_node(down)
+    client.get(key)
+    cluster.run(until=50.0)
+
+    (trace_id,) = [t for t in sink.trace_ids() if t.startswith("client:c1#")]
+    (root,) = sink.trees(trace_id)
+    rendered = format_span_tree([root])
+    (coordinator,) = root.find("coordinator.get")
+    assert coordinator.status == "ok", rendered
+    (hedged,) = coordinator.find("read.hedged")
+    assert hedged.attrs["replicas"] == [reserve], rendered
+    by_target = {span.attrs["replica"]: span
+                 for span in coordinator.find("replica.get")}
+    assert set(by_target) == {down, reserve}, rendered
+    assert by_target[reserve].status == "ok", rendered
+    assert by_target[down].status == "cancelled", rendered
+
+
 def test_tracing_is_off_by_default():
     """An untraced cluster must not grow any tracer state or emit events."""
     cluster = SimulatedCluster(create("dvv"), server_ids=("A", "B", "C"))

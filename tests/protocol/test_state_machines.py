@@ -16,6 +16,7 @@ import pytest
 
 from repro.clocks import create
 from repro.cluster import ConsistentHashRing, Membership, PartitionMap, PlacementService, QuorumConfig
+from repro.cluster.topology import Topology
 from repro.kvstore import WriteLog
 from repro.kvstore.client import ClientSession
 from repro.kvstore.protocol import ClientProtocol, MerkleSyncStats, ProtocolNode
@@ -27,11 +28,12 @@ SERVER_IDS = ("A", "B", "C", "D", "E")
 
 
 def build_env(sloppy: bool = True, request_mode: str = "async",
-              **overrides) -> StaticProtocolEnv:
+              topology=None, **overrides) -> StaticProtocolEnv:
     ring = ConsistentHashRing(SERVER_IDS, virtual_nodes=16)
     quorum = QuorumConfig(n=3, r=2, w=2, sloppy=sloppy)
     placement = PlacementService(ring, Membership(SERVER_IDS), quorum,
-                                 partition_map=PartitionMap(16))
+                                 partition_map=PartitionMap(16),
+                                 topology=topology)
     return StaticProtocolEnv(
         mechanism=create("dvv"),
         quorum=quorum,
@@ -240,10 +242,11 @@ def test_request_deadline_fails_request_and_sweeps_timers():
     errors = sends(effects, MessageType.ERROR_REPLY)
     assert len(errors) == 1
     assert errors[0].payload["reason"] == "request_timeout"
-    # Every still-armed replica deadline is swept alongside the failure.
+    # Every still-armed timer is swept alongside the failure: the one
+    # asked replica's deadline and the hedge that would ask the other.
     swept = cleared(effects)
-    for replica_id in primaries[1:]:
-        assert ("replica", coordination_id, replica_id) in swept
+    assert ("replica", coordination_id, primaries[1]) in swept
+    assert ("hedge", coordination_id) in swept
     assert coordination_id not in node.coordinator.sessions
 
 
@@ -257,9 +260,10 @@ def test_async_get_reaches_r_and_replies():
     node = ProtocolNode(primaries[0], env.mechanism, env)
     fanout = node.on_message(coordinate_get(env, key), now=0.0)
     gets = sends(fanout, MessageType.REPLICA_GET)
-    assert sorted(m.receiver for m in gets) == sorted(primaries[1:])
+    # R=2 and the local reply is one: one remote primary is asked.
+    assert [m.receiver for m in gets] == primaries[1:2]
     coordination_id = gets[0].payload["coordination_id"]
-    assert not sends(fanout, MessageType.GET_REPLY)   # R=2, 1 local reply
+    assert not sends(fanout, MessageType.GET_REPLY)
 
     effects = node.on_message(Message(
         sender=primaries[1], receiver=primaries[0],
@@ -272,6 +276,166 @@ def test_async_get_reaches_r_and_replies():
     assert len(replies) == 1
     assert replies[0].payload["key"] == key
     assert replies[0].payload["siblings"] == []       # nothing stored anywhere
+
+
+def replica_get_reply(sender: str, receiver: str, coordination_id: int) -> Message:
+    return Message(sender=sender, receiver=receiver,
+                   msg_type=MessageType.REPLICA_GET_REPLY,
+                   payload={"coordination_id": coordination_id, "state": ()},
+                   size_bytes=0)
+
+
+def test_healthy_get_asks_what_r_lacks_and_arms_one_hedge():
+    env = build_env()
+    key = "cart"
+    primaries = env.placement.primary_replicas(key)
+    node = ProtocolNode(primaries[0], env.mechanism, env)
+
+    effects = node.on_message(coordinate_get(env, key), now=0.0)
+
+    session = next(iter(node.coordinator.sessions.values()))
+    gets = sends(effects, MessageType.REPLICA_GET)
+    assert len(gets) == session.needed - 1
+    assert session.reserve == primaries[2:]
+    hedges = [t for t in set_timers(effects) if t.timer_id[0] == "hedge"]
+    assert len(hedges) == 1
+    # No EWMA for the asked replica yet: the hedge waits the floor, and it
+    # is scheduled work, not a failure-detection deadline.
+    assert hedges[0].delay_ms == env.deadline_floor_ms
+    assert hedges[0].kind == "task"
+
+    # With an EWMA the hedge waits twice the replica's usual round trip...
+    node.latency.ewma[primaries[1]] = 3.0
+    effects = node.on_message(coordinate_get(env, key), now=1.0)
+    assert [t.delay_ms for t in set_timers(effects)
+            if t.timer_id[0] == "hedge"] == [6.0]
+    # ...and is not armed at all when its own deadline would fire first.
+    node.latency.ewma[primaries[1]] = env.replica_timeout_ms
+    effects = node.on_message(coordinate_get(env, key), now=2.0)
+    assert not [t for t in set_timers(effects) if t.timer_id[0] == "hedge"]
+
+
+def multi_dc_get_setup():
+    """A coordinator whose same-DC neighbour is a non-primary, and a key whose
+    one cross-DC primary is left in the reserve."""
+    topology = Topology.striped(SERVER_IDS, ["east", "west"])
+    env = build_env(topology=topology)
+    for index in range(200):
+        key = f"key-{index}"
+        primaries = env.placement.primary_replicas(key)
+        home = topology.dc_of(primaries[0])
+        remote = [p for p in primaries[1:] if topology.dc_of(p) != home]
+        near_spares = [n for n in topology.nodes_in(home) if n not in primaries]
+        if len(remote) == 1 and near_spares:
+            return env, key, primaries, remote[0], near_spares
+    raise AssertionError("no key with that placement")
+
+
+def test_hedge_asks_the_reserve_before_any_fallback():
+    env = build_env()
+    key = "cart"
+    primaries = env.placement.primary_replicas(key)
+    node = ProtocolNode(primaries[0], env.mechanism, env)
+    node.on_message(coordinate_get(env, key), now=0.0)
+    coordination_id = next(iter(node.coordinator.sessions))
+
+    effects = node.on_timer(("hedge", coordination_id), now=env.deadline_floor_ms)
+
+    assert [m.receiver for m in sends(effects)] == [primaries[2]]
+    assert node.coordinator.read_hedges == 1
+    assert node.coordinator.reserve_contacts == 1
+    assert node.coordinator.sessions[coordination_id].reserve == []
+
+
+def test_hedge_on_a_multi_dc_topology_asks_the_cross_dc_primary():
+    """``fallbacks_for(near=...)`` would rank the same-DC non-primary ahead
+    of the untried cross-DC primary; the hedge asks the primary."""
+    env, key, primaries, cross_dc, near_spares = multi_dc_get_setup()
+    node = ProtocolNode(primaries[0], env.mechanism, env)
+    assert env.placement.fallbacks_for(
+        key, exclude=[p for p in primaries if p != cross_dc],
+        near=node.node_id)[0] in near_spares
+
+    fanout = node.on_message(coordinate_get(env, key), now=0.0)
+    coordination_id = next(iter(node.coordinator.sessions))
+    # The same-DC primary is asked first; the cross-DC one is the reserve.
+    assert [m.receiver for m in sends(fanout)] == [
+        p for p in primaries[1:] if p != cross_dc]
+
+    effects = node.on_timer(("hedge", coordination_id), now=2.0)
+
+    assert [m.receiver for m in sends(effects)] == [cross_dc]
+
+
+def test_replica_deadline_with_reserve_left_asks_the_reserve_first():
+    env, key, primaries, cross_dc, near_spares = multi_dc_get_setup()
+    node = ProtocolNode(primaries[0], env.mechanism, env)
+    fanout = node.on_message(coordinate_get(env, key), now=0.0)
+    asked = sends(fanout, MessageType.REPLICA_GET)[0]
+    coordination_id = asked.payload["coordination_id"]
+
+    effects = node.on_timer(("replica", coordination_id, asked.receiver),
+                            now=env.replica_timeout_ms)
+
+    contacted = [m.receiver for m in sends(effects, MessageType.REPLICA_GET)]
+    # The untried primary goes first; the late one's stand-in comes after
+    # and is a non-primary, as it always was.
+    assert contacted[0] == cross_dc
+    assert all(r not in primaries for r in contacted[1:])
+    # The reserve is used up, so the hedge has nothing left to ask.
+    assert ("hedge", coordination_id) in cleared(effects)
+    assert node.coordinator.read_hedges == 0
+    assert node.coordinator.reserve_contacts == 1
+
+
+def test_late_reply_after_quorum_emits_nothing():
+    env = build_env()
+    key = "cart"
+    primaries = env.placement.primary_replicas(key)
+    node = ProtocolNode(primaries[0], env.mechanism, env)
+    node.on_message(coordinate_get(env, key), now=0.0)
+    coordination_id = next(iter(node.coordinator.sessions))
+    node.on_timer(("hedge", coordination_id), now=2.0)     # both now asked
+
+    first = node.on_message(
+        replica_get_reply(primaries[2], primaries[0], coordination_id), now=3.0)
+    assert sends(first, MessageType.GET_REPLY)
+    assert ("replica", coordination_id, primaries[1]) in cleared(first)
+
+    late = node.on_message(
+        replica_get_reply(primaries[1], primaries[0], coordination_id), now=4.0)
+    assert late == []
+    assert node.on_timer(("hedge", coordination_id), now=5.0) == []
+
+
+def test_suspected_primary_ranks_last_until_its_next_ack():
+    env = build_env()
+    key = "cart"
+    primaries = env.placement.primary_replicas(key)
+    node = ProtocolNode(primaries[0], env.mechanism, env)
+
+    def first_asked(now: float) -> str:
+        effects = node.on_message(coordinate_get(env, key), now=now)
+        return sends(effects, MessageType.REPLICA_GET)[0].receiver
+
+    assert first_asked(0.0) == primaries[1]
+    slow_session = next(iter(node.coordinator.sessions))
+    node.on_timer(("replica", slow_session, primaries[1]), now=10.0)
+    assert node.latency.suspected == {primaries[1]}
+    assert first_asked(11.0) == primaries[2]
+
+    # Its (late) reply is an ack: it is no longer suspected.
+    node.on_message(replica_get_reply(primaries[1], primaries[0], slow_session),
+                    now=12.0)
+    assert node.latency.suspected == set()
+    assert first_asked(13.0) == primaries[1]
+
+    # A crash forgets suspicion along with every other latency estimate.
+    node.latency.suspect(primaries[1])
+    assert first_asked(14.0) == primaries[2]
+    node.on_recover(wipe=False)
+    assert node.latency.suspected == set()
+    assert first_asked(15.0) == primaries[1]
 
 
 # --------------------------------------------------------------------------- #

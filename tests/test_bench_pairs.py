@@ -112,6 +112,52 @@ def test_the_change_side_is_a_copy_of_tracked_and_unignored_files(tmp_path):
     assert not list(change.rglob("__pycache__"))
 
 
+def test_workload_lists_and_all_measure_each_in_turn(monkeypatch, capsys):
+    contract = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+    every = [workload["name"] for workload in contract["workloads"]]
+    assert bench_pairs.workloads_of("all", contract) == every
+    assert bench_pairs.workloads_of("wide_read, hot_write", contract) == [
+        "wide_read", "hot_write"]
+    with pytest.raises(SystemExit):
+        bench_pairs.workloads_of("wide_read,nope", contract)
+
+    runs = []
+
+    def fake_run(tree, workload, seed):
+        runs.append((tree.name, workload, seed))
+        # one incorrect run, in the last workload only
+        return line(1000, 1.0, correct=not (workload == every[-1]
+                                            and tree.name == "change"
+                                            and seed == 8))
+
+    monkeypatch.setattr(bench_pairs, "unpack_ref", lambda ref, into: into.mkdir())
+    monkeypatch.setattr(bench_pairs, "copy_working_tree", lambda into: into.mkdir())
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    reduce_pairs = bench_pairs.reduce_pairs      # canned lines: four metrics
+    monkeypatch.setattr(bench_pairs, "reduce_pairs",
+                        lambda _contract, pairs: reduce_pairs(CONTRACT, pairs))
+    monkeypatch.setattr(bench_pairs, "markdown", lambda workload, rows:
+                        f"| `{workload}` table, {len(rows)} rows |")
+
+    assert bench_pairs.main(["--parent", "HEAD", "--workload", "all",
+                             "--pairs", "2", "--seed-base", "7"]) == 1
+    # Each workload's pairs run in turn, the side that goes first alternating.
+    assert runs == [(tree, workload, seed) for workload in every
+                    for seed, trees in ((7, ("parent", "change")),
+                                        (8, ("change", "parent")))
+                    for tree in trees]
+    out = capsys.readouterr()
+    assert [row for row in out.out.splitlines() if row] == [
+        f"| `{workload}` table, {len(CONTRACT['end_to_end'])} rows |"
+        for workload in every]
+    assert f"{every[-1]}: 1 run(s) not correct" in out.err
+
+    runs.clear()
+    assert bench_pairs.main(["--parent", "HEAD", "--workload", every[0],
+                             "--pairs", "2"]) == 0
+    assert {workload for _, workload, _ in runs} == {every[0]}
+
+
 def test_the_real_contract_has_what_the_reducer_reads():
     contract = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
     for metric in contract["end_to_end"]:

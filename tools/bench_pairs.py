@@ -1,17 +1,20 @@
 #!/usr/bin/env python3
-"""Paired parent/change measurement of one ``bench_e2e`` workload.
+"""Paired parent/change measurement of ``bench_e2e`` workloads.
 
 The measurement every performance change needs (``choosing-metrics`` §8), as
 one command::
 
     python tools/bench_pairs.py --parent HEAD~1 --workload wide_read --pairs 10
+    python tools/bench_pairs.py --parent HEAD~1 --workload all --pairs 4
 
 It unpacks ``--parent`` (any git ref) *and* this working tree into two sibling
-temporary directories, then runs ``benchmarks/e2e/bench_e2e.py --trace 0`` on
-both ``--pairs`` times — one seed per pair (``--seed-base`` + pair index), the
-side that goes first alternating — and prints, per end-to-end metric of
-``BENCHMARK.json``, both sides' quartiles, the wins and a verdict, as a
-Markdown table ready for CHANGES.md:
+temporary directories, then, for each workload named (``--workload`` takes a
+name, a comma-separated list or ``all``), runs
+``benchmarks/e2e/bench_e2e.py --trace 0`` on both ``--pairs`` times — one seed
+per pair (``--seed-base`` + pair index), the side that goes first
+alternating — and prints, per end-to-end metric of ``BENCHMARK.json``, both
+sides' quartiles, the wins and a verdict, as one Markdown table per workload
+ready for CHANGES.md:
 
 * **gain** — the change reads better in at least nine tenths of the pairs
   (ties count for neither side) and the medians differ by more than the
@@ -31,11 +34,11 @@ adjudicates.  ``--aa`` measures that floor directly: it runs the parent
 against a second copy of the parent and exits non-zero if any metric comes out
 ``gain`` or ``worse``.
 
-The exit code is also non-zero if any run was not ``correct`` or had failed
-operations.  The parent tree is a ``git archive`` snapshot and the change a
-copy of the tracked and the untracked-but-not-ignored files, so nothing is
-registered in ``.git`` and an interrupted run leaves only a temp directory
-behind; it is removed at the end.  Nothing under ``benchmarks/e2e/`` is touched.
+The exit code is also non-zero if any run, of any workload, was not
+``correct`` or had failed operations.  The parent tree is a ``git archive``
+snapshot and the change a copy of the tracked and the untracked-but-not-ignored
+files, so nothing is registered in ``.git`` and an interrupted run leaves only
+a temp directory behind; it is removed at the end.  Nothing under ``benchmarks/e2e/`` is touched.
 """
 
 from __future__ import annotations
@@ -159,11 +162,48 @@ def markdown(workload: str, rows: List[Dict[str, Any]]) -> str:
     return "\n".join(lines)
 
 
+def workloads_of(spec: str, contract: Dict[str, Any]) -> List[str]:
+    """``--workload``'s value as workload names: one, a comma-separated
+    list, or ``all`` (every workload of ``BENCHMARK.json``, in its order)."""
+    known = [workload["name"] for workload in contract["workloads"]]
+    if spec == "all":
+        return known
+    names = [name.strip() for name in spec.split(",") if name.strip()]
+    unknown = [name for name in names if name not in known]
+    if unknown or not names:
+        raise SystemExit(f"bench_pairs: unknown workload(s) {unknown or [spec]}; "
+                         f"choose from {known} or 'all'")
+    return names
+
+
+def run_pairs(parent_tree: Path, change_tree: Path, workload: str,
+              count: int, seed_base: int
+              ) -> List[Tuple[Dict[str, Any], Dict[str, Any]]]:
+    """``count`` (parent, change) runs of ``workload``, alternating which
+    side goes first."""
+    pairs: List[Tuple[Dict[str, Any], Dict[str, Any]]] = []
+    for index in range(count):
+        seed = seed_base + index
+        order = [parent_tree, change_tree]
+        if index % 2:
+            order.reverse()
+        results = {tree: run_once(tree, workload, seed) for tree in order}
+        pairs.append((results[parent_tree], results[change_tree]))
+        print(f"{workload} pair {index + 1}/{count} (seed {seed}): ops_per_s "
+              f"{pairs[-1][0]['metrics']['ops_per_s']['value']:.1f} -> "
+              f"{pairs[-1][1]['metrics']['ops_per_s']['value']:.1f}",
+              file=sys.stderr)
+    return pairs
+
+
 def main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True,
                         help="git ref of the commit to compare against")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True,
+                        help="a workload name, a comma-separated list of them, "
+                             "or 'all'; each is measured in turn and gets its "
+                             "own table")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed-base", type=int, default=101)
     parser.add_argument("--aa", action="store_true",
@@ -172,7 +212,8 @@ def main(argv: List[str]) -> int:
                              "and fails the run")
     args = parser.parse_args(argv)
     contract = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    pairs: List[Tuple[Dict[str, Any], Dict[str, Any]]] = []
+    workloads = workloads_of(args.workload, contract)
+    failed = False
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
         parent_tree, change_tree = tree_dirs(Path(scratch))
         unpack_ref(args.parent, parent_tree)
@@ -180,31 +221,24 @@ def main(argv: List[str]) -> int:
             unpack_ref(args.parent, change_tree)
         else:
             copy_working_tree(change_tree)
-        for index in range(args.pairs):
-            seed = args.seed_base + index
-            order = [parent_tree, change_tree]
-            if index % 2:
-                order.reverse()
-            results = {tree: run_once(tree, args.workload, seed) for tree in order}
-            pairs.append((results[parent_tree], results[change_tree]))
-            print(f"pair {index + 1}/{args.pairs} (seed {seed}): ops_per_s "
-                  f"{pairs[-1][0]['metrics']['ops_per_s']['value']:.1f} -> "
-                  f"{pairs[-1][1]['metrics']['ops_per_s']['value']:.1f}",
-                  file=sys.stderr)
-    rows = reduce_pairs(contract, pairs)
-    print(markdown(args.workload, rows))
-    failed = False
-    bad = bad_runs(pairs)
-    if bad:
-        print(f"bench_pairs: {bad} run(s) not correct or with failed operations",
-              file=sys.stderr)
-        failed = True
-    moved = [row["name"] for row in rows if row["verdict"] in ("gain", "worse")]
-    if args.aa and moved:
-        print(f"bench_pairs: --aa compared identical sources, yet {moved} came "
-              f"out gain/worse — the measurement is noisier than its verdicts",
-              file=sys.stderr)
-        failed = True
+        for workload in workloads:
+            pairs = run_pairs(parent_tree, change_tree, workload, args.pairs,
+                              args.seed_base)
+            rows = reduce_pairs(contract, pairs)
+            print(markdown(workload, rows) + "\n", flush=True)
+            bad = bad_runs(pairs)
+            if bad:
+                print(f"bench_pairs: {workload}: {bad} run(s) not correct or "
+                      f"with failed operations", file=sys.stderr)
+                failed = True
+            moved = [row["name"] for row in rows
+                     if row["verdict"] in ("gain", "worse")]
+            if args.aa and moved:
+                print(f"bench_pairs: {workload}: --aa compared identical "
+                      f"sources, yet {moved} came out gain/worse — the "
+                      f"measurement is noisier than its verdicts",
+                      file=sys.stderr)
+                failed = True
     return 1 if failed else 0
 
 
