@@ -342,7 +342,7 @@ def test_report_sloppy_availability(availability_sweep, publish):
     table = render_table(
         ["quorum mode", "completed", "failed", "mean put ms", "converged", "hints"],
         rows,
-        title="Async request mode — availability under partition (strict vs sloppy)",
+        title="Availability under partition (strict vs sloppy)",
     )
     publish("sloppy_availability", table)
     strict_report, _ = availability_sweep["strict"]
@@ -366,9 +366,8 @@ def run_smoke(keys: int = 60,
     convergence than building both sides' trees from scratch per exchange
     would; (3) a whole-vnode join handoff must import the
     sender's maintained fingerprints instead of re-hashing the moved states
-    (O(1) fresh fingerprints, not O(keys moved)); (4) under a partition, the
-    async request mode's sloppy quorums must complete writes that strict
-    quorums fail, and still converge after healing.  The measured numbers are
+    (O(1) fresh fingerprints, not O(keys moved)); (4) under a partition,
+    sloppy quorums must complete writes that strict quorums fail, and still converge after healing.  The measured numbers are
     written to ``results_path`` as JSON for CI artifacts.
     """
     results: dict = {"keys": keys}

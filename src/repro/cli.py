@@ -283,7 +283,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
                             sloppy=args.quorum_mode == "sloppy"),
         latency=SizeDependentLatency(base=FixedLatency(0.25), bytes_per_ms=args.bytes_per_ms),
         anti_entropy_interval_ms=50.0,
-        request_mode=args.request_mode,
         deadline_mode=args.deadline_mode,
         partition_count=args.partitions,
         seed=args.seed,
@@ -311,7 +310,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             ["mechanism", args.mechanism],
             ["servers", args.servers],
             ["clients", args.clients],
-            ["request mode", args.request_mode],
             ["quorum mode", args.quorum_mode],
             ["deadline mode", args.deadline_mode],
             ["requests completed", latency.requests],
@@ -512,7 +510,6 @@ def cmd_connect(args: argparse.Namespace) -> int:
         placement=placement,
         write_log=WriteLog(),
         merkle_stats=MerkleSyncStats(),
-        request_mode="async",
         request_timeout_ms=manifest["request_timeout_ms"],
         client_timeout_ms=manifest["client_timeout_ms"],
         request_overhead_bytes=manifest["request_overhead_bytes"],
@@ -629,15 +626,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="sim: deterministic simulator in virtual time; "
                               "asyncio: the same protocol over real Unix-domain "
                               "sockets, reporting wall-clock numbers")
-    cluster.add_argument("--request-mode", default="membership",
-                         choices=["membership", "async"], dest="request_mode",
-                         help="membership: coordinators consult the failure detector; "
-                              "async: per-replica deadlines with sloppy-quorum fallbacks")
     cluster.add_argument("--quorum-mode", default="sloppy", choices=["strict", "sloppy"],
                          dest="quorum_mode")
     cluster.add_argument("--deadline-mode", default="fixed", choices=["fixed", "adaptive"],
                          dest="deadline_mode",
-                         help="async-mode replica deadlines: one fixed timeout, or an "
+                         help="replica deadlines: one fixed timeout, or an "
                               "EWMA of each replica's observed ack latency "
                               "(clamped to a floor/ceiling)")
     cluster.add_argument("--partitions", type=int, default=16,

@@ -119,11 +119,11 @@ class PlacementService:
     def extended_preference_list(self, key: str, count: Optional[int] = None) -> List[str]:
         """Every ring node in clockwise order from the key: primaries first.
 
-        This is the candidate order the *async* request mode walks: the first
-        N entries are the primary replicas, the rest are the sloppy-quorum
-        fallback nodes that stand in for timed-out primaries.  Liveness is
-        deliberately ignored — in async mode failures are discovered by
-        deadline, not by consulting the membership view.
+        This is the candidate order coordination walks: the first N entries
+        are the primary replicas, the rest are the sloppy-quorum fallback
+        nodes that stand in for timed-out primaries.  Liveness is
+        deliberately ignored — failures are discovered by deadline, not by
+        consulting the membership view.
 
         With a multi-DC topology the DC-spread primaries lead the list (so
         the first N entries are still exactly the primary replicas) and the

@@ -39,7 +39,6 @@ from .read_repair import ReadRepairStats, RepairPlan, plan_read_repair
 from .server import Hint, StorageNode
 from .simulated import (
     DEADLINE_MODES,
-    REQUEST_MODES,
     MerkleSyncStats,
     MessageServer,
     RequestRecord,
@@ -53,7 +52,6 @@ from .write_log import WriteLog, WriteRecord
 
 __all__ = [
     "DEADLINE_MODES",
-    "REQUEST_MODES",
     "AntiEntropyDaemon",
     "AsyncClusterClient",
     "AsyncServerNode",

@@ -9,10 +9,9 @@ message crosses an actual TCP or Unix-domain socket through an
 ``loop.call_later``, the clock is the wall clock, and any number of clients
 issue requests concurrently.
 
-The cluster runs in ``request_mode="async"`` (Dynamo-style deadline-driven
-coordination): there is no simulated membership oracle on a real network, so
-reachability is decided by deadlines and sloppy-quorum fallbacks, which is
-exactly what the async mode implements.  Anti-entropy and hint replay run as
+Coordination is Dynamo-style and deadline-driven, the one path the
+simulator runs too: reachability is decided by deadlines and sloppy-quorum
+fallbacks, never by a membership oracle.  Anti-entropy and hint replay run as
 plain asyncio tasks on their configured cadences.
 
 Everything lives in one process (one event loop) — the point is real
@@ -267,7 +266,6 @@ class AsyncioCluster:
             placement=self.placement,
             write_log=self.write_log,
             merkle_stats=self.merkle_stats,
-            request_mode="async",
             replica_timeout_ms=replica_timeout_ms,
             request_timeout_ms=request_timeout_ms,
             client_timeout_ms=(client_timeout_ms if client_timeout_ms is not None

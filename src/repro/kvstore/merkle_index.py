@@ -51,9 +51,6 @@ instead of hashing), ``buckets_rehashed`` (leaf buckets re-hashed on
 flush) and ``full_rebuilds`` (rebuilds from storage) — which is what lets
 the anti-entropy benchmark show exchange tree work dropping from O(keys) to
 O(divergent buckets), and handoff tree work dropping to O(1).
-(``snapshot_digests`` is registered so cluster stats keep their shape, and
-stays 0: the exchange reads the index in place, and nothing copies digests
-out of it.)
 """
 
 from __future__ import annotations

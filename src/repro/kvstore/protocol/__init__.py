@@ -27,7 +27,7 @@ from .effects import (
     SetTimer,
     TimerId,
 )
-from .env import DEADLINE_MODES, REQUEST_MODES, StaticProtocolEnv
+from .env import DEADLINE_MODES, StaticProtocolEnv
 from .hints import HintReplayer
 from .latency import (
     ADAPTIVE_DEADLINE_MULTIPLIER,
@@ -56,7 +56,6 @@ __all__ = [
     "MerkleSyncStats",
     "PeerLatencyTracker",
     "ProtocolNode",
-    "REQUEST_MODES",
     "ReplicaHandler",
     "RequestRecord",
     "Send",

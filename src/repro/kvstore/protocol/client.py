@@ -7,8 +7,7 @@ asynchronous: callers pass a callback that receives the
 :class:`~repro.kvstore.client.GetResult` /
 :class:`~repro.kvstore.client.PutResult` when the reply arrives (or ``None``
 on failure).  Like the server-side machines it emits effects and arms named
-timers — ``("client", request_id)`` is the per-attempt failover deadline of
-async request mode.
+timers — ``("client", request_id)`` is the per-attempt failover deadline.
 """
 
 from __future__ import annotations
@@ -101,9 +100,9 @@ class ClientProtocol:
             now: float) -> EffectList:
         """Issue a GET for ``key``; ``callback`` fires when the reply arrives.
 
-        In async request mode a failed request (coordinator candidates
-        exhausted, or an ``ERROR_REPLY``) invokes the callback with ``None``
-        and records an ``ok=False`` :class:`RequestRecord`.
+        A failed request (coordinator candidates exhausted, or an
+        ``ERROR_REPLY``) invokes the callback with ``None`` and records an
+        ``ok=False`` :class:`RequestRecord`.
         """
         self.now = now
         self._issue(MessageType.COORDINATE_GET, "get", key,
@@ -147,16 +146,11 @@ class ClientProtocol:
                callback: Optional[Callable]) -> None:
         """Send a request to the first coordinator candidate.
 
-        In membership mode the single candidate is the placement service's
-        coordinator (first *active* replica).  In async mode the candidate
-        list is the full extended preference list, walked with a client-side
-        deadline per attempt: an unresponsive coordinator is failed over, and
-        exhausting the list records the request as failed.
+        The candidate list is the key's extended preference list, walked with
+        a client-side deadline per attempt: an unresponsive coordinator is
+        failed over, and exhausting the list records the request as failed.
         """
-        if self.env.request_mode == "async":
-            candidates = self.env.placement.extended_preference_list(key)
-        else:
-            candidates = [self.env.placement.coordinator_for(key)]
+        candidates = self.env.placement.extended_preference_list(key)
         message = Message(
             sender=self.address,
             receiver=candidates[0],
@@ -184,8 +178,7 @@ class ClientProtocol:
             "size_bytes": size_bytes,
             "span": span,
         })
-        if self.env.request_mode == "async":
-            self._arm_client_deadline(message.msg_id)
+        self._arm_client_deadline(message.msg_id)
         self.emit(Send(message))
 
     def _register(self, message: Message, operation: str, key: str,

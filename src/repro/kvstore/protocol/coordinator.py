@@ -10,27 +10,22 @@ handler consumes a decoded message or a fired timer and *emits effects*
 :class:`~repro.kvstore.protocol.effects.ClearTimer`) through the owning node;
 it never touches a transport or an event loop.
 
-Two coordination modes exist (``env.request_mode``):
-
-* ``"membership"`` — the coordinator consults the membership view's failure
-  detector (``placement.active_replicas``) to decide whom to contact and for
-  whom to hold hints.
-* ``"async"`` — Dynamo-style timeout-driven coordination over the key's N
-  *primary* replicas, regardless of the membership view: arm a per-replica
-  deadline on every contact and collect R/W acks.  A PUT writes to every
-  primary.  A GET asks only as many primaries as its read quorum still
-  lacks after the coordinator's own reply; the other primaries are the
-  session's *reserve*, ranked unsuspected first (see
-  :class:`~repro.kvstore.protocol.latency.PeerLatencyTracker`), then — on a
-  multi-DC topology — the coordinator's own datacenter, then ring order.  A
-  hedge timer (twice the asked replica's EWMA, at least
-  ``deadline_floor_ms``) asks the reserve if the quorum is still short; a
-  contacted replica's deadline asks it too, before anything else.  A replica
-  whose deadline fires is then, under a **sloppy** quorum, replaced by the
-  next node on the ring, which accepts the write together with a hint naming
-  the intended primary; a strict quorum (or an exhausted ring) holds the hint
-  locally and fails the request with ``ERROR_REPLY`` once the quorum is
-  infeasible or the overall request deadline fires.
+Coordination is Dynamo-style and timeout-driven over the key's N *primary*
+replicas, regardless of the membership view: arm a per-replica deadline on
+every contact and collect R/W acks.  A PUT writes to every primary.  A GET
+asks only as many primaries as its read quorum still lacks after the
+coordinator's own reply; the other primaries are the session's *reserve*,
+ranked unsuspected first (see
+:class:`~repro.kvstore.protocol.latency.PeerLatencyTracker`), then — on a
+multi-DC topology — the coordinator's own datacenter, then ring order.  A
+hedge timer (twice the asked replica's EWMA, at least ``deadline_floor_ms``)
+asks the reserve if the quorum is still short; a contacted replica's deadline
+asks it too, before anything else.  A replica whose deadline fires is then,
+under a **sloppy** quorum, replaced by the next node on the ring, which
+accepts the write together with a hint naming the intended primary; a strict
+quorum (or an exhausted ring) holds the hint locally and fails the request
+with ``ERROR_REPLY`` once the quorum is infeasible or the overall request
+deadline fires.
 
 Timer ids armed by this machine:
 
@@ -73,8 +68,6 @@ class CoordinatorSession:
     #: modelled size of every REPLICA_PUT this session sends (one state,
     #: sized once per coordination)
     state_size: int = 0
-    # async-mode fields
-    mode: str = "membership"
     tried: List[str] = field(default_factory=list)       # every node contacted
     #: get-only: primaries not asked yet, in the order they will be asked
     reserve: List[str] = field(default_factory=list)
@@ -130,7 +123,7 @@ class Coordinator:
         parent = ctx[1] if ctx else None
         pending.trace = tracer.start(
             f"coordinator.{pending.kind}", node.node_id, node.now,
-            trace=trace_id, parent=parent, key=pending.key, mode=pending.mode)
+            trace=trace_id, parent=parent, key=pending.key)
 
     def _trace_replica(self, pending: CoordinatorSession, replica_id: str,
                        hint_for: Optional[str] = None):
@@ -195,44 +188,6 @@ class Coordinator:
     # Coordinating a GET
     # ------------------------------------------------------------------ #
     def on_coordinate_get(self, message: Message) -> None:
-        node = self._node
-        env = node.env
-        key = message.payload["key"]
-        config = env.quorum
-        if env.request_mode == "async":
-            self._coordinate_get_async(message, key)
-            return
-        replicas = env.placement.active_replicas(key)
-        request_id = next(self._request_ids)
-        pending = CoordinatorSession(
-            kind="get",
-            key=key,
-            client_address=message.sender,
-            request_id=message.msg_id,
-            needed=min(config.r, max(len(replicas), 1)),
-        )
-        self.sessions[request_id] = pending
-        self._trace_begin(pending, message)
-
-        # The coordinator replies for itself immediately (no network hop).
-        pending.replies.append((node.node_id, node.store.state_of(key)))
-        pending.replied_nodes.append(node.node_id)
-
-        for replica_id in replicas:
-            if replica_id == node.node_id:
-                continue
-            self._trace_replica(pending, replica_id)
-            node.emit(Send(Message(
-                sender=node.node_id,
-                receiver=replica_id,
-                msg_type=MessageType.REPLICA_GET,
-                payload={"key": key, "coordination_id": request_id},
-                size_bytes=env.request_overhead_bytes,
-                request_id=request_id,
-            )))
-        self._maybe_finish_get(request_id)
-
-    def _coordinate_get_async(self, message: Message, key: str) -> None:
         """Deadline-driven GET: ask the primaries R still needs, hedge the rest.
 
         A reply past the quorum is dropped unread, so asking every primary
@@ -243,6 +198,7 @@ class Coordinator:
         node = self._node
         env = node.env
         config = env.quorum
+        key = message.payload["key"]
         extended = env.placement.extended_preference_list(key)
         request_id = next(self._request_ids)
         pending = CoordinatorSession(
@@ -251,7 +207,6 @@ class Coordinator:
             client_address=message.sender,
             request_id=message.msg_id,
             needed=min(config.r, max(len(extended), 1)),
-            mode="async",
         )
         self.sessions[request_id] = pending
         self._trace_begin(pending, message)
@@ -267,7 +222,7 @@ class Coordinator:
         ranked = self._rank_primaries(
             [replica_id for replica_id in primaries if replica_id != node.node_id])
         wanted = pending.needed - len(pending.replies)
-        deadlines = [self._send_async_replica_request(request_id, pending, replica_id)
+        deadlines = [self._send_replica_request(request_id, pending, replica_id)
                      for replica_id in ranked[:wanted]]
         pending.reserve = ranked[wanted:]
         self._arm_request_deadline(request_id, pending)
@@ -322,7 +277,7 @@ class Coordinator:
             self._node.emit(ClearTimer(("hedge", coordination_id)))
         self.reserve_contacts += len(reserve)
         for replica_id in reserve:
-            self._send_async_replica_request(coordination_id, pending, replica_id)
+            self._send_replica_request(coordination_id, pending, replica_id)
 
     def on_replica_get_reply(self, message: Message) -> None:
         coordination_id = message.payload["coordination_id"]
@@ -389,61 +344,6 @@ class Coordinator:
     # Coordinating a PUT
     # ------------------------------------------------------------------ #
     def on_coordinate_put(self, message: Message) -> None:
-        node = self._node
-        env = node.env
-        key = message.payload["key"]
-        sibling: Sibling = message.payload["sibling"]
-        context = message.payload.get("context")
-        client_id = message.payload["client_id"]
-        config = env.quorum
-        replicas = env.placement.active_replicas(key)
-
-        new_state = node.store.local_write(key, context, sibling, client_id)
-        env.write_log.append(key, sibling, node.node_id, client_id, node.now)
-        if env.request_mode == "async":
-            self._coordinate_put_async(message, key, new_state)
-            return
-
-        request_id = next(self._request_ids)
-        pending = CoordinatorSession(
-            kind="put",
-            key=key,
-            client_address=message.sender,
-            request_id=message.msg_id,
-            needed=min(config.w, max(len(replicas), 1)),
-            new_state=new_state,
-            state_size=node.state_size(key, new_state),
-        )
-        self.sessions[request_id] = pending
-        self._trace_begin(pending, message)
-        pending.replies.append((node.node_id, True))
-        pending.replied_nodes.append(node.node_id)
-
-        for replica_id in replicas:
-            if replica_id == node.node_id:
-                continue
-            self._trace_replica(pending, replica_id)
-            node.emit(Send(Message(
-                sender=node.node_id,
-                receiver=replica_id,
-                msg_type=MessageType.REPLICA_PUT,
-                payload={"key": key, "state": new_state, "coordination_id": request_id},
-                size_bytes=pending.state_size,
-                request_id=request_id,
-            )))
-        # Hinted handoff: primaries this coordinator cannot reach right now
-        # (crashed, or cut off by a partition) get the write held as a hint,
-        # replayed by the handoff daemon once they are reachable again.
-        if env.hinted_handoff_enabled:
-            for primary_id in env.placement.primary_replicas(key):
-                if primary_id == node.node_id:
-                    continue
-                if not env.can_reach(node.node_id, primary_id):
-                    self._store_hint_traced(pending, primary_id, key, new_state)
-        self._maybe_finish_put(request_id)
-
-    def _coordinate_put_async(self, message: Message, key: str,
-                              new_state: Any) -> None:
         """Deadline-driven PUT: fan out to the primaries, collect W acks.
 
         The membership view is not consulted; a primary that does not ack
@@ -454,6 +354,12 @@ class Coordinator:
         node = self._node
         env = node.env
         config = env.quorum
+        key = message.payload["key"]
+        sibling: Sibling = message.payload["sibling"]
+        context = message.payload.get("context")
+        client_id = message.payload["client_id"]
+        new_state = node.store.local_write(key, context, sibling, client_id)
+        env.write_log.append(key, sibling, node.node_id, client_id, node.now)
         extended = env.placement.extended_preference_list(key)
         request_id = next(self._request_ids)
         pending = CoordinatorSession(
@@ -464,7 +370,6 @@ class Coordinator:
             needed=min(config.w, max(len(extended), 1)),
             new_state=new_state,
             state_size=node.state_size(key, new_state),
-            mode="async",
         )
         self.sessions[request_id] = pending
         self._trace_begin(pending, message)
@@ -485,17 +390,17 @@ class Coordinator:
         for replica_id in primaries:
             if replica_id == node.node_id:
                 continue
-            self._send_async_replica_request(request_id, pending, replica_id)
+            self._send_replica_request(request_id, pending, replica_id)
         self._arm_request_deadline(request_id, pending)
         self._maybe_finish_put(request_id)
 
     # ------------------------------------------------------------------ #
-    # Async request mode: deadlines, fallbacks, failure replies
+    # Deadlines, fallbacks, failure replies
     # ------------------------------------------------------------------ #
-    def _send_async_replica_request(self, coordination_id: int,
-                                    pending: CoordinatorSession,
-                                    replica_id: str,
-                                    hint_for: Optional[str] = None) -> float:
+    def _send_replica_request(self, coordination_id: int,
+                              pending: CoordinatorSession,
+                              replica_id: str,
+                              hint_for: Optional[str] = None) -> float:
         """Contact one replica (primary or fallback) and arm its deadline.
 
         Returns the deadline armed, in ms.
@@ -609,8 +514,8 @@ class Coordinator:
             if fallback is not None:
                 self._trace_point(pending, "fallback.promotion",
                                   primary=primary, fallback=fallback)
-                self._send_async_replica_request(coordination_id, pending, fallback,
-                                                 hint_for=primary if pending.kind == "put" else None)
+                self._send_replica_request(coordination_id, pending, fallback,
+                                           hint_for=primary if pending.kind == "put" else None)
                 return
         # Strict quorum (or ring exhausted): hold the write locally so the
         # primary still converges once it is reachable again.

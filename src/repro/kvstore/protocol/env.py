@@ -4,15 +4,16 @@ A :class:`ProtocolEnv` bundles everything a state machine may consult that is
 *not* part of its own state: cluster configuration (quorums, timeouts, batch
 sizes), shared services (placement, the ground-truth write log, cluster-wide
 sync statistics) and the two oracle queries that differ per backend
-(``can_reach`` — the failure-detector view used by membership-mode
-coordination and hint replay — and ``is_registered`` — "is this process still
-alive", used to drop queued work after a simulated crash).
+(``can_reach`` — the reachability view hint replay consults — and
+``is_registered`` — "is this process still alive", used to drop queued work
+after a simulated crash).
 
 Backends provide it differently:
 
-* the deterministic simulator's env proxies live attributes of the
-  :class:`~repro.kvstore.simulated.SimulatedCluster`, so tests that tweak
-  cluster knobs at runtime keep working;
+* the deterministic simulator passes the
+  :class:`~repro.kvstore.simulated.SimulatedCluster` itself, whose attributes
+  carry the same names, so tests that tweak cluster knobs at runtime keep
+  working;
 * the asyncio backend builds a :class:`StaticProtocolEnv` once at node start
   (real deployments do not mutate quorum config mid-request).
 
@@ -26,14 +27,9 @@ from typing import Any, Callable, Optional
 
 from ...obs.trace import NO_TRACER
 
-#: How coordinators decide whom to contact: consult the membership view's
-#: failure detector ("membership", the default), or fan out with per-replica
-#: deadlines and sloppy-quorum fallbacks ("async").
-REQUEST_MODES = ("membership", "async")
-
-#: How async-mode per-replica deadlines are chosen: one fixed timeout
-#: ("fixed"), or an EWMA of each replica's observed ack latency, clamped to a
-#: floor/ceiling ("adaptive").
+#: How per-replica deadlines are chosen: one fixed timeout ("fixed"), or an
+#: EWMA of each replica's observed ack latency, clamped to a floor/ceiling
+#: ("adaptive").
 DEADLINE_MODES = ("fixed", "adaptive")
 
 
@@ -42,9 +38,8 @@ class StaticProtocolEnv:
     """A plain-value env for backends whose configuration is fixed at start.
 
     The attribute set *is* the contract: anything here may be read by the
-    state machines.  The simulator's proxy env (see
-    ``repro.kvstore.simulated._ClusterEnv``) exposes the same names as
-    properties over the live cluster object.
+    state machines.  ``SimulatedCluster`` exposes the same names on the live
+    cluster object.
     """
 
     mechanism: Any
@@ -53,7 +48,6 @@ class StaticProtocolEnv:
     write_log: Any
     merkle_stats: Any
 
-    request_mode: str = "async"
     replica_timeout_ms: float = 10.0
     request_timeout_ms: float = 50.0
     client_timeout_ms: float = 75.0
@@ -68,9 +62,9 @@ class StaticProtocolEnv:
     hinted_handoff_enabled: bool = True
     hint_backoff_multiplier: float = 6.0
 
-    #: Failure-detector view (membership-mode coordination, hint replay
-    #: eligibility).  Real-network backends default to "assume reachable and
-    #: let deadlines decide", which is exactly Dynamo's stance.
+    #: Reachability view (hint replay eligibility).  Real-network backends
+    #: default to "assume reachable and let deadlines decide", which is
+    #: exactly Dynamo's stance.
     can_reach: Callable[[str, str], bool] = field(default=lambda s, t: True)
     #: Liveness of a local process (simulated crashes drop queued work).
     is_registered: Callable[[str], bool] = field(default=lambda n: True)

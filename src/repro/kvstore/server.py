@@ -33,9 +33,8 @@ MERGE_COUNTERS = {
 #: index.
 #: The :class:`~repro.kvstore.merkle_index.MerkleIndex` increments them.
 INDEX_COUNTERS = ("keys_hashed", "buckets_rehashed", "full_rebuilds",
-                  "snapshot_digests", "fingerprints_imported",
-                  "rebuilds_skipped", "audit_keys_checked",
-                  "audit_mismatches")
+                  "fingerprints_imported", "rebuilds_skipped",
+                  "audit_keys_checked", "audit_mismatches")
 
 
 class StorageNode:

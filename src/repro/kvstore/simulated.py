@@ -21,8 +21,9 @@ connections — see ``ARCHITECTURE.md`` for the layering):
   :class:`~repro.kvstore.server.StorageNode`.
 * Clients are :class:`SimulatedClient` nodes hosting a
   :class:`~repro.kvstore.protocol.client.ClientProtocol`; they send
-  ``COORDINATE_GET`` / ``COORDINATE_PUT`` to the key's coordinator (resolved
-  through the placement service) and receive ``GET_REPLY`` / ``PUT_REPLY``.
+  ``COORDINATE_GET`` / ``COORDINATE_PUT`` to the first node of the key's
+  preference list (failing over down the list on their own deadline) and
+  receive ``GET_REPLY`` / ``PUT_REPLY``.
 * The coordinator fans out to the key's replicas, waits for the configured
   R/W quorum, performs read repair on divergent read replies, and answers the
   client.
@@ -98,10 +99,10 @@ shutdown: storage flushes and marks its Merkle index clean, so a later
 recovery adopts the maintained digests instead of rebuilding them (counted in
 ``rebuilds_skipped``).
 
-When a write coordinator cannot reach one of the key's primary replicas
-(crashed, or cut off by a partition), the write is held as a *hint* — target
-id plus the post-write state — persisted in the holder's storage layer, so a
-process restart of the holder does not lose it (a wiped disk does).  The
+When one of a write's primary replicas misses its deadline (crashed, or cut
+off by a partition), the write is held as a *hint* — target id plus the
+post-write state — persisted in the holder's storage layer, so a process
+restart of the holder does not lose it (a wiped disk does).  The
 background :class:`~repro.kvstore.anti_entropy.HintedHandoffDaemon` replays
 hints (``HINT_REPLAY`` / ``HINT_ACK``) once the target is reachable again; a
 membership listener also nudges replay immediately on recovery.  Replay
@@ -109,26 +110,20 @@ targeting consults the per-replica latency EWMAs: a persistently slow peer is
 replayed to once and then backed off for a multiple of its observed round
 trip (``hint_backoff_multiplier``) instead of being hammered every tick.
 
-Request modes: failure detector vs deadlines
---------------------------------------------
-The cluster runs in one of two request modes (``request_mode``):
-
-* ``"membership"`` (default) — the PR-1 behaviour: the coordinator consults
-  the membership view's failure detector (``active_replicas`` /
-  ``can_reach``) to decide whom to contact and for whom to hold hints.
-  Hints live on the coordinator.
-* ``"async"`` — Dynamo-style timeout-driven coordination: the coordinator
-  fans out to the key's N *primary* replicas regardless of the membership
-  view, arms a per-replica deadline, and collects R/W acks.  When a replica's
-  deadline fires and the quorum is **sloppy** (``QuorumConfig.sloppy``), the
-  preference list is extended past the N primaries to the next node on the
-  ring, which accepts the write together with a hint naming the intended
-  primary; hint replay later returns the data to the primary.  With a
-  **strict** quorum (or an exhausted ring) the coordinator holds the hint
-  itself and the request fails with ``ERROR_REPLY`` once the quorum is
-  infeasible or the overall request deadline fires.  Clients in async mode
-  arm their own deadline and fail over to the next candidate coordinator on
-  the (extended) preference list before reporting the request as failed.
+Deadline-driven coordination
+----------------------------
+Coordination is Dynamo-style and timeout-driven, exactly as on the asyncio
+backend: the coordinator contacts the key's N *primary* replicas regardless
+of the membership view, arms a per-replica deadline, and collects R/W acks.
+When a replica's deadline fires and the quorum is **sloppy**
+(``QuorumConfig.sloppy``), the preference list is extended past the N
+primaries to the next node on the ring, which accepts the write together with
+a hint naming the intended primary; hint replay later returns the data to the
+primary.  With a **strict** quorum (or an exhausted ring) the coordinator
+holds the hint itself and the request fails with ``ERROR_REPLY`` once the
+quorum is infeasible or the overall request deadline fires.  Clients arm their
+own deadline and fail over to the next candidate coordinator on the
+(extended) preference list before reporting the request as failed.
 
 Per-replica deadlines are a fixed ``replica_timeout_ms`` by default;
 ``deadline_mode="adaptive"`` instead arms an EWMA of each replica's observed
@@ -168,7 +163,6 @@ from .protocol import (
     DEADLINE_EWMA_ALPHA,
     DEADLINE_MODES,
     DIGEST_BYTES,
-    REQUEST_MODES,
     SYNC_MESSAGE_TYPES,
     ClientProtocol,
     EffectRunner,
@@ -190,112 +184,12 @@ __all__ = [
     "DIGEST_BYTES",
     "MerkleSyncStats",
     "MessageServer",
-    "REQUEST_MODES",
     "RequestRecord",
     "SYNC_MESSAGE_TYPES",
     "SimulatedClient",
     "SimulatedCluster",
     "default_value_size",
 ]
-
-class _ClusterEnv:
-    """Protocol-env view over a live :class:`SimulatedCluster`.
-
-    The state machines read their configuration through the env contract
-    (see :mod:`repro.kvstore.protocol.env`); proxying the live cluster
-    attributes — instead of copying them once — keeps tests that tweak
-    cluster knobs at runtime (timeouts, batch sizes, quorum config) working
-    exactly as before the extraction.
-    """
-
-    def __init__(self, cluster: "SimulatedCluster") -> None:
-        self._cluster = cluster
-
-    @property
-    def mechanism(self):
-        return self._cluster.mechanism
-
-    @property
-    def quorum(self):
-        return self._cluster.quorum
-
-    @property
-    def placement(self):
-        return self._cluster.placement
-
-    @property
-    def write_log(self):
-        return self._cluster.write_log
-
-    @property
-    def merkle_stats(self):
-        return self._cluster.merkle_stats
-
-    @property
-    def request_mode(self):
-        return self._cluster.request_mode
-
-    @property
-    def replica_timeout_ms(self):
-        return self._cluster.replica_timeout_ms
-
-    @property
-    def request_timeout_ms(self):
-        return self._cluster.request_timeout_ms
-
-    @property
-    def client_timeout_ms(self):
-        return self._cluster.client_timeout_ms
-
-    @property
-    def sync_batch_size(self):
-        return self._cluster.sync_batch_size
-
-    @property
-    def merkle_fanout(self):
-        return self._cluster.merkle_fanout
-
-    @property
-    def merkle_depth(self):
-        return self._cluster.merkle_depth
-
-    @property
-    def read_repair_batch_ms(self):
-        return self._cluster.read_repair_batch_ms
-
-    @property
-    def deadline_mode(self):
-        return self._cluster.deadline_mode
-
-    @property
-    def deadline_floor_ms(self):
-        return self._cluster.deadline_floor_ms
-
-    @property
-    def deadline_ceiling_ms(self):
-        return self._cluster.deadline_ceiling_ms
-
-    @property
-    def request_overhead_bytes(self):
-        return self._cluster.request_overhead_bytes
-
-    @property
-    def hinted_handoff_enabled(self):
-        return self._cluster.hinted_handoff_enabled
-
-    @property
-    def hint_backoff_multiplier(self):
-        return self._cluster.hint_backoff_multiplier
-
-    def can_reach(self, source_id: str, target_id: str) -> bool:
-        return self._cluster.can_reach(source_id, target_id)
-
-    def is_registered(self, node_id: str) -> bool:
-        return self._cluster.transport.is_registered(node_id)
-
-    @property
-    def tracer(self):
-        return self._cluster.tracer
 
 
 class MessageServer:
@@ -315,7 +209,8 @@ class MessageServer:
         self.node_id = node_id
         self.mechanism = mechanism
         self.cluster = cluster
-        self.protocol = ProtocolNode(node_id, mechanism, cluster.protocol_env)
+        # The cluster itself is the machines' env (see protocol/env.py).
+        self.protocol = ProtocolNode(node_id, mechanism, cluster)
         self.runner = EffectRunner(cluster.transport, self.protocol.on_timer)
 
     @property
@@ -400,7 +295,7 @@ class SimulatedClient:
     def __init__(self, client_id: str, cluster: "SimulatedCluster") -> None:
         self.client_id = client_id
         self.cluster = cluster
-        self.protocol = ClientProtocol(client_id, cluster.protocol_env)
+        self.protocol = ClientProtocol(client_id, cluster)
         self.runner = EffectRunner(cluster.transport, self.protocol.on_timer)
 
     @property
@@ -465,13 +360,8 @@ class SimulatedCluster:
         latency EWMA clamps its adaptive deadline at the ceiling): after one
         replay, the next attempt waits ``ewma × this`` instead of the daemon
         cadence.  Deferred ticks are counted in ``hint_replays_deferred``.
-    request_mode:
-        ``"membership"`` (default) — coordinators consult the membership
-        view's failure detector; ``"async"`` — coordinators fan out with
-        per-replica deadlines and, under a sloppy quorum, extend to fallback
-        nodes that hold hints for timed-out primaries.
     replica_timeout_ms / request_timeout_ms:
-        Async mode deadlines: how long a coordinator waits for one replica's
+        Coordination deadlines: how long a coordinator waits for one replica's
         ack before extending/abandoning it, and how long a whole request may
         take before the coordinator answers ``ERROR_REPLY``.  Clients wait
         ``client_timeout_ms`` (1.5 × the request timeout by default) before
@@ -487,7 +377,7 @@ class SimulatedCluster:
         (a full ``sync_batch_size`` batch flushes immediately; ``0`` disables
         coalescing and sends each repair at once).
     deadline_mode:
-        Async-mode per-replica deadlines: ``"fixed"`` (default) arms
+        Per-replica deadlines: ``"fixed"`` (default) arms
         ``replica_timeout_ms`` for every replica; ``"adaptive"`` arms an EWMA
         of the replica's observed ack latency scaled by
         :data:`ADAPTIVE_DEADLINE_MULTIPLIER` and clamped to
@@ -510,7 +400,6 @@ class SimulatedCluster:
                  anti_entropy_interval_ms: Optional[float] = 100.0,
                  hint_replay_interval_ms: Optional[float] = 50.0,
                  hint_backoff_multiplier: float = 6.0,
-                 request_mode: str = "membership",
                  replica_timeout_ms: float = 10.0,
                  request_timeout_ms: float = 50.0,
                  client_timeout_ms: Optional[float] = None,
@@ -528,16 +417,12 @@ class SimulatedCluster:
                  tracer: Optional[Any] = None) -> None:
         if not server_ids:
             raise ConfigurationError("at least one server id is required")
-        if request_mode not in REQUEST_MODES:
-            raise ConfigurationError(
-                f"unknown request mode {request_mode!r}; choose from {REQUEST_MODES}"
-            )
         if deadline_mode not in DEADLINE_MODES:
             raise ConfigurationError(
                 f"unknown deadline mode {deadline_mode!r}; choose from {DEADLINE_MODES}"
             )
         if replica_timeout_ms <= 0 or request_timeout_ms <= 0:
-            raise ConfigurationError("async timeouts must be positive")
+            raise ConfigurationError("request timeouts must be positive")
         if read_repair_batch_ms < 0:
             raise ConfigurationError(
                 f"read_repair_batch_ms must be >= 0, got {read_repair_batch_ms}"
@@ -587,7 +472,6 @@ class SimulatedCluster:
                                           topology=topology)
         self.write_log = WriteLog()
         self.request_overhead_bytes = request_overhead_bytes
-        self.request_mode = request_mode
         self.replica_timeout_ms = replica_timeout_ms
         self.request_timeout_ms = request_timeout_ms
         self.client_timeout_ms = (client_timeout_ms if client_timeout_ms is not None
@@ -607,9 +491,6 @@ class SimulatedCluster:
         self._anti_entropy_interval_ms = anti_entropy_interval_ms
         self._departed_stats: Dict[str, int] = {}
         self._metrics_registry: Optional[MetricsRegistry] = None
-        #: The env the hosted protocol machines read their configuration
-        #: through (live proxy, so runtime knob tweaks keep working).
-        self.protocol_env = _ClusterEnv(self)
 
         self.servers: Dict[str, MessageServer] = {}
         for server_id in server_ids:
@@ -837,13 +718,17 @@ class SimulatedCluster:
     def can_reach(self, source_id: str, target_id: str) -> bool:
         """Whether ``source_id`` can currently deliver messages to ``target_id``.
 
-        This is the coordinator's failure-detector view: a node is unreachable
-        when it is marked down, deregistered from the transport, or cut off by
-        a partition.
+        A node is unreachable when it is marked down, deregistered from the
+        transport, or cut off by a partition.  Hint replay and graceful
+        decommissioning consult this view; request coordination does not.
         """
         return (self.membership.is_up(target_id)
                 and self.transport.is_registered(target_id)
                 and self.partitions.can_communicate(source_id, target_id))
+
+    def is_registered(self, node_id: str) -> bool:
+        """Whether ``node_id``'s process is alive (the env's liveness query)."""
+        return self.transport.is_registered(node_id)
 
     # ------------------------------------------------------------------ #
     # Execution helpers

@@ -71,8 +71,7 @@ class Hint:
     """A write held for an unreachable replica (hinted handoff).
 
     ``target_id`` names the intended primary the held state must eventually
-    be replayed to.  In the async request mode the holder may be a
-    sloppy-quorum fallback node rather than the write's coordinator.  The
+    be replayed to.  The holder may be a sloppy-quorum fallback node rather than the write's coordinator.  The
     ``state`` is mutable: later writes held for the same ``(target, key)``
     merge into it rather than queueing behind it.
     """

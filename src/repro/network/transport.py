@@ -211,13 +211,13 @@ class Transport:
         handler(message)
 
     # ------------------------------------------------------------------ #
-    # Deadlines (async request mode)
+    # Deadlines
     # ------------------------------------------------------------------ #
     def schedule_deadline(self, delay_ms: float, callback: Callable[[], None],
                           label: str = "deadline"):
         """Schedule a timeout callback ``delay_ms`` from now.
 
-        This is the timer primitive of the async request mode: coordinators
+        This is the timer primitive of request coordination: coordinators
         and clients arm a deadline per outstanding request (or per replica
         fan-out) and treat its firing as the failure signal, instead of
         consulting the membership view's failure detector.  Returns an event

@@ -473,12 +473,12 @@ def run_sloppy_partition_scenario(mechanism: CausalityMechanism,
                                   clients: int = 4,
                                   quorum_mode: str = "sloppy",
                                   tracer=None) -> ChurnReport:
-    """Availability under partition with deadline-driven (async) coordination.
+    """Availability under partition with deadline-driven coordination.
 
-    A five-server cluster (N=3, R=W=2) runs a closed-loop workload in
-    **async request mode**: coordinators fan out with per-replica deadlines
-    instead of consulting the membership view.  Mid-run, two of the first
-    key's three primary replicas are partitioned off together; coordinators
+    A five-server cluster (N=3, R=W=2) runs a closed-loop workload whose
+    coordinators fan out with per-replica deadlines instead of consulting
+    the membership view.  Mid-run, two of the first key's three primary
+    replicas are partitioned off together; coordinators
     on the majority side can then only assemble W=2 by extending the
     preference list to sloppy-quorum fallback nodes (``quorum_mode="sloppy"``)
     — with ``"strict"`` those writes fail with ``quorum_unreachable``.  After
@@ -499,7 +499,6 @@ def run_sloppy_partition_scenario(mechanism: CausalityMechanism,
         latency=FixedLatency(0.5),
         anti_entropy_interval_ms=50.0,
         hint_replay_interval_ms=25.0,
-        request_mode="async",
         replica_timeout_ms=6.0,
         request_timeout_ms=30.0,
         seed=seed,
@@ -644,8 +643,8 @@ def run_multi_dc_scenario(mechanism: CausalityMechanism,
     Six servers span two DCs; DC-aware placement spreads every key's three
     primaries 2+1 across them, and clients are pinned into a home DC.
     Messages cross a :class:`~repro.network.latency.WanLatency` model
-    (sub-ms intra-DC, tens of ms cross-DC), so the async request mode runs
-    with WAN-calibrated deadlines.  Mid-run every WAN link is cut: each DC
+    (sub-ms intra-DC, tens of ms cross-DC), so coordination runs with
+    WAN-calibrated deadlines.  Mid-run every WAN link is cut: each DC
     keeps serving its local clients via per-DC sloppy quorums — coordinators
     promote *same-DC* fallbacks (the topology-aware ``fallbacks_for``) and
     hold hints for the unreachable remote primaries.  After the heal, hint
@@ -668,7 +667,6 @@ def run_multi_dc_scenario(mechanism: CausalityMechanism,
         topology=topology,
         anti_entropy_interval_ms=150.0,
         hint_replay_interval_ms=60.0,
-        request_mode="async",
         replica_timeout_ms=50.0,
         request_timeout_ms=110.0,
         client_timeout_ms=130.0,
@@ -743,7 +741,6 @@ def run_soak_scenario(mechanism: CausalityMechanism,
         topology=topology,
         anti_entropy_interval_ms=120.0,
         hint_replay_interval_ms=50.0,
-        request_mode="async",
         replica_timeout_ms=50.0,
         request_timeout_ms=110.0,
         client_timeout_ms=130.0,

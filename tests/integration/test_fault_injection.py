@@ -197,7 +197,11 @@ class TestCoordinatorCrashWithHints:
         cluster.fail_node("n3")
         for key in keys:
             client.get(key, lambda _r, k=key: client.put(k, f"{k}-while-down"))
-        cluster.run(until=cluster.simulation.now + 25.0)
+        # A key whose first candidate coordinator is n3 waits out the
+        # client's 75 ms failover deadline twice (the get, then the put),
+        # and its new coordinator holds the hint once n3's replica deadline
+        # fires, so the window covers both.
+        cluster.run(until=cluster.simulation.now + 200.0)
 
         holders = [server_id for server_id, server in cluster.servers.items()
                    if server.node.pending_hints() > 0]
@@ -262,7 +266,7 @@ class TestCoordinatorCrashWithHints:
 
 
 def build_async_cluster(mechanism_name="dvv", sloppy=True, seed=7, **kwargs):
-    """A five-server cluster in async (deadline-driven) request mode."""
+    """A five-server cluster with short coordination deadlines."""
     kwargs.setdefault("server_ids", ("n1", "n2", "n3", "n4", "n5"))
     kwargs.setdefault("latency", FixedLatency(0.5))
     kwargs.setdefault("anti_entropy_interval_ms", None)
@@ -272,7 +276,6 @@ def build_async_cluster(mechanism_name="dvv", sloppy=True, seed=7, **kwargs):
     return SimulatedCluster(
         create(mechanism_name),
         quorum=QuorumConfig(n=3, r=2, w=2, sloppy=sloppy),
-        request_mode="async",
         seed=seed,
         **kwargs,
     )
@@ -378,7 +381,8 @@ class TestHintReplayToWipedNode:
         cluster.fail_node("n3")
         for key in keys:
             client.get(key, lambda _r, k=key: client.put(k, f"{k}-hinted"))
-        cluster.run(until=cluster.simulation.now + 25.0)
+        # two client failovers off n3, then its replica deadline (as above)
+        cluster.run(until=cluster.simulation.now + 200.0)
         pending_before = sum(server.node.pending_hints()
                              for server in cluster.servers.values())
         assert pending_before >= len(keys)

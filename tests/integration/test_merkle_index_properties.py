@@ -337,7 +337,6 @@ def test_asyncio_daemon_on_a_converged_cluster_builds_no_tree(monkeypatch):
             while len(clean_exchanges) < target:
                 assert loop.time() < deadline, "daemon made no clean exchanges"
                 await asyncio.sleep(0.01)
-            assert cluster.stat_totals()["snapshot_digests"] == 0
 
     asyncio.run(scenario())
     assert built == []

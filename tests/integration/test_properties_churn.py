@@ -139,7 +139,7 @@ class TestConvergenceUnderChurn:
 
 
 class TestSloppyQuorumConvergence:
-    """Fault injection for the async request mode: a write that lands *only*
+    """Fault injection for sloppy quorums: a write that lands *only*
     on sloppy-quorum fallback nodes must reach the primaries through hint
     replay once they recover, and every mechanism must converge with no lost
     update."""
@@ -154,7 +154,6 @@ class TestSloppyQuorumConvergence:
             latency=FixedLatency(0.5),
             anti_entropy_interval_ms=None,
             hint_replay_interval_ms=20.0,
-            request_mode="async",
             replica_timeout_ms=6.0,
             request_timeout_ms=30.0,
             seed=seed,

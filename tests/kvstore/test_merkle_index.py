@@ -121,7 +121,6 @@ class TestLiveDescentQueries:
             for leaf_path, _leaf_digest in full.child_digests(path):
                 assert index.bucket_fingerprints(leaf_path) == \
                     full.bucket_fingerprints(leaf_path)
-        assert node.stats["snapshot_digests"] == 0
 
     def test_empty_paths_read_as_the_empty_tree(self):
         _node, index = indexed_node(fanout=4, depth=2)
@@ -196,16 +195,6 @@ class TestSnapshots:
         snap = index.snapshot()
         assert index.dirty_buckets() == 0
         assert snap.root_digest == index.root_digest == rebuilt_digest(node)
-
-    def test_snapshot_leaves_the_digest_counter_at_zero(self):
-        """``snapshot_digests`` stays a counter (the cluster-stats goldens
-        pin it) but a snapshot re-hashes nothing beyond a flush."""
-        node, index = indexed_node()
-        client = ClientSession("writer")
-        write(node, client, "k", "v1")
-        index.snapshot()
-        index.snapshot()
-        assert node.stats["snapshot_digests"] == 0
 
 
 class TestDurability:

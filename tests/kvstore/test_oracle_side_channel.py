@@ -162,8 +162,7 @@ def test_simulated_cluster_oracle_matches_reference(mechanism_name):
     rng = random.Random(11)
     cluster = SimulatedCluster(
         create(mechanism_name), server_ids=("A", "B", "C"),
-        quorum=QuorumConfig(n=3, r=2, w=2, sloppy=True),
-        request_mode="async", seed=11)
+        quorum=QuorumConfig(n=3, r=2, w=2, sloppy=True), seed=11)
     oracle = ReferenceOracle()
     clients = [cluster.client(f"c{index}") for index in range(CLIENTS)]
     for client in clients:

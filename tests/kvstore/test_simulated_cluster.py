@@ -59,17 +59,14 @@ class TestAsyncRequestMode:
     def build_async(self, **kwargs):
         kwargs.setdefault("server_ids", ("n1", "n2", "n3", "n4", "n5"))
         kwargs.setdefault("quorum", QuorumConfig(n=3, r=2, w=2, sloppy=True))
-        kwargs.setdefault("request_mode", "async")
         kwargs.setdefault("replica_timeout_ms", 6.0)
         kwargs.setdefault("request_timeout_ms", 30.0)
         return build_cluster(**kwargs)
 
-    def test_unknown_request_mode_rejected(self):
+    def test_nonpositive_replica_timeout_rejected(self):
         from repro.core.exceptions import ConfigurationError
         with pytest.raises(ConfigurationError):
-            build_cluster(request_mode="psychic")
-        with pytest.raises(ConfigurationError):
-            build_cluster(request_mode="async", replica_timeout_ms=0)
+            build_cluster(replica_timeout_ms=0)
 
     def test_healthy_cluster_serves_without_deadline_firing(self):
         cluster = self.build_async()
@@ -148,6 +145,53 @@ class TestAsyncRequestMode:
         cluster.run(until=cluster.simulation.now + 800.0)
         assert results and results[0] is not None
         assert results[0].coordinator not in primaries
+
+
+class TestNoMembershipOracle:
+    """Coordinators and clients find dead nodes by deadline, never by asking
+    the membership view (the asyncio backend has no such view to ask)."""
+
+    def test_coordinator_contacts_a_primary_the_view_marks_down(self):
+        cluster = build_cluster(quorum=QuorumConfig(n=3, r=2, w=2))
+        key = "k"
+        primaries = cluster.placement.primary_replicas(key)
+        # Down in the view only: the process still runs and still answers.
+        cluster.membership.mark_down(primaries[1])
+        client = cluster.client("alice")
+        client.put(key, "v1")
+        cluster.run(until=cluster.simulation.now + 50.0)
+        assert cluster.servers[primaries[1]].node.values_of(key) == ["v1"]
+        assert cluster.transport.stats.deadlines_fired == 0
+        assert cluster.stat_totals()["hints_stored"] == 0
+
+    def test_client_finds_a_crashed_coordinator_by_its_own_deadline(self):
+        cluster = build_cluster(quorum=QuorumConfig(n=3, r=2, w=2))
+        key = "k"
+        candidates = cluster.placement.extended_preference_list(key)
+        cluster.fail_node(candidates[0])
+        client = cluster.client("alice")
+        results = []
+        client.put(key, "v1", results.append)
+        cluster.run(until=cluster.simulation.now + 150.0)
+        assert results and results[0].coordinator == candidates[1]
+        record = client.records[-1]
+        assert record.ok
+        assert record.latency_ms >= cluster.client_timeout_ms
+
+    def test_strict_coordinator_holds_the_hint_for_a_crashed_primary(self):
+        cluster = build_cluster(quorum=QuorumConfig(n=3, r=2, w=2, sloppy=False))
+        key = "k"
+        candidates = cluster.placement.extended_preference_list(key)
+        victim = candidates[2]
+        cluster.fail_node(victim)
+        client = cluster.client("alice")
+        results = []
+        client.put(key, "v1", results.append)
+        cluster.run(until=cluster.simulation.now + 50.0)
+        assert results and results[0].coordinator == candidates[0]
+        holders = [server_id for server_id, server in cluster.servers.items()
+                   if server.node.hints_for(victim)]
+        assert holders == [candidates[0]]
 
 
 class TestReplicationAndQuorums:
@@ -537,7 +581,6 @@ class TestAdaptiveDeadlines:
     def build_adaptive(self, **kwargs):
         kwargs.setdefault("server_ids", ("n1", "n2", "n3", "n4", "n5"))
         kwargs.setdefault("quorum", QuorumConfig(n=3, r=2, w=2, sloppy=True))
-        kwargs.setdefault("request_mode", "async")
         kwargs.setdefault("replica_timeout_ms", 6.0)
         kwargs.setdefault("request_timeout_ms", 30.0)
         kwargs.setdefault("deadline_mode", "adaptive")
@@ -631,7 +674,10 @@ class TestHintedHandoff:
         cluster.fail_node("n3")
         client = cluster.client("alice")
         client.put("k", "v1")
-        cluster.run(until=cluster.simulation.now + 10.0)
+        # n3 is the first candidate coordinator for "k": the client fails
+        # over on its 75 ms deadline, and the new coordinator holds the hint
+        # when n3's 10 ms replica deadline fires.
+        cluster.run(until=cluster.simulation.now + 120.0)
         holders = [s for s in cluster.servers.values() if s.node.pending_hints()]
         assert holders
         assert holders[0].node.stats["hints_stored"] == 1
@@ -642,7 +688,8 @@ class TestHintedHandoff:
         cluster.fail_node("n3")
         client = cluster.client("alice")
         client.put("k", "v1")
-        cluster.run(until=cluster.simulation.now + 10.0)
+        # client failover off n3, then the replica deadline (see above)
+        cluster.run(until=cluster.simulation.now + 120.0)
         assert "v1" not in map(str, cluster.servers["n3"].node.values_of("k"))
         cluster.recover_node("n3")
         cluster.run(until=cluster.simulation.now + 60.0)
@@ -722,7 +769,9 @@ class TestElasticMembership:
         cluster.run(until=cluster.simulation.now + 10.0)
         cluster.fail_node("n3")
         client.get("k", lambda _r: client.put("k", "v2"))
-        cluster.run(until=cluster.simulation.now + 10.0)
+        # the get and then the put each fail over off n3 (75 ms apiece)
+        # before the put's coordinator holds a hint for it
+        cluster.run(until=cluster.simulation.now + 200.0)
         assert sum(s.node.pending_hints() for s in cluster.servers.values()) > 0
         handed_off = cluster.decommission_node("n3")
         assert handed_off == 0  # a crashed disk cannot push its keys
@@ -776,3 +825,39 @@ class TestElasticMembership:
         cluster.drain()
         assert outcome["put"].coordinator in cluster.servers
         assert "after-churn" in map(str, outcome["get"].values)
+
+
+class TestProtocolEnvContract:
+    def test_every_static_env_field_resolves_on_the_cluster(self):
+        """The simulator hands its machines the cluster itself as their env,
+        so a field added to ``StaticProtocolEnv`` alone fails here."""
+        import dataclasses
+
+        from repro.kvstore.protocol import StaticProtocolEnv
+
+        cluster = build_cluster()
+        assert cluster.servers["n1"].protocol.env is cluster
+        for field in dataclasses.fields(StaticProtocolEnv):
+            assert hasattr(cluster, field.name), (
+                f"SimulatedCluster lacks env field {field.name!r}")
+        assert cluster.can_reach("n1", "n2")
+        assert cluster.is_registered("n1")
+        cluster.fail_node("n1")
+        assert not cluster.is_registered("n1")
+
+    def test_protocol_machines_read_only_contract_fields(self):
+        """Every ``env.<name>`` the machines read is a ``StaticProtocolEnv``
+        field, so both backends' envs answer it."""
+        import dataclasses
+        import pathlib
+        import re
+
+        import repro.kvstore.protocol as protocol
+        from repro.kvstore.protocol import StaticProtocolEnv
+
+        fields = {field.name for field in dataclasses.fields(StaticProtocolEnv)}
+        read = set()
+        for path in pathlib.Path(protocol.__file__).parent.glob("*.py"):
+            read.update(re.findall(r"\benv\.([A-Za-z_]\w*)", path.read_text()))
+        assert read, "the scan found no env reads"
+        assert read <= fields, sorted(read - fields)

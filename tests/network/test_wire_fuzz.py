@@ -56,7 +56,7 @@ def _churn_traffic(mechanism_name: str) -> List[Message]:
     cluster = SimulatedCluster(
         create(mechanism_name), server_ids=("A", "B", "C", "D"),
         quorum=QuorumConfig(n=3, r=2, w=2, sloppy=True), seed=7,
-        request_mode="async", anti_entropy_interval_ms=40.0,
+        anti_entropy_interval_ms=40.0,
         hint_replay_interval_ms=25.0)
     cluster.transport.trace_enabled = True
     rng = random.Random(3)
@@ -86,7 +86,7 @@ def _repair_and_error_traffic(mechanism_name: str) -> List[Message]:
     """A replica misses a write and is read-repaired; then a quorum fails."""
     cluster = SimulatedCluster(
         create(mechanism_name), server_ids=("A", "B", "C"),
-        quorum=QuorumConfig(n=3, r=3, w=1), seed=5, request_mode="async",
+        quorum=QuorumConfig(n=3, r=3, w=1), seed=5,
         anti_entropy_interval_ms=None, hint_replay_interval_ms=None)
     cluster.transport.trace_enabled = True
     client = cluster.client("c0")

@@ -44,8 +44,7 @@ SERVER_IDS = ("A", "B", "C")
 def run_simulated_workload():
     cluster = SimulatedCluster(
         create("dvv"), server_ids=SERVER_IDS,
-        quorum=QuorumConfig(n=3, r=2, w=2, sloppy=True),
-        request_mode="async", seed=11,
+        quorum=QuorumConfig(n=3, r=2, w=2, sloppy=True), seed=11,
     )
     client = cluster.client("c1")
     for index in range(6):
@@ -123,7 +122,7 @@ class TestSnapshotSchema:
         for snap in (sim, cluster.metrics_snapshot()):
             assert snap["coordinator.read_hedges"] == 0
             assert snap["coordinator.reserve_contacts"] == 0
-        failing = run_golden_scenario("dvv", "async").metrics_snapshot()
+        failing = run_golden_scenario("dvv").metrics_snapshot()
         assert failing["coordinator.read_hedges"] > 0
         assert failing["coordinator.reserve_contacts"] > 0
 
@@ -147,9 +146,8 @@ class TestAsyncioShutdownFlush:
                          [key for key in sorted(GOLDEN)
                           if key.startswith("dvv:")])
 def test_tracing_leaves_golden_scenarios_bit_for_bit_identical(scenario_key):
-    mechanism_name, request_mode = scenario_key.split(":")
     sink = InMemoryTraceSink()
-    cluster = run_golden_scenario(mechanism_name, request_mode,
+    cluster = run_golden_scenario(scenario_key.split(":")[0],
                                   tracer=Tracer(sink))
     actual = snapshot(cluster)
     actual_totals = actual["stat_totals"]

@@ -88,7 +88,6 @@ def test_sloppy_quorum_write_span_tree_simulated():
         server_ids=SERVER_IDS,
         quorum=QUORUM,
         seed=42,
-        request_mode="async",
         anti_entropy_interval_ms=None,
         hint_replay_interval_ms=25.0,
         tracer=Tracer(sink),
@@ -173,7 +172,7 @@ def test_hedged_read_span_tree_simulated():
     sink = InMemoryTraceSink()
     cluster = SimulatedCluster(
         create("dvv"), server_ids=SERVER_IDS, quorum=QUORUM, seed=42,
-        request_mode="async", anti_entropy_interval_ms=None,
+        anti_entropy_interval_ms=None,
         hint_replay_interval_ms=None, tracer=Tracer(sink))
     key, down = pick_key(cluster.placement)
     reserve = cluster.placement.primary_replicas(key)[2]

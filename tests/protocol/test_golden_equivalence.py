@@ -15,9 +15,8 @@ every later latency draw — so the fields split in two.  ``OUTCOME_FIELDS``
 are what the scenario *achieved*; they were required to be bit-for-bit
 identical across the re-capture.  ``TRAFFIC_FIELDS`` are what it *cost* on
 the wire and in tree work; those moved (none of ``sync_bytes``,
-``merkle.keys_transferred``, ``merkle.levels_sent`` or
-``stat_totals.snapshot_digests`` rose in any scenario).  A field added to a
-fixture later has to be put in one of the two groups.
+``merkle.keys_transferred`` or ``merkle.levels_sent`` rose in any scenario).
+A field added to a fixture later has to be put in one of the two groups.
 
 The ``:async`` scenarios and the multi-DC fixture were **re-captured again**
 by the change that made a quorum read ask only the primaries its quorum
@@ -26,15 +25,20 @@ requests, so ``deadlines_set`` — one per replica contacted — moved from
 ``OUTCOME_FIELDS`` to ``TRAFFIC_FIELDS``.  The re-capture was refused unless
 every scenario stayed converged with no lost update or false concurrency,
 no scenario failed more or completed fewer requests, ``latency_sum`` rose by
-at most 5 %, and ``transport_sent`` and ``bytes_delivered`` fell.  The
-``:membership`` scenarios still fan out to every replica and did not move.
-In the multi-DC run, ``stat_totals.hints_stored`` fell from 22 to 20: fewer
+at most 5 %, and ``transport_sent`` and ``bytes_delivered`` fell.  In the
+multi-DC run, ``stat_totals.hints_stored`` fell from 22 to 20: fewer
 messages draw the one seeded latency RNG differently.
+
+The change that retired the failure-detector ("membership") request mode
+dropped that mode's three scenarios and the never-incremented
+``stat_totals.snapshot_digests`` field; no remaining value moved.  Every run
+is deadline-driven now, so the ``:async`` suffix of a scenario key is only a
+name.
 
 The scenario is deliberately eventful: four servers, three clients, a mixed
 workload, one node failing mid-run and recovering later — so it exercises
 quorum coordination, deadlines and failover, sloppy quorums with hinted
-handoff (async mode), read repair, and Merkle anti-entropy.
+handoff, read repair, and Merkle anti-entropy.
 """
 
 from __future__ import annotations
@@ -79,8 +83,7 @@ TRAFFIC_FIELDS = frozenset({
     "deadlines_set",
     "sync_bytes", "merkle.keys_transferred", "merkle.keys_unchanged",
     "merkle.levels_sent", "merkle.exchanges_clean",
-    "merkle.partitions_differing", "stat_totals.snapshot_digests",
-    "stat_totals.merkle_syncs", "stat_totals.keys_hashed",
+    "merkle.partitions_differing", "stat_totals.merkle_syncs", "stat_totals.keys_hashed",
     "stat_totals.buckets_rehashed", "stat_totals.merges",
     "transport_sent", "transport_delivered", "bytes_delivered", "events",
     "now", "latency_sum",
@@ -105,7 +108,7 @@ POST_GOLDEN_ZERO_STATS = ("rebuilds_skipped", "hint_replays_deferred",
                           "audit_keys_checked", "audit_mismatches")
 
 
-def run_golden_scenario(mechanism_name: str, request_mode: str, tracer=None):
+def run_golden_scenario(mechanism_name: str, tracer=None):
     """The exact scenario the golden fixture was captured from.
 
     ``tracer`` lets the observability tests re-run the identical scenario
@@ -114,9 +117,8 @@ def run_golden_scenario(mechanism_name: str, request_mode: str, tracer=None):
     cluster = SimulatedCluster(
         create(mechanism_name),
         server_ids=("A", "B", "C", "D"),
-        quorum=QuorumConfig(n=3, r=2, w=2, sloppy=request_mode == "async"),
+        quorum=QuorumConfig(n=3, r=2, w=2, sloppy=True),
         seed=1234,
-        request_mode=request_mode,
         anti_entropy_interval_ms=40.0,
         hint_replay_interval_ms=25.0,
         tracer=tracer,
@@ -175,8 +177,7 @@ def snapshot(cluster: SimulatedCluster) -> dict:
 
 @pytest.mark.parametrize("scenario_key", sorted(GOLDEN))
 def test_simulator_matches_pre_refactor_golden_stats(scenario_key):
-    mechanism_name, request_mode = scenario_key.split(":")
-    cluster = run_golden_scenario(mechanism_name, request_mode)
+    cluster = run_golden_scenario(scenario_key.split(":")[0])
     actual = snapshot(cluster)
     expected = GOLDEN[scenario_key]
 
@@ -258,6 +259,4 @@ def test_golden_fixture_is_eventful():
         assert expected["merkle"]["exchanges_started"] > 0, scenario_key
         # the failed node forces fallback writes and hinted handoff
         assert expected["stat_totals"]["hints_stored"] > 0, scenario_key
-        if scenario_key.endswith(":async"):
-            # deadline-driven coordination only exists in async mode
-            assert expected["deadlines_set"] > 0, scenario_key
+        assert expected["deadlines_set"] > 0, scenario_key

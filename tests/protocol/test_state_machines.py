@@ -27,8 +27,8 @@ from repro.network.message import Message, MessageType
 SERVER_IDS = ("A", "B", "C", "D", "E")
 
 
-def build_env(sloppy: bool = True, request_mode: str = "async",
-              topology=None, **overrides) -> StaticProtocolEnv:
+def build_env(sloppy: bool = True, topology=None,
+              **overrides) -> StaticProtocolEnv:
     ring = ConsistentHashRing(SERVER_IDS, virtual_nodes=16)
     quorum = QuorumConfig(n=3, r=2, w=2, sloppy=sloppy)
     placement = PlacementService(ring, Membership(SERVER_IDS), quorum,
@@ -40,7 +40,6 @@ def build_env(sloppy: bool = True, request_mode: str = "async",
         placement=placement,
         write_log=WriteLog(),
         merkle_stats=MerkleSyncStats(),
-        request_mode=request_mode,
         **overrides,
     )
 
@@ -495,29 +494,6 @@ def test_client_error_reply_fails_fast():
     record = client.records[0]
     assert record.error == "quorum_unreachable"
     assert record.coordinator == request.receiver
-
-
-# --------------------------------------------------------------------------- #
-# Membership mode: the failure detector picks the contact set
-# --------------------------------------------------------------------------- #
-def test_membership_put_skips_unreachable_replicas_and_holds_hints():
-    reachable = {"A": True, "B": True, "C": True, "D": True, "E": True}
-    env = build_env(request_mode="membership")
-    env.can_reach = lambda s, t: reachable[t]
-    key = "cart"
-    primaries = env.placement.primary_replicas(key)
-    down = primaries[1]
-    env.placement.membership.mark_down(down)
-    reachable[down] = False
-    node = ProtocolNode(primaries[0], env.mechanism, env)
-
-    effects = node.on_message(coordinate_put(env, key), now=0.0)
-
-    contacted = {m.receiver for m in sends(effects, MessageType.REPLICA_PUT)}
-    assert down not in contacted
-    # Membership mode arms no deadlines; the down primary gets a held hint.
-    assert set_timers(effects) == []
-    assert down in node.store.hint_targets()
 
 
 # --------------------------------------------------------------------------- #

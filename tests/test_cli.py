@@ -79,13 +79,19 @@ class TestClusterCommand:
         assert "requests completed" in output
         assert "mean latency (ms)" in output
 
-    def test_async_request_mode_run(self, capsys):
+    def test_sloppy_five_server_run(self, capsys):
         assert main(["cluster", "--mechanism", "dvv", "--clients", "2",
-                     "--duration-ms", "120", "--request-mode", "async",
-                     "--quorum-mode", "sloppy", "--servers", "5"]) == 0
+                     "--duration-ms", "120", "--quorum-mode", "sloppy",
+                     "--servers", "5"]) == 0
         output = capsys.readouterr().out
-        assert "request mode" in output and "async" in output
+        assert "quorum mode" in output and "sloppy" in output
         assert "requests failed" in output
+        assert "request mode" not in output
+
+    def test_request_mode_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["cluster", "--request-mode", "async"])
+        assert "--request-mode" in capsys.readouterr().err
 
 
 class TestChurnCommand:
