@@ -132,6 +132,17 @@ def tree_work_totals(cluster) -> dict:
     return {name: totals.get(name, 0) for name in TREE_WORK_STATS}
 
 
+def flush_indexes(cluster) -> None:
+    """Flush every node's index, so the keys written so far are hashed now.
+
+    The index hashes a key when a digest is read, so without this a window's
+    counters would pick up the hashes of writes made before it opened, and
+    miss those of writes made inside it that nothing has read yet.
+    """
+    for server in cluster.servers.values():
+        server.node.merkle_index.flush()
+
+
 def cluster_tree_work(keys: int, seed: int = 9):
     """Hash-tree work (key fingerprints hashed, buckets re-hashed, full
     rebuilds) one convergence costs, per maintenance mode.
@@ -152,8 +163,10 @@ def cluster_tree_work(keys: int, seed: int = 9):
                                    + len(cluster.servers[peer_id].node.storage))
 
     on_every_exchange(cluster, count_rebuilds)
+    flush_indexes(cluster)
     before = tree_work_totals(cluster)
     rounds = cluster.converge()
+    flush_indexes(cluster)
     after = tree_work_totals(cluster)
     incremental = {name: after[name] - before[name] for name in TREE_WORK_STATS}
     return {"rebuild": rebuild, "incremental": incremental}, rounds, cluster
@@ -171,11 +184,13 @@ def handoff_tree_work(keys: int, seed: int = 9) -> dict:
     """
     cluster = build_diverged_cluster(keys, seed=seed)
     cluster.converge()
+    flush_indexes(cluster)
     totals = cluster.stat_totals()
     hashed_before = totals.get("keys_hashed", 0)
     imported_before = totals.get("fingerprints_imported", 0)
     handed_off = cluster.join_node("D")
     cluster.simulation.run_until_idle()
+    flush_indexes(cluster)
     totals = cluster.stat_totals()
     return {
         "keys_moved": handed_off,

@@ -44,7 +44,7 @@ def state_fingerprint(mechanism, state) -> bytes:
     two replicas have equal fingerprints iff they store the same versions —
     regardless of which causality mechanism produced them.  This is the unit
     of work the incremental index (:mod:`repro.kvstore.merkle_index`) pays
-    once per mutation instead of once per key per tree rebuild.
+    once per mutated key per flush instead of once per key per tree rebuild.
 
     The digest is memoized per sorted dot tuple (in :mod:`repro.core.codec`),
     so a merge, handoff or replayed hint that reproduces an already-seen

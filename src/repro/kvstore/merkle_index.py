@@ -20,7 +20,12 @@ Riak layout, where each partition carries its own hashtree:
   for a whole-node index, per-vnode inside a :class:`VnodeIndexSet`), so
   **every** path that changes a key's sibling set — client writes, replica
   merges, read repair, Merkle-delta transfers, hint replay, rebalancing
-  handoff — re-fingerprints exactly the mutated key (one sha256) and marks
+  handoff — reaches it;
+* a mutation only **records** the key's new state; the key is fingerprinted
+  (one sha256) when something reads it — a flush,
+  :meth:`~MerkleIndex.fingerprint` or a bucket's fingerprints — so a hot key
+  written a hundred times between two exchanges is hashed once, and a key
+  written then dropped not at all.  A key whose fingerprint changed marks
   its leaf bucket dirty;
 * a mutation that arrives with a **maintained fingerprint** (vnode handoff
   ships the sender's digests alongside the states) is *imported* rather than
@@ -45,7 +50,8 @@ Riak layout, where each partition carries its own hashtree:
   partition's slice is lost).
 
 Maintenance cost is observable through the counters the index increments in
-the owning node's stats dict — ``keys_hashed`` (fingerprints computed),
+the owning node's stats dict — ``keys_hashed`` (fingerprints computed, at
+most once per key per flush or fingerprint read),
 ``fingerprints_imported`` (maintained digests adopted from a handoff
 instead of hashing), ``buckets_rehashed`` (leaf buckets re-hashed on
 flush) and ``full_rebuilds`` (rebuilds from storage) — which is what lets
@@ -111,7 +117,7 @@ def _empty_digests(fanout: int, depth: int) -> List[bytes]:
 
 
 class MerkleIndex:
-    """A per-node hash tree updated in place on every storage mutation.
+    """A per-node hash tree kept current with every storage mutation.
 
     Parameters
     ----------
@@ -143,6 +149,9 @@ class MerkleIndex:
             self.counters.setdefault(name, 0)
         self._empty = _empty_digests(fanout, depth)
         self._fingerprints: Dict[str, bytes] = {}
+        #: Keys written since they were last fingerprinted → their newest
+        #: state (states are immutable, so holding the reference is safe).
+        self._pending: Dict[str, Any] = {}
         self._buckets: Dict[Tuple[int, ...], Set[str]] = {}
         self._digests: Dict[Tuple[int, ...], bytes] = {}
         self._dirty: Set[Tuple[int, ...]] = set()
@@ -152,17 +161,21 @@ class MerkleIndex:
     # ------------------------------------------------------------------ #
     def on_state_changed(self, key: str, state: Any,
                          fingerprint: Optional[bytes] = None) -> None:
-        """Storage listener: re-fingerprint one key and dirty its bucket.
+        """Storage listener: note one key's new state; hash it when read.
 
         ``state`` is the key's new mechanism state, or ``None``/empty when the
-        key was dropped.  A caller that already holds the state's maintained
-        fingerprint (vnode handoff ships the sender's digests with the
-        states) passes it as ``fingerprint`` and the index *imports* it —
-        counted in ``fingerprints_imported`` — instead of hashing.  Cost:
-        one fingerprint hash for a live state without a supplied digest, set
-        bookkeeping otherwise — never a re-hash of anything else.
+        key was dropped.  A live state is only recorded: the key is
+        fingerprinted once, by the next :meth:`flush` or :meth:`fingerprint`
+        that needs it, however often it was written in between.  A caller
+        that already holds the state's maintained fingerprint (vnode handoff
+        ships the sender's digests with the states) passes it as
+        ``fingerprint`` and the index *imports* it — counted in
+        ``fingerprints_imported`` — replacing any recorded state.  A drop
+        forgets the recorded state and dirties the bucket at once.  Cost: dict
+        bookkeeping — never a hash.
         """
         if state is None or self.mechanism.is_empty(state):
+            self._pending.pop(key, None)
             if self._fingerprints.pop(key, None) is None:
                 return  # key was not indexed; nothing changed
             path = bucket_path(key, self.fanout, self.depth)
@@ -172,10 +185,14 @@ class MerkleIndex:
             self._dirty.add(path)
             return
         if fingerprint is None:
-            fingerprint = state_fingerprint(self.mechanism, state)
-            self.counters["keys_hashed"] += 1
-        else:
-            self.counters["fingerprints_imported"] += 1
+            self._pending[key] = state
+            return
+        self._pending.pop(key, None)
+        self.counters["fingerprints_imported"] += 1
+        self._adopt(key, fingerprint)
+
+    def _adopt(self, key: str, fingerprint: bytes) -> None:
+        """Store ``key``'s fingerprint; dirty its bucket if it changed."""
         if self._fingerprints.get(key) == fingerprint:
             return  # idempotent merge / duplicate delivery: tree unchanged
         self._fingerprints[key] = fingerprint
@@ -183,18 +200,32 @@ class MerkleIndex:
         self._buckets.setdefault(path, set()).add(key)
         self._dirty.add(path)
 
+    def _hash_pending(self) -> None:
+        """Fingerprint every key written since it was last hashed."""
+        pending = self._pending
+        if not pending:
+            return
+        mechanism = self.mechanism
+        for key, state in pending.items():
+            self._adopt(key, state_fingerprint(mechanism, state))
+        self.counters["keys_hashed"] += len(pending)
+        pending.clear()
+
     # ------------------------------------------------------------------ #
     # Lazy re-hash
     # ------------------------------------------------------------------ #
     def flush(self) -> int:
-        """Re-hash every dirty bucket and the root paths above them.
+        """Hash pending keys, then every dirty bucket and the paths above.
 
-        Returns the number of leaf buckets re-hashed.  A burst of writes that
-        landed in the same bucket since the last flush costs one leaf re-hash
-        here, and interior paths shared by several dirty buckets are re-hashed
-        once, not once per bucket.  A dirty bucket that emptied (its last key
-        was dropped) is popped without hashing anything and is not counted.
+        Returns the number of leaf buckets re-hashed.  Each key written since
+        it was last hashed is fingerprinted once, and dirties its bucket only
+        if the fingerprint changed.  A burst of writes that landed in the
+        same bucket since the last flush costs one leaf re-hash here, and
+        interior paths shared by several dirty buckets are re-hashed once,
+        not once per bucket.  A dirty bucket that emptied (its last key was
+        dropped) is popped without hashing anything and is not counted.
         """
+        self._hash_pending()
         if not self._dirty:
             return 0
         rehashed = 0
@@ -251,27 +282,50 @@ class MerkleIndex:
                 for child in (path + (branch,) for branch in range(self.fanout))]
 
     def bucket_fingerprints(self, path: Tuple[int, ...]) -> Dict[str, bytes]:
-        """``{key: fingerprint}`` of the leaf bucket at ``path``, in key order."""
+        """``{key: fingerprint}`` of the leaf bucket at ``path``, in key order.
+
+        Current, not as of the last flush: pending keys are hashed first.
+        """
+        self._hash_pending()
         fingerprints = self._fingerprints
         return {key: fingerprints[key]
                 for key in sorted(self._buckets.get(path, ()))}
 
     def dirty_buckets(self) -> int:
-        """Leaf buckets awaiting a re-hash (0 right after any digest query)."""
+        """Leaf buckets awaiting a re-hash (0 right after any digest query).
+
+        Pending keys are hashed first, so a write that left its key's
+        fingerprint as it was does not count.
+        """
+        self._hash_pending()
         return len(self._dirty)
 
     def keys(self) -> List[str]:
-        """Every indexed key, sorted."""
-        return sorted(self._fingerprints)
+        """Every indexed key, sorted (pending keys included, not hashed)."""
+        return sorted(self._fingerprints.keys() | self._pending.keys())
 
     @property
     def key_count(self) -> int:
         """Number of indexed keys (cheap non-sorting alternative to keys())."""
-        return len(self._fingerprints)
+        fingerprints = self._fingerprints
+        return len(fingerprints) + sum(1 for key in self._pending
+                                       if key not in fingerprints)
 
     def fingerprint(self, key: str) -> Optional[bytes]:
-        """The maintained fingerprint for ``key`` (None when absent)."""
+        """The maintained fingerprint for ``key`` (None when absent).
+
+        A pending key is hashed here — only that key.
+        """
+        state = self._pending.pop(key, None)
+        if state is not None:
+            self._adopt(key, state_fingerprint(self.mechanism, state))
+            self.counters["keys_hashed"] += 1
         return self._fingerprints.get(key)
+
+    def fingerprints(self) -> Dict[str, bytes]:
+        """``{key: fingerprint}`` of every indexed key (pending keys hashed)."""
+        self._hash_pending()
+        return dict(self._fingerprints)
 
     def snapshot(self) -> MerkleTree:
         """Freeze the current fingerprints into a :class:`MerkleTree`."""
@@ -301,10 +355,7 @@ class MerkleIndex:
         hashtree is missing or marked stale at startup.
         """
         self.counters["full_rebuilds"] += 1
-        self._fingerprints.clear()
-        self._buckets.clear()
-        self._digests.clear()
-        self._dirty.clear()
+        self.reset()
         for key, state in items:
             self.on_state_changed(key, state)
         self.flush()
@@ -316,6 +367,7 @@ class MerkleIndex:
     def reset(self) -> None:
         """Empty the index (disk wipe: there is nothing left to summarise)."""
         self._fingerprints.clear()
+        self._pending.clear()
         self._buckets.clear()
         self._digests.clear()
         self._dirty.clear()
@@ -334,7 +386,7 @@ class MerkleIndex:
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (
-            f"MerkleIndex(keys={len(self._fingerprints)}, "
+            f"MerkleIndex(keys={self.key_count}, "
             f"fanout={self.fanout}, depth={self.depth}, "
             f"dirty={len(self._dirty)})"
         )
@@ -449,7 +501,7 @@ class VnodeIndexSet:
     def _combined_fingerprints(self) -> Dict[str, bytes]:
         combined: Dict[str, bytes] = {}
         for index in self.indexes.values():
-            combined.update(index._fingerprints)
+            combined.update(index.fingerprints())
         return combined
 
     @property
@@ -466,7 +518,8 @@ class VnodeIndexSet:
 
     def keys(self) -> List[str]:
         """Every indexed key across every range, sorted."""
-        return sorted(self._combined_fingerprints())
+        return sorted(key for index in self.indexes.values()
+                      for key in index.keys())
 
     @property
     def key_count(self) -> int:

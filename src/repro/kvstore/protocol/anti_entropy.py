@@ -335,8 +335,8 @@ class AntiEntropyEngine:
         unchanged = 0
         for key, state in message.payload["states"].items():
             before = index.fingerprint(key)
-            merged = store.local_merge(key, state, reason="merkle")
-            after = state_fingerprint(mechanism, merged)
+            store.local_merge(key, state, reason="merkle")
+            after = index.fingerprint(key)
             if after == before:
                 unchanged += 1
             if after == state_fingerprint(mechanism, state):

@@ -32,6 +32,10 @@ MERGE_COUNTERS = {
 #: stat totals keep a stable shape whether or not the node carries a Merkle
 #: index.
 #: The :class:`~repro.kvstore.merkle_index.MerkleIndex` increments them.
+#: ``keys_hashed`` counts key fingerprints computed: a write only records
+#: the key, which is hashed when a flush or a fingerprint read needs it — at
+#: most once per key per flush (or per fingerprint read), however often it
+#: was written in between.
 INDEX_COUNTERS = ("keys_hashed", "buckets_rehashed", "full_rebuilds",
                   "fingerprints_imported", "rebuilds_skipped",
                   "audit_keys_checked", "audit_mismatches")

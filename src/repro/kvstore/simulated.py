@@ -73,11 +73,12 @@ server carries a :class:`~repro.kvstore.merkle_index.VnodeIndexSet` — one
 :class:`~repro.kvstore.merkle_index.MerkleIndex` per vnode range, each
 subscribed to its range's slice of the storage mutation stream — so every
 write path (client puts, replica merges, read repair, Merkle-delta
-transfers, hint replay, rebalancing handoff) re-fingerprints only the
-mutated key and dirties its leaf bucket in the one affected range tree.  The
-exchange reads those live trees directly — each handler flushes the one
-range it was asked about and answers from its digests — so tree work per
-exchange is O(divergent buckets), not O(keys), and nothing is copied.
+transfers, hint replay, rebalancing handoff) marks only the mutated key for
+re-fingerprinting in the one affected range tree, hashed once when that
+range is next read.  The exchange reads those live trees directly — each
+handler flushes the one range it was asked about and answers from its
+digests — so tree work per exchange is O(divergent buckets), not O(keys),
+and nothing is copied.
 Rebalancing handoff (``KEY_HANDOFF``) ships
 each key's maintained fingerprint alongside its state, so moving a vnode's
 keys re-hashes ~nothing on either side: the receiver adopts the digests

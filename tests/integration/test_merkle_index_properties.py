@@ -10,6 +10,11 @@ digest against ``MerkleTree.for_node`` on the same storage.  Any write path
 that forgets to go through the mutation listener — or any staleness bug in
 the dirty-bucket bookkeeping — shows up as a digest mismatch at the first
 checkpoint after it fires.
+
+The index hashes a key only when something reads it, so a second property
+drives writes, merges, drops, imports, flushes and reads in random order and
+checks every read against a from-scratch tree, and every step against its
+hashing budget.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import check_cluster
@@ -126,6 +131,127 @@ def test_live_descent_queries_equal_a_from_scratch_tree(steps):
             node.ingest_handoff(key, other.state_of(key), fingerprint)
         for checked in nodes.values():
             assert_descent_surface_matches_rebuild(checked)
+
+
+# --------------------------------------------------------------------------- #
+# Hash on read: mutations are recorded, flushes and reads hash them
+# --------------------------------------------------------------------------- #
+FEW_KEYS = ["key-0", "key-1"]   # few keys: steps pile onto each one
+LEAF_PATHS = [path for path in ALL_PATHS if len(path) == DEPTH]
+#: Key-less steps (bucket read, dirty count, flush) ignore the drawn key.
+_LAZY_STEP = st.tuples(
+    st.sampled_from(["put", "merge", "handoff", "import", "drop",
+                     "fingerprint", "buckets", "dirty", "flush"]),
+    _SIDE, st.sampled_from(FEW_KEYS))
+
+
+def reference_trees(node: StorageNode) -> dict:
+    """A from-scratch tree per range over the node's current storage."""
+    return {partition_id: MerkleTree.for_node(
+                node, keys=node.storage.vnode_keys(partition_id),
+                fanout=FANOUT, depth=DEPTH)
+            for partition_id in node.merkle_index.partition_ids()}
+
+
+def assert_hash_free_reads_match(node: StorageNode, flushed: dict) -> None:
+    """Reads that hash nothing: key listing and digests as of the last flush."""
+    hashed = node.stats["keys_hashed"]
+    index = node.merkle_index
+    assert index.keys() == node.storage.keys()
+    assert index.key_count == len(node.storage)
+    for partition_id, reference in flushed.items():
+        range_index = index.index_for(partition_id)
+        assert range_index.key_count == node.storage.vnode_len(partition_id)
+        for path in ALL_PATHS:
+            assert range_index.digest_at(path) == reference.digest_at(path)
+            if len(path) < DEPTH:
+                assert range_index.child_digests(path) == \
+                    reference.child_digests(path)
+    assert node.stats["keys_hashed"] == hashed
+
+
+def changed_leaves(current: dict, flushed: dict) -> int:
+    """Leaf buckets whose contents moved since the last flush."""
+    return sum(current[partition_id].bucket_fingerprints(path)
+               != flushed[partition_id].bucket_fingerprints(path)
+               for partition_id in current for path in LEAF_PATHS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=st.lists(_LAZY_STEP, min_size=1, max_size=30))
+@example(steps=[("put", "left", "key-0"), ("put", "right", "key-0"),
+                ("import", "left", "key-0"), ("flush", "left", "key-0")])
+def test_hash_on_read_index_answers_every_read_like_a_from_scratch_tree(steps):
+    """Random writes, merges, drops, imports, flushes and reads.
+
+    The reads that hash nothing are checked after every step.  A read that
+    hashes — one key's fingerprint, every leaf bucket's fingerprints, the
+    dirty-bucket count — is checked against trees built from scratch over
+    current storage when the step draws it.  A write, merge, import or drop
+    hashes nothing, a handoff or a fingerprint read at most one key, and a
+    bucket read, dirty count or flush at most each key mutated since the
+    last of them, once.  A flush re-hashes only buckets whose contents moved
+    (or that lost a key on the way).
+    """
+    nodes = {"left": ranged_node("L"), "right": ranged_node("R")}
+    writers = {side: ClientSession(f"writer-{side}") for side in nodes}
+    flushed = {side: reference_trees(node) for side, node in nodes.items()}
+    mutated = {side: set() for side in nodes}
+    dropped = {side: set() for side in nodes}
+    for number, (action, side, key) in enumerate(steps):
+        node = nodes[side]
+        index = node.merkle_index
+        other = nodes["right" if side == "left" else "left"]
+        hashed = node.stats["keys_hashed"]
+        budget = 0
+        if action in ("buckets", "dirty", "flush"):
+            budget = len(mutated[side])
+            mutated[side].clear()
+            current = reference_trees(node)
+        if action == "fingerprint":
+            budget = 1
+            mutated[side].discard(key)
+            expected = (MerkleTree.for_node(node, keys=[key]).fingerprint(key)
+                        if node.storage.has_key(key) else None)
+            assert index.fingerprint(key) == expected
+        elif action == "buckets":
+            for partition_id, reference in current.items():
+                range_index = index.index_for(partition_id)
+                for path in LEAF_PATHS:
+                    live = range_index.bucket_fingerprints(path)
+                    assert live == reference.bucket_fingerprints(path)
+                    assert list(live) == sorted(live)
+        elif action == "dirty":
+            assert index.dirty_buckets() >= changed_leaves(current,
+                                                           flushed[side])
+        elif action == "flush":
+            assert index.flush() <= (changed_leaves(current, flushed[side])
+                                     + len(dropped[side]))
+            assert index.dirty_buckets() == 0
+            flushed[side] = current
+            dropped[side].clear()
+        elif action == "put":
+            writer = writers[side]
+            context = writer.absorb_read(key, node.local_read(key),
+                                         node.mechanism.name)
+            node.local_write(key, context, writer.prepare_write(key, number),
+                             writer.client_id)
+            mutated[side].add(key)
+        elif action == "drop":
+            node.storage.delete(key)
+            dropped[side].add(key)
+        elif other.storage.has_key(key):
+            fingerprint = (other.merkle_index.fingerprint(key)
+                           if action in ("handoff", "import") else None)
+            if action == "import":     # adopt the sender's state and digest
+                node.storage.put_state(key, other.state_of(key), fingerprint)
+            else:
+                node.ingest_handoff(key, other.state_of(key), fingerprint)
+                mutated[side].add(key)
+                budget = 1 if action == "handoff" else 0
+        assert node.stats["keys_hashed"] - hashed <= budget
+        for checked_side, checked in nodes.items():
+            assert_hash_free_reads_match(checked, flushed[checked_side])
 
 
 class TestIndexEqualsRebuildUnderChurn:

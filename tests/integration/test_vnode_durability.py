@@ -55,7 +55,7 @@ def assert_vnode_roots_match_rebuild(cluster: SimulatedCluster,
                 f"{server_id} partition {partition_id}: per-range root "
                 f"diverged from rebuild ({context})"
             )
-            union.update(index.index_for(partition_id)._fingerprints)
+            union.update(index.index_for(partition_id).fingerprints())
         whole_node = MerkleTree.for_node(server.node, fanout=index.fanout,
                                          depth=index.depth).root_digest
         assert MerkleTree(union, fanout=index.fanout,
@@ -178,11 +178,18 @@ class TestVnodeDurabilityEdges:
         assert_vnode_roots_match_rebuild(cluster, context="after restart")
 
 
+def flush_indexes(cluster: SimulatedCluster) -> None:
+    """Hash every set-up write now, so only what follows is counted."""
+    for server in cluster.servers.values():
+        server.node.merkle_index.flush()
+
+
 class TestHandoffFingerprintTransfer:
     def test_join_handoff_imports_digests_instead_of_hashing(self):
         cluster = build_cluster(seed=11)
         populate(cluster)
         cluster.converge(max_rounds=10)
+        flush_indexes(cluster)
         totals = cluster.stat_totals()
         hashed_before = totals["keys_hashed"]
         imported_before = totals["fingerprints_imported"]
@@ -206,6 +213,7 @@ class TestHandoffFingerprintTransfer:
         cluster = build_cluster(seed=13)
         populate(cluster)
         cluster.converge(max_rounds=10)
+        flush_indexes(cluster)
         totals = cluster.stat_totals()
         hashed_before = totals["keys_hashed"]
 

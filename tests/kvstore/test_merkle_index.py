@@ -105,6 +105,52 @@ class TestLazyMaintenance:
         assert index.keys() == ["k"]
 
 
+class TestHashOnRead:
+    """A key is fingerprinted when a digest is read, not on every write."""
+
+    def test_many_writes_to_one_key_between_flushes_cost_one_hash(self):
+        node, index = indexed_node()
+        client = ClientSession("writer")
+        for step in range(25):
+            write(node, client, "hot", f"v{step}")
+        assert node.stats["keys_hashed"] == 0
+        index.flush()
+        assert node.stats["keys_hashed"] == 1
+        assert index.root_digest == rebuilt_digest(node)
+        assert node.stats["keys_hashed"] == 1
+
+    def test_a_write_followed_by_a_drop_costs_nothing(self):
+        node, index = indexed_node()
+        client = ClientSession("writer")
+        write(node, client, "k", "v1")
+        node.storage.delete("k")
+        assert index.key_count == 0
+        assert index.flush() == 0
+        assert node.stats["keys_hashed"] == 0
+        assert node.stats["buckets_rehashed"] == 0
+        assert index.root_digest == MerkleTree({}).root_digest
+
+    def test_counting_reads_do_not_hash(self):
+        node, index = indexed_node()
+        client = ClientSession("writer")
+        for i in range(5):
+            write(node, client, f"key-{i}", "v")
+        assert index.keys() == [f"key-{i}" for i in range(5)]
+        assert index.key_count == 5
+        assert node.stats["keys_hashed"] == 0
+
+    def test_fingerprint_hashes_only_the_key_read(self):
+        node, index = indexed_node()
+        client = ClientSession("writer")
+        for i in range(5):
+            write(node, client, f"key-{i}", "v")
+        assert index.fingerprint("key-2") == state_fingerprint(
+            node.mechanism, node.state_of("key-2"))
+        assert node.stats["keys_hashed"] == 1
+        index.flush()                                   # the other four
+        assert node.stats["keys_hashed"] == 5
+
+
 class TestLiveDescentQueries:
     """What the Merkle exchange reads off the index, with no copy made."""
 

@@ -267,6 +267,19 @@ class TestVnodeIndexSet:
         assert other_index.fingerprint("k") == fingerprint
         assert other_index.root_digest == index.root_digest
 
+    def test_an_import_after_a_pending_write_adopts_the_import(self):
+        node, index = vnode_node()
+        source, source_index = vnode_node("S")
+        write(node, ClientSession("local"), "k", "local")   # pending, unhashed
+        write(source, ClientSession("remote"), "k", "shipped")
+        imported = source_index.fingerprint("k")
+        node.storage.put_state("k", source.state_of("k"), fingerprint=imported)
+        index.flush()
+        assert node.stats["keys_hashed"] == 0
+        assert node.stats["fingerprints_imported"] == 1
+        assert index.fingerprint("k") == imported
+        assert index.root_digest == source_index.root_digest
+
 
 class TestIngestHandoff:
     def test_new_key_adopts_the_senders_digest(self):
@@ -314,11 +327,12 @@ class TestIngestHandoff:
 
     def test_no_fingerprint_degrades_to_local_merge(self):
         sender, _ = vnode_node("A")
-        receiver, _ = vnode_node("B")
+        receiver, receiver_index = vnode_node("B")
         client = ClientSession("writer")
         write(sender, client, "k", "v1")
         hashed_before = receiver.stats["keys_hashed"]
         receiver.ingest_handoff("k", sender.state_of("k"), None)
+        receiver_index.flush()           # the merged key is hashed when read
         assert receiver.stats["handoffs"] == 1
         assert receiver.stats["keys_hashed"] == hashed_before + 1
 
