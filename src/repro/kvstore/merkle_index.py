@@ -322,11 +322,6 @@ class MerkleIndex:
             self.counters["keys_hashed"] += 1
         return self._fingerprints.get(key)
 
-    def fingerprints(self) -> Dict[str, bytes]:
-        """``{key: fingerprint}`` of every indexed key (pending keys hashed)."""
-        self._hash_pending()
-        return dict(self._fingerprints)
-
     def snapshot(self) -> MerkleTree:
         """Freeze the current fingerprints into a :class:`MerkleTree`."""
         self.flush()
@@ -499,9 +494,10 @@ class VnodeIndexSet:
         return sum(index.dirty_buckets() for index in self.indexes.values())
 
     def _combined_fingerprints(self) -> Dict[str, bytes]:
+        # callers flush first, so no member index has pending keys
         combined: Dict[str, bytes] = {}
         for index in self.indexes.values():
-            combined.update(index.fingerprints())
+            combined.update(index._fingerprints)
         return combined
 
     @property

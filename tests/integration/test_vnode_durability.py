@@ -55,7 +55,7 @@ def assert_vnode_roots_match_rebuild(cluster: SimulatedCluster,
                 f"{server_id} partition {partition_id}: per-range root "
                 f"diverged from rebuild ({context})"
             )
-            union.update(index.index_for(partition_id).fingerprints())
+            union.update(index.index_for(partition_id)._fingerprints)
         whole_node = MerkleTree.for_node(server.node, fanout=index.fanout,
                                          depth=index.depth).root_digest
         assert MerkleTree(union, fanout=index.fanout,
@@ -198,6 +198,7 @@ class TestHandoffFingerprintTransfer:
         cluster.simulation.run_until_idle()
         assert handed_off > 0
 
+        flush_indexes(cluster)           # a deferred re-hash counts here
         totals = cluster.stat_totals()
         # the moved range's states arrive with maintained digests: nothing is
         # re-fingerprinted on either side
@@ -220,6 +221,7 @@ class TestHandoffFingerprintTransfer:
         cluster.decommission_node("n2")
         cluster.simulation.run_until_idle()
 
+        flush_indexes(cluster)           # a deferred re-hash counts here
         totals = cluster.stat_totals()
         assert totals["keys_hashed"] == hashed_before
         assert_vnode_roots_match_rebuild(cluster, context="after decommission")
