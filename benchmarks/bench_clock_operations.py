@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import render_table
+from repro.clocks import ClientVVMechanism, DVVMechanism, Sibling
 from repro.core import (
     CausalHistory,
     DVVSet,
@@ -24,6 +25,7 @@ from repro.core.dvv import join as dvv_join, sync as dvv_sync, update as dvv_upd
 
 SIBLING_COUNT = 8
 SERVERS = [f"S{i}" for i in range(3)]
+CLIENT_IDS = [f"client-{i}" for i in range(32)]
 
 
 def build_dvv_siblings(count=SIBLING_COUNT):
@@ -39,6 +41,29 @@ def build_dvvset(count=SIBLING_COUNT):
     for index in range(count):
         clock = DVVSet.new("value-%d" % index).update(clock, SERVERS[index % len(SERVERS)])
     return clock
+
+
+def build_hot_key_state(mechanism, siblings=30):
+    """One hot key's stored state under ``mechanism``.
+
+    Every one of the 32 client ids writes once after reading, then
+    ``siblings`` of them write concurrently from one shared read, round-robin
+    over the three servers: the sibling set a replica merge sees on a hot
+    key.
+    """
+    def write(state, context, index, client, seq):
+        written = Sibling(value=f"{client}-{seq}", origin_dot=Dot(client, seq),
+                          writer=client)
+        return mechanism.write(state, context, written,
+                               SERVERS[index % len(SERVERS)], client)
+
+    state = mechanism.empty_state()
+    for index, client in enumerate(CLIENT_IDS):
+        state = write(state, mechanism.read(state).context, index, client, 1)
+    shared = mechanism.read(state).context
+    for index, client in enumerate(CLIENT_IDS[:siblings]):
+        state = write(state, shared, index, client, 2)
+    return state
 
 
 def build_histories(count=SIBLING_COUNT, depth=50):
@@ -121,14 +146,23 @@ def test_report_kernel_costs(publish):
     dvvset_incoming = DVVSet.new_with_context(dvvset_stored.join(), "v")
     histories = build_histories()
     client_vv = VersionVector({f"client-{i}": i + 1 for i in range(64)})
+    dvv_mechanism, client_vv_mechanism = DVVMechanism(), ClientVVMechanism()
+    dvv_state = build_hot_key_state(dvv_mechanism)
+    client_vv_state = build_hot_key_state(client_vv_mechanism)
+    assert len(dvv_state) == len(client_vv_state) == 30
 
     rows = [
         ["dvv update", round(cost(dvv_update, dvv_context, dvv_siblings, "S0"), 2)],
         ["dvv sync", round(cost(dvv_sync, dvv_siblings, dvv_siblings), 2)],
         ["dvv join", round(cost(dvv_join, dvv_siblings), 2)],
+        ["dvv merge (30 siblings, 32 client ids)",
+         round(cost(dvv_mechanism.merge, dvv_state, dvv_state), 2)],
         ["dvvset update", round(cost(dvvset_incoming.update, dvvset_stored, "S0"), 2)],
         ["dvvset sync", round(cost(dvvset_stored.sync, dvvset_stored), 2)],
-        ["client VV merge (64 entries)", round(cost(client_vv.merge, client_vv), 2)],
+        ["client VV pointwise merge (64 entries)",
+         round(cost(client_vv.merge, client_vv), 2)],
+        ["client VV merge (30 siblings, 32 client ids)",
+         round(cost(client_vv_mechanism.merge, client_vv_state, client_vv_state), 2)],
         ["causal history merge", round(cost(histories[0].merge, histories[1]), 2)],
         ["causal history compare", round(cost(histories[0].compare, histories[1]), 2)],
     ]

@@ -13,6 +13,12 @@ causes is measured by experiment E3.
 ``ClientVVMechanism`` is the honest (unpruned) variant: exact causality,
 unbounded metadata.  It is the paper's "inefficient" baseline in the
 metadata-size experiment (E2).
+
+A merge makes one pass over the union's vectors.  That pass keeps every
+sibling that alone holds some actor's largest counter
+(:func:`~repro.core.version_vector.undominated`); only the rest are compared
+pairwise.  :func:`distinct_versions` and :func:`version_order` are shared
+with the per-server variant.
 """
 
 from __future__ import annotations
@@ -20,10 +26,31 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from ..core import serialization
-from ..core.version_vector import VersionVector
+from ..core.dot import Actor
+from ..core.version_vector import VersionVector, ceiling, undominated
 from .interface import CausalityMechanism, ReadResult, Sibling
 
 ClientVVState = Tuple[Tuple[VersionVector, Sibling], ...]
+Version = Tuple[VersionVector, Sibling]
+
+
+def distinct_versions(versions: ClientVVState) -> List[Version]:
+    """``versions`` without repeated ``(clock, origin dot)`` pairs; first wins."""
+    distinct: List[Version] = []
+    seen = set()
+    for version in versions:
+        dot = version[1].origin_dot
+        key = (version[0], dot.actor, dot.counter)   # a Dot hashes in Python
+        if key not in seen:
+            seen.add(key)
+            distinct.append(version)
+    return distinct
+
+
+def version_order(version: Version) -> Tuple[List[Tuple[Actor, int]], Actor, int]:
+    """Sort key of a merged sibling list: the clock's entries, then the origin dot."""
+    dot = version[1].origin_dot
+    return list(version[0].items()), dot.actor, dot.counter
 
 
 class ClientVVMechanism(CausalityMechanism[ClientVVState, VersionVector]):
@@ -51,9 +78,7 @@ class ClientVVMechanism(CausalityMechanism[ClientVVState, VersionVector]):
         return VersionVector.empty()
 
     def read(self, state: ClientVVState) -> ReadResult[VersionVector]:
-        context = VersionVector.empty()
-        for clock, _ in state:
-            context = context.merge(clock)
+        context = VersionVector(ceiling(clock for clock, _ in state))
         return ReadResult(siblings=self.siblings(state), context=context)
 
     def write(self,
@@ -70,19 +95,9 @@ class ClientVVMechanism(CausalityMechanism[ClientVVState, VersionVector]):
         return survivors + ((new_clock, sibling),)
 
     def merge(self, state_a: ClientVVState, state_b: ClientVVState) -> ClientVVState:
-        combined: List[Tuple[VersionVector, Sibling]] = []
-        seen = set()
-        for clock, sibling in state_a + state_b:
-            key = (clock, sibling.origin_dot)
-            if key in seen:
-                continue
-            seen.add(key)
-            combined.append((clock, sibling))
-        survivors = tuple(
-            (clock, sibling) for clock, sibling in combined
-            if not any(other.dominates(clock) for other, _ in combined)
-        )
-        return tuple(sorted(survivors, key=lambda item: (sorted(item[0].items()), item[1].origin_dot)))
+        survivors = undominated(distinct_versions(state_a + state_b))
+        survivors.sort(key=version_order)
+        return tuple(survivors)
 
     # ------------------------------------------------------------------ #
     # Internals

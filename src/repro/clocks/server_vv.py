@@ -26,7 +26,8 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from ..core import serialization
-from ..core.version_vector import VersionVector
+from ..core.version_vector import VersionVector, ceiling, undominated
+from .client_vv import distinct_versions, version_order
 from .interface import CausalityMechanism, ReadResult, Sibling
 
 ServerVVState = Tuple[Tuple[VersionVector, Sibling], ...]
@@ -57,9 +58,7 @@ class ServerVVMechanism(CausalityMechanism[ServerVVState, VersionVector]):
         return VersionVector.empty()
 
     def read(self, state: ServerVVState) -> ReadResult[VersionVector]:
-        context = VersionVector.empty()
-        for clock, _ in state:
-            context = context.merge(clock)
+        context = VersionVector(ceiling(clock for clock, _ in state))
         return ReadResult(siblings=self.siblings(state), context=context)
 
     def write(self,
@@ -72,10 +71,9 @@ class ServerVVMechanism(CausalityMechanism[ServerVVState, VersionVector]):
         # already stored, so it increments its own entry on top of the join of
         # the stored vectors and the client's context.  This is precisely the
         # step that makes the new vector dominate concurrent siblings.
-        stored_join = VersionVector.empty()
-        for clock, _ in state:
-            stored_join = stored_join.merge(clock)
-        new_clock = stored_join.merge(context).increment(server_id)
+        stored_join = ceiling([clock for clock, _ in state] + [context])
+        stored_join[server_id] = stored_join.get(server_id, 0) + 1
+        new_clock = VersionVector(stored_join)
         # Conflict detection at the coordinator uses the client context: any
         # stored version the client had not seen is kept as a sibling.
         survivors = tuple(
@@ -89,21 +87,13 @@ class ServerVVMechanism(CausalityMechanism[ServerVVState, VersionVector]):
         # dominated by another version's vector are discarded.  Because the
         # coordinator's minting step above already made concurrent siblings
         # comparable, this is where the lost update happens.
-        combined: List[Tuple[VersionVector, Sibling]] = []
-        for clock, sibling in state_a + state_b:
-            if any(clock == other and sibling.origin_dot == s.origin_dot
-                   for other, s in combined):
-                continue
-            combined.append((clock, sibling))
-        survivors = [
-            (clock, sibling) for clock, sibling in combined
-            if not any(other.dominates(clock) for other, _ in combined)
-        ]
+        survivors = undominated(distinct_versions(state_a + state_b))
+        survivors.sort(key=version_order)
         # Two distinct versions can carry the *same* vector (e.g. replicas that
         # coordinated writes independently); keep one deterministically.
         deduped: List[Tuple[VersionVector, Sibling]] = []
         seen_clocks = set()
-        for clock, sibling in sorted(survivors, key=lambda item: (sorted(item[0].items()), item[1].origin_dot)):
+        for clock, sibling in survivors:
             if clock in seen_clocks:
                 continue
             seen_clocks.add(clock)

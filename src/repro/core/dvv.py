@@ -45,7 +45,7 @@ from .causal_history import CausalHistory
 from .comparison import Ordering
 from .dot import Actor, Dot
 from .exceptions import InvalidClockError
-from .version_vector import VersionVector
+from .version_vector import VersionVector, ceiling
 
 T = TypeVar("T")
 
@@ -262,7 +262,7 @@ def merge_versions(entries: Iterable[Tuple[DottedVersionVector, T]]
         if (existing is None or clock is existing[0]
                 or clock._vv.descends(existing[0]._vv)):
             by_dot[clock._dot] = entry
-    covered = _ceiling_of_pasts(clock for clock, _ in by_dot.values()).get
+    covered = ceiling(entry[0]._vv for entry in by_dot.values()).get
     survivors = [entry for dot, entry in by_dot.items()
                  if dot.counter > covered(dot.actor, 0)]
     survivors.sort(key=_dot_order)
@@ -273,17 +273,6 @@ def _dot_order(entry: Tuple[DottedVersionVector, object]) -> Tuple[Actor, int]:
     """Sort key equal to :class:`Dot`'s own order, without comparing Dots."""
     dot = entry[0]._dot
     return dot.actor, dot.counter
-
-
-def _ceiling_of_pasts(clocks: Iterable[DottedVersionVector]) -> Dict[Actor, int]:
-    """Pointwise maximum of the clocks' causal pasts, as a plain dict."""
-    ceiling: Dict[Actor, int] = {}
-    top = ceiling.get
-    for clock in clocks:
-        for actor, counter in clock._vv._entries.items():
-            if counter > top(actor, 0):
-                ceiling[actor] = counter
-    return ceiling
 
 
 def sync(left: Sequence[DottedVersionVector],
@@ -308,9 +297,9 @@ def join(versions: Iterable[DottedVersionVector]) -> VersionVector:
     with this context supersedes exactly the versions it read.
     """
     versions = list(versions)
-    ceiling = _ceiling_of_pasts(versions)
+    top = ceiling(version._vv for version in versions)
     for version in versions:
         dot = version._dot
-        if dot.counter > ceiling.get(dot.actor, 0):
-            ceiling[dot.actor] = dot.counter
-    return VersionVector(ceiling)
+        if dot.counter > top.get(dot.actor, 0):
+            top[dot.actor] = dot.counter
+    return VersionVector(top)

@@ -14,15 +14,26 @@ vectors (:mod:`repro.core.dvv`) split those roles.
 ``VersionVector`` is immutable; every mutating operation returns a new vector.
 A mutable builder (:class:`VersionVectorBuilder`) is provided for hot paths in
 the simulator where building a vector incrementally matters.
+
+Two set-level kernels serve every mechanism that tags siblings with vectors:
+:func:`ceiling` (the join of a set, one pass) and :func:`undominated` (the
+set's maximal vectors, pairwise only where one pass cannot decide).
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import (
+    Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence,
+    Tuple, TypeVar,
+)
 
 from .comparison import Ordering
 from .dot import Actor, Dot
 from .exceptions import InvalidClockError
+
+T = TypeVar("T")
+
+_set_attr = object.__setattr__
 
 
 class VersionVector:
@@ -32,7 +43,7 @@ class VersionVector:
     over different actor sets compare correctly without padding.
     """
 
-    __slots__ = ("_entries", "_encoded")
+    __slots__ = ("_entries", "_encoded", "_hash")
 
     def __init__(self, entries: Optional[Mapping[Actor, int]] = None) -> None:
         clean: Dict[Actor, int] = {}
@@ -46,8 +57,9 @@ class VersionVector:
                     )
                 if counter > 0:
                     clean[actor] = counter
-        object.__setattr__(self, "_entries", clean)
-        object.__setattr__(self, "_encoded", None)
+        _set_attr(self, "_entries", clean)
+        _set_attr(self, "_encoded", None)
+        _set_attr(self, "_hash", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(
@@ -202,7 +214,8 @@ class VersionVector:
 
     def descends(self, other: "VersionVector") -> bool:
         """True iff this vector's history includes ``other``'s (>=)."""
-        return all(self.get(actor) >= counter for actor, counter in other._entries.items())
+        mine = self._entries.get
+        return all(mine(actor, 0) >= counter for actor, counter in other._entries.items())
 
     def dominates(self, other: "VersionVector") -> bool:
         """True iff this vector strictly includes ``other``'s history (>)."""
@@ -221,7 +234,13 @@ class VersionVector:
         return self._entries == other._entries
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._entries.items()))
+        # Memoized like ``_encoded``: the vector never changes, and sibling
+        # dedupe hashes the same stored clocks on every merge.
+        cached = self._hash
+        if cached is None:
+            cached = hash(frozenset(self._entries.items()))
+            _set_attr(self, "_hash", cached)
+        return cached
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{a!r}: {c}" for a, c in sorted(self._entries.items()))
@@ -269,3 +288,53 @@ class VersionVectorBuilder:
     def freeze(self) -> VersionVector:
         """Produce the immutable vector described by the builder."""
         return VersionVector(self._entries)
+
+
+# ---------------------------------------------------------------------- #
+# Set-level kernels
+# ---------------------------------------------------------------------- #
+def ceiling(vectors: Iterable[VersionVector]) -> Dict[Actor, int]:
+    """Pointwise maximum of ``vectors`` as a plain dict, in one pass.
+
+    The join of a sibling set.  Folding :meth:`VersionVector.merge` instead
+    copies and re-validates the whole vector once per sibling.  Actors appear
+    in first-seen order, as they would in that fold.
+    """
+    top: Dict[Actor, int] = {}
+    best = top.get
+    for vector in vectors:
+        for actor, counter in vector._entries.items():
+            if counter > best(actor, 0):
+                top[actor] = counter
+    return top
+
+
+def undominated(entries: Sequence[Tuple[VersionVector, T]]
+                ) -> List[Tuple[VersionVector, T]]:
+    """The entries whose vector no entry's vector dominates, in input order.
+
+    This is the maximal-vector problem (Kung, Luccio, Preparata 1975).  The
+    definition is pairwise, O(entries² × actors).  One pass finds, per
+    actor, the largest counter and whether a single entry holds it.  An
+    entry that alone holds some actor's largest counter cannot be descended
+    by any other vector, so it survives with no comparison.  In a sibling set
+    of concurrent client writes every writer holds its own entry's top, and
+    the whole set is decided in that pass.  Only the other entries are
+    checked pairwise, so the result is the pairwise one for any input:
+    pruned vectors, equal vectors, empty vectors, hand-built lists.
+    """
+    top: Dict[Actor, int] = {}
+    holder: Dict[Actor, Optional[int]] = {}     # None: the top is shared
+    top_of = top.get
+    for index, (vector, _) in enumerate(entries):
+        for actor, counter in vector._entries.items():
+            best = top_of(actor, 0)
+            if counter > best:
+                top[actor] = counter
+                holder[actor] = index
+            elif counter == best:
+                holder[actor] = None
+    alone = set(holder.values())
+    return [entry for index, entry in enumerate(entries)
+            if index in alone
+            or not any(other.dominates(entry[0]) for other, _ in entries)]
