@@ -66,6 +66,26 @@ def build_hot_key_state(mechanism, siblings=30):
     return state
 
 
+def merge_operations():
+    """The replica-merge rows: ``name → (callable, args)``.
+
+    The two 30-sibling merges are the ones a hot key's replica pays; a
+    return of the siblings² client-VV merge shows up here first.
+    """
+    dvv_mechanism, client_vv_mechanism = DVVMechanism(), ClientVVMechanism()
+    dvv_state = build_hot_key_state(dvv_mechanism)
+    client_vv_state = build_hot_key_state(client_vv_mechanism)
+    assert len(dvv_state) == len(client_vv_state) == 30
+    dvvset_stored = build_dvvset()
+    return {
+        "dvv merge (30 siblings, 32 client ids)":
+            (dvv_mechanism.merge, (dvv_state, dvv_state)),
+        "client VV merge (30 siblings, 32 client ids)":
+            (client_vv_mechanism.merge, (client_vv_state, client_vv_state)),
+        "dvvset sync": (dvvset_stored.sync, (dvvset_stored,)),
+    }
+
+
 def build_histories(count=SIBLING_COUNT, depth=50):
     shared = [Dot("S0", n) for n in range(1, depth)]
     return [
@@ -146,23 +166,22 @@ def test_report_kernel_costs(publish):
     dvvset_incoming = DVVSet.new_with_context(dvvset_stored.join(), "v")
     histories = build_histories()
     client_vv = VersionVector({f"client-{i}": i + 1 for i in range(64)})
-    dvv_mechanism, client_vv_mechanism = DVVMechanism(), ClientVVMechanism()
-    dvv_state = build_hot_key_state(dvv_mechanism)
-    client_vv_state = build_hot_key_state(client_vv_mechanism)
-    assert len(dvv_state) == len(client_vv_state) == 30
+    merges = merge_operations()
+
+    def merge_row(name):
+        callable_, args = merges[name]
+        return [name, round(cost(callable_, *args), 2)]
 
     rows = [
         ["dvv update", round(cost(dvv_update, dvv_context, dvv_siblings, "S0"), 2)],
         ["dvv sync", round(cost(dvv_sync, dvv_siblings, dvv_siblings), 2)],
         ["dvv join", round(cost(dvv_join, dvv_siblings), 2)],
-        ["dvv merge (30 siblings, 32 client ids)",
-         round(cost(dvv_mechanism.merge, dvv_state, dvv_state), 2)],
+        merge_row("dvv merge (30 siblings, 32 client ids)"),
         ["dvvset update", round(cost(dvvset_incoming.update, dvvset_stored, "S0"), 2)],
-        ["dvvset sync", round(cost(dvvset_stored.sync, dvvset_stored), 2)],
+        merge_row("dvvset sync"),
         ["client VV pointwise merge (64 entries)",
          round(cost(client_vv.merge, client_vv), 2)],
-        ["client VV merge (30 siblings, 32 client ids)",
-         round(cost(client_vv_mechanism.merge, client_vv_state, client_vv_state), 2)],
+        merge_row("client VV merge (30 siblings, 32 client ids)"),
         ["causal history merge", round(cost(histories[0].merge, histories[1]), 2)],
         ["causal history compare", round(cost(histories[0].compare, histories[1]), 2)],
     ]
@@ -187,36 +206,38 @@ def _representative_clocks():
     }
 
 
-#: Perf gate (CI): the fresh smoke numbers for this mechanism may not regress
-#: more than 2x against the checked-in baseline JSON.  Sub-microsecond cached
-#: timings are noisy on shared runners, so the limit never drops below the
-#: floor — a genuine cache regression (back to O(entries) walks) overshoots
-#: both bounds by orders of magnitude.
-PERF_GATE_MECHANISM = "dvvset"
-PERF_GATE_METRICS = ("encode_ns",)
+#: Perf gate (CI): each ``(section, row, metric)`` of the fresh smoke numbers
+#: may not regress more than 2x against the checked-in baseline JSON.
+#: Sub-microsecond cached timings are noisy on shared runners, so the limit
+#: never drops below the floor — a genuine cache regression (back to
+#: O(entries) walks) overshoots both bounds by orders of magnitude, and so
+#: does a client-VV merge that compares its 30 siblings pairwise again.
+PERF_GATES = (
+    ("mechanisms", "dvvset", "encode_ns"),
+    ("merges", "client VV merge (30 siblings, 32 client ids)", "cost_ns"),
+)
 PERF_GATE_FLOOR_NS = 2000.0
 
 
 def check_perf_gate(baseline: dict, fresh: dict) -> list:
     """Regressions of the gated metrics vs the checked-in baseline, if any."""
-    base = (baseline or {}).get("mechanisms", {}).get(PERF_GATE_MECHANISM, {})
-    new = fresh["mechanisms"][PERF_GATE_MECHANISM]
     failures = []
-    for metric in PERF_GATE_METRICS:
-        reference = base.get(metric)
+    for section, row, metric in PERF_GATES:
+        reference = (baseline or {}).get(section, {}).get(row, {}).get(metric)
         if reference is None:
             continue  # pre-gate baseline (or first run): nothing to compare
+        new = fresh[section][row][metric]
         limit = max(2.0 * reference, PERF_GATE_FLOOR_NS)
-        if new[metric] > limit:
+        if new > limit:
             failures.append(
-                f"{PERF_GATE_MECHANISM} {metric} regressed: "
-                f"{new[metric]:.1f}ns > limit {limit:.1f}ns "
+                f"{row} {metric} regressed: {new:.1f}ns > limit {limit:.1f}ns "
                 f"(baseline {reference:.1f}ns)")
     return failures
 
 
 def run_smoke(results_path: str, iterations: int = 2000) -> int:
-    """Measure encode/decode cost and encoded size per clock type.
+    """Measure encode/decode cost and encoded size per clock type, and the
+    replica-merge rows of :func:`merge_operations`.
 
     Encode runs against one representative instance per mechanism, so after
     the first (cold) iteration every call is served from the canonical-bytes
@@ -274,6 +295,15 @@ def run_smoke(results_path: str, iterations: int = 2000) -> int:
          "bytes", "entries", "hit ratio"],
         rows, title="Clock wire-codec smoke"))
 
+    results["merges"] = {
+        name: {"cost_ns": round(cost_ns(callable_, *args), 1)}
+        for name, (callable_, args) in merge_operations().items()
+    }
+    print(render_table(
+        ["operation", "cost (ns)"],
+        [[name, row["cost_ns"]] for name, row in results["merges"].items()],
+        title="Replica merge smoke"))
+
     failures = check_perf_gate(baseline, results)
     pathlib.Path(results_path).write_text(json.dumps(results, indent=2) + "\n")
     print(f"wrote {results_path}")
@@ -290,7 +320,8 @@ if __name__ == "__main__":
 
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
-                        help="measure wire-codec encode/decode costs and sizes")
+                        help="measure wire-codec encode/decode costs and sizes, "
+                             "and replica-merge costs")
     parser.add_argument("--iterations", type=int, default=2000)
     parser.add_argument("--out", default="BENCH_clock_operations.json",
                         help="where --smoke writes its measured numbers as JSON")

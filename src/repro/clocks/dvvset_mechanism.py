@@ -21,6 +21,10 @@ from .interface import CausalityMechanism, ReadResult, Sibling
 
 DVVSetState = DVVSet  # values are Sibling records
 
+#: The state of every absent key.  A DVVSet is immutable, so one instance
+#: serves every read of a key this replica does not hold.
+_EMPTY = DVVSet.empty()
+
 
 class DVVSetMechanism(CausalityMechanism[DVVSet, VersionVector]):
     """A single dotted version vector set per key; context is a version vector."""
@@ -32,7 +36,7 @@ class DVVSetMechanism(CausalityMechanism[DVVSet, VersionVector]):
     # State lifecycle
     # ------------------------------------------------------------------ #
     def empty_state(self) -> DVVSet:
-        return DVVSet.empty()
+        return _EMPTY
 
     def is_empty(self, state: DVVSet) -> bool:
         return state.size() == 0

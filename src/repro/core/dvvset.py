@@ -209,7 +209,17 @@ class DVVSet(Generic[V]):
         For each actor the entry with more events wins; values of the loser
         that the winner has already superseded are dropped, values the winner
         has not yet seen are kept.  Anonymous values are unioned.
+
+        Merging with an empty clock returns the other operand itself when
+        its anonymous values are already unique — the result the full merge
+        would build, without building it.
         """
+        if (not (self._entries or self._anonymous)
+                and _unique(other._anonymous) == other._anonymous):
+            return other
+        if (not (other._entries or other._anonymous)
+                and _unique(self._anonymous) == self._anonymous):
+            return self
         mine: Dict[Actor, Tuple[int, Tuple[V, ...]]] = {
             actor: (counter, values) for actor, counter, values in self._entries
         }

@@ -326,6 +326,11 @@ class AntiEntropyEngine:
         does.  That one rule covers a receiver that had nothing (a rebuild)
         and one that was merely behind; a key the sender lacks, or one whose
         merge kept a sibling the sender has not seen, still returns.
+
+        Equal states hold equal sibling sets, so state identity and equality
+        decide the common cases: a merge that returned the stored state left
+        the key unchanged, and one that returned the received state settled
+        it.  Sibling fingerprints are compared only when neither decides.
         """
         node = self._node
         store = node.store
@@ -334,12 +339,17 @@ class AntiEntropyEngine:
         settled = set()
         unchanged = 0
         for key, state in message.payload["states"].items():
-            before = index.fingerprint(key)
-            store.local_merge(key, state, reason="merkle")
-            after = index.fingerprint(key)
-            if after == before:
+            stored = store.storage.get_state(key)
+            merged = store.local_merge(key, state, reason="merkle")
+            if merged is stored:
                 unchanged += 1
-            if after == state_fingerprint(mechanism, state):
+            elif (not mechanism.is_empty(stored)
+                  and index.fingerprint(key) == state_fingerprint(mechanism, stored)):
+                # Rewritten with the very same siblings (a clock-only change);
+                # a key this node lacked cannot have been unchanged.
+                unchanged += 1
+            if (merged is state or merged == state
+                    or index.fingerprint(key) == state_fingerprint(mechanism, state)):
                 settled.add(key)
         node.env.merkle_stats.keys_unchanged += unchanged
         reply = [key for key in message.payload.get("want") or ()

@@ -24,7 +24,8 @@ class RepairPlan:
     Attributes
     ----------
     merged_state:
-        The mechanism-level merge of every reply.
+        The mechanism-level merge of every reply (the first reply itself
+        when every reply equals it).
     stale_replicas:
         Replica ids whose reply differed from the merged state and should be
         sent the merged state.
@@ -46,10 +47,15 @@ def plan_read_repair(mechanism: CausalityMechanism,
     ground-truth origin dots it holds) against the merged state's fingerprint;
     the fingerprint is mechanism-independent so the plan itself cannot mask a
     mechanism's mistakes.
+
+    Replies that all equal the first agree by construction: that state is
+    the plan, with no merge and no fingerprint.
     """
     if not replies:
         raise ValueError("plan_read_repair needs at least one reply")
     merged_state = replies[0][1]
+    if all(state == merged_state for _, state in replies[1:]):
+        return RepairPlan(merged_state=merged_state, stale_replicas=[], agreed=True)
     for _, state in replies[1:]:
         merged_state = mechanism.merge(merged_state, state)
     merged_fingerprint = _fingerprint(mechanism, merged_state)

@@ -59,11 +59,13 @@ class StorageNode:
         #: ordinary replication/read-repair merges only; hint replays, Merkle
         #: anti-entropy transfers and rebalancing handoffs have their own
         #: counters (see :data:`MERGE_COUNTERS`); hash-tree maintenance has
-        #: the :data:`INDEX_COUNTERS`.
+        #: the :data:`INDEX_COUNTERS`.  ``merges_unchanged`` counts merges of
+        #: any provenance that left the stored state as it was.
         self.stats = {
             "reads": 0,
             "writes": 0,
             "merges": 0,
+            "merges_unchanged": 0,
             "hint_replays": 0,
             "merkle_syncs": 0,
             "handoffs": 0,
@@ -115,12 +117,22 @@ class StorageNode:
         repair, synchronous-store sync), ``"hint"`` (hinted-handoff replay),
         ``"merkle"`` (Merkle-delta anti-entropy transfer) or ``"handoff"``
         (rebalancing after a membership change).
+
+        A merge that changes nothing stores nothing: when ``remote_state`` is
+        the stored state, or the merge result equals it, the stored state is
+        returned as it is (counted in ``merges_unchanged``) and no listener
+        hears of it, so the Merkle index has nothing to re-hash.
         """
         self.stats[MERGE_COUNTERS[reason]] += 1
         self._index_clean = False
-        merged = self.mechanism.merge(self.storage.get_state(key), remote_state)
-        self.storage.put_state(key, merged)
-        return merged
+        stored = self.storage.get_state(key)
+        if remote_state is not stored:
+            merged = self.mechanism.merge(stored, remote_state)
+            if merged != stored:
+                self.storage.put_state(key, merged)
+                return merged
+        self.stats["merges_unchanged"] += 1
+        return stored
 
     def state_of(self, key: str) -> Any:
         """The raw mechanism state stored for ``key`` (for replication/sync)."""

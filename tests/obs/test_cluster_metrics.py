@@ -115,6 +115,18 @@ class TestSnapshotSchema:
         for snap in (sim, cluster.metrics_snapshot()):
             assert 0 <= snap["merkle.keys_unchanged"] <= snap["merkle.keys_transferred"]
 
+    def test_unchanged_merge_counter_is_reported_by_both_backends(self):
+        """``merges_unchanged`` counts merges that stored nothing; the GET
+        after the writes finds its replies agreeing, so some did."""
+        sim = run_simulated_workload().metrics_snapshot()
+        cluster, _ = asyncio.run(run_asyncio_workload())
+        for snap in (sim, cluster.metrics_snapshot()):
+            merges = sum(snap[f"storage.{name}"] for name in
+                         ("merges", "hint_replays", "merkle_syncs", "handoffs"))
+            assert 0 < snap["storage.merges_unchanged"] <= merges
+            for node in SERVER_IDS:
+                assert f"node.{node}.merges_unchanged" in snap
+
     def test_read_hedge_counters_are_reported_by_both_backends(self):
         """Zero on a healthy run; the golden scenario's crash makes reads hedge."""
         sim = run_simulated_workload().metrics_snapshot()

@@ -43,6 +43,15 @@ once, and a transferred key is hashed by the index instead of beside it, so
 212 → 82 in both multi-DC ones.  The re-capture was refused if any other
 field moved, or if ``keys_hashed`` rose, with tracing off and on.
 
+Both fixtures were **re-captured again** by the change that made a merge
+which changes nothing store nothing (agreeing read replies skip the merge,
+and an anti-entropy receiver settles keys by state equality).  An unchanged
+key no longer reaches the index, so ``stat_totals.keys_hashed`` fell again:
+46 → 42 (``causal_history``) and 46 → 41 (``dvv``, ``dvvset``) in the
+``:async`` scenarios, 82 → 63 in both multi-DC ones.  The new
+``stat_totals.merges_unchanged`` counts those no-op merges (17 or 24 of 100;
+73 of 136).  No other field moved.
+
 The scenario is deliberately eventful: four servers, three clients, a mixed
 workload, one node failing mid-run and recovering later — so it exercises
 quorum coordination, deadlines and failover, sloppy quorums with hinted
@@ -93,7 +102,7 @@ TRAFFIC_FIELDS = frozenset({
     "merkle.levels_sent", "merkle.exchanges_clean",
     "merkle.partitions_differing", "stat_totals.merkle_syncs", "stat_totals.keys_hashed",
     "stat_totals.buckets_rehashed", "stat_totals.merges",
-    "transport_sent", "transport_delivered", "bytes_delivered", "events",
+    "stat_totals.merges_unchanged", "transport_sent", "transport_delivered", "bytes_delivered", "events",
     "now", "latency_sum",
 })
 
