@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..kvstore.simulated import RequestRecord
+from ..kvstore.protocol import RequestRecord
 from .stats import Summary, summarize
 
 

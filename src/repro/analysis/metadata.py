@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..kvstore.simulated import SimulatedCluster
+from ..kvstore.cluster_core import ClusterCore
 from ..kvstore.sync_store import SyncReplicatedStore
 from .stats import Summary, summarize
 
@@ -88,7 +88,7 @@ def measure_sync_store(store: SyncReplicatedStore) -> MetadataReport:
     )
 
 
-def measure_simulated_cluster(cluster: SimulatedCluster) -> MetadataReport:
+def measure_simulated_cluster(cluster: ClusterCore) -> MetadataReport:
     """Metadata footprint of a simulated cluster run.
 
     Includes a summary of the context bytes that travelled with completed

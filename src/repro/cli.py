@@ -320,7 +320,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             ["throughput (req/s)", round(latency.throughput_per_s, 1)],
             ["context bytes / request", round(latency.mean_context_bytes, 1)],
             ["stored metadata bytes", metadata.total_bytes],
-            ["bytes on the wire", cluster.transport.stats.bytes_sent],
+            ["bytes on the wire", cluster.metrics_snapshot()["transport.bytes_sent"]],
             ["merkle keys hashed", stats.get("keys_hashed", 0)],
             ["merkle buckets rehashed", stats.get("buckets_rehashed", 0)],
             ["merkle full rebuilds", stats.get("full_rebuilds", 0)],
@@ -353,7 +353,7 @@ def _cmd_cluster_asyncio(args: argparse.Namespace) -> int:
                                 w=min(2, args.servers),
                                 sloppy=args.quorum_mode == "sloppy"),
             deadline_mode=args.deadline_mode,
-                partition_count=args.partitions,
+            partition_count=args.partitions,
             tracer=tracer,
         )
         keys = [f"key-{i}" for i in range(args.keys)]
@@ -389,8 +389,6 @@ def _cmd_cluster_asyncio(args: argparse.Namespace) -> int:
                 audit_rows = [["audit keys checked", checked],
                               ["audit mismatches", mismatches]]
             stats = cluster.stat_totals()
-            wire_bytes = sum(server.endpoint.stats.bytes_sent
-                             for server in cluster.servers.values())
             print(render_table(
                 ["metric", "value"],
                 [
@@ -404,7 +402,8 @@ def _cmd_cluster_asyncio(args: argparse.Namespace) -> int:
                     ["p95 latency (ms)", round(latency.overall.p95, 3)],
                     ["p99 latency (ms)", round(latency.overall.p99, 3)],
                     ["throughput (req/s)", round(latency.throughput_per_s, 1)],
-                    ["bytes on the wire", wire_bytes],
+                    ["bytes on the wire",
+                     cluster.metrics_snapshot()["transport.bytes_sent"]],
                     ["merkle keys hashed", stats.get("keys_hashed", 0)],
                     ["converged", "yes"],
                 ] + audit_rows,
@@ -447,9 +446,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
                        "w": cluster.quorum.w, "sloppy": cluster.quorum.sloppy},
             "virtual_nodes": cluster.ring.virtual_nodes,
             "partition_count": cluster.partition_map.partition_count,
-            "request_timeout_ms": cluster.env.request_timeout_ms,
-            "client_timeout_ms": cluster.env.client_timeout_ms,
-            "request_overhead_bytes": cluster.env.request_overhead_bytes,
+            "request_timeout_ms": cluster.request_timeout_ms,
+            "client_timeout_ms": cluster.client_timeout_ms,
+            "request_overhead_bytes": cluster.request_overhead_bytes,
             "socket_dir": cluster.socket_dir,
         }
         manifest_path = os.path.join(cluster.socket_dir, "cluster.json")
@@ -481,11 +480,8 @@ def cmd_connect(args: argparse.Namespace) -> int:
     import json
     import os
 
-    from .cluster import ConsistentHashRing, Membership, PartitionMap, PlacementService
-    from .kvstore import WriteLog
+    from .kvstore import ClusterCore
     from .kvstore.asyncio_cluster import AsyncClusterClient, UnixDirAddressBook
-    from .kvstore.protocol import MerkleSyncStats
-    from .kvstore.protocol.env import StaticProtocolEnv
 
     manifest_path = os.path.join(args.socket_dir, "cluster.json")
     try:
@@ -496,29 +492,23 @@ def cmd_connect(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 1
 
-    mechanism = create(manifest["mechanism"])
-    ring = ConsistentHashRing(manifest["server_ids"],
-                              virtual_nodes=manifest["virtual_nodes"])
-    quorum = QuorumConfig(**manifest["quorum"])
-    placement = PlacementService(ring, Membership(manifest["server_ids"]),
-                                 quorum,
-                                 partition_map=PartitionMap(manifest["partition_count"]))
     tracer, sink = _open_tracer(args.trace)
-    env = StaticProtocolEnv(
-        mechanism=mechanism,
-        quorum=quorum,
-        placement=placement,
-        write_log=WriteLog(),
-        merkle_stats=MerkleSyncStats(),
+    # The served cluster's placement view, rebuilt as a bare core: the
+    # client's env, with no transport and no servers of its own.
+    core = ClusterCore(
+        create(manifest["mechanism"]),
+        manifest["server_ids"],
+        QuorumConfig(**manifest["quorum"]),
+        virtual_nodes=manifest["virtual_nodes"],
+        partition_count=manifest["partition_count"],
         request_timeout_ms=manifest["request_timeout_ms"],
         client_timeout_ms=manifest["client_timeout_ms"],
         request_overhead_bytes=manifest["request_overhead_bytes"],
+        tracer=tracer,
     )
-    if tracer is not None:
-        env.tracer = tracer
 
     async def run() -> int:
-        client = AsyncClusterClient(args.client_id, env,
+        client = AsyncClusterClient(args.client_id, core,
                                     UnixDirAddressBook(manifest["socket_dir"]))
         await client.start()
         try:

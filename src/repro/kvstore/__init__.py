@@ -10,6 +10,8 @@ Two store frontends share the same replica-local machinery
   the discrete-event network simulator with quorums, read repair and
   Merkle-delta anti-entropy; used by the latency experiment and the
   integration tests.
+* :class:`~repro.kvstore.asyncio_cluster.AsyncioCluster` — the same protocol
+  machines over real TCP/Unix-domain sockets, for wall-clock benchmarking.
 
 The synchronous store merges replica pairs directly (``sync_key`` /
 ``sync_all`` / ``converge``); the clusters heal replicas with one
@@ -17,14 +19,17 @@ anti-entropy engine,
 :class:`~repro.kvstore.protocol.anti_entropy.AntiEntropyEngine`.
 
 The message protocol itself lives in :mod:`repro.kvstore.protocol` as
-transport-agnostic state machines; besides the simulator,
-:class:`~repro.kvstore.asyncio_cluster.AsyncioCluster` hosts them over real
-TCP/Unix-domain sockets for wall-clock benchmarking.
+transport-agnostic state machines.  Both clusters are a
+:class:`~repro.kvstore.cluster_core.ClusterCore` — config, placement,
+reporting and the machines' env — hosting each server on a
+:class:`~repro.kvstore.cluster_core.ServerHost`; a backend adds only its
+transport and daemons.
 """
 
 from .anti_entropy import AntiEntropyDaemon, HintedHandoffDaemon
-from .asyncio_cluster import AsyncClusterClient, AsyncioCluster, AsyncServerNode
+from .asyncio_cluster import AsyncClusterClient, AsyncioCluster
 from .client import ClientSession, GetResult, PutResult
+from .cluster_core import ClientHost, ClusterCore, ServerHost
 from .context import CausalContext
 from .merkle import MerkleTree, bucket_path, diff_keys, key_fingerprint, state_fingerprint
 from .merkle_index import MerkleIndex, VnodeIndexSet
@@ -37,15 +42,8 @@ from .merge import (
 )
 from .read_repair import ReadRepairStats, RepairPlan, plan_read_repair
 from .server import Hint, StorageNode
-from .simulated import (
-    DEADLINE_MODES,
-    MerkleSyncStats,
-    MessageServer,
-    RequestRecord,
-    SimulatedClient,
-    SimulatedCluster,
-    default_value_size,
-)
+from .simulated import SimulatedClient, SimulatedCluster
+from .protocol import DEADLINE_MODES, MerkleSyncStats, RequestRecord, default_value_size
 from .storage import NodeStorage, VnodeManager, VnodeStore
 from .sync_store import SyncReplicatedStore
 from .write_log import WriteLog, WriteRecord
@@ -54,11 +52,12 @@ __all__ = [
     "DEADLINE_MODES",
     "AntiEntropyDaemon",
     "AsyncClusterClient",
-    "AsyncServerNode",
     "AsyncioCluster",
     "CallbackResolver",
     "CausalContext",
+    "ClientHost",
     "ClientSession",
+    "ClusterCore",
     "GetResult",
     "Hint",
     "HintedHandoffDaemon",
@@ -66,12 +65,12 @@ __all__ = [
     "MerkleIndex",
     "MerkleSyncStats",
     "MerkleTree",
-    "MessageServer",
     "NodeStorage",
     "PutResult",
     "ReadRepairStats",
     "RepairPlan",
     "RequestRecord",
+    "ServerHost",
     "SiblingResolver",
     "SimulatedClient",
     "SimulatedCluster",

@@ -2,8 +2,8 @@
 
 This is the "serves real traffic" counterpart of the deterministic simulator
 in :mod:`repro.kvstore.simulated`.  Both host the exact same state machines
-from :mod:`repro.kvstore.protocol` — an :class:`AsyncServerNode` is to the
-asyncio backend what ``MessageServer`` is to the simulator — but here every
+from :mod:`repro.kvstore.protocol`, hosted the same way on the same
+:class:`~repro.kvstore.cluster_core.ClusterCore` — but here every
 message crosses an actual TCP or Unix-domain socket through an
 :class:`~repro.network.asyncio_transport.AsyncioEndpoint`, timers are
 ``loop.call_later``, the clock is the wall clock, and any number of clients
@@ -33,30 +33,17 @@ import asyncio
 import itertools
 import os
 import tempfile
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..clocks.interface import CausalityMechanism
-from ..cluster.membership import Membership
-from ..cluster.preference_list import PlacementService, QuorumConfig
-from ..cluster.ring import DEFAULT_PARTITION_COUNT, ConsistentHashRing, PartitionMap
+from ..cluster.preference_list import QuorumConfig
+from ..cluster.ring import DEFAULT_PARTITION_COUNT
 from ..cluster.topology import Topology
 from ..core.exceptions import ConfigurationError
 from ..network.asyncio_transport import Address, AsyncioEndpoint
-from ..network.message import Message
-from ..obs.cluster_metrics import build_cluster_registry
-from ..obs.metrics import MetricsRegistry
-from ..obs.trace import NO_TRACER
+from ..network.transport import TransportStats
 from .client import GetResult, PutResult
-from .merkle import key_fingerprint
-from .protocol import (
-    SYNC_MESSAGE_TYPES,
-    ClientProtocol,
-    EffectRunner,
-    MerkleSyncStats,
-    ProtocolNode,
-)
-from .protocol.env import StaticProtocolEnv
-from .write_log import WriteLog
+from .cluster_core import ClientHost, ClusterCore, ServerHost
 
 
 def _socket_name(node_id: str) -> str:
@@ -85,80 +72,20 @@ class UnixDirAddressBook:
         return ("unix", os.path.join(self.directory, _socket_name(node_id)))
 
 
-class AsyncServerNode:
-    """One storage server of the asyncio cluster (listener + protocol)."""
+class AsyncClusterClient(ClientHost):
+    """A concurrent client of the asyncio cluster, on its own endpoint.
 
-    def __init__(self, node_id: str, mechanism: CausalityMechanism,
-                 env: StaticProtocolEnv,
-                 address_book: Dict[str, Address]) -> None:
-        self.node_id = node_id
-        self.protocol = ProtocolNode(node_id, mechanism, env)
-        self.endpoint = AsyncioEndpoint(node_id, address_book,
-                                        handler=self._handle_message)
-        self.runner = EffectRunner(self.endpoint, self._on_timer)
-
-    @property
-    def node(self):
-        """The server's storage layer (parity with ``MessageServer.node``)."""
-        return self.protocol.store
-
-    def _handle_message(self, message: Message) -> None:
-        self.runner.run(
-            self.protocol.on_message(message, self.endpoint.now_ms()))
-
-    def _on_timer(self, timer_id, now: float):
-        return self.protocol.on_timer(timer_id, now)
-
-    def start_merkle_sync_with(self, peer_id: str) -> None:
-        self.runner.run(
-            self.protocol.start_merkle_sync_with(peer_id, self.endpoint.now_ms()))
-
-    def replay_hints(self) -> int:
-        effects, batches = self.protocol.replay_hints(self.endpoint.now_ms())
-        self.runner.run(effects)
-        return batches
-
-    async def start(self) -> None:
-        await self.endpoint.start()
-
-    async def close(self) -> None:
-        self.runner.cancel_all()
-        await self.endpoint.close()
-
-
-class AsyncClusterClient:
-    """A concurrent client of the asyncio cluster.
-
-    Hosts the same :class:`~repro.kvstore.protocol.client.ClientProtocol` the
-    simulator's clients use — causal session, failover deadlines, request
-    records — and adapts its callback style to awaitables: :meth:`get` and
-    :meth:`put` resolve when the reply arrives (or with ``None`` once the
-    machine has exhausted its coordinator candidates).
+    :meth:`get` and :meth:`put` resolve when the reply arrives (or with
+    ``None`` once the machine has exhausted its coordinator candidates).
+    ``cluster`` may be a bare :class:`ClusterCore` describing a cluster
+    served by another process.
     """
 
-    def __init__(self, client_id: str, env: StaticProtocolEnv,
+    def __init__(self, client_id: str, cluster: ClusterCore,
                  address_book: Dict[str, Address]) -> None:
-        self.client_id = client_id
-        self.protocol = ClientProtocol(client_id, env)
-        self.endpoint = AsyncioEndpoint(self.protocol.address, address_book,
-                                        handler=self._handle_message)
-        self.runner = EffectRunner(self.endpoint, self.protocol.on_timer)
-
-    @property
-    def address(self) -> str:
-        return self.protocol.address
-
-    @property
-    def session(self):
-        return self.protocol.session
-
-    @property
-    def records(self):
-        return self.protocol.records
-
-    def _handle_message(self, message: Message) -> None:
-        self.runner.run(
-            self.protocol.on_message(message, self.endpoint.now_ms()))
+        super().__init__(client_id, cluster,
+                         AsyncioEndpoint(f"client:{client_id}", address_book))
+        self.transport.handler = self.handle_message
 
     async def get(self, key: str) -> Optional[GetResult]:
         """GET ``key``; resolves with the result, or ``None`` on failure."""
@@ -167,7 +94,7 @@ class AsyncClusterClient:
         self.runner.run(self.protocol.get(
             key,
             lambda result: future.done() or future.set_result(result),
-            self.endpoint.now_ms()))
+            self.transport.now_ms()))
         return await future
 
     async def put(self, key: str, value: Any,
@@ -178,24 +105,26 @@ class AsyncClusterClient:
         self.runner.run(self.protocol.put(
             key, value,
             lambda result: future.done() or future.set_result(result),
-            self.endpoint.now_ms(),
+            self.transport.now_ms(),
             use_context=use_context))
         return await future
 
     async def start(self) -> None:
-        await self.endpoint.start()
+        await self.transport.start()
 
     async def close(self) -> None:
         self.runner.cancel_all()
-        await self.endpoint.close()
+        await self.transport.close()
 
 
-class AsyncioCluster:
+class AsyncioCluster(ClusterCore):
     """A running cluster over real sockets, one event loop, many clients.
 
-    Parameters mirror the simulator's where they mean the same thing; the
-    transport knobs (latency models, loss, partitions) do not exist here —
-    the network is whatever the kernel provides.
+    Parameters mirror the simulator's where they mean the same thing (see
+    :class:`~repro.kvstore.cluster_core.ClusterCore`); the transport knobs
+    (latency models, loss, partitions) do not exist here — the network is
+    whatever the kernel provides.  The adaptive-deadline clamp is
+    [``replica_timeout_ms / 5``, ``replica_timeout_ms``].
 
     ``transport="unix"`` (default) listens on Unix-domain sockets under
     ``socket_dir`` (a fresh temp dir when omitted); ``transport="tcp"``
@@ -225,81 +154,48 @@ class AsyncioCluster:
                  request_overhead_bytes: int = 64,
                  topology: Optional[Topology] = None,
                  tracer: Optional[Any] = None) -> None:
-        if not server_ids:
-            raise ConfigurationError("at least one server id is required")
         if transport not in ("unix", "tcp"):
             raise ConfigurationError(
                 f"unknown transport {transport!r}; choose 'unix' or 'tcp'")
         if transport == "tcp" and base_port <= 0:
             raise ConfigurationError(
                 "transport='tcp' needs an explicit base_port")
-        self.mechanism = mechanism
-        self.server_ids = list(server_ids)
-        self.quorum = quorum or QuorumConfig(n=min(3, len(server_ids)),
-                                             r=min(2, len(server_ids)),
-                                             w=min(2, len(server_ids)),
-                                             sloppy=True)
-        self.transport_kind = transport
-        self._socket_dir = socket_dir
-        self._owns_socket_dir = socket_dir is None
-        self._host = host
-        self._base_port = base_port
-        self._next_port = base_port
-        self.anti_entropy_interval_ms = anti_entropy_interval_ms
-        self.hint_replay_interval_ms = hint_replay_interval_ms
-
-        self.ring = ConsistentHashRing(server_ids, virtual_nodes=virtual_nodes)
-        #: DC assignment: placement becomes DC-aware here exactly as in the
-        #: simulator (WAN latency itself is whatever the real network does).
-        self.topology = topology
-        self.membership = Membership(server_ids, topology=topology)
-        self.partition_map = PartitionMap(partition_count)
-        self.placement = PlacementService(self.ring, self.membership,
-                                          self.quorum,
-                                          partition_map=self.partition_map,
-                                          topology=topology)
-        self.write_log = WriteLog()
-        self.merkle_stats = MerkleSyncStats()
-        self.env = StaticProtocolEnv(
-            mechanism=mechanism,
-            quorum=self.quorum,
-            placement=self.placement,
-            write_log=self.write_log,
-            merkle_stats=self.merkle_stats,
+        super().__init__(
+            mechanism, server_ids, quorum,
+            anti_entropy_interval_ms=anti_entropy_interval_ms,
+            hint_replay_interval_ms=hint_replay_interval_ms,
             replica_timeout_ms=replica_timeout_ms,
             request_timeout_ms=request_timeout_ms,
-            client_timeout_ms=(client_timeout_ms if client_timeout_ms is not None
-                               else request_timeout_ms * 1.5),
+            client_timeout_ms=client_timeout_ms,
             sync_batch_size=sync_batch_size,
             merkle_fanout=merkle_fanout,
             merkle_depth=merkle_depth,
             read_repair_batch_ms=read_repair_batch_ms,
             deadline_mode=deadline_mode,
             deadline_floor_ms=replica_timeout_ms / 5.0,
-            deadline_ceiling_ms=replica_timeout_ms,
+            virtual_nodes=virtual_nodes,
+            partition_count=partition_count,
             request_overhead_bytes=request_overhead_bytes,
-            tracer=tracer if tracer is not None else NO_TRACER,
+            topology=topology,
+            tracer=tracer,
         )
-        self.tracer = self.env.tracer
+        self.server_ids = list(server_ids)
+        self.transport_kind = transport
+        self._socket_dir = socket_dir
+        self._owns_socket_dir = socket_dir is None
+        self._host = host
+        self._next_port = base_port
         #: node id → listen address; a plain dict for TCP, a
         #: :class:`UnixDirAddressBook` once a unix cluster starts.
         self.address_book: Any = {}
-        self.servers: Dict[str, AsyncServerNode] = {}
-        self.clients: Dict[str, AsyncClusterClient] = {}
         self._daemon_tasks: List[asyncio.Task] = []
         self._ae_pairs = itertools.cycle(
             [(a, b) for a in self.server_ids for b in self.server_ids if a != b]
         ) if len(self.server_ids) > 1 else None
         self._started = False
-        self._metrics_registry: Optional[MetricsRegistry] = None
-        #: Metrics captured at shutdown, after the daemons stopped but
-        #: before the transports closed — without it, stats accumulated by
-        #: the anti-entropy and hint-replay daemons' last in-flight work
-        #: would be unreadable once the endpoints are gone.
-        self._final_snapshot: Optional[Dict[str, Any]] = None
 
     # ------------------------------------------------------------------ #
-    # Addressing
+    # Addressing and the transport's stats
     # ------------------------------------------------------------------ #
     @property
     def socket_dir(self) -> Optional[str]:
@@ -311,6 +207,13 @@ class AsyncioCluster:
             return  # derived by the UnixDirAddressBook convention
         self.address_book[node_id] = ("tcp", self._host, self._next_port)
         self._next_port += 1
+
+    def transport_stats(self) -> List[TransportStats]:
+        """One stats object per endpoint: each message is counted once as
+        sent (sender endpoint) and once as delivered (receiver endpoint), so
+        the sum is the cluster total, like the simulator's one transport."""
+        return [host.transport.stats
+                for host in (*self.servers.values(), *self.clients.values())]
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -326,10 +229,11 @@ class AsyncioCluster:
         for server_id in self.server_ids:
             self._assign_address(server_id)
         for server_id in self.server_ids:
-            server = AsyncServerNode(server_id, self.mechanism, self.env,
-                                     self.address_book)
+            endpoint = AsyncioEndpoint(server_id, self.address_book)
+            server = ServerHost(server_id, self.mechanism, self, endpoint)
+            endpoint.handler = server.handle_message
             self.servers[server_id] = server
-            await server.start()
+            await endpoint.start()
         if self.anti_entropy_interval_ms is not None and self._ae_pairs is not None:
             self._daemon_tasks.append(asyncio.get_running_loop().create_task(
                 self._anti_entropy_daemon()))
@@ -354,10 +258,9 @@ class AsyncioCluster:
         # complete, and snapshots taken after shutdown stay meaningful.
         if self.servers:
             self._final_snapshot = self.metrics_registry().snapshot()
-        for client in self.clients.values():
-            await client.close()
-        for server in self.servers.values():
-            await server.close()
+        for host in (*self.clients.values(), *self.servers.values()):
+            host.runner.cancel_all()
+            await host.transport.close()
         if (self.transport_kind == "unix" and self._owns_socket_dir
                 and self._socket_dir is not None):
             for name in os.listdir(self._socket_dir):
@@ -385,7 +288,7 @@ class AsyncioCluster:
         """Create (and start) the client node with the given id."""
         if client_id in self.clients:
             return self.clients[client_id]
-        client = AsyncClusterClient(client_id, self.env, self.address_book)
+        client = AsyncClusterClient(client_id, self, self.address_book)
         self._assign_address(client.address)
         self.clients[client_id] = client
         await client.start()
@@ -412,23 +315,8 @@ class AsyncioCluster:
                     server.replay_hints()
 
     # ------------------------------------------------------------------ #
-    # Convergence and metrics (in-process verification helpers)
+    # Convergence (in-process verification helper)
     # ------------------------------------------------------------------ #
-    def key_universe(self) -> List[str]:
-        keys = set()
-        for server in self.servers.values():
-            keys.update(server.node.storage.keys())
-        return sorted(keys)
-
-    def is_converged(self) -> bool:
-        """True iff every server stores an identical sibling set for every key."""
-        for key in self.key_universe():
-            fingerprints = {key_fingerprint(server.node, key)
-                            for server in self.servers.values()}
-            if len(fingerprints) > 1:
-                return False
-        return True
-
     async def converge(self, timeout_s: float = 30.0,
                        poll_s: float = 0.05) -> float:
         """Wait until anti-entropy has converged every replica; returns the
@@ -443,46 +331,3 @@ class AsyncioCluster:
                 raise TimeoutError(
                     f"cluster did not converge within {timeout_s}s")
             await asyncio.sleep(poll_s)
-
-    def all_request_records(self):
-        records = []
-        for client in self.clients.values():
-            records.extend(client.records)
-        records.sort(key=lambda record: record.finished_at)
-        return records
-
-    def stat_totals(self) -> Dict[str, int]:
-        totals: Dict[str, int] = {}
-        for server in self.servers.values():
-            for name, value in server.node.stats.items():
-                totals[name] = totals.get(name, 0) + value
-        totals["pending_hints"] = sum(server.node.pending_hints()
-                                      for server in self.servers.values())
-        return totals
-
-    def sync_bytes(self) -> int:
-        """Total bytes sent so far on anti-entropy messages (all endpoints)."""
-        return sum(server.endpoint.stats.bytes_for(*SYNC_MESSAGE_TYPES)
-                   for server in self.servers.values())
-
-    def metrics_registry(self) -> MetricsRegistry:
-        """The cluster's unified metrics registry (built once, reads live)."""
-        if self._metrics_registry is None:
-            self._metrics_registry = build_cluster_registry(self)
-        return self._metrics_registry
-
-    def metrics_snapshot(self) -> Dict[str, Any]:
-        """One flat, stable, JSON-serializable view of every cluster stat.
-
-        After :meth:`stop` this returns the snapshot captured at shutdown
-        (daemons drained, transports still open), so no daemon work from the
-        final interval is lost.
-        """
-        if self._final_snapshot is not None:
-            return dict(self._final_snapshot)
-        return self.metrics_registry().snapshot()
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return (f"AsyncioCluster(mechanism={self.mechanism.name!r}, "
-                f"servers={sorted(self.servers)}, "
-                f"transport={self.transport_kind!r})")

@@ -27,7 +27,7 @@ from .effects import (
     SetTimer,
     TimerId,
 )
-from .env import DEADLINE_MODES, StaticProtocolEnv
+from .env import DEADLINE_MODES
 from .hints import HintReplayer
 from .latency import (
     ADAPTIVE_DEADLINE_MULTIPLIER,
@@ -60,7 +60,6 @@ __all__ = [
     "RequestRecord",
     "Send",
     "SetTimer",
-    "StaticProtocolEnv",
     "SYNC_MESSAGE_TYPES",
     "TimerId",
     "chunked",

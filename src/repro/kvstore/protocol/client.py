@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from ...network.message import Message, MessageType
-from ...obs.trace import NO_TRACER
 from ..client import ClientSession, GetResult, PutResult
 from .effects import ClearTimer, EffectList, Send, SetTimer
 from .util import default_value_size
@@ -63,7 +62,7 @@ class ClientProtocol:
     @property
     def tracer(self):
         """The env's span emitter (the inert :data:`NO_TRACER` by default)."""
-        return getattr(self.env, "tracer", NO_TRACER)
+        return self.env.tracer
 
     # ------------------------------------------------------------------ #
     # Effect plumbing

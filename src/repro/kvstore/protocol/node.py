@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Any, List, Optional, Sequence, Tuple
 
 from ...network.message import Message, MessageType
-from ...obs.trace import NO_TRACER
 from ..merkle_index import VnodeIndexSet
 from ..server import StorageNode
 from .anti_entropy import AntiEntropyEngine
@@ -91,7 +90,7 @@ class ProtocolNode:
     @property
     def tracer(self):
         """The env's span emitter (the inert :data:`NO_TRACER` by default)."""
-        return getattr(self.env, "tracer", NO_TRACER)
+        return self.env.tracer
 
     # ------------------------------------------------------------------ #
     # Effect plumbing (machines call node.emit; entry points drain)

@@ -13,9 +13,11 @@ The protocol itself lives in :mod:`repro.kvstore.protocol` as
 transport-agnostic state machines; this module is the **deterministic
 simulator backend** that hosts them (the asyncio socket backend in
 :mod:`repro.kvstore.asyncio_cluster` hosts the same machines over real
-connections — see ``ARCHITECTURE.md`` for the layering):
+connections; both share :class:`~repro.kvstore.cluster_core.ClusterCore` —
+see ``ARCHITECTURE.md`` for the layering):
 
-* Each physical server runs a :class:`MessageServer` hosting a
+* Each physical server runs a
+  :class:`~repro.kvstore.cluster_core.ServerHost` hosting a
   :class:`~repro.kvstore.protocol.node.ProtocolNode` (coordination, replica
   handlers, Merkle anti-entropy, hint replay) over a
   :class:`~repro.kvstore.server.StorageNode`.
@@ -138,189 +140,31 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..clocks.interface import CausalityMechanism
-from ..cluster.membership import Membership
-from ..cluster.preference_list import PlacementService, QuorumConfig
+from ..cluster.preference_list import QuorumConfig
 from ..cluster.topology import Topology
-from ..cluster.ring import (
-    DEFAULT_PARTITION_COUNT,
-    ConsistentHashRing,
-    PartitionMap,
-    rebalance_plan,
-)
+from ..cluster.ring import DEFAULT_PARTITION_COUNT, ConsistentHashRing, rebalance_plan
 from ..core.exceptions import ConfigurationError
 from ..network.latency import LatencyModel, SizeDependentLatency
-from ..network.message import Message
-from ..network.partition import PartitionManager
 from ..network.simulator import Simulation
-from ..network.transport import Transport
-from ..obs.cluster_metrics import build_cluster_registry
-from ..obs.metrics import MetricsRegistry
-from ..obs.trace import NO_TRACER
+from ..network.transport import Transport, TransportStats
 from .anti_entropy import AntiEntropyDaemon, HintedHandoffDaemon
 from .client import GetResult, PutResult
-from .merkle import key_fingerprint
-from .protocol import (
-    ADAPTIVE_DEADLINE_MULTIPLIER,
-    DEADLINE_EWMA_ALPHA,
-    DEADLINE_MODES,
-    DIGEST_BYTES,
-    SYNC_MESSAGE_TYPES,
-    ClientProtocol,
-    EffectRunner,
-    MerkleSyncStats,
-    ProtocolNode,
-    RequestRecord,
-    chunked as _chunked,
-    default_value_size,
-)
-from .protocol.anti_entropy import AntiEntropySession as _MerkleSession
-from .protocol.coordinator import CoordinatorSession as _PendingCoordination
-from .server import StorageNode
-from .write_log import WriteLog
+from .cluster_core import ClientHost, ClusterCore, ServerHost
 
-__all__ = [
-    "ADAPTIVE_DEADLINE_MULTIPLIER",
-    "DEADLINE_EWMA_ALPHA",
-    "DEADLINE_MODES",
-    "DIGEST_BYTES",
-    "MerkleSyncStats",
-    "MessageServer",
-    "RequestRecord",
-    "SYNC_MESSAGE_TYPES",
-    "SimulatedClient",
-    "SimulatedCluster",
-    "default_value_size",
-]
+__all__ = ["SimulatedClient", "SimulatedCluster"]
 
 
-class MessageServer:
-    """A storage server of the simulated cluster.
-
-    Thin backend shell: it hosts the transport-agnostic
-    :class:`~repro.kvstore.protocol.node.ProtocolNode` (which owns the
-    durable :class:`StorageNode` and its write-maintained Merkle index) that
-    implements the entire message protocol, and runs the effects the
-    machines emit against the simulated transport.
-    """
-
-    def __init__(self,
-                 node_id: str,
-                 mechanism: CausalityMechanism,
-                 cluster: "SimulatedCluster") -> None:
-        self.node_id = node_id
-        self.mechanism = mechanism
-        self.cluster = cluster
-        # The cluster itself is the machines' env (see protocol/env.py).
-        self.protocol = ProtocolNode(node_id, mechanism, cluster)
-        self.runner = EffectRunner(cluster.transport, self.protocol.on_timer)
-
-    @property
-    def node(self) -> StorageNode:
-        """The server's storage layer (durable state, stats, hints, index)."""
-        return self.protocol.store
-
-    # ------------------------------------------------------------------ #
-    # Transport entry point and daemon triggers
-    # ------------------------------------------------------------------ #
-    def handle_message(self, message: Message) -> None:
-        """Transport entry point."""
-        self.runner.run(
-            self.protocol.on_message(message, self.cluster.simulation.now))
-
-    def replay_hints(self) -> int:
-        """One hint-replay tick; returns the number of batches sent."""
-        effects, batches = self.protocol.replay_hints(self.cluster.simulation.now)
-        self.runner.run(effects)
-        return batches
-
-    def start_merkle_sync_with(self, peer_id: str) -> None:
-        """Begin a Merkle-delta exchange with ``peer_id``."""
-        self.runner.run(
-            self.protocol.start_merkle_sync_with(peer_id,
-                                                 self.cluster.simulation.now))
-
-    def send_key_handoff(self, target_id: str, keys: Sequence[str]) -> None:
-        """Push the states of ``keys`` to a node that became a replica home."""
-        self.runner.run(
-            self.protocol.send_key_handoff(target_id, keys,
-                                           self.cluster.simulation.now))
-
-    def on_recover(self, wipe: bool,
-                   wipe_partitions: Optional[Sequence[int]] = None) -> None:
-        """Recover from a crash (see :meth:`ProtocolNode.on_recover`).
-
-        Deliberately does *not* disarm timers the crashed process had armed:
-        a real crashed coordinator's deadlines are process memory too, but
-        the original simulator let them fire harmlessly against the cleared
-        state, and the equivalence suite pins that behaviour.
-        """
-        self.protocol.on_recover(wipe, wipe_partitions=wipe_partitions)
-
-    # ------------------------------------------------------------------ #
-    # Introspection shims (stable names for tests and diagnostics)
-    # ------------------------------------------------------------------ #
-    @property
-    def read_repair_stats(self):
-        return self.protocol.coordinator.read_repair_stats
-
-    @property
-    def _pending(self):
-        return self.protocol.coordinator.sessions
-
-    @property
-    def _repair_queue(self):
-        return self.protocol.coordinator.repair_queue
-
-    @property
-    def _ack_latency_ewma(self) -> Dict[str, float]:
-        return self.protocol.latency.ewma
-
-    def _replica_deadline_ms(self, replica_id: str) -> float:
-        return self.protocol.coordinator.replica_deadline_ms(replica_id)
-
-    @property
-    def _merkle_sessions(self):
-        return self.protocol.anti_entropy.sessions
-
-
-class SimulatedClient:
+class SimulatedClient(ClientHost):
     """A client node of the simulated cluster.
 
-    Thin backend shell over :class:`~repro.kvstore.protocol.client.ClientProtocol`:
-    the machine keeps the causal session and the request records; this class
-    feeds it replies and executes its effects against the simulated transport.
     Requests are asynchronous: callers pass a callback that receives the
     :class:`GetResult` / :class:`PutResult` when the reply arrives.
     """
 
-    def __init__(self, client_id: str, cluster: "SimulatedCluster") -> None:
-        self.client_id = client_id
-        self.cluster = cluster
-        self.protocol = ClientProtocol(client_id, cluster)
-        self.runner = EffectRunner(cluster.transport, self.protocol.on_timer)
-
-    @property
-    def address(self) -> str:
-        return self.protocol.address
-
-    @property
-    def session(self):
-        return self.protocol.session
-
-    @property
-    def records(self) -> List[RequestRecord]:
-        return self.protocol.records
-
-    def handle_message(self, message: Message) -> None:
-        """Transport entry point (replies from coordinators)."""
-        self.runner.run(
-            self.protocol.on_message(message, self.cluster.simulation.now))
-
     def get(self, key: str,
             callback: Optional[Callable[[GetResult], None]] = None) -> None:
         """Issue a GET for ``key``; ``callback`` fires when the reply arrives."""
-        self.runner.run(
-            self.protocol.get(key, callback, self.cluster.simulation.now))
+        self.runner.run(self.protocol.get(key, callback, self.transport.now_ms()))
 
     def put(self,
             key: str,
@@ -329,21 +173,16 @@ class SimulatedClient:
             use_context: bool = True) -> None:
         """Issue a PUT for ``key``; ``callback`` fires when the reply arrives."""
         self.runner.run(
-            self.protocol.put(key, value, callback, self.cluster.simulation.now,
+            self.protocol.put(key, value, callback, self.transport.now_ms(),
                               use_context=use_context))
 
 
-class SimulatedCluster:
+class SimulatedCluster(ClusterCore):
     """A complete simulated deployment: servers, clients, ring, transport.
 
-    Parameters
-    ----------
-    mechanism:
-        Causality mechanism shared by all servers in this run.
-    server_ids:
-        Physical storage nodes.
-    quorum:
-        N / R / W configuration.
+    Every knob shared with the asyncio backend is documented on
+    :class:`~repro.kvstore.cluster_core.ClusterCore`.  The simulator's own:
+
     latency:
         Latency model; defaults to a size-dependent model so metadata size
         shows up in request latency (experiment E4).
@@ -351,43 +190,6 @@ class SimulatedCluster:
         Simulation seed (drives latency sampling and message loss).
     loss_probability / duplicate_probability:
         Transport unreliability knobs.
-    anti_entropy_interval_ms:
-        Period of the background replica synchronisation (None disables it).
-    hint_replay_interval_ms:
-        Period of the hinted-handoff replay daemon (None disables hinted
-        handoff entirely — no hints are stored).
-    hint_backoff_multiplier:
-        Backoff for hint replay toward a persistently slow peer (one whose
-        latency EWMA clamps its adaptive deadline at the ceiling): after one
-        replay, the next attempt waits ``ewma × this`` instead of the daemon
-        cadence.  Deferred ticks are counted in ``hint_replays_deferred``.
-    replica_timeout_ms / request_timeout_ms:
-        Coordination deadlines: how long a coordinator waits for one replica's
-        ack before extending/abandoning it, and how long a whole request may
-        take before the coordinator answers ``ERROR_REPLY``.  Clients wait
-        ``client_timeout_ms`` (1.5 × the request timeout by default) before
-        failing over to the next candidate coordinator.
-    sync_batch_size:
-        Keys per MERKLE_KEY_STATES / HINT_REPLAY / KEY_HANDOFF message (also
-        the read-repair batch size).
-    merkle_fanout / merkle_depth:
-        Shape of the hash trees used by the Merkle-delta exchange.
-    read_repair_batch_ms:
-        Coalescing window for read-repair pushes: repairs destined for the
-        same stale replica within this window ride one READ_REPAIR message
-        (a full ``sync_batch_size`` batch flushes immediately; ``0`` disables
-        coalescing and sends each repair at once).
-    deadline_mode:
-        Per-replica deadlines: ``"fixed"`` (default) arms
-        ``replica_timeout_ms`` for every replica; ``"adaptive"`` arms an EWMA
-        of the replica's observed ack latency scaled by
-        :data:`ADAPTIVE_DEADLINE_MULTIPLIER` and clamped to
-        [``deadline_floor_ms``, ``deadline_ceiling_ms``].
-    deadline_floor_ms / deadline_ceiling_ms:
-        Clamp for adaptive deadlines.  The ceiling defaults to
-        ``replica_timeout_ms`` so adaptation only ever tightens failure
-        detection; the floor keeps a single latency spike from mass-expiring
-        healthy replicas.
     """
 
     def __init__(self,
@@ -416,41 +218,28 @@ class SimulatedCluster:
                  request_overhead_bytes: int = 64,
                  topology: Optional[Topology] = None,
                  tracer: Optional[Any] = None) -> None:
-        if not server_ids:
-            raise ConfigurationError("at least one server id is required")
-        if deadline_mode not in DEADLINE_MODES:
-            raise ConfigurationError(
-                f"unknown deadline mode {deadline_mode!r}; choose from {DEADLINE_MODES}"
-            )
-        if replica_timeout_ms <= 0 or request_timeout_ms <= 0:
-            raise ConfigurationError("request timeouts must be positive")
-        if read_repair_batch_ms < 0:
-            raise ConfigurationError(
-                f"read_repair_batch_ms must be >= 0, got {read_repair_batch_ms}"
-            )
-        if deadline_floor_ms <= 0:
-            raise ConfigurationError(
-                f"deadline_floor_ms must be positive, got {deadline_floor_ms}"
-            )
-        resolved_ceiling = (deadline_ceiling_ms if deadline_ceiling_ms is not None
-                            else replica_timeout_ms)
-        if resolved_ceiling < deadline_floor_ms:
-            raise ConfigurationError(
-                f"deadline_ceiling_ms ({resolved_ceiling}) must be >= "
-                f"deadline_floor_ms ({deadline_floor_ms})"
-            )
-        if sync_batch_size < 1:
-            raise ConfigurationError(f"sync_batch_size must be >= 1, got {sync_batch_size}")
-        if hint_backoff_multiplier <= 0:
-            raise ConfigurationError(
-                f"hint_backoff_multiplier must be positive, got {hint_backoff_multiplier}"
-            )
-        self.mechanism = mechanism
-        self.quorum = quorum or QuorumConfig(n=min(3, len(server_ids)),
-                                             r=min(2, len(server_ids)),
-                                             w=min(2, len(server_ids)))
+        super().__init__(
+            mechanism, server_ids, quorum,
+            anti_entropy_interval_ms=anti_entropy_interval_ms,
+            hint_replay_interval_ms=hint_replay_interval_ms,
+            hint_backoff_multiplier=hint_backoff_multiplier,
+            replica_timeout_ms=replica_timeout_ms,
+            request_timeout_ms=request_timeout_ms,
+            client_timeout_ms=client_timeout_ms,
+            sync_batch_size=sync_batch_size,
+            merkle_fanout=merkle_fanout,
+            merkle_depth=merkle_depth,
+            read_repair_batch_ms=read_repair_batch_ms,
+            deadline_mode=deadline_mode,
+            deadline_floor_ms=deadline_floor_ms,
+            deadline_ceiling_ms=deadline_ceiling_ms,
+            virtual_nodes=virtual_nodes,
+            partition_count=partition_count,
+            request_overhead_bytes=request_overhead_bytes,
+            topology=topology,
+            tracer=tracer,
+        )
         self.simulation = Simulation(seed=seed)
-        self.partitions = PartitionManager()
         self.transport = Transport(
             self.simulation,
             latency=latency or SizeDependentLatency(),
@@ -458,48 +247,9 @@ class SimulatedCluster:
             duplicate_probability=duplicate_probability,
             partitions=self.partitions,
         )
-        self.ring = ConsistentHashRing(server_ids, virtual_nodes=virtual_nodes)
-        #: Datacenter assignment; ``None`` means a single implicit DC and
-        #: keeps placement byte-identical to the pre-topology behavior.
-        self.topology = topology
-        self.membership = Membership(server_ids, topology=topology)
-        # The cluster-wide range ↔ vnode mapping: every server divides its
-        # key space into the same fixed partitions, so per-range digests are
-        # comparable between peers and handoff can move whole ranges.
-        self.partition_map = PartitionMap(partition_count)
-        self.placement = PlacementService(self.ring, self.membership,
-                                          self.quorum,
-                                          partition_map=self.partition_map,
-                                          topology=topology)
-        self.write_log = WriteLog()
-        self.request_overhead_bytes = request_overhead_bytes
-        self.replica_timeout_ms = replica_timeout_ms
-        self.request_timeout_ms = request_timeout_ms
-        self.client_timeout_ms = (client_timeout_ms if client_timeout_ms is not None
-                                  else request_timeout_ms * 1.5)
-        self.sync_batch_size = sync_batch_size
-        self.merkle_fanout = merkle_fanout
-        self.merkle_depth = merkle_depth
-        self.read_repair_batch_ms = read_repair_batch_ms
-        self.deadline_mode = deadline_mode
-        self.deadline_floor_ms = deadline_floor_ms
-        self.deadline_ceiling_ms = resolved_ceiling
-        self.hint_backoff_multiplier = hint_backoff_multiplier
-        self.merkle_stats = MerkleSyncStats()
-        #: Span emitter shared by every hosted machine (inert by default;
-        #: span events bypass the simulation, so determinism is preserved).
-        self.tracer = tracer if tracer is not None else NO_TRACER
-        self._anti_entropy_interval_ms = anti_entropy_interval_ms
-        self._departed_stats: Dict[str, int] = {}
-        self._metrics_registry: Optional[MetricsRegistry] = None
-
-        self.servers: Dict[str, MessageServer] = {}
         for server_id in server_ids:
-            server = MessageServer(server_id, mechanism, self)
-            self.servers[server_id] = server
-            self.transport.register(server_id, server.handle_message)
+            self._add_server(server_id)
 
-        self.clients: Dict[str, SimulatedClient] = {}
         self.anti_entropy: Optional[AntiEntropyDaemon] = None
         if anti_entropy_interval_ms is not None and len(server_ids) > 1:
             self.anti_entropy = AntiEntropyDaemon(
@@ -521,10 +271,17 @@ class SimulatedCluster:
         # for the next daemon tick.
         self.membership.subscribe(self._on_membership_event)
 
-    @property
-    def hinted_handoff_enabled(self) -> bool:
-        """Whether coordinators store hints for unreachable primaries."""
-        return self.hinted_handoff is not None
+    def _add_server(self, server_id: str) -> None:
+        server = ServerHost(server_id, self.mechanism, self, self.transport)
+        self.servers[server_id] = server
+        self.transport.register(server_id, server.handle_message)
+
+    def is_registered(self, node_id: str) -> bool:
+        """Whether ``node_id``'s process is alive (not crashed or removed)."""
+        return self.transport.is_registered(node_id)
+
+    def transport_stats(self) -> List[TransportStats]:
+        return [self.transport.stats]
 
     # ------------------------------------------------------------------ #
     # Topology management
@@ -533,7 +290,7 @@ class SimulatedCluster:
         """Create (or return) the client node with the given id."""
         if client_id in self.clients:
             return self.clients[client_id]
-        client = SimulatedClient(client_id, self)
+        client = SimulatedClient(client_id, self, self.transport)
         self.clients[client_id] = client
         self.transport.register(client.address, client.handle_message)
         return client
@@ -604,9 +361,14 @@ class SimulatedCluster:
         rebuild), a wipe empties it alongside the key states — but after a
         *clean* :meth:`shutdown_node` the index was flushed and marked clean,
         so the restart adopts it wholesale and skips the rebuilds.
+
+        Timers the crashed process had armed are deliberately left armed: a
+        real crashed coordinator's deadlines are process memory too, but the
+        original simulator let them fire harmlessly against the cleared
+        state, and the equivalence suite pins that behaviour.
         """
         server = self.servers[server_id]
-        server.on_recover(wipe, wipe_partitions=wipe_partitions)
+        server.protocol.on_recover(wipe, wipe_partitions=wipe_partitions)
         if not self.transport.is_registered(server_id):
             self.transport.register(server_id, server.handle_message)
         self.membership.mark_up(server_id)
@@ -625,17 +387,15 @@ class SimulatedCluster:
                                          virtual_nodes=self.ring.virtual_nodes)
         self.ring.add_node(server_id)
         self.membership.add(server_id, dc=dc)
-        server = MessageServer(server_id, self.mechanism, self)
-        self.servers[server_id] = server
-        self.transport.register(server_id, server.handle_message)
+        self._add_server(server_id)
         if self.anti_entropy is not None:
             self.anti_entropy.add_node(server_id)
-        elif self._anti_entropy_interval_ms is not None and len(self.servers) > 1:
+        elif self.anti_entropy_interval_ms is not None and len(self.servers) > 1:
             self.anti_entropy = AntiEntropyDaemon(
                 self.simulation,
                 self.start_exchange,
                 list(self.servers),
-                interval_ms=self._anti_entropy_interval_ms,
+                interval_ms=self.anti_entropy_interval_ms,
                 eligible=self.membership.is_up,
             )
 
@@ -716,21 +476,6 @@ class SimulatedCluster:
             remaining.node.clear_hints(server_id)
         return handed_off
 
-    def can_reach(self, source_id: str, target_id: str) -> bool:
-        """Whether ``source_id`` can currently deliver messages to ``target_id``.
-
-        A node is unreachable when it is marked down, deregistered from the
-        transport, or cut off by a partition.  Hint replay and graceful
-        decommissioning consult this view; request coordination does not.
-        """
-        return (self.membership.is_up(target_id)
-                and self.transport.is_registered(target_id)
-                and self.partitions.can_communicate(source_id, target_id))
-
-    def is_registered(self, node_id: str) -> bool:
-        """Whether ``node_id``'s process is alive (the env's liveness query)."""
-        return self.transport.is_registered(node_id)
-
     # ------------------------------------------------------------------ #
     # Execution helpers
     # ------------------------------------------------------------------ #
@@ -761,22 +506,6 @@ class SimulatedCluster:
         if settle:
             self.simulation.run_until_idle()
 
-    def key_universe(self) -> List[str]:
-        """Every key held by any live server, sorted."""
-        keys = set()
-        for server in self.servers.values():
-            keys.update(server.node.storage.keys())
-        return sorted(keys)
-
-    def is_converged(self) -> bool:
-        """True iff every server stores an identical sibling set for every key."""
-        for key in self.key_universe():
-            fingerprints = {key_fingerprint(server.node, key)
-                            for server in self.servers.values()}
-            if len(fingerprints) > 1:
-                return False
-        return True
-
     def converge(self, max_rounds: int = 30) -> int:
         """Run anti-entropy rounds until every replica agrees; returns rounds.
 
@@ -793,63 +522,3 @@ class SimulatedCluster:
             if self.is_converged():
                 return round_number
         raise ConfigurationError(f"cluster did not converge within {max_rounds} rounds")
-
-    # ------------------------------------------------------------------ #
-    # Metrics
-    # ------------------------------------------------------------------ #
-    def all_request_records(self) -> List[RequestRecord]:
-        """Every request completed by every client, in completion order."""
-        records: List[RequestRecord] = []
-        for client in self.clients.values():
-            records.extend(client.records)
-        records.sort(key=lambda record: record.finished_at)
-        return records
-
-    def metadata_entries(self) -> int:
-        """Total causality-metadata entries stored across the cluster."""
-        return sum(server.node.metadata_entries() for server in self.servers.values())
-
-    def metadata_bytes(self) -> int:
-        """Total causality-metadata bytes stored across the cluster."""
-        return sum(server.node.metadata_bytes() for server in self.servers.values())
-
-    def sync_bytes(self) -> int:
-        """Total bytes sent so far on anti-entropy messages."""
-        return self.transport.stats.bytes_for(*SYNC_MESSAGE_TYPES)
-
-    def sibling_counts(self, key: str) -> Dict[str, int]:
-        """Live sibling counts of ``key`` on every server."""
-        return {
-            server_id: len(server.node.siblings_of(key))
-            for server_id, server in self.servers.items()
-        }
-
-    def stat_totals(self) -> Dict[str, int]:
-        """Per-node operation counters summed across the cluster.
-
-        Includes the counters of gracefully decommissioned nodes, so churn
-        reports account for work done before a departure.
-        """
-        totals: Dict[str, int] = dict(self._departed_stats)
-        for server in self.servers.values():
-            for name, value in server.node.stats.items():
-                totals[name] = totals.get(name, 0) + value
-        totals["pending_hints"] = sum(server.node.pending_hints()
-                                      for server in self.servers.values())
-        return totals
-
-    def metrics_registry(self) -> MetricsRegistry:
-        """The cluster's unified metrics registry (built once, reads live)."""
-        if self._metrics_registry is None:
-            self._metrics_registry = build_cluster_registry(self)
-        return self._metrics_registry
-
-    def metrics_snapshot(self) -> Dict[str, Any]:
-        """One flat, stable, JSON-serializable view of every cluster stat."""
-        return self.metrics_registry().snapshot()
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return (
-            f"SimulatedCluster(mechanism={self.mechanism.name!r}, "
-            f"servers={sorted(self.servers)}, clients={len(self.clients)})"
-        )

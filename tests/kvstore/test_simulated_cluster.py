@@ -505,12 +505,12 @@ class TestBatchedReadRepair:
         cluster.drain()
         messages = cluster.transport.stats.per_type.get("read_repair", 0) - before
         coordinator = cluster.servers["n1"]
-        repaired = coordinator.read_repair_stats.replicas_repaired
+        repaired = coordinator.protocol.coordinator.read_repair_stats.replicas_repaired
         assert repaired >= len(stale_keys)
         # Coalescing is the point: strictly fewer messages than repaired
         # (key, replica) pairs, mirroring MERKLE_KEY_STATES batching.
         assert 0 < messages < repaired
-        assert coordinator.read_repair_stats.batches_sent == messages
+        assert coordinator.protocol.coordinator.read_repair_stats.batches_sent == messages
         for key in stale_keys:
             assert f"{key}-late" in map(str, cluster.servers["n3"].node.values_of(key))
 
@@ -566,12 +566,12 @@ class TestBatchedReadRepair:
         # window that starts at reply time to close.
         cluster.run(until=cluster.simulation.now + 3.5)
         coordinator = cluster.servers["n1"]
-        assert coordinator._repair_queue, "setup: repairs should be queued"
+        assert coordinator.protocol.coordinator.repair_queue, "setup: repairs should be queued"
         before = cluster.transport.stats.per_type.get("read_repair", 0)
         cluster.fail_node("n1")
         cluster.run(until=cluster.simulation.now + 20.0)
         assert cluster.transport.stats.per_type.get("read_repair", 0) == before
-        assert not coordinator._repair_queue
+        assert not coordinator.protocol.coordinator.repair_queue
         cluster.recover_node("n1", wipe=True)
         cluster.drain()
         assert cluster.transport.stats.per_type.get("read_repair", 0) == before
@@ -599,20 +599,20 @@ class TestAdaptiveDeadlines:
         cluster = self.build_adaptive(deadline_floor_ms=2.0)
         server = next(iter(cluster.servers.values()))
         # never observed: fall back to the fixed timeout
-        assert server._replica_deadline_ms("peer") == cluster.replica_timeout_ms
-        server._ack_latency_ewma["peer"] = 1.0
-        assert server._replica_deadline_ms("peer") == pytest.approx(3.0)  # 3x EWMA
-        server._ack_latency_ewma["peer"] = 0.1
-        assert server._replica_deadline_ms("peer") == pytest.approx(2.0)  # floor
-        server._ack_latency_ewma["peer"] = 100.0
-        assert server._replica_deadline_ms("peer") == pytest.approx(
+        assert server.protocol.coordinator.replica_deadline_ms("peer") == cluster.replica_timeout_ms
+        server.protocol.latency.ewma["peer"] = 1.0
+        assert server.protocol.coordinator.replica_deadline_ms("peer") == pytest.approx(3.0)  # 3x EWMA
+        server.protocol.latency.ewma["peer"] = 0.1
+        assert server.protocol.coordinator.replica_deadline_ms("peer") == pytest.approx(2.0)  # floor
+        server.protocol.latency.ewma["peer"] = 100.0
+        assert server.protocol.coordinator.replica_deadline_ms("peer") == pytest.approx(
             cluster.deadline_ceiling_ms)                                  # ceiling
 
     def test_fixed_mode_ignores_observations(self):
         cluster = self.build_adaptive(deadline_mode="fixed")
         server = next(iter(cluster.servers.values()))
-        server._ack_latency_ewma["peer"] = 1.0
-        assert server._replica_deadline_ms("peer") == cluster.replica_timeout_ms
+        server.protocol.latency.ewma["peer"] = 1.0
+        assert server.protocol.coordinator.replica_deadline_ms("peer") == cluster.replica_timeout_ms
 
     def test_acks_feed_the_ewma(self):
         cluster = self.build_adaptive()
@@ -620,9 +620,9 @@ class TestAdaptiveDeadlines:
         for i in range(6):
             client.put("k", f"v{i}")
             cluster.run(until=cluster.simulation.now + 40.0)
-        observed = [server._ack_latency_ewma
+        observed = [server.protocol.latency.ewma
                     for server in cluster.servers.values()
-                    if server._ack_latency_ewma]
+                    if server.protocol.latency.ewma]
         assert observed, "coordinators should have recorded ack latencies"
         for ewma_map in observed:
             for latency in ewma_map.values():
@@ -828,36 +828,51 @@ class TestElasticMembership:
 
 
 class TestProtocolEnvContract:
-    def test_every_static_env_field_resolves_on_the_cluster(self):
-        """The simulator hands its machines the cluster itself as their env,
-        so a field added to ``StaticProtocolEnv`` alone fails here."""
-        import dataclasses
+    def test_every_server_is_a_server_host_on_its_cluster(self):
+        """Both backends host their servers the same way, and the cluster
+        itself is the machines' env."""
+        import asyncio
 
-        from repro.kvstore.protocol import StaticProtocolEnv
+        from repro.kvstore import AsyncioCluster, ServerHost
 
         cluster = build_cluster()
-        assert cluster.servers["n1"].protocol.env is cluster
-        for field in dataclasses.fields(StaticProtocolEnv):
-            assert hasattr(cluster, field.name), (
-                f"SimulatedCluster lacks env field {field.name!r}")
+        for server in cluster.servers.values():
+            assert type(server) is ServerHost
+            assert server.protocol.env is cluster
+
+        async def hosts():
+            real = AsyncioCluster(DVVMechanism(), server_ids=("n1", "n2", "n3"),
+                                  anti_entropy_interval_ms=None,
+                                  hint_replay_interval_ms=None)
+            async with real:
+                return real, list(real.servers.values())
+
+        real, servers = asyncio.run(hosts())
+        assert len(servers) == 3
+        for server in servers:
+            assert type(server) is ServerHost
+            assert server.protocol.env is real
+
+    def test_env_queries_follow_liveness(self):
+        cluster = build_cluster()
         assert cluster.can_reach("n1", "n2")
         assert cluster.is_registered("n1")
         cluster.fail_node("n1")
         assert not cluster.is_registered("n1")
+        assert not cluster.can_reach("n2", "n1")
 
-    def test_protocol_machines_read_only_contract_fields(self):
-        """Every ``env.<name>`` the machines read is a ``StaticProtocolEnv``
-        field, so both backends' envs answer it."""
-        import dataclasses
+    def test_protocol_machines_read_only_core_attributes(self):
+        """Every ``env.<name>`` the machines read resolves on a bare
+        ``ClusterCore``, so every backend's env answers it."""
         import pathlib
         import re
 
         import repro.kvstore.protocol as protocol
-        from repro.kvstore.protocol import StaticProtocolEnv
+        from repro.kvstore import ClusterCore
 
-        fields = {field.name for field in dataclasses.fields(StaticProtocolEnv)}
+        core = ClusterCore(DVVMechanism())
         read = set()
         for path in pathlib.Path(protocol.__file__).parent.glob("*.py"):
             read.update(re.findall(r"\benv\.([A-Za-z_]\w*)", path.read_text()))
         assert read, "the scan found no env reads"
-        assert read <= fields, sorted(read - fields)
+        assert not [name for name in read if not hasattr(core, name)], sorted(read)

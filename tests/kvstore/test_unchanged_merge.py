@@ -36,16 +36,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.clocks import Sibling, available, create
-from repro.cluster import ConsistentHashRing, Membership, PartitionMap, PlacementService, QuorumConfig
+from repro.cluster import QuorumConfig
 from repro.core import DVVSet, Dot
 from repro.core.dvvset import _unique
-from repro.kvstore import StorageNode, WriteLog, plan_read_repair
+from repro.kvstore import ClusterCore, StorageNode, plan_read_repair
 from repro.kvstore.context import CausalContext
 from repro.kvstore.merkle import MerkleTree, state_fingerprint
 from repro.kvstore.merkle_index import MerkleIndex
-from repro.kvstore.protocol import MerkleSyncStats, ProtocolNode
+from repro.kvstore.protocol import ProtocolNode
 from repro.kvstore.protocol.effects import Send
-from repro.kvstore.protocol.env import StaticProtocolEnv
 from repro.kvstore.read_repair import RepairPlan
 from repro.network.message import Message, MessageType
 from repro.network.wire import decode_message, encode_message
@@ -333,14 +332,9 @@ def test_plan_matches_todays_planner(case, picks):
 # --------------------------------------------------------------------------- #
 # The anti-entropy receiver against today's fingerprint rule
 # --------------------------------------------------------------------------- #
-def protocol_env(mechanism) -> StaticProtocolEnv:
-    ring = ConsistentHashRing(SERVERS, virtual_nodes=16)
-    quorum = QuorumConfig(n=3, r=2, w=2, sloppy=True)
-    placement = PlacementService(ring, Membership(SERVERS), quorum,
-                                 partition_map=PartitionMap(16))
-    return StaticProtocolEnv(mechanism=mechanism, quorum=quorum,
-                             placement=placement, write_log=WriteLog(),
-                             merkle_stats=MerkleSyncStats())
+def protocol_env(mechanism) -> ClusterCore:
+    return ClusterCore(mechanism, SERVERS, QuorumConfig(n=3, r=2, w=2, sloppy=True),
+                       virtual_nodes=16, partition_count=16)
 
 
 def twin(node: StorageNode, partition_map=None) -> StorageNode:

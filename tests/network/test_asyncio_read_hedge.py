@@ -16,8 +16,8 @@ from repro.kvstore.asyncio_cluster import AsyncioCluster
 
 
 def frames_sent(cluster: AsyncioCluster) -> int:
-    endpoints = [s.endpoint for s in cluster.servers.values()]
-    endpoints += [c.endpoint for c in cluster.clients.values()]
+    endpoints = [s.transport for s in cluster.servers.values()]
+    endpoints += [c.transport for c in cluster.clients.values()]
     return sum(endpoint.stats.sent for endpoint in endpoints)
 
 
@@ -63,7 +63,8 @@ def test_hedge_answers_a_read_whose_first_replica_is_gone():
                     if cluster.placement.primary_replicas(key)[1] == "B"][:3]
             assert keys
             await written_and_settled(cluster, client, keys)
-            await cluster.servers["B"].close()
+            cluster.servers["B"].runner.cancel_all()
+            await cluster.servers["B"].transport.close()
             latencies = []
             for key in keys:
                 started = time.perf_counter()

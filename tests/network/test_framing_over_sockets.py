@@ -228,8 +228,8 @@ def test_every_frame_crosses_the_two_module_level_seams(monkeypatch):
             client = await cluster.client("c1")
             assert await client.put("cart", "beer") is not None
             assert (await client.get("cart")).values == ["beer"]
-            endpoints = [server.endpoint for server in cluster.servers.values()]
-            endpoints += [c.endpoint for c in cluster.clients.values()]
+            endpoints = [server.transport for server in cluster.servers.values()]
+            endpoints += [c.transport for c in cluster.clients.values()]
             sent = sum(endpoint.stats.sent for endpoint in endpoints)
             delivered = sum(endpoint.stats.delivered for endpoint in endpoints)
             return sent, delivered, dict(calls)

@@ -21,8 +21,9 @@ import os
 
 from repro.clocks import create
 from repro.cluster import QuorumConfig
-from repro.kvstore import SimulatedCluster
-from repro.kvstore.asyncio_cluster import AsyncioCluster, AsyncServerNode
+from repro.kvstore import ServerHost, SimulatedCluster
+from repro.kvstore.asyncio_cluster import AsyncioCluster
+from repro.network.asyncio_transport import AsyncioEndpoint
 from repro.obs import InMemoryTraceSink, Tracer, format_span_tree
 
 SERVER_IDS = ("A", "B", "C", "D")
@@ -129,7 +130,9 @@ def test_sloppy_quorum_write_span_tree_asyncio():
 
             # take the primary down (and clear its stale socket file so a
             # replacement can bind the same address later)
-            await cluster.servers[down].close()
+            dead = cluster.servers[down]
+            dead.runner.cancel_all()
+            await dead.transport.close()
             socket_path = cluster.address_book[down][1]
             with contextlib.suppress(OSError):
                 os.unlink(socket_path)
@@ -147,9 +150,10 @@ def test_sloppy_quorum_write_span_tree_asyncio():
                 await asyncio.sleep(0.01)
 
             # bring the node back as a fresh listener on the same address
-            server = AsyncServerNode(down, cluster.mechanism, cluster.env,
-                                     cluster.address_book)
-            await server.start()
+            endpoint = AsyncioEndpoint(down, cluster.address_book)
+            server = ServerHost(down, cluster.mechanism, cluster, endpoint)
+            endpoint.handler = server.handle_message
+            await endpoint.start()
             cluster.servers[down] = server
 
             deadline = loop.time() + 10.0

@@ -11,17 +11,10 @@ backoff state is process memory — a crash forgets it.
 from __future__ import annotations
 
 from repro.clocks import create
-from repro.cluster import (
-    ConsistentHashRing,
-    Membership,
-    PartitionMap,
-    PlacementService,
-    QuorumConfig,
-)
-from repro.kvstore import WriteLog
+from repro.cluster import QuorumConfig
+from repro.kvstore import ClusterCore
 from repro.kvstore.client import ClientSession
-from repro.kvstore.protocol import MerkleSyncStats, ProtocolNode
-from repro.kvstore.protocol.env import StaticProtocolEnv
+from repro.kvstore.protocol import ProtocolNode
 from repro.network.message import MessageType
 
 SERVER_IDS = ("A", "B", "C")
@@ -34,19 +27,11 @@ SLOW_EWMA_MS = 100.0
 
 
 def build_node(node_id: str = "A") -> ProtocolNode:
-    ring = ConsistentHashRing(SERVER_IDS, virtual_nodes=16)
-    quorum = QuorumConfig(n=3, r=2, w=2, sloppy=True)
-    placement = PlacementService(ring, Membership(SERVER_IDS), quorum,
-                                 partition_map=PartitionMap(16))
-    env = StaticProtocolEnv(
-        mechanism=create("dvv"),
-        quorum=quorum,
-        placement=placement,
-        write_log=WriteLog(),
-        merkle_stats=MerkleSyncStats(),
-        deadline_ceiling_ms=CEILING_MS,
-        hint_backoff_multiplier=BACKOFF_MULTIPLIER,
-    )
+    env = ClusterCore(create("dvv"), SERVER_IDS,
+                      QuorumConfig(n=3, r=2, w=2, sloppy=True),
+                      virtual_nodes=16, partition_count=16,
+                      deadline_ceiling_ms=CEILING_MS,
+                      hint_backoff_multiplier=BACKOFF_MULTIPLIER)
     return ProtocolNode(node_id, env.mechanism, env)
 
 

@@ -1,8 +1,8 @@
 """Direct-drive tests: scripted messages and timers through the state machines.
 
 No transport, no event loop, no simulator — each test builds a
-:class:`~repro.kvstore.protocol.node.ProtocolNode` over a
-:class:`~repro.kvstore.protocol.env.StaticProtocolEnv`, hands it decoded
+:class:`~repro.kvstore.protocol.node.ProtocolNode` over a bare
+:class:`~repro.kvstore.cluster_core.ClusterCore` as its env, hands it decoded
 messages and fired timer ids, and asserts on the effect lists it returns.
 This pins the coordinator's quorum transitions, the sloppy fallback
 promotion with its hint chain, the error replies, and the client machine's
@@ -15,33 +15,21 @@ from __future__ import annotations
 import pytest
 
 from repro.clocks import create
-from repro.cluster import ConsistentHashRing, Membership, PartitionMap, PlacementService, QuorumConfig
+from repro.cluster import QuorumConfig
 from repro.cluster.topology import Topology
-from repro.kvstore import WriteLog
+from repro.kvstore import ClusterCore
 from repro.kvstore.client import ClientSession
-from repro.kvstore.protocol import ClientProtocol, MerkleSyncStats, ProtocolNode
+from repro.kvstore.protocol import ClientProtocol, ProtocolNode
 from repro.kvstore.protocol.effects import ClearTimer, Send, SetTimer
-from repro.kvstore.protocol.env import StaticProtocolEnv
 from repro.network.message import Message, MessageType
 
 SERVER_IDS = ("A", "B", "C", "D", "E")
 
 
-def build_env(sloppy: bool = True, topology=None,
-              **overrides) -> StaticProtocolEnv:
-    ring = ConsistentHashRing(SERVER_IDS, virtual_nodes=16)
-    quorum = QuorumConfig(n=3, r=2, w=2, sloppy=sloppy)
-    placement = PlacementService(ring, Membership(SERVER_IDS), quorum,
-                                 partition_map=PartitionMap(16),
-                                 topology=topology)
-    return StaticProtocolEnv(
-        mechanism=create("dvv"),
-        quorum=quorum,
-        placement=placement,
-        write_log=WriteLog(),
-        merkle_stats=MerkleSyncStats(),
-        **overrides,
-    )
+def build_env(sloppy: bool = True, topology=None) -> ClusterCore:
+    return ClusterCore(create("dvv"), SERVER_IDS,
+                       QuorumConfig(n=3, r=2, w=2, sloppy=sloppy),
+                       virtual_nodes=16, partition_count=16, topology=topology)
 
 
 def coordinate_put(env, key: str = "cart", value: str = "beer",
