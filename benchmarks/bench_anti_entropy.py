@@ -35,7 +35,7 @@ from repro.analysis import render_table
 from repro.clocks import create
 from repro.kvstore import SimulatedCluster
 from repro.network import FixedLatency
-from repro.workloads import run_sloppy_partition_scenario
+from repro.workloads import run_churn_scenario
 
 
 # --------------------------------------------------------------------------- #
@@ -330,8 +330,8 @@ def availability_under_partition(quorum_mode: str, seed: int = 13):
     separately — so the two modes are compared on what actually crossed the
     wire.
     """
-    report = run_sloppy_partition_scenario(create("dvv"), seed=seed,
-                                           quorum_mode=quorum_mode)
+    report = run_churn_scenario("sloppy_partition", create("dvv"), seed=seed,
+                                quorum_mode=quorum_mode)
     records = [record for record in report.cluster.all_request_records()
                if record.ok and record.operation == "put"]
     mean_put_ms = (sum(record.latency_ms for record in records) / len(records)

@@ -5,7 +5,7 @@ with stale contexts: exact mechanisms keep every concurrent version as a
 sibling (and collapse them again once readers resolve), per-server version
 vectors silently drop frontier writes (Figure 1b), and aggressively pruned
 client vectors resurrect causally ordered writes as bogus siblings.  This
-benchmark drives :func:`repro.workloads.run_hot_key_scenario` — Zipf-skewed
+benchmark drives ``run_churn_scenario("hot_key", ...)`` — Zipf-skewed
 closed-loop traffic, stale write contexts, a primary of the hot key crashing
 and recovering mid-run — and reports, per mechanism, the sibling-count and
 metadata-size series over simulated time plus the write-log oracle's verdict.
@@ -37,7 +37,7 @@ import pytest
 
 from repro.analysis import render_table
 from repro.clocks import create
-from repro.workloads import run_hot_key_scenario
+from repro.workloads import run_churn_scenario
 
 #: The mechanisms the skew sweep compares: the paper's exact ones, the
 #: Figure 1b per-server baseline, and a pruned client vector.
@@ -50,7 +50,7 @@ SEED = 17
 
 def hot_key_run(mechanism_name: str, seed: int = SEED):
     """One skewed run; returns the scenario's ChurnReport."""
-    return run_hot_key_scenario(create(mechanism_name), seed=seed)
+    return run_churn_scenario("hot_key", create(mechanism_name), seed=seed)
 
 
 def summarize(report) -> dict:

@@ -190,22 +190,14 @@ def cmd_churn(args: argparse.Namespace) -> int:
     Exit status: 0 on success; 1 when the cluster failed to converge *or* an
     exact mechanism lost an update (the generalized lost-update invariant).
     """
-    import inspect
-
     tracer, sink = _open_tracer(args.trace)
-    scenario_fn = CHURN_SCENARIOS[args.scenario]
-    kwargs = dict(seed=args.seed,
-                  quorum_mode=args.quorum_mode,
-                  tracer=tracer)
-    # Optional knobs only some scenarios accept (pass-through when set and
-    # supported; quietly ignored by scenarios without the parameter).
-    accepted = inspect.signature(scenario_fn).parameters
-    if args.duration_ms is not None and "duration_ms" in accepted:
-        kwargs["duration_ms"] = args.duration_ms
-    if args.zipf_s is not None and "zipf_s" in accepted:
-        kwargs["zipf_s"] = args.zipf_s
+    changes = dict(seed=args.seed, quorum_mode=args.quorum_mode)
+    if args.duration_ms is not None:
+        changes["duration_ms"] = args.duration_ms
+    if args.zipf_s is not None:
+        changes["zipf_s"] = args.zipf_s
     mechanism = create(args.mechanism)
-    report = scenario_fn(mechanism, **kwargs)
+    report = run_churn_scenario(args.scenario, mechanism, tracer=tracer, **changes)
     stats = report.stats
     rows = [
         ["scenario", report.scenario],
@@ -597,11 +589,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "sloppy quorums fall back to the next ring nodes")
     churn.add_argument("--seed", type=int, default=2012)
     churn.add_argument("--duration-ms", type=float, default=None, dest="duration_ms",
-                       help="override the scenario's simulated duration "
-                            "(e.g. long soak runs)")
+                       help="override the scenario's simulated duration; fault "
+                            "times scale with it (e.g. long soak runs)")
     churn.add_argument("--zipf-s", type=float, default=None, dest="zipf_s",
-                       help="override the Zipf skew exponent of skewed "
-                            "scenarios (hot_key, soak)")
+                       help="override the Zipf skew exponent of the traffic "
+                            "(0 = uniform keys; hot_key and soak default to skew)")
     churn.add_argument("--stats-json", default=None, dest="stats_json", metavar="PATH",
                        help="write the cluster's unified metrics snapshot as JSON")
     churn.add_argument("--trace", default=None, metavar="PATH",

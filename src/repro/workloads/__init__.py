@@ -7,6 +7,7 @@ from .scenarios import (
     ChurnReport,
     Figure1Result,
     Figure1Step,
+    ScenarioSpec,
     concurrent_writers_trace,
     figure1_trace,
     interleaved_two_server_trace,
@@ -14,14 +15,8 @@ from .scenarios import (
     read_modify_write_chain_trace,
     replay_scenario,
     run_churn_scenario,
-    run_elasticity_scenario,
     run_figure1,
     run_figure1_by_name,
-    run_flappy_replica_scenario,
-    run_hot_key_scenario,
-    run_multi_dc_scenario,
-    run_sloppy_partition_scenario,
-    run_soak_scenario,
     session_reset_trace,
 )
 from .traces import Operation, OpType, ReplayResult, Trace, replay_trace
@@ -36,6 +31,7 @@ __all__ = [
     "Operation",
     "OpType",
     "ReplayResult",
+    "ScenarioSpec",
     "Trace",
     "WorkloadConfig",
     "WorkloadGenerator",
@@ -49,13 +45,7 @@ __all__ = [
     "replay_trace",
     "run_churn_scenario",
     "run_closed_loop_workload",
-    "run_elasticity_scenario",
     "run_figure1",
     "run_figure1_by_name",
-    "run_flappy_replica_scenario",
-    "run_hot_key_scenario",
-    "run_multi_dc_scenario",
-    "run_sloppy_partition_scenario",
-    "run_soak_scenario",
     "session_reset_trace",
 ]

@@ -27,8 +27,8 @@ resets) so the experiments exercise more shapes than the single figure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..clocks.interface import CausalityMechanism
 from ..clocks.registry import create as create_mechanism
@@ -303,42 +303,226 @@ class ChurnReport:
     cluster: object = field(default=None, repr=False, compare=False)
 
 
-def _finish_churn_run(cluster, report: "ChurnReport", max_rounds: int = 40) -> "ChurnReport":
-    """Drive a drained cluster to convergence and fill in the report.
+#: What a fault can do.  The first four act on each named server; ``cut``
+#: isolates the named servers, ``cut_dcs`` every DC from the other.
+FAULT_ACTIONS = ("fail", "recover", "join", "leave", "cut", "cut_dcs", "heal")
+#: What undoes each fault a flap repeats.
+_UNDO = {"fail": "recover", "cut": "heal", "cut_dcs": "heal"}
 
-    When the cluster converges and accepted at least one write, the write-log
-    oracle judges the surviving siblings of every key — the generalized
-    lost-update invariant every churn scenario now reports.
+
+@dataclass(frozen=True)
+class ScenarioSpec:
+    """One churn scenario: only what it differs on from the others.
+
+    :func:`run_churn_scenario` runs every spec the same way.  Servers are
+    ``n1`` .. ``n<servers>``; keys are ``key-0`` .. and ``key-0`` is the hot
+    key (the hottest under Zipf traffic).  Fault times are fractions of
+    ``duration_ms``.  A fault target is a server id or ``primary:<i>``, the
+    hot key's ``i``-th primary replica at the start of the run; a ``cut``
+    target lists one or more, comma-separated, and cuts them off from every
+    other server.
     """
+
+    name: str
+    why: str
+    seed: int
+    quorum_mode: str = "sloppy"
+    #: ``two_dc`` splits the servers half/half over ``east`` / ``west``,
+    #: pins client ``i`` to DC ``i % 2`` and puts WAN latency between them;
+    #: otherwise every message takes 0.5 ms.
+    servers: int = 3
+    two_dc: bool = False
+    anti_entropy_interval_ms: float = 25.0
+    hint_replay_interval_ms: float = 25.0
+    replica_timeout_ms: float = 10.0
+    request_timeout_ms: float = 50.0
+    client_timeout_ms: Optional[float] = None
+    duration_ms: float = 400.0
+    keys: int = 4
+    clients: int = 4
+    think_time_ms: float = 4.0
+    write_fraction: float = 0.6
+    stale_write_fraction: float = 0.0
+    zipf_s: float = 0.0
+    #: One-off fault rows ``(fraction of duration, action, target)``, an
+    #: action being one of :data:`FAULT_ACTIONS`.
+    faults: Tuple[Tuple[float, str, str], ...] = ()
+    #: One repeated fault ``(action, target)``: ``flaps`` times, evenly
+    #: spaced over ``flap_window`` = (start, span) as fractions of the
+    #: duration, undone after ``flap_duty`` of each period.
+    flap: Tuple[str, str] = ("cut_dcs", "")
+    flaps: int = 0
+    flap_window: Tuple[float, float] = (0.0, 1.0)
+    flap_duty: float = 0.5
+    wipe_on_recover: bool = False
+    #: Hot-key sibling samples every ``sample_every_ms`` (None: no samples).
+    sample_every_ms: Optional[float] = None
+    max_rounds: int = 40
+    traffic_seeded: bool = True
+    settled_sample: bool = False
+
+
+CHURN_SCENARIOS: Dict[str, ScenarioSpec] = {spec.name: spec for spec in (
+    ScenarioSpec(
+        "elasticity", seed=7,
+        why="two nodes join and one leaves under load; rebalancing handoff "
+            "must leave the survivors with identical sibling sets",
+        hint_replay_interval_ms=40.0, keys=6,
+        faults=((0.30, "join", "n4"), (0.50, "join", "n5"), (0.70, "leave", "n1")),
+        traffic_seeded=False),
+    ScenarioSpec(
+        "flappy_replica", seed=11,
+        why="a replica crashes and recovers repeatedly; hints and their "
+            "replay (and, with wipe_on_recover, anti-entropy) repopulate it",
+        anti_entropy_interval_ms=30.0, duration_ms=420.0, write_fraction=0.7,
+        flap=("fail", "n3"), flaps=3, flap_window=(0.25, 0.75),
+        traffic_seeded=False),
+    ScenarioSpec(
+        "sloppy_partition", seed=13,
+        why="two of the hot key's primaries are cut off together: sloppy "
+            "quorums keep writing through fallbacks, strict ones fail",
+        servers=5, anti_entropy_interval_ms=50.0, replica_timeout_ms=6.0,
+        request_timeout_ms=30.0,
+        faults=((0.25, "cut", "primary:1,primary:2"), (0.75, "heal", "")),
+        traffic_seeded=False),
+    ScenarioSpec(
+        "hot_key", seed=17,
+        why="Zipf traffic with stale contexts piles siblings on one key "
+            "while one of its primaries crashes: Figure 1 at scale",
+        servers=5, anti_entropy_interval_ms=40.0, hint_replay_interval_ms=30.0,
+        duration_ms=420.0, keys=6, clients=6, stale_write_fraction=0.35,
+        zipf_s=1.1,
+        faults=((0.35, "fail", "primary:1"), (0.65, "recover", "primary:1")),
+        sample_every_ms=40.0, settled_sample=True),
+    ScenarioSpec(
+        "multi_dc", seed=23,
+        why="two DCs behind WAN latency lose every WAN link for a while; "
+            "per-DC sloppy quorums and hints must reconcile after the heal",
+        servers=6, two_dc=True, anti_entropy_interval_ms=150.0,
+        hint_replay_interval_ms=60.0, replica_timeout_ms=50.0,
+        request_timeout_ms=110.0, client_timeout_ms=130.0, duration_ms=1200.0,
+        think_time_ms=6.0, stale_write_fraction=0.2,
+        flaps=1, flap_window=(0.3, 0.45), flap_duty=1.0, max_rounds=60),
+    ScenarioSpec(
+        "soak", seed=29,
+        why="churn, skew and WAN flaps at once: a crash, a join, repeated "
+            "DC cuts and a leave; run long by the -m soak suite",
+        servers=6, two_dc=True, anti_entropy_interval_ms=120.0,
+        hint_replay_interval_ms=50.0, replica_timeout_ms=50.0,
+        request_timeout_ms=110.0, client_timeout_ms=130.0, duration_ms=1500.0,
+        keys=8, clients=6, think_time_ms=5.0, stale_write_fraction=0.25,
+        zipf_s=0.9,
+        faults=((0.10, "fail", "n2"), (0.15, "join", "n7"),
+                (0.25, "recover", "n2"), (0.90, "leave", "n1")),
+        flaps=2, flap_window=(0.3, 0.5), flap_duty=0.6,
+        sample_every_ms=100.0, max_rounds=60),
+)}
+
+
+def run_churn_scenario(name: str, mechanism: CausalityMechanism, tracer=None,
+                       **changes) -> ChurnReport:
+    """Run one named churn scenario on the simulated cluster.
+
+    ``changes`` replace fields of the scenario's :class:`ScenarioSpec`
+    (``seed=5``, ``duration_ms=600.0, flaps=1``, ``quorum_mode="strict"``).
+    The run builds the cluster, schedules the faults and samples, runs
+    closed-loop traffic, heals, converges and lets the write-log oracle
+    judge the surviving siblings of every key.
+    """
+    from ..analysis.correctness import check_cluster
+    from ..cluster.preference_list import QuorumConfig
+    from ..cluster.topology import Topology
     from ..core.exceptions import ConfigurationError
+    from ..kvstore.simulated import SimulatedCluster
+    from ..network.latency import FixedLatency, WanLatency
+    from .clients import ClosedLoopConfig, run_closed_loop_workload
 
-    try:
-        report.convergence_rounds = cluster.converge(max_rounds=max_rounds)
-    except ConfigurationError:
-        report.convergence_rounds = max_rounds
-    report.converged = cluster.is_converged()
-    report.final_servers = sorted(cluster.servers)
-    records = cluster.all_request_records()
-    report.requests_completed = sum(1 for record in records if record.ok)
-    report.requests_failed = sum(1 for record in records if not record.ok)
-    for key in cluster.key_universe():
-        any_server = next(iter(cluster.servers.values()))
-        report.final_values[key] = sorted(map(repr, any_server.node.values_of(key)))
-    report.stats = cluster.stat_totals()
-    report.sync_bytes = cluster.sync_bytes()
-    if report.converged and cluster.write_log.keys():
-        from ..analysis.correctness import check_cluster
+    if name not in CHURN_SCENARIOS:
+        raise KeyError(f"unknown churn scenario {name!r}; known: {sorted(CHURN_SCENARIOS)}")
+    spec = replace(CHURN_SCENARIOS[name], **changes)
+    server_ids = tuple(f"n{index}" for index in range(1, spec.servers + 1))
+    key_names = tuple(f"key-{index}" for index in range(spec.keys))
+    hot_key = key_names[0]
 
-        verdict = check_cluster(cluster)
-        report.lost_updates = verdict.total_lost_updates
-        report.false_concurrency = verdict.total_false_concurrency
-        report.session_superseded = verdict.total_session_superseded
-    return report
+    topology = None
+    latency = FixedLatency(0.5)
+    if spec.two_dc:
+        half = (spec.servers + 1) // 2
+        topology = Topology({server: "east" if index < half else "west"
+                             for index, server in enumerate(server_ids)})
+        # The transport routes client addresses, so those are what is
+        # pinned: a DC cut then isolates each client with its local replicas.
+        for index in range(spec.clients):
+            topology.assign(f"client:client-{index}", ("east", "west")[index % 2])
+        latency = WanLatency(topology)
+    cluster = SimulatedCluster(
+        mechanism,
+        server_ids=server_ids,
+        quorum=QuorumConfig(n=3, r=2, w=2, sloppy=(spec.quorum_mode == "sloppy")),
+        latency=latency,
+        topology=topology,
+        anti_entropy_interval_ms=spec.anti_entropy_interval_ms,
+        hint_replay_interval_ms=spec.hint_replay_interval_ms,
+        replica_timeout_ms=spec.replica_timeout_ms,
+        request_timeout_ms=spec.request_timeout_ms,
+        client_timeout_ms=spec.client_timeout_ms,
+        seed=spec.seed,
+        tracer=tracer,
+    )
+    report = ChurnReport(scenario=spec.name, mechanism=mechanism.name,
+                         quorum_mode=spec.quorum_mode,
+                         hot_key=hot_key if spec.sample_every_ms else None,
+                         datacenters=topology.datacenters() if topology else [],
+                         cluster=cluster)
 
+    def act(action: str, nodes: List[str]) -> None:
+        if action == "cut":
+            rest = {server for server in cluster.servers if server not in nodes}
+            cluster.partitions.partition(set(nodes), rest)
+        elif action == "cut_dcs":
+            cluster.partitions.partition_datacenters(topology)
+        elif action == "heal":
+            cluster.partitions.heal()
+        else:
+            for node in nodes:
+                if action == "fail":
+                    cluster.fail_node(node)
+                elif action == "recover":
+                    cluster.recover_node(node, wipe=spec.wipe_on_recover)
+                elif action == "join":
+                    # The joiner lands in the smaller DC (the first on a tie).
+                    dc = (min(topology.datacenters(),
+                              key=lambda name: len(topology.nodes_in(name)))
+                          if topology else None)
+                    report.handoff_keys += cluster.join_node(node, dc=dc)
+                    report.joined.append(node)
+                else:
+                    report.handoff_keys += cluster.decommission_node(node)
+                    report.departed.append(node)
 
-def _sample_sibling_series(cluster, report: "ChurnReport", hot_key: str,
-                           duration_ms: float, every_ms: float) -> None:
-    """Periodically record the hot key's sibling count and metadata footprint."""
+    def schedule(at_ms: float, action: str, target: str) -> None:
+        if action not in FAULT_ACTIONS:
+            raise ValueError(f"unknown fault action {action!r}; known: {FAULT_ACTIONS}")
+        nodes = [cluster.placement.primary_replicas(hot_key)[int(item[len("primary:"):])]
+                 if item.startswith("primary:") else item
+                 for item in target.split(",") if item]
+        cluster.simulation.schedule_at(at_ms, lambda: act(action, nodes),
+                                       label=f"{spec.name}:{action}:{target}")
+
+    for fraction, action, target in spec.faults:
+        schedule(spec.duration_ms * fraction, action, target)
+    start = spec.duration_ms * spec.flap_window[0]
+    period = spec.duration_ms * spec.flap_window[1] / max(spec.flaps, 1)
+    action, target = spec.flap
+    for flap in range(spec.flaps):
+        down_at = start + flap * period
+        up_at = down_at + period * spec.flap_duty
+        schedule(down_at, action, target)
+        schedule(up_at, _UNDO[action], target)
+        if action == "cut_dcs":
+            report.partition_windows.append((down_at, up_at))
+    if action == "cut_dcs":
+        report.partition_flaps = spec.flaps
 
     def sample() -> None:
         counts = cluster.sibling_counts(hot_key)
@@ -347,485 +531,47 @@ def _sample_sibling_series(cluster, report: "ChurnReport", hot_key: str,
         report.sibling_series.append(
             (round(cluster.simulation.now, 3), peak, cluster.metadata_bytes()))
 
-    at = every_ms
-    while at < duration_ms:
-        cluster.simulation.schedule_at(at, sample, label="sibling-sample")
-        at += every_ms
-
-
-def run_elasticity_scenario(mechanism: CausalityMechanism,
-                            seed: int = 7,
-                            duration_ms: float = 400.0,
-                            keys: int = 6,
-                            clients: int = 4,
-                            quorum_mode: str = "sloppy",
-                            tracer=None) -> ChurnReport:
-    """Elastic cluster under load: two nodes join and one leaves mid-run.
-
-    Starts a 3-node cluster with a closed-loop workload, joins ``n4`` and
-    ``n5`` while writes are flowing (ring rebalancing pushes the keys they now
-    own), then gracefully decommissions ``n1`` (which first hands its keys
-    off).  After the workload drains, anti-entropy rounds must converge the
-    surviving replicas to identical sibling sets.
-    """
-    from ..cluster.preference_list import QuorumConfig
-    from ..kvstore.simulated import SimulatedCluster
-    from ..network.latency import FixedLatency
-    from .clients import ClosedLoopConfig, run_closed_loop_workload
-
-    cluster = SimulatedCluster(
-        mechanism,
-        server_ids=("n1", "n2", "n3"),
-        quorum=QuorumConfig(n=3, r=2, w=2, sloppy=(quorum_mode == "sloppy")),
-        latency=FixedLatency(0.5),
-        anti_entropy_interval_ms=25.0,
-        hint_replay_interval_ms=40.0,
-        seed=seed,
-        tracer=tracer,
-    )
-    report = ChurnReport(scenario="elasticity", mechanism=mechanism.name,
-                         quorum_mode=quorum_mode)
-
-    def do_join(node_id: str) -> None:
-        report.handoff_keys += cluster.join_node(node_id)
-        report.joined.append(node_id)
-
-    def do_leave(node_id: str) -> None:
-        report.handoff_keys += cluster.decommission_node(node_id)
-        report.departed.append(node_id)
-
-    cluster.simulation.schedule(duration_ms * 0.30, lambda: do_join("n4"), label="join:n4")
-    cluster.simulation.schedule(duration_ms * 0.50, lambda: do_join("n5"), label="join:n5")
-    cluster.simulation.schedule(duration_ms * 0.70, lambda: do_leave("n1"), label="leave:n1")
-
-    config = ClosedLoopConfig(
-        keys=tuple(f"key-{index}" for index in range(keys)),
-        think_time_ms=4.0,
-        write_fraction=0.6,
-        stop_at_ms=duration_ms,
-    )
-    run_closed_loop_workload(cluster, client_count=clients, config=config)
-    report.cluster = cluster
-    return _finish_churn_run(cluster, report)
-
-
-def run_flappy_replica_scenario(mechanism: CausalityMechanism,
-                                seed: int = 11,
-                                duration_ms: float = 420.0,
-                                keys: int = 4,
-                                clients: int = 4,
-                                flaps: int = 3,
-                                wipe_on_recover: bool = False,
-                                quorum_mode: str = "sloppy",
-                                tracer=None) -> ChurnReport:
-    """A replica repeatedly crashes and recovers while writes keep flowing.
-
-    Every crash makes coordinators store hints for the victim; every recovery
-    triggers hint replay (plus the periodic handoff daemon).  With
-    ``wipe_on_recover`` the victim loses its storage on each recovery, so it
-    must be repopulated entirely by hint replay and anti-entropy.
-    """
-    from ..cluster.preference_list import QuorumConfig
-    from ..kvstore.simulated import SimulatedCluster
-    from ..network.latency import FixedLatency
-    from .clients import ClosedLoopConfig, run_closed_loop_workload
-
-    cluster = SimulatedCluster(
-        mechanism,
-        server_ids=("n1", "n2", "n3"),
-        quorum=QuorumConfig(n=3, r=2, w=2, sloppy=(quorum_mode == "sloppy")),
-        latency=FixedLatency(0.5),
-        anti_entropy_interval_ms=30.0,
-        hint_replay_interval_ms=25.0,
-        seed=seed,
-        tracer=tracer,
-    )
-    report = ChurnReport(scenario="flappy_replica", mechanism=mechanism.name,
-                         quorum_mode=quorum_mode)
-    victim = "n3"
-    period = duration_ms / (flaps + 1)
-    for flap in range(flaps):
-        down_at = period * (flap + 1)
-        up_at = down_at + period * 0.5
-        cluster.simulation.schedule(down_at, lambda: cluster.fail_node(victim),
-                                    label=f"flap-down:{victim}")
-        cluster.simulation.schedule(
-            up_at,
-            lambda: cluster.recover_node(victim, wipe=wipe_on_recover),
-            label=f"flap-up:{victim}",
-        )
-
-    config = ClosedLoopConfig(
-        keys=tuple(f"key-{index}" for index in range(keys)),
-        think_time_ms=4.0,
-        write_fraction=0.7,
-        stop_at_ms=duration_ms,
-    )
-    run_closed_loop_workload(cluster, client_count=clients, config=config)
-    report.cluster = cluster
-    return _finish_churn_run(cluster, report)
-
-
-def run_sloppy_partition_scenario(mechanism: CausalityMechanism,
-                                  seed: int = 13,
-                                  duration_ms: float = 400.0,
-                                  keys: int = 4,
-                                  clients: int = 4,
-                                  quorum_mode: str = "sloppy",
-                                  tracer=None) -> ChurnReport:
-    """Availability under partition with deadline-driven coordination.
-
-    A five-server cluster (N=3, R=W=2) runs a closed-loop workload whose
-    coordinators fan out with per-replica deadlines instead of consulting
-    the membership view.  Mid-run, two of the first key's three primary
-    replicas are partitioned off together; coordinators
-    on the majority side can then only assemble W=2 by extending the
-    preference list to sloppy-quorum fallback nodes (``quorum_mode="sloppy"``)
-    — with ``"strict"`` those writes fail with ``quorum_unreachable``.  After
-    the partition heals, fallback-held hints replay to the primaries and
-    anti-entropy must converge every replica.  The report's
-    ``requests_completed`` / ``requests_failed`` split is the availability
-    measurement the strict-vs-sloppy benchmark series compares.
-    """
-    from ..cluster.preference_list import QuorumConfig
-    from ..kvstore.simulated import SimulatedCluster
-    from ..network.latency import FixedLatency
-    from .clients import ClosedLoopConfig, run_closed_loop_workload
-
-    cluster = SimulatedCluster(
-        mechanism,
-        server_ids=("n1", "n2", "n3", "n4", "n5"),
-        quorum=QuorumConfig(n=3, r=2, w=2, sloppy=(quorum_mode == "sloppy")),
-        latency=FixedLatency(0.5),
-        anti_entropy_interval_ms=50.0,
-        hint_replay_interval_ms=25.0,
-        replica_timeout_ms=6.0,
-        request_timeout_ms=30.0,
-        seed=seed,
-        tracer=tracer,
-    )
-    report = ChurnReport(scenario="sloppy_partition", mechanism=mechanism.name,
-                         quorum_mode=quorum_mode)
-
-    # Cut two primaries of the first workload key off together: the key's
-    # coordinator keeps serving from the majority side, where a strict W=2
-    # is unreachable but a sloppy one is not.
-    key_names = tuple(f"key-{index}" for index in range(keys))
-    primaries = cluster.placement.primary_replicas(key_names[0])
-    minority = set(primaries[1:3])
-    majority = {server for server in cluster.servers if server not in minority}
-
-    cluster.simulation.schedule(
-        duration_ms * 0.25,
-        lambda: cluster.partitions.partition(minority, majority),
-        label="sloppy-partition:cut",
-    )
-    cluster.simulation.schedule(
-        duration_ms * 0.75,
-        lambda: cluster.partitions.heal(),
-        label="sloppy-partition:heal",
-    )
+    if spec.sample_every_ms:
+        at_ms = spec.sample_every_ms
+        while at_ms < spec.duration_ms:
+            cluster.simulation.schedule_at(at_ms, sample, label="sibling-sample")
+            at_ms += spec.sample_every_ms
 
     config = ClosedLoopConfig(
         keys=key_names,
-        think_time_ms=4.0,
-        write_fraction=0.6,
-        stop_at_ms=duration_ms,
+        think_time_ms=spec.think_time_ms,
+        write_fraction=spec.write_fraction,
+        stale_write_fraction=spec.stale_write_fraction,
+        zipf_s=spec.zipf_s,
+        stop_at_ms=spec.duration_ms,
     )
-    run_closed_loop_workload(cluster, client_count=clients, config=config)
+    run_closed_loop_workload(cluster, client_count=spec.clients, config=config,
+                             base_seed=spec.seed * 1000 if spec.traffic_seeded else 0)
     cluster.partitions.heal()
-    report.cluster = cluster
-    return _finish_churn_run(cluster, report)
 
-
-def run_hot_key_scenario(mechanism: CausalityMechanism,
-                         seed: int = 17,
-                         duration_ms: float = 420.0,
-                         keys: int = 6,
-                         clients: int = 6,
-                         zipf_s: float = 1.1,
-                         stale_write_fraction: float = 0.35,
-                         quorum_mode: str = "sloppy",
-                         sample_every_ms: float = 40.0,
-                         tracer=None) -> ChurnReport:
-    """Zipfian traffic hammers one contended key — the Figure-1 story at scale.
-
-    Six clients send Zipf-skewed traffic (rank-0 key hottest) and a third of
-    their writes reuse stale read contexts, so causally concurrent versions
-    of the hot key pile up — the sibling-explosion regime the paper's
-    mechanisms differ on.  Mid-run one of the hot key's primary replicas
-    crashes and later recovers (hints + replay on the hottest data).  The
-    report carries a ``(time, siblings, metadata_bytes)`` series per run, and
-    the oracle judges the generalized lost-update invariant at the end:
-    exact mechanisms must keep every frontier write despite the pile-up.
-    """
-    from ..cluster.preference_list import QuorumConfig
-    from ..kvstore.simulated import SimulatedCluster
-    from ..network.latency import FixedLatency
-    from .clients import ClosedLoopConfig, run_closed_loop_workload
-
-    cluster = SimulatedCluster(
-        mechanism,
-        server_ids=("n1", "n2", "n3", "n4", "n5"),
-        quorum=QuorumConfig(n=3, r=2, w=2, sloppy=(quorum_mode == "sloppy")),
-        latency=FixedLatency(0.5),
-        anti_entropy_interval_ms=40.0,
-        hint_replay_interval_ms=30.0,
-        seed=seed,
-        tracer=tracer,
-    )
-    key_names = tuple(f"key-{index}" for index in range(keys))
-    hot_key = key_names[0]
-    report = ChurnReport(scenario="hot_key", mechanism=mechanism.name,
-                         quorum_mode=quorum_mode, hot_key=hot_key)
-
-    # Crash one primary of the hot key mid-run: the hottest writes detour
-    # through hints while siblings are still exploding.
-    victim = cluster.placement.primary_replicas(hot_key)[1]
-    cluster.simulation.schedule_at(duration_ms * 0.35,
-                                   lambda: cluster.fail_node(victim),
-                                   label=f"hot-key-fail:{victim}")
-    cluster.simulation.schedule_at(duration_ms * 0.65,
-                                   lambda: cluster.recover_node(victim),
-                                   label=f"hot-key-recover:{victim}")
-
-    _sample_sibling_series(cluster, report, hot_key, duration_ms, sample_every_ms)
-
-    config = ClosedLoopConfig(
-        keys=key_names,
-        think_time_ms=4.0,
-        write_fraction=0.6,
-        stale_write_fraction=stale_write_fraction,
-        zipf_s=zipf_s,
-        stop_at_ms=duration_ms,
-    )
-    run_closed_loop_workload(cluster, client_count=clients, config=config,
-                             base_seed=seed * 1000)
-    report.cluster = cluster
-    _finish_churn_run(cluster, report)
-    # One last sample after convergence: the settled frontier size.
-    counts = cluster.sibling_counts(hot_key)
-    peak = max(counts.values()) if counts else 0
-    report.max_sibling_count = max(report.max_sibling_count, peak)
-    report.sibling_series.append(
-        (round(cluster.simulation.now, 3), peak, cluster.metadata_bytes()))
+    try:
+        report.convergence_rounds = cluster.converge(max_rounds=spec.max_rounds)
+    except ConfigurationError:
+        report.convergence_rounds = spec.max_rounds
+    report.converged = cluster.is_converged()
+    report.final_servers = sorted(cluster.servers)
+    records = cluster.all_request_records()
+    report.requests_completed = sum(1 for record in records if record.ok)
+    report.requests_failed = sum(1 for record in records if not record.ok)
+    any_server = next(iter(cluster.servers.values()))
+    for key in cluster.key_universe():
+        report.final_values[key] = sorted(map(repr, any_server.node.values_of(key)))
+    report.stats = cluster.stat_totals()
+    report.sync_bytes = cluster.sync_bytes()
+    # The oracle judges only a converged run that accepted a write.
+    if report.converged and cluster.write_log.keys():
+        verdict = check_cluster(cluster)
+        report.lost_updates = verdict.total_lost_updates
+        report.false_concurrency = verdict.total_false_concurrency
+        report.session_superseded = verdict.total_session_superseded
+    if spec.settled_sample:
+        sample()
     return report
-
-
-def _two_dc_topology(server_ids: Sequence[str], client_count: int,
-                     dcs: Sequence[str] = ("east", "west")):
-    """Servers split half/half across two DCs, clients pinned alternately.
-
-    Client *addresses* (``client:<id>``) are what the transport routes, so
-    those are what gets pinned — a whole-DC partition then isolates each
-    client with its local replicas.
-    """
-    from ..cluster.topology import Topology
-
-    half = (len(server_ids) + 1) // 2
-    topology = Topology({server: dcs[0] if index < half else dcs[1]
-                         for index, server in enumerate(server_ids)})
-    for index in range(client_count):
-        topology.assign(f"client:client-{index}", dcs[index % len(dcs)])
-    return topology
-
-
-def run_multi_dc_scenario(mechanism: CausalityMechanism,
-                          seed: int = 23,
-                          duration_ms: float = 1200.0,
-                          keys: int = 4,
-                          clients: int = 4,
-                          quorum_mode: str = "sloppy",
-                          partition_window: Sequence[float] = (0.3, 0.75),
-                          tracer=None) -> ChurnReport:
-    """Two datacenters, WAN latency, and a full cross-DC partition.
-
-    Six servers span two DCs; DC-aware placement spreads every key's three
-    primaries 2+1 across them, and clients are pinned into a home DC.
-    Messages cross a :class:`~repro.network.latency.WanLatency` model
-    (sub-ms intra-DC, tens of ms cross-DC), so coordination runs with
-    WAN-calibrated deadlines.  Mid-run every WAN link is cut: each DC
-    keeps serving its local clients via per-DC sloppy quorums — coordinators
-    promote *same-DC* fallbacks (the topology-aware ``fallbacks_for``) and
-    hold hints for the unreachable remote primaries.  After the heal, hint
-    replay and anti-entropy must reconcile the two DCs' divergent sibling
-    sets, and the oracle checks no acknowledged write was lost.
-    """
-    from ..cluster.preference_list import QuorumConfig
-    from ..kvstore.simulated import SimulatedCluster
-    from ..network.latency import WanLatency
-
-    from .clients import ClosedLoopConfig, run_closed_loop_workload
-
-    server_ids = ("n1", "n2", "n3", "n4", "n5", "n6")
-    topology = _two_dc_topology(server_ids, clients)
-    cluster = SimulatedCluster(
-        mechanism,
-        server_ids=server_ids,
-        quorum=QuorumConfig(n=3, r=2, w=2, sloppy=(quorum_mode == "sloppy")),
-        latency=WanLatency(topology),
-        topology=topology,
-        anti_entropy_interval_ms=150.0,
-        hint_replay_interval_ms=60.0,
-        replica_timeout_ms=50.0,
-        request_timeout_ms=110.0,
-        client_timeout_ms=130.0,
-        seed=seed,
-        tracer=tracer,
-    )
-    report = ChurnReport(scenario="multi_dc", mechanism=mechanism.name,
-                         quorum_mode=quorum_mode,
-                         datacenters=topology.datacenters())
-
-    cut_at = duration_ms * partition_window[0]
-    heal_at = duration_ms * partition_window[1]
-    cluster.simulation.schedule_at(
-        cut_at, lambda: cluster.partitions.partition_datacenters(topology),
-        label="wan-partition:cut")
-    cluster.simulation.schedule_at(
-        heal_at, lambda: cluster.partitions.heal(),
-        label="wan-partition:heal")
-    report.partition_windows.append((cut_at, heal_at))
-    report.partition_flaps = 1
-
-    config = ClosedLoopConfig(
-        keys=tuple(f"key-{index}" for index in range(keys)),
-        think_time_ms=6.0,
-        write_fraction=0.6,
-        stale_write_fraction=0.2,
-        stop_at_ms=duration_ms,
-    )
-    run_closed_loop_workload(cluster, client_count=clients, config=config,
-                             base_seed=seed * 1000)
-    cluster.partitions.heal()
-    report.cluster = cluster
-    return _finish_churn_run(cluster, report, max_rounds=60)
-
-
-def run_soak_scenario(mechanism: CausalityMechanism,
-                      seed: int = 29,
-                      duration_ms: float = 1500.0,
-                      keys: int = 8,
-                      clients: int = 6,
-                      zipf_s: float = 0.9,
-                      stale_write_fraction: float = 0.25,
-                      flaps: int = 2,
-                      quorum_mode: str = "sloppy",
-                      sample_every_ms: float = 100.0,
-                      tracer=None) -> ChurnReport:
-    """Long mixed run: churn × skew × WAN partition flap, all at once.
-
-    A two-DC, six-server cluster under Zipf-skewed stale-context traffic
-    takes everything the other scenarios throw one at a time: a node
-    crashes and recovers, a new node joins mid-run (ring rebalance +
-    handoff), the WAN link flaps ``flaps`` times (cut, heal, repeat), and a
-    founding node is gracefully decommissioned near the end.  The point of
-    a soak is the *interaction* of the mechanisms — hints replaying into a
-    rebalanced ring while anti-entropy reconciles partition-era siblings —
-    and the exit bar is the same as everywhere else: convergence plus the
-    generalized lost-update invariant.  ``duration_ms`` scales the run; the
-    default stays test-sized, the ``-m soak`` suite runs it long.
-    """
-    from ..cluster.preference_list import QuorumConfig
-    from ..kvstore.simulated import SimulatedCluster
-    from ..network.latency import WanLatency
-    from .clients import ClosedLoopConfig, run_closed_loop_workload
-
-    server_ids = ("n1", "n2", "n3", "n4", "n5", "n6")
-    topology = _two_dc_topology(server_ids, clients)
-    cluster = SimulatedCluster(
-        mechanism,
-        server_ids=server_ids,
-        quorum=QuorumConfig(n=3, r=2, w=2, sloppy=(quorum_mode == "sloppy")),
-        latency=WanLatency(topology),
-        topology=topology,
-        anti_entropy_interval_ms=120.0,
-        hint_replay_interval_ms=50.0,
-        replica_timeout_ms=50.0,
-        request_timeout_ms=110.0,
-        client_timeout_ms=130.0,
-        seed=seed,
-        tracer=tracer,
-    )
-    key_names = tuple(f"key-{index}" for index in range(keys))
-    hot_key = key_names[0]
-    report = ChurnReport(scenario="soak", mechanism=mechanism.name,
-                         quorum_mode=quorum_mode, hot_key=hot_key,
-                         datacenters=topology.datacenters())
-
-    # Node churn: an early crash/recover cycle and a mid-run join.  The
-    # joiner lands in the smaller DC (or east on a tie).
-    cluster.simulation.schedule_at(duration_ms * 0.10,
-                                   lambda: cluster.fail_node("n2"),
-                                   label="soak-fail:n2")
-    cluster.simulation.schedule_at(duration_ms * 0.25,
-                                   lambda: cluster.recover_node("n2"),
-                                   label="soak-recover:n2")
-
-    def do_join() -> None:
-        dc = min(topology.datacenters(),
-                 key=lambda name: len(topology.nodes_in(name)))
-        report.handoff_keys += cluster.join_node("n7", dc=dc)
-        report.joined.append("n7")
-
-    cluster.simulation.schedule_at(duration_ms * 0.15, do_join, label="soak-join:n7")
-
-    # WAN flaps: evenly spaced cut/heal cycles in the middle of the run.
-    flap_span = duration_ms * 0.5
-    flap_start = duration_ms * 0.3
-    period = flap_span / max(flaps, 1)
-    for flap in range(flaps):
-        cut_at = flap_start + flap * period
-        heal_at = cut_at + period * 0.6
-        cluster.simulation.schedule_at(
-            cut_at, lambda: cluster.partitions.partition_datacenters(topology),
-            label=f"soak-flap-cut:{flap}")
-        cluster.simulation.schedule_at(
-            heal_at, lambda: cluster.partitions.heal(),
-            label=f"soak-flap-heal:{flap}")
-        report.partition_windows.append((cut_at, heal_at))
-    report.partition_flaps = flaps
-
-    # Graceful departure after the last heal, once the WAN is quiet.
-    def do_leave() -> None:
-        report.handoff_keys += cluster.decommission_node("n1")
-        report.departed.append("n1")
-
-    cluster.simulation.schedule_at(duration_ms * 0.9, do_leave,
-                                   label="soak-leave:n1")
-
-    _sample_sibling_series(cluster, report, hot_key, duration_ms, sample_every_ms)
-
-    config = ClosedLoopConfig(
-        keys=key_names,
-        think_time_ms=5.0,
-        write_fraction=0.6,
-        stale_write_fraction=stale_write_fraction,
-        zipf_s=zipf_s,
-        stop_at_ms=duration_ms,
-    )
-    run_closed_loop_workload(cluster, client_count=clients, config=config,
-                             base_seed=seed * 1000)
-    cluster.partitions.heal()
-    report.cluster = cluster
-    return _finish_churn_run(cluster, report, max_rounds=60)
-
-
-CHURN_SCENARIOS = {
-    "elasticity": run_elasticity_scenario,
-    "flappy_replica": run_flappy_replica_scenario,
-    "sloppy_partition": run_sloppy_partition_scenario,
-    "hot_key": run_hot_key_scenario,
-    "multi_dc": run_multi_dc_scenario,
-    "soak": run_soak_scenario,
-}
-
-
-def run_churn_scenario(name: str, mechanism: CausalityMechanism, **kwargs) -> ChurnReport:
-    """Run one named churn scenario on the simulated cluster."""
-    if name not in CHURN_SCENARIOS:
-        raise KeyError(f"unknown churn scenario {name!r}; known: {sorted(CHURN_SCENARIOS)}")
-    return CHURN_SCENARIOS[name](mechanism, **kwargs)
 
 
 SCENARIOS: Dict[str, Trace] = {}

@@ -303,7 +303,7 @@ class TestNoLostConcurrentUpdates:
 class TestHotKeyLostUpdates:
     """The lost-update invariant under Zipfian hot-key traffic.
 
-    ``run_hot_key_scenario`` drives a skewed closed-loop workload (most
+    The ``hot_key`` churn scenario drives a skewed closed-loop workload (most
     traffic on one hot key, a fraction of writes deliberately stale) through
     a replica crash/recover window.  Every *exact* mechanism must come out
     of it with zero lost updates and zero false concurrency according to the
@@ -318,8 +318,8 @@ class TestHotKeyLostUpdates:
     @pytest.mark.parametrize("seed", [17, 18])
     def test_exact_mechanisms_never_lose_updates_under_skew(
             self, mechanism_name, seed):
-        from repro.workloads import run_hot_key_scenario
-        report = run_hot_key_scenario(create(mechanism_name), seed=seed)
+        from repro.workloads import run_churn_scenario
+        report = run_churn_scenario("hot_key", create(mechanism_name), seed=seed)
         assert report.converged, f"{mechanism_name} failed to converge"
         assert report.lost_updates == 0, (
             f"{mechanism_name} lost {report.lost_updates} frontier writes "
@@ -339,16 +339,16 @@ class TestHotKeyLostUpdates:
         """The control: per-server VVs collapse concurrent writes to the
         same coordinator (Figure 1b), so skewed traffic *must* lose
         frontier writes — proving the oracle can detect losses."""
-        from repro.workloads import run_hot_key_scenario
-        report = run_hot_key_scenario(create("server_vv"), seed=17)
+        from repro.workloads import run_churn_scenario
+        report = run_churn_scenario("hot_key", create("server_vv"), seed=17)
         assert report.converged
         assert report.lost_updates > 0
 
     def test_pruned_client_vv_shows_false_concurrency(self):
         """Aggressive pruning forgets causality, so ordered writes survive
         as bogus siblings — the other failure mode the oracle tracks."""
-        from repro.workloads import run_hot_key_scenario
-        report = run_hot_key_scenario(create("client_vv_pruned_5"), seed=17)
+        from repro.workloads import run_churn_scenario
+        report = run_churn_scenario("hot_key", create("client_vv_pruned_5"), seed=17)
         assert report.converged
         assert report.false_concurrency > 0
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro.clocks import create
-from repro.workloads import run_soak_scenario
+from repro.workloads import run_churn_scenario
 
 EXACT = ["dvv", "dvvset", "causal_history", "dotted_vve"]
 
@@ -40,8 +40,8 @@ class TestSoakSmoke:
     """Short soak kept in the default suite so the scenario cannot rot."""
 
     def test_short_soak_holds_invariants(self):
-        report = run_soak_scenario(create("dvv"), seed=29, duration_ms=600.0,
-                                   flaps=1)
+        report = run_churn_scenario("soak", create("dvv"), seed=29,
+                                    duration_ms=600.0, flaps=1)
         assert_soak_invariants(report, "dvv")
 
 
@@ -52,8 +52,8 @@ class TestSoakLong:
     @pytest.mark.parametrize("mechanism_name", EXACT)
     @pytest.mark.parametrize("seed", [29, 31])
     def test_long_soak_holds_invariants(self, mechanism_name, seed):
-        report = run_soak_scenario(create(mechanism_name), seed=seed,
-                                   duration_ms=4000.0, flaps=3)
+        report = run_churn_scenario("soak", create(mechanism_name), seed=seed,
+                                    duration_ms=4000.0, flaps=3)
         assert_soak_invariants(report, mechanism_name)
         # A long skewed run must actually generate sibling pressure.
         assert report.max_sibling_count >= 2
@@ -61,7 +61,7 @@ class TestSoakLong:
     def test_long_soak_server_vv_loses_updates(self):
         """Control: the per-server VV baseline must show losses on a long
         soak — otherwise the oracle (or the workload) went soft."""
-        report = run_soak_scenario(create("server_vv"), seed=29,
-                                   duration_ms=4000.0, flaps=3)
+        report = run_churn_scenario("soak", create("server_vv"), seed=29,
+                                    duration_ms=4000.0, flaps=3)
         assert report.converged
         assert report.lost_updates > 0

@@ -234,8 +234,8 @@ def multi_dc_snapshot(report) -> dict:
 
 def run_multi_dc_golden(mechanism_name: str):
     """The exact run the multi-DC fixture was captured from (seed pinned)."""
-    from repro.workloads import run_multi_dc_scenario
-    return run_multi_dc_scenario(create(mechanism_name), seed=23)
+    from repro.workloads import run_churn_scenario
+    return run_churn_scenario("multi_dc", create(mechanism_name), seed=23)
 
 
 @pytest.mark.parametrize("scenario_key", sorted(MULTI_DC_GOLDEN))

@@ -22,6 +22,7 @@ import pathlib
 import pytest
 
 from repro.clocks import create
+from repro.obs import InMemoryTraceSink, Tracer
 from repro.workloads import ChurnReport, run_churn_scenario
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden_churn_reports.json"
@@ -56,9 +57,10 @@ def report_footprint(report: ChurnReport) -> dict:
     return json.loads(json.dumps(footprint))
 
 
-def run_entry(name: str) -> dict:
+def run_entry(name: str, tracer=None) -> dict:
     scenario, mechanism, changes = RUNS[name]
-    return report_footprint(run_churn_scenario(scenario, create(mechanism), **changes))
+    return report_footprint(run_churn_scenario(scenario, create(mechanism),
+                                               tracer=tracer, **changes))
 
 
 def test_fixture_covers_every_run():
@@ -66,13 +68,16 @@ def test_fixture_covers_every_run():
 
 
 # The id prefix keeps "soak" from being a bare keyword: that marks a test soak.
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
 @pytest.mark.parametrize("name", sorted(RUNS), ids=lambda name: f"golden-{name}")
-def test_churn_report_matches_golden(name):
+def test_churn_report_matches_golden(name, traced):
+    sink = InMemoryTraceSink()
     expected = json.loads(GOLDEN_PATH.read_text())[name]
-    actual = run_entry(name)
+    actual = run_entry(name, tracer=Tracer(sink) if traced else None)
     assert sorted(actual) == sorted(expected), f"{name}: footprint fields changed"
     for field in expected:
         assert actual[field] == expected[field], f"{name}: {field} diverged"
+    assert bool(sink.events) == traced
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ from repro.workloads import (
     read_modify_write_chain_trace,
     replay_scenario,
     replay_trace,
+    run_churn_scenario,
     run_figure1,
     run_figure1_by_name,
     session_reset_trace,
@@ -200,9 +201,7 @@ class TestConcurrentWritersSweep:
 
 class TestChurnScenarios:
     def test_elasticity_scenario_converges_and_rebalances(self):
-        from repro.workloads import run_elasticity_scenario
-
-        report = run_elasticity_scenario(create("dvv"), seed=21)
+        report = run_churn_scenario("elasticity", create("dvv"), seed=21)
         assert report.converged
         assert report.joined == ["n4", "n5"]
         assert report.departed == ["n1"]
@@ -212,29 +211,21 @@ class TestChurnScenarios:
         assert report.requests_completed > 0
 
     def test_flappy_scenario_stores_and_replays_hints(self):
-        from repro.workloads import run_flappy_replica_scenario
-
-        report = run_flappy_replica_scenario(create("dvvset"), seed=31)
+        report = run_churn_scenario("flappy_replica", create("dvvset"), seed=31)
         assert report.converged
         assert report.stats["hints_stored"] > 0
         assert report.stats["hint_replays"] > 0
         assert report.stats["pending_hints"] == 0
 
     def test_flappy_with_wiped_recovery(self):
-        from repro.workloads import run_flappy_replica_scenario
-
-        report = run_flappy_replica_scenario(create("dvv"), seed=41,
-                                             wipe_on_recover=True)
+        report = run_churn_scenario("flappy_replica", create("dvv"), seed=41,
+                                    wipe_on_recover=True)
         assert report.converged
 
     def test_churn_scenario_runs_by_name(self):
-        from repro.workloads import run_churn_scenario
-
         report = run_churn_scenario("elasticity", create("dvv"), seed=5)
         assert report.converged
 
     def test_unknown_churn_scenario(self):
-        from repro.workloads import run_churn_scenario
-
         with pytest.raises(KeyError):
             run_churn_scenario("nope", DVVMechanism())
