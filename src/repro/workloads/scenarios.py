@@ -358,8 +358,6 @@ class ScenarioSpec:
     #: Hot-key sibling samples every ``sample_every_ms`` (None: no samples).
     sample_every_ms: Optional[float] = None
     max_rounds: int = 40
-    traffic_seeded: bool = True
-    settled_sample: bool = False
 
 
 CHURN_SCENARIOS: Dict[str, ScenarioSpec] = {spec.name: spec for spec in (
@@ -368,23 +366,20 @@ CHURN_SCENARIOS: Dict[str, ScenarioSpec] = {spec.name: spec for spec in (
         why="two nodes join and one leaves under load; rebalancing handoff "
             "must leave the survivors with identical sibling sets",
         hint_replay_interval_ms=40.0, keys=6,
-        faults=((0.30, "join", "n4"), (0.50, "join", "n5"), (0.70, "leave", "n1")),
-        traffic_seeded=False),
+        faults=((0.30, "join", "n4"), (0.50, "join", "n5"), (0.70, "leave", "n1"))),
     ScenarioSpec(
         "flappy_replica", seed=11,
         why="a replica crashes and recovers repeatedly; hints and their "
             "replay (and, with wipe_on_recover, anti-entropy) repopulate it",
         anti_entropy_interval_ms=30.0, duration_ms=420.0, write_fraction=0.7,
-        flap=("fail", "n3"), flaps=3, flap_window=(0.25, 0.75),
-        traffic_seeded=False),
+        flap=("fail", "n3"), flaps=3, flap_window=(0.25, 0.75)),
     ScenarioSpec(
         "sloppy_partition", seed=13,
         why="two of the hot key's primaries are cut off together: sloppy "
             "quorums keep writing through fallbacks, strict ones fail",
         servers=5, anti_entropy_interval_ms=50.0, replica_timeout_ms=6.0,
         request_timeout_ms=30.0,
-        faults=((0.25, "cut", "primary:1,primary:2"), (0.75, "heal", "")),
-        traffic_seeded=False),
+        faults=((0.25, "cut", "primary:1,primary:2"), (0.75, "heal", ""))),
     ScenarioSpec(
         "hot_key", seed=17,
         why="Zipf traffic with stale contexts piles siblings on one key "
@@ -393,7 +388,7 @@ CHURN_SCENARIOS: Dict[str, ScenarioSpec] = {spec.name: spec for spec in (
         duration_ms=420.0, keys=6, clients=6, stale_write_fraction=0.35,
         zipf_s=1.1,
         faults=((0.35, "fail", "primary:1"), (0.65, "recover", "primary:1")),
-        sample_every_ms=40.0, settled_sample=True),
+        sample_every_ms=40.0),
     ScenarioSpec(
         "multi_dc", seed=23,
         why="two DCs behind WAN latency lose every WAN link for a while; "
@@ -546,7 +541,7 @@ def run_churn_scenario(name: str, mechanism: CausalityMechanism, tracer=None,
         stop_at_ms=spec.duration_ms,
     )
     run_closed_loop_workload(cluster, client_count=spec.clients, config=config,
-                             base_seed=spec.seed * 1000 if spec.traffic_seeded else 0)
+                             base_seed=spec.seed * 1000)
     cluster.partitions.heal()
 
     try:
@@ -569,8 +564,8 @@ def run_churn_scenario(name: str, mechanism: CausalityMechanism, tracer=None,
         report.lost_updates = verdict.total_lost_updates
         report.false_concurrency = verdict.total_false_concurrency
         report.session_superseded = verdict.total_session_superseded
-    if spec.settled_sample:
-        sample()
+    if spec.sample_every_ms:
+        sample()  # the settled frontier, after convergence
     return report
 
 

@@ -8,6 +8,7 @@ from repro.analysis import check_store
 from repro.clocks import DVVMechanism, ServerVVMechanism, create
 from repro.core import ConfigurationError
 from repro.workloads import (
+    CHURN_SCENARIOS,
     OpType,
     WorkloadConfig,
     WorkloadGenerator,
@@ -221,6 +222,16 @@ class TestChurnScenarios:
         report = run_churn_scenario("flappy_replica", create("dvv"), seed=41,
                                     wipe_on_recover=True)
         assert report.converged
+
+    # The id prefix keeps "soak" from being a bare keyword: that marks a test soak.
+    @pytest.mark.parametrize("name", sorted(CHURN_SCENARIOS),
+                             ids=lambda name: f"scenario-{name}")
+    def test_the_seed_drives_the_traffic(self, name):
+        def records(seed):
+            report = run_churn_scenario(name, create("dvv"), seed=seed)
+            return report.cluster.all_request_records()
+
+        assert records(5) != records(6)
 
     def test_churn_scenario_runs_by_name(self):
         report = run_churn_scenario("elasticity", create("dvv"), seed=5)
