@@ -256,6 +256,47 @@ def _run_cluster_audit(cluster, sample_size: int, seed: int):
     return checked, mismatches
 
 
+def _cluster_table(args: argparse.Namespace, cluster, duration_ms: float,
+                   title: str, extra_rows: Sequence[list] = ()) -> str:
+    """The ``cluster`` report: the same rows from either backend's cluster."""
+    records = cluster.all_request_records()
+    latency = analyze_requests(args.mechanism, records, duration_ms=duration_ms)
+    metadata = measure_simulated_cluster(cluster)
+    audit_rows = []
+    if args.audit:
+        checked, mismatches = _run_cluster_audit(cluster, args.audit, args.seed)
+        audit_rows = [["audit keys checked", checked],
+                      ["audit mismatches", mismatches]]
+    stats = cluster.stat_totals()
+    return render_table(
+        ["metric", "value"],
+        [
+            ["mechanism", args.mechanism],
+            ["servers", args.servers],
+            ["clients", args.clients],
+            ["quorum mode", args.quorum_mode],
+            ["deadline mode", args.deadline_mode],
+            ["requests completed", latency.requests],
+            ["requests failed", sum(1 for record in records if not record.ok)],
+            ["mean latency (ms)", round(latency.overall.mean, 3)],
+            ["p95 latency (ms)", round(latency.overall.p95, 3)],
+            ["p99 latency (ms)", round(latency.overall.p99, 3)],
+            ["throughput (req/s)", round(latency.throughput_per_s, 1)],
+            ["context bytes / request", round(latency.mean_context_bytes, 1)],
+            ["stored metadata bytes", metadata.total_bytes],
+            ["bytes on the wire", cluster.metrics_snapshot()["transport.bytes_sent"]],
+            ["merkle keys hashed", stats.get("keys_hashed", 0)],
+            ["merkle buckets rehashed", stats.get("buckets_rehashed", 0)],
+            ["merkle full rebuilds", stats.get("full_rebuilds", 0)],
+            ["merkle fingerprints imported", stats.get("fingerprints_imported", 0)],
+            ["vnode partitions", args.partitions],
+            ["partitions compared", cluster.merkle_stats.partitions_compared],
+            ["partitions differing", cluster.merkle_stats.partitions_differing],
+        ] + list(extra_rows) + audit_rows,
+        title=title,
+    )
+
+
 def cmd_cluster(args: argparse.Namespace) -> int:
     """Run the message-passing cluster under a closed-loop workload.
 
@@ -287,49 +328,17 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         stop_at_ms=args.duration_ms,
     )
     run_closed_loop_workload(cluster, client_count=args.clients, config=workload)
-    records = cluster.all_request_records()
-    latency = analyze_requests(args.mechanism, records, duration_ms=args.duration_ms)
-    metadata = measure_simulated_cluster(cluster)
-    audit_rows = []
-    if args.audit:
-        checked, mismatches = _run_cluster_audit(cluster, args.audit, args.seed)
-        audit_rows = [["audit keys checked", checked],
-                      ["audit mismatches", mismatches]]
-    stats = cluster.stat_totals()
-    print(render_table(
-        ["metric", "value"],
-        [
-            ["mechanism", args.mechanism],
-            ["servers", args.servers],
-            ["clients", args.clients],
-            ["quorum mode", args.quorum_mode],
-            ["deadline mode", args.deadline_mode],
-            ["requests completed", latency.requests],
-            ["requests failed", sum(1 for record in records if not record.ok)],
-            ["mean latency (ms)", round(latency.overall.mean, 3)],
-            ["p95 latency (ms)", round(latency.overall.p95, 3)],
-            ["p99 latency (ms)", round(latency.overall.p99, 3)],
-            ["throughput (req/s)", round(latency.throughput_per_s, 1)],
-            ["context bytes / request", round(latency.mean_context_bytes, 1)],
-            ["stored metadata bytes", metadata.total_bytes],
-            ["bytes on the wire", cluster.metrics_snapshot()["transport.bytes_sent"]],
-            ["merkle keys hashed", stats.get("keys_hashed", 0)],
-            ["merkle buckets rehashed", stats.get("buckets_rehashed", 0)],
-            ["merkle full rebuilds", stats.get("full_rebuilds", 0)],
-            ["merkle fingerprints imported", stats.get("fingerprints_imported", 0)],
-            ["vnode partitions", args.partitions],
-            ["partitions compared", cluster.merkle_stats.partitions_compared],
-            ["partitions differing", cluster.merkle_stats.partitions_differing],
-        ] + audit_rows,
-        title="Simulated cluster run",
-    ))
+    print(_cluster_table(args, cluster, args.duration_ms, "Simulated cluster run"))
     _write_stats_json(cluster, args.stats_json)
     _finish_trace(sink, args.trace)
     return 0
 
 
 def _cmd_cluster_asyncio(args: argparse.Namespace) -> int:
-    """The asyncio-backend half of ``cmd_cluster`` (wall-clock run)."""
+    """The asyncio-backend half of ``cmd_cluster`` (wall-clock run).
+
+    Exits 1 when the replicas do not converge within the timeout.
+    """
     import asyncio
     import random
 
@@ -370,41 +379,19 @@ def _cmd_cluster_asyncio(args: argparse.Namespace) -> int:
             started = loop.time()
             await asyncio.gather(*(drive(c, i) for i, c in enumerate(clients)))
             elapsed_s = loop.time() - started
-            await cluster.converge(timeout_s=30.0)
-            records = cluster.all_request_records()
-            latency = analyze_requests(args.mechanism, records,
-                                       duration_ms=elapsed_s * 1000.0)
-            audit_rows = []
-            if args.audit:
-                checked, mismatches = _run_cluster_audit(
-                    cluster, args.audit, args.seed)
-                audit_rows = [["audit keys checked", checked],
-                              ["audit mismatches", mismatches]]
-            stats = cluster.stat_totals()
-            print(render_table(
-                ["metric", "value"],
-                [
-                    ["mechanism", args.mechanism],
-                    ["backend", "asyncio (unix sockets, wall clock)"],
-                    ["servers", args.servers],
-                    ["clients", args.clients],
-                    ["requests completed", latency.requests],
-                    ["requests failed", sum(1 for r in records if not r.ok)],
-                    ["mean latency (ms)", round(latency.overall.mean, 3)],
-                    ["p95 latency (ms)", round(latency.overall.p95, 3)],
-                    ["p99 latency (ms)", round(latency.overall.p99, 3)],
-                    ["throughput (req/s)", round(latency.throughput_per_s, 1)],
-                    ["bytes on the wire",
-                     cluster.metrics_snapshot()["transport.bytes_sent"]],
-                    ["merkle keys hashed", stats.get("keys_hashed", 0)],
-                    ["converged", "yes"],
-                ] + audit_rows,
-                title="Asyncio cluster run",
-            ))
+            try:
+                await cluster.converge(timeout_s=30.0)
+                converged = True
+            except TimeoutError:
+                converged = False
+            print(_cluster_table(
+                args, cluster, elapsed_s * 1000.0, "Asyncio cluster run",
+                [["backend", "asyncio (unix sockets, wall clock)"],
+                 ["converged", converged]]))
         # The shutdown-captured snapshot includes the daemons' final work.
         _write_stats_json(cluster, args.stats_json)
         _finish_trace(sink, args.trace)
-        return 0
+        return 0 if converged else 1
 
     return asyncio.run(run())
 
@@ -581,7 +568,9 @@ def build_parser() -> argparse.ArgumentParser:
                                   help="run a membership-churn scenario on the "
                                        "simulated cluster")
     churn.add_argument("--scenario", default="elasticity",
-                       choices=sorted(CHURN_SCENARIOS))
+                       choices=sorted(CHURN_SCENARIOS),
+                       help="; ".join(f"{name}: {spec.why}"
+                                      for name, spec in sorted(CHURN_SCENARIOS.items())))
     churn.add_argument("--mechanism", default="dvv", choices=available())
     churn.add_argument("--quorum-mode", default="sloppy", choices=["strict", "sloppy"],
                        dest="quorum_mode",

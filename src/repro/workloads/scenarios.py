@@ -23,6 +23,10 @@ synchronise — the lost update the paper illustrates.
 Besides Figure 1, this module provides smaller named scenarios used by tests
 and benchmarks (concurrent blind writers, read-modify-write chains, session
 resets) so the experiments exercise more shapes than the single figure.
+
+The churn scenarios (traffic through faults on the simulated cluster, judged
+by the write-log oracle) are entries of one :data:`CHURN_SCENARIOS` table of
+:class:`ScenarioSpec` records, all run by :func:`run_churn_scenario`.
 """
 
 from __future__ import annotations
@@ -363,14 +367,14 @@ class ScenarioSpec:
 CHURN_SCENARIOS: Dict[str, ScenarioSpec] = {spec.name: spec for spec in (
     ScenarioSpec(
         "elasticity", seed=7,
-        why="two nodes join and one leaves under load; rebalancing handoff "
-            "must leave the survivors with identical sibling sets",
+        why="two nodes join and one leaves under load, and rebalancing "
+            "handoff must leave the survivors with identical sibling sets",
         hint_replay_interval_ms=40.0, keys=6,
         faults=((0.30, "join", "n4"), (0.50, "join", "n5"), (0.70, "leave", "n1"))),
     ScenarioSpec(
         "flappy_replica", seed=11,
-        why="a replica crashes and recovers repeatedly; hints and their "
-            "replay (and, with wipe_on_recover, anti-entropy) repopulate it",
+        why="a replica crashes and recovers three times under load, and "
+            "hint replay (with wipe_on_recover, anti-entropy) repopulates it",
         anti_entropy_interval_ms=30.0, duration_ms=420.0, write_fraction=0.7,
         flap=("fail", "n3"), flaps=3, flap_window=(0.25, 0.75)),
     ScenarioSpec(
@@ -391,7 +395,7 @@ CHURN_SCENARIOS: Dict[str, ScenarioSpec] = {spec.name: spec for spec in (
         sample_every_ms=40.0),
     ScenarioSpec(
         "multi_dc", seed=23,
-        why="two DCs behind WAN latency lose every WAN link for a while; "
+        why="two DCs behind WAN latency lose every WAN link for a while, and "
             "per-DC sloppy quorums and hints must reconcile after the heal",
         servers=6, two_dc=True, anti_entropy_interval_ms=150.0,
         hint_replay_interval_ms=60.0, replica_timeout_ms=50.0,
@@ -400,8 +404,8 @@ CHURN_SCENARIOS: Dict[str, ScenarioSpec] = {spec.name: spec for spec in (
         flaps=1, flap_window=(0.3, 0.45), flap_duty=1.0, max_rounds=60),
     ScenarioSpec(
         "soak", seed=29,
-        why="churn, skew and WAN flaps at once: a crash, a join, repeated "
-            "DC cuts and a leave; run long by the -m soak suite",
+        why="churn, skew and WAN flaps at once (a crash, a join, repeated "
+            "DC cuts and a leave), run long by the soak suite",
         servers=6, two_dc=True, anti_entropy_interval_ms=120.0,
         hint_replay_interval_ms=50.0, replica_timeout_ms=50.0,
         request_timeout_ms=110.0, client_timeout_ms=130.0, duration_ms=1500.0,

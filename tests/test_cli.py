@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -94,6 +96,36 @@ class TestClusterCommand:
         assert "--request-mode" in capsys.readouterr().err
 
 
+def row_labels(output: str) -> list:
+    """The metric column of a ``metric / value`` table."""
+    lines = output.splitlines()
+    body = lines[lines.index(next(line for line in lines if line.startswith("---"))) + 1:]
+    return [line.rsplit("  ", 1)[0].strip() for line in body if line.strip()]
+
+
+class TestClusterCommandAsyncio:
+    ARGS = ["cluster", "--mechanism", "dvv", "--clients", "2", "--duration-ms",
+            "100", "--seed", "5"]
+
+    def test_asyncio_table_has_every_simulator_row(self, capsys):
+        assert main(self.ARGS) == 0
+        sim_rows = row_labels(capsys.readouterr().out)
+        assert main(self.ARGS + ["--backend", "asyncio"]) == 0
+        output = capsys.readouterr().out
+        assert set(sim_rows) <= set(row_labels(output))
+        assert re.search(r"^converged +yes$", output, re.MULTILINE)
+
+    def test_convergence_timeout_reports_no_and_exits_1(self, capsys, monkeypatch):
+        from repro.kvstore import AsyncioCluster
+
+        async def never_converges(self, timeout_s=30.0, poll_s=0.05):
+            raise TimeoutError(f"cluster did not converge within {timeout_s}s")
+
+        monkeypatch.setattr(AsyncioCluster, "converge", never_converges)
+        assert main(self.ARGS + ["--backend", "asyncio"]) == 1
+        assert re.search(r"^converged +no$", capsys.readouterr().out, re.MULTILINE)
+
+
 class TestChurnCommand:
     def test_elasticity_scenario(self, capsys):
         assert main(["churn", "--scenario", "elasticity", "--mechanism", "dvv",
@@ -121,6 +153,14 @@ class TestChurnCommand:
                      "--quorum-mode", "strict", "--seed", "5"]) == 0
         output = capsys.readouterr().out
         assert "strict" in output
+
+    @pytest.mark.parametrize("flag", [["--zipf-s", "1.5"], ["--duration-ms", "300"]])
+    def test_overrides_apply_to_every_scenario(self, capsys, flag):
+        args = ["churn", "--scenario", "elasticity", "--mechanism", "dvv"]
+        assert main(args) == 0
+        default = capsys.readouterr().out
+        assert main(args + flag) == 0
+        assert capsys.readouterr().out != default
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(SystemExit):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.analysis import check_store
@@ -10,6 +12,7 @@ from repro.core import ConfigurationError
 from repro.workloads import (
     CHURN_SCENARIOS,
     OpType,
+    ScenarioSpec,
     WorkloadConfig,
     WorkloadGenerator,
     concurrent_writers_trace,
@@ -240,3 +243,17 @@ class TestChurnScenarios:
     def test_unknown_churn_scenario(self):
         with pytest.raises(KeyError):
             run_churn_scenario("nope", DVVMechanism())
+
+    def test_unknown_fault_action_is_rejected_before_the_run(self):
+        with pytest.raises(ValueError, match="explode"):
+            run_churn_scenario("elasticity", DVVMechanism(),
+                               faults=((0.5, "explode", "n1"),))
+
+    def test_every_spec_field_is_one_the_scenarios_differ_on(self):
+        """A field all six entries agree on must be one a caller changes:
+        the CLI and the availability bench set ``quorum_mode``, the flappy
+        tests ``wipe_on_recover``."""
+        uniform = {spec_field.name for spec_field in dataclasses.fields(ScenarioSpec)
+                   if len({repr(getattr(spec, spec_field.name))
+                           for spec in CHURN_SCENARIOS.values()}) < 2}
+        assert uniform == {"quorum_mode", "wipe_on_recover"}
