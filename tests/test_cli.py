@@ -99,8 +99,8 @@ class TestClusterCommand:
 def row_labels(output: str) -> list:
     """The metric column of a ``metric / value`` table."""
     lines = output.splitlines()
-    body = lines[lines.index(next(line for line in lines if line.startswith("---"))) + 1:]
-    return [line.rsplit("  ", 1)[0].strip() for line in body if line.strip()]
+    start = next(index for index, line in enumerate(lines) if line.startswith("---"))
+    return [re.split(r"\s{2,}", line)[0] for line in lines[start + 1:] if line.strip()]
 
 
 class TestClusterCommandAsyncio:
