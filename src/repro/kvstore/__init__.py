@@ -21,12 +21,12 @@ anti-entropy engine,
 The message protocol itself lives in :mod:`repro.kvstore.protocol` as
 transport-agnostic state machines.  Both clusters are a
 :class:`~repro.kvstore.cluster_core.ClusterCore` — config, placement,
-reporting and the machines' env — hosting each server on a
-:class:`~repro.kvstore.cluster_core.ServerHost`; a backend adds only its
-transport and daemons.
+reporting, the machines' env and the daemon policy (which replica pair
+anti-entropy syncs next, which servers replay hints) — hosting each server on
+a :class:`~repro.kvstore.cluster_core.ServerHost`; a backend adds only its
+transport and the cadence its daemons tick at.
 """
 
-from .anti_entropy import AntiEntropyDaemon, HintedHandoffDaemon
 from .asyncio_cluster import AsyncClusterClient, AsyncioCluster
 from .client import ClientSession, GetResult, PutResult
 from .cluster_core import ClientHost, ClusterCore, ServerHost
@@ -50,7 +50,6 @@ from .write_log import WriteLog, WriteRecord
 
 __all__ = [
     "DEADLINE_MODES",
-    "AntiEntropyDaemon",
     "AsyncClusterClient",
     "AsyncioCluster",
     "CallbackResolver",
@@ -60,7 +59,6 @@ __all__ = [
     "ClusterCore",
     "GetResult",
     "Hint",
-    "HintedHandoffDaemon",
     "LastWriterWins",
     "MerkleIndex",
     "MerkleSyncStats",

@@ -11,8 +11,13 @@ issue requests concurrently.
 
 Coordination is Dynamo-style and deadline-driven, the one path the
 simulator runs too: reachability is decided by deadlines and sloppy-quorum
-fallbacks, never by a membership oracle.  Anti-entropy and hint replay run as
-plain asyncio tasks on their configured cadences.
+fallbacks, never by a membership oracle.  Anti-entropy and hint replay follow
+the core's one policy (``ClusterCore.anti_entropy_tick`` /
+``hint_replay_tick``); this backend only supplies the cadence, one
+``sleep → tick`` task per daemon.  A tick step that raises is contained like a
+raising message handler: logged with its traceback, counted in that server's
+``handler_errors``, and the daemon keeps ticking.  A stopped cluster cannot
+be started again.
 
 Everything lives in one process (one event loop) — the point is real
 concurrency, framing and wall-clock latency, not multi-host deployment — so
@@ -30,10 +35,10 @@ Typical use::
 from __future__ import annotations
 
 import asyncio
-import itertools
+import logging
 import os
 import tempfile
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..clocks.interface import CausalityMechanism
 from ..cluster.preference_list import QuorumConfig
@@ -44,6 +49,8 @@ from ..network.asyncio_transport import Address, AsyncioEndpoint
 from ..network.transport import TransportStats
 from .client import GetResult, PutResult
 from .cluster_core import ClientHost, ClusterCore, ServerHost
+
+logger = logging.getLogger(__name__)
 
 
 def _socket_name(node_id: str) -> str:
@@ -189,10 +196,8 @@ class AsyncioCluster(ClusterCore):
         #: :class:`UnixDirAddressBook` once a unix cluster starts.
         self.address_book: Any = {}
         self._daemon_tasks: List[asyncio.Task] = []
-        self._ae_pairs = itertools.cycle(
-            [(a, b) for a in self.server_ids for b in self.server_ids if a != b]
-        ) if len(self.server_ids) > 1 else None
         self._started = False
+        self._stopped = False
 
     # ------------------------------------------------------------------ #
     # Addressing and the transport's stats
@@ -220,6 +225,10 @@ class AsyncioCluster(ClusterCore):
     # ------------------------------------------------------------------ #
     async def start(self) -> None:
         """Bind every server's listener and start the background daemons."""
+        if self._stopped:
+            raise ConfigurationError(
+                "this AsyncioCluster was stopped and cannot be restarted; "
+                "build a new one")
         if self._started:
             return
         if self.transport_kind == "unix":
@@ -234,24 +243,21 @@ class AsyncioCluster(ClusterCore):
             endpoint.handler = server.handle_message
             self.servers[server_id] = server
             await endpoint.start()
-        if self.anti_entropy_interval_ms is not None and self._ae_pairs is not None:
-            self._daemon_tasks.append(asyncio.get_running_loop().create_task(
-                self._anti_entropy_daemon()))
-        if self.hint_replay_interval_ms is not None:
-            self._daemon_tasks.append(asyncio.get_running_loop().create_task(
-                self._hint_replay_daemon()))
+        loop = asyncio.get_running_loop()
+        self._daemon_tasks = [
+            loop.create_task(self._tick_every(interval_ms, tick), name=label)
+            for label, interval_ms, tick in self.daemons()]
         self._started = True
-        self._final_snapshot = None
 
     async def stop(self) -> None:
         """Cancel daemons, close every endpoint, remove Unix sockets."""
+        if self._stopped:
+            return
+        self._stopped = True
         for task in self._daemon_tasks:
             task.cancel()
-        for task in self._daemon_tasks:
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
+        # A daemon that died of an error must not keep the endpoints open.
+        await asyncio.gather(*self._daemon_tasks, return_exceptions=True)
         self._daemon_tasks.clear()
         # Flush the final metrics while every endpoint's stats object is
         # still alive: the daemons have stopped, so the counters are
@@ -272,7 +278,6 @@ class AsyncioCluster(ClusterCore):
                 os.rmdir(self._socket_dir)
             except OSError:
                 pass
-        self._started = False
 
     async def __aenter__(self) -> "AsyncioCluster":
         await self.start()
@@ -297,22 +302,21 @@ class AsyncioCluster(ClusterCore):
     # ------------------------------------------------------------------ #
     # Background daemons
     # ------------------------------------------------------------------ #
-    async def _anti_entropy_daemon(self) -> None:
-        interval = self.anti_entropy_interval_ms / 1000.0
+    @staticmethod
+    async def _tick_every(interval_ms: float, tick: Callable[[], None]) -> None:
         while True:
-            await asyncio.sleep(interval)
-            source_id, target_id = next(self._ae_pairs)
-            server = self.servers.get(source_id)
-            if server is not None:
-                server.start_merkle_sync_with(target_id)
+            await asyncio.sleep(interval_ms / 1000.0)
+            tick()
 
-    async def _hint_replay_daemon(self) -> None:
-        interval = self.hint_replay_interval_ms / 1000.0
-        while True:
-            await asyncio.sleep(interval)
-            for server in list(self.servers.values()):
-                if server.node.pending_hints() > 0:
-                    server.replay_hints()
+    def _daemon_step(self, server: ServerHost, step: Callable[..., Any],
+                     *args: Any) -> None:
+        # Contained like a raising handler in ``AsyncioEndpoint._deliver``.
+        try:
+            step(*args)
+        except Exception:
+            server.transport.stats.handler_errors += 1
+            logger.exception("%s: daemon step %s failed", server.node_id,
+                             getattr(step, "__name__", step))
 
     # ------------------------------------------------------------------ #
     # Convergence (in-process verification helper)

@@ -11,9 +11,13 @@ hosted machine reads its configuration and the two env queries,
 :meth:`ClusterCore.can_reach` and :meth:`ClusterCore.is_registered`, straight
 off the cluster object, so a knob tweaked on a live cluster is seen at once.
 
-A backend subclasses it and supplies only its transport, the
-:meth:`ClusterCore.transport_stats` the metrics read, its daemons and its
-run / converge / start / stop:
+The core also owns the daemon *policy*: :meth:`ClusterCore.anti_entropy_tick`
+starts one Merkle-delta exchange for the next reachable replica pair and
+:meth:`ClusterCore.hint_replay_tick` replays every up holder's hints, so both
+backends rotate pairs and replay hints by one rule.  A backend subclasses it
+and supplies only its transport, the :meth:`ClusterCore.transport_stats` the
+metrics read, the *cadence* that calls each of :meth:`ClusterCore.daemons`,
+and its run / converge / start / stop:
 :class:`~repro.kvstore.simulated.SimulatedCluster` over the event simulator,
 :class:`~repro.kvstore.asyncio_cluster.AsyncioCluster` over sockets.  A bare
 core has no transport and no servers; scripted protocol tests and the CLI's
@@ -27,7 +31,7 @@ against the backend's transport.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..clocks.interface import CausalityMechanism
 from ..cluster.membership import Membership
@@ -145,7 +149,8 @@ class ClusterCore:
         count, by default).
     anti_entropy_interval_ms / hint_replay_interval_ms:
         Cadences of the backend's anti-entropy and hint-replay daemons
-        (``None`` disables one).  Without hint replay no hints are stored.
+        (positive; ``None`` disables one).  Without hint replay no hints are
+        stored.
     hint_backoff_multiplier:
         Backoff for hint replay toward a persistently slow peer (one whose
         latency EWMA clamps its adaptive deadline at the ceiling): after one
@@ -236,6 +241,12 @@ class ClusterCore:
             raise ConfigurationError(
                 f"hint_backoff_multiplier must be positive, got {hint_backoff_multiplier}"
             )
+        for name, interval in (("anti_entropy_interval_ms", anti_entropy_interval_ms),
+                               ("hint_replay_interval_ms", hint_replay_interval_ms)):
+            if interval is not None and interval <= 0:
+                raise ConfigurationError(
+                    f"{name} must be positive (or None to disable), got {interval}"
+                )
         self.mechanism = mechanism
         self.quorum = quorum or QuorumConfig(n=min(3, len(server_ids)),
                                              r=min(2, len(server_ids)),
@@ -278,6 +289,8 @@ class ClusterCore:
 
         self.servers: Dict[str, ServerHost] = {}
         self.clients: Dict[str, ClientHost] = {}
+        #: Position in the anti-entropy pair rotation; persists across ticks.
+        self._exchange_index = 0
         #: Counters of decommissioned servers, still part of the run's totals.
         self._departed_stats: Dict[str, int] = {}
         self._metrics_registry: Optional[MetricsRegistry] = None
@@ -309,6 +322,53 @@ class ClusterCore:
     def transport_stats(self) -> List[TransportStats]:
         """Every byte/deadline counter set of the transport (none when bare)."""
         return []
+
+    # ------------------------------------------------------------------ #
+    # Daemon policy (a backend supplies only the cadence)
+    # ------------------------------------------------------------------ #
+    def daemons(self) -> List[Tuple[str, float, Callable[[], None]]]:
+        """``(label, interval_ms, tick)`` of every enabled daemon, anti-entropy
+        first; a backend calls each ``tick`` every ``interval_ms``."""
+        return [(label, interval_ms, tick) for label, interval_ms, tick in (
+            ("anti-entropy", self.anti_entropy_interval_ms, self.anti_entropy_tick),
+            ("hinted-handoff", self.hint_replay_interval_ms, self.hint_replay_tick),
+        ) if interval_ms is not None]
+
+    def anti_entropy_tick(self) -> None:
+        """Start one Merkle-delta exchange for the next pair of up servers.
+
+        The rotation walks the unordered pairs of ``sorted(self.servers)``,
+        taken at tick time, so a joined server enters it and a departed one
+        leaves it.  A pair with a server the membership marks down is skipped,
+        at most one full cycle per tick, so a mostly-down cluster starts
+        nothing rather than looping.
+        """
+        server_ids = sorted(self.servers)
+        pairs = [(source_id, target_id)
+                 for index, source_id in enumerate(server_ids)
+                 for target_id in server_ids[index + 1:]]
+        for _ in pairs:
+            source_id, target_id = pairs[self._exchange_index % len(pairs)]
+            self._exchange_index += 1
+            if self.membership.is_up(source_id) and self.membership.is_up(target_id):
+                source = self.servers[source_id]
+                self._daemon_step(source, source.start_merkle_sync_with, target_id)
+                return
+
+    def hint_replay_tick(self) -> None:
+        """Replay the hints of every up server that holds any, in id order."""
+        holders = [server for server_id, server in sorted(self.servers.items())
+                   if server.node.pending_hints() > 0
+                   and self.membership.is_up(server_id)]
+        for server in holders:
+            self._daemon_step(server, server.replay_hints)
+
+    def _daemon_step(self, server: ServerHost, step: Callable[..., Any],
+                     *args: Any) -> None:
+        """Run ``server``'s share of a daemon tick.  An error propagates here;
+        a backend that must keep serving past one overrides this to contain
+        it."""
+        step(*args)
 
     # ------------------------------------------------------------------ #
     # Reporting

@@ -29,7 +29,9 @@ see ``ARCHITECTURE.md`` for the layering):
 * The coordinator fans out to the key's replicas, waits for the configured
   R/W quorum, performs read repair on divergent read replies, and answers the
   client.
-* A background :class:`~repro.kvstore.anti_entropy.AntiEntropyDaemon`
+* A background anti-entropy daemon — a
+  :class:`~repro.network.simulator.PeriodicTask` calling
+  :meth:`~repro.kvstore.cluster_core.ClusterCore.anti_entropy_tick` —
   periodically synchronises replica pairs with the **Merkle-delta protocol**
   (below), the store's one anti-entropy exchange.
 
@@ -106,7 +108,8 @@ When one of a write's primary replicas misses its deadline (crashed, or cut
 off by a partition), the write is held as a *hint* — target id plus the
 post-write state — persisted in the holder's storage layer, so a process
 restart of the holder does not lose it (a wiped disk does).  The
-background :class:`~repro.kvstore.anti_entropy.HintedHandoffDaemon` replays
+background hint-replay daemon (a ``PeriodicTask`` calling
+:meth:`~repro.kvstore.cluster_core.ClusterCore.hint_replay_tick`) replays
 hints (``HINT_REPLAY`` / ``HINT_ACK``) once the target is reachable again; a
 membership listener also nudges replay immediately on recovery.  Replay
 targeting consults the per-replica latency EWMAs: a persistently slow peer is
@@ -145,9 +148,8 @@ from ..cluster.topology import Topology
 from ..cluster.ring import DEFAULT_PARTITION_COUNT, ConsistentHashRing, rebalance_plan
 from ..core.exceptions import ConfigurationError
 from ..network.latency import LatencyModel, SizeDependentLatency
-from ..network.simulator import Simulation
+from ..network.simulator import PeriodicTask, Simulation
 from ..network.transport import Transport, TransportStats
-from .anti_entropy import AntiEntropyDaemon, HintedHandoffDaemon
 from .client import GetResult, PutResult
 from .cluster_core import ClientHost, ClusterCore, ServerHost
 
@@ -249,24 +251,9 @@ class SimulatedCluster(ClusterCore):
         )
         for server_id in server_ids:
             self._add_server(server_id)
-
-        self.anti_entropy: Optional[AntiEntropyDaemon] = None
-        if anti_entropy_interval_ms is not None and len(server_ids) > 1:
-            self.anti_entropy = AntiEntropyDaemon(
-                self.simulation,
-                self.start_exchange,
-                list(server_ids),
-                interval_ms=anti_entropy_interval_ms,
-                eligible=self.membership.is_up,
-            )
-        self.hinted_handoff: Optional[HintedHandoffDaemon] = None
-        if hint_replay_interval_ms is not None:
-            self.hinted_handoff = HintedHandoffDaemon(
-                self.simulation,
-                sources=self._hint_sources,
-                trigger_replay=self._trigger_hint_replay,
-                interval_ms=hint_replay_interval_ms,
-            )
+        self._daemon_tasks = [
+            PeriodicTask(self.simulation, interval_ms, tick, label=label)
+            for label, interval_ms, tick in self.daemons()]
         # Nudge hint replay as soon as a node recovers rather than waiting
         # for the next daemon tick.
         self.membership.subscribe(self._on_membership_event)
@@ -301,24 +288,16 @@ class SimulatedCluster(ClusterCore):
         if source is not None:
             source.start_merkle_sync_with(target_id)
 
-    def _hint_sources(self) -> List[str]:
-        return [server_id for server_id, server in sorted(self.servers.items())
-                if server.node.pending_hints() > 0
-                and self.membership.is_up(server_id)]
-
-    def _trigger_hint_replay(self, server_id: str) -> int:
-        server = self.servers.get(server_id)
-        return server.replay_hints() if server is not None else 0
-
     def _on_membership_event(self, node_id: str, event: str) -> None:
-        if event != "up" or self.hinted_handoff is None:
+        if event != "up" or not self.hinted_handoff_enabled:
             return
         holders = [server_id for server_id, server in sorted(self.servers.items())
                    if node_id in server.node.hint_targets()]
         if holders:
             self.simulation.schedule(
                 0.1,
-                lambda: [self._trigger_hint_replay(server_id) for server_id in holders],
+                lambda: [self.servers[server_id].replay_hints()
+                         for server_id in holders if server_id in self.servers],
                 label=f"hint-replay-nudge:{node_id}",
             )
 
@@ -388,16 +367,6 @@ class SimulatedCluster(ClusterCore):
         self.ring.add_node(server_id)
         self.membership.add(server_id, dc=dc)
         self._add_server(server_id)
-        if self.anti_entropy is not None:
-            self.anti_entropy.add_node(server_id)
-        elif self.anti_entropy_interval_ms is not None and len(self.servers) > 1:
-            self.anti_entropy = AntiEntropyDaemon(
-                self.simulation,
-                self.start_exchange,
-                list(self.servers),
-                interval_ms=self.anti_entropy_interval_ms,
-                eligible=self.membership.is_up,
-            )
 
         moves = rebalance_plan(ring_before, self.ring,
                                self.key_universe(), self.quorum.n)
@@ -463,8 +432,6 @@ class SimulatedCluster(ClusterCore):
                 handed_off += len(keys)
 
         self.membership.remove(server_id)
-        if self.anti_entropy is not None:
-            self.anti_entropy.remove_node(server_id)
         self.servers.pop(server_id)
         self.transport.unregister(server_id)
         # Stats of the departed node still belong to the run's totals.
@@ -485,10 +452,8 @@ class SimulatedCluster(ClusterCore):
 
     def drain(self, max_events: int = 1_000_000) -> None:
         """Stop background daemons and run every outstanding event."""
-        if self.anti_entropy is not None:
-            self.anti_entropy.stop()
-        if self.hinted_handoff is not None:
-            self.hinted_handoff.stop()
+        for daemon in self._daemon_tasks:
+            daemon.stop()
         self.simulation.run_until_idle(max_events=max_events)
 
     def run_anti_entropy_round(self, settle: bool = True) -> None:

@@ -3,19 +3,23 @@
 A bare :class:`~repro.kvstore.cluster_core.ClusterCore` needs no transport;
 the simulator and the asyncio cluster are subclasses that add one.  Anything
 the core decides — which configurations are rejected, whether hints are
-stored — must therefore come out the same on both backends.
+stored, which replica pair anti-entropy syncs next — must therefore come out
+the same on both backends.
 """
 
 from __future__ import annotations
 
 import asyncio
+import logging
+import os
 
 import pytest
 
 from repro.clocks import create
 from repro.cluster import QuorumConfig
 from repro.core.exceptions import ConfigurationError
-from repro.kvstore import AsyncioCluster, ClusterCore, SimulatedCluster
+from repro.kvstore import AsyncioCluster, ClusterCore, ServerHost, SimulatedCluster
+from repro.kvstore.server import StorageNode
 
 SERVER_IDS = ("A", "B", "C", "D")
 BACKENDS = {"sim": SimulatedCluster, "asyncio": AsyncioCluster}
@@ -29,6 +33,8 @@ BACKENDS = {"sim": SimulatedCluster, "asyncio": AsyncioCluster}
     {"request_timeout_ms": 0},
     {"read_repair_batch_ms": -1.0},
     {"server_ids": ()},
+    {"anti_entropy_interval_ms": 0.0},
+    {"hint_replay_interval_ms": -5.0},
 ], ids=lambda knobs: next(iter(knobs)))
 def test_both_backends_reject_the_same_bad_configuration(backend, knobs):
     with pytest.raises(ConfigurationError):
@@ -88,3 +94,129 @@ def test_asyncio_sloppy_write_with_replay_off_stores_no_hint():
             return cluster.stat_totals()["pending_hints"]
 
     assert asyncio.run(scenario()) == 0
+
+
+# --------------------------------------------------------------------------- #
+# The one daemon policy: both backends tick the same rotation
+# --------------------------------------------------------------------------- #
+@pytest.fixture
+def exchanges(monkeypatch):
+    """Every exchange a tick starts, as ``(source, target)``; none is sent."""
+    started = []
+    monkeypatch.setattr(ServerHost, "start_merkle_sync_with",
+                        lambda server, peer_id: started.append((server.node_id, peer_id)))
+    return started
+
+
+def idle_cluster(backend, server_ids=("A", "B", "C")):
+    """A cluster whose daemons are off, so only explicit ticks run."""
+    return BACKENDS[backend](create("dvv"), server_ids=server_ids,
+                             anti_entropy_interval_ms=None,
+                             hint_replay_interval_ms=None)
+
+
+def tick_started(backend, ticks):
+    """Tick anti-entropy ``ticks`` times on a started A, B, C cluster."""
+    cluster = idle_cluster(backend)
+    if backend == "sim":
+        for _ in range(ticks):
+            cluster.anti_entropy_tick()
+        return
+
+    async def scenario():
+        async with cluster:
+            for _ in range(ticks):
+                cluster.anti_entropy_tick()
+
+    asyncio.run(scenario())
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_anti_entropy_ticks_rotate_through_the_unordered_sorted_pairs(backend, exchanges):
+    tick_started(backend, 4)
+    assert exchanges == [("A", "B"), ("A", "C"), ("B", "C"), ("A", "B")]
+
+
+def test_anti_entropy_ticks_skip_pairs_with_a_down_server(exchanges):
+    cluster = idle_cluster("sim")
+    cluster.fail_node("B")
+    for _ in range(3):
+        cluster.anti_entropy_tick()
+    assert exchanges == [("A", "C")] * 3
+
+
+def test_joined_servers_enter_the_rotation_and_departed_ones_leave(exchanges):
+    cluster = idle_cluster("sim", server_ids=("A", "B"))
+    cluster.join_node("C")
+    for _ in range(3):
+        cluster.anti_entropy_tick()
+    assert exchanges == [("A", "B"), ("A", "C"), ("B", "C")]
+    exchanges.clear()
+    cluster.decommission_node("B")
+    for _ in range(2):
+        cluster.anti_entropy_tick()
+    assert exchanges == [("A", "C")] * 2
+
+
+def test_a_single_server_cluster_ticks_without_starting_anything(exchanges):
+    cluster = idle_cluster("sim", server_ids=("A",))
+    cluster.anti_entropy_tick()
+    assert exchanges == []
+
+
+def test_hint_replay_ticks_every_up_holder_in_id_order(monkeypatch):
+    replayed = []
+    monkeypatch.setattr(StorageNode, "pending_hints",
+                        lambda node: 0 if node.node_id == "C" else 1)
+    monkeypatch.setattr(ServerHost, "replay_hints",
+                        lambda server: replayed.append(server.node_id))
+    cluster = idle_cluster("sim", server_ids=("D", "C", "B", "A"))
+    cluster.fail_node("B")
+    cluster.hint_replay_tick()
+    assert replayed == ["A", "D"]
+
+
+def test_asyncio_contains_a_raising_daemon_step_and_still_stops_cleanly(
+        monkeypatch, caplog):
+    """A bug in one exchange costs that exchange: the daemon keeps ticking,
+    the error is logged and counted, and ``stop`` closes every endpoint."""
+    attempts = []
+
+    def broken(server, peer_id):
+        attempts.append((server.node_id, peer_id))
+        raise RuntimeError("daemon step bug")
+
+    monkeypatch.setattr(ServerHost, "start_merkle_sync_with", broken)
+
+    async def scenario():
+        cluster = AsyncioCluster(create("dvv"), server_ids=("A", "B", "C"),
+                                 anti_entropy_interval_ms=5.0,
+                                 hint_replay_interval_ms=None)
+        await cluster.start()
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + 5.0
+        while len(attempts) < 4 and loop.time() < deadline:
+            await asyncio.sleep(0.01)
+        await cluster.stop()
+        return cluster
+
+    with caplog.at_level(logging.ERROR):
+        cluster = asyncio.run(scenario())
+
+    assert len(attempts) >= 4
+    assert attempts[:4] == [("A", "B"), ("A", "C"), ("B", "C"), ("A", "B")]
+    assert cluster.metrics_snapshot()["transport.handler_errors"] == len(attempts)
+    assert all(server.transport._closed for server in cluster.servers.values())
+    assert not os.path.exists(cluster.socket_dir)
+    assert "daemon step bug" in caplog.text
+
+
+def test_asyncio_cluster_refuses_to_start_again_after_stop():
+    async def scenario():
+        cluster = idle_cluster("asyncio")
+        async with cluster:
+            pass
+        with pytest.raises(ConfigurationError, match="cannot be restarted"):
+            await cluster.start()
+
+    asyncio.run(scenario())

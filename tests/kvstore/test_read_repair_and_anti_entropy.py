@@ -1,17 +1,12 @@
-"""Unit tests for read repair planning and the anti-entropy daemon."""
+"""Unit tests for read repair planning."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.clocks import DVVMechanism, Sibling
-from repro.core import ConfigurationError, Dot
-from repro.kvstore import (
-    AntiEntropyDaemon,
-    ReadRepairStats,
-    plan_read_repair,
-)
-from repro.network import Simulation
+from repro.core import Dot
+from repro.kvstore import ReadRepairStats, plan_read_repair
 
 
 def sibling(value, writer="c1", seq=1):
@@ -107,21 +102,3 @@ class TestReadRepairPlanning:
         assert stats.repair_rate == 0.5
         assert stats.as_dict()["repair_rate"] == 0.5
 
-
-class TestAntiEntropyDaemon:
-    def test_daemon_triggers_pairwise_exchanges(self):
-        simulation = Simulation()
-        calls = []
-        daemon = AntiEntropyDaemon(simulation, lambda a, b: calls.append((a, b)),
-                                   ["A", "B", "C"], interval_ms=10.0)
-        simulation.run(until=45.0)
-        assert daemon.exchanges_started == 4
-        assert len(calls) == 4
-        assert all(a != b for a, b in calls)
-        daemon.stop()
-        simulation.run_until_idle()
-        assert daemon.exchanges_started == 4
-
-    def test_requires_two_nodes(self):
-        with pytest.raises(ConfigurationError):
-            AntiEntropyDaemon(Simulation(), lambda a, b: None, ["only"], interval_ms=5.0)

@@ -455,8 +455,8 @@ class TestMerkleAntiEntropyProtocol:
             client.put(f"k{i}", f"v{i}")
         cluster.run(until=200)
         cluster.drain()
-        assert cluster.anti_entropy.exchanges_started > 0
-        assert cluster.merkle_stats.exchanges_started == cluster.anti_entropy.exchanges_started
+        # one exchange per 20 ms tick up to t=200, and no other exchange
+        assert cluster.merkle_stats.exchanges_started == 10
 
     def test_sync_batching_splits_large_transfers(self):
         cluster = build_cluster(sync_batch_size=2, hint_replay_interval_ms=None)
@@ -712,8 +712,6 @@ class TestElasticMembership:
         # the joiner serves reads for keys it now coordinates
         assert "n4" in cluster.ring.nodes()
         assert cluster.membership.is_up("n4")
-        if cluster.anti_entropy is not None:
-            assert "n4" in cluster.anti_entropy.nodes()
         # every key the joiner is now a primary home for was pushed to it
         for key in cluster.key_universe():
             if "n4" in cluster.placement.primary_replicas(key):
