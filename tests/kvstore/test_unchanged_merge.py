@@ -30,7 +30,7 @@ merge would have put it in order.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Set, Tuple
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -76,21 +76,21 @@ def _fingerprint(mechanism, state) -> tuple:
     return tuple(sorted((dot.actor, dot.counter) for dot in dots))
 
 
-def reference_receive(node: StorageNode, states, want) -> Tuple[List[str], int]:
+def reference_receive(node: StorageNode, states, want) -> Tuple[List[str], Set[str]]:
     """Today's receiver rule on a node whose every merge is stored.
 
-    Returns the keys it mails back and how many keys it counts unchanged.
+    Returns the keys it mails back and the keys it counts unchanged.
     """
     index = node.merkle_index
     settled = set()
-    unchanged = 0
+    unchanged = set()
     for key, state in states.items():
         before = index.fingerprint(key)
         merged = node.mechanism.merge(node.storage.get_state(key), state)
         node.storage.put_state(key, merged)
         after = index.fingerprint(key)
         if after == before:
-            unchanged += 1
+            unchanged.add(key)
         if after == state_fingerprint(node.mechanism, state):
             settled.add(key)
     reply = [key for key in want
@@ -363,6 +363,16 @@ def test_receiver_matches_todays_fingerprint_rule(case, sender, receiver,
     reference = twin(trace.nodes[receiver])
     reference.attach_merkle_index(MerkleIndex(m, counters=reference.stats))
     expected_reply, expected_unchanged = reference_receive(reference, states, want)
+    # A key whose received state is the receiver's own stored state is kept
+    # as written: it settles and counts unchanged.  The reference's merge may
+    # have put a write output in order; for an inexact mechanism it may also
+    # have dropped a sibling the write output kept, and then it replies.
+    own = {key for key, state in states.items()
+           if state is trace.nodes[receiver].state_of(key)}
+    if m.exact:
+        assert own <= expected_unchanged and not own & set(expected_reply)
+    expected_reply = [key for key in expected_reply if key not in own]
+    expected_unchanged = len(expected_unchanged | own)
 
     env = protocol_env(m)
     node = ProtocolNode(receiver, m, env,
