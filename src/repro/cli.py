@@ -32,6 +32,7 @@ from .analysis import (
 )
 from .clocks import available, create
 from .cluster import QuorumConfig
+from .core.exceptions import ConfigurationError
 from .kvstore import SimulatedCluster
 from .network import FixedLatency, SizeDependentLatency
 from .workloads import (
@@ -423,11 +424,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
             "server_ids": cluster.server_ids,
             "quorum": {"n": cluster.quorum.n, "r": cluster.quorum.r,
                        "w": cluster.quorum.w, "sloppy": cluster.quorum.sloppy},
-            "virtual_nodes": cluster.ring.virtual_nodes,
             "partition_count": cluster.partition_map.partition_count,
             "request_timeout_ms": cluster.request_timeout_ms,
             "client_timeout_ms": cluster.client_timeout_ms,
-            "request_overhead_bytes": cluster.request_overhead_bytes,
             "socket_dir": cluster.socket_dir,
         }
         manifest_path = os.path.join(cluster.socket_dir, "cluster.json")
@@ -454,7 +453,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_connect(args: argparse.Namespace) -> int:
-    """One client request against a served cluster (see ``serve``)."""
+    """One client request against a served cluster (see ``serve``).
+
+    A missing or malformed ``cluster.json`` is reported in one line and
+    exits 1.  Keys the manifest carries beyond the ones read here are
+    ignored (older manifests also list ``virtual_nodes`` and
+    ``request_overhead_bytes``).
+    """
     import asyncio
     import json
     import os
@@ -466,29 +471,37 @@ def cmd_connect(args: argparse.Namespace) -> int:
     try:
         with open(manifest_path) as fh:
             manifest = json.load(fh)
+        # The served cluster's placement view, rebuilt as a bare core: the
+        # client's env, with no transport and no servers of its own.
+        core = ClusterCore(
+            create(manifest["mechanism"]),
+            manifest["server_ids"],
+            QuorumConfig(**manifest["quorum"]),
+            partition_count=manifest["partition_count"],
+            request_timeout_ms=manifest["request_timeout_ms"],
+            client_timeout_ms=manifest["client_timeout_ms"],
+        )
+        address_book = UnixDirAddressBook(manifest["socket_dir"])
     except FileNotFoundError:
         print(f"no cluster manifest at {manifest_path} — is `serve` running?",
               file=sys.stderr)
         return 1
+    except (KeyError, TypeError, ValueError, ConfigurationError) as error:
+        if isinstance(error, KeyError):
+            problem = f"missing key {error}"
+        elif isinstance(error, json.JSONDecodeError):
+            problem = f"not JSON ({error})"
+        else:
+            problem = str(error)
+        print(f"bad cluster manifest {manifest_path}: {problem}", file=sys.stderr)
+        return 1
 
     tracer, sink = _open_tracer(args.trace)
-    # The served cluster's placement view, rebuilt as a bare core: the
-    # client's env, with no transport and no servers of its own.
-    core = ClusterCore(
-        create(manifest["mechanism"]),
-        manifest["server_ids"],
-        QuorumConfig(**manifest["quorum"]),
-        virtual_nodes=manifest["virtual_nodes"],
-        partition_count=manifest["partition_count"],
-        request_timeout_ms=manifest["request_timeout_ms"],
-        client_timeout_ms=manifest["client_timeout_ms"],
-        request_overhead_bytes=manifest["request_overhead_bytes"],
-        tracer=tracer,
-    )
+    if tracer is not None:
+        core.tracer = tracer
 
     async def run() -> int:
-        client = AsyncClusterClient(args.client_id, core,
-                                    UnixDirAddressBook(manifest["socket_dir"]))
+        client = AsyncClusterClient(args.client_id, core, address_book)
         await client.start()
         try:
             if args.operation == "put":
@@ -656,7 +669,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except ConfigurationError as error:
+        # An out-of-range flag value, reported the way argparse reports one.
+        print(f"repro {args.command}: error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__.py

@@ -152,13 +152,7 @@ class AsyncioCluster(ClusterCore):
                  request_timeout_ms: float = 1000.0,
                  client_timeout_ms: Optional[float] = None,
                  deadline_mode: str = "fixed",
-                 sync_batch_size: int = 16,
-                 merkle_fanout: int = 16,
-                 merkle_depth: int = 2,
-                 read_repair_batch_ms: float = 2.0,
-                 virtual_nodes: int = 32,
                  partition_count: int = DEFAULT_PARTITION_COUNT,
-                 request_overhead_bytes: int = 64,
                  topology: Optional[Topology] = None,
                  tracer: Optional[Any] = None) -> None:
         if transport not in ("unix", "tcp"):
@@ -174,15 +168,9 @@ class AsyncioCluster(ClusterCore):
             replica_timeout_ms=replica_timeout_ms,
             request_timeout_ms=request_timeout_ms,
             client_timeout_ms=client_timeout_ms,
-            sync_batch_size=sync_batch_size,
-            merkle_fanout=merkle_fanout,
-            merkle_depth=merkle_depth,
-            read_repair_batch_ms=read_repair_batch_ms,
             deadline_mode=deadline_mode,
             deadline_floor_ms=replica_timeout_ms / 5.0,
-            virtual_nodes=virtual_nodes,
             partition_count=partition_count,
-            request_overhead_bytes=request_overhead_bytes,
             topology=topology,
             tracer=tracer,
         )

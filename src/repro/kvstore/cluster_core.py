@@ -9,7 +9,12 @@ reporting every test, scenario and benchmark reads.
 The core *is* the protocol env (see :mod:`repro.kvstore.protocol.env`): every
 hosted machine reads its configuration and the two env queries,
 :meth:`ClusterCore.can_reach` and :meth:`ClusterCore.is_registered`, straight
-off the cluster object, so a knob tweaked on a live cluster is seen at once.
+off the cluster object, so an attribute a test sets on a live cluster is seen
+at once.  What the implementation fixes — batch sizes, the read-repair
+window, the hint backoff, the modelled envelope (constants in
+:mod:`repro.kvstore.protocol.env`), the ring's :data:`VIRTUAL_NODES` and the
+Merkle tree shape (:class:`~repro.kvstore.merkle_index.VnodeIndexSet`'s
+defaults) — is not configurable.
 
 The core also owns the daemon *policy*: :meth:`ClusterCore.anti_entropy_tick`
 starts one Merkle-delta exchange for the next reachable replica pair and
@@ -59,6 +64,9 @@ from .server import StorageNode
 from .write_log import WriteLog
 
 __all__ = ["ClientHost", "ClusterCore", "ServerHost"]
+
+#: Ring positions per server (Dynamo's virtual nodes).
+VIRTUAL_NODES = 32
 
 
 class ServerHost:
@@ -151,39 +159,21 @@ class ClusterCore:
         Cadences of the backend's anti-entropy and hint-replay daemons
         (positive; ``None`` disables one).  Without hint replay no hints are
         stored.
-    hint_backoff_multiplier:
-        Backoff for hint replay toward a persistently slow peer (one whose
-        latency EWMA clamps its adaptive deadline at the ceiling): after one
-        replay, the next attempt waits ``ewma × this`` instead of the daemon
-        cadence.  Deferred ticks are counted in ``hint_replays_deferred``.
     replica_timeout_ms / request_timeout_ms / client_timeout_ms:
         Coordination deadlines: how long a coordinator waits for one replica's
         ack before extending/abandoning it, how long a whole request may take
         before the coordinator answers ``ERROR_REPLY``, and how long a client
         waits (1.5 × the request timeout by default) before failing over to
         the next candidate coordinator.
-    sync_batch_size:
-        Keys per MERKLE_KEY_STATES / HINT_REPLAY / KEY_HANDOFF message (also
-        the read-repair batch size).
-    merkle_fanout / merkle_depth:
-        Shape of the hash trees used by the Merkle-delta exchange.
-    read_repair_batch_ms:
-        Coalescing window for read-repair pushes: repairs destined for the
-        same stale replica within this window ride one READ_REPAIR message
-        (a full ``sync_batch_size`` batch flushes immediately; ``0`` disables
-        coalescing and sends each repair at once).
-    deadline_mode / deadline_floor_ms / deadline_ceiling_ms:
+    deadline_mode / deadline_floor_ms:
         Per-replica deadlines: ``"fixed"`` arms ``replica_timeout_ms`` for
         every replica; ``"adaptive"`` arms an EWMA of the replica's observed
-        ack latency, clamped to [floor, ceiling].  The ceiling defaults to
-        ``replica_timeout_ms`` so adaptation only ever tightens failure
-        detection; the floor keeps a single latency spike from mass-expiring
-        healthy replicas.
-    virtual_nodes / partition_count / topology:
-        Ring shape, the cluster-wide fixed vnode ranges, and the datacenter
-        assignment (``None``: one implicit DC).
-    request_overhead_bytes:
-        Modelled envelope size of every message.
+        ack latency, clamped to [floor, ``replica_timeout_ms``], so
+        adaptation only ever tightens failure detection; the floor keeps a
+        single latency spike from mass-expiring healthy replicas.
+    partition_count / topology:
+        The cluster-wide fixed vnode ranges, and the datacenter assignment
+        (``None``: one implicit DC).
     tracer:
         Span emitter shared by every hosted machine (inert by default; span
         events bypass the transport, so tracing cannot perturb a run).
@@ -196,20 +186,12 @@ class ClusterCore:
                  *,
                  anti_entropy_interval_ms: Optional[float] = 100.0,
                  hint_replay_interval_ms: Optional[float] = 50.0,
-                 hint_backoff_multiplier: float = 6.0,
                  replica_timeout_ms: float = 10.0,
                  request_timeout_ms: float = 50.0,
                  client_timeout_ms: Optional[float] = None,
-                 sync_batch_size: int = 16,
-                 merkle_fanout: int = 16,
-                 merkle_depth: int = 2,
-                 read_repair_batch_ms: float = 2.0,
                  deadline_mode: str = "fixed",
                  deadline_floor_ms: float = 2.0,
-                 deadline_ceiling_ms: Optional[float] = None,
-                 virtual_nodes: int = 32,
                  partition_count: int = DEFAULT_PARTITION_COUNT,
-                 request_overhead_bytes: int = 64,
                  topology: Optional[Topology] = None,
                  tracer: Optional[Any] = None) -> None:
         if not server_ids:
@@ -220,26 +202,14 @@ class ClusterCore:
             )
         if replica_timeout_ms <= 0 or request_timeout_ms <= 0:
             raise ConfigurationError("request timeouts must be positive")
-        if read_repair_batch_ms < 0:
-            raise ConfigurationError(
-                f"read_repair_batch_ms must be >= 0, got {read_repair_batch_ms}"
-            )
         if deadline_floor_ms <= 0:
             raise ConfigurationError(
                 f"deadline_floor_ms must be positive, got {deadline_floor_ms}"
             )
-        resolved_ceiling = (deadline_ceiling_ms if deadline_ceiling_ms is not None
-                            else replica_timeout_ms)
-        if resolved_ceiling < deadline_floor_ms:
+        if replica_timeout_ms < deadline_floor_ms:
             raise ConfigurationError(
-                f"deadline_ceiling_ms ({resolved_ceiling}) must be >= "
+                f"replica_timeout_ms ({replica_timeout_ms}) must be >= "
                 f"deadline_floor_ms ({deadline_floor_ms})"
-            )
-        if sync_batch_size < 1:
-            raise ConfigurationError(f"sync_batch_size must be >= 1, got {sync_batch_size}")
-        if hint_backoff_multiplier <= 0:
-            raise ConfigurationError(
-                f"hint_backoff_multiplier must be positive, got {hint_backoff_multiplier}"
             )
         for name, interval in (("anti_entropy_interval_ms", anti_entropy_interval_ms),
                                ("hint_replay_interval_ms", hint_replay_interval_ms)):
@@ -251,7 +221,7 @@ class ClusterCore:
         self.quorum = quorum or QuorumConfig(n=min(3, len(server_ids)),
                                              r=min(2, len(server_ids)),
                                              w=min(2, len(server_ids)))
-        self.ring = ConsistentHashRing(server_ids, virtual_nodes=virtual_nodes)
+        self.ring = ConsistentHashRing(server_ids, virtual_nodes=VIRTUAL_NODES)
         #: Datacenter assignment; ``None`` means a single implicit DC and
         #: keeps placement byte-identical to the pre-topology behavior.
         self.topology = topology
@@ -273,19 +243,12 @@ class ClusterCore:
         #: Coordinators store hints for unreachable primaries only when a
         #: daemon will replay them.
         self.hinted_handoff_enabled = hint_replay_interval_ms is not None
-        self.hint_backoff_multiplier = hint_backoff_multiplier
-        self.request_overhead_bytes = request_overhead_bytes
         self.replica_timeout_ms = replica_timeout_ms
         self.request_timeout_ms = request_timeout_ms
         self.client_timeout_ms = (client_timeout_ms if client_timeout_ms is not None
                                   else request_timeout_ms * 1.5)
-        self.sync_batch_size = sync_batch_size
-        self.merkle_fanout = merkle_fanout
-        self.merkle_depth = merkle_depth
-        self.read_repair_batch_ms = read_repair_batch_ms
         self.deadline_mode = deadline_mode
         self.deadline_floor_ms = deadline_floor_ms
-        self.deadline_ceiling_ms = resolved_ceiling
 
         self.servers: Dict[str, ServerHost] = {}
         self.clients: Dict[str, ClientHost] = {}

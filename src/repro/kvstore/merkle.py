@@ -26,11 +26,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core import codec
 from ..core.exceptions import ConfigurationError
-from .server import StorageNode
+
+if TYPE_CHECKING:
+    from .server import StorageNode
 
 
 def _hash_bytes(payload: bytes) -> bytes:

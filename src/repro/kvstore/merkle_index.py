@@ -15,12 +15,13 @@ are updated as objects are written and only re-hash the paths a write dirtied.
 :class:`VnodeIndexSet` arranges one of them **per vnode range** — the actual
 Riak layout, where each partition carries its own hashtree:
 
-* a :class:`MerkleIndex` subscribes to a
-  :class:`~repro.kvstore.storage.NodeStorage` mutation stream (node-level
-  for a whole-node index, per-vnode inside a :class:`VnodeIndexSet`), so
-  **every** path that changes a key's sibling set — client writes, replica
-  merges, read repair, Merkle-delta transfers, hint replay, rebalancing
-  handoff — reaches it;
+* every :class:`~repro.kvstore.server.StorageNode` builds one
+  :class:`VnodeIndexSet`, whose member :class:`MerkleIndex` per range
+  subscribes to that vnode's
+  :class:`~repro.kvstore.storage.NodeStorage` mutation stream, so **every**
+  path that changes a key's sibling set — client writes, replica merges,
+  read repair, Merkle-delta transfers, hint replay, rebalancing handoff —
+  reaches it;
 * a mutation only **records** the key's new state; the key is fingerprinted
   (one sha256) when something reads it — a flush,
   :meth:`~MerkleIndex.fingerprint` or a bucket's fingerprints — so a hot key
@@ -44,10 +45,11 @@ Riak layout, where each partition carries its own hashtree:
   nothing is copied per exchange, and per-range anti-entropy touches only
   the one partition's index it was asked about;
 * the index shares its owner's durability: a crash-restart rebuilds it from
-  the surviving :class:`NodeStorage` contents (:meth:`rebuild` — per vnode,
-  so only ranges that actually hold keys pay), a disk wipe empties it
-  (:meth:`reset`, or :meth:`VnodeIndexSet.reset_vnode` when a single
-  partition's slice is lost).
+  the surviving :class:`NodeStorage` contents
+  (:meth:`VnodeIndexSet.rebuild` — per vnode, so only ranges that actually
+  hold keys pay), a disk wipe empties it (:meth:`VnodeIndexSet.reset`, or
+  :meth:`VnodeIndexSet.reset_vnode` when a single partition's slice is
+  lost).
 
 Maintenance cost is observable through the counters the index increments in
 the owning node's stats dict — ``keys_hashed`` (fingerprints computed, at
@@ -74,32 +76,16 @@ from .merkle import (
     state_fingerprint,
     state_fingerprint_cold,
 )
-from .server import INDEX_COUNTERS
 from .storage import NodeStorage
 
-
-def _run_audit(index, storage: NodeStorage, sample_size: int,
-               rng: Optional[random.Random]) -> Dict[str, int]:
-    """Shared audit walk for :class:`MerkleIndex` and :class:`VnodeIndexSet`.
-
-    Samples up to ``sample_size`` live keys from ``storage``, recomputes each
-    key's fingerprint cold (bypassing every cache), and compares it to the
-    digest the index maintains — the bit-rot check for the write-maintained
-    tree: a mismatch means the index drifted from what is actually stored.
-    """
-    rng = rng if rng is not None else random.Random()
-    index.flush()
-    keys = storage.keys()
-    if sample_size < len(keys):
-        keys = rng.sample(keys, sample_size)
-    mismatches = 0
-    for key in keys:
-        expected = state_fingerprint_cold(index.mechanism, storage.get_state(key))
-        if index.fingerprint(key) != expected:
-            mismatches += 1
-    index.counters["audit_keys_checked"] += len(keys)
-    index.counters["audit_mismatches"] += mismatches
-    return {"keys_checked": len(keys), "mismatches": mismatches}
+#: Hash-tree maintenance counters an index seeds (to zero) and increments in
+#: its owner's stats dict.  ``keys_hashed`` counts key fingerprints computed:
+#: a write only records the key, which is hashed when a flush or a
+#: fingerprint read needs it — at most once per key per flush (or per
+#: fingerprint read), however often it was written in between.
+INDEX_COUNTERS = ("keys_hashed", "buckets_rehashed", "full_rebuilds",
+                  "fingerprints_imported", "rebuilds_skipped",
+                  "audit_keys_checked", "audit_mismatches")
 
 
 def _empty_digests(fanout: int, depth: int) -> List[bytes]:
@@ -117,7 +103,7 @@ def _empty_digests(fanout: int, depth: int) -> List[bytes]:
 
 
 class MerkleIndex:
-    """A per-node hash tree kept current with every storage mutation.
+    """One vnode range's hash tree, kept current with its storage mutations.
 
     Parameters
     ----------
@@ -157,7 +143,7 @@ class MerkleIndex:
         self._dirty: Set[Tuple[int, ...]] = set()
 
     # ------------------------------------------------------------------ #
-    # Mutation tracking (NodeStorage listener)
+    # Mutation tracking (per-vnode NodeStorage listener)
     # ------------------------------------------------------------------ #
     def on_state_changed(self, key: str, state: Any,
                          fingerprint: Optional[bytes] = None) -> None:
@@ -328,17 +314,6 @@ class MerkleIndex:
         return MerkleTree(self._fingerprints, fanout=self.fanout, depth=self.depth)
 
     # ------------------------------------------------------------------ #
-    # Storage attachment (listener plumbing)
-    # ------------------------------------------------------------------ #
-    def attach(self, storage: NodeStorage) -> None:
-        """Subscribe to the storage's node-level mutation stream."""
-        storage.subscribe(self.on_state_changed)
-
-    def detach(self, storage: NodeStorage) -> None:
-        """Unsubscribe from the storage's mutation stream (idempotent)."""
-        storage.unsubscribe(self.on_state_changed)
-
-    # ------------------------------------------------------------------ #
     # Durability: the index shares its storage's fate
     # ------------------------------------------------------------------ #
     def rebuild_from(self, items: Iterable[Tuple[str, Any]]) -> None:
@@ -355,10 +330,6 @@ class MerkleIndex:
             self.on_state_changed(key, state)
         self.flush()
 
-    def rebuild(self, storage: NodeStorage) -> None:
-        """Reindex everything from storage (crash-restart / first attach)."""
-        self.rebuild_from(storage.items())
-
     def reset(self) -> None:
         """Empty the index (disk wipe: there is nothing left to summarise)."""
         self._fingerprints.clear()
@@ -366,18 +337,6 @@ class MerkleIndex:
         self._buckets.clear()
         self._digests.clear()
         self._dirty.clear()
-
-    def audit(self, storage: NodeStorage, sample_size: int = 64,
-              rng: Optional[random.Random] = None) -> Dict[str, int]:
-        """Cold-verify a random sample of stored keys against the index.
-
-        Returns ``{"keys_checked", "mismatches"}`` and accumulates both into
-        the ``audit_keys_checked`` / ``audit_mismatches`` counters.  A nonzero
-        mismatch count means the maintained tree no longer reflects storage
-        (a missed mutation event, or bit-rot in a cached digest) and the
-        range should be rebuilt.
-        """
-        return _run_audit(self, storage, sample_size, rng)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (
@@ -392,10 +351,10 @@ class VnodeIndexSet:
 
     The set subscribes each member index to its partition's mutation stream
     (:meth:`attach`), so a write only ever touches the tree of the range it
-    lands in, and exposes the whole-node :class:`MerkleIndex` query surface
-    (``root_digest`` / ``keys()`` / ``fingerprint`` / ``snapshot`` /
-    ``rebuild`` / ``reset``) so callers that don't care about ranges — the
-    churn property tests, the restart/wipe paths — see one logical index.
+    lands in, and exposes a whole-node query surface (``root_digest`` /
+    ``keys()`` / ``fingerprint`` / ``snapshot`` / ``rebuild`` / ``reset`` /
+    ``audit``) so callers that don't care about ranges — the churn property
+    tests, the restart/wipe paths — see one logical index.
     Per-range anti-entropy uses the partition-addressed surface instead:
     :meth:`partition_root` and :meth:`index_for` compare and descend a
     single range without touching the others.
@@ -403,11 +362,13 @@ class VnodeIndexSet:
     The whole-node ``root_digest`` is computed by pooling every range's
     maintained fingerprints into one combined tree: bucket digests are
     re-derived (cheap, bounded by the tree shape) but **no key is ever
-    re-fingerprinted**, and the result is bit-identical to a flat whole-node
-    index — pinned by the union-digest property tests.
+    re-fingerprinted**, and the result is bit-identical to a from-scratch
+    :class:`~repro.kvstore.merkle.MerkleTree` over the node's keys — pinned
+    by the union-digest property tests.
 
     All member indexes share one ``counters`` mapping, so maintenance cost
-    surfaces in the owning node's stats exactly as a flat index's would.
+    surfaces in the owning node's stats.  ``fanout`` / ``depth`` default to
+    the one tree shape every node uses; tests pass smaller ones.
     """
 
     def __init__(self,
@@ -477,13 +438,8 @@ class VnodeIndexSet:
         for partition_id, index in self.indexes.items():
             storage.subscribe_vnode(partition_id, index.on_state_changed)
 
-    def detach(self, storage: NodeStorage) -> None:
-        """Unsubscribe every member index (idempotent)."""
-        for partition_id, index in self.indexes.items():
-            storage.unsubscribe_vnode(partition_id, index.on_state_changed)
-
     # ------------------------------------------------------------------ #
-    # Whole-node MerkleIndex surface
+    # Whole-node surface
     # ------------------------------------------------------------------ #
     def flush(self) -> int:
         """Flush every range's dirty buckets; returns leaf buckets re-hashed."""
@@ -504,9 +460,9 @@ class VnodeIndexSet:
     def root_digest(self) -> bytes:
         """Whole-node digest: the union of every range's maintained keys.
 
-        Equals a flat whole-node index (and a from-scratch rebuild) bit for
-        bit: the combined tree re-derives bucket digests from the maintained
-        fingerprints but hashes no key states.
+        Equals a from-scratch rebuild bit for bit: the combined tree
+        re-derives bucket digests from the maintained fingerprints but hashes
+        no key states.
         """
         self.flush()
         return MerkleTree(self._combined_fingerprints(),
@@ -548,14 +504,30 @@ class VnodeIndexSet:
 
     def audit(self, storage: NodeStorage, sample_size: int = 64,
               rng: Optional[random.Random] = None) -> Dict[str, int]:
-        """Cold-verify sampled keys against whichever range's tree holds them.
+        """Cold-verify a random sample of stored keys against the index.
 
-        Same contract as :meth:`MerkleIndex.audit`; each sampled key is
-        checked against its own partition's maintained fingerprint (via
-        :meth:`fingerprint`'s routing), so drift localised to one vnode's
-        tree is still caught.
+        Samples up to ``sample_size`` live keys from ``storage``, recomputes
+        each key's fingerprint cold (bypassing every cache), and compares it
+        to the fingerprint its own partition's tree maintains, so drift
+        localised to one vnode's tree is still caught.  Returns
+        ``{"keys_checked", "mismatches"}`` and accumulates both into the
+        ``audit_keys_checked`` / ``audit_mismatches`` counters.  A nonzero
+        mismatch count means the maintained tree no longer reflects storage
+        (a missed mutation event, or bit-rot in a cached digest) and the
+        range should be rebuilt.
         """
-        return _run_audit(self, storage, sample_size, rng)
+        rng = rng if rng is not None else random.Random()
+        self.flush()
+        keys = storage.keys()
+        if sample_size < len(keys):
+            keys = rng.sample(keys, sample_size)
+        mismatches = sum(
+            1 for key in keys
+            if self.fingerprint(key)
+            != state_fingerprint_cold(self.mechanism, storage.get_state(key)))
+        self.counters["audit_keys_checked"] += len(keys)
+        self.counters["audit_mismatches"] += mismatches
+        return {"keys_checked": len(keys), "mismatches": mismatches}
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         live = sum(1 for index in self.indexes.values() if index.key_count)

@@ -39,6 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ...network.message import Message, MessageType
 from ..merkle import state_fingerprint
 from .effects import Send
+from .env import REQUEST_OVERHEAD_BYTES, SYNC_BATCH_SIZE
 from .util import chunked
 
 #: Wire size of one tree digest in the Merkle exchange (sha256).
@@ -148,7 +149,7 @@ class AntiEntropyEngine:
             msg_type=MessageType.MERKLE_PARTITION_DIGESTS,
             payload={"session": session_id, "roots": roots},
             size_bytes=(len(roots) * (DIGEST_BYTES + 1)
-                        + env.request_overhead_bytes),
+                        + REQUEST_OVERHEAD_BYTES),
         )))
 
     def on_merkle_partition_digests(self, message: Message) -> None:
@@ -174,7 +175,7 @@ class AntiEntropyEngine:
             receiver=message.sender,
             msg_type=MessageType.MERKLE_PARTITION_DIFF,
             payload={"session": session_id, "differing": differing},
-            size_bytes=len(differing) + node.env.request_overhead_bytes,
+            size_bytes=len(differing) + REQUEST_OVERHEAD_BYTES,
         )))
 
     def on_merkle_partition_diff(self, message: Message) -> None:
@@ -213,7 +214,7 @@ class AntiEntropyEngine:
         node = self._node
         node.env.merkle_stats.levels_sent += 1
         size = (len(entries) * (DIGEST_BYTES + level)
-                + node.env.request_overhead_bytes)
+                + REQUEST_OVERHEAD_BYTES)
         node.emit(Send(Message(
             sender=node.node_id,
             receiver=peer_id,
@@ -233,7 +234,7 @@ class AntiEntropyEngine:
         differing = [path for path, digest in message.payload["entries"]
                      if index.digest_at(path) != digest]
         buckets: Optional[Dict[Tuple[int, ...], Dict[str, bytes]]] = None
-        size = len(differing) * (level + 1) + node.env.request_overhead_bytes
+        size = len(differing) * (level + 1) + REQUEST_OVERHEAD_BYTES
         if level >= index.depth and differing:
             buckets = {path: index.bucket_fingerprints(path) for path in differing}
             size += sum(len(key.encode("utf-8")) + DIGEST_BYTES
@@ -301,14 +302,14 @@ class AntiEntropyEngine:
         """Ship states for the divergent keys, batched to amortise latency."""
         node = self._node
         env = node.env
-        for chunk in chunked(list(keys), env.sync_batch_size):
+        for chunk in chunked(list(keys), SYNC_BATCH_SIZE):
             states = {key: node.store.state_of(key) for key in chunk
                       if node.store.storage.has_key(key)}
             want = list(chunk) if want_reply else []
             size = (sum(node.payload_state_size(key, state)
                         for key, state in states.items())
                     + sum(len(key.encode("utf-8")) for key in want)
-                    + env.request_overhead_bytes)
+                    + REQUEST_OVERHEAD_BYTES)
             env.merkle_stats.keys_transferred += len(states)
             node.emit(Send(Message(
                 sender=node.node_id,
@@ -370,10 +371,9 @@ class AntiEntropyEngine:
         costs O(1) fresh fingerprints on both sides, not O(keys moved).
         """
         node = self._node
-        env = node.env
         held = [key for key in keys if node.store.storage.has_key(key)]
         index = node.store.merkle_index
-        for chunk in chunked(held, env.sync_batch_size):
+        for chunk in chunked(held, SYNC_BATCH_SIZE):
             states = {key: node.store.state_of(key) for key in chunk}
             fingerprints: Dict[str, bytes] = {}
             for key in chunk:
@@ -383,7 +383,7 @@ class AntiEntropyEngine:
             size = (sum(node.payload_state_size(key, state)
                         for key, state in states.items())
                     + len(fingerprints) * DIGEST_BYTES
-                    + env.request_overhead_bytes)
+                    + REQUEST_OVERHEAD_BYTES)
             node.emit(Send(Message(
                 sender=node.node_id,
                 receiver=target_id,

@@ -18,6 +18,7 @@ from typing import Any, Callable, Dict, List, Optional
 from ...network.message import Message, MessageType
 from ..client import ClientSession, GetResult, PutResult
 from .effects import ClearTimer, EffectList, Send, SetTimer
+from .env import REQUEST_OVERHEAD_BYTES
 from .util import default_value_size
 
 
@@ -106,7 +107,7 @@ class ClientProtocol:
         self.now = now
         self._issue(MessageType.COORDINATE_GET, "get", key,
                     payload={"key": key},
-                    size_bytes=self.env.request_overhead_bytes,
+                    size_bytes=REQUEST_OVERHEAD_BYTES,
                     callback=callback)
         return self._drain()
 
@@ -133,7 +134,7 @@ class ClientProtocol:
                         "client_id": self.client_id,
                     },
                     size_bytes=default_value_size(value) + context_bytes
-                    + self.env.request_overhead_bytes,
+                    + REQUEST_OVERHEAD_BYTES,
                     callback=callback)
         return self._drain()
 

@@ -48,6 +48,7 @@ from ...clocks.interface import Sibling
 from ...network.message import Message, MessageType
 from ..read_repair import ReadRepairStats, plan_read_repair
 from .effects import ClearTimer, Send, SetTimer
+from .env import READ_REPAIR_BATCH_MS, REQUEST_OVERHEAD_BYTES, SYNC_BATCH_SIZE
 from .util import default_value_size
 
 
@@ -296,7 +297,6 @@ class Coordinator:
 
     def _maybe_finish_get(self, coordination_id: int) -> None:
         node = self._node
-        env = node.env
         pending = self.sessions.get(coordination_id)
         if pending is None or pending.done:
             return
@@ -333,7 +333,7 @@ class Coordinator:
                 "coordinator": node.node_id,
                 "context_bytes": context_bytes,
             },
-            size_bytes=values_bytes + context_bytes + env.request_overhead_bytes,
+            size_bytes=values_bytes + context_bytes + REQUEST_OVERHEAD_BYTES,
             request_id=pending.request_id,
         )))
         self._trace_end_session(pending, "ok", replies=len(pending.replies),
@@ -406,7 +406,6 @@ class Coordinator:
         Returns the deadline armed, in ms.
         """
         node = self._node
-        env = node.env
         pending.tried.append(replica_id)
         if hint_for is not None:
             pending.standing_in[replica_id] = hint_for
@@ -434,7 +433,7 @@ class Coordinator:
                 receiver=replica_id,
                 msg_type=MessageType.REPLICA_GET,
                 payload={"key": pending.key, "coordination_id": coordination_id},
-                size_bytes=env.request_overhead_bytes,
+                size_bytes=REQUEST_OVERHEAD_BYTES,
                 request_id=coordination_id,
             )
         node.emit(Send(message))
@@ -456,7 +455,7 @@ class Coordinator:
             mode=env.deadline_mode,
             fixed_ms=env.replica_timeout_ms,
             floor_ms=env.deadline_floor_ms,
-            ceiling_ms=env.deadline_ceiling_ms,
+            ceiling_ms=env.replica_timeout_ms,
         )
 
     def _observe_ack_latency(self, pending: CoordinatorSession,
@@ -559,7 +558,7 @@ class Coordinator:
             msg_type=MessageType.ERROR_REPLY,
             payload={"key": pending.key, "operation": pending.kind,
                      "reason": reason, "coordinator": node.node_id},
-            size_bytes=node.env.request_overhead_bytes,
+            size_bytes=REQUEST_OVERHEAD_BYTES,
             request_id=pending.request_id,
         )))
 
@@ -603,7 +602,6 @@ class Coordinator:
 
     def _maybe_finish_put(self, coordination_id: int) -> None:
         node = self._node
-        env = node.env
         pending = self.sessions.get(coordination_id)
         if pending is None or pending.done:
             return
@@ -634,7 +632,7 @@ class Coordinator:
                 "read_dots": [s.origin_dot for s in read.siblings],
                 "context_bytes": context_bytes,
             },
-            size_bytes=context_bytes + env.request_overhead_bytes,
+            size_bytes=context_bytes + REQUEST_OVERHEAD_BYTES,
             request_id=pending.request_id,
         )))
         # The session span closes at quorum; its reference stays on the
@@ -660,24 +658,22 @@ class Coordinator:
         one message (and one per-message overhead) per batch instead of one
         per key — the same amortisation MERKLE_KEY_STATES batching applies to
         sync transfers.  A full batch flushes immediately; otherwise a short
-        coalescing window (``read_repair_batch_ms``) gathers repairs from
+        coalescing window (:data:`READ_REPAIR_BATCH_MS`) gathers repairs from
         nearby reads.  Queued repairs hold the merged state observed at plan
         time; a newer repair for the same key simply replaces it (merges are
         idempotent, so the worst case of losing the race is a second repair
         on a later read).
         """
         node = self._node
-        env = node.env
         batch = self.repair_queue.setdefault(target_id, {})
         batch[key] = state
-        if (len(batch) >= env.sync_batch_size
-                or env.read_repair_batch_ms <= 0):
+        if len(batch) >= SYNC_BATCH_SIZE:
             self.flush_read_repairs(target_id)
         elif not self._repair_flush_scheduled:
             self._repair_flush_scheduled = True
             node.emit(SetTimer(
                 ("repair-flush",),
-                env.read_repair_batch_ms,
+                READ_REPAIR_BATCH_MS,
                 kind="task",
                 label=f"read-repair-flush:{node.node_id}",
             ))
@@ -701,7 +697,7 @@ class Coordinator:
         self.read_repair_stats.batches_sent += 1
         size = (sum(node.payload_state_size(key, state)
                     for key, state in states.items())
-                + node.env.request_overhead_bytes)
+                + REQUEST_OVERHEAD_BYTES)
         node.emit(Send(Message(
             sender=node.node_id,
             receiver=target_id,

@@ -6,12 +6,13 @@ tick, and merges are idempotent, so re-sent hints are harmless.
 
 Replay targeting consults the node's per-replica latency EWMAs (the same
 tracker the coordinator's adaptive deadlines use): a **persistently slow**
-peer — one whose EWMA-derived deadline clamps at the configured ceiling — is
-replayed to once and then backed off for ``ewma × hint_backoff_multiplier``
-instead of being hammered on the daemon's fixed cadence, since batches to it
-are usually still in flight when the next tick comes around.  Deferred ticks
-are counted in the node's ``hint_replays_deferred`` stat.  Peers with healthy
-round trips are unaffected, and a peer with no observations is never deferred.
+peer — one whose EWMA-derived deadline clamps at the ceiling,
+``replica_timeout_ms`` — is replayed to once and then backed off for
+``ewma × HINT_BACKOFF_MULTIPLIER`` instead of being hammered on the daemon's
+fixed cadence, since batches to it are usually still in flight when the next
+tick comes around.  Deferred ticks are counted in the node's
+``hint_replays_deferred`` stat.  Peers with healthy round trips are
+unaffected, and a peer with no observations is never deferred.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from typing import Dict
 
 from ...network.message import Message, MessageType
 from .effects import Send
+from .env import HINT_BACKOFF_MULTIPLIER, REQUEST_OVERHEAD_BYTES, SYNC_BATCH_SIZE
 from .util import chunked
 
 
@@ -47,16 +49,16 @@ class HintReplayer:
             if node.now < self.next_attempt.get(target_id, 0.0):
                 node.store.stats["hint_replays_deferred"] += 1
                 continue
-            if node.latency.is_slow(target_id, env.deadline_ceiling_ms):
+            if node.latency.is_slow(target_id, env.replica_timeout_ms):
                 # Replay once, then leave the slow peer alone long enough for
                 # this batch to land (several of its round trips).
                 self.next_attempt[target_id] = (
                     node.now
-                    + node.latency.ewma[target_id] * env.hint_backoff_multiplier
+                    + node.latency.ewma[target_id] * HINT_BACKOFF_MULTIPLIER
                 )
             hints = node.store.hints_for(target_id)
             tracer = node.tracer
-            for chunk in chunked(hints, env.sync_batch_size):
+            for chunk in chunked(hints, SYNC_BATCH_SIZE):
                 if tracer.enabled:
                     # Close the loop of each hint's originating request: the
                     # replay appears in the span tree of the write that
@@ -70,7 +72,7 @@ class HintReplayer:
                 payload_hints = [(hint.hint_id, hint.key, hint.state) for hint in chunk]
                 size = (sum(node.payload_state_size(hint.key, hint.state)
                             for hint in chunk)
-                        + env.request_overhead_bytes)
+                        + REQUEST_OVERHEAD_BYTES)
                 node.emit(Send(Message(
                     sender=node.node_id,
                     receiver=target_id,
@@ -92,7 +94,7 @@ class HintReplayer:
             receiver=message.sender,
             msg_type=MessageType.HINT_ACK,
             payload={"hint_ids": hint_ids},
-            size_bytes=node.env.request_overhead_bytes,
+            size_bytes=REQUEST_OVERHEAD_BYTES,
         )))
 
     def on_hint_ack(self, message: Message) -> None:

@@ -22,11 +22,11 @@ from __future__ import annotations
 from typing import Any, List, Optional, Sequence, Tuple
 
 from ...network.message import Message, MessageType
-from ..merkle_index import VnodeIndexSet
 from ..server import StorageNode
 from .anti_entropy import AntiEntropyEngine
 from .coordinator import Coordinator
 from .effects import Effect, EffectList
+from .env import REQUEST_OVERHEAD_BYTES
 from .hints import HintReplayer
 from .latency import PeerLatencyTracker
 from .replica import ReplicaHandler
@@ -43,17 +43,6 @@ class ProtocolNode:
         self.env = env
         self.store = store if store is not None else StorageNode(
             node_id, mechanism, partition_map=env.placement.partition_map)
-        if self.store.merkle_index is None:
-            # The write-maintained hash trees, one per vnode range, that the
-            # Merkle exchange reads: every storage mutation updates the
-            # mutated key's range tree in place.
-            self.store.attach_merkle_index(VnodeIndexSet(
-                mechanism,
-                partition_map=self.store.storage.partition_map,
-                fanout=env.merkle_fanout,
-                depth=env.merkle_depth,
-                counters=self.store.stats,
-            ))
         #: The node's clock, set by the backend on every entry (simulated
         #: milliseconds or wall-clock milliseconds — the machines never ask).
         self.now = 0.0
@@ -180,7 +169,7 @@ class ProtocolNode:
     # Sizing helpers (message accounting shared by all machines)
     # ------------------------------------------------------------------ #
     def state_size(self, key: str, state: Any) -> int:
-        return self.payload_state_size(key, state) + self.env.request_overhead_bytes
+        return self.payload_state_size(key, state) + REQUEST_OVERHEAD_BYTES
 
     def payload_state_size(self, key: str, state: Any) -> int:
         metadata = self.mechanism.metadata_bytes(state)

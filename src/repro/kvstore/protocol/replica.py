@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from ...network.message import Message, MessageType
 from .effects import Send
+from .env import REQUEST_OVERHEAD_BYTES
 
 
 class ReplicaHandler:
@@ -59,7 +60,7 @@ class ReplicaHandler:
             receiver=message.sender,
             msg_type=MessageType.REPLICA_PUT_ACK,
             payload={"key": key, "coordination_id": message.payload["coordination_id"]},
-            size_bytes=node.env.request_overhead_bytes,
+            size_bytes=REQUEST_OVERHEAD_BYTES,
             request_id=message.request_id,
         )))
 

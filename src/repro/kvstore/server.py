@@ -1,12 +1,15 @@
 """Storage node: the replica-local half of the store.
 
 A :class:`StorageNode` owns a :class:`~repro.kvstore.storage.NodeStorage` and
-executes the replica-local steps of the protocol — read a key's state, apply a
-coordinated write through the causality mechanism, merge a remote replica's
-state.  It knows nothing about quorums, placement or the network; the
-synchronous store (:mod:`repro.kvstore.sync_store`) calls it directly and the
-simulated cluster (:mod:`repro.kvstore.simulated`) wraps it in a message
-handler.
+the :class:`~repro.kvstore.merkle_index.VnodeIndexSet` it builds over it —
+one write-maintained hash tree per vnode range, subscribed to that range's
+mutations — and executes the replica-local steps of the protocol: read a
+key's state, apply a coordinated write through the causality mechanism,
+merge a remote replica's state.  It knows nothing about quorums, placement or
+the network; the synchronous store (:mod:`repro.kvstore.sync_store`) calls it
+directly, and there the index only records written states, because nothing
+reads its digests; the protocol node
+(:mod:`repro.kvstore.protocol.node`) wraps it in message handlers.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from typing import Any, List, Optional
 from ..clocks.interface import CausalityMechanism, ReadResult, Sibling
 from ..core.exceptions import StaleContextError
 from .context import CausalContext
+from .merkle_index import VnodeIndexSet
 from .storage import Hint, NodeStorage
 
 #: Merge provenance → stats counter.  Hint replays and Merkle-delta key
@@ -28,18 +32,6 @@ MERGE_COUNTERS = {
     "handoff": "handoffs",
 }
 
-#: Hash-tree maintenance counters, seeded to zero on every node so cluster
-#: stat totals keep a stable shape whether or not the node carries a Merkle
-#: index.
-#: The :class:`~repro.kvstore.merkle_index.MerkleIndex` increments them.
-#: ``keys_hashed`` counts key fingerprints computed: a write only records
-#: the key, which is hashed when a flush or a fingerprint read needs it — at
-#: most once per key per flush (or per fingerprint read), however often it
-#: was written in between.
-INDEX_COUNTERS = ("keys_hashed", "buckets_rehashed", "full_rebuilds",
-                  "fingerprints_imported", "rebuilds_skipped",
-                  "audit_keys_checked", "audit_mismatches")
-
 
 class StorageNode:
     """One replica server."""
@@ -51,16 +43,13 @@ class StorageNode:
         self.node_id = node_id
         self.mechanism = mechanism
         self.storage = NodeStorage(mechanism, partition_map=partition_map)
-        #: Incremental Merkle index over this node's key space, when attached
-        #: (see :meth:`attach_merkle_index`); None on the synchronous
-        #: store's nodes, which merge replica pairs directly.
-        self.merkle_index = None
         #: Operation counters for diagnostics and reports.  ``merges`` counts
         #: ordinary replication/read-repair merges only; hint replays, Merkle
         #: anti-entropy transfers and rebalancing handoffs have their own
         #: counters (see :data:`MERGE_COUNTERS`); hash-tree maintenance has
-        #: the :data:`INDEX_COUNTERS`.  ``merges_unchanged`` counts merges of
-        #: any provenance that left the stored state as it was.
+        #: the :data:`~repro.kvstore.merkle_index.INDEX_COUNTERS` its index
+        #: adds.  ``merges_unchanged`` counts merges of any provenance that
+        #: left the stored state as it was.
         self.stats = {
             "reads": 0,
             "writes": 0,
@@ -72,7 +61,12 @@ class StorageNode:
             "hints_stored": 0,
             "hint_replays_deferred": 0,
         }
-        self.stats.update({name: 0 for name in INDEX_COUNTERS})
+        #: The write-maintained hash trees, one per vnode range, that the
+        #: Merkle exchange reads: every storage mutation updates the mutated
+        #: key's range tree.
+        self.merkle_index = VnodeIndexSet(mechanism, partition_map=partition_map,
+                                          counters=self.stats)
+        self.merkle_index.attach(self.storage)
         # Set by a clean shutdown, consumed (or voided) by the next restart,
         # wipe or mutation: "the flushed index still matches the disk".
         self._index_clean = False
@@ -141,31 +135,13 @@ class StorageNode:
     # ------------------------------------------------------------------ #
     # Incremental Merkle index lifecycle
     # ------------------------------------------------------------------ #
-    def attach_merkle_index(self, index) -> Any:
-        """Attach an incremental Merkle index; it then tracks every mutation.
-
-        The index subscribes to the storage mutation stream and is seeded
-        from the current contents, so it can be attached to a node that has
-        already served writes.  Replaces (and detaches) any previous index.
-        Works for both a flat :class:`~repro.kvstore.merkle_index.MerkleIndex`
-        (whole-node subscription) and a
-        :class:`~repro.kvstore.merkle_index.VnodeIndexSet` (one subscription
-        per vnode range) — each knows how to wire itself via ``attach``.
-        """
-        if self.merkle_index is not None:
-            self.merkle_index.detach(self.storage)
-        self.merkle_index = index
-        index.attach(self.storage)
-        index.rebuild(self.storage)
-        return index
-
     def wipe(self, partition: Optional[int] = None) -> None:
         """Lose disk contents — the whole disk, or one vnode's slice of it.
 
         With ``partition`` given, only that vnode's key states (and the hints
         for keys in its range) are dropped; the other vnodes survive intact.
-        The attached index hears the per-key drops through the mutation
-        stream, so only the wiped range's tree empties.
+        The index hears the per-key drops through the mutation stream, so
+        only the wiped range's tree empties.
 
         With no partition, the whole disk is replaced (hints and key states
         lost).  The Merkle index summarises the disk, so it is emptied with
@@ -176,13 +152,10 @@ class StorageNode:
         if partition is not None:
             self.storage.wipe_vnode(partition)
             return
-        old_storage = self.storage
         self.storage = NodeStorage(self.mechanism,
-                                   partition_map=old_storage.partition_map)
-        if self.merkle_index is not None:
-            self.merkle_index.detach(old_storage)
-            self.merkle_index.reset()
-            self.merkle_index.attach(self.storage)
+                                   partition_map=self.storage.partition_map)
+        self.merkle_index.reset()
+        self.merkle_index.attach(self.storage)
 
     def shutdown(self) -> None:
         """Clean shutdown: flush the Merkle index and mark it durable.
@@ -195,9 +168,8 @@ class StorageNode:
         stop" optimisation.  Any wipe, and any mutation applied after the
         flush, voids the cleanliness again.
         """
-        if self.merkle_index is not None:
-            self.merkle_index.flush()
-            self._index_clean = True
+        self.merkle_index.flush()
+        self._index_clean = True
 
     def restart(self) -> None:
         """Process restart: disk contents survive; the index only if clean.
@@ -209,29 +181,18 @@ class StorageNode:
         match the disk, so they are adopted as-is and each occupied vnode's
         avoided rebuild is counted in ``rebuilds_skipped`` instead.
         """
-        if self.merkle_index is None:
-            return
         if self._index_clean:
             self._index_clean = False
-            vnode_indexes = getattr(self.merkle_index, "indexes", None)
-            if vnode_indexes is not None:
-                occupied = sum(1 for index in vnode_indexes.values()
-                               if index.key_count)
-            else:
-                occupied = 1 if self.merkle_index.key_count else 0
-            self.stats["rebuilds_skipped"] += occupied
+            self.stats["rebuilds_skipped"] += sum(
+                1 for index in self.merkle_index.indexes.values() if index.key_count)
             return
         self.merkle_index.rebuild(self.storage)
 
     def audit_merkle_index(self, sample_size: int = 64, rng=None) -> dict:
-        """Cold-verify a sample of stored keys against the attached index.
+        """Cold-verify a sample of stored keys against the node's index.
 
-        Returns ``{"keys_checked": 0, "mismatches": 0}`` when no index is
-        attached (nothing to drift).  See
-        :meth:`repro.kvstore.merkle_index.MerkleIndex.audit`.
+        See :meth:`repro.kvstore.merkle_index.VnodeIndexSet.audit`.
         """
-        if self.merkle_index is None:
-            return {"keys_checked": 0, "mismatches": 0}
         return self.merkle_index.audit(self.storage, sample_size=sample_size,
                                        rng=rng)
 
@@ -255,8 +216,7 @@ class StorageNode:
         if not self.storage.has_key(key):
             self.storage.put_state(key, state, fingerprint=fingerprint)
             return state
-        index = self.merkle_index
-        if index is not None and index.fingerprint(key) == fingerprint:
+        if self.merkle_index.fingerprint(key) == fingerprint:
             return self.storage.get_state(key)
         merged = self.mechanism.merge(self.storage.get_state(key), state)
         self.storage.put_state(key, merged)

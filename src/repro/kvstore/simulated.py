@@ -60,7 +60,7 @@ compares ranges, not the whole keyspace:
    buckets — differing ranges descend **concurrently**, as parallel
    sessions whose messages interleave in flight;
 4. the source computes the exact divergent key set from the fingerprints and
-   ships only those keys' states, batched ``sync_batch_size`` keys per
+   ships only those keys' states, batched ``SYNC_BATCH_SIZE`` keys per
    ``MERKLE_KEY_STATES`` message to amortise per-message latency; the target
    merges them and replies with its own state only for the keys where the
    source still lacks something (a key whose merged sibling set equals the
@@ -114,7 +114,7 @@ hints (``HINT_REPLAY`` / ``HINT_ACK``) once the target is reachable again; a
 membership listener also nudges replay immediately on recovery.  Replay
 targeting consults the per-replica latency EWMAs: a persistently slow peer is
 replayed to once and then backed off for a multiple of its observed round
-trip (``hint_backoff_multiplier``) instead of being hammered every tick.
+trip (``HINT_BACKOFF_MULTIPLIER``) instead of being hammered every tick.
 
 Deadline-driven coordination
 ----------------------------
@@ -204,40 +204,24 @@ class SimulatedCluster(ClusterCore):
                  duplicate_probability: float = 0.0,
                  anti_entropy_interval_ms: Optional[float] = 100.0,
                  hint_replay_interval_ms: Optional[float] = 50.0,
-                 hint_backoff_multiplier: float = 6.0,
                  replica_timeout_ms: float = 10.0,
                  request_timeout_ms: float = 50.0,
                  client_timeout_ms: Optional[float] = None,
-                 sync_batch_size: int = 16,
-                 merkle_fanout: int = 16,
-                 merkle_depth: int = 2,
-                 read_repair_batch_ms: float = 2.0,
                  deadline_mode: str = "fixed",
                  deadline_floor_ms: float = 2.0,
-                 deadline_ceiling_ms: Optional[float] = None,
-                 virtual_nodes: int = 32,
                  partition_count: int = DEFAULT_PARTITION_COUNT,
-                 request_overhead_bytes: int = 64,
                  topology: Optional[Topology] = None,
                  tracer: Optional[Any] = None) -> None:
         super().__init__(
             mechanism, server_ids, quorum,
             anti_entropy_interval_ms=anti_entropy_interval_ms,
             hint_replay_interval_ms=hint_replay_interval_ms,
-            hint_backoff_multiplier=hint_backoff_multiplier,
             replica_timeout_ms=replica_timeout_ms,
             request_timeout_ms=request_timeout_ms,
             client_timeout_ms=client_timeout_ms,
-            sync_batch_size=sync_batch_size,
-            merkle_fanout=merkle_fanout,
-            merkle_depth=merkle_depth,
-            read_repair_batch_ms=read_repair_batch_ms,
             deadline_mode=deadline_mode,
             deadline_floor_ms=deadline_floor_ms,
-            deadline_ceiling_ms=deadline_ceiling_ms,
-            virtual_nodes=virtual_nodes,
             partition_count=partition_count,
-            request_overhead_bytes=request_overhead_bytes,
             topology=topology,
             tracer=tracer,
         )

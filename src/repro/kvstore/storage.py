@@ -22,13 +22,12 @@ get/put of states the manager can report, per key and in aggregate, how many
 metadata entries and encoded bytes the causality mechanism is holding
 (experiment E2's storage-footprint series).
 
-Mutation listeners come in two granularities: node-level listeners receive
-``(key, state)`` for every mutation anywhere on the node (the whole-node
-Merkle index of the synchronous store subscribes here), while per-vnode
-listeners receive ``(key, state, fingerprint)`` for mutations inside one
-partition — the extra ``fingerprint`` is an optional *maintained digest*
-riding along with the write (vnode handoff ships them), letting a per-range
-Merkle index adopt it instead of re-hashing the state.
+Mutation listeners are per vnode: each receives ``(key, state,
+fingerprint)`` for every mutation inside one partition — the node's range
+index (:class:`~repro.kvstore.merkle_index.VnodeIndexSet`) subscribes one per
+range.  The ``fingerprint`` is an optional *maintained digest* riding along
+with the write (vnode handoff ships them), letting the range index adopt it
+instead of re-hashing the state.
 
 Outstanding hinted-handoff hints also live here, *in the storage layer*,
 because a hint is a durable obligation: the held write is the only copy a
@@ -50,16 +49,11 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 from ..clocks.interface import CausalityMechanism
 from ..cluster.ring import PartitionMap
 
-#: A node-level storage mutation listener: called with ``(key, state)`` after
-#: every state change anywhere on the node, where ``state`` is the new
-#: mechanism state or ``None`` when the key was dropped.  A whole-node
-#: incremental Merkle index subscribes one of these so every write path —
-#: client puts, replica merges, read repair, hint replay, handoff ingestion —
-#: keeps the hash tree current.
-MutationListener = Callable[[str, Any], None]
-
 #: A per-vnode mutation listener: called with ``(key, state, fingerprint)``
-#: for every state change inside one partition.  ``fingerprint`` is the
+#: after every state change inside one partition, where ``state`` is the new
+#: mechanism state or ``None`` when the key was dropped, so every write path
+#: — client puts, replica merges, read repair, hint replay, handoff
+#: ingestion — keeps the range's hash tree current.  ``fingerprint`` is the
 #: maintained state fingerprint supplied by the writer (vnode handoff ships
 #: digests alongside states) or ``None`` when the receiver must hash the
 #: state itself.
@@ -116,7 +110,6 @@ class NodeStorage:
         self._vnodes: Dict[int, VnodeStore] = {}
         self._hints: Dict[str, List[Hint]] = {}
         self._hint_ids = itertools.count(1)
-        self._listeners: List[MutationListener] = []
         self._vnode_listeners: Dict[int, List[VnodeListener]] = {}
 
     # ------------------------------------------------------------------ #
@@ -160,8 +153,8 @@ class NodeStorage:
     def wipe_vnode(self, partition_id: int) -> int:
         """Lose one partition's slice of the disk; returns keys dropped.
 
-        The vnode's key states are removed (listeners see each drop, so an
-        attached index empties that range), and hints whose key lived in the
+        The vnode's key states are removed (listeners see each drop, so the
+        node's index empties that range), and hints whose key lived in the
         partition are lost with it — they were stored in the same slice.
         Other vnodes are untouched.
         """
@@ -183,43 +176,20 @@ class NodeStorage:
     # ------------------------------------------------------------------ #
     # Mutation listeners
     # ------------------------------------------------------------------ #
-    def subscribe(self, listener: MutationListener) -> None:
-        """Register a node-level callback fired after every state mutation.
-
-        The listener receives ``(key, state)`` with ``state=None`` when the
-        key was dropped.  Listeners belong to the process, not the disk: a
-        wiped or replaced storage starts with none.
-        """
-        if listener not in self._listeners:
-            self._listeners.append(listener)
-
-    def unsubscribe(self, listener: MutationListener) -> None:
-        """Remove a previously registered node-level listener (idempotent)."""
-        if listener in self._listeners:
-            self._listeners.remove(listener)
-
     def subscribe_vnode(self, partition_id: int, listener: VnodeListener) -> None:
         """Register a per-vnode callback for one partition's mutations.
 
         The listener receives ``(key, state, fingerprint)``; ``fingerprint``
-        is the writer-supplied maintained digest or ``None``.
+        is the writer-supplied maintained digest or ``None``.  Listeners
+        belong to the process, not the disk: a replaced storage starts with
+        none.
         """
         listeners = self._vnode_listeners.setdefault(partition_id, [])
         if listener not in listeners:
             listeners.append(listener)
 
-    def unsubscribe_vnode(self, partition_id: int, listener: VnodeListener) -> None:
-        """Remove a previously registered per-vnode listener (idempotent)."""
-        listeners = self._vnode_listeners.get(partition_id)
-        if listeners and listener in listeners:
-            listeners.remove(listener)
-            if not listeners:
-                self._vnode_listeners.pop(partition_id)
-
     def _notify(self, partition_id: int, key: str, state: Any,
                 fingerprint: Optional[bytes] = None) -> None:
-        for listener in self._listeners:
-            listener(key, state)
         for listener in self._vnode_listeners.get(partition_id, ()):
             listener(key, state, fingerprint)
 

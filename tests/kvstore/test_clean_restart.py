@@ -13,7 +13,6 @@ from __future__ import annotations
 from repro.clocks import DVVMechanism
 from repro.cluster import QuorumConfig
 from repro.kvstore import ClientSession, SimulatedCluster
-from repro.kvstore.merkle_index import MerkleIndex
 from repro.kvstore.server import StorageNode
 from repro.network import FixedLatency
 
@@ -93,8 +92,6 @@ class TestSimulatedClusterRestarts:
 class TestStorageNodeRestarts:
     def build_node(self):
         node = StorageNode("A", DVVMechanism())
-        node.attach_merkle_index(MerkleIndex(node.mechanism, fanout=16,
-                                             depth=2, counters=node.stats))
         client = ClientSession("writer")
         for index in range(5):
             sibling = client.prepare_write(f"key-{index}", f"v{index}")

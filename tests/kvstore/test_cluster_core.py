@@ -28,10 +28,8 @@ BACKENDS = {"sim": SimulatedCluster, "asyncio": AsyncioCluster}
 @pytest.mark.parametrize("backend", sorted(BACKENDS))
 @pytest.mark.parametrize("knobs", [
     {"deadline_mode": "adaptiv"},
-    {"sync_batch_size": 0},
     {"replica_timeout_ms": -1},
     {"request_timeout_ms": 0},
-    {"read_repair_batch_ms": -1.0},
     {"server_ids": ()},
     {"anti_entropy_interval_ms": 0.0},
     {"hint_replay_interval_ms": -5.0},

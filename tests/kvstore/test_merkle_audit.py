@@ -2,10 +2,10 @@
 
 The incremental index is only trustworthy if its cached per-key fingerprints
 actually match what a from-scratch hash of the stored state would produce.
-:meth:`MerkleIndex.audit` samples stored keys and recomputes each fingerprint
-cold (bypassing every cache layer); these tests pin that a healthy index
-audits clean, that an injected drift is detected and counted, and that the
-vnode index set routes each sampled key to its own partition's tree.
+:meth:`VnodeIndexSet.audit` samples stored keys and recomputes each
+fingerprint cold (bypassing every cache layer); these tests pin that a
+healthy index audits clean, that an injected drift is detected and counted,
+and that each sampled key is checked against its own partition's tree.
 """
 
 from __future__ import annotations
@@ -14,26 +14,21 @@ import random
 
 from repro.clocks import DVVMechanism
 from repro.kvstore import ClientSession
-from repro.kvstore.merkle_index import MerkleIndex, VnodeIndexSet
 from repro.kvstore.server import StorageNode
 from repro.cluster import PartitionMap
 
 
 def indexed_node(node_id="A"):
+    """A single-vnode node and its own index."""
     node = StorageNode(node_id, DVVMechanism())
-    index = MerkleIndex(node.mechanism, fanout=16, depth=2,
-                        counters=node.stats)
-    node.attach_merkle_index(index)
-    return node, index
+    return node, node.merkle_index
 
 
 def vnode_node(node_id="A", partitions=8):
-    partition_map = PartitionMap(partitions)
-    node = StorageNode(node_id, DVVMechanism(), partition_map=partition_map)
-    index = VnodeIndexSet(node.mechanism, partition_map=partition_map,
-                          counters=node.stats)
-    node.attach_merkle_index(index)
-    return node, index
+    """A node with ``partitions`` vnodes and its own per-range index."""
+    node = StorageNode(node_id, DVVMechanism(),
+                       partition_map=PartitionMap(partitions))
+    return node, node.merkle_index
 
 
 def write(node, client, key, value):
@@ -70,7 +65,7 @@ class TestMerkleIndexAudit:
         node, index = indexed_node()
         populate(node)
         index.flush()
-        index._fingerprints["key-3"] = b"\x00" * 32  # simulate bit-rot
+        index.index_for(0)._fingerprints["key-3"] = b"\x00" * 32  # simulate bit-rot
         report = index.audit(node.storage, sample_size=64)
         assert report["mismatches"] == 1
         assert node.stats["audit_mismatches"] == 1
@@ -107,13 +102,13 @@ class TestVnodeAudit:
 
 
 class TestNodeAuditEntryPoint:
-    def test_node_without_index_reports_zeros(self):
+    def test_empty_node_reports_zeros(self):
         node = StorageNode("A", DVVMechanism())
         assert node.audit_merkle_index() == {"keys_checked": 0,
                                              "mismatches": 0}
         assert node.stats["audit_keys_checked"] == 0
 
-    def test_node_delegates_to_attached_index(self):
+    def test_node_delegates_to_its_index(self):
         node, _index = indexed_node()
         populate(node, count=8)
         report = node.audit_merkle_index(sample_size=4,

@@ -15,10 +15,15 @@ from repro.kvstore.server import StorageNode
 
 
 def indexed_node(node_id="A", fanout=16, depth=2):
+    """A single-vnode node and the index under test: the node's own range
+    tree (counting into the node's stats) at the default shape, else a
+    standalone index of the given shape wired to the node's one vnode."""
     node = StorageNode(node_id, DVVMechanism())
-    index = MerkleIndex(node.mechanism, fanout=fanout, depth=depth,
-                        counters=node.stats)
-    node.attach_merkle_index(index)
+    own = node.merkle_index
+    if (fanout, depth) == (own.fanout, own.depth):
+        return node, own.index_for(0)
+    index = MerkleIndex(node.mechanism, fanout=fanout, depth=depth)
+    node.storage.subscribe_vnode(0, index.on_state_changed)
     return node, index
 
 
@@ -266,14 +271,4 @@ class TestDurability:
         # the replacement disk is tracked: new writes index normally
         write(node, client, "k2", "v2")
         assert index.root_digest == rebuilt_digest(node)
-
-    def test_attach_replaces_previous_index(self):
-        node, first = indexed_node()
-        second = MerkleIndex(node.mechanism, counters=node.stats)
-        node.attach_merkle_index(second)
-        client = ClientSession("writer")
-        write(node, client, "k", "v1")
-        assert node.merkle_index is second
-        assert second.keys() == ["k"]
-        assert first.keys() == []   # detached: no longer fed mutations
 

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.clocks import ClientVVMechanism, DVVMechanism
-from repro.cluster import QuorumConfig
+from repro.cluster import PartitionMap, QuorumConfig
 from repro.kvstore import ClientSession, MerkleTree, SimulatedCluster, default_value_size, diff_keys
+from repro.kvstore.merkle import bucket_path
+from repro.kvstore.protocol import anti_entropy, coordinator
+from repro.kvstore.protocol.env import READ_REPAIR_BATCH_MS
+from repro.kvstore.server import StorageNode
 from repro.network import FixedLatency, MessageType, SizeDependentLatency
 
 
@@ -325,26 +331,46 @@ def wipe(server_id):
     return diverge
 
 
+def crowded_keys(groups, per_bucket, partitions):
+    """``groups × per_bucket`` keys ``k<i>``, grouped by the leaf bucket they
+    share in a ``partitions``-range cluster's Merkle trees."""
+    partition_map = PartitionMap(partitions)
+    shape = StorageNode("probe", DVVMechanism()).merkle_index
+    buckets = {}
+    for i in itertools.count():
+        key = f"k{i}"
+        slot = (partition_map.partition_of(key),
+                bucket_path(key, shape.fanout, shape.depth))
+        buckets.setdefault(slot, []).append(key)
+        full = [keys[:per_bucket] for keys in buckets.values()
+                if len(keys) >= per_bucket]
+        if len(full) == groups:
+            return [key for keys in full for key in keys]
+
+
+#: Keys sharing leaf buckets four at a time in ``diverged_cluster``, so
+#: shipping a whole differing bucket instead of its divergent keys would be
+#: visible.  All but the last two are seeded; those two share a bucket with
+#: two seeded keys and are written on one side only.
+CROWDED = crowded_keys(groups=7, per_bucket=4, partitions=2)
+SEEDED, (ONLY_N1, ONLY_N2) = CROWDED[:-2], CROWDED[-2:]
+
 DIVERGENCES = {
-    "late_write": [write_at("n1", "k3", "late")],
-    "key_on_one_side": [write_at("n1", "only-n1", "a"), write_at("n2", "only-n2", "b")],
+    "late_write": [write_at("n1", SEEDED[3], "late")],
+    "key_on_one_side": [write_at("n1", ONLY_N1, "a"), write_at("n2", ONLY_N2, "b")],
     "wiped_peer": [wipe("n2")],
     "wiped_source": [wipe("n1")],
-    "concurrent_write": [write_at("n1", "k5", "left"), write_at("n2", "k5", "right")],
-    "scattered_writes": [write_at("n1", f"k{i}", "late") for i in range(0, 24, 5)]
-                        + [write_at("n2", "k7", "late")],
+    "concurrent_write": [write_at("n1", SEEDED[5], "left"),
+                         write_at("n2", SEEDED[5], "right")],
+    "scattered_writes": [write_at("n1", SEEDED[i], "late") for i in range(0, 24, 5)]
+                        + [write_at("n2", SEEDED[7], "late")],
 }
 
 
 def diverged_cluster(divergence):
-    """A converged 3-node cluster with ``divergence`` applied to n1 / n2.
-
-    A small tree puts several keys in every leaf bucket, so shipping a whole
-    differing bucket instead of its divergent keys would be visible.
-    """
-    cluster = build_cluster(hint_replay_interval_ms=None, partition_count=2,
-                            merkle_fanout=2, merkle_depth=2)
-    seed_converged(cluster, [f"k{i}" for i in range(24)])
+    """A converged 3-node cluster with ``divergence`` applied to n1 / n2."""
+    cluster = build_cluster(hint_replay_interval_ms=None, partition_count=2)
+    seed_converged(cluster, SEEDED)
     cluster.run_anti_entropy_round()
     assert cluster.is_converged()
     for diverge in DIVERGENCES[divergence]:
@@ -430,7 +456,7 @@ class TestMerkleAntiEntropyProtocol:
         cluster.start_exchange("n1", "n2")
         cluster.simulation.run_until_idle()
         for server_id in ("n1", "n2"):
-            assert sorted(map(str, cluster.servers[server_id].node.values_of("k5"))) == \
+            assert sorted(map(str, cluster.servers[server_id].node.values_of(SEEDED[5]))) == \
                 ["left", "right"]
 
     def test_exchange_after_healing_is_clean(self):
@@ -458,8 +484,9 @@ class TestMerkleAntiEntropyProtocol:
         # one exchange per 20 ms tick up to t=200, and no other exchange
         assert cluster.merkle_stats.exchanges_started == 10
 
-    def test_sync_batching_splits_large_transfers(self):
-        cluster = build_cluster(sync_batch_size=2, hint_replay_interval_ms=None)
+    def test_sync_batching_splits_large_transfers(self, monkeypatch):
+        monkeypatch.setattr(anti_entropy, "SYNC_BATCH_SIZE", 2)
+        cluster = build_cluster(hint_replay_interval_ms=None)
         client = seed_converged(cluster, [f"k{i}" for i in range(8)])
         cluster.run_anti_entropy_round()
         cluster.partitions.partition({"n1"}, {"n2", "n3"})
@@ -528,32 +555,34 @@ class TestBatchedReadRepair:
         assert delivered == sent      # healed cluster: nothing dropped
         assert stats.bytes_for("read_repair") == stats.attempted_bytes_for("read_repair")
 
-    def test_zero_window_sends_immediately(self):
-        cluster = build_cluster(quorum=QuorumConfig(n=3, r=3, w=1),
-                                hint_replay_interval_ms=None,
-                                read_repair_batch_ms=0.0)
-        client = cluster.client("alice")
-        client.put("k", "v1")
-        cluster.run(until=30)
-        client.get("k")
-        cluster.drain()
-        holding = [server_id for server_id, server in cluster.servers.items()
-                   if server.node.values_of("k") == ["v1"]]
-        assert len(holding) == 3
-
-    def test_full_batch_flushes_without_waiting(self):
+    def test_default_window_holds_the_repair_then_sends_it(self):
         cluster, client, stale_keys = self.stale_replica_setup()
-        cluster.sync_batch_size = 1   # every queued repair is a full batch
+        key = stale_keys[0]
+        before = cluster.transport.stats.per_type.get("read_repair", 0)
+        client.get(key)
+        # The replica replies arrive after three 1ms hops and queue the
+        # repair; it goes out when the coalescing window that opens then
+        # closes.
+        cluster.run(until=cluster.simulation.now + 3.5)
+        queue = cluster.servers["n1"].protocol.coordinator.repair_queue
+        assert {target: list(states) for target, states in queue.items()} == {"n3": [key]}
+        assert cluster.transport.stats.per_type.get("read_repair", 0) == before
+        cluster.run(until=cluster.simulation.now + READ_REPAIR_BATCH_MS)
+        assert not queue
+        assert cluster.transport.stats.per_type.get("read_repair", 0) == before + 1
+        cluster.drain()
+        assert f"{key}-late" in map(str, cluster.servers["n3"].node.values_of(key))
+
+    def test_full_batch_flushes_without_waiting(self, monkeypatch):
+        cluster, client, stale_keys = self.stale_replica_setup()
+        # every queued repair is a full batch
+        monkeypatch.setattr(coordinator, "SYNC_BATCH_SIZE", 1)
         before = cluster.transport.stats.per_type.get("read_repair", 0)
         for key in stale_keys:
             client.get(key)
         cluster.drain()
         messages = cluster.transport.stats.per_type.get("read_repair", 0) - before
         assert messages >= len(stale_keys)   # no coalescing at batch size 1
-
-    def test_negative_window_rejected(self):
-        with pytest.raises(Exception):
-            build_cluster(read_repair_batch_ms=-1.0)
 
     def test_crash_during_window_drops_queued_repairs(self):
         """A coordinator crashing mid-window must not emit repairs while down:
@@ -593,7 +622,7 @@ class TestAdaptiveDeadlines:
         with pytest.raises(ConfigurationError):
             self.build_adaptive(deadline_floor_ms=0.0)
         with pytest.raises(ConfigurationError):
-            self.build_adaptive(deadline_floor_ms=5.0, deadline_ceiling_ms=1.0)
+            self.build_adaptive(deadline_floor_ms=5.0, replica_timeout_ms=1.0)
 
     def test_deadline_tracks_ewma_within_floor_and_ceiling(self):
         cluster = self.build_adaptive(deadline_floor_ms=2.0)
@@ -606,7 +635,7 @@ class TestAdaptiveDeadlines:
         assert server.protocol.coordinator.replica_deadline_ms("peer") == pytest.approx(2.0)  # floor
         server.protocol.latency.ewma["peer"] = 100.0
         assert server.protocol.coordinator.replica_deadline_ms("peer") == pytest.approx(
-            cluster.deadline_ceiling_ms)                                  # ceiling
+            cluster.replica_timeout_ms)                                   # ceiling
 
     def test_fixed_mode_ignores_observations(self):
         cluster = self.build_adaptive(deadline_mode="fixed")

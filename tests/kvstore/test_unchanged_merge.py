@@ -42,7 +42,6 @@ from repro.core.dvvset import _unique
 from repro.kvstore import ClusterCore, StorageNode, plan_read_repair
 from repro.kvstore.context import CausalContext
 from repro.kvstore.merkle import MerkleTree, state_fingerprint
-from repro.kvstore.merkle_index import MerkleIndex
 from repro.kvstore.protocol import ProtocolNode
 from repro.kvstore.protocol.effects import Send
 from repro.kvstore.read_repair import RepairPlan
@@ -141,9 +140,7 @@ class Trace:
         self.mechanism = mechanism
         self.nodes: Dict[str, StorageNode] = {}
         for server in SERVERS:
-            node = StorageNode(server, mechanism)
-            node.attach_merkle_index(MerkleIndex(mechanism, counters=node.stats))
-            self.nodes[server] = node
+            self.nodes[server] = StorageNode(server, mechanism)
         self.contexts = {key: [mechanism.empty_context()] for key in KEYS}
         self.sequence = {client: 0 for client in CLIENTS}
         self.written: List = []    # every state a write produced
@@ -263,12 +260,11 @@ def test_local_merge_stores_the_reference_state_and_indexes_stay_exact(case):
 def test_unchanged_merge_notifies_no_listener_and_hashes_nothing():
     m = create("dvvset")
     node = StorageNode("A", m)
-    node.attach_merkle_index(MerkleIndex(m, counters=node.stats))
     sibling = Sibling(value="v", origin_dot=Dot("c", 1), writer="c")
     state = node.local_write("cart", None, sibling, "c")
     node.merkle_index.flush()
     heard = []
-    node.storage.subscribe(lambda key, new: heard.append(key))
+    node.storage.subscribe_vnode(0, lambda key, new, fingerprint: heard.append(key))
     hashed = node.stats["keys_hashed"]
 
     assert node.local_merge("cart", state) is state
@@ -334,7 +330,7 @@ def test_plan_matches_todays_planner(case, picks):
 # --------------------------------------------------------------------------- #
 def protocol_env(mechanism) -> ClusterCore:
     return ClusterCore(mechanism, SERVERS, QuorumConfig(n=3, r=2, w=2, sloppy=True),
-                       virtual_nodes=16, partition_count=16)
+                       partition_count=16)
 
 
 def twin(node: StorageNode, partition_map=None) -> StorageNode:
@@ -361,7 +357,6 @@ def test_receiver_matches_todays_fingerprint_rule(case, sender, receiver,
     want = list(KEYS) if want_all else list(states)
 
     reference = twin(trace.nodes[receiver])
-    reference.attach_merkle_index(MerkleIndex(m, counters=reference.stats))
     expected_reply, expected_unchanged = reference_receive(reference, states, want)
     # A key whose received state is the receiver's own stored state is kept
     # as written: it settles and counts unchanged.  The reference's merge may

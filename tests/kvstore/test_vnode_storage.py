@@ -17,7 +17,6 @@ from repro.cluster.ring import RING_BITS, rebalance_plan
 from repro.core import ConfigurationError
 from repro.kvstore import ClientSession, MerkleTree, NodeStorage, VnodeManager
 from repro.kvstore.merkle import state_fingerprint
-from repro.kvstore.merkle_index import MerkleIndex, VnodeIndexSet
 from repro.kvstore.server import StorageNode
 
 
@@ -29,12 +28,10 @@ def write(node, client, key, value):
 
 
 def vnode_node(node_id="A", partitions=8):
-    partition_map = PartitionMap(partitions)
-    node = StorageNode(node_id, DVVMechanism(), partition_map=partition_map)
-    index = VnodeIndexSet(node.mechanism, partition_map=partition_map,
-                          counters=node.stats)
-    node.attach_merkle_index(index)
-    return node, index
+    """A node with ``partitions`` vnodes and its own per-range index."""
+    node = StorageNode(node_id, DVVMechanism(),
+                       partition_map=PartitionMap(partitions))
+    return node, node.merkle_index
 
 
 class TestPartitionMap:
@@ -178,8 +175,7 @@ class TestHintCoalescing:
 class TestFlushCounterRegression:
     def test_popping_an_emptied_bucket_is_not_counted_as_a_rehash(self):
         node = StorageNode("A", DVVMechanism())
-        index = MerkleIndex(node.mechanism, counters=node.stats)
-        node.attach_merkle_index(index)
+        index = node.merkle_index.index_for(0)
         client = ClientSession("writer")
         write(node, client, "k", "v1")
         index.flush()

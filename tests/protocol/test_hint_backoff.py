@@ -1,7 +1,7 @@
 """Hint-replay backoff for persistently slow peers (satellite of PR 5).
 
 A peer whose latency EWMA pins the adaptive deadline at its ceiling gets one
-replay batch and is then left alone for ``ewma × hint_backoff_multiplier``;
+replay batch and is then left alone for ``ewma × HINT_BACKOFF_MULTIPLIER``;
 ticks that land inside the backoff window are counted in
 ``hint_replays_deferred`` instead of re-sending batches that are still in
 flight.  Healthy and never-observed peers are replayed on every tick, and the
@@ -15,23 +15,22 @@ from repro.cluster import QuorumConfig
 from repro.kvstore import ClusterCore
 from repro.kvstore.client import ClientSession
 from repro.kvstore.protocol import ProtocolNode
+from repro.kvstore.protocol.env import HINT_BACKOFF_MULTIPLIER
 from repro.network.message import MessageType
 
 SERVER_IDS = ("A", "B", "C")
 
-#: With the ceiling at 10ms, an EWMA of 100ms is pinned (persistently slow)
-#: while 1ms stays comfortably adaptive.
+#: With the ceiling (the replica timeout) at 10ms, an EWMA of 100ms is
+#: pinned (persistently slow) while 1ms stays comfortably adaptive.
 CEILING_MS = 10.0
-BACKOFF_MULTIPLIER = 6.0
 SLOW_EWMA_MS = 100.0
 
 
 def build_node(node_id: str = "A") -> ProtocolNode:
     env = ClusterCore(create("dvv"), SERVER_IDS,
                       QuorumConfig(n=3, r=2, w=2, sloppy=True),
-                      virtual_nodes=16, partition_count=16,
-                      deadline_ceiling_ms=CEILING_MS,
-                      hint_backoff_multiplier=BACKOFF_MULTIPLIER)
+                      partition_count=16,
+                      replica_timeout_ms=CEILING_MS)
     return ProtocolNode(node_id, env.mechanism, env)
 
 
@@ -62,11 +61,11 @@ def test_slow_peer_is_replayed_once_then_backed_off():
 
     # inside the backoff window: no batch, just a deferral tick
     assert replay(node, now=1.0) == 0
-    assert replay(node, now=SLOW_EWMA_MS * BACKOFF_MULTIPLIER - 1.0) == 0
+    assert replay(node, now=SLOW_EWMA_MS * HINT_BACKOFF_MULTIPLIER - 1.0) == 0
     assert node.store.stats["hint_replays_deferred"] == 2
 
     # past ewma × multiplier the peer gets its next chance
-    assert replay(node, now=SLOW_EWMA_MS * BACKOFF_MULTIPLIER + 1.0) == 1
+    assert replay(node, now=SLOW_EWMA_MS * HINT_BACKOFF_MULTIPLIER + 1.0) == 1
 
 
 def test_healthy_peer_is_replayed_every_tick():

@@ -21,6 +21,7 @@ from repro.kvstore import ClusterCore
 from repro.kvstore.client import ClientSession
 from repro.kvstore.protocol import ClientProtocol, ProtocolNode
 from repro.kvstore.protocol.effects import ClearTimer, Send, SetTimer
+from repro.kvstore.protocol.env import REQUEST_OVERHEAD_BYTES
 from repro.network.message import Message, MessageType
 
 SERVER_IDS = ("A", "B", "C", "D", "E")
@@ -29,7 +30,7 @@ SERVER_IDS = ("A", "B", "C", "D", "E")
 def build_env(sloppy: bool = True, topology=None) -> ClusterCore:
     return ClusterCore(create("dvv"), SERVER_IDS,
                        QuorumConfig(n=3, r=2, w=2, sloppy=sloppy),
-                       virtual_nodes=16, partition_count=16, topology=topology)
+                       partition_count=16, topology=topology)
 
 
 def coordinate_put(env, key: str = "cart", value: str = "beer",
@@ -42,7 +43,7 @@ def coordinate_put(env, key: str = "cart", value: str = "beer",
         msg_type=MessageType.COORDINATE_PUT,
         payload={"key": key, "sibling": sibling, "context": None,
                  "client_id": client_id},
-        size_bytes=env.request_overhead_bytes,
+        size_bytes=REQUEST_OVERHEAD_BYTES,
     )
 
 
@@ -52,7 +53,7 @@ def coordinate_get(env, key: str = "cart", client_id: str = "c1") -> Message:
         receiver=env.placement.primary_replicas(key)[0],
         msg_type=MessageType.COORDINATE_GET,
         payload={"key": key},
-        size_bytes=env.request_overhead_bytes,
+        size_bytes=REQUEST_OVERHEAD_BYTES,
     )
 
 

@@ -2,10 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
+import json
+import os
+import pathlib
 import re
+import signal
+import subprocess
+import sys
+import tempfile
+import time
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -169,3 +179,92 @@ class TestChurnCommand:
     def test_unknown_quorum_mode_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["churn", "--quorum-mode", "wishful"])
+
+
+class TestOutOfRangeFlags:
+    @pytest.mark.parametrize("argv", [
+        ["cluster", "--servers", "0"],
+        ["cluster", "--partitions", "0"],
+        ["cluster", "--keys", "0"],
+        ["compare", "--clients", "0"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_reported_in_one_line_with_exit_2(self, capsys, argv):
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"repro {argv[0]}: error: ")
+
+
+# --------------------------------------------------------------------------- #
+# serve / connect
+# --------------------------------------------------------------------------- #
+@contextlib.contextmanager
+def serving():
+    """A ``python -m repro serve`` process; yields its socket dir once the
+    ``cluster.json`` manifest is complete, and the process itself."""
+    src = pathlib.Path(repro.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    with tempfile.TemporaryDirectory(prefix="repro-cli-") as socket_dir:
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--socket-dir", socket_dir],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+        try:
+            manifest = pathlib.Path(socket_dir, "cluster.json")
+            deadline = time.monotonic() + 30.0
+            while True:
+                assert server.poll() is None, server.stdout.read().decode()
+                assert time.monotonic() < deadline, "serve wrote no manifest"
+                try:
+                    json.loads(manifest.read_text())
+                    break
+                except (FileNotFoundError, ValueError):
+                    time.sleep(0.05)
+            yield socket_dir, server
+        finally:
+            if server.poll() is None:
+                server.kill()
+            server.communicate()
+
+
+def test_serve_then_connect_round_trip(capsys):
+    with serving() as (socket_dir, server):
+        assert main(["connect", "--socket-dir", socket_dir, "put", "k", "v"]) == 0
+        assert main(["connect", "--socket-dir", socket_dir, "get", "k"]) == 0
+        assert "'k' -> ['v']" in capsys.readouterr().out
+        server.send_signal(signal.SIGINT)
+        assert server.wait(timeout=30) == 0
+
+
+def test_connect_ignores_manifest_keys_it_does_not_read(capsys, tmp_path):
+    """A manifest from before ``virtual_nodes`` and ``request_overhead_bytes``
+    became constants still connects."""
+    with serving() as (socket_dir, _server):
+        manifest = json.loads(pathlib.Path(socket_dir, "cluster.json").read_text())
+        manifest.update(virtual_nodes=32, request_overhead_bytes=64)
+        (tmp_path / "cluster.json").write_text(json.dumps(manifest))
+        assert main(["connect", "--socket-dir", socket_dir, "put", "k", "v"]) == 0
+        assert main(["connect", "--socket-dir", str(tmp_path), "get", "k"]) == 0
+        assert "'k' -> ['v']" in capsys.readouterr().out
+
+
+MANIFEST = {"mechanism": "dvv", "server_ids": ["n0", "n1", "n2"],
+            "quorum": {"n": 3, "r": 2, "w": 2, "sloppy": True},
+            "partition_count": 16, "request_timeout_ms": 1000.0,
+            "client_timeout_ms": 1500.0, "socket_dir": "/nonexistent"}
+
+
+@pytest.mark.parametrize("text, problem", [
+    (json.dumps({key: value for key, value in MANIFEST.items()
+                 if key != "server_ids"}), "missing key 'server_ids'"),
+    ("{not json", "not JSON"),
+    (json.dumps(dict(MANIFEST, mechanism="sundial")), "unknown mechanism 'sundial'"),
+], ids=["missing_key", "not_json", "unknown_mechanism"])
+def test_bad_manifest_is_one_line_and_exit_1(capsys, tmp_path, text, problem):
+    path = tmp_path / "cluster.json"
+    path.write_text(text)
+    assert main(["connect", "--socket-dir", str(tmp_path), "get", "k"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"bad cluster manifest {path}: ")
+    assert problem in lines[0]
