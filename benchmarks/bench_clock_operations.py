@@ -52,10 +52,9 @@ def build_hot_key_state(mechanism, siblings=30):
     key.
     """
     def write(state, context, index, client, seq):
-        written = Sibling(value=f"{client}-{seq}", origin_dot=Dot(client, seq),
-                          writer=client)
+        written = Sibling(value=f"{client}-{seq}", origin_dot=Dot(client, seq))
         return mechanism.write(state, context, written,
-                               SERVERS[index % len(SERVERS)], client)
+                               SERVERS[index % len(SERVERS)])
 
     state = mechanism.empty_state()
     for index, client in enumerate(CLIENT_IDS):

@@ -154,7 +154,6 @@ def check_key(key: str,
     # replaced by a later write of the same client is classified as
     # session-superseded rather than lost — see :class:`KeyCorrectness`.
     all_records = write_log.for_key(key)
-    writer_of = {record.origin_dot: record.sibling.writer for record in all_records}
 
     lost: List[Dot] = []
     session_superseded: List[Dot] = []
@@ -166,13 +165,12 @@ def check_key(key: str,
         )
         if covered:
             continue
-        writer = writer_of.get(record.origin_dot)
-        later_same_writer = writer is not None and any(
-            other.sibling.writer == writer
-            and other.origin_dot.counter > record.origin_dot.counter
+        client, counter = record.origin_dot.actor, record.origin_dot.counter
+        superseded_by_own_write = any(
+            other.origin_dot.actor == client and other.origin_dot.counter > counter
             for other in all_records
         )
-        if later_same_writer:
+        if superseded_by_own_write:
             session_superseded.append(record.origin_dot)
         else:
             lost.append(record.origin_dot)

@@ -463,6 +463,7 @@ def cmd_connect(args: argparse.Namespace) -> int:
     import asyncio
     import json
     import os
+    import time
 
     from .kvstore import ClusterCore
     from .kvstore.asyncio_cluster import AsyncClusterClient, UnixDirAddressBook
@@ -502,6 +503,10 @@ def cmd_connect(args: argparse.Namespace) -> int:
 
     async def run() -> int:
         client = AsyncClusterClient(args.client_id, core, address_book)
+        # Each `connect` is a fresh session under a reused client id.  Its
+        # write counter starts at the wall clock (µs), so writes from
+        # successive processes get distinct, increasing origin dots.
+        client.session.write_seq = time.time_ns() // 1000
         await client.start()
         try:
             if args.operation == "put":

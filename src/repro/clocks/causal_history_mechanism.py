@@ -57,8 +57,7 @@ class CausalHistoryMechanism(CausalityMechanism[HistoryState, CausalHistory]):
               state: HistoryState,
               context: CausalHistory,
               sibling: Sibling,
-              server_id: str,
-              client_id: str) -> HistoryState:
+              server_id: str) -> HistoryState:
         new_clock = CausalHistory(sibling.origin_dot, context.events())
         survivors = tuple(
             (clock, stored) for clock, stored in state

@@ -85,9 +85,8 @@ class ClientVVMechanism(CausalityMechanism[ClientVVState, VersionVector]):
               state: ClientVVState,
               context: VersionVector,
               sibling: Sibling,
-              server_id: str,
-              client_id: str) -> ClientVVState:
-        new_clock = self._mint(context, state, client_id, sibling)
+              server_id: str) -> ClientVVState:
+        new_clock = self._mint(context, state, sibling)
         survivors = tuple(
             (clock, stored) for clock, stored in state
             if not new_clock.descends(clock)
@@ -105,19 +104,19 @@ class ClientVVMechanism(CausalityMechanism[ClientVVState, VersionVector]):
     def _mint(self,
               context: VersionVector,
               state: ClientVVState,
-              client_id: str,
               sibling: Sibling) -> VersionVector:
         """Tag for a new write: client context with the writer's entry advanced.
 
-        The writer's counter is supplied by the *client* (its own write
-        sequence number, carried by the sibling's origin dot), which is how
-        client-side vector clocks worked in Riak before server-side ids: the
-        client guarantees its own counters are unique and increasing even when
-        it switches coordinators, so two of its writes can never collide on
-        the same vector.  The counter is additionally floored by whatever the
+        The writer and its counter come from the sibling's origin dot: the
+        *client* supplies both (its id and its own write sequence number),
+        which is how client-side vector clocks worked in Riak before
+        server-side ids: the client guarantees its own counters are unique
+        and increasing even when it switches coordinators, so two of its
+        writes can never collide on the same vector.  The counter is additionally floored by whatever the
         context or the stored clocks already record for this client, guarding
         against misuse with foreign dots.
         """
+        client_id = sibling.origin_dot.actor
         top = max(context.get(client_id), sibling.origin_dot.counter - 1)
         for clock, _ in state:
             top = max(top, clock.get(client_id))

@@ -59,8 +59,7 @@ class DVVMechanism(CausalityMechanism[DVVState, VersionVector]):
               state: DVVState,
               context: VersionVector,
               sibling: Sibling,
-              server_id: str,
-              client_id: str) -> DVVState:
+              server_id: str) -> DVVState:
         clocks = [clock for clock, _ in state]
         new_clock = dvv_update(context, clocks, server_id)
         survivors = tuple(

@@ -57,8 +57,7 @@ class DVVSetMechanism(CausalityMechanism[DVVSet, VersionVector]):
               state: DVVSet,
               context: VersionVector,
               sibling: Sibling,
-              server_id: str,
-              client_id: str) -> DVVSet:
+              server_id: str) -> DVVSet:
         incoming = DVVSet.new_with_context(context, sibling)
         return incoming.update(state, server_id)
 

@@ -16,30 +16,27 @@ a :class:`CausalityMechanism`:
 
 Each mechanism owns its per-key replica state (``state``) and its context
 representation; the store treats both as opaque.  Alongside the
-mechanism-specific clock, every stored version is a :class:`Sibling` record
-naming the write by a globally unique *origin dot*.  That dot is all the
-ground truth a stored version carries: the write's causal history lives in the
-oracle's side channel (:class:`~repro.kvstore.write_log.WriteLog`, which
-rebuilds it from the origin dots each writer had read), so the analysis layer
-can detect when a mechanism loses updates, falsely orders concurrent writes,
-or manufactures false concurrency without any of it riding storage or the
-wire.
+mechanism-specific clock, every stored version is a :class:`Sibling`: the
+value and the one name of the write, its globally unique *origin dot*.  The
+dot's actor is the writing client, the same id client-id version vectors
+count.  That dot is all the ground truth a stored version carries: the
+write's causal history lives in the oracle's side channel
+(:class:`~repro.kvstore.write_log.WriteLog`, which rebuilds it from the
+origin dots each writer had read), so the analysis layer can detect when a
+mechanism loses updates, falsely orders concurrent writes, or manufactures
+false concurrency without any of it riding storage or the wire.
 """
 
 from __future__ import annotations
 
 import abc
-import itertools
-from dataclasses import dataclass, field
-from typing import Any, Generic, List, Optional, TypeVar
+from dataclasses import dataclass
+from typing import Any, Generic, List, TypeVar
 
 from ..core.dot import Dot
 
 State = TypeVar("State")
 Context = TypeVar("Context")
-
-
-_sibling_ids = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -51,21 +48,15 @@ class Sibling:
     value:
         The application value written by the client.
     origin_dot:
-        A globally unique identifier of the write event (minted by the store's
-        oracle, *not* by the mechanism under test).  Used by the analysis
-        layer as the ground-truth event id; the write's causal history is
-        ``write_log.history_of(origin_dot)``, never stored here.
-    writer:
-        The client that issued the write (informational; used by reports).
-    uid:
-        A process-local sequence number so two writes of the same value are
-        distinguishable in reports.
+        The write's one name: ``(client id, client sequence number)``,
+        minted by the issuing client session, *not* by the mechanism under
+        test.  The analysis layer uses it as the ground-truth event id (the
+        write's causal history is ``write_log.history_of(origin_dot)``,
+        never stored here), and its actor is the writer.
     """
 
     value: Any
     origin_dot: Dot
-    writer: Optional[str] = None
-    uid: int = field(default_factory=lambda: next(_sibling_ids))
 
     def __str__(self) -> str:  # pragma: no cover - formatting helper
         return f"Sibling({self.value!r}@{self.origin_dot})"
@@ -125,9 +116,10 @@ class CausalityMechanism(abc.ABC, Generic[State, Context]):
               state: State,
               context: Context,
               sibling: Sibling,
-              server_id: str,
-              client_id: str) -> State:
+              server_id: str) -> State:
         """Apply a client PUT carrying ``context`` at coordinating ``server_id``.
+
+        The writing client is ``sibling.origin_dot.actor``.
 
         The returned state must contain ``sibling`` (the new version) plus
         whatever previously stored versions the mechanism deems concurrent

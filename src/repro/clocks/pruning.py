@@ -161,9 +161,8 @@ class PrunedClientVVMechanism(ClientVVMechanism):
               state: ClientVVState,
               context: VersionVector,
               sibling: Sibling,
-              server_id: str,
-              client_id: str) -> ClientVVState:
-        new_state = super().write(state, context, sibling, server_id, client_id)
+              server_id: str) -> ClientVVState:
+        new_state = super().write(state, context, sibling, server_id)
         pruned: List[Tuple[VersionVector, Sibling]] = []
         for clock, stored in new_state:
             pruned.append((self.policy.prune(clock), stored))

@@ -65,8 +65,7 @@ class ServerVVMechanism(CausalityMechanism[ServerVVState, VersionVector]):
               state: ServerVVState,
               context: VersionVector,
               sibling: Sibling,
-              server_id: str,
-              client_id: str) -> ServerVVState:
+              server_id: str) -> ServerVVState:
         # The server must mint a vector that is new w.r.t. everything it has
         # already stored, so it increments its own entry on top of the join of
         # the stored vectors and the client's context.  This is precisely the

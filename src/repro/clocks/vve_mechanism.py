@@ -60,8 +60,7 @@ class DottedVVEMechanism(CausalityMechanism[VVEState, VersionVectorWithException
               state: VVEState,
               context: VersionVectorWithExceptions,
               sibling: Sibling,
-              server_id: str,
-              client_id: str) -> VVEState:
+              server_id: str) -> VVEState:
         counter = context.base.get(server_id)
         for clock, _ in state:
             if clock.dot.actor == server_id:

@@ -7,12 +7,13 @@ pieces of client-side bookkeeping the protocol needs:
 * remembering the **causal context** returned by its last read of each key so
   the next write can supersede what was read (the store never trusts clients
   to do more than echo the context back);
-* minting the **ground-truth identity** of each write it issues — a unique
-  dot ``(client_id, seq)`` — and noting, on the context of each read, the
-  origin dots that read returned.  Those two facts are all the correctness
-  oracle needs: whoever issues the write reports ``(dot, dots read)`` to the
-  :class:`~repro.kvstore.write_log.WriteLog`, which rebuilds causal histories
-  when a run is judged.  No history is built, merged or sent on the request
+* minting the **one name** of each write it issues — a unique origin dot
+  ``(client_id, seq)``, from which every layer, the mechanisms and the
+  oracle alike, learns the writer — and noting, on the context of each
+  read, the origin dots that read returned.  Those two facts are all the
+  correctness oracle needs: whoever issues the write reports ``(dot, dots
+  read)`` to the :class:`~repro.kvstore.write_log.WriteLog`, which rebuilds
+  causal histories when a run is judged.  No history is built, merged or sent on the request
   path, and the mechanisms never see any of it.
 
 Sessions also expose convenience ``get``/``put`` wrappers over a store
@@ -71,7 +72,10 @@ class ClientSession:
 
     def __init__(self, client_id: str) -> None:
         self.client_id = client_id
-        self._write_seq = 0
+        #: Sequence number of the session's last write; the next origin dot
+        #: is ``(client_id, write_seq + 1)``.  A new process resuming a
+        #: client id must start it above every number that id already used.
+        self.write_seq = 0
         self._contexts: Dict[str, CausalContext] = {}
         #: Number of get/put operations issued (reports).
         self.stats = {"gets": 0, "puts": 0}
@@ -125,9 +129,8 @@ class ClientSession:
         even if the client *happened* to have read the key before, because the
         store is never told about those reads.
         """
-        self._write_seq += 1
-        dot = Dot(self.client_id, self._write_seq)
-        return Sibling(value=value, origin_dot=dot, writer=self.client_id)
+        self.write_seq += 1
+        return Sibling(value=value, origin_dot=Dot(self.client_id, self.write_seq))
 
     def forget(self, key: str) -> None:
         """Drop the session's context for ``key`` (models an expired session).
@@ -166,7 +169,7 @@ class ClientSession:
         return store.put(key, value, self, context=context, server_id=server_id)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
-        return f"ClientSession(id={self.client_id!r}, writes={self._write_seq})"
+        return f"ClientSession(id={self.client_id!r}, writes={self.write_seq})"
 
 
 class SupportsClientOps:

@@ -131,7 +131,6 @@ class ClientProtocol:
                         "key": key,
                         "sibling": sibling,
                         "context": context,
-                        "client_id": self.client_id,
                     },
                     size_bytes=default_value_size(value) + context_bytes
                     + REQUEST_OVERHEAD_BYTES,

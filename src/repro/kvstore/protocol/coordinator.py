@@ -357,9 +357,8 @@ class Coordinator:
         key = message.payload["key"]
         sibling: Sibling = message.payload["sibling"]
         context = message.payload.get("context")
-        client_id = message.payload["client_id"]
-        new_state = node.store.local_write(key, context, sibling, client_id)
-        env.write_log.append(key, sibling, node.node_id, client_id, node.now)
+        new_state = node.store.local_write(key, context, sibling)
+        env.write_log.append(key, sibling)
         extended = env.placement.extended_preference_list(key)
         request_id = next(self._request_ids)
         pending = CoordinatorSession(

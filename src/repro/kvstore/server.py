@@ -82,8 +82,7 @@ class StorageNode:
     def local_write(self,
                     key: str,
                     context: Optional[CausalContext],
-                    sibling: Sibling,
-                    client_id: str) -> Any:
+                    sibling: Sibling) -> Any:
         """Apply a client write coordinated by this node.
 
         ``context`` may be None for a blind write (never-read client).  The
@@ -100,7 +99,7 @@ class StorageNode:
             context.mechanism_context if context is not None else self.mechanism.empty_context()
         )
         state = self.storage.get_state(key)
-        new_state = self.mechanism.write(state, mechanism_context, sibling, self.node_id, client_id)
+        new_state = self.mechanism.write(state, mechanism_context, sibling, self.node_id)
         self.storage.put_state(key, new_state)
         return new_state
 

@@ -76,7 +76,6 @@ class SyncReplicatedStore:
         self.placement = placement
         self.replicate_on_write = replicate_on_write
         self.write_log = write_log if write_log is not None else WriteLog()
-        self._clock = 0.0
 
     # ------------------------------------------------------------------ #
     # Placement helpers
@@ -109,7 +108,6 @@ class SyncReplicatedStore:
             client: ClientSession,
             server_id: Optional[str] = None) -> GetResult:
         """Read ``key`` from one replica (the coordinator unless specified)."""
-        self._clock += 1
         node = self.node(server_id) if server_id else self.node(self.coordinator_for(key))
         read = node.local_read(key)
         context = client.absorb_read(key, read, self.mechanism.name)
@@ -132,7 +130,6 @@ class SyncReplicatedStore:
         (or None for a blind write).  Supplying a context minted by a
         different mechanism is a programming error and fails loudly.
         """
-        self._clock += 1
         if context is not None and context.mechanism_name != self.mechanism.name:
             raise StaleContextError(
                 f"context was produced by mechanism {context.mechanism_name!r}, "
@@ -143,8 +140,8 @@ class SyncReplicatedStore:
         sibling = client.prepare_write(key, value)
         self.write_log.report_parents(
             sibling.origin_dot, context.read_dots if context is not None else ())
-        new_state = node.local_write(key, context, sibling, client.client_id)
-        self.write_log.append(key, sibling, coordinator, client.client_id, self._clock)
+        new_state = node.local_write(key, context, sibling)
+        self.write_log.append(key, sibling)
 
         if self.replicate_on_write:
             for replica_id in self.replicas_for(key):

@@ -6,16 +6,17 @@ this log.  It is a side channel, fed off the data path from two places: the
 **issuer** of a write (whoever holds both the client's context and a write
 log) reports the origin dots the client had read — the write's causal parents
 (:meth:`WriteLog.report_parents`) — and the **coordinator** that accepts the
-write appends a record (:meth:`WriteLog.append`).  Ground-truth histories are
-rebuilt from those pairs only when a run is judged
-(:meth:`WriteLog.history_of`).  Nothing here rides storage, contexts or the
+write appends a record (:meth:`WriteLog.append`): the key and the sibling,
+whose origin dot names the write and, by its actor, the client that issued
+it.  Ground-truth histories are rebuilt from those pairs only when a run is
+judged (:meth:`WriteLog.history_of`).  Nothing here rides storage, contexts or the
 wire, so no mechanism can influence it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from ..clocks.interface import Sibling
 from ..core.causal_history import CausalHistory
@@ -28,9 +29,6 @@ class WriteRecord:
 
     key: str
     sibling: Sibling
-    server_id: str
-    client_id: str
-    timestamp: float = 0.0
 
     @property
     def origin_dot(self) -> Dot:
@@ -59,24 +57,15 @@ class WriteLog:
         self._records.append(record)
         self._by_key.setdefault(record.key, []).append(record)
 
-    def append(self,
-               key: str,
-               sibling: Sibling,
-               server_id: str,
-               client_id: str,
-               timestamp: float = 0.0) -> WriteRecord:
+    def append(self, key: str, sibling: Sibling) -> WriteRecord:
         """Convenience wrapper building and recording a :class:`WriteRecord`."""
-        record = WriteRecord(key, sibling, server_id, client_id, timestamp)
+        record = WriteRecord(key, sibling)
         self.record(record)
         return record
 
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
-    def all_records(self) -> List[WriteRecord]:
-        """Every record, in acceptance order."""
-        return list(self._records)
-
     def for_key(self, key: str) -> List[WriteRecord]:
         """Records for one key, in acceptance order."""
         return list(self._by_key.get(key, []))
@@ -136,10 +125,3 @@ class WriteLog:
             candidate for candidate in records
             if not any(candidate.origin_dot in past for past in pasts)
         ]
-
-    def record_for_dot(self, key: str, dot: Dot) -> Optional[WriteRecord]:
-        """The write of ``key`` whose origin dot is ``dot`` (None if unknown)."""
-        for record in self._by_key.get(key, []):
-            if record.origin_dot == dot:
-                return record
-        return None

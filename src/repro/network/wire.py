@@ -20,22 +20,15 @@ both directions: an unsupported payload type raises
 :class:`SerializationError` at encode time (instead of pickling arbitrary
 objects), and a malformed or truncated frame raises at decode time.
 
-Two deliberate choices:
+``tuple`` and ``list`` are distinct tags, because mechanism states are tuples
+and handlers pattern-match on their shape; round-tripping must not quietly
+turn one into the other.
 
-* ``tuple`` and ``list`` are distinct tags, because mechanism states are
-  tuples and handlers pattern-match on their shape; round-tripping must not
-  quietly turn one into the other.
-* :class:`~repro.clocks.interface.Sibling` keeps its ``uid`` across the wire.
-  Uids are process-local sequence numbers; within one process (the backend's
-  intended deployment for experiments) preserving them keeps report output
-  stable, and between processes they are only used for display.
-
-Since ``WIRE_VERSION`` 2 no frame carries the correctness oracle: a sibling
-(``G``) is value + origin dot + writer + uid and a causal context (``C``) is
-key + mechanism context + mechanism name.  Ground-truth causal histories live
-in :class:`~repro.kvstore.write_log.WriteLog`; an ``H`` record appears on the
-wire only as the ``causal_history`` *mechanism's* own clock, so every other
-mechanism's frames stay bounded by its metadata.
+Since ``WIRE_VERSION`` 2 no frame carries the correctness oracle: a causal
+context (``C``) is key + mechanism context + mechanism name.  Ground-truth
+causal histories live in :class:`~repro.kvstore.write_log.WriteLog`; an ``H``
+record appears on the wire only as the ``causal_history`` *mechanism's* own
+clock, so every other mechanism's frames stay bounded by its metadata.
 
 ``WIRE_VERSION`` 3 makes every immutable causality value a *record*: the
 clocks ``V W E X H`` and the sibling ``G`` travel as ``tag · varint(body
@@ -48,8 +41,12 @@ parsed as before and keeps the bytes it arrived as for when it is forwarded
 nested in another record's body (the ``E`` inside an ``X``) has no prefix of
 its own: the outer record is the unit.  ``S`` (a DVVSet) is not a record, its
 ``G`` children are.  The same version writes the envelope's message type as
-one byte (:data:`TYPE_CODES`) and a sibling's writer as a bare string (empty
-= ``None``).
+one byte (:data:`TYPE_CODES`).
+
+``WIRE_VERSION`` 4 names a write by its origin dot alone: a sibling (``G``)
+is value + origin dot.  The writer is the dot's actor, so version 3's writer
+string and process-local uid are gone from the record, and a
+``COORDINATE_PUT`` payload is key + sibling + context, with no ``client_id``.
 
 Every decoding failure — truncation, an unknown tag, invalid UTF-8, a clock
 whose fields violate its invariants — surfaces from :func:`decode_message` as
@@ -86,7 +83,7 @@ from ..kvstore.context import CausalContext
 from .message import Message, MessageType
 
 #: Bumped when the frame layout or a tag changes incompatibly.
-WIRE_VERSION = 3
+WIRE_VERSION = 4
 
 #: The envelope's one-byte message type.  Wire-only and pinned: a code is
 #: never renumbered or reused, a new :class:`MessageType` member takes the
@@ -292,8 +289,6 @@ def _encode_sibling(value: Sibling, out: bytearray) -> None:
     body = bytearray()
     _encode_value(value.value, body)
     _write_dot(body, value.origin_dot)
-    _write_str(body, value.writer or "")
-    _write_varint(body, value.uid)
     record = bytearray(b"G")
     _write_varint(record, len(body))
     record += body
@@ -533,10 +528,7 @@ def _decode_dotted_vve_body(data: bytes, offset: int, records) -> Tuple[Any, int
 def _decode_sibling_body(data: bytes, offset: int, records) -> Tuple[Any, int]:
     value, offset = _DECODERS[data[offset]](data, offset + 1, records)
     origin_dot, offset = _decode_dot(data, offset)
-    writer, offset = _decode_str(data, offset)
-    uid, offset = _decode_varint(data, offset)
-    return Sibling(value=value, origin_dot=origin_dot,
-                   writer=writer or None, uid=uid), offset
+    return Sibling(value=value, origin_dot=origin_dot), offset
 
 
 #: Tag byte -> decoder; every byte that is not a tag raises.

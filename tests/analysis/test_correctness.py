@@ -12,14 +12,14 @@ from repro.workloads import figure1_trace, replay_trace
 
 
 def make_sibling(value, writer, seq):
-    return Sibling(value=value, origin_dot=Dot(writer, seq), writer=writer)
+    return Sibling(value=value, origin_dot=Dot(writer, seq))
 
 
 class TestCheckKey:
     def build_log(self, *siblings):
         log = WriteLog()
         for sibling in siblings:
-            log.append("k", sibling, "A", sibling.writer or "client")
+            log.append("k", sibling)
         return log
 
     def test_exact_survival_is_correct(self):

@@ -9,35 +9,35 @@ from repro.core import Dot
 
 def sibling(value, writer, seq):
     dot = Dot(writer, seq)
-    return Sibling(value=value, origin_dot=dot, writer=writer)
+    return Sibling(value=value, origin_dot=dot)
 
 
 class TestClientVVCorrectness:
     def test_concurrent_client_writes_kept(self):
         m = ClientVVMechanism()
-        state = m.write(m.empty_state(), m.empty_context(), sibling("v1", "c1", 1), "A", "c1")
+        state = m.write(m.empty_state(), m.empty_context(), sibling("v1", "c1", 1), "A")
         stale = m.read(state).context
-        state = m.write(state, stale, sibling("v2", "c1", 2), "A", "c1")
-        state = m.write(state, stale, sibling("v3", "c2", 1), "A", "c2")
+        state = m.write(state, stale, sibling("v2", "c1", 2), "A")
+        state = m.write(state, stale, sibling("v3", "c2", 1), "A")
         assert sorted(s.value for s in m.siblings(state)) == ["v2", "v3"]
 
     def test_concurrency_survives_merge(self):
         m = ClientVVMechanism()
-        state = m.write(m.empty_state(), m.empty_context(), sibling("v1", "c1", 1), "A", "c1")
+        state = m.write(m.empty_state(), m.empty_context(), sibling("v1", "c1", 1), "A")
         stale = m.read(state).context
-        state = m.write(state, stale, sibling("v2", "c1", 2), "A", "c1")
-        state = m.write(state, stale, sibling("v3", "c2", 1), "A", "c2")
+        state = m.write(state, stale, sibling("v2", "c1", 2), "A")
+        state = m.write(state, stale, sibling("v3", "c2", 1), "A")
         replica_b = m.merge(m.empty_state(), state)
         assert sorted(s.value for s in m.siblings(replica_b)) == ["v2", "v3"]
 
     def test_same_client_writing_through_two_servers_keeps_counter_monotone(self):
         """The mint step must clear counters seen via other coordinators."""
         m = ClientVVMechanism()
-        state_a = m.write(m.empty_state(), m.empty_context(), sibling("v1", "c1", 1), "A", "c1")
+        state_a = m.write(m.empty_state(), m.empty_context(), sibling("v1", "c1", 1), "A")
         # replica B learns about v1
         state_b = m.merge(m.empty_state(), state_a)
         ctx = m.read(state_b).context
-        state_b = m.write(state_b, ctx, sibling("v2", "c1", 2), "B", "c1")
+        state_b = m.write(state_b, ctx, sibling("v2", "c1", 2), "B")
         (clock, _), = state_b
         assert clock.get("c1") == 2
 
@@ -50,8 +50,7 @@ class TestClientVVGrowth:
         client_count = 25
         for index in range(client_count):
             context = m.read(state).context
-            state = m.write(state, context, sibling(f"v{index}", f"client-{index}", 1),
-                            "A", f"client-{index}")
+            state = m.write(state, context, sibling(f"v{index}", f"client-{index}", 1), "A")
         # a single surviving sibling, but its vector has one entry per client
         assert len(m.siblings(state)) == 1
         assert m.metadata_entries(state) == client_count
@@ -61,24 +60,23 @@ class TestClientVVGrowth:
         state = m.empty_state()
         for index in range(10):
             context = m.read(state).context
-            state = m.write(state, context, sibling(f"v{index}", f"client-{index}", 1),
-                            "A", f"client-{index}")
+            state = m.write(state, context, sibling(f"v{index}", f"client-{index}", 1), "A")
         assert m.context_entries(m.read(state).context) == 10
 
 
 class TestDottedVVEMechanism:
     def test_preserves_concurrency_like_dvv(self):
         m = DottedVVEMechanism()
-        state = m.write(m.empty_state(), m.empty_context(), sibling("v1", "c1", 1), "A", "c1")
+        state = m.write(m.empty_state(), m.empty_context(), sibling("v1", "c1", 1), "A")
         stale = m.read(state).context
-        state = m.write(state, stale, sibling("v2", "c1", 2), "A", "c1")
-        state = m.write(state, stale, sibling("v3", "c2", 1), "A", "c2")
+        state = m.write(state, stale, sibling("v2", "c1", 2), "A")
+        state = m.write(state, stale, sibling("v3", "c2", 1), "A")
         replica_b = m.merge(m.empty_state(), state)
         assert sorted(s.value for s in m.siblings(replica_b)) == ["v2", "v3"]
 
     def test_dots_minted_per_server(self):
         m = DottedVVEMechanism()
-        state = m.write(m.empty_state(), m.empty_context(), sibling("v1", "c1", 1), "A", "c1")
+        state = m.write(m.empty_state(), m.empty_context(), sibling("v1", "c1", 1), "A")
         (clock, _), = state
         assert clock.dot == Dot("A", 1)
 
@@ -88,12 +86,12 @@ class TestDottedVVEMechanism:
         m = DottedVVEMechanism()
         state = m.empty_state()
         # two concurrent branches from the same (empty) context
-        state = m.write(state, m.empty_context(), sibling("left", "c1", 1), "A", "c1")
-        state = m.write(state, m.empty_context(), sibling("right", "c2", 1), "A", "c2")
+        state = m.write(state, m.empty_context(), sibling("left", "c1", 1), "A")
+        state = m.write(state, m.empty_context(), sibling("right", "c2", 1), "A")
         # a client that read only the *second* branch writes again
         from repro.clocks.vve import VersionVectorWithExceptions
         partial_context = VersionVectorWithExceptions.from_dots([Dot("A", 2)])
-        state = m.write(state, partial_context, sibling("third", "c3", 1), "A", "c3")
+        state = m.write(state, partial_context, sibling("third", "c3", 1), "A")
         clocks = [clock for clock, _ in state]
         assert any(clock.causal_past.exceptions for clock in clocks)
 
@@ -107,7 +105,7 @@ class TestDottedVVEMechanism:
             writer = f"c{index}"
             coordinator = "A" if index % 2 else "B"
             vve_state = vve_m.write(vve_state, vve_ctx, sibling(f"v{index}", writer, 1),
-                                    coordinator, writer)
+                                    coordinator)
             dvv_state = dvv_m.write(dvv_state, dvv_ctx, sibling(f"v{index}", writer, 1),
-                                    coordinator, writer)
+                                    coordinator)
         assert vve_m.metadata_bytes(vve_state) >= dvv_m.metadata_bytes(dvv_state)

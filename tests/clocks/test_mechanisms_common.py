@@ -16,7 +16,7 @@ from repro.core import Dot
 
 
 def make_sibling(value: str, writer: str, seq: int) -> Sibling:
-    return Sibling(value=value, origin_dot=Dot(writer, seq), writer=writer)
+    return Sibling(value=value, origin_dot=Dot(writer, seq))
 
 
 def fingerprint(mechanism, state):
@@ -43,17 +43,17 @@ class TestBasicWriteRead:
     def test_blind_write_is_readable(self, any_mechanism):
         m = any_mechanism
         sibling = make_sibling("v1", "c1", 1)
-        state = m.write(m.empty_state(), m.empty_context(), sibling, "A", "c1")
+        state = m.write(m.empty_state(), m.empty_context(), sibling, "A")
         assert [s.value for s in m.siblings(state)] == ["v1"]
         assert not m.is_empty(state)
 
     def test_read_modify_write_supersedes(self, any_mechanism):
         m = any_mechanism
         first = make_sibling("v1", "c1", 1)
-        state = m.write(m.empty_state(), m.empty_context(), first, "A", "c1")
+        state = m.write(m.empty_state(), m.empty_context(), first, "A")
         context = m.read(state).context
         second = make_sibling("v2", "c1", 2)
-        state = m.write(state, context, second, "A", "c1")
+        state = m.write(state, context, second, "A")
         assert [s.value for s in m.siblings(state)] == ["v2"]
 
     def test_chain_of_rmw_keeps_single_version(self, any_mechanism):
@@ -62,18 +62,18 @@ class TestBasicWriteRead:
         for seq in range(1, 6):
             context = m.read(state).context
             sibling = make_sibling(f"v{seq}", "c1", seq)
-            state = m.write(state, context, sibling, "A", "c1")
+            state = m.write(state, context, sibling, "A")
         assert [s.value for s in m.siblings(state)] == ["v5"]
 
     def test_metadata_grows_after_write(self, any_mechanism):
         m = any_mechanism
-        state = m.write(m.empty_state(), m.empty_context(), make_sibling("v1", "c1", 1), "A", "c1")
+        state = m.write(m.empty_state(), m.empty_context(), make_sibling("v1", "c1", 1), "A")
         assert m.metadata_entries(state) >= 1
         assert m.metadata_bytes(state) > 0
 
     def test_context_accounting_non_negative(self, any_mechanism):
         m = any_mechanism
-        state = m.write(m.empty_state(), m.empty_context(), make_sibling("v1", "c1", 1), "A", "c1")
+        state = m.write(m.empty_state(), m.empty_context(), make_sibling("v1", "c1", 1), "A")
         context = m.read(state).context
         assert m.context_entries(context) >= 0
         assert m.context_bytes(context) >= 0
@@ -85,8 +85,8 @@ class TestConcurrentWrites:
         """Two context-less writes by different clients must both be visible
         at the coordinator (even inexact mechanisms detect this case)."""
         m = any_mechanism
-        state = m.write(m.empty_state(), m.empty_context(), make_sibling("x", "c1", 1), "A", "c1")
-        state = m.write(state, m.empty_context(), make_sibling("y", "c2", 1), "A", "c2")
+        state = m.write(m.empty_state(), m.empty_context(), make_sibling("x", "c1", 1), "A")
+        state = m.write(state, m.empty_context(), make_sibling("y", "c2", 1), "A")
         values = sorted(s.value for s in m.siblings(state))
         assert values == ["x", "y"]
 
@@ -94,9 +94,9 @@ class TestConcurrentWrites:
 class TestMerge:
     def _two_replica_states(self, m):
         shared = make_sibling("base", "c0", 1)
-        state_a = m.write(m.empty_state(), m.empty_context(), shared, "A", "c0")
+        state_a = m.write(m.empty_state(), m.empty_context(), shared, "A")
         state_b = m.write(m.empty_state(), m.empty_context(),
-                          make_sibling("other", "c9", 1), "B", "c9")
+                          make_sibling("other", "c9", 1), "B")
         return state_a, state_b
 
     def test_merge_with_empty_is_identity_on_siblings(self, any_mechanism):
@@ -129,12 +129,12 @@ class TestMerge:
         """A replica that missed an update learns it via merge."""
         m = any_mechanism
         first = make_sibling("v1", "c1", 1)
-        state_a = m.write(m.empty_state(), m.empty_context(), first, "A", "c1")
+        state_a = m.write(m.empty_state(), m.empty_context(), first, "A")
         state_b = m.merge(m.empty_state(), state_a)
 
         context = m.read(state_a).context
         second = make_sibling("v2", "c1", 2)
-        state_a = m.write(state_a, context, second, "A", "c1")
+        state_a = m.write(state_a, context, second, "A")
 
         state_b = m.merge(state_b, state_a)
         assert [s.value for s in m.siblings(state_b)] == ["v2"]

@@ -58,8 +58,7 @@ def assert_kernel_matches(left: Sequence[Entry], right: Sequence[Entry]) -> None
 
 
 def sibling(index: int) -> Sibling:
-    return Sibling(value=f"v{index}", origin_dot=Dot("writer", index + 1),
-                   writer="writer")
+    return Sibling(value=f"v{index}", origin_dot=Dot("writer", index + 1))
 
 
 # --------------------------------------------------------------------------- #
@@ -89,7 +88,7 @@ def test_kernel_equals_pairwise_on_write_merge_traces(steps):
             context = {"fresh": fresh, "blind": m.empty_context(),
                        "stale": contexts[pick % len(contexts)]}[kind]
             replicas[server] = m.write(replicas[server], context,
-                                       sibling(writes), server, "writer")
+                                       sibling(writes), server)
             writes += 1
         else:
             _, source, target = step

@@ -18,7 +18,7 @@ from repro.core import Dot, Ordering, VersionVector
 
 def sibling(value, writer, seq):
     dot = Dot(writer, seq)
-    return Sibling(value=value, origin_dot=dot, writer=writer)
+    return Sibling(value=value, origin_dot=dot)
 
 
 class TestPolicies:
@@ -76,7 +76,7 @@ class TestPrunedMechanism:
         for index in range(writers):
             context = mechanism.read(state).context
             state = mechanism.write(state, context, sibling(f"v{index}", f"client-{index}", 1),
-                                    "A", f"client-{index}")
+                                    "A")
         return state
 
     def test_pruning_caps_metadata(self):

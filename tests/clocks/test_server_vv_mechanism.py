@@ -8,16 +8,16 @@ from repro.core import Dot, Ordering
 
 def sibling(value, writer, seq):
     dot = Dot(writer, seq)
-    return Sibling(value=value, origin_dot=dot, writer=writer)
+    return Sibling(value=value, origin_dot=dot)
 
 
 def figure1_coordinator_state(mechanism):
     """Drive the coordinator through the Figure 1 write sequence."""
     m = mechanism
-    state = m.write(m.empty_state(), m.empty_context(), sibling("v1", "c1", 1), "A", "c1")
+    state = m.write(m.empty_state(), m.empty_context(), sibling("v1", "c1", 1), "A")
     stale_context = m.read(state).context
-    state = m.write(state, stale_context, sibling("v2", "c1", 2), "A", "c1")
-    state = m.write(state, stale_context, sibling("v3", "c2", 1), "A", "c2")
+    state = m.write(state, stale_context, sibling("v2", "c1", 2), "A")
+    state = m.write(state, stale_context, sibling("v3", "c2", 1), "A")
     return m, state
 
 
@@ -64,6 +64,6 @@ class TestSizeCharacteristics:
         for index in range(30):
             context = m.read(state).context
             state = m.write(state, context, sibling(f"v{index}", f"c{index}", 1),
-                            "A" if index % 2 else "B", f"c{index}")
+                            "A" if index % 2 else "B")
         # a single surviving version tagged by a vector over at most 2 servers
         assert m.metadata_entries(state) <= 2

@@ -119,8 +119,7 @@ def assert_merge_matches(mechanism, left: Sequence[Entry], right: Sequence[Entry
 
 
 def sibling(index: int, writer: str = "writer", counter: int = 0) -> Sibling:
-    return Sibling(value=f"v{index}", origin_dot=Dot(writer, counter or index + 1),
-                   writer=writer)
+    return Sibling(value=f"v{index}", origin_dot=Dot(writer, counter or index + 1))
 
 
 # --------------------------------------------------------------------------- #
@@ -159,7 +158,7 @@ def replay(mechanism, steps) -> None:
                        "stale": contexts[pick % len(contexts)]}[kind]
             sequence[client] += 1
             written = sibling(sum(sequence.values()), client, sequence[client])
-            replicas[server] = m.write(state, context, written, server, client)
+            replicas[server] = m.write(state, context, written, server)
             if isinstance(m, ServerVVMechanism):
                 minted, _ = replicas[server][-1]
                 assert minted == reference_join(state).merge(context).increment(server)
@@ -279,7 +278,7 @@ def test_merging_an_antichain_with_its_copy_compares_no_vectors(monkeypatch):
     context = VersionVector({client: 3 for client in clients})
     state = m.empty_state()
     for index, client in enumerate(clients[:30]):
-        state = m.write(state, context, sibling(index, client, 4), "A", client)
+        state = m.write(state, context, sibling(index, client, 4), "A")
     assert len(state) == 30
     copy = tuple((VersionVector(clock.entries()), stored) for clock, stored in state)
     expected_same = reference_client_vv_merge(state, state)
@@ -297,7 +296,7 @@ def test_merging_an_antichain_with_its_copy_compares_no_vectors(monkeypatch):
     assert_identical(m.merge(state, copy), expected_copy)
     assert calls == []
     # A superseded sibling is still found, by the pairwise check.
-    newer = m.write(state, m.read(state).context, sibling(99, "client-0", 5), "A", "client-0")
+    newer = m.write(state, m.read(state).context, sibling(99, "client-0", 5), "A")
     assert len(m.merge(state, newer)) == 1
     assert calls
 

@@ -6,17 +6,17 @@ It was generated from the pre-refactor encoders — before the memoizing
 canonical-bytes layer existed — so the tests asserting against it prove the
 refactor changed *where* bytes are computed, never *which* bytes.
 
-Two deliberate format changes since, both to the ``wire`` column only.
+Three deliberate format changes since, all to the ``wire`` column only.
 ``WIRE_VERSION`` 2 took the correctness oracle off the wire, so the ``wire``
 hex of exactly two cases — ``sibling`` and ``context`` — lost its embedded
-causal history (a sibling is value + origin dot + writer + uid, a context is
-key + mechanism context + mechanism name).  ``WIRE_VERSION`` 3 made clocks and
+causal history (a context is key + mechanism context + mechanism name).  ``WIRE_VERSION`` 3 made clocks and
 siblings length-prefixed records (``tag · varint(body length) · body``, bodies
 unchanged; the ``E`` nested in ``dotted_vve`` stays unprefixed) and the
 sibling's writer a bare string, so the ``wire`` hex of the 13 cases holding a
 ``V W E X H`` or ``G`` moved — every case but the two ``dvvset_*`` ones, whose
-values are plain strings.  Every ``serialization`` hex is still the
-pre-refactor capture.
+values are plain strings.  ``WIRE_VERSION`` 4 made a sibling value + origin
+dot, dropping its writer and uid, so only the ``sibling`` case's ``wire`` hex
+moved.  Every ``serialization`` hex is still the pre-refactor capture.
 
 Regenerate (only when the wire format deliberately changes, never to make a
 refactor pass) with::
@@ -51,8 +51,6 @@ def build_cases():
     sibling = Sibling(
         value="shopping-cart",
         origin_dot=Dot("B", 2),
-        writer="client-7",
-        uid=42,
     )
     return [
         ("vv_empty", "version_vector", VersionVector.empty()),

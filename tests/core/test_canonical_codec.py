@@ -291,10 +291,9 @@ def test_mechanism_traces_keep_memo_consistent(mechanism_name, trace):
             seq += 1
             read = mechanism.read(replicas[server])
             context = mechanism.empty_context() if stale else read.context
-            sibling = Sibling(value=f"v{seq}", origin_dot=Dot("oracle", seq),
-                              writer="c0")
+            sibling = Sibling(value=f"v{seq}", origin_dot=Dot("c0", seq))
             replicas[server] = mechanism.write(
-                replicas[server], context, sibling, server, "c0")
+                replicas[server], context, sibling, server)
         else:
             merged = mechanism.merge(replicas["S0"], replicas["S1"])
             replicas["S0"] = replicas["S1"] = merged

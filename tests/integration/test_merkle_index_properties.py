@@ -128,8 +128,7 @@ def test_live_descent_queries_equal_a_from_scratch_tree(steps):
             writer = writers[side]
             context = writer.absorb_read(key, node.local_read(key),
                                          node.mechanism.name)
-            node.local_write(key, context, writer.prepare_write(key, number),
-                             writer.client_id)
+            node.local_write(key, context, writer.prepare_write(key, number))
         elif action == "drop":
             node.storage.delete(key)
         elif other.storage.has_key(key):
@@ -246,8 +245,7 @@ def test_hash_on_read_index_answers_every_read_like_a_from_scratch_tree(steps):
             writer = writers[side]
             context = writer.absorb_read(key, node.local_read(key),
                                          node.mechanism.name)
-            node.local_write(key, context, writer.prepare_write(key, number),
-                             writer.client_id)
+            node.local_write(key, context, writer.prepare_write(key, number))
             mutated[side].add(key)
         elif action == "drop":
             node.storage.delete(key)

@@ -79,15 +79,13 @@ class TestPartitionsAndFailures:
         cluster.transport.send(Message(
             sender=alice.address, receiver=alice_coordinator,
             msg_type=MessageType.COORDINATE_PUT,
-            payload={"key": "k", "sibling": alice_sibling, "context": None,
-                     "client_id": "alice"},
+            payload={"key": "k", "sibling": alice_sibling, "context": None},
             size_bytes=32))
         bob_sibling = bob.session.prepare_write("k", "from-bob")
         cluster.transport.send(Message(
             sender=bob.address, receiver=bob_coordinator,
             msg_type=MessageType.COORDINATE_PUT,
-            payload={"key": "k", "sibling": bob_sibling, "context": None,
-                     "client_id": "bob"},
+            payload={"key": "k", "sibling": bob_sibling, "context": None},
             size_bytes=32))
         cluster.run(until=100)
 

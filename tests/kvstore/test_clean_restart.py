@@ -95,7 +95,7 @@ class TestStorageNodeRestarts:
         client = ClientSession("writer")
         for index in range(5):
             sibling = client.prepare_write(f"key-{index}", f"v{index}")
-            node.local_write(f"key-{index}", None, sibling, client.client_id)
+            node.local_write(f"key-{index}", None, sibling)
         return node, client
 
     def test_shutdown_marks_clean_and_restart_adopts(self):
@@ -113,7 +113,7 @@ class TestStorageNodeRestarts:
         node.shutdown()
         # a write that sneaks in after the flush invalidates the clean mark
         sibling = client.prepare_write("late", "surprise")
-        node.local_write("late", None, sibling, client.client_id)
+        node.local_write("late", None, sibling)
         rebuilds_before = node.stats["full_rebuilds"]
         node.restart()
         assert node.stats["rebuilds_skipped"] == 0

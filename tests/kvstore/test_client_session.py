@@ -52,7 +52,7 @@ class TestClientSession:
 
     def test_absorb_read_tracks_context_and_observations(self):
         session = ClientSession("c1")
-        sibling = Sibling("v1", Dot("w", 1), writer="w")
+        sibling = Sibling("v1", Dot("w", 1))
 
         class FakeRead:
             siblings = [sibling]
@@ -65,7 +65,7 @@ class TestClientSession:
 
     def test_forget_clears_context(self):
         session = ClientSession("c1")
-        sibling = Sibling("v1", Dot("w", 1), writer="w")
+        sibling = Sibling("v1", Dot("w", 1))
 
         class FakeRead:
             siblings = [sibling]

@@ -28,7 +28,7 @@ def diverge(node, keys=DIVERGENT_KEYS) -> None:
     for index in range(keys):
         key = f"key-{index}"
         sibling = client.prepare_write(key, f"v{index}")
-        node.local_write(key, None, sibling, client.client_id)
+        node.local_write(key, None, sibling)
 
 
 def test_simulator_descends_differing_ranges_concurrently():

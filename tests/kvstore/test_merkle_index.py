@@ -31,7 +31,7 @@ def write(node, client, key, value):
     read = node.local_read(key)
     context = client.absorb_read(key, read, node.mechanism.name)
     sibling = client.prepare_write(key, value)
-    node.local_write(key, context, sibling, client.client_id)
+    node.local_write(key, context, sibling)
 
 
 def rebuilt_digest(node, fanout=16, depth=2):

@@ -84,7 +84,7 @@ class ReferenceOracle:
                                 for other in records)
                 covered = any(dot in history[kept] for kept in surviving)
                 session_superseded = any(
-                    other.sibling.writer == record.sibling.writer
+                    other.origin_dot.actor == dot.actor
                     and other.origin_dot.counter > dot.counter
                     for other in records)
                 if not (dominated or covered or session_superseded):

@@ -11,7 +11,7 @@ from repro.kvstore import ReadRepairStats, plan_read_repair
 
 def sibling(value, writer="c1", seq=1):
     dot = Dot(writer, seq)
-    return Sibling(value=value, origin_dot=dot, writer=writer)
+    return Sibling(value=value, origin_dot=dot)
 
 
 class TestReadRepairPlanning:
@@ -19,7 +19,7 @@ class TestReadRepairPlanning:
         self.mechanism = DVVMechanism()
         self.fresh = self.mechanism.write(
             self.mechanism.empty_state(), self.mechanism.empty_context(),
-            sibling("v1"), "A", "c1")
+            sibling("v1"), "A")
 
     def test_agreeing_replicas_need_no_repair(self):
         plan = plan_read_repair(self.mechanism, [("A", self.fresh), ("B", self.fresh)])
@@ -36,7 +36,7 @@ class TestReadRepairPlanning:
     def test_divergent_replicas_both_repaired(self):
         other = self.mechanism.write(
             self.mechanism.empty_state(), self.mechanism.empty_context(),
-            sibling("v2", writer="c2"), "B", "c2")
+            sibling("v2", writer="c2"), "B")
         plan = plan_read_repair(self.mechanism, [("A", self.fresh), ("B", other)])
         assert set(plan.stale_replicas) == {"A", "B"}
         merged_values = sorted(s.value for s in self.mechanism.siblings(plan.merged_state))
@@ -55,10 +55,10 @@ class TestReadRepairPlanning:
         """
         left = self.mechanism.write(
             self.mechanism.empty_state(), self.mechanism.empty_context(),
-            sibling("v-left", writer="cL"), "A", "cL")
+            sibling("v-left", writer="cL"), "A")
         right = self.mechanism.write(
             self.mechanism.empty_state(), self.mechanism.empty_context(),
-            sibling("v-right", writer="cR"), "B", "cR")
+            sibling("v-right", writer="cR"), "B")
         merged_ab = self.mechanism.merge(left, right)
         merged_ba = self.mechanism.merge(right, left)
         plan = plan_read_repair(self.mechanism, [("A", merged_ab), ("B", merged_ba)])
@@ -83,9 +83,9 @@ class TestReadRepairPlanning:
         mechanism = ReorderingView()
         state = mechanism.merge(
             mechanism.write(mechanism.empty_state(), mechanism.empty_context(),
-                            sibling("x", writer="c1"), "A", "c1"),
+                            sibling("x", writer="c1"), "A"),
             mechanism.write(mechanism.empty_state(), mechanism.empty_context(),
-                            sibling("y", writer="c2"), "B", "c2"),
+                            sibling("y", writer="c2"), "B"),
         )
         plan = plan_read_repair(mechanism, [("A", state), ("B", state)])
         assert plan.agreed

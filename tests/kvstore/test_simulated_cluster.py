@@ -319,7 +319,7 @@ def write_at(server_id, key, value):
         node = cluster.servers[server_id].node
         writer = ClientSession(f"late-{server_id}")
         context = writer.absorb_read(key, node.local_read(key), node.mechanism.name)
-        node.local_write(key, context, writer.prepare_write(key, value), writer.client_id)
+        node.local_write(key, context, writer.prepare_write(key, value))
     return diverge
 
 

@@ -12,7 +12,7 @@ from repro.kvstore.context import CausalContext
 
 def sibling(value, writer="c1", seq=1):
     dot = Dot(writer, seq)
-    return Sibling(value=value, origin_dot=dot, writer=writer)
+    return Sibling(value=value, origin_dot=dot)
 
 
 class TestNodeStorage:
@@ -26,7 +26,7 @@ class TestNodeStorage:
         mechanism = DVVMechanism()
         storage = NodeStorage(mechanism)
         state = mechanism.write(mechanism.empty_state(), mechanism.empty_context(),
-                                sibling("v1"), "A", "c1")
+                                sibling("v1"), "A")
         storage.put_state("k", state)
         assert storage.has_key("k")
         assert storage.sibling_count("k") == 1
@@ -36,7 +36,7 @@ class TestNodeStorage:
         mechanism = DVVMechanism()
         storage = NodeStorage(mechanism)
         state = mechanism.write(mechanism.empty_state(), mechanism.empty_context(),
-                                sibling("v1"), "A", "c1")
+                                sibling("v1"), "A")
         storage.put_state("k", state)
         storage.put_state("k", mechanism.empty_state())
         assert not storage.has_key("k")
@@ -45,7 +45,7 @@ class TestNodeStorage:
         mechanism = DVVMechanism()
         storage = NodeStorage(mechanism)
         state = mechanism.write(mechanism.empty_state(), mechanism.empty_context(),
-                                sibling("v1"), "A", "c1")
+                                sibling("v1"), "A")
         storage.put_state("k1", state)
         storage.put_state("k2", state)
         assert len(storage) == 2
@@ -57,7 +57,7 @@ class TestNodeStorage:
         mechanism = DVVMechanism()
         storage = NodeStorage(mechanism)
         state = mechanism.write(mechanism.empty_state(), mechanism.empty_context(),
-                                sibling("v1"), "A", "c1")
+                                sibling("v1"), "A")
         storage.put_state("k1", state)
         storage.put_state("k2", state)
         assert storage.metadata_entries() == 2 * storage.metadata_entries("k1")
@@ -68,7 +68,7 @@ class TestNodeStorage:
 class TestStorageNode:
     def test_local_write_then_read(self):
         node = StorageNode("A", DVVMechanism())
-        node.local_write("k", None, sibling("v1"), "c1")
+        node.local_write("k", None, sibling("v1"))
         read = node.local_read("k")
         assert [s.value for s in read.siblings] == ["v1"]
         assert node.values_of("k") == ["v1"]
@@ -80,20 +80,20 @@ class TestStorageNode:
         bad_context = CausalContext.initial("other-key", "dvv",
                                             DVVMechanism().empty_context())
         with pytest.raises(StaleContextError):
-            node.local_write("k", bad_context, sibling("v1"), "c1")
+            node.local_write("k", bad_context, sibling("v1"))
 
     def test_local_merge_brings_in_remote_state(self):
         mechanism = DVVMechanism()
         source = StorageNode("A", mechanism)
         target = StorageNode("B", mechanism)
-        source.local_write("k", None, sibling("v1"), "c1")
+        source.local_write("k", None, sibling("v1"))
         target.local_merge("k", source.state_of("k"))
         assert target.values_of("k") == ["v1"]
         assert target.stats["merges"] == 1
 
     def test_metadata_passthrough(self):
         node = StorageNode("A", DVVMechanism())
-        node.local_write("k", None, sibling("v1"), "c1")
+        node.local_write("k", None, sibling("v1"))
         assert node.metadata_entries("k") >= 1
         assert node.metadata_bytes() > 0
 
@@ -103,7 +103,7 @@ class TestHintDurability:
 
     def make_node(self):
         node = StorageNode("A", DVVMechanism())
-        state = node.local_write("k", None, sibling("v1"), "c1")
+        state = node.local_write("k", None, sibling("v1"))
         return node, state
 
     def test_hints_are_persisted_in_node_storage(self):

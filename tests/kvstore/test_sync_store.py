@@ -37,7 +37,7 @@ class TestBasicOperations:
         client.put(store, "k", "v1")
         assert len(store.write_log) == 1
         record = store.write_log.for_key("k")[0]
-        assert record.client_id == "c1"
+        assert record.origin_dot.actor == "c1"
         assert record.sibling.value == "v1"
 
     def test_context_from_wrong_mechanism_rejected(self):

@@ -167,8 +167,8 @@ class Trace:
         self.sequence[client] += 1
         counter = self.sequence[client]
         written = Sibling(value=f"{client}-{counter}",
-                          origin_dot=Dot(client, counter), writer=client)
-        self.written.append(node.local_write(key, context, written, client))
+                          origin_dot=Dot(client, counter))
+        self.written.append(node.local_write(key, context, written))
 
     def replicate(self, source, target, key, over_wire) -> None:
         """``target`` merges ``source``'s state, checked against today's merge.
@@ -260,8 +260,8 @@ def test_local_merge_stores_the_reference_state_and_indexes_stay_exact(case):
 def test_unchanged_merge_notifies_no_listener_and_hashes_nothing():
     m = create("dvvset")
     node = StorageNode("A", m)
-    sibling = Sibling(value="v", origin_dot=Dot("c", 1), writer="c")
-    state = node.local_write("cart", None, sibling, "c")
+    sibling = Sibling(value="v", origin_dot=Dot("c", 1))
+    state = node.local_write("cart", None, sibling)
     node.merkle_index.flush()
     heard = []
     node.storage.subscribe_vnode(0, lambda key, new, fingerprint: heard.append(key))

@@ -20,16 +20,15 @@ from repro.kvstore import (
 
 def record(key, writer, seq, value=None):
     sibling = Sibling(value=value if value is not None else f"{writer}-{seq}",
-                      origin_dot=Dot(writer, seq),
-                      writer=writer)
-    return WriteRecord(key=key, sibling=sibling, server_id="A", client_id=writer)
+                      origin_dot=Dot(writer, seq))
+    return WriteRecord(key=key, sibling=sibling)
 
 
 class TestWriteLog:
     def test_append_and_query(self):
         log = WriteLog()
         log.record(record("k", "c1", 1))
-        log.append("k", record("k", "c2", 1).sibling, "A", "c2")
+        log.append("k", record("k", "c2", 1).sibling)
         assert len(log) == 2
         assert log.keys() == ["k"]
         assert len(log.for_key("k")) == 2
@@ -47,18 +46,11 @@ class TestWriteLog:
         frontier_dots = {entry.origin_dot for entry in log.latest_frontier("k")}
         assert frontier_dots == {Dot("c1", 2), Dot("c2", 1)}
 
-    def test_record_for_dot(self):
-        log = WriteLog()
-        entry = record("k", "c1", 1)
-        log.record(entry)
-        assert log.record_for_dot("k", Dot("c1", 1)) is entry
-        assert log.record_for_dot("k", Dot("c9", 9)) is None
-
 
 class TestResolvers:
     def make_siblings(self, *values):
         return [
-            Sibling(value=value, origin_dot=Dot("c", index + 1), writer="c")
+            Sibling(value=value, origin_dot=Dot("c", index + 1))
             for index, value in enumerate(values)
         ]
 

@@ -1,10 +1,10 @@
 """Messages whose frames ``golden_frames.json`` pins byte for byte.
 
 The fixture holds ``frame_message(message).hex()`` for every case built here,
-**generated on the commit before the dispatch-table codec** (the ``isinstance``
-chain encoder).  The tests asserting against it therefore prove that rewriting
-the codec changed how frames are produced, never which bytes: ``WIRE_VERSION``
-stays 3.
+last regenerated when ``WIRE_VERSION`` went to 4 (a sibling is value + origin
+dot; a ``COORDINATE_PUT`` carries no client id).  The tests asserting against
+it prove that a codec refactor changes how frames are produced, never which
+bytes.
 
 Together the cases hold one message of every ``MessageType``, every wire tag,
 the clocks of all six mechanisms, a 30-sibling ``REPLICA_PUT`` state, a
@@ -42,16 +42,15 @@ LONG = "n" * 200
 BIG = 1 << 20           # a counter / id whose varint is three bytes
 
 
-def _state(mechanism_name: str, writes: int, blind: bool, uid_base: int):
+def _state(mechanism_name: str, writes: int, blind: bool):
     """A state ``writes`` writes deep, and the context a read of it returns."""
     mechanism = create(mechanism_name)
     state = mechanism.empty_state()
     for index in range(1, writes + 1):
         context = (mechanism.empty_context() if blind
                    else mechanism.read(state).context)
-        sibling = Sibling(value=f"value-{index:02d}", origin_dot=Dot("c1", index),
-                          writer="c1", uid=uid_base + index)
-        state = mechanism.write(state, context, sibling, "AB"[index % 2], "c1")
+        sibling = Sibling(value=f"value-{index:02d}", origin_dot=Dot("c1", index))
+        state = mechanism.write(state, context, sibling, "AB"[index % 2])
     return state, CausalContext(key="cart",
                                 mechanism_context=mechanism.read(state).context,
                                 mechanism_name=mechanism_name)
@@ -66,8 +65,7 @@ def _wide_payload() -> Dict[Any, Any]:
         [Dot(LONG, BIG - 1)] + [Dot("A", counter) for counter in range(1, 131)])
     history = CausalHistory(
         Dot(LONG, BIG), [Dot(LONG, BIG - 1)] + [Dot(a, BIG) for a in many])
-    sibling = Sibling(value="x" * 300, origin_dot=Dot(LONG, BIG), writer=LONG,
-                      uid=BIG)
+    sibling = Sibling(value="x" * 300, origin_dot=Dot(LONG, BIG))
     return {
         "int": BIG, "negative": -BIG, "text": "é" * 100, "blob": b"\x00\xff" * 100,
         "list": list(range(130)), "tuple": tuple(range(130)),
@@ -84,28 +82,28 @@ def _wide_payload() -> Dict[Any, Any]:
 
 
 def build_cases() -> List[Tuple[str, Message]]:
-    """``[(name, message)]`` — deterministic: no auto-assigned msg id or uid."""
+    """``[(name, message)]`` — deterministic: no auto-assigned msg id."""
     payloads: Dict[str, Tuple[MessageType, Dict[Any, Any]]] = {}
-    for index, name in enumerate(MECHANISMS):
-        state, context = _state(name, 3, blind=False, uid_base=100 * index)
+    for name in MECHANISMS:
+        state, context = _state(name, 3, blind=False)
         payloads[f"state_{name}"] = (
             MessageType.REPLICA_GET_REPLY,
             {"key": "cart", "state": state, "context": context})
-    hot, hot_context = _state("dvv", 30, blind=True, uid_base=1000)
+    hot, hot_context = _state("dvv", 30, blind=True)
     assert len(hot) == 30
     listed = Sibling(value=["milk", 2, None, {"eggs": 12.5}],
-                     origin_dot=Dot("c2", 1), writer=None, uid=7)
+                     origin_dot=Dot("c2", 1))
     anonymous = DVVSet([("A", 2, (listed,)), ("B", 1, ())],
-                       (Sibling(value="anon", origin_dot=Dot("c3", 1), uid=8),
+                       (Sibling(value="anon", origin_dot=Dot("c3", 1)),
                         "bare-string"))
     dots = tuple(Dot("c1", index) for index in range(1, 31))
     digest = bytes(range(32))
     payloads.update({
         "coordinate_get": (MessageType.COORDINATE_GET,
-                           {"key": "cart", "client_id": "c1"}),
+                           {"key": "cart"}),
         "coordinate_put": (MessageType.COORDINATE_PUT,
                            {"key": "cart", "sibling": hot[0][1],
-                            "context": hot_context, "client_id": "c1"}),
+                            "context": hot_context}),
         "get_reply": (MessageType.GET_REPLY,
                       {"key": "cart", "coordinator": "A",
                        "siblings": [pair[1] for pair in hot[:3]],

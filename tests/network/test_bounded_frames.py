@@ -18,7 +18,7 @@ from typing import List
 
 import pytest
 
-from repro.clocks import create, interface
+from repro.clocks import create
 from repro.cluster import QuorumConfig
 from repro.core import Dot
 from repro.kvstore.asyncio_cluster import AsyncioCluster
@@ -46,10 +46,9 @@ def replica_put_sizes(monkeypatch) -> List[int]:
         return frame
 
     monkeypatch.setattr(asyncio_transport, "frame_message", recording)
-    # Message ids and sibling uids are process-wide sequences whose varint
-    # width would otherwise depend on how many tests ran before this one.
+    # Message ids are a process-wide sequence whose varint width would
+    # otherwise depend on how many tests ran before this one.
     monkeypatch.setattr(message, "_message_ids", itertools.count(1 << 20))
-    monkeypatch.setattr(interface, "_sibling_ids", itertools.count(1 << 20))
     return sizes
 
 

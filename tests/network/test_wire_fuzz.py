@@ -1,4 +1,4 @@
-"""Mutation fuzz of the version-3 wire codec.
+"""Mutation fuzz of the version-4 wire codec.
 
 The corpus is real traffic: for every registered mechanism, two eventful
 simulated-cluster runs (node failure with hinted handoff, a join with key
@@ -156,7 +156,7 @@ def test_corpus_covers_every_message_type_and_round_trips(mechanism_name):
         buffer = bytearray(frame)
         assert [decode_message(body) for body in split_frames(buffer)] == [message]
         assert buffer == b""
-        assert frame[4] == WIRE_VERSION == 3
+        assert frame[4] == WIRE_VERSION == 4
 
 
 @pytest.mark.parametrize("mechanism_name", MECHANISMS)

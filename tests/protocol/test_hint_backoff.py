@@ -38,7 +38,7 @@ def hold_hint(node: ProtocolNode, target_id: str, key: str = "cart") -> None:
     mechanism = node.env.mechanism
     sibling = ClientSession("writer").prepare_write(key, "beer")
     state = mechanism.write(mechanism.empty_state(), mechanism.empty_context(),
-                            sibling, node.node_id, "writer")
+                            sibling, node.node_id)
     node.store.store_hint(target_id, key, state)
 
 

@@ -41,8 +41,7 @@ def coordinate_put(env, key: str = "cart", value: str = "beer",
         sender=f"client:{client_id}",
         receiver=env.placement.primary_replicas(key)[0],
         msg_type=MessageType.COORDINATE_PUT,
-        payload={"key": key, "sibling": sibling, "context": None,
-                 "client_id": client_id},
+        payload={"key": key, "sibling": sibling, "context": None},
         size_bytes=REQUEST_OVERHEAD_BYTES,
     )
 
@@ -492,8 +491,7 @@ def write(node, client: ClientSession, key: str, value: str) -> None:
     """A client write coordinated by ``node`` (read, then put with context)."""
     context = client.absorb_read(key, node.store.local_read(key),
                                  node.mechanism.name)
-    node.store.local_write(key, context, client.prepare_write(key, value),
-                           client.client_id)
+    node.store.local_write(key, context, client.prepare_write(key, value))
 
 
 def replicate(source, target, key: str) -> None:

@@ -17,6 +17,7 @@ import pytest
 
 import repro
 from repro.cli import build_parser, main
+from repro.kvstore.asyncio_cluster import AsyncClusterClient
 
 
 class TestParser:
@@ -198,17 +199,22 @@ class TestOutOfRangeFlags:
 # --------------------------------------------------------------------------- #
 # serve / connect
 # --------------------------------------------------------------------------- #
+def repro_process_env():
+    """The environment a ``python -m repro`` subprocess imports this tree in."""
+    src = pathlib.Path(repro.__file__).resolve().parent.parent
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+
+
 @contextlib.contextmanager
 def serving():
     """A ``python -m repro serve`` process; yields its socket dir once the
     ``cluster.json`` manifest is complete, and the process itself."""
-    src = pathlib.Path(repro.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     with tempfile.TemporaryDirectory(prefix="repro-cli-") as socket_dir:
         server = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--socket-dir", socket_dir],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+            env=repro_process_env(), stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT)
         try:
             manifest = pathlib.Path(socket_dir, "cluster.json")
             deadline = time.monotonic() + 30.0
@@ -234,6 +240,29 @@ def test_serve_then_connect_round_trip(capsys):
         assert "'k' -> ['v']" in capsys.readouterr().out
         server.send_signal(signal.SIGINT)
         assert server.wait(timeout=30) == 0
+
+
+def test_connect_processes_under_one_client_id_mint_distinct_dots(monkeypatch):
+    """Each ``connect`` is a fresh session under the same ``--client-id``;
+    two blind puts from two processes are two writes, not one dot twice."""
+    siblings = []
+    plain_get = AsyncClusterClient.get
+
+    async def probing_get(self, key):
+        result = await plain_get(self, key)
+        siblings.extend(result.siblings)
+        return result
+
+    monkeypatch.setattr(AsyncClusterClient, "get", probing_get)
+    with serving() as (socket_dir, _server):
+        for value in ("a", "b"):
+            subprocess.run(
+                [sys.executable, "-m", "repro", "connect",
+                 "--socket-dir", socket_dir, "put", "k", value],
+                env=repro_process_env(), check=True, capture_output=True)
+        assert main(["connect", "--socket-dir", socket_dir, "get", "k"]) == 0
+    assert sorted(sibling.value for sibling in siblings) == ["a", "b"]
+    assert siblings[0].origin_dot != siblings[1].origin_dot
 
 
 def test_connect_ignores_manifest_keys_it_does_not_read(capsys, tmp_path):
