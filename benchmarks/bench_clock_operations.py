@@ -65,22 +65,41 @@ def build_hot_key_state(mechanism, siblings=30):
     return state
 
 
+def build_replica_apply(mechanism):
+    """What a hot key's replica folds in: its stored state, a merge result,
+    and that state after one more write, by a client whose last read came
+    before the 30 concurrent writes."""
+    stored = mechanism.merge(build_hot_key_state(mechanism), mechanism.empty_state())
+    stale = VersionVector({client: 1 for client in CLIENT_IDS})
+    written = Sibling(value="client-0-3", origin_dot=Dot(CLIENT_IDS[0], 3))
+    return stored, mechanism.write(stored, stale, written, SERVERS[0])
+
+
+REPLICA_APPLY = "client VV replica apply (30 siblings, one new write)"
+
+
 def merge_operations():
     """The replica-merge rows: ``name → (callable, args)``.
 
     The two 30-sibling merges are the ones a hot key's replica pays; a
-    return of the siblings² client-VV merge shows up here first.
+    return of the siblings² client-VV merge shows up here first.  The
+    replica apply is timed through ``merge`` and through ``absorb``.
     """
     dvv_mechanism, client_vv_mechanism = DVVMechanism(), ClientVVMechanism()
     dvv_state = build_hot_key_state(dvv_mechanism)
     client_vv_state = build_hot_key_state(client_vv_mechanism)
     assert len(dvv_state) == len(client_vv_state) == 30
+    stored, incoming = build_replica_apply(client_vv_mechanism)
+    assert client_vv_mechanism.absorb(stored, incoming) == \
+        client_vv_mechanism.merge(stored, incoming)
     dvvset_stored = build_dvvset()
     return {
         "dvv merge (30 siblings, 32 client ids)":
             (dvv_mechanism.merge, (dvv_state, dvv_state)),
         "client VV merge (30 siblings, 32 client ids)":
             (client_vv_mechanism.merge, (client_vv_state, client_vv_state)),
+        f"{REPLICA_APPLY} via merge": (client_vv_mechanism.merge, (stored, incoming)),
+        f"{REPLICA_APPLY} via absorb": (client_vv_mechanism.absorb, (stored, incoming)),
         "dvvset sync": (dvvset_stored.sync, (dvvset_stored,)),
     }
 
@@ -181,6 +200,8 @@ def test_report_kernel_costs(publish):
         ["client VV pointwise merge (64 entries)",
          round(cost(client_vv.merge, client_vv), 2)],
         merge_row("client VV merge (30 siblings, 32 client ids)"),
+        merge_row(f"{REPLICA_APPLY} via merge"),
+        merge_row(f"{REPLICA_APPLY} via absorb"),
         ["causal history merge", round(cost(histories[0].merge, histories[1]), 2)],
         ["causal history compare", round(cost(histories[0].compare, histories[1]), 2)],
     ]
@@ -217,9 +238,15 @@ PERF_GATES = (
 )
 PERF_GATE_FLOOR_NS = 2000.0
 
+#: In-run gate (CI): the replica apply through ``absorb`` may cost at most
+#: this share of the same apply through ``merge``.  Both are timed in the
+#: same run, so unlike the 2x gates the bound does not depend on the machine.
+ABSORB_GATE_RATIO = 0.5
+
 
 def check_perf_gate(baseline: dict, fresh: dict) -> list:
-    """Regressions of the gated metrics vs the checked-in baseline, if any."""
+    """Regressions of the gated metrics vs the checked-in baseline, and an
+    ``absorb`` over the in-run ratio, if any."""
     failures = []
     for section, row, metric in PERF_GATES:
         reference = (baseline or {}).get(section, {}).get(row, {}).get(metric)
@@ -231,6 +258,13 @@ def check_perf_gate(baseline: dict, fresh: dict) -> list:
             failures.append(
                 f"{row} {metric} regressed: {new:.1f}ns > limit {limit:.1f}ns "
                 f"(baseline {reference:.1f}ns)")
+    merges = fresh["merges"]
+    absorb = merges[f"{REPLICA_APPLY} via absorb"]["cost_ns"]
+    merge = merges[f"{REPLICA_APPLY} via merge"]["cost_ns"]
+    if absorb > ABSORB_GATE_RATIO * merge:
+        failures.append(
+            f"{REPLICA_APPLY}: absorb {absorb:.1f}ns > {ABSORB_GATE_RATIO} x "
+            f"merge {merge:.1f}ns")
     return failures
 
 

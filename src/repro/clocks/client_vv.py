@@ -17,13 +17,15 @@ metadata-size experiment (E2).
 A merge makes one pass over the union's vectors.  That pass keeps every
 sibling that alone holds some actor's largest counter
 (:func:`~repro.core.version_vector.undominated`); only the rest are compared
-pairwise.  :func:`distinct_versions` and :func:`version_order` are shared
+pairwise.  A replica folding a write into a state a merge left behind calls
+:meth:`ClientVVMechanism.absorb` instead, which compares only the entries the
+write adds.  :func:`distinct_versions` and :func:`version_order` are shared
 with the per-server variant.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from ..core import serialization
 from ..core.dot import Actor
@@ -47,10 +49,23 @@ def distinct_versions(versions: ClientVVState) -> List[Version]:
     return distinct
 
 
-def version_order(version: Version) -> Tuple[List[Tuple[Actor, int]], Actor, int]:
+def version_order(version: Version) -> Tuple[Tuple[Tuple[Actor, int], ...], Actor, int]:
     """Sort key of a merged sibling list: the clock's entries, then the origin dot."""
     dot = version[1].origin_dot
-    return list(version[0].items()), dot.actor, dot.counter
+    return version[0].sorted_items(), dot.actor, dot.counter
+
+
+def place(versions: Sequence[Version], order) -> int:
+    """Where a version sorting as ``order`` goes in the sorted ``versions``
+    (``bisect`` takes a ``key`` from Python 3.10 on)."""
+    low, high = 0, len(versions)
+    while low < high:
+        middle = (low + high) // 2
+        if version_order(versions[middle]) < order:
+            low = middle + 1
+        else:
+            high = middle
+    return low
 
 
 class ClientVVMechanism(CausalityMechanism[ClientVVState, VersionVector]):
@@ -97,6 +112,59 @@ class ClientVVMechanism(CausalityMechanism[ClientVVState, VersionVector]):
         survivors = undominated(distinct_versions(state_a + state_b))
         survivors.sort(key=version_order)
         return tuple(survivors)
+
+    def absorb(self, stored: ClientVVState, incoming: ClientVVState) -> ClientVVState:
+        """``merge(stored, incoming)`` at a cost set by what ``incoming`` adds.
+
+        ``stored`` is a merge result: distinct, sorted and an antichain.  An
+        incoming entry made of ``stored``'s own objects, or equal to one of
+        its ``(clock, origin dot)`` pairs, is not fresh.  Every dominance
+        pair in the union has a fresh entry on one side, so only fresh
+        entries are compared, each with the union in both directions.  ``x``
+        descends a clock only if ``x[w]`` reaches the clock's own entry for
+        its writer ``w``; that one lookup runs before each full comparison.
+        """
+        held = {id(sibling): clock for clock, sibling in stored}
+        fresh: List[Version] = []
+        orders = set()
+        for version in incoming:
+            if held.get(id(version[1])) is version[0]:
+                continue
+            order = version_order(version)
+            if order in orders:
+                continue
+            at = place(stored, order)
+            if at < len(stored) and version_order(stored[at]) == order:
+                continue
+            orders.add(order)
+            fresh.append(version)
+        added: List[Version] = []
+        beaten = set()      # stored entries some fresh entry dominates
+        for version in fresh:
+            clock = version[0]
+            reach = clock._entries.get     # read directly: this loop is the cost
+            writer = version[1].origin_dot.actor
+            own = reach(writer, 0)
+            for index, (other, sibling) in enumerate(stored):
+                entries = other._entries
+                if entries.get(writer, 0) >= own and other.dominates(clock):
+                    break   # below a stored entry, so above none: an antichain
+                actor = sibling.origin_dot.actor
+                if reach(actor, 0) >= entries.get(actor, 0) and clock.dominates(other):
+                    beaten.add(index)
+            else:
+                if not any(other.get(writer) >= own and other.dominates(clock)
+                           for other, _ in fresh):
+                    added.append(version)
+        # An entry below a dropped fresh one is below a kept one: the top of
+        # a chain above it is undominated and, stored being an antichain,
+        # fresh.  So with nothing added, nothing was beaten either.
+        if not added:
+            return stored
+        kept = [version for index, version in enumerate(stored) if index not in beaten]
+        for version in added:
+            kept.insert(place(kept, version_order(version)), version)
+        return tuple(kept)
 
     # ------------------------------------------------------------------ #
     # Internals

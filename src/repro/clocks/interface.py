@@ -132,6 +132,17 @@ class CausalityMechanism(abc.ABC, Generic[State, Context]):
     def merge(self, state_a: State, state_b: State) -> State:
         """Merge the states of two replicas (anti-entropy / read repair)."""
 
+    def absorb(self, stored: State, incoming: State) -> State:
+        """``merge(stored, incoming)``, where ``stored`` is a merge result.
+
+        ``stored`` must be a value this mechanism's ``merge`` or ``absorb``
+        returned.  The result equals ``merge(stored, incoming)`` in value,
+        order and element identity, for any ``incoming``; a mechanism may
+        override this to spend time only on what ``incoming`` adds, and then
+        returns ``stored`` itself when nothing changed.
+        """
+        return self.merge(stored, incoming)
+
     # ------------------------------------------------------------------ #
     # Metadata accounting
     # ------------------------------------------------------------------ #

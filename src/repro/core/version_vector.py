@@ -43,7 +43,7 @@ class VersionVector:
     over different actor sets compare correctly without padding.
     """
 
-    __slots__ = ("_entries", "_encoded", "_hash")
+    __slots__ = ("_entries", "_encoded", "_hash", "_sorted")
 
     def __init__(self, entries: Optional[Mapping[Actor, int]] = None) -> None:
         clean: Dict[Actor, int] = {}
@@ -60,6 +60,7 @@ class VersionVector:
         _set_attr(self, "_entries", clean)
         _set_attr(self, "_encoded", None)
         _set_attr(self, "_hash", None)
+        _set_attr(self, "_sorted", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(
@@ -118,7 +119,19 @@ class VersionVector:
 
     def items(self) -> Iterator[Tuple[Actor, int]]:
         """Iterate over ``(actor, counter)`` pairs in actor order."""
-        return iter(sorted(self._entries.items()))
+        return iter(self.sorted_items())
+
+    def sorted_items(self) -> Tuple[Tuple[Actor, int], ...]:
+        """The ``(actor, counter)`` pairs in actor order, as a tuple.
+
+        Memoized like ``_hash``: merges sort siblings by their clocks'
+        entries, and the same stored clocks are sorted on every merge.
+        """
+        cached = self._sorted
+        if cached is None:
+            cached = tuple(sorted(self._entries.items()))
+            _set_attr(self, "_sorted", cached)
+        return cached
 
     def __len__(self) -> int:
         return len(self._entries)

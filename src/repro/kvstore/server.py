@@ -14,7 +14,7 @@ reads its digests; the protocol node
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, Dict, List, Optional
 
 from ..clocks.interface import CausalityMechanism, ReadResult, Sibling
 from ..core.exceptions import StaleContextError
@@ -70,6 +70,10 @@ class StorageNode:
         # Set by a clean shutdown, consumed (or voided) by the next restart,
         # wipe or mutation: "the flushed index still matches the disk".
         self._index_clean = False
+        # key → the state object local_merge last stored or kept for it: a
+        # merge result, so the next merge into it may use ``absorb``.  A
+        # state replaced any other way fails the ``is`` check.
+        self._merged: Dict[str, Any] = {}
 
     # ------------------------------------------------------------------ #
     # Replica-local operations
@@ -101,6 +105,7 @@ class StorageNode:
         state = self.storage.get_state(key)
         new_state = self.mechanism.write(state, mechanism_context, sibling, self.node_id)
         self.storage.put_state(key, new_state)
+        self._merged.pop(key, None)
         return new_state
 
     def local_merge(self, key: str, remote_state: Any, reason: str = "merge") -> Any:
@@ -115,15 +120,24 @@ class StorageNode:
         the stored state, or the merge result equals it, the stored state is
         returned as it is (counted in ``merges_unchanged``) and no listener
         hears of it, so the Merkle index has nothing to re-hash.
+
+        When the stored state is the one this method last stored or kept,
+        it is a merge result, and the mechanism's ``absorb`` folds the remote
+        state into it.
         """
         self.stats[MERGE_COUNTERS[reason]] += 1
         self._index_clean = False
         stored = self.storage.get_state(key)
         if remote_state is not stored:
-            merged = self.mechanism.merge(stored, remote_state)
-            if merged != stored:
+            if self._merged.get(key) is stored:
+                merged = self.mechanism.absorb(stored, remote_state)
+            else:
+                merged = self.mechanism.merge(stored, remote_state)
+            if merged is not stored and merged != stored:
                 self.storage.put_state(key, merged)
+                self._merged[key] = merged
                 return merged
+            self._merged[key] = stored
         self.stats["merges_unchanged"] += 1
         return stored
 
@@ -148,6 +162,7 @@ class StorageNode:
         anti-entropy would skip the repopulation it needs.
         """
         self._index_clean = False
+        self._merged.clear()
         if partition is not None:
             self.storage.wipe_vnode(partition)
             return

@@ -17,6 +17,12 @@ are compared on result, order and object identity, on
   within and across both inputs, empty vectors;
 * the named corner cases, spelled out.
 
+``ClientVVMechanism.absorb`` folds a state into a merge result comparing only
+the entries it adds.  It is held to the same reference merge, on the same
+checks, with merge results the random traces reach as the stored side and
+incoming lists drawn from every entry those traces produced, their copies,
+twins, empty vectors and ``stored``'s own objects.
+
 The joins that ``read`` and ``server_vv``'s ``write`` build with
 ``repro.core.version_vector.ceiling`` are checked against the fold of
 ``VersionVector.merge`` they replaced.
@@ -37,6 +43,7 @@ from repro.clocks import (
     Sibling,
     SizeBoundedPruning,
 )
+from repro.clocks.client_vv import version_order
 from repro.core import Dot, VersionVector
 from repro.core.version_vector import ceiling, undominated
 
@@ -141,9 +148,12 @@ MECHANISMS = [
 ]
 
 
-def replay(mechanism, steps) -> None:
+def replay(mechanism, steps) -> Tuple[list, list]:
+    """Run the trace, checking every merge; returns every state it reached
+    and the merge results among them."""
     m = mechanism
     replicas = {server: m.empty_state() for server in SERVERS}
+    reached, merged = [], []
     contexts = [m.empty_context()]      # every context any read ever returned
     sequence = {client: 0 for client in CLIENTS}
     for step in steps:
@@ -159,6 +169,7 @@ def replay(mechanism, steps) -> None:
             sequence[client] += 1
             written = sibling(sum(sequence.values()), client, sequence[client])
             replicas[server] = m.write(state, context, written, server)
+            reached.append(replicas[server])
             if isinstance(m, ServerVVMechanism):
                 minted, _ = replicas[server][-1]
                 assert minted == reference_join(state).merge(context).increment(server)
@@ -166,9 +177,12 @@ def replay(mechanism, steps) -> None:
             _, source, target = step
             assert_merge_matches(m, replicas[source], replicas[target])
             replicas[target] = m.merge(replicas[source], replicas[target])
+            reached.append(replicas[target])
+            merged.append(replicas[target])
     for source in SERVERS:
         for target in SERVERS:
             assert_merge_matches(m, replicas[source], replicas[target])
+    return reached, merged
 
 
 @settings(max_examples=120, deadline=None)
@@ -307,3 +321,83 @@ def test_hash_is_memoized_and_unchanged():
     assert hash(clock) == hash(frozenset({"A": 3, "B": 1}.items()))
     assert clock._hash == hash(clock)
     assert hash(vv(B=1, A=3)) == hash(clock)
+
+
+def test_sorted_entries_are_memoized_and_unchanged():
+    clock = vv(B=1, A=3, C=2)
+    assert clock._sorted is None
+    assert list(clock.items()) == sorted({"A": 3, "B": 1, "C": 2}.items())
+    assert clock.sorted_items() is clock._sorted is clock.sorted_items()
+    assert version_order((clock, sibling(0)))[0] is clock._sorted
+
+
+# --------------------------------------------------------------------------- #
+# absorb: the merge into a merge result, comparing only what is fresh
+# --------------------------------------------------------------------------- #
+ABSORBING = [
+    ClientVVMechanism,
+    lambda: PrunedClientVVMechanism(SizeBoundedPruning(3)),
+]
+
+
+def assert_absorb_matches(mechanism, stored, incoming: Sequence[Entry]):
+    """``absorb`` equals the reference merge, and returns ``stored`` itself
+    when that merge changes nothing; returns the result."""
+    got = mechanism.absorb(stored, tuple(incoming))
+    assert_identical(got, reference_client_vv_merge(stored, tuple(incoming)))
+    if got == stored:
+        assert got is stored
+    return got
+
+
+def incoming_pool(stored, reached) -> List[Entry]:
+    """Entries an incoming state can hold: every entry the trace produced
+    (older and newer than ``stored``'s), ``stored``'s own objects in new
+    tuples, equal copies, twins and empty vectors."""
+    produced = [entry for state in reached for entry in state]
+    pool = produced + [tuple(entry) for entry in stored]
+    for index, (clock, stored_sibling) in enumerate(produced[:6]):
+        pool.append((VersionVector(clock.entries()), stored_sibling))
+        pool.append((clock, Sibling(stored_sibling.value, stored_sibling.origin_dot)))
+        pool.append((clock, sibling(index, "twin", index + 1)))
+    pool.append((VersionVector.empty(), sibling(0, "empty", 1)))
+    pool.append((VersionVector(), sibling(1, "empty", 2)))
+    return pool
+
+
+@settings(max_examples=150, deadline=None)
+@given(make=st.sampled_from(ABSORBING),
+       steps=st.lists(_STEP, min_size=1, max_size=30),
+       data=st.data())
+def test_absorb_equals_merge_on_merge_results_of_traces(make, steps, data):
+    m = make()
+    reached, merged = replay(m, steps)
+    stored = data.draw(st.sampled_from(merged + [m.merge(reached[-1], ())]))
+    for _ in range(2):      # the second round absorbs into absorb's result
+        pool = incoming_pool(stored, reached)
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=16))
+        stored = assert_absorb_matches(m, stored, [pool[pick] for pick in picks])
+
+
+def test_absorb_named_cases():
+    m = ClientVVMechanism()
+    s_a, s_b = (vv(A=1), sibling(0, "A", 1)), (vv(B=2), sibling(1, "B", 2))
+    stored = m.merge((s_b, s_a), ())
+    older = (vv(A=1, C=1), sibling(2, "C", 1))      # above s_a
+    newer = (vv(A=1, C=2), sibling(3, "C", 2))      # above older and s_a
+    below = (vv(B=1), sibling(4, "B", 1))           # below s_b
+    twin = (vv(B=2), sibling(5, "E", 1))            # s_b's clock, other origin
+    empty = (vv(), sibling(6, "D", 1))              # below everything else
+    copy = (vv(B=2), s_b[1])                        # s_b, as equal objects
+    cases = [
+        [older, newer], [newer, older],             # fresh above fresh
+        [older], [below], [twin], [empty], [copy],
+        [twin, twin, copy, copy, tuple(s_a)],       # duplicates and shared
+        [below, empty, older, newer, twin, s_b, s_a],
+        [],
+    ]
+    for incoming in cases:
+        assert_absorb_matches(m, stored, incoming)
+    assert [entry[1] for entry in m.absorb(stored, (older, newer))] == [newer[1], s_b[1]]
+    assert m.absorb(stored, stored) is stored
+    assert m.absorb(stored, (copy, below, empty)) is stored
