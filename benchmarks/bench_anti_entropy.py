@@ -15,7 +15,8 @@ for CI::
     PYTHONPATH=src python benchmarks/bench_anti_entropy.py --smoke
 
 which fails (non-zero exit) if the Merkle-delta protocol stops transferring
-strictly fewer bytes than full-state exchanges would on a mostly-synced store.
+strictly fewer bytes than full-state exchanges would on a mostly-synced store,
+or if rebuilding a wiped replica descends a tree.
 """
 
 from __future__ import annotations
@@ -199,6 +200,32 @@ def handoff_tree_work(keys: int, seed: int = 9) -> dict:
     }
 
 
+def rebuild_exchange(keys: int, seed: int = 9) -> dict:
+    """One exchange restoring a wiped replica of the converged cluster.
+
+    Every range the wiped target holds nothing in travels whole, so the
+    rebuild descends no tree: ``levels_sent`` stays 0 and each key the
+    replica held before the wipe travels once.
+    """
+    cluster = build_diverged_cluster(keys, seed=seed)
+    cluster.converge()
+    victim = cluster.servers["C"].node
+    held = len(victim.storage)
+    victim.wipe()
+    stats = cluster.merkle_stats
+    levels_before, transferred_before = stats.levels_sent, stats.keys_transferred
+    bytes_before = cluster.sync_bytes()
+    cluster.start_exchange("A", "C")
+    cluster.simulation.run_until_idle()
+    return {
+        "keys_held": held,
+        "levels_sent": stats.levels_sent - levels_before,
+        "keys_transferred": stats.keys_transferred - transferred_before,
+        "sync_bytes": cluster.sync_bytes() - bytes_before,
+        "converged": cluster.is_converged(),
+    }
+
+
 def per_range_exchange_stats(keys: int, seed: int = 9) -> dict:
     """Range-comparison counters one convergence costs with per-vnode trees."""
     cluster = build_diverged_cluster(keys, seed=seed)
@@ -285,7 +312,7 @@ def test_report_per_range_exchange(publish):
     """Per-vnode series: range comparisons confine descents to dirty ranges."""
     sweep = {keys: per_range_exchange_stats(keys) for keys in CLUSTER_KEY_COUNTS}
     table = render_table(
-        ["keys", "ranges compared", "ranges descended", "keys transferred", "rounds"],
+        ["keys", "ranges compared", "ranges differing", "keys transferred", "rounds"],
         [[keys, stats["partitions_compared"], stats["partitions_differing"],
           stats["keys_transferred"], stats["rounds"]]
          for keys, stats in sweep.items()],
@@ -297,6 +324,23 @@ def test_report_per_range_exchange(publish):
         # only divergent ranges are descended, and there is always at least
         # one (the divergence exists) but never all of them (90% is synced)
         assert 0 < stats["partitions_differing"] < stats["partitions_compared"]
+
+
+def test_report_rebuild_exchange(publish):
+    """Rebuild series: a wiped replica is restored without a tree descent."""
+    sweep = {keys: rebuild_exchange(keys) for keys in CLUSTER_KEY_COUNTS}
+    table = render_table(
+        ["keys", "keys held", "levels sent", "keys transferred", "sync bytes"],
+        [[keys, stats["keys_held"], stats["levels_sent"],
+          stats["keys_transferred"], stats["sync_bytes"]]
+         for keys, stats in sweep.items()],
+        title="Simulated cluster — one exchange rebuilding a wiped replica",
+    )
+    publish("cluster_rebuild_exchange", table)
+    for keys, stats in sweep.items():
+        assert stats["converged"]
+        assert stats["levels_sent"] == 0
+        assert stats["keys_transferred"] == stats["keys_held"] > 0
 
 
 def test_report_handoff_tree_work(publish):
@@ -375,14 +419,16 @@ def run_smoke(keys: int = 60,
               results_path: str = "BENCH_anti_entropy.json") -> int:
     """Quick regression gate for CI.
 
-    Four checks: (1) merkle-delta anti-entropy must transfer fewer bytes
-    than full-state exchanges would have in the same run; (2) on a large
-    keyspace, the incremental Merkle index must do less hash-tree work per
-    convergence than building both sides' trees from scratch per exchange
-    would; (3) a whole-vnode join handoff must import the
-    sender's maintained fingerprints instead of re-hashing the moved states
-    (O(1) fresh fingerprints, not O(keys moved)); (4) under a partition,
-    sloppy quorums must complete writes that strict quorums fail, and still converge after healing.  The measured numbers are
+    Five checks: (1) merkle-delta anti-entropy must transfer fewer bytes
+    than full-state exchanges would have in the same run; (2) one exchange
+    must rebuild a wiped replica with no tree descent, shipping each key it
+    held once; (3) on a large keyspace, the incremental Merkle index must do
+    less hash-tree work per convergence than building both sides' trees
+    from scratch per exchange would; (4) a whole-vnode join handoff must
+    import the sender's maintained fingerprints instead of re-hashing the
+    moved states (O(1) fresh fingerprints, not O(keys moved)); (5) under a
+    partition, sloppy quorums must complete writes that strict quorums
+    fail, and still converge after healing.  The measured numbers are
     written to ``results_path`` as JSON for CI artifacts.
     """
     results: dict = {"keys": keys}
@@ -407,6 +453,30 @@ def run_smoke(keys: int = 60,
     results["sync_bytes"] = {"full": full_bytes, "merkle": merkle_bytes,
                              "full_rounds": rounds, "merkle_rounds": rounds}
     results["per_range_exchange"] = per_range_exchange_stats(keys)
+
+    # Rebuild: a range the target holds nothing in travels without a descent.
+    rebuild = rebuild_exchange(keys)
+    print(render_table(
+        ["keys held", "levels sent", "keys transferred", "sync bytes", "converged"],
+        [[rebuild["keys_held"], rebuild["levels_sent"],
+          rebuild["keys_transferred"], rebuild["sync_bytes"], rebuild["converged"]]],
+        title=f"Rebuild smoke (one exchange restores a wiped replica, {keys} keys)",
+    ))
+    if not rebuild["converged"]:
+        print("FAIL: one exchange did not rebuild the wiped replica", file=sys.stderr)
+        return 1
+    if rebuild["levels_sent"] != 0:
+        print("FAIL: the rebuild descended a tree the target holds nothing in "
+              f"({rebuild['levels_sent']} levels sent)", file=sys.stderr)
+        return 1
+    if rebuild["keys_transferred"] != rebuild["keys_held"]:
+        print("FAIL: the rebuild did not ship each held key once "
+              f"({rebuild['keys_transferred']} transferred, "
+              f"{rebuild['keys_held']} held)", file=sys.stderr)
+        return 1
+    print(f"OK: rebuild shipped {rebuild['keys_transferred']} keys in "
+          f"{rebuild['sync_bytes']} sync bytes with no tree descent")
+    results["rebuild"] = rebuild
 
     # Incremental hash-tree maintenance: a large keyspace so the O(keys)
     # rebuild cost is unmistakable against the O(divergence) index cost.

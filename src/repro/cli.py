@@ -215,6 +215,7 @@ def cmd_churn(args: argparse.Namespace) -> int:
         ["hints stored", stats.get("hints_stored", 0)],
         ["hint replays", stats.get("hint_replays", 0)],
         ["merkle key syncs", stats.get("merkle_syncs", 0)],
+        ["ranges shipped whole", report.cluster.merkle_stats.ranges_shipped_whole],
         ["rebalance handoffs", stats.get("handoffs", 0)],
         ["ordinary merges", stats.get("merges", 0)],
         ["sync bytes on the wire", report.sync_bytes],
@@ -293,6 +294,7 @@ def _cluster_table(args: argparse.Namespace, cluster, duration_ms: float,
             ["vnode partitions", args.partitions],
             ["partitions compared", cluster.merkle_stats.partitions_compared],
             ["partitions differing", cluster.merkle_stats.partitions_differing],
+            ["ranges shipped whole", cluster.merkle_stats.ranges_shipped_whole],
         ] + list(extra_rows) + audit_rows,
         title=title,
     )

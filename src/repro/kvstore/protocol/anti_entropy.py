@@ -3,11 +3,22 @@
 One :class:`AntiEntropyEngine` per node runs the Merkle-delta protocol over
 effects — the per-vnode hashtree exchange Riak uses: one
 ``MERKLE_PARTITION_DIGESTS`` / ``MERKLE_PARTITION_DIFF`` round trip compares
-per-range roots, then each differing range's tree is descended level by
-level (``MERKLE_SYNC_REQUEST`` / ``MERKLE_SYNC_RESPONSE``) down to leaf
-fingerprints, and finally only the divergent keys' states travel, batched
-into ``MERKLE_KEY_STATES`` messages.  The same engine pushes rebalancing
-handoffs (``KEY_HANDOFF``).
+per-range roots, then each range both sides hold keys in and whose roots
+differ is descended level by level (``MERKLE_SYNC_REQUEST`` /
+``MERKLE_SYNC_RESPONSE``) down to leaf fingerprints, and finally only the
+divergent keys' states travel, batched into ``MERKLE_KEY_STATES`` messages.
+The same engine pushes rebalancing handoffs (``KEY_HANDOFF``).
+
+**Ranges held by one side only** are not descended: every key in them
+diverges, which is what an empty tree already says.  The diff names the
+differing ranges the target holds nothing in (``empty``) and the source
+ships those ranges whole; for a differing range the source did not
+advertise, the target pushes its keys in the same handler that compares the
+roots.  A wiped replica is thus rebuilt in three message legs.  Both pushes
+ask for no reply: at comparison time the side that held nothing had nothing
+the other lacked, and whatever reaches it later arrives by replication or
+shows up at the next exchange — the paper's invariant is carried by
+``mechanism.merge`` in ``local_merge``, not by which keys travel.
 
 Every digest and fingerprint is read from the node's write-maintained
 :class:`~repro.kvstore.merkle_index.VnodeIndexSet` when the message that
@@ -22,8 +33,8 @@ key healed while the descent was in flight is simply not shipped.
 the sender lacks: a wanted key whose merged sibling set equals the set it
 just received is dropped from the reply.
 
-Differing ranges are descended **concurrently**: `on_merkle_partition_diff`
-opens every differing range at once and each descends independently (their
+Shared ranges are descended **concurrently**: `on_merkle_partition_diff`
+opens every range it descends at once and each descends independently (their
 level messages interleave in flight), with an :class:`AntiEntropySession`
 tracking the open set until the last range finishes.  The high-water mark of
 simultaneously open range descents is recorded in
@@ -69,7 +80,9 @@ class MerkleSyncStats:
     #: protocol's waste ratio.
     keys_unchanged: int = 0
     partitions_compared: int = 0    # per-range root comparisons performed
-    partitions_differing: int = 0   # ranges whose roots differed (descended)
+    partitions_differing: int = 0   # ranges whose roots differed
+    #: Differing ranges one side held no keys in, shipped without a descent.
+    ranges_shipped_whole: int = 0
     #: High-water mark of simultaneously open range descents on any source
     #: node — evidence that differing ranges sync as parallel sessions.
     max_concurrent_ranges: int = 0
@@ -81,9 +94,12 @@ class AntiEntropySession:
 
     Differing ranges descend independently; the session tracks which are
     still open and completes when the last one finishes its descent.
+    ``advertised`` is the set of ranges the opening message carried a root
+    for: the target decides which ranges it pushes from the same set.
     """
 
     peer_id: str
+    advertised: frozenset
     open_partitions: set = field(default_factory=set)
 
 
@@ -131,8 +147,6 @@ class AntiEntropyEngine:
             for session_id, session in self.sessions.items()
             if session.peer_id != peer_id
         }
-        session_id = next(self._session_ids)
-        self.sessions[session_id] = AntiEntropySession(peer_id)
         env.merkle_stats.exchanges_started += 1
 
         # Advertise non-empty ranges only (absent ranges hash to the
@@ -143,6 +157,8 @@ class AntiEntropyEngine:
             for partition_id in index.partition_ids()
             if index.index_for(partition_id).key_count
         }
+        session_id = next(self._session_ids)
+        self.sessions[session_id] = AntiEntropySession(peer_id, frozenset(roots))
         node.emit(Send(Message(
             sender=node.node_id,
             receiver=peer_id,
@@ -153,7 +169,12 @@ class AntiEntropyEngine:
         )))
 
     def on_merkle_partition_digests(self, message: Message) -> None:
-        """Target side: compare per-range roots, name the differing ranges."""
+        """Target side: compare per-range roots, name the differing ranges.
+
+        ``empty`` names the differing ranges this node holds no keys in, so
+        the source ships them without a descent; a differing range the
+        source advertised no root for is pushed from here at once.
+        """
         node = self._node
         session_id = message.payload["session"]
         roots = message.payload["roots"]
@@ -167,6 +188,8 @@ class AntiEntropyEngine:
         differing = [partition_id for partition_id in compared
                      if index.partition_root(partition_id)
                      != roots.get(partition_id, empty_root)]
+        empty = [partition_id for partition_id in differing
+                 if not index.index_for(partition_id).key_count]
         stats.partitions_compared += len(compared)
         stats.partitions_differing += len(differing)
 
@@ -174,16 +197,23 @@ class AntiEntropyEngine:
             sender=node.node_id,
             receiver=message.sender,
             msg_type=MessageType.MERKLE_PARTITION_DIFF,
-            payload={"session": session_id, "differing": differing},
-            size_bytes=len(differing) + REQUEST_OVERHEAD_BYTES,
+            payload={"session": session_id, "differing": differing,
+                     "empty": empty},
+            size_bytes=len(differing) + len(empty) + REQUEST_OVERHEAD_BYTES,
         )))
+        for partition_id in differing:
+            if partition_id not in roots:
+                self._ship_range_whole(message.sender, partition_id)
 
     def on_merkle_partition_diff(self, message: Message) -> None:
-        """Source side: descend each differing range; finish if none differ.
+        """Source side: ship ranges the peer lacks, descend the shared ones.
 
-        Every differing range is opened *at once* — their level-by-level
+        A differing range the peer holds nothing in travels whole; one this
+        node advertised no root for was pushed by the peer already.  Every
+        other differing range is opened *at once* — their level-by-level
         descents proceed as parallel sessions whose messages interleave on
         the wire, rather than one range waiting for the previous to finish.
+        The session ends here if nothing is left to descend.
         """
         session_id = message.payload["session"]
         session = self.sessions.get(session_id)
@@ -194,12 +224,20 @@ class AntiEntropyEngine:
             self.sessions.pop(session_id, None)
             self._node.env.merkle_stats.exchanges_clean += 1
             return
-        session.open_partitions.update(differing)
+        empty = message.payload["empty"]
+        for partition_id in empty:
+            self._ship_range_whole(session.peer_id, partition_id)
+        descend = [partition_id for partition_id in differing
+                   if partition_id in session.advertised
+                   and partition_id not in empty]
+        if not descend:
+            self.sessions.pop(session_id, None)
+            return
+        session.open_partitions.update(descend)
         self._note_range_concurrency()
         # The roots already differ (that is what the peer told us), so the
-        # descent of each range starts at its children.  A range the peer
-        # holds keys in and we do not reads as the empty tree here.
-        for partition_id in differing:
+        # descent of each range starts at its children.
+        for partition_id in descend:
             self._send_merkle_level(
                 session_id, session.peer_id, 1,
                 self._range_index(partition_id).child_digests(()),
@@ -297,6 +335,13 @@ class AntiEntropyEngine:
         self._finish_merkle_partition(session_id, session, partition)
         self._send_merkle_key_states(peer_id, sorted(divergent))
 
+    def _ship_range_whole(self, peer_id: str, partition: int) -> None:
+        """Push every key of a range the peer holds nothing in, unasked."""
+        self._node.env.merkle_stats.ranges_shipped_whole += 1
+        self._send_merkle_key_states(
+            peer_id, self._node.store.merkle_index.index_for(partition).keys(),
+            want_reply=False)
+
     def _send_merkle_key_states(self, peer_id: str, keys: Sequence[str],
                                 want_reply: bool = True) -> None:
         """Ship states for the divergent keys, batched to amortise latency."""
@@ -324,9 +369,10 @@ class AntiEntropyEngine:
 
         A wanted key goes back unless the merged sibling set equals the set
         just received — then the sender already holds everything this node
-        does.  That one rule covers a receiver that had nothing (a rebuild)
-        and one that was merely behind; a key the sender lacks, or one whose
-        merge kept a sibling the sender has not seen, still returns.
+        does; a key the sender lacks, or one whose merge kept a sibling the
+        sender has not seen, still returns.  A range shipped whole wants
+        nothing back: the receiver held no keys in it when the roots were
+        compared.
 
         Equal states hold equal sibling sets, so state identity and equality
         decide the common cases: a merge that returned the stored state left

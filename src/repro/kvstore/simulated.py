@@ -51,14 +51,18 @@ compares ranges, not the whole keyspace:
    ``MERKLE_PARTITION_DIGESTS`` message;
 2. the target compares range by range (absent ranges hash to the well-known
    empty root) and names the differing ranges in a
-   ``MERKLE_PARTITION_DIFF`` reply — on a synced pair the exchange ends
-   here, two messages total;
-3. each differing range's tree is walked level by level
+   ``MERKLE_PARTITION_DIFF`` reply, marking those it holds no keys in as
+   ``empty`` — on a synced pair the exchange ends here, two messages total;
+   a differing range the source advertised no root for, the target pushes
+   whole at once;
+3. the source ships each ``empty`` range whole, unasked; the tree of each
+   range both sides hold is walked level by level
    (``MERKLE_SYNC_REQUEST`` / ``MERKLE_SYNC_RESPONSE``), the source shipping
    child digests of differing paths until the leaf-bucket level, where the
    target's response also carries the per-key fingerprints of the differing
-   buckets — differing ranges descend **concurrently**, as parallel
-   sessions whose messages interleave in flight;
+   buckets — these ranges descend **concurrently**, as parallel sessions
+   whose messages interleave in flight.  A wiped replica is thus rebuilt
+   with no descent at all;
 4. the source computes the exact divergent key set from the fingerprints and
    ships only those keys' states, batched ``SYNC_BATCH_SIZE`` keys per
    ``MERKLE_KEY_STATES`` message to amortise per-message latency; the target

@@ -35,7 +35,8 @@ class MessageType(enum.Enum):
 
     # Replica <-> replica anti-entropy: the Merkle-delta hashtree exchange
     # opens with a partition-root comparison (PARTITION_DIGESTS /
-    # PARTITION_DIFF), then descends each differing range level by level.
+    # PARTITION_DIFF), ships a differing range whole when one side holds
+    # nothing in it, and descends each other differing range level by level.
     MERKLE_PARTITION_DIGESTS = "merkle_partition_digests"
     MERKLE_PARTITION_DIFF = "merkle_partition_diff"
     MERKLE_SYNC_REQUEST = "merkle_sync_request"

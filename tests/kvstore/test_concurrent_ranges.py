@@ -6,11 +6,16 @@ after another — their level messages interleave in flight.  The
 ``MerkleSyncStats.max_concurrent_ranges`` high-water mark is the observable
 evidence, asserted here against both transports: the deterministic
 simulator and the asyncio backend over real unix sockets.
+
+Only ranges both sides hold keys in are descended (a range one side holds
+nothing in travels whole), so the peer holds one key of its own in every
+range before the exchange.
 """
 
 from __future__ import annotations
 
 import asyncio
+import itertools
 
 from repro.clocks import DVVMechanism, create
 from repro.cluster import QuorumConfig
@@ -31,6 +36,21 @@ def diverge(node, keys=DIVERGENT_KEYS) -> None:
         node.local_write(key, None, sibling)
 
 
+def hold_every_range(node) -> None:
+    """Give ``node`` one key of its own in every vnode range."""
+    client = ClientSession("peer-writer")
+    store = node.storage
+    missing = set(range(store.partition_count))
+    for index in itertools.count():
+        key = f"peer-{index}"
+        partition = store.partition_of(key)
+        if partition in missing:
+            missing.discard(partition)
+            node.local_write(key, None, client.prepare_write(key, "peer"))
+            if not missing:
+                return
+
+
 def test_simulator_descends_differing_ranges_concurrently():
     cluster = SimulatedCluster(
         DVVMechanism(),
@@ -41,6 +61,7 @@ def test_simulator_descends_differing_ranges_concurrently():
         seed=3,
     )
     diverge(cluster.servers["A"].node)
+    hold_every_range(cluster.servers["B"].node)
     assert cluster.merkle_stats.max_concurrent_ranges == 0
 
     cluster.servers["A"].start_merkle_sync_with("B")
@@ -67,6 +88,7 @@ def test_asyncio_backend_descends_differing_ranges_concurrently():
         )
         async with cluster:
             diverge(cluster.servers["A"].node)
+            hold_every_range(cluster.servers["B"].node)
             assert cluster.merkle_stats.max_concurrent_ranges == 0
 
             cluster.servers["A"].start_merkle_sync_with("B")

@@ -421,8 +421,10 @@ class TestMerkleAntiEntropyProtocol:
     @pytest.mark.parametrize("divergence", sorted(DIVERGENCES))
     def test_exchange_ships_exactly_the_divergent_keys(self, divergence):
         """The keys the source names in its MERKLE_KEY_STATES (states it
-        sends plus keys it asks back) are exactly what the from-scratch
-        reference diff of the two replicas says differs — each key once."""
+        sends plus keys it asks back), together with the keys the target
+        pushes unasked from ranges the source advertised no root for, are
+        exactly what the from-scratch reference diff of the two replicas
+        says differs — each key once."""
         cluster = diverged_cluster(divergence)
         expected = reference_diff(cluster)
         assert expected
@@ -430,11 +432,18 @@ class TestMerkleAntiEntropyProtocol:
         cluster.transport.trace_enabled = True
         cluster.start_exchange("n1", "n2")
         cluster.simulation.run_until_idle()
+        (digests,) = [message for message in cluster.transport.trace
+                      if message.msg_type is MessageType.MERKLE_PARTITION_DIGESTS]
+        advertised = set(digests.payload["roots"])
         named = []
         for message in cluster.transport.trace:
-            if (message.sender == "n1"
-                    and message.msg_type is MessageType.MERKLE_KEY_STATES):
+            if message.msg_type is not MessageType.MERKLE_KEY_STATES:
+                continue
+            if message.sender == "n1":
                 named.extend(set(message.payload["states"]) | set(message.payload["want"]))
+            else:
+                named.extend(key for key in message.payload["states"]
+                             if cluster.partition_map.partition_of(key) not in advertised)
         assert sorted(named) == sorted(expected)
 
     @pytest.mark.parametrize("divergence", sorted(DIVERGENCES))

@@ -127,6 +127,35 @@ class TestSnapshotSchema:
             for node in SERVER_IDS:
                 assert f"node.{node}.merges_unchanged" in snap
 
+    def test_ranges_shipped_whole_is_reported_by_both_backends(self):
+        """A wiped replica is rebuilt without a descent on either backend."""
+        sim = run_simulated_workload()
+        sim.servers["C"].node.wipe()
+        before = sim.metrics_snapshot()
+        sim.servers["A"].start_merkle_sync_with("C")
+        sim.drain()
+
+        async def rebuild():
+            cluster = AsyncioCluster(
+                create("dvv"), server_ids=SERVER_IDS,
+                quorum=QuorumConfig(n=3, r=2, w=2, sloppy=True),
+                anti_entropy_interval_ms=None, hint_replay_interval_ms=None)
+            async with cluster:
+                client = await cluster.client("c1")
+                for index in range(6):
+                    await client.put(f"k{index}", f"v{index}")
+                cluster.servers["C"].node.wipe()
+                start = cluster.metrics_snapshot()
+                cluster.servers["A"].start_merkle_sync_with("C")
+                await cluster.converge(timeout_s=10.0)
+            return start, cluster.metrics_snapshot()
+
+        real_before, real_after = asyncio.run(rebuild())
+        for start, end in ((before, sim.metrics_snapshot()),
+                           (real_before, real_after)):
+            assert end["merkle.ranges_shipped_whole"] > start["merkle.ranges_shipped_whole"]
+            assert end["merkle.levels_sent"] == start["merkle.levels_sent"]
+
     def test_read_hedge_counters_are_reported_by_both_backends(self):
         """Zero on a healthy run; the golden scenario's crash makes reads hedge."""
         sim = run_simulated_workload().metrics_snapshot()

@@ -52,6 +52,35 @@ key no longer reaches the index, so ``stat_totals.keys_hashed`` fell again:
 ``stat_totals.merges_unchanged`` counts those no-op merges (17 or 24 of 100;
 73 of 136).  No other field moved.
 
+All three simulated fixtures (these two and ``golden_churn_reports.json``)
+were **re-captured again** by the change that ships a differing range whole
+when one side holds nothing in it, and descends only ranges both sides
+hold.  That change exists to send fewer exchange messages.  In each
+``:async`` scenario only ``TRAFFIC_FIELDS`` moved: ``merkle.levels_sent``
+15 → 13, ``transport_sent`` 394 → 390, ``transport_delivered`` 382 → 378,
+``sync_bytes`` down 10 % (13623 → 12288 under ``causal_history``),
+``bytes_delivered``, ``events`` 483 → 479, ``now``, ``latency_sum`` down
+(172.08 → 170.73 under ``causal_history``), and ``stat_totals.keys_hashed``
+and ``buckets_rehashed`` down by one each.  In both multi-DC runs
+``merkle.levels_sent`` fell 69 → 57, ``transport_sent`` 743 → 721 and
+``sync_bytes`` 15 %, with ``deadlines_set``, ``merges``, ``merges_unchanged``,
+``events``, ``now`` and ``latency_sum`` (down) moving with them; two
+``OUTCOME_FIELDS`` moved too, ``stat_totals.hints_stored`` 20 → 24 and
+``stat_totals.writes`` 38 → 39, because fewer messages draw the one seeded
+RNG differently (the precedent above).  The scenario's request mix draws
+from it too: the run still completes 91 requests, all ok, but one of them
+is now a PUT instead of a GET (``coordinate_put`` 42 → 43), and the re-timed
+replica puts (96 → 102) reach a fallback four more times.  In the
+churn fixture ``sync_bytes`` fell 9–53 % in nine of eleven runs
+(``flappy_replica`` and ``flappy_replica:seed=31`` did not move), with
+``transport_sent``, ``events_processed``, ``now`` and the ``stats`` totals
+moving with it; in the two ``soak`` runs the shifted draws also moved
+``requests_completed`` (196 → 200, 69 → 71), ``final_values`` and
+``sibling_series``.  The re-capture was refused unless every scenario
+stayed converged with no lost update or false concurrency, none failed more
+or completed fewer requests, ``latency_sum`` did not rise, and neither
+``transport_sent`` nor ``sync_bytes`` rose.
+
 The scenario is deliberately eventful: four servers, three clients, a mixed
 workload, one node failing mid-run and recovering later — so it exercises
 quorum coordination, deadlines and failover, sloppy quorums with hinted

@@ -523,6 +523,19 @@ def key_states_to(messages, receiver_id):
             and m.receiver == receiver_id]
 
 
+def one_key_per_range(node, prefix, ranges=None):
+    """One fresh key name in each of ``ranges`` (default: every range)."""
+    storage = node.store.storage
+    wanted = set(range(storage.partition_count) if ranges is None else ranges)
+    keys = {}
+    index = 0
+    while wanted - keys.keys():
+        key = f"{prefix}-{index}"
+        keys.setdefault(storage.partition_of(key), key)
+        index += 1
+    return [keys[partition] for partition in sorted(wanted)]
+
+
 def test_empty_receiver_mails_nothing_back():
     env, donor, victim = merkle_pair()
     writer = ClientSession("w")
@@ -571,15 +584,17 @@ def test_concurrent_siblings_on_both_sides_return_merged():
 
 
 def test_key_only_the_receiver_holds_still_returns():
+    """The source advertised no root for the key's range, so the holder
+    pushes it in one message, unasked, and wants nothing back."""
     env, source, holder = merkle_pair()
     write(holder, ClientSession("w"), "cart", "beer")
 
     messages = run_exchange(source, holder)
 
-    (request,) = key_states_to(messages, holder.node_id)
-    assert request.payload == {"states": {}, "want": ["cart"]}
-    (reply,) = key_states_to(messages, source.node_id)
-    assert list(reply.payload["states"]) == ["cart"]
+    assert key_states_to(messages, holder.node_id) == []
+    (push,) = key_states_to(messages, source.node_id)
+    assert list(push.payload["states"]) == ["cart"]
+    assert push.payload["want"] == []
     assert source.store.values_of("cart") == ["beer"]
     assert env.merkle_stats.keys_transferred == 1
 
@@ -604,6 +619,10 @@ def test_stale_range_response_after_its_descent_finished_is_dropped():
     writer = ClientSession("w")
     for index in range(40):                 # several ranges differ
         write(donor, writer, f"key-{index}", "v")
+    # The victim holds a key of its own in every range, so each is descended.
+    victim_keys = one_key_per_range(victim, "victim")
+    for key in victim_keys:
+        write(victim, writer, key, "v")
     queue = sends(donor.start_merkle_sync_with("B", now=0.0))
     nodes = {"A": donor, "B": victim}
     replayed = False
@@ -617,4 +636,135 @@ def test_stale_range_response_after_its_descent_finished_is_dropped():
             assert sends(donor.on_message(message, now=0.0)) == []
             replayed = True
     assert replayed
-    assert env.merkle_stats.keys_transferred == 40
+    assert env.merkle_stats.keys_transferred == 40 + len(victim_keys)
+
+
+# --------------------------------------------------------------------------- #
+# Merkle exchange: a range one side holds nothing in travels whole
+# --------------------------------------------------------------------------- #
+def of_type(messages, msg_type):
+    return [m for m in messages if m.msg_type is msg_type]
+
+
+def shipped_keys(messages, receiver_id):
+    return [key for m in key_states_to(messages, receiver_id)
+            for key in m.payload["states"]]
+
+
+def test_range_the_target_lacks_ships_whole_without_a_descent():
+    env, donor, victim = merkle_pair()
+    writer = ClientSession("w")
+    keys = [f"key-{index}" for index in range(40)]
+    for key in keys:
+        write(donor, writer, key, "v")
+    ranges = {donor.store.storage.partition_of(key) for key in keys}
+
+    messages = run_exchange(donor, victim)
+
+    assert of_type(messages, MessageType.MERKLE_SYNC_REQUEST) == []
+    assert of_type(messages, MessageType.MERKLE_SYNC_RESPONSE) == []
+    (diff,) = of_type(messages, MessageType.MERKLE_PARTITION_DIFF)
+    assert diff.payload["empty"] == diff.payload["differing"] == sorted(ranges)
+    assert diff.size_bytes == 2 * len(ranges) + REQUEST_OVERHEAD_BYTES
+    assert sorted(shipped_keys(messages, victim.node_id)) == sorted(keys)
+    assert all(m.payload["want"] == []
+               for m in key_states_to(messages, victim.node_id))
+    assert env.merkle_stats.levels_sent == 0
+    assert env.merkle_stats.ranges_shipped_whole == len(ranges)
+    assert env.merkle_stats.partitions_differing == len(ranges)
+    assert donor.anti_entropy.sessions == {}
+
+
+def test_range_the_source_did_not_advertise_is_pushed_by_the_target():
+    env, source, holder = merkle_pair()
+    writer = ClientSession("w")
+    keys = [f"key-{index}" for index in range(40)]
+    for key in keys:
+        write(holder, writer, key, "v")
+    ranges = {holder.store.storage.partition_of(key) for key in keys}
+
+    messages = run_exchange(source, holder)
+
+    (digests,) = of_type(messages, MessageType.MERKLE_PARTITION_DIGESTS)
+    assert digests.payload["roots"] == {}
+    (diff,) = of_type(messages, MessageType.MERKLE_PARTITION_DIFF)
+    assert diff.payload["differing"] == sorted(ranges)
+    assert diff.payload["empty"] == []
+    # the source opens no descent: no level message, no open range
+    assert of_type(messages, MessageType.MERKLE_SYNC_REQUEST) == []
+    assert env.merkle_stats.max_concurrent_ranges == 0
+    assert source.anti_entropy.sessions == {}
+    assert key_states_to(messages, holder.node_id) == []
+    assert sorted(shipped_keys(messages, source.node_id)) == sorted(keys)
+    assert all(m.payload["want"] == []
+               for m in key_states_to(messages, source.node_id))
+    assert env.merkle_stats.ranges_shipped_whole == len(ranges)
+    assert all(source.store.values_of(key) == ["v"] for key in keys)
+
+
+def test_mixed_exchange_descends_only_the_ranges_both_sides_hold():
+    env, left, right = merkle_pair()
+    shared = [0, 1]
+    left_only, right_only = [2, 3, 4], [5, 6]
+    writer = ClientSession("w")
+    for key in one_key_per_range(left, "left", shared + left_only):
+        write(left, writer, key, "l")
+    for key in one_key_per_range(right, "right", shared + right_only):
+        write(right, writer, key, "r")
+
+    messages = run_exchange(left, right)
+
+    (diff,) = of_type(messages, MessageType.MERKLE_PARTITION_DIFF)
+    assert diff.payload["differing"] == sorted(shared + left_only + right_only)
+    assert diff.payload["empty"] == left_only
+    descended = {m.payload["partition"]
+                 for m in of_type(messages, MessageType.MERKLE_SYNC_REQUEST)}
+    assert descended == set(shared)
+    assert env.merkle_stats.max_concurrent_ranges == len(shared)
+    assert env.merkle_stats.ranges_shipped_whole == len(left_only) + len(right_only)
+    assert left.anti_entropy.sessions == {}
+    assert sorted(left.store.storage.keys()) == sorted(right.store.storage.keys())
+    assert left.store.merkle_index.root_digest == right.store.merkle_index.root_digest
+
+
+def test_converged_pair_still_counts_one_clean_exchange():
+    env, left, right = merkle_pair()
+    writer = ClientSession("w")
+    for index in range(10):
+        write(left, writer, f"key-{index}", "v")
+    run_exchange(left, right)                     # a rebuild is not clean
+    assert env.merkle_stats.exchanges_clean == 0
+
+    messages = run_exchange(left, right)
+
+    assert [m.msg_type for m in messages] == [
+        MessageType.MERKLE_PARTITION_DIGESTS, MessageType.MERKLE_PARTITION_DIFF]
+    assert env.merkle_stats.exchanges_clean == 1
+    assert env.merkle_stats.exchanges_started == 2
+
+
+def test_write_racing_a_whole_range_push_keeps_both_siblings():
+    """The target takes a client write in a range it held nothing in while
+    the source's push is in flight: the push merges beside it, and the next
+    exchange hands the source the sibling it missed."""
+    env, donor, victim = merkle_pair()
+    write(donor, ClientSession("w1"), "cart", "beer")
+    nodes = {"A": donor, "B": victim}
+    queue = sends(donor.start_merkle_sync_with("B", now=0.0))
+    while queue and queue[0].msg_type is not MessageType.MERKLE_KEY_STATES:
+        message = queue.pop(0)
+        queue.extend(sends(nodes[message.receiver].on_message(message, now=0.0)))
+    (push,) = queue
+    assert push.payload["want"] == []
+    write(victim, ClientSession("w2"), "cart", "wine")   # before the push lands
+
+    assert sends(victim.on_message(push, now=0.0)) == []
+    assert sorted(victim.store.values_of("cart")) == ["beer", "wine"]
+    assert donor.store.values_of("cart") == ["beer"]
+
+    run_exchange(donor, victim)
+
+    for node in (donor, victim):
+        assert sorted(node.store.values_of("cart")) == ["beer", "wine"]
+    assert run_exchange(victim, donor)[-1].msg_type is MessageType.MERKLE_PARTITION_DIFF
+    assert env.merkle_stats.exchanges_clean == 1
