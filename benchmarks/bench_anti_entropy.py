@@ -152,8 +152,8 @@ def cluster_tree_work(keys: int, seed: int = 9):
     only re-hashes what the convergence merges actually dirtied —
     O(divergent buckets).  ``"rebuild"`` is the reference it is gated
     against, computed here: for every exchange that same run started, the
-    keys ``MerkleTree.for_node`` would fingerprint to build both sides' trees
-    from scratch — O(total keys) per exchange.
+    keys a from-scratch tree would fingerprint to build both sides' trees
+    — O(total keys) per exchange.
     """
     cluster = build_diverged_cluster(keys, seed=seed)
     rebuild = dict.fromkeys(TREE_WORK_STATS, 0)

@@ -4,7 +4,7 @@ from .correctness import (CorrectnessReport, KeyCorrectness, check_cluster,
                           check_key, check_store)
 from .latency import LatencyReport, analyze_requests
 from .metadata import MetadataReport, compare_reports, measure_simulated_cluster, measure_sync_store
-from .report import format_cell, print_table, render_kv, render_table
+from .report import format_cell, render_table
 from .stats import Summary, percentile, ratio, speedup, summarize
 
 __all__ = [
@@ -22,9 +22,7 @@ __all__ = [
     "measure_simulated_cluster",
     "measure_sync_store",
     "percentile",
-    "print_table",
     "ratio",
-    "render_kv",
     "render_table",
     "speedup",
     "summarize",

@@ -56,15 +56,3 @@ def render_table(headers: Sequence[str],
         lines.append(format_row(row))
     return "\n".join(lines)
 
-
-def render_kv(pairs: Sequence[Sequence[Any]], title: Optional[str] = None) -> str:
-    """Render a two-column key/value block (used by the examples)."""
-    return render_table(["metric", "value"], pairs, title=title)
-
-
-def print_table(headers: Sequence[str],
-                rows: Iterable[Sequence[Any]],
-                title: Optional[str] = None,
-                float_digits: int = 2) -> None:
-    """Convenience wrapper printing :func:`render_table` output."""
-    print(render_table(headers, rows, title=title, float_digits=float_digits))

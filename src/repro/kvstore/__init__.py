@@ -31,8 +31,13 @@ from .asyncio_cluster import AsyncClusterClient, AsyncioCluster
 from .client import ClientSession, GetResult, PutResult
 from .cluster_core import ClientHost, ClusterCore, ServerHost
 from .context import CausalContext
-from .merkle import MerkleTree, bucket_path, diff_keys, key_fingerprint, state_fingerprint
-from .merkle_index import MerkleIndex, VnodeIndexSet
+from .merkle_index import (
+    MerkleIndex,
+    VnodeIndexSet,
+    bucket_path,
+    key_fingerprint,
+    state_fingerprint,
+)
 from .merge import (
     CallbackResolver,
     LastWriterWins,
@@ -44,7 +49,7 @@ from .read_repair import ReadRepairStats, RepairPlan, plan_read_repair
 from .server import Hint, StorageNode
 from .simulated import SimulatedClient, SimulatedCluster
 from .protocol import DEADLINE_MODES, MerkleSyncStats, RequestRecord, default_value_size
-from .storage import NodeStorage, VnodeManager, VnodeStore
+from .storage import NodeStorage, VnodeStore
 from .sync_store import SyncReplicatedStore
 from .write_log import WriteLog, WriteRecord
 
@@ -62,7 +67,6 @@ __all__ = [
     "LastWriterWins",
     "MerkleIndex",
     "MerkleSyncStats",
-    "MerkleTree",
     "NodeStorage",
     "PutResult",
     "ReadRepairStats",
@@ -76,13 +80,11 @@ __all__ = [
     "SyncReplicatedStore",
     "UnionMerge",
     "VnodeIndexSet",
-    "VnodeManager",
     "VnodeStore",
     "WriteLog",
     "WriteRecord",
     "bucket_path",
     "default_value_size",
-    "diff_keys",
     "key_fingerprint",
     "plan_read_repair",
     "resolve_and_writeback",

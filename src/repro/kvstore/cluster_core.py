@@ -50,7 +50,7 @@ from ..network.transport import TransportStats
 from ..obs.cluster_metrics import build_cluster_registry
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NO_TRACER
-from .merkle import key_fingerprint
+from .merkle_index import key_fingerprint
 from .protocol import (
     DEADLINE_MODES,
     SYNC_MESSAGE_TYPES,

@@ -11,6 +11,13 @@ systems do not rebuild: the Riak deployment the paper's evaluation modified
 keeps **persistent, incrementally maintained hashtrees** (one per vnode) that
 are updated as objects are written and only re-hash the paths a write dirtied.
 
+Every tree has one shape, :data:`FANOUT` × :data:`DEPTH`: a key's leaf bucket
+is :func:`bucket_path`, and a key's fingerprint is
+:func:`state_fingerprint` of its stored state — a hash of the sorted origin
+dots of its live siblings, so two replicas agree on a key's fingerprint
+exactly when they store the same versions, whatever causality mechanism
+produced them.
+
 :class:`MerkleIndex` is that design element for this substrate, and
 :class:`VnodeIndexSet` arranges one of them **per vnode range** — the actual
 Riak layout, where each partition carries its own hashtree:
@@ -39,17 +46,13 @@ Riak layout, where each partition carries its own hashtree:
 * the exchange reads the index **in place**: :meth:`MerkleIndex.digest_at`,
   :meth:`~MerkleIndex.child_digests` and
   :meth:`~MerkleIndex.bucket_fingerprints` answer every question a descent
-  asks from the maintained digests (after a :meth:`~MerkleIndex.flush`),
-  bit for bit what a from-scratch
-  :class:`~repro.kvstore.merkle.MerkleTree` over the same keys would say —
+  asks from the maintained digests (after a :meth:`~MerkleIndex.flush`) —
   nothing is copied per exchange, and per-range anti-entropy touches only
   the one partition's index it was asked about;
 * the index shares its owner's durability: a crash-restart rebuilds it from
   the surviving :class:`NodeStorage` contents
   (:meth:`VnodeIndexSet.rebuild` — per vnode, so only ranges that actually
-  hold keys pay), a disk wipe empties it (:meth:`VnodeIndexSet.reset`, or
-  :meth:`VnodeIndexSet.reset_vnode` when a single partition's slice is
-  lost).
+  hold keys pay), a disk wipe empties it (:meth:`VnodeIndexSet.reset`).
 
 Maintenance cost is observable through the counters the index increments in
 the owning node's stats dict — ``keys_hashed`` (fingerprints computed, at
@@ -63,20 +66,75 @@ O(divergent buckets), and handoff tree work dropping to O(1).
 
 from __future__ import annotations
 
+import hashlib
 import random
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..clocks.interface import CausalityMechanism
 from ..cluster.ring import PartitionMap
-from ..core.exceptions import ConfigurationError
-from .merkle import (
-    MerkleTree,
-    _hash_bytes,
-    bucket_path,
-    state_fingerprint,
-    state_fingerprint_cold,
-)
+from ..core import codec
 from .storage import NodeStorage
+
+if TYPE_CHECKING:
+    from .server import StorageNode
+
+#: The one tree shape: every range's tree has ``FANOUT`` children per
+#: interior node and ``DEPTH`` levels below the root, so any two replicas'
+#: digests are comparable path by path.
+FANOUT = 16
+DEPTH = 2
+
+
+def _hash_bytes(payload: bytes) -> bytes:
+    return hashlib.sha256(payload).digest()
+
+
+def state_fingerprint(mechanism, state) -> bytes:
+    """Fingerprint of one mechanism state's sibling set.
+
+    Built from the sorted ground-truth origin dots of the live siblings, so
+    two replicas have equal fingerprints iff they store the same versions —
+    regardless of which causality mechanism produced them.  This is the unit
+    of work the index pays once per mutated key per flush instead of once
+    per key per tree rebuild.
+
+    The digest is memoized per sorted dot tuple (in :mod:`repro.core.codec`),
+    so a merge, handoff or replayed hint that reproduces an already-seen
+    sibling set hashes nothing.
+    """
+    dots = tuple(sorted(s.origin_dot for s in mechanism.siblings(state)))
+    return codec.sibling_set_fingerprint(dots)
+
+
+def state_fingerprint_cold(mechanism, state) -> bytes:
+    """Uncached recompute of :func:`state_fingerprint` (audits and tests)."""
+    dots = tuple(sorted(s.origin_dot for s in mechanism.siblings(state)))
+    return _hash_bytes(codec.sibling_set_material(dots))
+
+
+def key_fingerprint(node: StorageNode, key: str) -> bytes:
+    """Fingerprint of a key's sibling set at one replica."""
+    return state_fingerprint(node.mechanism, node.storage.get_state(key))
+
+
+def bucket_path(key: str) -> Tuple[int, ...]:
+    """The leaf-bucket path a key hashes to: one branch per level."""
+    digest = hashlib.md5(key.encode("utf-8")).digest()
+    return tuple(digest[level] % FANOUT for level in range(DEPTH))
+
+
+def _empty_digests() -> Tuple[bytes, ...]:
+    digests = [_hash_bytes(b"")]
+    for _level in range(DEPTH):
+        digests.insert(0, _hash_bytes(digests[0] * FANOUT))
+    return tuple(digests)
+
+
+#: Digest of an all-empty subtree rooted at each level (the root is level 0).
+#: An unmaterialised bucket hashes exactly like an empty one
+#: (``sha256(b"")``, aggregated upward), so the index only stores digests
+#: for paths that actually hold keys.
+EMPTY_DIGESTS = _empty_digests()
 
 #: Hash-tree maintenance counters an index seeds (to zero) and increments in
 #: its owner's stats dict.  ``keys_hashed`` counts key fingerprints computed:
@@ -88,20 +146,6 @@ INDEX_COUNTERS = ("keys_hashed", "buckets_rehashed", "full_rebuilds",
                   "audit_keys_checked", "audit_mismatches")
 
 
-def _empty_digests(fanout: int, depth: int) -> List[bytes]:
-    """Digest of an all-empty subtree rooted at each level (root is level 0).
-
-    An unmaterialised bucket hashes exactly like an empty one in a full
-    rebuild (``sha256(b"")``, aggregated upward), so the index only has to
-    store digests for paths that actually hold keys.
-    """
-    digests: List[bytes] = [b""] * (depth + 1)
-    digests[depth] = _hash_bytes(b"")
-    for level in range(depth - 1, -1, -1):
-        digests[level] = _hash_bytes(digests[level + 1] * fanout)
-    return digests
-
-
 class MerkleIndex:
     """One vnode range's hash tree, kept current with its storage mutations.
 
@@ -109,8 +153,6 @@ class MerkleIndex:
     ----------
     mechanism:
         The causality mechanism whose states are fingerprinted.
-    fanout / depth:
-        Tree shape; must match the peer's for digests to be comparable.
     counters:
         Mutable mapping the index increments its maintenance counters in
         (typically the owning :class:`StorageNode`'s ``stats`` dict so the
@@ -120,20 +162,11 @@ class MerkleIndex:
 
     def __init__(self,
                  mechanism: CausalityMechanism,
-                 fanout: int = 16,
-                 depth: int = 2,
                  counters: Optional[Dict[str, int]] = None) -> None:
-        if fanout < 2:
-            raise ConfigurationError(f"fanout must be >= 2, got {fanout}")
-        if depth < 1:
-            raise ConfigurationError(f"depth must be >= 1, got {depth}")
         self.mechanism = mechanism
-        self.fanout = fanout
-        self.depth = depth
         self.counters: Dict[str, int] = counters if counters is not None else {}
         for name in INDEX_COUNTERS:
             self.counters.setdefault(name, 0)
-        self._empty = _empty_digests(fanout, depth)
         self._fingerprints: Dict[str, bytes] = {}
         #: Keys written since they were last fingerprinted → their newest
         #: state (states are immutable, so holding the reference is safe).
@@ -164,7 +197,7 @@ class MerkleIndex:
             self._pending.pop(key, None)
             if self._fingerprints.pop(key, None) is None:
                 return  # key was not indexed; nothing changed
-            path = bucket_path(key, self.fanout, self.depth)
+            path = bucket_path(key)
             bucket = self._buckets.get(path)
             if bucket is not None:
                 bucket.discard(key)
@@ -182,7 +215,7 @@ class MerkleIndex:
         if self._fingerprints.get(key) == fingerprint:
             return  # idempotent merge / duplicate delivery: tree unchanged
         self._fingerprints[key] = fingerprint
-        path = bucket_path(key, self.fanout, self.depth)
+        path = bucket_path(key)
         self._buckets.setdefault(path, set()).add(key)
         self._dirty.add(path)
 
@@ -228,13 +261,13 @@ class MerkleIndex:
             parents.add(path[:-1])
         self._dirty.clear()
         self.counters["buckets_rehashed"] += rehashed
-        for level in range(self.depth - 1, -1, -1):
+        for level in range(DEPTH - 1, -1, -1):
             grandparents: Set[Tuple[int, ...]] = set()
             for path in parents:
                 material = b"".join(self.digest_at(path + (branch,))
-                                    for branch in range(self.fanout))
+                                    for branch in range(FANOUT))
                 digest = _hash_bytes(material)
-                if digest == self._empty[level]:
+                if digest == EMPTY_DIGESTS[level]:
                     self._digests.pop(path, None)
                 else:
                     self._digests[path] = digest
@@ -248,7 +281,7 @@ class MerkleIndex:
     # ------------------------------------------------------------------ #
     @property
     def root_digest(self) -> bytes:
-        """Digest summarising the whole replica state (flushes lazily)."""
+        """Digest summarising the range's keys (flushes lazily)."""
         self.flush()
         return self.digest_at(())
 
@@ -258,14 +291,14 @@ class MerkleIndex:
         Like :meth:`child_digests` and :meth:`bucket_fingerprints` this reads
         the digests as of the last :meth:`flush`; callers flush first.
         """
-        return self._digests.get(path, self._empty[len(path)])
+        return self._digests.get(path, EMPTY_DIGESTS[len(path)])
 
     def child_digests(self, path: Tuple[int, ...]
                       ) -> List[Tuple[Tuple[int, ...], bytes]]:
         """``(child_path, digest)`` for every child of ``path`` — one level of
         the hashtree exchange, read from the maintained digests."""
         return [(child, self.digest_at(child))
-                for child in (path + (branch,) for branch in range(self.fanout))]
+                for child in (path + (branch,) for branch in range(FANOUT))]
 
     def bucket_fingerprints(self, path: Tuple[int, ...]) -> Dict[str, bytes]:
         """``{key: fingerprint}`` of the leaf bucket at ``path``, in key order.
@@ -308,10 +341,13 @@ class MerkleIndex:
             self.counters["keys_hashed"] += 1
         return self._fingerprints.get(key)
 
-    def snapshot(self) -> MerkleTree:
-        """Freeze the current fingerprints into a :class:`MerkleTree`."""
+    def snapshot(self) -> Dict[str, bytes]:
+        """Flush, then copy out every key's fingerprint.
+
+        Nothing in the store calls it; the end-to-end tracer patches it.
+        """
         self.flush()
-        return MerkleTree(self._fingerprints, fanout=self.fanout, depth=self.depth)
+        return dict(self._fingerprints)
 
     # ------------------------------------------------------------------ #
     # Durability: the index shares its storage's fate
@@ -339,11 +375,7 @@ class MerkleIndex:
         self._dirty.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
-        return (
-            f"MerkleIndex(keys={self.key_count}, "
-            f"fanout={self.fanout}, depth={self.depth}, "
-            f"dirty={len(self._dirty)})"
-        )
+        return f"MerkleIndex(keys={self.key_count}, dirty={len(self._dirty)})"
 
 
 class VnodeIndexSet:
@@ -351,47 +383,30 @@ class VnodeIndexSet:
 
     The set subscribes each member index to its partition's mutation stream
     (:meth:`attach`), so a write only ever touches the tree of the range it
-    lands in, and exposes a whole-node query surface (``root_digest`` /
-    ``keys()`` / ``fingerprint`` / ``snapshot`` / ``rebuild`` / ``reset`` /
-    ``audit``) so callers that don't care about ranges — the churn property
-    tests, the restart/wipe paths — see one logical index.
-    Per-range anti-entropy uses the partition-addressed surface instead:
-    :meth:`partition_root` and :meth:`index_for` compare and descend a
-    single range without touching the others.
-
-    The whole-node ``root_digest`` is computed by pooling every range's
-    maintained fingerprints into one combined tree: bucket digests are
-    re-derived (cheap, bounded by the tree shape) but **no key is ever
-    re-fingerprinted**, and the result is bit-identical to a from-scratch
-    :class:`~repro.kvstore.merkle.MerkleTree` over the node's keys — pinned
-    by the union-digest property tests.
+    lands in.  Per-range anti-entropy compares and descends a single range
+    through :meth:`partition_root` and :meth:`index_for`; the restart, wipe
+    and handoff paths use the whole-node ``fingerprint`` / ``flush`` /
+    ``rebuild`` / ``reset`` / ``audit``.
 
     All member indexes share one ``counters`` mapping, so maintenance cost
-    surfaces in the owning node's stats.  ``fanout`` / ``depth`` default to
-    the one tree shape every node uses; tests pass smaller ones.
+    surfaces in the owning node's stats.
     """
 
     def __init__(self,
                  mechanism: CausalityMechanism,
                  partition_map: Optional[PartitionMap] = None,
-                 fanout: int = 16,
-                 depth: int = 2,
                  counters: Optional[Dict[str, int]] = None) -> None:
         self.mechanism = mechanism
         self.partition_map = partition_map
-        self.fanout = fanout
-        self.depth = depth
         self.counters: Dict[str, int] = counters if counters is not None else {}
         for name in INDEX_COUNTERS:
             self.counters.setdefault(name, 0)
         partition_ids = (partition_map.partition_ids()
                          if partition_map is not None else range(1))
         self.indexes: Dict[int, MerkleIndex] = {
-            partition_id: MerkleIndex(mechanism, fanout=fanout, depth=depth,
-                                      counters=self.counters)
+            partition_id: MerkleIndex(mechanism, counters=self.counters)
             for partition_id in partition_ids
         }
-        self._empty_root = _empty_digests(fanout, depth)[0]
 
     # ------------------------------------------------------------------ #
     # Partition-addressed surface (per-range anti-entropy, vnode recovery)
@@ -412,15 +427,6 @@ class VnodeIndexSet:
     def partition_root(self, partition_id: int) -> bytes:
         """One range's root digest (flushes that range only)."""
         return self.indexes[partition_id].root_digest
-
-    @property
-    def empty_root_digest(self) -> bytes:
-        """Root digest of an empty range (what an absent peer range hashes to)."""
-        return self._empty_root
-
-    def reset_vnode(self, partition_id: int) -> None:
-        """Empty one range's tree (its slice of the disk was wiped)."""
-        self.indexes[partition_id].reset()
 
     def rebuild_vnode(self, partition_id: int, storage: NodeStorage) -> None:
         """Reconstruct one range's tree from its vnode's surviving states."""
@@ -445,49 +451,16 @@ class VnodeIndexSet:
         """Flush every range's dirty buckets; returns leaf buckets re-hashed."""
         return sum(index.flush() for index in self.indexes.values())
 
-    def dirty_buckets(self) -> int:
-        """Leaf buckets awaiting a re-hash across every range."""
-        return sum(index.dirty_buckets() for index in self.indexes.values())
-
-    def _combined_fingerprints(self) -> Dict[str, bytes]:
-        # callers flush first, so no member index has pending keys
-        combined: Dict[str, bytes] = {}
-        for index in self.indexes.values():
-            combined.update(index._fingerprints)
-        return combined
-
-    @property
-    def root_digest(self) -> bytes:
-        """Whole-node digest: the union of every range's maintained keys.
-
-        Equals a from-scratch rebuild bit for bit: the combined tree
-        re-derives bucket digests from the maintained fingerprints but hashes
-        no key states.
-        """
-        self.flush()
-        return MerkleTree(self._combined_fingerprints(),
-                          fanout=self.fanout, depth=self.depth).root_digest
-
-    def keys(self) -> List[str]:
-        """Every indexed key across every range, sorted."""
-        return sorted(key for index in self.indexes.values()
-                      for key in index.keys())
-
-    @property
-    def key_count(self) -> int:
-        """Number of indexed keys across every range."""
-        return sum(index.key_count for index in self.indexes.values())
-
     def fingerprint(self, key: str) -> Optional[bytes]:
         """The maintained fingerprint for ``key`` (None when absent)."""
         return self.indexes[self.partition_of(key)].fingerprint(key)
 
-    def snapshot(self) -> MerkleTree:
-        """Freeze the whole node's digests into one combined tree."""
-        self.flush()
-        return MerkleTree(self._combined_fingerprints(),
-                          fanout=self.fanout, depth=self.depth)
-
+    def snapshot(self) -> Dict[str, bytes]:
+        """Every range's :meth:`MerkleIndex.snapshot`, in one dict."""
+        fingerprints: Dict[str, bytes] = {}
+        for index in self.indexes.values():
+            fingerprints.update(index.snapshot())
+        return fingerprints
     def rebuild(self, storage: NodeStorage) -> None:
         """Reconstruct every range's tree from the surviving storage.
 
@@ -531,5 +504,4 @@ class VnodeIndexSet:
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         live = sum(1 for index in self.indexes.values() if index.key_count)
-        return (f"VnodeIndexSet(partitions={len(self.indexes)}, "
-                f"live={live}, keys={self.key_count})")
+        return f"VnodeIndexSet(partitions={len(self.indexes)}, live={live})"

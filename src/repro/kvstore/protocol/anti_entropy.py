@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...network.message import Message, MessageType
-from ..merkle import state_fingerprint
+from ..merkle_index import DEPTH, EMPTY_DIGESTS, state_fingerprint
 from .effects import Send
 from .env import REQUEST_OVERHEAD_BYTES, SYNC_BATCH_SIZE
 from .util import chunked
@@ -184,7 +184,7 @@ class AntiEntropyEngine:
         local_live = {partition_id for partition_id in index.partition_ids()
                       if index.index_for(partition_id).key_count > 0}
         compared = sorted(local_live | set(roots))
-        empty_root = index.empty_root_digest
+        empty_root = EMPTY_DIGESTS[0]
         differing = [partition_id for partition_id in compared
                      if index.partition_root(partition_id)
                      != roots.get(partition_id, empty_root)]
@@ -273,7 +273,7 @@ class AntiEntropyEngine:
                      if index.digest_at(path) != digest]
         buckets: Optional[Dict[Tuple[int, ...], Dict[str, bytes]]] = None
         size = len(differing) * (level + 1) + REQUEST_OVERHEAD_BYTES
-        if level >= index.depth and differing:
+        if level >= DEPTH and differing:
             buckets = {path: index.bucket_fingerprints(path) for path in differing}
             size += sum(len(key.encode("utf-8")) + DIGEST_BYTES
                         for bucket in buckets.values() for key in bucket)

@@ -341,8 +341,3 @@ class NodeStorage:
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (f"NodeStorage(mechanism={self._mechanism.name!r}, "
                 f"keys={len(self)}, vnodes={len(self._vnodes)})")
-
-
-#: The class doubles as the vnode manager the per-partition layout is driven
-#: through; both names refer to the same type.
-VnodeManager = NodeStorage

@@ -26,7 +26,6 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from ..clocks.interface import CausalityMechanism, Sibling
 from ..cluster.preference_list import PlacementService
-from ..cluster.ring import PartitionMap
 from ..core.exceptions import ConfigurationError, KeyNotFoundError, StaleContextError
 from .client import ClientSession, GetResult, PutResult
 from .context import CausalContext
@@ -52,10 +51,6 @@ class SyncReplicatedStore:
         immediately after every write.
     write_log:
         Oracle write log; a fresh one is created when omitted.
-    partition_map:
-        Optional :class:`~repro.cluster.ring.PartitionMap` giving every node
-        the vnode-scoped storage layout (one store per key range).  Omitted
-        by default — the synchronous experiments are single-range.
     """
 
     def __init__(self,
@@ -63,14 +58,12 @@ class SyncReplicatedStore:
                  server_ids: Sequence[str] = ("A", "B", "C"),
                  placement: Optional[PlacementService] = None,
                  replicate_on_write: bool = False,
-                 write_log: Optional[WriteLog] = None,
-                 partition_map: Optional[PartitionMap] = None) -> None:
+                 write_log: Optional[WriteLog] = None) -> None:
         if not server_ids:
             raise ConfigurationError("at least one server id is required")
         self.mechanism = mechanism
         self.servers: Dict[str, StorageNode] = {
-            server_id: StorageNode(server_id, mechanism,
-                                   partition_map=partition_map)
+            server_id: StorageNode(server_id, mechanism)
             for server_id in server_ids
         }
         self.placement = placement

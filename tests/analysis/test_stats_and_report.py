@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import percentile, print_table, ratio, render_kv, render_table, speedup, summarize
+from repro.analysis import percentile, ratio, render_table, speedup, summarize
 from repro.core import AnalysisError
 
 
@@ -76,9 +76,3 @@ class TestRenderTable:
         output = render_table(["m", "v", "ok"], [["x", 1.23456, True]], float_digits=3)
         assert "1.235" in output
         assert "yes" in output
-
-    def test_render_kv_and_print(self, capsys):
-        block = render_kv([["keys", 3], ["bytes", 120]], title="totals")
-        assert "keys" in block
-        print_table(["a"], [[1]])
-        assert "1" in capsys.readouterr().out

@@ -6,7 +6,8 @@ over its current storage — for **every** mutation path.  These tests drive
 randomized churn with fault injection (crash-restart, wiped recovery,
 partitions and heals, hint replay, Merkle-delta transfers, read repair, join
 handoff) and after every step compare each live node's incremental root
-digest against ``MerkleTree.for_node`` on the same storage.  Any write path
+digest against a from-scratch tree (``tests/merkle_reference.py``) on the
+same storage.  Any write path
 that forgets to go through the mutation listener — or any staleness bug in
 the dirty-bucket bookkeeping — shows up as a digest mismatch at the first
 checkpoint after it fires.
@@ -20,6 +21,7 @@ hashing budget.
 from __future__ import annotations
 
 import asyncio
+import functools
 import itertools
 import random
 from typing import Tuple
@@ -31,13 +33,21 @@ from hypothesis import strategies as st
 from repro.analysis import check_cluster
 from repro.clocks import create
 from repro.cluster import PartitionMap, QuorumConfig
-from repro.kvstore import ClientSession, MerkleTree, SimulatedCluster
+from repro.kvstore import ClientSession, SimulatedCluster
 from repro.kvstore.asyncio_cluster import AsyncioCluster
 from repro.kvstore.protocol import SYNC_MESSAGE_TYPES
 from repro.kvstore.protocol.anti_entropy import AntiEntropyEngine
-from repro.kvstore.merkle_index import VnodeIndexSet
+from repro.kvstore.merkle_index import (
+    DEPTH,
+    FANOUT,
+    MerkleIndex,
+    VnodeIndexSet,
+    key_fingerprint,
+)
 from repro.kvstore.server import StorageNode
 from repro.network import FixedLatency
+
+from merkle_reference import MerkleTree, crowded_keys, live_digest, rebuilt_digest
 
 KEYS = ("alpha", "beta", "gamma", "delta")
 SERVERS = ("n1", "n2", "n3")
@@ -56,22 +66,26 @@ def assert_index_matches_rebuild(cluster: SimulatedCluster, context: str = "") -
     """Every live node's incremental root digest equals a from-scratch rebuild."""
     for server_id, server in sorted(cluster.servers.items()):
         index = server.node.merkle_index
-        rebuilt = MerkleTree.for_node(server.node,
-                                      fanout=index.fanout, depth=index.depth)
-        assert index.root_digest == rebuilt.root_digest, (
+        assert live_digest(index) == rebuilt_digest(server.node), (
             f"{server_id}: incremental root diverged from rebuild ({context}); "
-            f"index keys={index.keys()} storage keys={server.node.storage.keys()}"
+            f"index keys={sorted(index.snapshot())} "
+            f"storage keys={server.node.storage.keys()}"
         )
 
 
 # --------------------------------------------------------------------------- #
 # The live descent surface: what the Merkle exchange reads off the index
 # --------------------------------------------------------------------------- #
-FANOUT, DEPTH, PARTITIONS = 3, 2, 4
+PARTITIONS = 4
 ALL_PATHS = [path for level in range(DEPTH + 1)
              for path in itertools.product(range(FANOUT), repeat=level)]
+INTERIOR_PATHS = [path for path in ALL_PATHS if len(path) < DEPTH]
+LEAF_PATHS = [path for path in ALL_PATHS if len(path) == DEPTH]
+#: Nine keys sharing leaf buckets three at a time: bucket ordering, partial
+#: drops and shared re-hashes show up in a tree with 256 leaves per range.
+CROWDED = crowded_keys(groups=3, per_bucket=3, partitions=PARTITIONS)
 
-_KEY = st.sampled_from([f"key-{index}" for index in range(10)])
+_KEY = st.sampled_from(CROWDED)
 _SIDE = st.sampled_from(["left", "right"])
 _STEP = st.one_of(
     st.tuples(st.just("put"), _SIDE, _KEY),
@@ -82,19 +96,40 @@ _STEP = st.one_of(
 
 
 def ranged_node(node_id: str) -> Tuple[StorageNode, VnodeIndexSet]:
-    """A ranged node and a small-tree index set wired to its vnodes.
+    """A node with ``PARTITIONS`` vnodes and its own per-range index set."""
+    node = StorageNode(node_id, create("dvv"),
+                       partition_map=PartitionMap(PARTITIONS))
+    return node, node.merkle_index
 
-    A 3-way tree puts several of ten keys in one bucket, where the node's
-    own index, at the one tree shape every node uses, would not.  A key's
-    fingerprint does not depend on the shape, so a handoff may ship either
-    index's.
+
+def tree_digests(tree) -> Tuple[list, list]:
+    """What a descent reads off a tree without touching a bucket: every
+    path's digest and every interior path's children."""
+    return ([tree.digest_at(path) for path in ALL_PATHS],
+            [tree.child_digests(path) for path in INTERIOR_PATHS])
+
+
+def tree_buckets(tree) -> list:
+    """Every leaf bucket's ``{key: fingerprint}``, in path order."""
+    return [tree.bucket_fingerprints(path) for path in LEAF_PATHS]
+
+
+@functools.lru_cache(maxsize=1024)
+def _reference(fingerprints: frozenset) -> Tuple[tuple, list]:
+    tree = MerkleTree(dict(fingerprints))
+    return tree_digests(tree), tree_buckets(tree)
+
+
+def range_reference(node: StorageNode, partition_id: int) -> Tuple[tuple, list]:
+    """:func:`tree_digests` and :func:`tree_buckets` of a from-scratch tree
+    over one range's current storage.
+
+    The tree is a pure function of the range's key fingerprints, so it is
+    memoized on them: a step moves one range, and the others are reused.
     """
-    partition_map = PartitionMap(PARTITIONS)
-    node = StorageNode(node_id, create("dvv"), partition_map=partition_map)
-    index = VnodeIndexSet(node.mechanism, partition_map=partition_map,
-                          fanout=FANOUT, depth=DEPTH)
-    index.attach(node.storage)
-    return node, index
+    return _reference(frozenset(
+        (key, key_fingerprint(node, key))
+        for key in node.storage.vnode_keys(partition_id)))
 
 
 def assert_descent_surface_matches_rebuild(node: StorageNode,
@@ -103,17 +138,11 @@ def assert_descent_surface_matches_rebuild(node: StorageNode,
     for partition_id in ranges.partition_ids():
         index = ranges.index_for(partition_id)
         index.flush()
-        reference = MerkleTree.for_node(
-            node, keys=node.storage.vnode_keys(partition_id),
-            fanout=FANOUT, depth=DEPTH)
-        for path in ALL_PATHS:
-            assert index.digest_at(path) == reference.digest_at(path)
-            if len(path) < DEPTH:
-                assert index.child_digests(path) == reference.child_digests(path)
-            else:
-                live = index.bucket_fingerprints(path)
-                assert live == reference.bucket_fingerprints(path)
-                assert list(live) == sorted(live)
+        digests, buckets = range_reference(node, partition_id)
+        assert tree_digests(index) == digests
+        live = tree_buckets(index)
+        assert live == buckets
+        assert all(list(bucket) == sorted(bucket) for bucket in live)
 
 
 @settings(max_examples=60, deadline=None)
@@ -142,8 +171,8 @@ def test_live_descent_queries_equal_a_from_scratch_tree(steps):
 # --------------------------------------------------------------------------- #
 # Hash on read: mutations are recorded, flushes and reads hash them
 # --------------------------------------------------------------------------- #
-FEW_KEYS = ["key-0", "key-1"]   # few keys: steps pile onto each one
-LEAF_PATHS = [path for path in ALL_PATHS if len(path) == DEPTH]
+#: Few keys, so steps pile onto each one, and they share one leaf bucket.
+FEW_KEYS = crowded_keys(groups=1, per_bucket=2, partitions=PARTITIONS)
 #: Key-less steps (bucket read, dirty count, flush) ignore the drawn key.
 _LAZY_STEP = st.tuples(
     st.sampled_from(["put", "merge", "handoff", "import", "drop",
@@ -152,47 +181,50 @@ _LAZY_STEP = st.tuples(
 
 
 def reference_trees(node: StorageNode) -> dict:
-    """A from-scratch tree per range over the node's current storage."""
-    return {partition_id: MerkleTree.for_node(
-                node, keys=node.storage.vnode_keys(partition_id),
-                fanout=FANOUT, depth=DEPTH)
+    """:func:`range_reference` of every range of the node."""
+    return {partition_id: range_reference(node, partition_id)
             for partition_id in node.storage.vnode_ids()}
 
 
-def keys_hashed(node: StorageNode, index: VnodeIndexSet) -> int:
-    """Keys hashed by the small index and by the node's own, which only a
-    handoff's fingerprint comparison reads."""
-    return index.counters["keys_hashed"] + node.stats["keys_hashed"]
+def keys_hashed(node: StorageNode) -> int:
+    """Keys hashed by the node's index, all ranges together."""
+    return node.stats["keys_hashed"]
+
+
+def dirty_buckets(index: VnodeIndexSet) -> int:
+    """Leaf buckets awaiting a re-hash across every range."""
+    return sum(range_index.dirty_buckets()
+               for range_index in index.indexes.values())
 
 
 def assert_hash_free_reads_match(node: StorageNode, index: VnodeIndexSet,
                                  flushed: dict) -> None:
     """Reads that hash nothing: key listing and digests as of the last flush."""
-    hashed = keys_hashed(node, index)
-    assert index.keys() == node.storage.keys()
-    assert index.key_count == len(node.storage)
-    for partition_id, reference in flushed.items():
+    hashed = keys_hashed(node)
+    ranges = index.indexes.values()
+    assert sorted(key for range_index in ranges
+                  for key in range_index.keys()) == node.storage.keys()
+    assert sum(range_index.key_count for range_index in ranges) == \
+        len(node.storage)
+    for partition_id, (digests, _buckets) in flushed.items():
         range_index = index.index_for(partition_id)
         assert range_index.key_count == node.storage.vnode_len(partition_id)
-        for path in ALL_PATHS:
-            assert range_index.digest_at(path) == reference.digest_at(path)
-            if len(path) < DEPTH:
-                assert range_index.child_digests(path) == \
-                    reference.child_digests(path)
-    assert keys_hashed(node, index) == hashed
+        assert tree_digests(range_index) == digests
+    assert keys_hashed(node) == hashed
 
 
 def changed_leaves(current: dict, flushed: dict) -> int:
     """Leaf buckets whose contents moved since the last flush."""
-    return sum(current[partition_id].bucket_fingerprints(path)
-               != flushed[partition_id].bucket_fingerprints(path)
-               for partition_id in current for path in LEAF_PATHS)
+    return sum(now != then
+               for partition_id in current
+               for now, then in zip(current[partition_id][1],
+                                    flushed[partition_id][1]))
 
 
 @settings(max_examples=300, deadline=None)
 @given(steps=st.lists(_LAZY_STEP, min_size=1, max_size=30))
-@example(steps=[("put", "left", "key-0"), ("put", "right", "key-0"),
-                ("import", "left", "key-0"), ("flush", "left", "key-0")])
+@example(steps=[("put", "left", FEW_KEYS[0]), ("put", "right", FEW_KEYS[0]),
+                ("import", "left", FEW_KEYS[0]), ("flush", "left", FEW_KEYS[0])])
 def test_hash_on_read_index_answers_every_read_like_a_from_scratch_tree(steps):
     """Random writes, merges, drops, imports, flushes and reads.
 
@@ -213,7 +245,7 @@ def test_hash_on_read_index_answers_every_read_like_a_from_scratch_tree(steps):
     for number, (action, side, key) in enumerate(steps):
         node, index = nodes[side]
         other, other_index = nodes["right" if side == "left" else "left"]
-        hashed = keys_hashed(node, index)
+        hashed = keys_hashed(node)
         budget = 0
         if action in ("buckets", "dirty", "flush"):
             budget = len(mutated[side])
@@ -226,19 +258,17 @@ def test_hash_on_read_index_answers_every_read_like_a_from_scratch_tree(steps):
                         if node.storage.has_key(key) else None)
             assert index.fingerprint(key) == expected
         elif action == "buckets":
-            for partition_id, reference in current.items():
-                range_index = index.index_for(partition_id)
-                for path in LEAF_PATHS:
-                    live = range_index.bucket_fingerprints(path)
-                    assert live == reference.bucket_fingerprints(path)
-                    assert list(live) == sorted(live)
+            for partition_id, (_digests, buckets) in current.items():
+                live = tree_buckets(index.index_for(partition_id))
+                assert live == buckets
+                assert all(list(bucket) == sorted(bucket) for bucket in live)
         elif action == "dirty":
-            assert index.dirty_buckets() >= changed_leaves(current,
-                                                           flushed[side])
+            assert dirty_buckets(index) >= changed_leaves(current,
+                                                          flushed[side])
         elif action == "flush":
             assert index.flush() <= (changed_leaves(current, flushed[side])
                                      + len(dropped[side]))
-            assert index.dirty_buckets() == 0
+            assert dirty_buckets(index) == 0
             flushed[side] = current
             dropped[side].clear()
         elif action == "put":
@@ -259,7 +289,7 @@ def test_hash_on_read_index_answers_every_read_like_a_from_scratch_tree(steps):
                 node.ingest_handoff(key, other.state_of(key), fingerprint)
                 mutated[side].add(key)
                 budget = 1 if action == "handoff" else 0
-        assert keys_hashed(node, index) - hashed <= budget
+        assert keys_hashed(node) - hashed <= budget
         for checked_side, (checked, ranges) in nodes.items():
             assert_hash_free_reads_match(checked, ranges, flushed[checked_side])
 
@@ -436,16 +466,15 @@ def test_server_vv_still_loses_updates_over_moving_trees():
 
 
 def test_asyncio_daemon_on_a_converged_cluster_builds_no_tree(monkeypatch):
-    """Clean exchanges read roots off the live index: no ``MerkleTree`` is
-    ever constructed and no session outlives its exchange."""
+    """Clean exchanges read roots off the live index: no index is ever
+    copied out into a snapshot and no session outlives its exchange."""
     built = []
-    original = MerkleTree.__init__
+    for index_type in (MerkleIndex, VnodeIndexSet):
+        def counting_snapshot(self, _original=index_type.snapshot):
+            built.append(1)
+            return _original(self)
 
-    def counting_init(self, *args, **kwargs):
-        built.append(1)
-        original(self, *args, **kwargs)
-
-    monkeypatch.setattr(MerkleTree, "__init__", counting_init)
+        monkeypatch.setattr(index_type, "snapshot", counting_snapshot)
 
     clean_exchanges = []          # (its session id, sessions left behind)
     on_diff = AntiEntropyEngine.on_merkle_partition_diff

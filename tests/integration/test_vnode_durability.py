@@ -22,9 +22,11 @@ import pytest
 
 from repro.clocks import create
 from repro.cluster import QuorumConfig
-from repro.kvstore import MerkleTree, SimulatedCluster
-from repro.kvstore.merkle import state_fingerprint
+from repro.kvstore import SimulatedCluster
+from repro.kvstore.merkle_index import state_fingerprint
 from repro.network import FixedLatency
+
+from merkle_reference import MerkleTree, live_digest, rebuilt_digest
 
 SERVERS = ("n1", "n2", "n3")
 
@@ -49,21 +51,18 @@ def assert_vnode_roots_match_rebuild(cluster: SimulatedCluster,
             expected = MerkleTree(
                 {key: state_fingerprint(server.node.mechanism, state)
                  for key, state in server.node.storage.vnode_items(partition_id)},
-                fanout=index.fanout, depth=index.depth,
             ).root_digest
             assert index.partition_root(partition_id) == expected, (
                 f"{server_id} partition {partition_id}: per-range root "
                 f"diverged from rebuild ({context})"
             )
-            union.update(index.index_for(partition_id)._fingerprints)
-        whole_node = MerkleTree.for_node(server.node, fanout=index.fanout,
-                                         depth=index.depth).root_digest
-        assert MerkleTree(union, fanout=index.fanout,
-                          depth=index.depth).root_digest == whole_node, (
+            union.update(index.index_for(partition_id).snapshot())
+        whole_node = rebuilt_digest(server.node)
+        assert MerkleTree(union).root_digest == whole_node, (
             f"{server_id}: union of per-vnode digests diverged from the "
             f"whole-node digest ({context})"
         )
-        assert index.root_digest == whole_node
+        assert live_digest(index) == whole_node
 
 
 def populate(cluster: SimulatedCluster, count: int = 24) -> list:

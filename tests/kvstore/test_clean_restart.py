@@ -16,6 +16,8 @@ from repro.kvstore import ClientSession, SimulatedCluster
 from repro.kvstore.server import StorageNode
 from repro.network import FixedLatency
 
+from merkle_reference import live_digest
+
 
 def build_cluster(**kwargs):
     kwargs.setdefault("server_ids", ("A", "B", "C"))
@@ -100,13 +102,13 @@ class TestStorageNodeRestarts:
 
     def test_shutdown_marks_clean_and_restart_adopts(self):
         node, _client = self.build_node()
-        digest_before = node.merkle_index.root_digest
+        digest_before = live_digest(node.merkle_index)
         rebuilds_before = node.stats["full_rebuilds"]
         node.shutdown()
         node.restart()
         assert node.stats["rebuilds_skipped"] > 0
         assert node.stats["full_rebuilds"] == rebuilds_before
-        assert node.merkle_index.root_digest == digest_before
+        assert live_digest(node.merkle_index) == digest_before
 
     def test_mutation_after_shutdown_voids_cleanliness(self):
         node, client = self.build_node()

@@ -1,13 +1,26 @@
-"""Unit tests for the reference Merkle tree and its diff."""
+"""Unit tests for the reference Merkle tree and its diff, and the pinned
+tree shape both it and the live index use."""
 
 from __future__ import annotations
+
+import hashlib
 
 import pytest
 
 from repro.clocks import DVVMechanism
 from repro.core import ConfigurationError
 from repro.kvstore import ClientSession, SyncReplicatedStore
-from repro.kvstore.merkle import MerkleTree, bucket_path, diff_keys, key_fingerprint
+from repro.kvstore.merkle_index import (
+    DEPTH,
+    EMPTY_DIGESTS,
+    FANOUT,
+    MerkleIndex,
+    VnodeIndexSet,
+    bucket_path,
+    key_fingerprint,
+)
+
+from merkle_reference import MerkleTree, diff_keys
 
 
 def populated_store(keys=10, servers=("A", "B", "C")):
@@ -65,18 +78,12 @@ class TestMerkleTree:
         assert tree.fingerprint("key-0") is not None
         assert tree.fingerprint("missing") is None
 
-    def test_shape_validation(self):
-        with pytest.raises(ConfigurationError):
-            MerkleTree({}, fanout=1)
-        with pytest.raises(ConfigurationError):
-            MerkleTree({}, depth=0)
-
     def test_path_queries_for_wire_protocol(self):
         store = populated_store(keys=8)
-        tree = MerkleTree.for_node(store.node("A"), fanout=4, depth=2)
+        tree = MerkleTree.for_node(store.node("A"))
         assert tree.digest_at(()) == tree.root_digest
         level1 = tree.child_digests(())
-        assert [path for path, _ in level1] == [(0,), (1,), (2,), (3,)]
+        assert [path for path, _ in level1] == [(branch,) for branch in range(16)]
         # leaf buckets partition the key space
         all_keys = []
         for path, _digest in level1:
@@ -84,7 +91,7 @@ class TestMerkleTree:
                 all_keys.extend(tree.bucket_fingerprints(leaf_path))
         assert sorted(all_keys) == tree.keys()
         with pytest.raises(ConfigurationError):
-            tree.node_at((9,))
+            tree.node_at((16,))
         with pytest.raises(ConfigurationError):
             tree.bucket_fingerprints(())  # root is not a leaf
 
@@ -125,12 +132,6 @@ class TestDiffKeys:
         assert diff_keys(tree_a, tree_b) == []
         assert compared == []
 
-    def test_mismatched_shapes_rejected(self):
-        tree_a = MerkleTree({}, fanout=4, depth=2)
-        tree_b = MerkleTree({}, fanout=8, depth=2)
-        with pytest.raises(ConfigurationError):
-            diff_keys(tree_a, tree_b)
-
     def test_single_key_divergence_is_localised(self):
         """One divergent key among many: the diff descends into exactly one
         bucket and compares only that bucket's keys."""
@@ -145,8 +146,8 @@ class TestDiffKeys:
         compared = compared_keys(tree_a)
         assert diff_keys(tree_a, tree_b) == ["key-11"]
         # only the divergent bucket's keys were fingerprint-compared
-        assert {bucket_path(key, 16, 2) for key in compared} == {
-            bucket_path("key-11", 16, 2)}
+        assert {bucket_path(key) for key in compared} == {
+            bucket_path("key-11")}
         assert len(compared) < 64 / 4
 
     def test_tree_updates_after_key_deletion(self):
@@ -166,3 +167,39 @@ class TestDiffKeys:
         tree_b = MerkleTree.for_node(store.node("B"))
         assert diff_keys(after, tree_b) == ["key-5"]
 
+
+
+class TestFixedShape:
+    """The tree shape is a constant, not an input: this pins it, so a change
+    to the shape, the empty digest or the bucket hash cannot go unnoticed."""
+
+    def test_shape_empty_digest_and_bucket_placement_are_pinned(self):
+        assert (FANOUT, DEPTH) == (16, 2)
+        assert EMPTY_DIGESTS[0].hex() == (
+            "0c006cdd0c5e729318ae0d060d3710ec382c8450d7d38d27b4f910a4c830bbe0")
+        assert MerkleTree({}).root_digest == EMPTY_DIGESTS[0]
+        assert bucket_path("cart") == (4, 1)
+        assert bucket_path("key-0") == (4, 2)
+        assert bucket_path("k1") == (6, 7)
+
+    def test_empty_digests_aggregate_fanout_copies_level_by_level(self):
+        assert len(EMPTY_DIGESTS) == DEPTH + 1
+        assert EMPTY_DIGESTS[DEPTH] == hashlib.sha256(b"").digest()
+        for level in range(DEPTH):
+            assert EMPTY_DIGESTS[level] == hashlib.sha256(
+                EMPTY_DIGESTS[level + 1] * FANOUT).digest()
+
+    def test_bucket_paths_stay_inside_the_fixed_shape(self):
+        paths = [bucket_path(f"key-{index}") for index in range(400)]
+        assert all(len(path) == DEPTH for path in paths)
+        assert all(0 <= branch < FANOUT for path in paths for branch in path)
+        # every root branch is reached, so no branch of the shape is dead
+        assert {path[0] for path in paths} == set(range(FANOUT))
+
+    def test_shape_is_not_an_option(self):
+        with pytest.raises(TypeError):
+            MerkleIndex(DVVMechanism(), fanout=4)
+        with pytest.raises(TypeError):
+            VnodeIndexSet(DVVMechanism(), depth=3)
+        with pytest.raises(TypeError):
+            bucket_path("cart", 4, 2)

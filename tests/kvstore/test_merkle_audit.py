@@ -79,7 +79,7 @@ class TestMerkleIndexAudit:
         populate(node)  # leaves dirty buckets until the next flush
         report = index.audit(node.storage, sample_size=64)
         assert report["mismatches"] == 0
-        assert index.dirty_buckets() == 0
+        assert index.index_for(0).dirty_buckets() == 0
 
 
 class TestVnodeAudit:

@@ -4,27 +4,19 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from repro.clocks import DVVMechanism
-from repro.core import ConfigurationError
 from repro.kvstore import ClientSession
-from repro.kvstore.merkle import MerkleTree, diff_keys, state_fingerprint
-from repro.kvstore.merkle_index import MerkleIndex
+from repro.kvstore.merkle_index import state_fingerprint
 from repro.kvstore.server import StorageNode
 
+from merkle_reference import MerkleTree, diff_keys, rebuilt_digest
 
-def indexed_node(node_id="A", fanout=16, depth=2):
+
+def indexed_node(node_id="A"):
     """A single-vnode node and the index under test: the node's own range
-    tree (counting into the node's stats) at the default shape, else a
-    standalone index of the given shape wired to the node's one vnode."""
+    tree, counting into the node's stats."""
     node = StorageNode(node_id, DVVMechanism())
-    own = node.merkle_index
-    if (fanout, depth) == (own.fanout, own.depth):
-        return node, own.index_for(0)
-    index = MerkleIndex(node.mechanism, fanout=fanout, depth=depth)
-    node.storage.subscribe_vnode(0, index.on_state_changed)
-    return node, index
+    return node, node.merkle_index.index_for(0)
 
 
 def write(node, client, key, value):
@@ -32,10 +24,6 @@ def write(node, client, key, value):
     context = client.absorb_read(key, read, node.mechanism.name)
     sibling = client.prepare_write(key, value)
     node.local_write(key, context, sibling)
-
-
-def rebuilt_digest(node, fanout=16, depth=2):
-    return MerkleTree.for_node(node, fanout=fanout, depth=depth).root_digest
 
 
 class TestIncrementalEqualsRebuild:
@@ -67,12 +55,6 @@ class TestIncrementalEqualsRebuild:
         node_b.local_merge("k", node_a.state_of("k"))
         assert index_a.root_digest == index_b.root_digest
         assert index_b.root_digest == rebuilt_digest(node_b)
-
-    def test_different_shapes_validated(self):
-        with pytest.raises(ConfigurationError):
-            MerkleIndex(DVVMechanism(), fanout=1)
-        with pytest.raises(ConfigurationError):
-            MerkleIndex(DVVMechanism(), depth=0)
 
 
 class TestLazyMaintenance:
@@ -160,12 +142,12 @@ class TestLiveDescentQueries:
     """What the Merkle exchange reads off the index, with no copy made."""
 
     def test_every_path_answers_like_a_from_scratch_tree(self):
-        node, index = indexed_node(fanout=4, depth=2)
+        node, index = indexed_node()
         client = ClientSession("writer")
         for i in range(8):
             write(node, client, f"key-{i}", f"v{i}")
         index.flush()
-        full = MerkleTree.for_node(node, fanout=4, depth=2)
+        full = MerkleTree.for_node(node)
         assert index.child_digests(()) == full.child_digests(())
         for path, _digest in full.child_digests(()):
             assert index.child_digests(path) == full.child_digests(path)
@@ -174,14 +156,14 @@ class TestLiveDescentQueries:
                     full.bucket_fingerprints(leaf_path)
 
     def test_empty_paths_read_as_the_empty_tree(self):
-        _node, index = indexed_node(fanout=4, depth=2)
-        empty = MerkleTree({}, fanout=4, depth=2)
+        _node, index = indexed_node()
+        empty = MerkleTree({})
         assert index.child_digests(()) == empty.child_digests(())
         assert index.child_digests((3,)) == empty.child_digests((3,))
         assert index.bucket_fingerprints((3, 1)) == {}
 
     def test_digests_are_as_of_the_last_flush_fingerprints_are_live(self):
-        node, index = indexed_node(fanout=4, depth=2)
+        node, index = indexed_node()
         client = ClientSession("writer")
         write(node, client, "k", "v1")
         before = index.root_digest                      # flushes
@@ -193,31 +175,31 @@ class TestLiveDescentQueries:
         assert index.bucket_fingerprints(leaf) == {
             "k": state_fingerprint(node.mechanism, node.state_of("k"))}
         index.flush()
-        assert index.digest_at(()) == rebuilt_digest(node, fanout=4, depth=2)
+        assert index.digest_at(()) == rebuilt_digest(node)
 
 
 class TestSnapshots:
-    def test_snapshot_is_a_frozen_merkle_tree(self):
+    def test_snapshot_is_a_frozen_copy_of_the_fingerprints(self):
         node, index = indexed_node()
         client = ClientSession("writer")
         for i in range(12):
             write(node, client, f"key-{i}", f"v{i}")
         snap = index.snapshot()
-        assert isinstance(snap, MerkleTree)
-        assert snap.root_digest == rebuilt_digest(node)
-        frozen = snap.root_digest
+        assert isinstance(snap, dict)
+        assert MerkleTree(snap).root_digest == rebuilt_digest(node)
+        frozen = MerkleTree(snap).root_digest
         write(node, client, "key-0", "changed")
-        assert snap.root_digest == frozen                 # snapshot unaffected
+        assert MerkleTree(snap).root_digest == frozen     # snapshot unaffected
         assert index.root_digest != frozen                # index moved on
         assert index.root_digest == rebuilt_digest(node)
 
     def test_snapshot_supports_the_wire_protocol_queries(self):
-        node, index = indexed_node(fanout=4, depth=2)
+        node, index = indexed_node()
         client = ClientSession("writer")
         for i in range(8):
             write(node, client, f"key-{i}", f"v{i}")
-        snap = index.snapshot()
-        full = MerkleTree.for_node(node, fanout=4, depth=2)
+        snap = MerkleTree(index.snapshot())
+        full = MerkleTree.for_node(node)
         assert snap.digest_at(()) == full.digest_at(())
         for path, digest in snap.child_digests(()):
             assert digest == full.digest_at(path)
@@ -235,7 +217,8 @@ class TestSnapshots:
             node_b.local_merge(f"key-{i}", node_a.state_of(f"key-{i}"))
         late = ClientSession("late")
         write(node_a, late, "key-7", "changed")
-        assert diff_keys(index_a.snapshot(), index_b.snapshot()) == ["key-7"]
+        assert diff_keys(MerkleTree(index_a.snapshot()),
+                         MerkleTree(index_b.snapshot())) == ["key-7"]
 
     def test_snapshot_flushes_pending_writes(self):
         node, index = indexed_node()
@@ -245,7 +228,8 @@ class TestSnapshots:
         assert index.dirty_buckets() > 0
         snap = index.snapshot()
         assert index.dirty_buckets() == 0
-        assert snap.root_digest == index.root_digest == rebuilt_digest(node)
+        assert (MerkleTree(snap).root_digest == index.root_digest
+                == rebuilt_digest(node))
 
 
 class TestDurability:

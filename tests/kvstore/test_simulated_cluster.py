@@ -2,18 +2,16 @@
 
 from __future__ import annotations
 
-import itertools
-
 import pytest
 
 from repro.clocks import ClientVVMechanism, DVVMechanism
-from repro.cluster import PartitionMap, QuorumConfig
-from repro.kvstore import ClientSession, MerkleTree, SimulatedCluster, default_value_size, diff_keys
-from repro.kvstore.merkle import bucket_path
+from repro.cluster import QuorumConfig
+from repro.kvstore import ClientSession, SimulatedCluster, default_value_size
 from repro.kvstore.protocol import anti_entropy, coordinator
 from repro.kvstore.protocol.env import READ_REPAIR_BATCH_MS
-from repro.kvstore.server import StorageNode
 from repro.network import FixedLatency, MessageType, SizeDependentLatency
+
+from merkle_reference import MerkleTree, crowded_keys, diff_keys
 
 
 def build_cluster(mechanism=None, **kwargs):
@@ -329,23 +327,6 @@ def wipe(server_id):
         cluster.fail_node(server_id)
         cluster.recover_node(server_id, wipe=True)
     return diverge
-
-
-def crowded_keys(groups, per_bucket, partitions):
-    """``groups × per_bucket`` keys ``k<i>``, grouped by the leaf bucket they
-    share in a ``partitions``-range cluster's Merkle trees."""
-    partition_map = PartitionMap(partitions)
-    shape = StorageNode("probe", DVVMechanism()).merkle_index
-    buckets = {}
-    for i in itertools.count():
-        key = f"k{i}"
-        slot = (partition_map.partition_of(key),
-                bucket_path(key, shape.fanout, shape.depth))
-        buckets.setdefault(slot, []).append(key)
-        full = [keys[:per_bucket] for keys in buckets.values()
-                if len(keys) >= per_bucket]
-        if len(full) == groups:
-            return [key for keys in full for key in keys]
 
 
 #: Keys sharing leaf buckets four at a time in ``diverged_cluster``, so

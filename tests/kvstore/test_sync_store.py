@@ -59,6 +59,16 @@ class TestBasicOperations:
             SyncReplicatedStore(DVVMechanism(), server_ids=())
 
 
+    def test_every_server_keeps_one_vnode(self):
+        store = make_store(servers=("A", "B", "C"))
+        for server_id in ("A", "B", "C"):
+            node = store.node(server_id)
+            assert list(node.storage.vnode_ids()) == [0]
+            assert node.merkle_index.partition_ids() == [0]
+        with pytest.raises(TypeError):
+            make_store(partition_map=None)
+
+
 class TestReplication:
     def test_writes_stay_local_until_sync(self):
         store = make_store()

@@ -41,12 +41,14 @@ from repro.core import DVVSet, Dot
 from repro.core.dvvset import _unique
 from repro.kvstore import ClusterCore, StorageNode, plan_read_repair
 from repro.kvstore.context import CausalContext
-from repro.kvstore.merkle import MerkleTree, state_fingerprint
+from repro.kvstore.merkle_index import state_fingerprint
 from repro.kvstore.protocol import ProtocolNode
 from repro.kvstore.protocol.effects import Send
 from repro.kvstore.read_repair import RepairPlan
 from repro.network.message import Message, MessageType
 from repro.network.wire import decode_message, encode_message
+
+from merkle_reference import live_digest, rebuilt_digest
 
 SERVERS = ["A", "B", "C"]
 CLIENTS = [f"client-{index}" for index in range(5)]
@@ -199,8 +201,7 @@ class Trace:
 
     def assert_indexes_match_rebuilds(self) -> None:
         for node in self.nodes.values():
-            assert (node.merkle_index.root_digest
-                    == MerkleTree.for_node(node).root_digest)
+            assert live_digest(node.merkle_index) == rebuilt_digest(node)
 
 
 def every_mechanism_trace():
@@ -386,8 +387,7 @@ def test_receiver_matches_todays_fingerprint_rule(case, sender, receiver,
         if states.get(key) is trace.nodes[receiver].state_of(key):
             kept = m.merge(kept, kept)    # its own state, kept as written
         assert kept == reference.state_of(key)
-    assert (node.store.merkle_index.root_digest
-            == MerkleTree.for_node(node.store).root_digest)
+    assert live_digest(node.store.merkle_index) == rebuilt_digest(node.store)
 
 
 # --------------------------------------------------------------------------- #

@@ -15,9 +15,11 @@ from repro.clocks import DVVMechanism
 from repro.cluster import PartitionMap
 from repro.cluster.ring import RING_BITS, rebalance_plan
 from repro.core import ConfigurationError
-from repro.kvstore import ClientSession, MerkleTree, NodeStorage, VnodeManager
-from repro.kvstore.merkle import state_fingerprint
+from repro.kvstore import ClientSession, NodeStorage
+from repro.kvstore.merkle_index import EMPTY_DIGESTS, state_fingerprint
 from repro.kvstore.server import StorageNode
+
+from merkle_reference import MerkleTree, live_digest, rebuilt_digest
 
 
 def write(node, client, key, value):
@@ -94,9 +96,6 @@ class TestVnodeRouting:
         assert storage.partition_of("anything") == 0
         assert list(storage.vnode_ids()) == [0]
 
-    def test_vnode_manager_is_the_storage_type(self):
-        assert VnodeManager is NodeStorage
-
     def test_wipe_vnode_drops_only_that_range(self):
         node, index = vnode_node()
         client = ClientSession("writer")
@@ -113,8 +112,7 @@ class TestVnodeRouting:
         assert set(node.storage.keys()) == survivors
         # the listener stream kept the per-range trees consistent
         assert index.index_for(victim).keys() == []
-        assert index.root_digest == MerkleTree.for_node(
-            node, fanout=index.fanout, depth=index.depth).root_digest
+        assert live_digest(index) == rebuilt_digest(node)
 
     def test_wipe_vnode_loses_that_ranges_hints(self):
         partition_map = PartitionMap(8)
@@ -193,10 +191,24 @@ class TestVnodeIndexSet:
         client = ClientSession("writer")
         for i in range(30):
             write(node, client, f"key-{i}", f"v{i}")
-        assert index.root_digest == MerkleTree.for_node(
-            node, fanout=index.fanout, depth=index.depth).root_digest
-        assert index.keys() == node.storage.keys()
-        assert index.key_count == len(node.storage)
+        assert live_digest(index) == rebuilt_digest(node)
+        snapshot = index.snapshot()
+        assert sorted(snapshot) == node.storage.keys()
+        assert len(snapshot) == len(node.storage)
+
+    def test_snapshot_is_the_union_of_the_range_snapshots(self):
+        node, index = vnode_node()
+        client = ClientSession("writer")
+        for i in range(30):
+            write(node, client, f"key-{i}", f"v{i}")
+        union = {}
+        for partition_id in index.partition_ids():
+            range_snapshot = index.index_for(partition_id).snapshot()
+            assert sorted(range_snapshot) == node.storage.vnode_keys(partition_id)
+            union.update(range_snapshot)
+        assert index.snapshot() == union
+        assert union == {key: state_fingerprint(node.mechanism, state)
+                         for key, state in node.storage.items()}
 
     def test_partition_roots_match_per_range_rebuilds(self):
         node, index = vnode_node()
@@ -207,7 +219,6 @@ class TestVnodeIndexSet:
             expected = MerkleTree(
                 {key: state_fingerprint(node.mechanism, state)
                  for key, state in node.storage.vnode_items(partition_id)},
-                fanout=index.fanout, depth=index.depth,
             ).root_digest
             assert index.partition_root(partition_id) == expected
 
@@ -231,8 +242,8 @@ class TestVnodeIndexSet:
     def test_empty_range_hashes_to_the_well_known_empty_root(self):
         _node, index = vnode_node()
         for partition_id in index.partition_ids():
-            assert index.partition_root(partition_id) == index.empty_root_digest
-        assert index.empty_root_digest == MerkleTree({}).root_digest
+            assert index.partition_root(partition_id) == EMPTY_DIGESTS[0]
+        assert EMPTY_DIGESTS[0] == MerkleTree({}).root_digest
 
     def test_rebuild_pays_only_for_occupied_vnodes(self):
         node, index = vnode_node(partitions=16)
@@ -245,8 +256,7 @@ class TestVnodeIndexSet:
         before = node.stats["full_rebuilds"]
         node.restart()
         assert node.stats["full_rebuilds"] == before + occupied
-        assert index.root_digest == MerkleTree.for_node(
-            node, fanout=index.fanout, depth=index.depth).root_digest
+        assert live_digest(index) == rebuilt_digest(node)
 
     def test_fingerprint_import_skips_hashing(self):
         node, index = vnode_node()
@@ -262,7 +272,7 @@ class TestVnodeIndexSet:
         assert other.stats["keys_hashed"] == hashed_before
         assert other.stats["fingerprints_imported"] == 1
         assert other_index.fingerprint("k") == fingerprint
-        assert other_index.root_digest == index.root_digest
+        assert live_digest(other_index) == live_digest(index)
 
     def test_an_import_after_a_pending_write_adopts_the_import(self):
         node, index = vnode_node()
@@ -275,7 +285,7 @@ class TestVnodeIndexSet:
         assert node.stats["keys_hashed"] == 0
         assert node.stats["fingerprints_imported"] == 1
         assert index.fingerprint("k") == imported
-        assert index.root_digest == source_index.root_digest
+        assert live_digest(index) == live_digest(source_index)
 
 
 class TestIngestHandoff:
@@ -291,9 +301,7 @@ class TestIngestHandoff:
         assert receiver.stats["keys_hashed"] == hashed_before
         assert receiver.stats["fingerprints_imported"] == 1
         assert receiver.stats["handoffs"] == 1
-        assert receiver_index.root_digest == MerkleTree.for_node(
-            receiver, fanout=receiver_index.fanout,
-            depth=receiver_index.depth).root_digest
+        assert live_digest(receiver_index) == rebuilt_digest(receiver)
 
     def test_matching_fingerprint_is_a_noop(self):
         sender, sender_index = vnode_node("A")
@@ -321,9 +329,7 @@ class TestIngestHandoff:
         receiver.ingest_handoff("k", sender.state_of("k"),
                                 sender_index.fingerprint("k"))
         assert sorted(map(str, receiver.values_of("k"))) == ["v1", "v2"]
-        assert receiver_index.root_digest == MerkleTree.for_node(
-            receiver, fanout=receiver_index.fanout,
-            depth=receiver_index.depth).root_digest
+        assert live_digest(receiver_index) == rebuilt_digest(receiver)
 
     def test_no_fingerprint_degrades_to_local_merge(self):
         sender, _ = vnode_node("A")
