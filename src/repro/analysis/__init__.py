@@ -5,7 +5,7 @@ from .correctness import (CorrectnessReport, KeyCorrectness, check_cluster,
 from .latency import LatencyReport, analyze_requests
 from .metadata import MetadataReport, compare_reports, measure_simulated_cluster, measure_sync_store
 from .report import format_cell, render_table
-from .stats import Summary, percentile, ratio, speedup, summarize
+from .stats import Summary, percentile, ratio, summarize
 
 __all__ = [
     "CorrectnessReport",
@@ -24,6 +24,5 @@ __all__ = [
     "percentile",
     "ratio",
     "render_table",
-    "speedup",
     "summarize",
 ]

@@ -86,14 +86,3 @@ def ratio(numerator: float, denominator: float) -> float:
     if denominator == 0:
         return 0.0
     return numerator / denominator
-
-
-def speedup(baseline: float, improved: float) -> float:
-    """How many times smaller/faster ``improved`` is relative to ``baseline``.
-
-    Used in the experiment reports ("DVV metadata is X times smaller").
-    Returns ``inf`` when the improved value is zero but the baseline is not.
-    """
-    if improved == 0:
-        return math.inf if baseline > 0 else 1.0
-    return baseline / improved

@@ -277,7 +277,6 @@ def _cluster_table(args: argparse.Namespace, cluster, duration_ms: float,
             ["servers", args.servers],
             ["clients", args.clients],
             ["quorum mode", args.quorum_mode],
-            ["deadline mode", args.deadline_mode],
             ["requests completed", latency.requests],
             ["requests failed", sum(1 for record in records if not record.ok)],
             ["mean latency (ms)", round(latency.overall.mean, 3)],
@@ -319,7 +318,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
                             sloppy=args.quorum_mode == "sloppy"),
         latency=SizeDependentLatency(base=FixedLatency(0.25), bytes_per_ms=args.bytes_per_ms),
         anti_entropy_interval_ms=50.0,
-        deadline_mode=args.deadline_mode,
         partition_count=args.partitions,
         seed=args.seed,
         tracer=tracer,
@@ -356,7 +354,6 @@ def _cmd_cluster_asyncio(args: argparse.Namespace) -> int:
                                 r=min(2, args.servers),
                                 w=min(2, args.servers),
                                 sloppy=args.quorum_mode == "sloppy"),
-            deadline_mode=args.deadline_mode,
             partition_count=args.partitions,
             tracer=tracer,
         )
@@ -619,11 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "sockets, reporting wall-clock numbers")
     cluster.add_argument("--quorum-mode", default="sloppy", choices=["strict", "sloppy"],
                          dest="quorum_mode")
-    cluster.add_argument("--deadline-mode", default="fixed", choices=["fixed", "adaptive"],
-                         dest="deadline_mode",
-                         help="replica deadlines: one fixed timeout, or an "
-                              "EWMA of each replica's observed ack latency "
-                              "(clamped to a floor/ceiling)")
     cluster.add_argument("--partitions", type=int, default=16,
                          help="fixed vnode partition count: each server keeps one "
                               "store and one Merkle tree per key range")

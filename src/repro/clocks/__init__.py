@@ -14,15 +14,8 @@ from .client_vv import ClientVVMechanism
 from .dvv_mechanism import DVVMechanism
 from .dvvset_mechanism import DVVSetMechanism
 from .interface import CausalityMechanism, ReadResult, Sibling
-from .pruning import (
-    DropOldestWriters,
-    GoldingSafePruning,
-    NoPruning,
-    PrunedClientVVMechanism,
-    PruningPolicy,
-    SizeBoundedPruning,
-)
-from .registry import available, create, create_many, pruned_client_vv, register
+from .pruning import PrunedClientVVMechanism
+from .registry import available, create, pruned_client_vv, register
 from .server_vv import ServerVVMechanism
 from .vve import DottedVVE, VersionVectorWithExceptions
 from .vve_mechanism import DottedVVEMechanism
@@ -33,21 +26,15 @@ __all__ = [
     "ClientVVMechanism",
     "DottedVVE",
     "DottedVVEMechanism",
-    "DropOldestWriters",
     "DVVMechanism",
     "DVVSetMechanism",
-    "GoldingSafePruning",
-    "NoPruning",
     "PrunedClientVVMechanism",
-    "PruningPolicy",
     "ReadResult",
     "ServerVVMechanism",
     "Sibling",
-    "SizeBoundedPruning",
     "VersionVectorWithExceptions",
     "available",
     "create",
-    "create_many",
     "pruned_client_vv",
     "register",
 ]

@@ -5,12 +5,12 @@ short names ("dvv", "server_vv", "client_vv[size<=10]", ...) so a single
 command-line flag or parameter sweep can select which mechanism a run uses.
 The registry maps those names to factory callables.  Factories (rather than
 instances) are registered because some mechanisms carry per-run mutable state
-(e.g. pruning policies count how much they pruned).
+(e.g. a pruned client VV counts how much it pruned).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List
+from typing import Callable, Dict, List
 
 from ..core.exceptions import ConfigurationError
 from .causal_history_mechanism import CausalHistoryMechanism
@@ -18,7 +18,7 @@ from .client_vv import ClientVVMechanism
 from .dvv_mechanism import DVVMechanism
 from .dvvset_mechanism import DVVSetMechanism
 from .interface import CausalityMechanism
-from .pruning import PrunedClientVVMechanism, SizeBoundedPruning
+from .pruning import PrunedClientVVMechanism
 from .server_vv import ServerVVMechanism
 from .vve_mechanism import DottedVVEMechanism
 
@@ -54,14 +54,9 @@ def available() -> List[str]:
     return sorted(_REGISTRY)
 
 
-def create_many(names: Iterable[str]) -> Dict[str, CausalityMechanism]:
-    """Instantiate several mechanisms at once (benchmark sweeps)."""
-    return {name: create(name) for name in names}
-
-
 def pruned_client_vv(max_entries: int) -> PrunedClientVVMechanism:
     """Factory helper for Riak-style size-bounded pruned client vectors."""
-    return PrunedClientVVMechanism(SizeBoundedPruning(max_entries))
+    return PrunedClientVVMechanism(max_entries)
 
 
 def _register_defaults() -> None:

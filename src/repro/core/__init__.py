@@ -33,7 +33,6 @@ from .dvv import (
 )
 from .dvvset import DVVSet
 from .exceptions import (
-    ActorMismatchError,
     AnalysisError,
     ClockError,
     ConfigurationError,
@@ -41,8 +40,6 @@ from .exceptions import (
     InvalidClockError,
     InvalidDotError,
     KeyNotFoundError,
-    NodeDownError,
-    QuorumError,
     ReproError,
     SchedulingError,
     SerializationError,
@@ -60,12 +57,11 @@ from .semantics import (
     denote_version_vector,
     semantic_compare,
 )
-from .serialization import decode, encode, encoded_size, entry_count, from_json, to_json
+from .serialization import decode, encode, encoded_size, entry_count
 from .version_vector import VersionVector, VersionVectorBuilder
 
 __all__ = [
     "Actor",
-    "ActorMismatchError",
     "AnalysisError",
     "CausalHistory",
     "ClockError",
@@ -78,9 +74,7 @@ __all__ = [
     "InvalidClockError",
     "InvalidDotError",
     "KeyNotFoundError",
-    "NodeDownError",
     "Ordering",
-    "QuorumError",
     "ReproError",
     "SchedulingError",
     "SerializationError",
@@ -107,7 +101,6 @@ __all__ = [
     "encoded_size",
     "entry_count",
     "equivalent",
-    "from_json",
     "happens_after",
     "happens_before",
     "join",
@@ -116,6 +109,5 @@ __all__ = [
     "semantic_compare",
     "strictly_ordered",
     "sync",
-    "to_json",
     "update",
 ]

@@ -29,10 +29,6 @@ class IncomparableError(ClockError):
     """Raised when a total order was requested from clocks that are concurrent."""
 
 
-class ActorMismatchError(ClockError):
-    """An operation received clocks belonging to incompatible actor spaces."""
-
-
 class SerializationError(ReproError):
     """A clock or store value could not be encoded or decoded."""
 
@@ -47,14 +43,6 @@ class KeyNotFoundError(StoreError):
 
 class StaleContextError(StoreError):
     """A PUT carried a causal context that the store cannot interpret."""
-
-
-class QuorumError(StoreError):
-    """A request could not gather the required number of replica replies."""
-
-
-class NodeDownError(StoreError):
-    """A request was routed to a node that is currently unavailable."""
 
 
 class SimulationError(ReproError):

@@ -8,7 +8,6 @@ every stored value.  This module provides:
 * a compact, dependency-free binary encoding for every clock type (length-
   prefixed UTF-8 actor ids + varint counters), used both to measure realistic
   byte sizes and to exercise round-trip correctness in the tests;
-* a JSON-compatible encoding for human inspection and for the examples;
 * :func:`encoded_size` / :func:`entry_count`, the two measurements the
   metadata-size checks (E2/E4, in ``tests/integration/test_workload_matrix.py``)
   report.
@@ -22,7 +21,7 @@ are :mod:`~repro.core.codec`'s too — one set, shared with the wire codec.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple, Union
+from typing import Tuple, Union
 
 from . import codec
 from .causal_history import CausalHistory
@@ -34,7 +33,6 @@ from .codec import (
     _decode_varint,
     _decode_vv_body,
 )
-from .dot import Dot
 from .dvv import DottedVersionVector
 from .dvvset import DVVSet
 from .exceptions import ClockError, SerializationError
@@ -102,51 +100,6 @@ def decode(data: bytes) -> Clock:
         raise SerializationError(
             f"trailing bytes after decoding ({len(data) - offset} left)")
     return clock
-
-
-# ---------------------------------------------------------------------- #
-# JSON encoding
-# ---------------------------------------------------------------------- #
-def to_json(clock: Clock) -> Dict[str, Any]:
-    """A human-readable JSON-compatible representation of any clock."""
-    if isinstance(clock, VersionVector):
-        return {"type": "version_vector", "entries": dict(clock.items())}
-    if isinstance(clock, DottedVersionVector):
-        return {
-            "type": "dotted_version_vector",
-            "dot": list(clock.dot.as_tuple()),
-            "causal_past": dict(clock.causal_past.items()),
-        }
-    if isinstance(clock, CausalHistory):
-        return {
-            "type": "causal_history",
-            "event": list(clock.event.as_tuple()) if clock.event else None,
-            "events": [list(d.as_tuple()) for d in sorted(clock.events())],
-        }
-    if isinstance(clock, DVVSet):
-        return {
-            "type": "dvvset",
-            "entries": [[actor, counter, list(values)] for actor, counter, values in clock.entries],
-            "anonymous": list(clock.anonymous),
-        }
-    raise SerializationError(f"cannot convert {type(clock).__name__} to JSON")
-
-
-def from_json(payload: Dict[str, Any]) -> Clock:
-    """Inverse of :func:`to_json`."""
-    kind = payload.get("type")
-    if kind == "version_vector":
-        return VersionVector(payload["entries"])
-    if kind == "dotted_version_vector":
-        actor, counter = payload["dot"]
-        return DottedVersionVector(Dot(actor, counter), VersionVector(payload["causal_past"]))
-    if kind == "causal_history":
-        event = Dot(*payload["event"]) if payload.get("event") else None
-        return CausalHistory.from_events((Dot(a, c) for a, c in payload["events"]), event)
-    if kind == "dvvset":
-        entries = [(actor, counter, tuple(values)) for actor, counter, values in payload["entries"]]
-        return DVVSet(entries, payload.get("anonymous", ()))
-    raise SerializationError(f"unknown clock type {kind!r}")
 
 
 # ---------------------------------------------------------------------- #

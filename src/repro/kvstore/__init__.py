@@ -48,13 +48,12 @@ from .merge import (
 from .read_repair import ReadRepairStats, RepairPlan, plan_read_repair
 from .server import Hint, StorageNode
 from .simulated import SimulatedClient, SimulatedCluster
-from .protocol import DEADLINE_MODES, MerkleSyncStats, RequestRecord, default_value_size
+from .protocol import MerkleSyncStats, RequestRecord, default_value_size
 from .storage import NodeStorage, VnodeStore
 from .sync_store import SyncReplicatedStore
 from .write_log import WriteLog, WriteRecord
 
 __all__ = [
-    "DEADLINE_MODES",
     "AsyncClusterClient",
     "AsyncioCluster",
     "CallbackResolver",

@@ -130,8 +130,8 @@ class AsyncioCluster(ClusterCore):
     Parameters mirror the simulator's where they mean the same thing (see
     :class:`~repro.kvstore.cluster_core.ClusterCore`); the transport knobs
     (latency models, loss, partitions) do not exist here — the network is
-    whatever the kernel provides.  The adaptive-deadline clamp is
-    [``replica_timeout_ms / 5``, ``replica_timeout_ms``].
+    whatever the kernel provides.  Every replica deadline is
+    ``replica_timeout_ms``; a GET's hedge floor is ``replica_timeout_ms / 5``.
 
     ``transport="unix"`` (default) listens on Unix-domain sockets under
     ``socket_dir`` (a fresh temp dir when omitted); ``transport="tcp"``
@@ -151,7 +151,6 @@ class AsyncioCluster(ClusterCore):
                  replica_timeout_ms: float = 250.0,
                  request_timeout_ms: float = 1000.0,
                  client_timeout_ms: Optional[float] = None,
-                 deadline_mode: str = "fixed",
                  partition_count: int = DEFAULT_PARTITION_COUNT,
                  topology: Optional[Topology] = None,
                  tracer: Optional[Any] = None) -> None:
@@ -168,8 +167,7 @@ class AsyncioCluster(ClusterCore):
             replica_timeout_ms=replica_timeout_ms,
             request_timeout_ms=request_timeout_ms,
             client_timeout_ms=client_timeout_ms,
-            deadline_mode=deadline_mode,
-            deadline_floor_ms=replica_timeout_ms / 5.0,
+            hedge_floor_ms=replica_timeout_ms / 5.0,
             partition_count=partition_count,
             topology=topology,
             tracer=tracer,

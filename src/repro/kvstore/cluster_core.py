@@ -13,8 +13,8 @@ off the cluster object, so an attribute a test sets on a live cluster is seen
 at once.  What the implementation fixes — batch sizes, the read-repair
 window, the hint backoff, the modelled envelope (constants in
 :mod:`repro.kvstore.protocol.env`), the ring's :data:`VIRTUAL_NODES` and the
-Merkle tree shape (:class:`~repro.kvstore.merkle_index.VnodeIndexSet`'s
-defaults) — is not configurable.
+Merkle tree shape (:data:`~repro.kvstore.merkle_index.FANOUT` ×
+:data:`~repro.kvstore.merkle_index.DEPTH`) — is not configurable.
 
 The core also owns the daemon *policy*: :meth:`ClusterCore.anti_entropy_tick`
 starts one Merkle-delta exchange for the next reachable replica pair and
@@ -52,7 +52,6 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NO_TRACER
 from .merkle_index import key_fingerprint
 from .protocol import (
-    DEADLINE_MODES,
     SYNC_MESSAGE_TYPES,
     ClientProtocol,
     EffectRunner,
@@ -165,12 +164,11 @@ class ClusterCore:
         before the coordinator answers ``ERROR_REPLY``, and how long a client
         waits (1.5 × the request timeout by default) before failing over to
         the next candidate coordinator.
-    deadline_mode / deadline_floor_ms:
-        Per-replica deadlines: ``"fixed"`` arms ``replica_timeout_ms`` for
-        every replica; ``"adaptive"`` arms an EWMA of the replica's observed
-        ack latency, clamped to [floor, ``replica_timeout_ms``], so
-        adaptation only ever tightens failure detection; the floor keeps a
-        single latency spike from mass-expiring healthy replicas.
+    hedge_floor_ms:
+        The earliest a GET asks its reserve primaries (its hedge waits twice
+        the asked replica's latency EWMA, never less than this).  Each backend
+        sets its own: 2.0 on the simulator, ``replica_timeout_ms / 5`` on
+        sockets.
     partition_count / topology:
         The cluster-wide fixed vnode ranges, and the datacenter assignment
         (``None``: one implicit DC).
@@ -189,27 +187,22 @@ class ClusterCore:
                  replica_timeout_ms: float = 10.0,
                  request_timeout_ms: float = 50.0,
                  client_timeout_ms: Optional[float] = None,
-                 deadline_mode: str = "fixed",
-                 deadline_floor_ms: float = 2.0,
+                 hedge_floor_ms: float = 2.0,
                  partition_count: int = DEFAULT_PARTITION_COUNT,
                  topology: Optional[Topology] = None,
                  tracer: Optional[Any] = None) -> None:
         if not server_ids:
             raise ConfigurationError("at least one server id is required")
-        if deadline_mode not in DEADLINE_MODES:
-            raise ConfigurationError(
-                f"unknown deadline mode {deadline_mode!r}; choose from {DEADLINE_MODES}"
-            )
         if replica_timeout_ms <= 0 or request_timeout_ms <= 0:
             raise ConfigurationError("request timeouts must be positive")
-        if deadline_floor_ms <= 0:
+        if hedge_floor_ms <= 0:
             raise ConfigurationError(
-                f"deadline_floor_ms must be positive, got {deadline_floor_ms}"
+                f"hedge_floor_ms must be positive, got {hedge_floor_ms}"
             )
-        if replica_timeout_ms < deadline_floor_ms:
+        if replica_timeout_ms < hedge_floor_ms:
             raise ConfigurationError(
                 f"replica_timeout_ms ({replica_timeout_ms}) must be >= "
-                f"deadline_floor_ms ({deadline_floor_ms})"
+                f"the hedge floor, hedge_floor_ms ({hedge_floor_ms})"
             )
         for name, interval in (("anti_entropy_interval_ms", anti_entropy_interval_ms),
                                ("hint_replay_interval_ms", hint_replay_interval_ms)):
@@ -247,8 +240,7 @@ class ClusterCore:
         self.request_timeout_ms = request_timeout_ms
         self.client_timeout_ms = (client_timeout_ms if client_timeout_ms is not None
                                   else request_timeout_ms * 1.5)
-        self.deadline_mode = deadline_mode
-        self.deadline_floor_ms = deadline_floor_ms
+        self.hedge_floor_ms = hedge_floor_ms
 
         self.servers: Dict[str, ServerHost] = {}
         self.clients: Dict[str, ClientHost] = {}

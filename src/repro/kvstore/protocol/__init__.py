@@ -27,11 +27,10 @@ from .effects import (
     SetTimer,
     TimerId,
 )
-from .env import DEADLINE_MODES
 from .hints import HintReplayer
 from .latency import (
-    ADAPTIVE_DEADLINE_MULTIPLIER,
     DEADLINE_EWMA_ALPHA,
+    SLOW_PEER_MULTIPLIER,
     PeerLatencyTracker,
 )
 from .node import ProtocolNode
@@ -39,7 +38,6 @@ from .replica import ReplicaHandler
 from .util import chunked, default_value_size
 
 __all__ = [
-    "ADAPTIVE_DEADLINE_MULTIPLIER",
     "AntiEntropyEngine",
     "AntiEntropySession",
     "ClearTimer",
@@ -47,7 +45,6 @@ __all__ = [
     "Coordinator",
     "CoordinatorSession",
     "DEADLINE_EWMA_ALPHA",
-    "DEADLINE_MODES",
     "DIGEST_BYTES",
     "Effect",
     "EffectList",
@@ -60,6 +57,7 @@ __all__ = [
     "RequestRecord",
     "Send",
     "SetTimer",
+    "SLOW_PEER_MULTIPLIER",
     "SYNC_MESSAGE_TYPES",
     "TimerId",
     "chunked",

@@ -11,14 +11,14 @@ handler consumes a decoded message or a fired timer and *emits effects*
 it never touches a transport or an event loop.
 
 Coordination is Dynamo-style and timeout-driven over the key's N *primary*
-replicas, regardless of the membership view: arm a per-replica deadline on
-every contact and collect R/W acks.  A PUT writes to every primary.  A GET
-asks only as many primaries as its read quorum still lacks after the
-coordinator's own reply; the other primaries are the session's *reserve*,
-ranked unsuspected first (see
+replicas, regardless of the membership view: arm a per-replica deadline of
+``replica_timeout_ms`` on every contact and collect R/W acks.  A PUT writes
+to every primary.  A GET asks only as many primaries as its read quorum still
+lacks after the coordinator's own reply; the other primaries are the
+session's *reserve*, ranked unsuspected first (see
 :class:`~repro.kvstore.protocol.latency.PeerLatencyTracker`), then — on a
 multi-DC topology — the coordinator's own datacenter, then ring order.  A
-hedge timer (twice the asked replica's EWMA, at least ``deadline_floor_ms``)
+hedge timer (twice the asked replica's EWMA, at least ``hedge_floor_ms``)
 asks the reserve if the quorum is still short; a contacted replica's deadline
 asks it too, before anything else.  A replica whose deadline fires is then,
 under a **sloppy** quorum, replaced by the next node on the ring, which
@@ -223,12 +223,12 @@ class Coordinator:
         ranked = self._rank_primaries(
             [replica_id for replica_id in primaries if replica_id != node.node_id])
         wanted = pending.needed - len(pending.replies)
-        deadlines = [self._send_replica_request(request_id, pending, replica_id)
-                     for replica_id in ranked[:wanted]]
+        for replica_id in ranked[:wanted]:
+            self._send_replica_request(request_id, pending, replica_id)
         pending.reserve = ranked[wanted:]
         self._arm_request_deadline(request_id, pending)
-        if pending.reserve and deadlines:
-            self._arm_hedge(request_id, pending, min(deadlines))
+        if pending.reserve and pending.deadlines:
+            self._arm_hedge(request_id, pending)
         self._maybe_finish_get(request_id)
 
     def _rank_primaries(self, replica_ids: List[str]) -> List[str]:
@@ -245,14 +245,14 @@ class Coordinator:
             return sorted(replica_ids, key=suspected.__contains__)
         return replica_ids
 
-    def _arm_hedge(self, coordination_id: int, pending: CoordinatorSession,
-                   deadline_ms: float) -> None:
-        """Arm the GET's hedge, unless a deadline would fire no later."""
+    def _arm_hedge(self, coordination_id: int,
+                   pending: CoordinatorSession) -> None:
+        """Arm the GET's hedge, unless a replica deadline would fire no later."""
         node = self._node
-        floor_ms = node.env.deadline_floor_ms
+        floor_ms = node.env.hedge_floor_ms
         delay_ms = max(node.latency.hedge_ms(replica_id, floor_ms)
                        for replica_id in pending.deadlines)
-        if delay_ms >= deadline_ms:
+        if delay_ms >= node.env.replica_timeout_ms:
             return
         pending.hedge = True
         node.emit(SetTimer(("hedge", coordination_id), delay_ms, kind="task",
@@ -399,11 +399,8 @@ class Coordinator:
     def _send_replica_request(self, coordination_id: int,
                               pending: CoordinatorSession,
                               replica_id: str,
-                              hint_for: Optional[str] = None) -> float:
-        """Contact one replica (primary or fallback) and arm its deadline.
-
-        Returns the deadline armed, in ms.
-        """
+                              hint_for: Optional[str] = None) -> None:
+        """Contact one replica (primary or fallback) and arm its deadline."""
         node = self._node
         pending.tried.append(replica_id)
         if hint_for is not None:
@@ -438,24 +435,11 @@ class Coordinator:
         node.emit(Send(message))
         pending.sent_at[replica_id] = node.now
         pending.deadlines[replica_id] = True
-        deadline_ms = self.replica_deadline_ms(replica_id)
         node.emit(SetTimer(
             ("replica", coordination_id, replica_id),
-            deadline_ms,
+            node.env.replica_timeout_ms,
             label=f"replica-deadline:{pending.kind}:{replica_id}",
         ))
-        return deadline_ms
-
-    def replica_deadline_ms(self, replica_id: str) -> float:
-        """How long to wait for this replica's ack before giving up on it."""
-        env = self._node.env
-        return self._node.latency.deadline_ms(
-            replica_id,
-            mode=env.deadline_mode,
-            fixed_ms=env.replica_timeout_ms,
-            floor_ms=env.deadline_floor_ms,
-            ceiling_ms=env.replica_timeout_ms,
-        )
 
     def _observe_ack_latency(self, pending: CoordinatorSession,
                              replica_id: str) -> None:

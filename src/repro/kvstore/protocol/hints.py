@@ -5,9 +5,9 @@ and clears them on ``HINT_ACK`` — lost replays are simply retried on a later
 tick, and merges are idempotent, so re-sent hints are harmless.
 
 Replay targeting consults the node's per-replica latency EWMAs (the same
-tracker the coordinator's adaptive deadlines use): a **persistently slow**
-peer — one whose EWMA-derived deadline clamps at the ceiling,
-``replica_timeout_ms`` — is replayed to once and then backed off for
+tracker the coordinator's read hedge uses): a **persistently slow** peer —
+one whose EWMA times ``SLOW_PEER_MULTIPLIER`` reaches ``replica_timeout_ms`` —
+is replayed to once and then backed off for
 ``ewma × HINT_BACKOFF_MULTIPLIER`` instead of being hammered on the daemon's
 fixed cadence, since batches to it are usually still in flight when the next
 tick comes around.  Deferred ticks are counted in the node's

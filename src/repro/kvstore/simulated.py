@@ -135,11 +135,9 @@ quorum is infeasible or the overall request deadline fires.  Clients arm their
 own deadline and fail over to the next candidate coordinator on the
 (extended) preference list before reporting the request as failed.
 
-Per-replica deadlines are a fixed ``replica_timeout_ms`` by default;
-``deadline_mode="adaptive"`` instead arms an EWMA of each replica's observed
-ack latency (scaled for headroom, clamped to a floor/ceiling), so failover
-off a slow replica happens in a few of its usual round trips instead of a
-worst-case constant.
+Every per-replica deadline is ``replica_timeout_ms``.  A GET's hedge asks its
+reserve primaries after twice the asked replica's latency EWMA, never sooner
+than 2 ms of virtual time.
 """
 
 from __future__ import annotations
@@ -187,7 +185,8 @@ class SimulatedCluster(ClusterCore):
     """A complete simulated deployment: servers, clients, ring, transport.
 
     Every knob shared with the asyncio backend is documented on
-    :class:`~repro.kvstore.cluster_core.ClusterCore`.  The simulator's own:
+    :class:`~repro.kvstore.cluster_core.ClusterCore`; the hedge floor is the
+    core's default, 2.0 ms, and not a knob here.  The simulator's own:
 
     latency:
         Latency model; defaults to a size-dependent model so metadata size
@@ -211,8 +210,6 @@ class SimulatedCluster(ClusterCore):
                  replica_timeout_ms: float = 10.0,
                  request_timeout_ms: float = 50.0,
                  client_timeout_ms: Optional[float] = None,
-                 deadline_mode: str = "fixed",
-                 deadline_floor_ms: float = 2.0,
                  partition_count: int = DEFAULT_PARTITION_COUNT,
                  topology: Optional[Topology] = None,
                  tracer: Optional[Any] = None) -> None:
@@ -223,8 +220,6 @@ class SimulatedCluster(ClusterCore):
             replica_timeout_ms=replica_timeout_ms,
             request_timeout_ms=request_timeout_ms,
             client_timeout_ms=client_timeout_ms,
-            deadline_mode=deadline_mode,
-            deadline_floor_ms=deadline_floor_ms,
             partition_count=partition_count,
             topology=topology,
             tracer=tracer,

@@ -9,7 +9,6 @@ lower latency" effect survives the substitution.
 from .latency import (
     FixedLatency,
     LatencyModel,
-    LogNormalLatency,
     PerLinkLatency,
     SizeDependentLatency,
     UniformLatency,
@@ -24,7 +23,6 @@ __all__ = [
     "EventHandle",
     "FixedLatency",
     "LatencyModel",
-    "LogNormalLatency",
     "Message",
     "MessageType",
     "PartitionManager",

@@ -16,7 +16,6 @@ per call, so the same seed reproduces the same delays.
 from __future__ import annotations
 
 import abc
-import math
 import random
 from typing import Optional
 
@@ -57,25 +56,6 @@ class UniformLatency(LatencyModel):
 
     def sample(self, rng: random.Random, size_bytes: int = 0) -> float:
         return rng.uniform(self.low_ms, self.high_ms)
-
-
-class LogNormalLatency(LatencyModel):
-    """Log-normally distributed delay — the classic long-tailed datacentre model.
-
-    Parameterised by the median delay and a shape factor ``sigma``; the long
-    tail is what makes quorum waiting times sensitive to fan-out size.
-    """
-
-    def __init__(self, median_ms: float = 1.0, sigma: float = 0.5) -> None:
-        if median_ms <= 0:
-            raise ConfigurationError(f"median must be positive, got {median_ms}")
-        if sigma < 0:
-            raise ConfigurationError(f"sigma must be non-negative, got {sigma}")
-        self.median_ms = median_ms
-        self.sigma = sigma
-
-    def sample(self, rng: random.Random, size_bytes: int = 0) -> float:
-        return rng.lognormvariate(math.log(self.median_ms), self.sigma)
 
 
 class SizeDependentLatency(LatencyModel):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import percentile, ratio, render_table, speedup, summarize
+from repro.analysis import percentile, ratio, render_table, summarize
 from repro.core import AnalysisError
 
 
@@ -49,11 +49,6 @@ class TestRatios:
     def test_ratio(self):
         assert ratio(10, 4) == 2.5
         assert ratio(10, 0) == 0.0
-
-    def test_speedup(self):
-        assert speedup(100, 20) == 5.0
-        assert speedup(100, 0) == float("inf")
-        assert speedup(0, 0) == 1.0
 
 
 class TestRenderTable:

@@ -5,11 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.clocks import (
-    CausalityMechanism,
     DVVMechanism,
     available,
     create,
-    create_many,
     pruned_client_vv,
     register,
 )
@@ -33,11 +31,6 @@ class TestRegistry:
         with pytest.raises(ConfigurationError):
             create("definitely-not-a-mechanism")
 
-    def test_create_many(self):
-        mechanisms = create_many(["dvv", "server_vv"])
-        assert set(mechanisms) == {"dvv", "server_vv"}
-        assert all(isinstance(m, CausalityMechanism) for m in mechanisms.values())
-
     def test_register_rejects_duplicates(self):
         with pytest.raises(ConfigurationError):
             register("dvv", DVVMechanism)
@@ -56,10 +49,11 @@ class TestRegistry:
     def test_pruned_factory_threshold(self):
         mechanism = pruned_client_vv(9)
         assert "9" in mechanism.name
-        assert mechanism.policy.max_entries == 9
+        assert mechanism.max_entries == 9
 
     def test_pruned_registry_entries_use_distinct_thresholds(self):
-        five = create("client_vv_pruned_5")
-        twenty = create("client_vv_pruned_20")
-        assert five.policy.max_entries == 5
-        assert twenty.policy.max_entries == 20
+        for bound in (5, 10, 20):
+            mechanism = create(f"client_vv_pruned_{bound}")
+            assert mechanism.max_entries == bound
+            # Reports and BENCH_hot_key.json key on this name.
+            assert mechanism.name == f"client_vv[size<={bound}]"

@@ -41,7 +41,6 @@ from repro.clocks import (
     PrunedClientVVMechanism,
     ServerVVMechanism,
     Sibling,
-    SizeBoundedPruning,
 )
 from repro.clocks.client_vv import version_order
 from repro.core import Dot, VersionVector
@@ -143,7 +142,7 @@ _STEP = st.one_of(
 
 MECHANISMS = [
     ClientVVMechanism,
-    lambda: PrunedClientVVMechanism(SizeBoundedPruning(3)),
+    lambda: PrunedClientVVMechanism(3),
     ServerVVMechanism,
 ]
 
@@ -336,7 +335,7 @@ def test_sorted_entries_are_memoized_and_unchanged():
 # --------------------------------------------------------------------------- #
 ABSORBING = [
     ClientVVMechanism,
-    lambda: PrunedClientVVMechanism(SizeBoundedPruning(3)),
+    lambda: PrunedClientVVMechanism(3),
 ]
 
 

@@ -15,8 +15,6 @@ from repro.core import (
     encode,
     encoded_size,
     entry_count,
-    from_json,
-    to_json,
 )
 
 
@@ -58,20 +56,6 @@ class TestBinaryRoundTrip:
     def test_unencodable_type_rejected(self):
         with pytest.raises(SerializationError):
             encode("not a clock")  # type: ignore[arg-type]
-
-
-class TestJsonRoundTrip:
-    @pytest.mark.parametrize("clock", SAMPLE_CLOCKS[:6], ids=lambda c: type(c).__name__)
-    def test_round_trip(self, clock):
-        assert from_json(to_json(clock)) == clock
-
-    def test_dvvset_json_round_trip(self):
-        clock = DVVSet([("A", 2, ("v2",))], ("x",))
-        assert from_json(to_json(clock)) == clock
-
-    def test_unknown_type_rejected(self):
-        with pytest.raises(SerializationError):
-            from_json({"type": "mystery"})
 
 
 class TestSizeAccounting:

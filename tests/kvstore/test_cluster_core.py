@@ -19,7 +19,11 @@ from repro.clocks import create
 from repro.cluster import QuorumConfig
 from repro.core.exceptions import ConfigurationError
 from repro.kvstore import AsyncioCluster, ClusterCore, ServerHost, SimulatedCluster
+from repro.kvstore.client import ClientSession
+from repro.kvstore.protocol import ProtocolNode, SetTimer
+from repro.kvstore.protocol.env import REQUEST_OVERHEAD_BYTES
 from repro.kvstore.server import StorageNode
+from repro.network.message import Message, MessageType
 
 SERVER_IDS = ("A", "B", "C", "D")
 BACKENDS = {"sim": SimulatedCluster, "asyncio": AsyncioCluster}
@@ -27,7 +31,6 @@ BACKENDS = {"sim": SimulatedCluster, "asyncio": AsyncioCluster}
 
 @pytest.mark.parametrize("backend", sorted(BACKENDS))
 @pytest.mark.parametrize("knobs", [
-    {"deadline_mode": "adaptiv"},
     {"replica_timeout_ms": -1},
     {"request_timeout_ms": 0},
     {"server_ids": ()},
@@ -37,6 +40,70 @@ BACKENDS = {"sim": SimulatedCluster, "asyncio": AsyncioCluster}
 def test_both_backends_reject_the_same_bad_configuration(backend, knobs):
     with pytest.raises(ConfigurationError):
         BACKENDS[backend](create("dvv"), **knobs)
+
+
+def test_the_hedge_floor_is_checked_against_the_replica_timeout():
+    with pytest.raises(ConfigurationError, match="hedge_floor_ms"):
+        ClusterCore(create("dvv"), hedge_floor_ms=0.0)
+    with pytest.raises(ConfigurationError, match="hedge floor"):
+        ClusterCore(create("dvv"), hedge_floor_ms=5.0, replica_timeout_ms=1.0)
+    # The simulator's hedge floor is 2.0: a shorter replica timeout is refused.
+    with pytest.raises(ConfigurationError, match="hedge floor"):
+        SimulatedCluster(create("dvv"), replica_timeout_ms=1.0)
+
+
+@pytest.mark.parametrize("cluster_type, knob", [
+    (ClusterCore, {"deadline_mode": "fixed"}),
+    (SimulatedCluster, {"deadline_mode": "fixed"}),
+    (AsyncioCluster, {"deadline_mode": "fixed"}),
+    # The simulator's hedge floor is fixed at the core's default.
+    (SimulatedCluster, {"deadline_floor_ms": 2.0}),
+    (SimulatedCluster, {"hedge_floor_ms": 2.0}),
+], ids=lambda value: value.__name__ if isinstance(value, type) else next(iter(value)))
+def test_knobs_that_are_not_options_are_refused(cluster_type, knob):
+    with pytest.raises(TypeError):
+        cluster_type(create("dvv"), **knob)
+
+
+def armed_delays(node, msg_type, payload, timer):
+    """The delays of the ``timer`` timers a coordinator arms for one request."""
+    effects = node.on_message(
+        Message(sender="client:c1", receiver=node.node_id, msg_type=msg_type,
+                payload=payload, size_bytes=REQUEST_OVERHEAD_BYTES),
+        now=0.0)
+    return [effect.delay_ms for effect in effects
+            if isinstance(effect, SetTimer) and effect.timer_id[0] == timer]
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_every_replica_deadline_is_the_replica_timeout(backend):
+    """However fast a replica has been, its deadline is the fixed timeout."""
+    cluster = BACKENDS[backend](create("dvv"), server_ids=SERVER_IDS)
+    key = "cart"
+    primaries = cluster.placement.primary_replicas(key)
+    node = ProtocolNode(primaries[0], cluster.mechanism, cluster)
+    for replica_id in primaries[1:]:
+        node.latency.observe(replica_id, cluster.replica_timeout_ms / 100.0)
+    sibling = ClientSession("c1").prepare_write(key, "beer")
+    delays = armed_delays(node, MessageType.COORDINATE_PUT,
+                          {"key": key, "sibling": sibling, "context": None}, "replica")
+    delays += armed_delays(node, MessageType.COORDINATE_GET, {"key": key}, "replica")
+    assert delays == [cluster.replica_timeout_ms] * 3  # two PUT replicas, one GET
+
+
+@pytest.mark.parametrize("backend, replica_timeout_ms, floor_ms", [
+    ("sim", 10.0, 2.0),
+    ("asyncio", 100.0, 20.0),   # replica_timeout_ms / 5
+])
+def test_each_backend_has_its_own_hedge_floor(backend, replica_timeout_ms, floor_ms):
+    cluster = BACKENDS[backend](create("dvv"), server_ids=SERVER_IDS,
+                                replica_timeout_ms=replica_timeout_ms)
+    assert cluster.hedge_floor_ms == floor_ms
+    # A replica never observed: the GET's hedge waits exactly the floor.
+    key = "cart"
+    node = ProtocolNode(cluster.placement.primary_replicas(key)[0],
+                        cluster.mechanism, cluster)
+    assert armed_delays(node, MessageType.COORDINATE_GET, {"key": key}, "hedge") == [floor_ms]
 
 
 @pytest.mark.parametrize("backend", sorted(BACKENDS))

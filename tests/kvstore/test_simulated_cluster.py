@@ -596,45 +596,14 @@ class TestBatchedReadRepair:
         assert cluster.transport.stats.per_type.get("read_repair", 0) == before
 
 
-class TestAdaptiveDeadlines:
-    def build_adaptive(self, **kwargs):
-        kwargs.setdefault("server_ids", ("n1", "n2", "n3", "n4", "n5"))
-        kwargs.setdefault("quorum", QuorumConfig(n=3, r=2, w=2, sloppy=True))
-        kwargs.setdefault("replica_timeout_ms", 6.0)
-        kwargs.setdefault("request_timeout_ms", 30.0)
-        kwargs.setdefault("deadline_mode", "adaptive")
-        return build_cluster(**kwargs)
-
-    def test_configuration_validated(self):
-        from repro.core.exceptions import ConfigurationError
-        with pytest.raises(ConfigurationError):
-            build_cluster(deadline_mode="prophetic")
-        with pytest.raises(ConfigurationError):
-            self.build_adaptive(deadline_floor_ms=0.0)
-        with pytest.raises(ConfigurationError):
-            self.build_adaptive(deadline_floor_ms=5.0, replica_timeout_ms=1.0)
-
-    def test_deadline_tracks_ewma_within_floor_and_ceiling(self):
-        cluster = self.build_adaptive(deadline_floor_ms=2.0)
-        server = next(iter(cluster.servers.values()))
-        # never observed: fall back to the fixed timeout
-        assert server.protocol.coordinator.replica_deadline_ms("peer") == cluster.replica_timeout_ms
-        server.protocol.latency.ewma["peer"] = 1.0
-        assert server.protocol.coordinator.replica_deadline_ms("peer") == pytest.approx(3.0)  # 3x EWMA
-        server.protocol.latency.ewma["peer"] = 0.1
-        assert server.protocol.coordinator.replica_deadline_ms("peer") == pytest.approx(2.0)  # floor
-        server.protocol.latency.ewma["peer"] = 100.0
-        assert server.protocol.coordinator.replica_deadline_ms("peer") == pytest.approx(
-            cluster.replica_timeout_ms)                                   # ceiling
-
-    def test_fixed_mode_ignores_observations(self):
-        cluster = self.build_adaptive(deadline_mode="fixed")
-        server = next(iter(cluster.servers.values()))
-        server.protocol.latency.ewma["peer"] = 1.0
-        assert server.protocol.coordinator.replica_deadline_ms("peer") == cluster.replica_timeout_ms
+class TestReplicaDeadlines:
+    def build(self):
+        return build_cluster(server_ids=("n1", "n2", "n3", "n4", "n5"),
+                             quorum=QuorumConfig(n=3, r=2, w=2, sloppy=True),
+                             replica_timeout_ms=6.0, request_timeout_ms=30.0)
 
     def test_acks_feed_the_ewma(self):
-        cluster = self.build_adaptive()
+        cluster = self.build()
         client = cluster.client("alice")
         for i in range(6):
             client.put("k", f"v{i}")
@@ -647,24 +616,11 @@ class TestAdaptiveDeadlines:
             for latency in ewma_map.values():
                 assert latency > 0
 
-    def test_healthy_cluster_serves_under_adaptive_deadlines(self):
-        cluster = self.build_adaptive()
-        client = cluster.client("alice")
-        outcomes = {}
-        client.put("k", "v1", lambda result: outcomes.setdefault("put", result))
-        cluster.run(until=60)
-        client.get("k", lambda result: outcomes.setdefault("get", result))
-        cluster.drain()
-        assert outcomes["put"] is not None
-        assert outcomes["get"].values == ["v1"]
-        assert all(record.ok for record in cluster.all_request_records())
-
     def test_crashed_primary_still_handed_off(self):
-        """Tightened deadlines must not break the sloppy-quorum handoff path."""
-        cluster = self.build_adaptive()
+        """Warm EWMAs must not break the sloppy-quorum handoff path."""
+        cluster = self.build()
         key = "k"
         client = cluster.client("alice")
-        # Warm the EWMAs so the adaptive path (not the fixed fallback) is used.
         for i in range(4):
             client.put(key, f"warm{i}")
             cluster.run(until=cluster.simulation.now + 40.0)

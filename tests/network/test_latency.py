@@ -9,7 +9,6 @@ import pytest
 from repro.core import ConfigurationError
 from repro.network import (
     FixedLatency,
-    LogNormalLatency,
     PerLinkLatency,
     SizeDependentLatency,
     UniformLatency,
@@ -41,23 +40,6 @@ class TestUniformLatency:
             UniformLatency(3.0, 1.0)
         with pytest.raises(ConfigurationError):
             UniformLatency(-1.0, 1.0)
-
-
-class TestLogNormalLatency:
-    def test_positive_and_long_tailed(self):
-        model = LogNormalLatency(median_ms=1.0, sigma=0.8)
-        rng = random.Random(2)
-        samples = sorted(model.sample(rng) for _ in range(500))
-        assert all(s > 0 for s in samples)
-        median = samples[len(samples) // 2]
-        assert 0.7 < median < 1.4            # close to the configured median
-        assert samples[-1] > 3 * median      # has a tail
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            LogNormalLatency(median_ms=0)
-        with pytest.raises(ConfigurationError):
-            LogNormalLatency(sigma=-1)
 
 
 class TestSizeDependentLatency:

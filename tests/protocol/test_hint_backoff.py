@@ -1,8 +1,9 @@
 """Hint-replay backoff for persistently slow peers (satellite of PR 5).
 
-A peer whose latency EWMA pins the adaptive deadline at its ceiling gets one
-replay batch and is then left alone for ``ewma × HINT_BACKOFF_MULTIPLIER``;
-ticks that land inside the backoff window are counted in
+A peer whose latency EWMA times ``SLOW_PEER_MULTIPLIER`` reaches the replica
+timeout gets one replay batch and is then left alone for
+``ewma × HINT_BACKOFF_MULTIPLIER``; ticks that land inside the backoff window
+are counted in
 ``hint_replays_deferred`` instead of re-sending batches that are still in
 flight.  Healthy and never-observed peers are replayed on every tick, and the
 backoff state is process memory — a crash forgets it.
@@ -21,7 +22,7 @@ from repro.network.message import MessageType
 SERVER_IDS = ("A", "B", "C")
 
 #: With the ceiling (the replica timeout) at 10ms, an EWMA of 100ms is
-#: pinned (persistently slow) while 1ms stays comfortably adaptive.
+#: persistently slow while 1ms is healthy.
 CEILING_MS = 10.0
 SLOW_EWMA_MS = 100.0
 

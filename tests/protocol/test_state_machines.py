@@ -290,7 +290,7 @@ def test_healthy_get_asks_what_r_lacks_and_arms_one_hedge():
     assert len(hedges) == 1
     # No EWMA for the asked replica yet: the hedge waits the floor, and it
     # is scheduled work, not a failure-detection deadline.
-    assert hedges[0].delay_ms == env.deadline_floor_ms
+    assert hedges[0].delay_ms == env.hedge_floor_ms
     assert hedges[0].kind == "task"
 
     # With an EWMA the hedge waits twice the replica's usual round trip...
@@ -328,7 +328,7 @@ def test_hedge_asks_the_reserve_before_any_fallback():
     node.on_message(coordinate_get(env, key), now=0.0)
     coordination_id = next(iter(node.coordinator.sessions))
 
-    effects = node.on_timer(("hedge", coordination_id), now=env.deadline_floor_ms)
+    effects = node.on_timer(("hedge", coordination_id), now=env.hedge_floor_ms)
 
     assert [m.receiver for m in sends(effects)] == [primaries[2]]
     assert node.coordinator.read_hedges == 1

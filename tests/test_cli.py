@@ -100,11 +100,18 @@ class TestClusterCommand:
         assert "quorum mode" in output and "sloppy" in output
         assert "requests failed" in output
         assert "request mode" not in output
+        assert "deadline mode" not in output
 
     def test_request_mode_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit):
             main(["cluster", "--request-mode", "async"])
         assert "--request-mode" in capsys.readouterr().err
+
+    def test_deadline_mode_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["cluster", "--deadline-mode", "adaptive"])
+        assert exit_info.value.code == 2
+        assert "--deadline-mode" in capsys.readouterr().err
 
 
 def row_labels(output: str) -> list:
