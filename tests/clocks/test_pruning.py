@@ -31,6 +31,34 @@ class TestPolicies:
         with pytest.raises(ValueError):
             PrunedClientVVMechanism(0)
 
+    @pytest.mark.parametrize("bound", [-1, -5])
+    def test_negative_bounds_rejected(self, bound):
+        with pytest.raises(ValueError, match="max_entries must be >= 1"):
+            PrunedClientVVMechanism(bound)
+
+    def test_a_bound_of_one_keeps_the_largest_counter(self):
+        mechanism = PrunedClientVVMechanism(1)
+        pruned = mechanism.prune(VersionVector({"A": 3, "B": 8, "C": 2}))
+        assert pruned == VersionVector({"B": 8})
+        assert mechanism.pruned_entries == 2
+
+    def test_ties_are_broken_by_actor_id(self):
+        mechanism = PrunedClientVVMechanism(2)
+        pruned = mechanism.prune(VersionVector({"c": 4, "a": 4, "b": 4}))
+        assert pruned.actors() == {"a", "b"}
+
+    def test_a_vector_exactly_at_the_bound_is_returned_unchanged(self):
+        mechanism = PrunedClientVVMechanism(3)
+        vv = VersionVector({"A": 1, "B": 2, "C": 3})
+        assert mechanism.prune(vv) is vv
+        assert mechanism.pruned_entries == 0
+
+    def test_pruned_entries_accumulate_across_vectors(self):
+        mechanism = PrunedClientVVMechanism(2)
+        mechanism.prune(VersionVector({"A": 1, "B": 2, "C": 3}))
+        mechanism.prune(VersionVector({"A": 1, "B": 2, "C": 3, "D": 4}))
+        assert mechanism.pruned_entries == 3
+
     def test_the_bound_is_an_int_not_a_policy_object(self):
         class Policy:
             name = "size<=5"
@@ -56,6 +84,16 @@ class TestPrunedMechanism:
         pruned_state = self._concurrent_writer_state(pruned, 20)
         assert pruned.metadata_entries(pruned_state) <= 5 * max(1, len(pruned.siblings(pruned_state)))
         assert pruned.metadata_entries(pruned_state) < exact.metadata_entries(exact_state)
+
+    def test_every_stored_clock_fits_the_bound_after_a_write(self):
+        mechanism = PrunedClientVVMechanism(2)
+        state = mechanism.empty_state()
+        for index in range(6):
+            context = mechanism.read(state).context
+            state = mechanism.write(state, context,
+                                    sibling(f"v{index}", f"client-{index}", 1), "A")
+            assert all(len(clock) <= 2 for clock, _ in state)
+        assert mechanism.pruned_entries > 0
 
     def test_pruning_discards_causal_information(self):
         """A pruned vector no longer descends vectors it used to descend —
