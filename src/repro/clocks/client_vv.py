@@ -101,12 +101,18 @@ class ClientVVMechanism(CausalityMechanism[ClientVVState, VersionVector]):
               context: VersionVector,
               sibling: Sibling,
               server_id: str) -> ClientVVState:
+        """The survivors, then the one new ``(clock, sibling)`` entry last
+        (which :meth:`write_delta` relies on)."""
         new_clock = self._mint(context, state, sibling)
         survivors = tuple(
             (clock, stored) for clock, stored in state
             if not new_clock.descends(clock)
         )
         return survivors + ((new_clock, sibling),)
+
+    def write_delta(self, written: ClientVVState) -> ClientVVState:
+        """The new entry alone: its clock descends every entry the write dropped."""
+        return written[-1:]
 
     def merge(self, state_a: ClientVVState, state_b: ClientVVState) -> ClientVVState:
         survivors = undominated(distinct_versions(state_a + state_b))

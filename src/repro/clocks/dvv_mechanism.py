@@ -60,6 +60,8 @@ class DVVMechanism(CausalityMechanism[DVVState, VersionVector]):
               context: VersionVector,
               sibling: Sibling,
               server_id: str) -> DVVState:
+        """The survivors, then the one new ``(clock, sibling)`` entry last
+        (which :meth:`write_delta` relies on)."""
         clocks = [clock for clock, _ in state]
         new_clock = dvv_update(context, clocks, server_id)
         survivors = tuple(
@@ -67,6 +69,10 @@ class DVVMechanism(CausalityMechanism[DVVState, VersionVector]):
             if not context.contains_dot(clock.dot)
         )
         return survivors + ((new_clock, sibling),)
+
+    def write_delta(self, written: DVVState) -> DVVState:
+        """The new entry alone: ``update(S, ctx, r)`` is ``S ⊔ {(dot, ctx, v)}``."""
+        return written[-1:]
 
     def merge(self, state_a: DVVState, state_b: DVVState) -> DVVState:
         return tuple(merge_versions(state_a + state_b))

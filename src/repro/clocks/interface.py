@@ -128,6 +128,20 @@ class CausalityMechanism(abc.ABC, Generic[State, Context]):
         truth.
         """
 
+    def write_delta(self, written: State) -> State:
+        """The part of ``written``, a :meth:`write` result, that the write added.
+
+        Joining it into the state the write was applied to reaches what
+        joining ``written`` does, which is ``written`` up to the merge's order
+        unless pruning discarded an entry.  It is what the coordinator ships
+        to the other replicas (the delta-mutator of delta-state CRDTs).  The
+        default is ``written`` itself; a mechanism whose write appends one
+        new entry returns that entry.  It is read off the ``write`` result,
+        never found by searching a state for the sibling: a retried PUT
+        leaves two entries for one origin dot.
+        """
+        return written
+
     @abc.abstractmethod
     def merge(self, state_a: State, state_b: State) -> State:
         """Merge the states of two replicas (anti-entropy / read repair)."""

@@ -21,7 +21,7 @@ from typing import List, Tuple
 
 from ..core.version_vector import VersionVector
 from .client_vv import ClientVVMechanism, ClientVVState
-from .interface import Sibling
+from .interface import CausalityMechanism, Sibling
 
 
 class PrunedClientVVMechanism(ClientVVMechanism):
@@ -69,3 +69,7 @@ class PrunedClientVVMechanism(ClientVVMechanism):
         for clock, stored in new_state:
             pruned.append((self.prune(clock), stored))
         return tuple(pruned)
+
+    #: A pruned write rewrites every stored clock, not only the new one, so
+    #: its delta is the whole new state (the interface's default).
+    write_delta = CausalityMechanism.write_delta

@@ -13,11 +13,14 @@ it never touches a transport or an event loop.
 Coordination is Dynamo-style and timeout-driven over the key's N *primary*
 replicas, regardless of the membership view: arm a per-replica deadline of
 ``replica_timeout_ms`` on every contact and collect R/W acks.  A PUT writes
-to every primary.  A GET asks only as many primaries as its read quorum still
-lacks after the coordinator's own reply; the other primaries are the
-session's *reserve*, ranked unsuspected first (see
-:class:`~repro.kvstore.protocol.latency.PeerLatencyTracker`), then — on a
-multi-DC topology — the coordinator's own datacenter, then ring order.  A
+to every primary, sending only the write's delta (the mechanism's
+``write_delta``: under dvv and client_vv the new version alone, not the key's
+sibling set); a replica that missed an earlier write is repaired by read
+repair and anti-entropy, not by the next write.  A GET asks only as many
+primaries as its read quorum still lacks after the coordinator's own reply;
+the other primaries are the session's *reserve*, ranked unsuspected first
+(see :class:`~repro.kvstore.protocol.latency.PeerLatencyTracker`), then — on
+a multi-DC topology — the coordinator's own datacenter, then ring order.  A
 hedge timer (twice the asked replica's EWMA, at least ``hedge_floor_ms``)
 asks the reserve if the quorum is still short; a contacted replica's deadline
 asks it too, before anything else.  A replica whose deadline fires is then,
@@ -66,9 +69,10 @@ class CoordinatorSession:
     done: bool = False
     # put-only fields
     new_state: Any = None
-    #: modelled size of every REPLICA_PUT this session sends (one state,
-    #: sized once per coordination)
-    state_size: int = 0
+    #: what every REPLICA_PUT of this session carries: the write's delta
+    #: (``mechanism.write_delta(new_state)``), and its modelled size
+    delta: Any = None
+    delta_size: int = 0
     tried: List[str] = field(default_factory=list)       # every node contacted
     #: get-only: primaries not asked yet, in the order they will be asked
     reserve: List[str] = field(default_factory=list)
@@ -358,6 +362,7 @@ class Coordinator:
         sibling: Sibling = message.payload["sibling"]
         context = message.payload.get("context")
         new_state = node.store.local_write(key, context, sibling)
+        delta = node.mechanism.write_delta(new_state)
         env.write_log.append(key, sibling)
         extended = env.placement.extended_preference_list(key)
         request_id = next(self._request_ids)
@@ -368,7 +373,8 @@ class Coordinator:
             request_id=message.msg_id,
             needed=min(config.w, max(len(extended), 1)),
             new_state=new_state,
-            state_size=node.state_size(key, new_state),
+            delta=delta,
+            delta_size=node.state_size(key, delta),
         )
         self.sessions[request_id] = pending
         self._trace_begin(pending, message)
@@ -407,7 +413,7 @@ class Coordinator:
             pending.standing_in[replica_id] = hint_for
         ref = self._trace_replica(pending, replica_id, hint_for=hint_for)
         if pending.kind == "put":
-            payload = {"key": pending.key, "state": pending.new_state,
+            payload = {"key": pending.key, "state": pending.delta,
                        "coordination_id": coordination_id}
             if hint_for is not None:
                 payload["hint_for"] = hint_for
@@ -420,7 +426,7 @@ class Coordinator:
                 receiver=replica_id,
                 msg_type=MessageType.REPLICA_PUT,
                 payload=payload,
-                size_bytes=pending.state_size,
+                size_bytes=pending.delta_size,
                 request_id=coordination_id,
             )
         else:

@@ -40,7 +40,8 @@ class ReplicaHandler:
         key = message.payload["key"]
         # Sloppy-quorum handoff: a fallback accepting a write on behalf of a
         # timed-out primary also persists a hint naming that primary, so the
-        # handoff daemon can return the data once the primary is back.
+        # handoff daemon can return the data once the primary is back.  The
+        # hint holds what was sent: the write's delta.
         hint_for = message.payload.get("hint_for")
         if (hint_for is not None and hint_for != node.node_id
                 and node.env.hinted_handoff_enabled):

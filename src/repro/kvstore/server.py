@@ -90,8 +90,8 @@ class StorageNode:
         """Apply a client write coordinated by this node.
 
         ``context`` may be None for a blind write (never-read client).  The
-        returned value is the new mechanism state (also stored), which the
-        coordinator replicates to the other replicas.
+        returned value is the new mechanism state (also stored); the
+        coordinator ships its ``write_delta`` to the other replicas.
         """
         self.stats["writes"] += 1
         self._index_clean = False

@@ -14,9 +14,11 @@ A write is coordinated by a single server (chosen explicitly, or by the
 placement service, or defaulting to the first replica).  By default the write
 stays on the coordinator until replicas synchronise — exactly the model in
 Figure 1, where server A and server B only exchange versions at the dotted
-"sync" arrows — but ``replicate_on_write=True`` pushes the new state to the
-other replicas immediately (quorum-free eager replication), which is how the
-workload experiments keep replicas loosely converged.
+"sync" arrows — but ``replicate_on_write=True`` pushes the write's delta
+(the mechanism's ``write_delta`` of the new state, as the message-passing
+cluster's ``REPLICA_PUT`` does) to the other replicas immediately
+(quorum-free eager replication), which is how the workload experiments keep
+replicas loosely converged.
 """
 
 from __future__ import annotations
@@ -47,8 +49,9 @@ class SyncReplicatedStore:
         Optional :class:`~repro.cluster.preference_list.PlacementService`; when
         given, keys are replicated on their N-node preference list only.
     replicate_on_write:
-        Push the coordinator's new state to the key's other replicas
-        immediately after every write.
+        Push the write's delta (``mechanism.write_delta`` of the
+        coordinator's new state) to the key's other replicas immediately
+        after every write.
     write_log:
         Oracle write log; a fresh one is created when omitted.
     """
@@ -137,9 +140,10 @@ class SyncReplicatedStore:
         self.write_log.append(key, sibling)
 
         if self.replicate_on_write:
+            delta = self.mechanism.write_delta(new_state)
             for replica_id in self.replicas_for(key):
                 if replica_id != coordinator:
-                    self.node(replica_id).local_merge(key, new_state)
+                    self.node(replica_id).local_merge(key, delta)
         return PutResult(key=key, context=None, coordinator=coordinator, sibling=sibling)
 
     def values(self, key: str, server_id: Optional[str] = None) -> List[Any]:

@@ -2,7 +2,8 @@
 
 Dotted version vectors keep causality metadata bounded by the replication
 degree, so the frame that replicates a write must not grow with the number of
-writes the key has seen — while the causal-history baseline (Figure 1a) grows
+writes the key has seen, nor with its number of siblings, since a write
+ships only its delta — while the causal-history baseline (Figure 1a) grows
 with every write and client-id version vectors grow with every client.
 
 Every size here is ``len(frame_message(message))`` as the asyncio transport
@@ -52,6 +53,15 @@ def replica_put_sizes(monkeypatch) -> List[int]:
     return sizes
 
 
+def _cluster(mechanism_name: str) -> AsyncioCluster:
+    """Three nodes, N=3, no background daemons, deadlines no test reaches."""
+    return AsyncioCluster(
+        create(mechanism_name), server_ids=("A", "B", "C"),
+        quorum=QuorumConfig(n=3, r=2, w=2, sloppy=True),
+        anti_entropy_interval_ms=None, hint_replay_interval_ms=None,
+        replica_timeout_ms=2000.0, request_timeout_ms=5000.0)
+
+
 async def _read_modify_write(mechanism_name: str, writes: int,
                              client_ids: List[str],
                              sizes: List[int]) -> List[int]:
@@ -59,11 +69,7 @@ async def _read_modify_write(mechanism_name: str, writes: int,
 
     Returns the replication frame size of each write.
     """
-    cluster = AsyncioCluster(
-        create(mechanism_name), server_ids=("A", "B", "C"),
-        quorum=QuorumConfig(n=3, r=2, w=2, sloppy=True),
-        anti_entropy_interval_ms=None, hint_replay_interval_ms=None,
-        replica_timeout_ms=2000.0, request_timeout_ms=5000.0)
+    cluster = _cluster(mechanism_name)
     per_write: List[int] = []
     async with cluster:
         clients = [await cluster.client(client_id) for client_id in client_ids]
@@ -111,6 +117,42 @@ def test_client_vv_frame_outgrows_dvv_with_rotating_client_ids(
     assert last["client_vv"] > last["dvv"] + 31 * len("client-00")
 
 
+async def _blind_writes(mechanism_name: str, writers: int,
+                        sizes: List[int]) -> List[int]:
+    """One blind write per client, each concurrent with every other, to one
+    key: after write ``i`` the key holds ``i + 1`` siblings.
+
+    Returns the replication frame size of each write.
+    """
+    cluster = _cluster(mechanism_name)
+    per_write: List[int] = []
+    async with cluster:
+        for index in range(writers):
+            client = await cluster.client(f"client-{index:02d}")
+            sent_before = len(sizes)
+            written = await client.put("cart", f"v{index:06d}", use_context=False)
+            assert written is not None
+            per_write.append(max(sizes[sent_before:]))
+        read = await client.get("cart")
+        assert len(read.values) == writers
+    return per_write
+
+
+@pytest.mark.parametrize("mechanism_name", ["dvv", "client_vv"])
+def test_replication_frame_does_not_grow_with_concurrent_siblings(
+        mechanism_name, replica_put_sizes):
+    """A write ships its delta: the new version, not the key's sibling set."""
+    frames = asyncio.run(_blind_writes(mechanism_name, 20, replica_put_sizes))
+    assert abs(frames[20 - 1] - frames[2 - 1]) <= 3
+
+
+def test_replication_frame_grows_with_siblings_under_causal_history(
+        replica_put_sizes):
+    """A mechanism without a delta still ships every sibling on each write."""
+    frames = asyncio.run(_blind_writes("causal_history", 20, replica_put_sizes))
+    assert frames[20 - 1] > frames[2 - 1] + 18 * len("v000000")
+
+
 def test_put_reply_carries_origin_dots_not_sibling_bodies(monkeypatch):
     """A write's acknowledgement must not grow with the *values* a hot key
     holds: the client needs its next context, and reads values with GET."""
@@ -126,11 +168,7 @@ def test_put_reply_carries_origin_dots_not_sibling_bodies(monkeypatch):
     values = [f"value-{index:02d}-" + "x" * 54 for index in range(30)]
 
     async def scenario():
-        cluster = AsyncioCluster(
-            create("dvv"), server_ids=("A", "B", "C"),
-            quorum=QuorumConfig(n=3, r=2, w=2, sloppy=True),
-            anti_entropy_interval_ms=None, hint_replay_interval_ms=None,
-            replica_timeout_ms=2000.0, request_timeout_ms=5000.0)
+        cluster = _cluster("dvv")
         async with cluster:
             client = await cluster.client("c1")
             for value in values:              # blind writes: 30 siblings

@@ -81,6 +81,25 @@ stayed converged with no lost update or false concurrency, none failed more
 or completed fewer requests, ``latency_sum`` did not rise, and neither
 ``transport_sent`` nor ``sync_bytes`` rose.
 
+The ``dvv`` entries of both fixtures (and ``golden_churn_reports.json``)
+were **re-captured again** by the change that makes a ``REPLICA_PUT`` carry
+the write's delta — under ``dvv`` and ``client_vv`` the one new version,
+not the key's sibling set — sized as that delta.  Every message weighs what
+it carries, so a lighter replica put moves virtual time.  The
+``causal_history`` and ``dvvset`` entries did not move: their delta is the
+whole new state.  In ``dvv:async`` only ``bytes_delivered`` (35381 →
+34803), ``latency_sum`` (170.03 → 169.98) and
+``stat_totals.merges_unchanged`` (24 → 23) moved.  In ``dvv:multi_dc``
+``bytes_delivered`` fell 83943 → 81239, ``sync_bytes`` 46751 → 44700,
+``transport_sent`` 721 → 711, ``merkle.levels_sent`` 57 → 54 and
+``partitions_differing`` 45 → 42 (``exchanges_clean`` 0 → 3), with
+``deadlines_set``, ``events``, ``now``, ``latency_sum``, ``merges`` and
+``merges_unchanged`` moving with them.  Three ``OUTCOME_FIELDS`` moved by
+one: its closed-loop clients finished one request fewer before the
+deadline (``records``, ``ok`` and ``requests_completed`` 91 → 90; none
+failed), because the re-timed replies reach them at other times.  Every
+scenario stayed converged with no lost update or false concurrency.
+
 The scenario is deliberately eventful: four servers, three clients, a mixed
 workload, one node failing mid-run and recovering later — so it exercises
 quorum coordination, deadlines and failover, sloppy quorums with hinted

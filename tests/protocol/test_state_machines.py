@@ -192,6 +192,48 @@ def test_fallback_timeout_chains_to_original_primary():
     assert next_try[0].receiver not in (late, fallback)
 
 
+def two_sibling_put(sloppy: bool):
+    """Two blind writes to one key at its home coordinator; returns the node,
+    the second write's fan-out and the key's new two-sibling state."""
+    env = build_env(sloppy=sloppy)
+    node = ProtocolNode(env.placement.primary_replicas("cart")[0],
+                        env.mechanism, env)
+    node.on_message(coordinate_put(env, "cart", "beer", "c1"), now=0.0)
+    fanout = node.on_message(coordinate_put(env, "cart", "wine", "c2"), now=1.0)
+    new_state = node.store.state_of("cart")
+    assert len(env.mechanism.siblings(new_state)) == 2
+    return env, node, fanout, new_state
+
+
+def test_replica_put_carries_the_delta_and_a_fallback_hints_what_it_got():
+    env, node, fanout, new_state = two_sibling_put(sloppy=True)
+    replica_puts = sends(fanout, MessageType.REPLICA_PUT)
+    delta = env.mechanism.write_delta(new_state)
+    assert delta == new_state[-1:]              # the new version alone
+    assert all(m.payload["state"] == delta for m in replica_puts)
+    assert all(m.size_bytes == node.state_size("cart", delta)
+               for m in replica_puts)
+    coordination_id = replica_puts[0].payload["coordination_id"]
+    late = env.placement.primary_replicas("cart")[1]
+
+    effects = node.on_timer(("replica", coordination_id, late), now=11.0)
+
+    promoted = sends(effects, MessageType.REPLICA_PUT)[0]
+    fallback = ProtocolNode(promoted.receiver, env.mechanism, env)
+    fallback.on_message(promoted, now=12.0)
+    assert [hint.state for hint in fallback.store.hints_for(late)] == [delta]
+
+
+def test_coordinator_held_hint_keeps_the_whole_new_state():
+    env, node, fanout, new_state = two_sibling_put(sloppy=False)
+    coordination_id = sends(fanout, MessageType.REPLICA_PUT)[0].payload["coordination_id"]
+    late = env.placement.primary_replicas("cart")[1]
+
+    node.on_timer(("replica", coordination_id, late), now=11.0)
+
+    assert [hint.state for hint in node.store.hints_for(late)] == [new_state]
+
+
 def test_strict_quorum_fails_with_quorum_unreachable():
     env = build_env(sloppy=False)
     key = "cart"
