@@ -15,7 +15,7 @@ from .dvv_mechanism import DVVMechanism
 from .dvvset_mechanism import DVVSetMechanism
 from .interface import CausalityMechanism, ReadResult, Sibling
 from .pruning import PrunedClientVVMechanism
-from .registry import available, create, pruned_client_vv, register
+from .registry import available, create, register
 from .server_vv import ServerVVMechanism
 from .vve import DottedVVE, VersionVectorWithExceptions
 from .vve_mechanism import DottedVVEMechanism
@@ -35,6 +35,5 @@ __all__ = [
     "VersionVectorWithExceptions",
     "available",
     "create",
-    "pruned_client_vv",
     "register",
 ]

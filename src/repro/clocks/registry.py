@@ -54,11 +54,6 @@ def available() -> List[str]:
     return sorted(_REGISTRY)
 
 
-def pruned_client_vv(max_entries: int) -> PrunedClientVVMechanism:
-    """Factory helper for Riak-style size-bounded pruned client vectors."""
-    return PrunedClientVVMechanism(max_entries)
-
-
 def _register_defaults() -> None:
     register("dvv", DVVMechanism)
     register("dvvset", DVVSetMechanism)
@@ -69,7 +64,7 @@ def _register_defaults() -> None:
     for threshold in (5, 10, 20):
         register(
             f"client_vv_pruned_{threshold}",
-            lambda threshold=threshold: pruned_client_vv(threshold),
+            lambda threshold=threshold: PrunedClientVVMechanism(threshold),
         )
 
 

@@ -97,7 +97,11 @@ class ClientSession:
 
         ``read_dots`` are the origin dots of the siblings the context covers
         — the same information the mechanism context encodes — so the oracle
-        and the mechanism under test are judged on identical inputs.
+        and the mechanism under test are judged on identical inputs.  A GET
+        reply's siblings carry them; a PUT reply does not, and its caller
+        takes them from the write log
+        (:meth:`~repro.kvstore.write_log.WriteLog.take_reply`), where the
+        coordinator noted them under the reply's message id.
         """
         context = CausalContext(
             key=key,

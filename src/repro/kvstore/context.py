@@ -11,10 +11,12 @@ the store and the wire ever see.
 
 The correctness oracle additionally needs to know which writes the reading
 client actually saw.  The session notes their origin dots on the context it
-keeps (``read_dots``, at most one per sibling returned); whoever issues the
-next write reports them to the :class:`~repro.kvstore.write_log.WriteLog` as
-that write's causal parents.  The field is client-local: it is not encoded on
-the wire and takes no part in equality.
+keeps (``read_dots``, at most one per sibling the reply covered): a GET
+reply's siblings carry them, and for a PUT reply the client takes them from
+the :class:`~repro.kvstore.write_log.WriteLog`, where the coordinator noted
+them under the reply's message id.  Whoever issues the next write reports
+them to the log as that write's causal parents.  The field is client-local:
+it is not encoded on the wire and takes no part in equality.
 """
 
 from __future__ import annotations

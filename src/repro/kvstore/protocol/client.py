@@ -312,6 +312,11 @@ class ClientProtocol:
             callback(result)
 
     def _on_put_reply(self, message: Message) -> None:
+        # The origin dots the reply's context covers, which the coordinator
+        # noted in the write log (none across processes).  Taken before the
+        # request is matched, so a reply that lost the race to a failover or
+        # a duplicate does not stay in the log.
+        read_dots = self.env.write_log.take_reply(message.msg_id)
         request_id = message.request_id
         info = self._operations.pop(request_id, None)
         if info is None:
@@ -323,11 +328,9 @@ class ClientProtocol:
         started = self._started.pop(request_id, self.now)
         key = message.payload["key"]
 
-        # The put reply carries the post-write context and the origin dots
-        # it covers, not the sibling bodies; absorbing it keeps the session
-        # able to chain further writes.  The sibling this request wrote is
-        # the one the client sent.
-        read_dots = message.payload["read_dots"]
+        # The put reply carries the post-write context, not the sibling
+        # bodies; absorbing it keeps the session able to chain further
+        # writes.  The sibling this request wrote is the one the client sent.
         context = self.session.absorb(
             key, message.payload["mechanism_context"], read_dots,
             self.env.mechanism.name)

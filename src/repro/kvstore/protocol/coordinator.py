@@ -606,24 +606,28 @@ class Coordinator:
             pending.request_deadline = False
         read = node.mechanism.read(node.store.state_of(pending.key))
         context_bytes = node.mechanism.context_bytes(read.context)
-        node.emit(Send(Message(
+        reply = Message(
             sender=node.node_id,
             receiver=pending.client_address,
             msg_type=MessageType.PUT_REPLY,
-            # The context and the origin dots of the siblings it covers: all
-            # a session keeps of a reply.  No sibling body rides back — the
-            # client holds the one it sent, and reading values is what GET
-            # is for.
+            # The context is all a session keeps of a reply.  No sibling
+            # body rides back — the client holds the one it sent, and
+            # reading values is what GET is for.
             payload={
                 "key": pending.key,
                 "coordinator": node.node_id,
                 "mechanism_context": read.context,
-                "read_dots": [s.origin_dot for s in read.siblings],
                 "context_bytes": context_bytes,
             },
             size_bytes=context_bytes + REQUEST_OVERHEAD_BYTES,
             request_id=pending.request_id,
-        )))
+        )
+        # The oracle's side channel: the origin dots the context covers are
+        # the parents of the client's next write, and the client finds them
+        # under this reply's id.
+        node.env.write_log.note_reply(
+            reply.msg_id, [s.origin_dot for s in read.siblings])
+        node.emit(Send(reply))
         # The session span closes at quorum; its reference stays on the
         # session so the handoff tail (later fallback promotions, hints)
         # still parents under it — children may outlive the parent span.

@@ -46,7 +46,8 @@ class ProtocolNode:
         #: The node's clock, set by the backend on every entry (simulated
         #: milliseconds or wall-clock milliseconds — the machines never ask).
         self.now = 0.0
-        # Adaptive deadlines: EWMA of each replica's observed ack latency.
+        # Per-peer ack-latency EWMAs: they time the read hedge and the hint
+        # backoff, and mark suspected peers (replica deadlines are fixed).
         self.latency = PeerLatencyTracker()
         self.coordinator = Coordinator(self)
         self.replica = ReplicaHandler(self)

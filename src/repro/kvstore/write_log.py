@@ -2,21 +2,31 @@
 
 The correctness experiments (E3, E5, the Figure 1 assertions) compare what a
 causality mechanism *kept* against what it *should* have kept, computed from
-this log.  It is a side channel, fed off the data path from two places: the
-**issuer** of a write (whoever holds both the client's context and a write
-log) reports the origin dots the client had read — the write's causal parents
-(:meth:`WriteLog.report_parents`) — and the **coordinator** that accepts the
-write appends a record (:meth:`WriteLog.append`): the key and the sibling,
-whose origin dot names the write and, by its actor, the client that issued
-it.  Ground-truth histories are rebuilt from those pairs only when a run is
-judged (:meth:`WriteLog.history_of`).  Nothing here rides storage, contexts or the
-wire, so no mechanism can influence it.
+this log.  It is a side channel, fed off the data path from three places:
+
+* the **issuer** of a write (whoever holds both the client's context and a
+  write log) reports the origin dots the client had read — the write's causal
+  parents (:meth:`WriteLog.report_parents`);
+* the **coordinator** that accepts the write appends a record
+  (:meth:`WriteLog.append`): the key and the sibling, whose origin dot names
+  the write and, by its actor, the client that issued it;
+* the same coordinator, when it answers the write, notes the origin dots of
+  the state it answers with under the reply's message id
+  (:meth:`WriteLog.note_reply`).  The client that absorbs that reply takes
+  them back (:meth:`WriteLog.take_reply`) as the dots its next write read,
+  so a ``PUT_REPLY`` carries only the mechanism's context.
+
+Ground-truth histories are rebuilt from ``(dot, parents)`` pairs only when a
+run is judged (:meth:`WriteLog.history_of`).  Nothing here rides storage,
+contexts or the wire, so no mechanism can influence it.  Across processes
+(``serve`` / ``connect``) each process has its own log: a reply noted in the
+server's is not found in the client's, which then reports no parents.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from ..clocks.interface import Sibling
 from ..core.causal_history import CausalHistory
@@ -44,6 +54,7 @@ class WriteLog:
         self._by_key: Dict[str, List[WriteRecord]] = {}
         self._parents: Dict[Dot, Tuple[Dot, ...]] = {}
         self._histories: Dict[Dot, CausalHistory] = {}
+        self._replies: Dict[int, Tuple[Dot, ...]] = {}
 
     def report_parents(self, dot: Dot, parents: Sequence[Dot]) -> None:
         """Note the origin dots the writer of ``dot`` had read (none if blind).
@@ -51,6 +62,23 @@ class WriteLog:
         Called once per write by its issuer, before the write is sent.
         """
         self._parents[dot] = tuple(parents)
+
+    def note_reply(self, msg_id: int, dots: Iterable[Dot]) -> None:
+        """Note the origin dots of the state a ``PUT_REPLY`` answers with.
+
+        Called by the coordinator under the reply's ``msg_id``, which names
+        exactly the reply a client absorbs: a failover or a duplicated request
+        can answer one write twice, from two different states.
+        """
+        self._replies[msg_id] = tuple(dots)
+
+    def take_reply(self, msg_id: int) -> Tuple[Dot, ...]:
+        """The dots noted for reply ``msg_id``, forgotten once taken.
+
+        An unknown id (a reply noted in another process's log, or taken
+        already) yields ``()``.
+        """
+        return self._replies.pop(msg_id, ())
 
     def record(self, record: WriteRecord) -> None:
         """Append a write record."""

@@ -6,9 +6,9 @@ import pytest
 
 from repro.clocks import (
     DVVMechanism,
+    PrunedClientVVMechanism,
     available,
     create,
-    pruned_client_vv,
     register,
 )
 from repro.core import ConfigurationError
@@ -47,7 +47,7 @@ class TestRegistry:
         assert isinstance(create("custom_dvv_test"), Custom)
 
     def test_pruned_factory_threshold(self):
-        mechanism = pruned_client_vv(9)
+        mechanism = PrunedClientVVMechanism(9)
         assert "9" in mechanism.name
         assert mechanism.max_entries == 9
 

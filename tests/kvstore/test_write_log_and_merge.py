@@ -46,6 +46,18 @@ class TestWriteLog:
         frontier_dots = {entry.origin_dot for entry in log.latest_frontier("k")}
         assert frontier_dots == {Dot("c1", 2), Dot("c2", 1)}
 
+    def test_unknown_reply_yields_no_dots(self):
+        assert WriteLog().take_reply(12345) == ()
+
+    def test_reply_dots_are_taken_once(self):
+        log = WriteLog()
+        log.note_reply(7, [Dot("c1", 1), Dot("c2", 3)])
+        log.note_reply(8, [])
+        assert log.take_reply(7) == (Dot("c1", 1), Dot("c2", 3))
+        assert log.take_reply(7) == ()
+        assert log.take_reply(8) == ()
+        assert len(log) == 0      # replies are not writes
+
 
 class TestResolvers:
     def make_siblings(self, *values):

@@ -1,8 +1,9 @@
 """Messages whose frames ``golden_frames.json`` pins byte for byte.
 
 The fixture holds ``frame_message(message).hex()`` for every case built here,
-last regenerated when ``WIRE_VERSION`` went to 4 (a sibling is value + origin
-dot; a ``COORDINATE_PUT`` carries no client id).  The tests asserting against
+last regenerated when ``PUT_REPLY`` stopped carrying the oracle's
+``read_dots`` (``WIRE_VERSION`` 4: a sibling is value + origin dot; a
+``COORDINATE_PUT`` carries no client id).  The tests asserting against
 it prove that a codec refactor changes how frames are produced, never which
 bytes.
 
@@ -96,7 +97,6 @@ def build_cases() -> List[Tuple[str, Message]]:
     anonymous = DVVSet([("A", 2, (listed,)), ("B", 1, ())],
                        (Sibling(value="anon", origin_dot=Dot("c3", 1)),
                         "bare-string"))
-    dots = tuple(Dot("c1", index) for index in range(1, 31))
     digest = bytes(range(32))
     payloads.update({
         "coordinate_get": (MessageType.COORDINATE_GET,
@@ -111,7 +111,7 @@ def build_cases() -> List[Tuple[str, Message]]:
         "put_reply": (MessageType.PUT_REPLY,
                       {"key": "cart", "coordinator": "A",
                        "mechanism_context": hot_context.mechanism_context,
-                       "read_dots": dots, "context_bytes": 41}),
+                       "context_bytes": 41}),
         "error_reply": (MessageType.ERROR_REPLY,
                         {"key": "cart", "error": "quorum unreachable",
                          "text": "", "long": "e" * 128, "acks": 0}),

@@ -8,7 +8,8 @@ with every write and client-id version vectors grow with every client.
 
 Every size here is ``len(frame_message(message))`` as the asyncio transport
 framed it for a Unix-domain socket — of a ``REPLICA_PUT``, and of the
-``PUT_REPLY`` that acknowledges a write to a key with many siblings.
+``PUT_REPLY`` that acknowledges a write to a key with many siblings, which
+carries the mechanism's context and nothing per sibling.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import pytest
 
 from repro.clocks import create
 from repro.cluster import QuorumConfig
-from repro.core import Dot
 from repro.kvstore.asyncio_cluster import AsyncioCluster
 from repro.network import asyncio_transport, message
 from repro.network.message import MessageType
@@ -34,15 +34,14 @@ from repro.network.wire import decode_message
 WARMUP_WRITES = 128
 
 
-@pytest.fixture
-def replica_put_sizes(monkeypatch) -> List[int]:
-    """Lengths of every REPLICA_PUT frame the transport sends, in order."""
+def _record_sizes(monkeypatch, msg_type: MessageType) -> List[int]:
+    """Lengths of every ``msg_type`` frame the transport sends, in order."""
     sizes: List[int] = []
     frame_message = asyncio_transport.frame_message
 
     def recording(msg):
         frame = frame_message(msg)
-        if msg.msg_type is MessageType.REPLICA_PUT:
+        if msg.msg_type is msg_type:
             sizes.append(len(frame))
         return frame
 
@@ -51,6 +50,18 @@ def replica_put_sizes(monkeypatch) -> List[int]:
     # otherwise depend on how many tests ran before this one.
     monkeypatch.setattr(message, "_message_ids", itertools.count(1 << 20))
     return sizes
+
+
+@pytest.fixture
+def replica_put_sizes(monkeypatch) -> List[int]:
+    """Lengths of every REPLICA_PUT frame the transport sends, in order."""
+    return _record_sizes(monkeypatch, MessageType.REPLICA_PUT)
+
+
+@pytest.fixture
+def put_reply_sizes(monkeypatch) -> List[int]:
+    """Lengths of every PUT_REPLY frame the transport sends, in order."""
+    return _record_sizes(monkeypatch, MessageType.PUT_REPLY)
 
 
 def _cluster(mechanism_name: str) -> AsyncioCluster:
@@ -153,7 +164,43 @@ def test_replication_frame_grows_with_siblings_under_causal_history(
     assert frames[20 - 1] > frames[2 - 1] + 18 * len("v000000")
 
 
-def test_put_reply_carries_origin_dots_not_sibling_bodies(monkeypatch):
+async def _collapse_then_fork(mechanism_name: str, writers: int,
+                              sizes: List[int]) -> List[int]:
+    """The ``PUT_REPLY`` frame with ``writers`` siblings on the key, then with 2.
+
+    ``writers`` clients write blind (``writers`` siblings); the first reads
+    them all and writes over them (one sibling), and the second writes blind
+    again (two).  Both measured replies answer a context that names every
+    writer, so only the sibling count differs between them.
+    """
+    cluster = _cluster(mechanism_name)
+    async with cluster:
+        clients = [await cluster.client(f"client-{index:02d}")
+                   for index in range(writers)]
+        for index, client in enumerate(clients):
+            assert await client.put("cart", f"v{index:06d}", use_context=False)
+        many = sizes[-1]
+        assert clients[-1].records[-1].sibling_count == writers
+        read = await clients[0].get("cart")
+        assert len(read.values) == writers
+        assert await clients[0].put("cart", "merged")
+        assert clients[0].records[-1].sibling_count == 1
+        assert await clients[1].put("cart", "forked", use_context=False)
+        assert clients[1].records[-1].sibling_count == 2
+        return [many, sizes[-1]]
+
+
+@pytest.mark.parametrize("mechanism_name", ["dvv", "client_vv"])
+def test_put_reply_frame_does_not_grow_with_siblings(mechanism_name,
+                                                     put_reply_sizes):
+    """The acknowledgement carries the mechanism's context and no per-sibling
+    field: the oracle's dots reach the client through the write log."""
+    many, two = asyncio.run(_collapse_then_fork(mechanism_name, 30,
+                                                put_reply_sizes))
+    assert abs(many - two) <= 3
+
+
+def test_put_reply_carries_no_sibling_bodies_and_no_dots(monkeypatch):
     """A write's acknowledgement must not grow with the *values* a hot key
     holds: the client needs its next context, and reads values with GET."""
     frames = {}
@@ -183,9 +230,7 @@ def test_put_reply_carries_origin_dots_not_sibling_bodies(monkeypatch):
     get_reply = frames[MessageType.GET_REPLY]
     payload = decode_message(put_reply[4:]).payload
     assert sorted(payload) == ["context_bytes", "coordinator", "key",
-                               "mechanism_context", "read_dots"]
-    assert len(payload["read_dots"]) == 30
-    assert all(isinstance(dot, Dot) for dot in payload["read_dots"])
+                               "mechanism_context"]
     assert not any(value.encode() in put_reply for value in values)
     assert all(value.encode() in get_reply for value in values)
     assert len(put_reply) * 3 < len(get_reply)
