@@ -89,13 +89,6 @@ class CorrectnessReport:
         """True when no key shows lost updates or false concurrency."""
         return self.total_lost_updates == 0 and self.total_false_concurrency == 0
 
-    @property
-    def lost_update_rate(self) -> float:
-        """Lost updates per checked key."""
-        if self.keys_checked == 0:
-            return 0.0
-        return self.total_lost_updates / self.keys_checked
-
     def add(self, verdict: KeyCorrectness) -> None:
         """Fold one key's verdict into the totals."""
         self.per_key[verdict.key] = verdict

@@ -290,7 +290,7 @@ def _cluster_table(args: argparse.Namespace, cluster, duration_ms: float,
             ["merkle buckets rehashed", stats.get("buckets_rehashed", 0)],
             ["merkle full rebuilds", stats.get("full_rebuilds", 0)],
             ["merkle fingerprints imported", stats.get("fingerprints_imported", 0)],
-            ["vnode partitions", args.partitions],
+            ["vnode partitions", len(cluster.partition_map)],
             ["partitions compared", cluster.merkle_stats.partitions_compared],
             ["partitions differing", cluster.merkle_stats.partitions_differing],
             ["ranges shipped whole", cluster.merkle_stats.ranges_shipped_whole],
@@ -318,7 +318,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
                             sloppy=args.quorum_mode == "sloppy"),
         latency=SizeDependentLatency(base=FixedLatency(0.25), bytes_per_ms=args.bytes_per_ms),
         anti_entropy_interval_ms=50.0,
-        partition_count=args.partitions,
         seed=args.seed,
         tracer=tracer,
     )
@@ -354,7 +353,6 @@ def _cmd_cluster_asyncio(args: argparse.Namespace) -> int:
                                 r=min(2, args.servers),
                                 w=min(2, args.servers),
                                 sloppy=args.quorum_mode == "sloppy"),
-            partition_count=args.partitions,
             tracer=tracer,
         )
         keys = [f"key-{i}" for i in range(args.keys)]
@@ -423,7 +421,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             "server_ids": cluster.server_ids,
             "quorum": {"n": cluster.quorum.n, "r": cluster.quorum.r,
                        "w": cluster.quorum.w, "sloppy": cluster.quorum.sloppy},
-            "partition_count": cluster.partition_map.partition_count,
             "request_timeout_ms": cluster.request_timeout_ms,
             "client_timeout_ms": cluster.client_timeout_ms,
             "socket_dir": cluster.socket_dir,
@@ -456,8 +453,8 @@ def cmd_connect(args: argparse.Namespace) -> int:
 
     A missing or malformed ``cluster.json`` is reported in one line and
     exits 1.  Keys the manifest carries beyond the ones read here are
-    ignored (older manifests also list ``virtual_nodes`` and
-    ``request_overhead_bytes``).
+    ignored (older manifests also list ``virtual_nodes``,
+    ``request_overhead_bytes`` and ``partition_count``).
     """
     import asyncio
     import json
@@ -477,7 +474,6 @@ def cmd_connect(args: argparse.Namespace) -> int:
             create(manifest["mechanism"]),
             manifest["server_ids"],
             QuorumConfig(**manifest["quorum"]),
-            partition_count=manifest["partition_count"],
             request_timeout_ms=manifest["request_timeout_ms"],
             client_timeout_ms=manifest["client_timeout_ms"],
         )
@@ -616,9 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "sockets, reporting wall-clock numbers")
     cluster.add_argument("--quorum-mode", default="sloppy", choices=["strict", "sloppy"],
                          dest="quorum_mode")
-    cluster.add_argument("--partitions", type=int, default=16,
-                         help="fixed vnode partition count: each server keeps one "
-                              "store and one Merkle tree per key range")
     cluster.add_argument("--servers", type=int, default=3)
     cluster.add_argument("--clients", type=int, default=16)
     cluster.add_argument("--keys", type=int, default=2)

@@ -15,7 +15,7 @@ larger footprint because exceptions accumulate under interleaved updates.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Set
 
 from ..core.causal_history import CausalHistory
 from ..core.comparison import Ordering
@@ -82,11 +82,6 @@ class VersionVectorWithExceptions:
                 if candidate not in dots:
                     exceptions.add(candidate)
         return cls(base, exceptions)
-
-    @classmethod
-    def from_version_vector(cls, vv: VersionVector) -> "VersionVectorWithExceptions":
-        """Lift a plain version vector (no exceptions)."""
-        return cls(vv.entries(), ())
 
     # ------------------------------------------------------------------ #
     # Introspection

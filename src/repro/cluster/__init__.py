@@ -3,7 +3,7 @@
 from .membership import Membership, MembershipListener, NodeInfo, NodeStatus
 from .preference_list import PlacementService, QuorumConfig
 from .ring import (
-    DEFAULT_PARTITION_COUNT,
+    PARTITION_COUNT,
     ConsistentHashRing,
     PartitionMap,
     RebalanceMove,
@@ -13,7 +13,7 @@ from .topology import DEFAULT_DC, Topology
 
 __all__ = [
     "DEFAULT_DC",
-    "DEFAULT_PARTITION_COUNT",
+    "PARTITION_COUNT",
     "ConsistentHashRing",
     "Membership",
     "MembershipListener",

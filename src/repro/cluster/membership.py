@@ -139,11 +139,6 @@ class Membership:
         """The datacenter a member lives in."""
         return self._require(node_id).dc
 
-    def up_nodes_in(self, dc: str) -> List[str]:
-        """Node ids in one datacenter currently marked up, sorted."""
-        return sorted(node_id for node_id, info in self._nodes.items()
-                      if info.is_up and info.dc == dc)
-
     def status(self, node_id: str) -> NodeStatus:
         """The liveness status of ``node_id``."""
         return self._require(node_id).status

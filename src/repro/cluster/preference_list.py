@@ -55,15 +55,14 @@ class PlacementService:
                  ring: ConsistentHashRing,
                  membership: Membership,
                  config: Optional[QuorumConfig] = None,
-                 partition_map: Optional[PartitionMap] = None,
+                 partition_map: PartitionMap = PartitionMap(1),
                  topology: Optional[Topology] = None) -> None:
         self.ring = ring
         self.membership = membership
         self.config = config or QuorumConfig()
-        #: Range ↔ vnode mapping shared by every node's storage layout; a
-        #: default map is used when the caller does not supply the
-        #: cluster-wide one.
-        self.partition_map = partition_map or PartitionMap()
+        #: Range ↔ vnode mapping shared by every node's storage layout (one
+        #: partition when the caller does not supply the cluster-wide one).
+        self.partition_map = partition_map
         #: Datacenter assignment.  DC-aware placement only activates when the
         #: topology actually spans multiple DCs, so single-DC clusters (and
         #: every pre-topology caller) keep the plain ring-walk order
@@ -167,10 +166,6 @@ class PlacementService:
         if not replicas:
             raise ConfigurationError(f"no active replicas available for key {key!r}")
         return replicas[0]
-
-    def is_replica(self, key: str, node_id: str) -> bool:
-        """True iff ``node_id`` is one of the key's primary replicas."""
-        return node_id in self.primary_replicas(key)
 
     def describe(self, key: str) -> dict:
         """Placement snapshot for diagnostics and examples."""

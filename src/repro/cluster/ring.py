@@ -30,11 +30,11 @@ def _hash_position(token: str) -> int:
 #: Ring-space width: positions are 128-bit md5 values.
 RING_BITS = 128
 
-#: Default number of fixed partitions a node's key space is divided into.
-#: Riak uses a fixed ring-partition count (a power of two) chosen at cluster
-#: creation; 16 keeps per-vnode structures small in tests while still giving
-#: range-local handoff and anti-entropy something to exploit.
-DEFAULT_PARTITION_COUNT = 16
+#: How many fixed partitions every cluster's key space is divided into.
+#: Riak fixes its ring-partition count (a power of two) at cluster creation;
+#: 16 keeps per-vnode structures small while still giving range-local
+#: handoff and anti-entropy something to exploit.
+PARTITION_COUNT = 16
 
 
 class PartitionMap:
@@ -46,10 +46,13 @@ class PartitionMap:
     store (plus one Merkle tree) per partition it holds keys for, so handoff
     can move a whole range and anti-entropy can compare a single range.  The
     partition count is a cluster-wide constant — every node must agree on it
-    for per-range digests to be comparable.
+    for per-range digests to be comparable.  A map built without a count
+    takes :data:`PARTITION_COUNT`, read at call time so a test can patch it.
     """
 
-    def __init__(self, partition_count: int = DEFAULT_PARTITION_COUNT) -> None:
+    def __init__(self, partition_count: Optional[int] = None) -> None:
+        if partition_count is None:
+            partition_count = PARTITION_COUNT
         if partition_count < 1:
             raise ConfigurationError(
                 f"partition_count must be >= 1, got {partition_count}"
@@ -232,13 +235,6 @@ class ConsistentHashRing:
             if len(result) == count:
                 break
         return result
-
-    def ownership_histogram(self, keys: Iterable[str]) -> Dict[str, int]:
-        """How many of the given keys each node owns as primary (load check)."""
-        histogram: Dict[str, int] = {node: 0 for node in self._nodes}
-        for key in keys:
-            histogram[self.primary(key)] += 1
-        return histogram
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"ConsistentHashRing(nodes={len(self._nodes)}, vnodes={self.virtual_nodes})"

@@ -58,7 +58,7 @@ from .semantics import (
     semantic_compare,
 )
 from .serialization import decode, encode, encoded_size, entry_count
-from .version_vector import VersionVector, VersionVectorBuilder
+from .version_vector import VersionVector
 
 __all__ = [
     "Actor",
@@ -82,7 +82,6 @@ __all__ = [
     "StaleContextError",
     "StoreError",
     "VersionVector",
-    "VersionVectorBuilder",
     "WorkloadError",
     "agrees_with_history",
     "compare",

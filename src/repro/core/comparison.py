@@ -39,11 +39,6 @@ class Ordering(enum.Enum):
             return Ordering.BEFORE
         return self
 
-    @property
-    def is_ordered(self) -> bool:
-        """True when the two values are comparable (not concurrent)."""
-        return self is not Ordering.CONCURRENT
-
 
 @runtime_checkable
 class Comparable(Protocol):

@@ -15,7 +15,6 @@ deterministic iteration and for sibling ordering in the store — note that this
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple
 
 from .exceptions import InvalidDotError
 
@@ -53,15 +52,6 @@ class Dot:
     def next(self) -> "Dot":
         """Return the dot for the next event of the same actor."""
         return Dot(self.actor, self.counter + 1)
-
-    def previous_dots(self) -> Iterator["Dot"]:
-        """Iterate over all earlier dots of the same actor (1 .. counter-1)."""
-        for n in range(1, self.counter):
-            yield Dot(self.actor, n)
-
-    def as_tuple(self) -> Tuple[Actor, int]:
-        """Return the dot as a plain ``(actor, counter)`` tuple."""
-        return (self.actor, self.counter)
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return f"({self.actor},{self.counter})"

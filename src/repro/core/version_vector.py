@@ -12,8 +12,6 @@ VV both to *identify* a version and to record its *causal past*; dotted version
 vectors (:mod:`repro.core.dvv`) split those roles.
 
 ``VersionVector`` is immutable; every mutating operation returns a new vector.
-A mutable builder (:class:`VersionVectorBuilder`) is provided for hot paths in
-the simulator where building a vector incrementally matters.
 
 Two set-level kernels serve every mechanism that tags siblings with vectors:
 :func:`ceiling` (the join of a set, one pass) and :func:`undominated` (the
@@ -157,13 +155,6 @@ class VersionVector:
             for n in range(1, counter + 1):
                 yield Dot(actor, n)
 
-    def max_dot(self, actor: Actor) -> Optional[Dot]:
-        """The latest dot of ``actor`` in this vector, or None if absent."""
-        counter = self.get(actor)
-        if counter == 0:
-            return None
-        return Dot(actor, counter)
-
     # ------------------------------------------------------------------ #
     # Events and merging
     # ------------------------------------------------------------------ #
@@ -194,16 +185,6 @@ class VersionVector:
         else:
             entries[actor] = counter
         return VersionVector(entries)
-
-    def without(self, actors: Iterable[Actor]) -> "VersionVector":
-        """Return a copy with the given actors' entries removed (used by pruning)."""
-        drop = set(actors)
-        return VersionVector({a: c for a, c in self._entries.items() if a not in drop})
-
-    def restricted_to(self, actors: Iterable[Actor]) -> "VersionVector":
-        """Return a copy keeping only the given actors' entries."""
-        keep = set(actors)
-        return VersionVector({a: c for a, c in self._entries.items() if a in keep})
 
     # ------------------------------------------------------------------ #
     # Comparison
@@ -262,45 +243,6 @@ class VersionVector:
     def __str__(self) -> str:
         inner = ", ".join(f"{a}:{c}" for a, c in sorted(self._entries.items()))
         return "[" + inner + "]"
-
-
-class VersionVectorBuilder:
-    """Mutable accumulator for building a :class:`VersionVector` incrementally.
-
-    The immutable vector is convenient for reasoning but allocates on every
-    update; hot loops in the simulator (anti-entropy over many keys, workload
-    replay) use the builder and call :meth:`freeze` once at the end.
-    """
-
-    __slots__ = ("_entries",)
-
-    def __init__(self, initial: Optional[VersionVector] = None) -> None:
-        self._entries: Dict[Actor, int] = dict(initial.entries()) if initial else {}
-
-    def observe_dot(self, dot: Dot) -> None:
-        """Advance the builder so the dot's actor counter is at least ``dot.counter``."""
-        if dot.counter > self._entries.get(dot.actor, 0):
-            self._entries[dot.actor] = dot.counter
-
-    def increment(self, actor: Actor) -> Dot:
-        """Record a fresh event for ``actor`` and return its dot."""
-        counter = self._entries.get(actor, 0) + 1
-        self._entries[actor] = counter
-        return Dot(actor, counter)
-
-    def merge(self, other: VersionVector) -> None:
-        """Pointwise-max merge of another vector into the builder."""
-        for actor, counter in other.entries().items():
-            if counter > self._entries.get(actor, 0):
-                self._entries[actor] = counter
-
-    def get(self, actor: Actor) -> int:
-        """Current counter for ``actor``."""
-        return self._entries.get(actor, 0)
-
-    def freeze(self) -> VersionVector:
-        """Produce the immutable vector described by the builder."""
-        return VersionVector(self._entries)
 
 
 # ---------------------------------------------------------------------- #

@@ -42,7 +42,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..clocks.interface import CausalityMechanism
 from ..cluster.preference_list import QuorumConfig
-from ..cluster.ring import DEFAULT_PARTITION_COUNT
 from ..cluster.topology import Topology
 from ..core.exceptions import ConfigurationError
 from ..network.asyncio_transport import Address, AsyncioEndpoint
@@ -151,7 +150,6 @@ class AsyncioCluster(ClusterCore):
                  replica_timeout_ms: float = 250.0,
                  request_timeout_ms: float = 1000.0,
                  client_timeout_ms: Optional[float] = None,
-                 partition_count: int = DEFAULT_PARTITION_COUNT,
                  topology: Optional[Topology] = None,
                  tracer: Optional[Any] = None) -> None:
         if transport not in ("unix", "tcp"):
@@ -168,7 +166,6 @@ class AsyncioCluster(ClusterCore):
             request_timeout_ms=request_timeout_ms,
             client_timeout_ms=client_timeout_ms,
             hedge_floor_ms=replica_timeout_ms / 5.0,
-            partition_count=partition_count,
             topology=topology,
             tracer=tracer,
         )

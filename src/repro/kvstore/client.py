@@ -22,7 +22,7 @@ object, which is what the examples and workload generators use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional
 
 from ..clocks.interface import ReadResult, Sibling
@@ -38,11 +38,6 @@ class GetResult:
     values: List[Any]
     siblings: List[Sibling]
     context: CausalContext
-
-    @property
-    def is_conflict(self) -> bool:
-        """True when the store returned more than one concurrent value."""
-        return len(self.values) > 1
 
     @property
     def value(self) -> Optional[Any]:
@@ -144,20 +139,17 @@ class ClientSession:
         """
         self._contexts.pop(key, None)
 
-    def forget_all(self) -> None:
-        """Drop every per-key context (fresh session, same client identity)."""
-        self._contexts.clear()
-
     # ------------------------------------------------------------------ #
-    # Convenience wrappers over a store object
+    # Convenience wrappers over a store object (anything with the
+    # synchronous store's ``get`` / ``put``)
     # ------------------------------------------------------------------ #
-    def get(self, store: "SupportsClientOps", key: str, server_id: Optional[str] = None) -> GetResult:
+    def get(self, store: Any, key: str, server_id: Optional[str] = None) -> GetResult:
         """Read ``key`` through ``store``, updating the session's context."""
         self.stats["gets"] += 1
         return store.get(key, self, server_id=server_id)
 
     def put(self,
-            store: "SupportsClientOps",
+            store: Any,
             key: str,
             value: Any,
             server_id: Optional[str] = None,
@@ -175,20 +167,3 @@ class ClientSession:
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"ClientSession(id={self.client_id!r}, writes={self.write_seq})"
 
-
-class SupportsClientOps:
-    """Structural interface a store must offer to :class:`ClientSession` wrappers.
-
-    Both the synchronous store and the simulated cluster's blocking facade
-    implement these two methods; the class exists purely for documentation and
-    isinstance-free duck typing.
-    """
-
-    def get(self, key: str, client: ClientSession,
-            server_id: Optional[str] = None) -> GetResult:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def put(self, key: str, value: Any, client: ClientSession,
-            context: Optional[CausalContext] = None,
-            server_id: Optional[str] = None) -> PutResult:  # pragma: no cover - interface
-        raise NotImplementedError

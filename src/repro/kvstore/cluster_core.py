@@ -41,7 +41,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ..clocks.interface import CausalityMechanism
 from ..cluster.membership import Membership
 from ..cluster.preference_list import PlacementService, QuorumConfig
-from ..cluster.ring import DEFAULT_PARTITION_COUNT, ConsistentHashRing, PartitionMap
+from ..cluster.ring import ConsistentHashRing, PartitionMap
 from ..cluster.topology import Topology
 from ..core.exceptions import ConfigurationError
 from ..network.message import Message
@@ -169,9 +169,8 @@ class ClusterCore:
         the asked replica's latency EWMA, never less than this).  Each backend
         sets its own: 2.0 on the simulator, ``replica_timeout_ms / 5`` on
         sockets.
-    partition_count / topology:
-        The cluster-wide fixed vnode ranges, and the datacenter assignment
-        (``None``: one implicit DC).
+    topology:
+        The datacenter assignment (``None``: one implicit DC).
     tracer:
         Span emitter shared by every hosted machine (inert by default; span
         events bypass the transport, so tracing cannot perturb a run).
@@ -188,7 +187,6 @@ class ClusterCore:
                  request_timeout_ms: float = 50.0,
                  client_timeout_ms: Optional[float] = None,
                  hedge_floor_ms: float = 2.0,
-                 partition_count: int = DEFAULT_PARTITION_COUNT,
                  topology: Optional[Topology] = None,
                  tracer: Optional[Any] = None) -> None:
         if not server_ids:
@@ -223,7 +221,7 @@ class ClusterCore:
         # The cluster-wide range ↔ vnode mapping: every server divides its
         # key space into the same fixed partitions, so per-range digests are
         # comparable between peers and handoff can move whole ranges.
-        self.partition_map = PartitionMap(partition_count)
+        self.partition_map = PartitionMap()
         self.placement = PlacementService(self.ring, self.membership,
                                           self.quorum,
                                           partition_map=self.partition_map,

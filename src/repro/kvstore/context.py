@@ -56,12 +56,3 @@ class CausalContext:
         """The context of a client that has never read ``key`` (blind write)."""
         return cls(key=key, mechanism_context=empty_context,
                    mechanism_name=mechanism_name)
-
-    def with_mechanism_context(self, mechanism_context: Any) -> "CausalContext":
-        """Copy with a replaced mechanism context (used by read repair paths)."""
-        return CausalContext(
-            key=self.key,
-            mechanism_context=mechanism_context,
-            mechanism_name=self.mechanism_name,
-            read_dots=self.read_dots,
-        )

@@ -394,18 +394,16 @@ class VnodeIndexSet:
 
     def __init__(self,
                  mechanism: CausalityMechanism,
-                 partition_map: Optional[PartitionMap] = None,
+                 partition_map: PartitionMap,
                  counters: Optional[Dict[str, int]] = None) -> None:
         self.mechanism = mechanism
         self.partition_map = partition_map
         self.counters: Dict[str, int] = counters if counters is not None else {}
         for name in INDEX_COUNTERS:
             self.counters.setdefault(name, 0)
-        partition_ids = (partition_map.partition_ids()
-                         if partition_map is not None else range(1))
         self.indexes: Dict[int, MerkleIndex] = {
             partition_id: MerkleIndex(mechanism, counters=self.counters)
-            for partition_id in partition_ids
+            for partition_id in partition_map.partition_ids()
         }
 
     # ------------------------------------------------------------------ #
@@ -414,11 +412,6 @@ class VnodeIndexSet:
     def partition_ids(self) -> List[int]:
         """Every partition id the set maintains a tree for, sorted."""
         return sorted(self.indexes)
-
-    def partition_of(self, key: str) -> int:
-        """The partition a key's tree lives in."""
-        return (self.partition_map.partition_of(key)
-                if self.partition_map is not None else 0)
 
     def index_for(self, partition_id: int) -> MerkleIndex:
         """The member index of one partition."""
@@ -453,7 +446,7 @@ class VnodeIndexSet:
 
     def fingerprint(self, key: str) -> Optional[bytes]:
         """The maintained fingerprint for ``key`` (None when absent)."""
-        return self.indexes[self.partition_of(key)].fingerprint(key)
+        return self.indexes[self.partition_map.partition_of(key)].fingerprint(key)
 
     def snapshot(self) -> Dict[str, bytes]:
         """Every range's :meth:`MerkleIndex.snapshot`, in one dict."""

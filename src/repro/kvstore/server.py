@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from ..clocks.interface import CausalityMechanism, ReadResult, Sibling
+from ..cluster.ring import PartitionMap
 from ..core.exceptions import StaleContextError
 from .context import CausalContext
 from .merkle_index import VnodeIndexSet
@@ -39,7 +40,7 @@ class StorageNode:
     def __init__(self,
                  node_id: str,
                  mechanism: CausalityMechanism,
-                 partition_map=None) -> None:
+                 partition_map: PartitionMap = PartitionMap(1)) -> None:
         self.node_id = node_id
         self.mechanism = mechanism
         self.storage = NodeStorage(mechanism, partition_map=partition_map)

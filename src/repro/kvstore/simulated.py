@@ -147,7 +147,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ..clocks.interface import CausalityMechanism
 from ..cluster.preference_list import QuorumConfig
 from ..cluster.topology import Topology
-from ..cluster.ring import DEFAULT_PARTITION_COUNT, ConsistentHashRing, rebalance_plan
+from ..cluster.ring import ConsistentHashRing, rebalance_plan
 from ..core.exceptions import ConfigurationError
 from ..network.latency import LatencyModel, SizeDependentLatency
 from ..network.simulator import PeriodicTask, Simulation
@@ -210,7 +210,6 @@ class SimulatedCluster(ClusterCore):
                  replica_timeout_ms: float = 10.0,
                  request_timeout_ms: float = 50.0,
                  client_timeout_ms: Optional[float] = None,
-                 partition_count: int = DEFAULT_PARTITION_COUNT,
                  topology: Optional[Topology] = None,
                  tracer: Optional[Any] = None) -> None:
         super().__init__(
@@ -220,7 +219,6 @@ class SimulatedCluster(ClusterCore):
             replica_timeout_ms=replica_timeout_ms,
             request_timeout_ms=request_timeout_ms,
             client_timeout_ms=client_timeout_ms,
-            partition_count=partition_count,
             topology=topology,
             tracer=tracer,
         )

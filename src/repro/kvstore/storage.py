@@ -8,9 +8,9 @@ paper's evaluation ran on, where each partition owns its keys (and its own
 hashtree, see :mod:`repro.kvstore.merkle_index`).  :class:`NodeStorage` is
 the thin **vnode manager** in front of them: it routes every key to its
 partition's :class:`VnodeStore` while preserving the flat key → state API
-callers that don't care about ranges have always used.  Constructed without
-a partition map (the synchronous store, unit tests) it degenerates to a
-single vnode holding everything.
+callers that don't care about ranges have always used.  Given a
+one-partition map (the synchronous store, unit tests) it is a single vnode
+holding everything.
 
 Each :class:`VnodeStore` keeps, per key, the mechanism-specific state
 describing the key's live sibling versions.  The backend is a plain
@@ -94,19 +94,19 @@ class VnodeStore:
 class NodeStorage:
     """The vnode manager: per-partition stores behind the flat key/state API.
 
-    With a :class:`~repro.cluster.ring.PartitionMap` every key is routed to
-    its partition's :class:`VnodeStore`; without one, a single vnode
-    (partition 0) holds the whole key space and the manager behaves exactly
-    like the flat storage it replaced.  Durable hints are node-level — they
-    are obligations *to other nodes*, keyed by replay target — but share the
-    fate of the vnode their key lives in.
+    Its :class:`~repro.cluster.ring.PartitionMap` routes every key to its
+    partition's :class:`VnodeStore`; under the default one-partition map a
+    single vnode (partition 0) holds the whole key space.  Durable hints are
+    node-level — they are obligations *to other nodes*, keyed by replay
+    target — but share the fate of the vnode their key lives in.
     """
 
     def __init__(self,
                  mechanism: CausalityMechanism,
-                 partition_map: Optional[PartitionMap] = None) -> None:
+                 partition_map: PartitionMap = PartitionMap(1)) -> None:
         self._mechanism = mechanism
-        self._partition_map = partition_map
+        #: The range ↔ vnode mapping every key is routed by.
+        self.partition_map = partition_map
         self._vnodes: Dict[int, VnodeStore] = {}
         self._hints: Dict[str, List[Hint]] = {}
         self._hint_ids = itertools.count(1)
@@ -115,23 +115,9 @@ class NodeStorage:
     # ------------------------------------------------------------------ #
     # Partition routing
     # ------------------------------------------------------------------ #
-    @property
-    def partition_map(self) -> Optional[PartitionMap]:
-        """The range ↔ vnode mapping (None: single-vnode layout)."""
-        return self._partition_map
-
-    @property
-    def partition_count(self) -> int:
-        """How many vnode stores this node's key space is divided into."""
-        return self._partition_map.partition_count if self._partition_map else 1
-
-    def partition_of(self, key: str) -> int:
-        """The partition (vnode) a key belongs to."""
-        return self._partition_map.partition_of(key) if self._partition_map else 0
-
     def vnode_ids(self) -> range:
         """Every partition id of this node's layout, in range order."""
-        return range(self.partition_count)
+        return self.partition_map.partition_ids()
 
     def vnode_keys(self, partition_id: int) -> List[str]:
         """The keys held by one vnode, sorted."""
@@ -166,7 +152,7 @@ class NodeStorage:
             self._notify(partition_id, key, None)
         for target_id in list(self._hints):
             kept = [hint for hint in self._hints[target_id]
-                    if self.partition_of(hint.key) != partition_id]
+                    if self.partition_map.partition_of(hint.key) != partition_id]
             if kept:
                 self._hints[target_id] = kept
             else:
@@ -203,7 +189,7 @@ class NodeStorage:
 
     def get_state(self, key: str) -> Any:
         """The stored state for ``key`` (the mechanism's empty state when absent)."""
-        vnode = self._vnodes.get(self.partition_of(key))
+        vnode = self._vnodes.get(self.partition_map.partition_of(key))
         if vnode is not None and key in vnode.states:
             return vnode.states[key]
         return self._mechanism.empty_state()
@@ -217,7 +203,7 @@ class NodeStorage:
         so the receiving range index adopts the sender's digest instead of
         re-hashing the state.
         """
-        partition_id = self.partition_of(key)
+        partition_id = self.partition_map.partition_of(key)
         if self._mechanism.is_empty(state):
             vnode = self._vnodes.get(partition_id)
             if vnode is not None:
@@ -234,7 +220,7 @@ class NodeStorage:
 
     def delete(self, key: str) -> None:
         """Remove a key entirely."""
-        partition_id = self.partition_of(key)
+        partition_id = self.partition_map.partition_of(key)
         vnode = self._vnodes.get(partition_id)
         if vnode is not None:
             vnode.states.pop(key, None)
@@ -244,7 +230,7 @@ class NodeStorage:
 
     def has_key(self, key: str) -> bool:
         """True iff the node holds live versions for ``key``."""
-        vnode = self._vnodes.get(self.partition_of(key))
+        vnode = self._vnodes.get(self.partition_map.partition_of(key))
         return vnode is not None and key in vnode.states
 
     def keys(self) -> List[str]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from ..core.exceptions import ConfigurationError, SimulationError
+from ..core.exceptions import ConfigurationError
 from .latency import FixedLatency, LatencyModel, PerLinkLatency
 from .message import Message
 from .partition import PartitionManager
@@ -269,10 +269,6 @@ class Transport:
     def trace(self) -> List[Message]:
         """Messages sent while :attr:`trace_enabled` was on (testing aid)."""
         return list(self._trace)
-
-    def clear_trace(self) -> None:
-        """Discard the recorded trace."""
-        self._trace.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (

@@ -83,7 +83,6 @@ class TestCheckStore:
         report = check_store(replay_trace(figure1_trace(), DVVMechanism()).store)
         assert len(report.as_row()) == len(CorrectnessReport.table_headers())
         assert report.keys_checked == 1
-        assert report.lost_update_rate == 0.0
 
     def test_check_store_without_convergence(self):
         store = SyncReplicatedStore(DVVMechanism(), server_ids=("A", "B"))

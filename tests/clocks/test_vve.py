@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.clocks import DottedVVE, VersionVectorWithExceptions
-from repro.core import Dot, InvalidClockError, Ordering, VersionVector
+from repro.core import Dot, InvalidClockError, Ordering
 
 
 class TestConstruction:
@@ -13,11 +13,6 @@ class TestConstruction:
         vve = VersionVectorWithExceptions.empty()
         assert len(vve) == 0
         assert list(vve.dots()) == []
-
-    def test_from_version_vector_has_no_exceptions(self):
-        vve = VersionVectorWithExceptions.from_version_vector(VersionVector({"A": 3}))
-        assert vve.exceptions == frozenset()
-        assert len(vve) == 3
 
     def test_from_dots_builds_exact_set(self):
         vve = VersionVectorWithExceptions.from_dots([Dot("A", 1), Dot("A", 3)])

@@ -132,11 +132,10 @@ class TestPlacementService:
         with pytest.raises(ConfigurationError):
             placement.coordinator_for("key")
 
-    def test_is_replica_and_describe(self):
+    def test_describe(self):
         placement, _ = self.make()
         key = "key"
         primary = placement.primary_replicas(key)
-        assert placement.is_replica(key, primary[0])
         description = placement.describe(key)
         assert description["coordinator"] == primary[0]
         assert description["primary"] == primary

@@ -210,14 +210,7 @@ class TestMembershipDc:
         assert membership.dc_of("n9") == "west"
         assert topology.dc_of("n9") == "west"
 
-    def test_up_nodes_in_scopes_liveness_per_dc(self):
-        topology = Topology({"n1": "east", "n2": "east", "n3": "west"})
-        membership = Membership(["n1", "n2", "n3"], topology=topology)
-        membership.mark_down("n1")
-        assert membership.up_nodes_in("east") == ["n2"]
-        assert membership.up_nodes_in("west") == ["n3"]
-
     def test_without_topology_everyone_is_in_default_dc(self):
         membership = Membership(["n1", "n2"])
         assert membership.dc_of("n1") == DEFAULT_DC
-        assert membership.up_nodes_in(DEFAULT_DC) == ["n1", "n2"]
+        assert membership.dc_of("n2") == DEFAULT_DC

@@ -172,7 +172,7 @@ def some_dots(max_counter: int = 6):
 
 @settings(max_examples=60, deadline=None)
 @given(vv=version_vectors(), ops=st.lists(
-    st.tuples(st.sampled_from(["increment", "merge", "with_entry", "without"]),
+    st.tuples(st.sampled_from(["increment", "merge", "with_entry"]),
               st.sampled_from(ACTORS), st.integers(min_value=0, max_value=6)),
     max_size=6))
 def test_version_vector_ops_keep_memo_consistent(vv, ops):
@@ -182,10 +182,8 @@ def test_version_vector_ops_keep_memo_consistent(vv, ops):
             vv = vv.increment(actor)
         elif op == "merge":
             vv = vv.merge(VersionVector({actor: counter or 1}))
-        elif op == "with_entry":
-            vv = vv.with_entry(actor, counter)
         else:
-            vv = vv.without([actor])
+            vv = vv.with_entry(actor, counter)
     assert_memo_consistent(vv)
 
 

@@ -25,12 +25,6 @@ class TestOrdering:
         assert Ordering.EQUAL.inverse() is Ordering.EQUAL
         assert Ordering.CONCURRENT.inverse() is Ordering.CONCURRENT
 
-    def test_is_ordered(self):
-        assert Ordering.BEFORE.is_ordered
-        assert Ordering.AFTER.is_ordered
-        assert Ordering.EQUAL.is_ordered
-        assert not Ordering.CONCURRENT.is_ordered
-
 
 class TestHelpers:
     def setup_method(self):

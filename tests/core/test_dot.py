@@ -53,12 +53,7 @@ class TestDotBehaviour:
         assert Dot("A", 1).next() == Dot("A", 2)
         assert Dot("A", 5).next().counter == 6
 
-    def test_previous_dots(self):
-        assert list(Dot("A", 1).previous_dots()) == []
-        assert list(Dot("A", 4).previous_dots()) == [Dot("A", 1), Dot("A", 2), Dot("A", 3)]
-
-    def test_as_tuple_and_str(self):
-        assert Dot("A", 3).as_tuple() == ("A", 3)
+    def test_str(self):
         assert str(Dot("A", 3)) == "(A,3)"
 
     def test_immutability(self):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import Dot, InvalidClockError, Ordering, VersionVector, VersionVectorBuilder
+from repro.core import Dot, InvalidClockError, Ordering, VersionVector
 
 
 class TestConstruction:
@@ -64,12 +64,10 @@ class TestEventsAndMerge:
         assert a.merge(b) == b.merge(a)
         assert a.merge(a) == a
 
-    def test_with_entry_and_without(self):
+    def test_with_entry(self):
         vv = VersionVector({"A": 3, "B": 1})
         assert vv.with_entry("B", 5).get("B") == 5
         assert vv.with_entry("B", 0).actors() == {"A"}
-        assert vv.without(["A"]).actors() == {"B"}
-        assert vv.restricted_to(["A"]).actors() == {"A"}
 
 
 class TestComparison:
@@ -116,29 +114,9 @@ class TestIntrospection:
     def test_total_events(self):
         assert VersionVector({"A": 2, "B": 3}).total_events() == 5
 
-    def test_max_dot(self):
-        vv = VersionVector({"A": 2})
-        assert vv.max_dot("A") == Dot("A", 2)
-        assert vv.max_dot("B") is None
-
     def test_hash_and_str(self):
         a = VersionVector({"A": 1, "B": 2})
         b = VersionVector({"B": 2, "A": 1})
         assert hash(a) == hash(b)
         assert str(a) == "[A:1, B:2]"
 
-
-class TestBuilder:
-    def test_builder_observe_and_increment(self):
-        builder = VersionVectorBuilder()
-        builder.observe_dot(Dot("A", 3))
-        builder.observe_dot(Dot("A", 1))  # lower dot must not regress the counter
-        d = builder.increment("B")
-        assert d == Dot("B", 1)
-        assert builder.freeze() == VersionVector({"A": 3, "B": 1})
-
-    def test_builder_merge(self):
-        builder = VersionVectorBuilder(VersionVector({"A": 1}))
-        builder.merge(VersionVector({"A": 3, "B": 2}))
-        assert builder.freeze() == VersionVector({"A": 3, "B": 2})
-        assert builder.get("B") == 2

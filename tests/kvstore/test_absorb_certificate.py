@@ -101,7 +101,7 @@ def test_a_handoff_or_a_direct_store_voids_the_certificate():
     # adopted with the sender's fingerprint.
     sender = StorageNode("B", ClientVVMechanism())
     sender.local_merge("k", replica.remote_write(state=()))
-    node.wipe(partition=node.storage.partition_of("k"))
+    node.wipe(partition=node.storage.partition_map.partition_of("k"))
     assert not node.storage.has_key("k")
     node.ingest_handoff("k", sender.state_of("k"), sender.merkle_index.fingerprint("k"))
     assert replica.merge_in(replica.remote_write()) == "merge"

@@ -17,13 +17,6 @@ class TestCausalContext:
         assert context.mechanism_name == "dvv"
         assert context.read_dots == ()
 
-    def test_with_mechanism_context_keeps_read_dots(self):
-        context = CausalContext(key="k", mechanism_context=VersionVector.empty(),
-                                mechanism_name="dvv", read_dots=(Dot("c1", 1),))
-        updated = context.with_mechanism_context(VersionVector({"A": 1}))
-        assert updated.mechanism_context == VersionVector({"A": 1})
-        assert updated.read_dots == (Dot("c1", 1),)
-
     def test_read_dots_take_no_part_in_equality(self):
         bare = CausalContext.initial("k", "dvv", VersionVector.empty())
         noted = CausalContext(key="k", mechanism_context=VersionVector.empty(),
@@ -74,9 +67,6 @@ class TestClientSession:
         session.absorb_read("k", FakeRead(), "dvv")
         session.forget("k")
         assert session.last_context("k") is None
-        session.absorb_read("k", FakeRead(), "dvv")
-        session.forget_all()
-        assert session.last_context("k") is None
 
 
 class TestGetResult:
@@ -84,14 +74,12 @@ class TestGetResult:
         context = CausalContext.initial("k", "dvv", VersionVector.empty())
         single = GetResult("k", ["v"], [], context)
         assert single.value == "v"
-        assert not single.is_conflict
 
     def test_empty_and_conflicting_values(self):
         context = CausalContext.initial("k", "dvv", VersionVector.empty())
         empty = GetResult("k", [], [], context)
         assert empty.value is None
         conflict = GetResult("k", ["a", "b"], [], context)
-        assert conflict.is_conflict
         with pytest.raises(ValueError):
             _ = conflict.value
 

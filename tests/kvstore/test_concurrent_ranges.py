@@ -40,10 +40,10 @@ def hold_every_range(node) -> None:
     """Give ``node`` one key of its own in every vnode range."""
     client = ClientSession("peer-writer")
     store = node.storage
-    missing = set(range(store.partition_count))
+    missing = set(store.vnode_ids())
     for index in itertools.count():
         key = f"peer-{index}"
-        partition = store.partition_of(key)
+        partition = store.partition_map.partition_of(key)
         if partition in missing:
             missing.discard(partition)
             node.local_write(key, None, client.prepare_write(key, "peer"))

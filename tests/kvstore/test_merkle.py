@@ -8,6 +8,7 @@ import hashlib
 import pytest
 
 from repro.clocks import DVVMechanism
+from repro.cluster import PartitionMap
 from repro.core import ConfigurationError
 from repro.kvstore import ClientSession, SyncReplicatedStore
 from repro.kvstore.merkle_index import (
@@ -200,6 +201,6 @@ class TestFixedShape:
         with pytest.raises(TypeError):
             MerkleIndex(DVVMechanism(), fanout=4)
         with pytest.raises(TypeError):
-            VnodeIndexSet(DVVMechanism(), depth=3)
+            VnodeIndexSet(DVVMechanism(), PartitionMap(1), depth=3)
         with pytest.raises(TypeError):
             bucket_path("cart", 4, 2)

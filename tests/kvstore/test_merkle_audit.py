@@ -95,7 +95,7 @@ class TestVnodeAudit:
         node, index = vnode_node()
         populate(node, count=30)
         index.flush()
-        victim = index.index_for(index.partition_of("key-5"))
+        victim = index.index_for(index.partition_map.partition_of("key-5"))
         victim._fingerprints["key-5"] = b"\xff" * 32
         report = index.audit(node.storage, sample_size=64)
         assert report["mismatches"] == 1

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.clocks import ClientVVMechanism, DVVMechanism
-from repro.cluster import QuorumConfig
+from repro.cluster import QuorumConfig, ring
 from repro.kvstore import ClientSession, SimulatedCluster, default_value_size
 from repro.kvstore.protocol import anti_entropy, coordinator
 from repro.kvstore.protocol.env import READ_REPAIR_BATCH_MS
@@ -348,9 +348,12 @@ DIVERGENCES = {
 }
 
 
-def diverged_cluster(divergence):
-    """A converged 3-node cluster with ``divergence`` applied to n1 / n2."""
-    cluster = build_cluster(hint_replay_interval_ms=None, partition_count=2)
+def diverged_cluster(monkeypatch, divergence):
+    """A converged two-range 3-node cluster with ``divergence`` applied to
+    n1 / n2."""
+    monkeypatch.setattr(ring, "PARTITION_COUNT", 2)
+    cluster = build_cluster(hint_replay_interval_ms=None)
+    assert len(cluster.partition_map) == 2
     seed_converged(cluster, SEEDED)
     cluster.run_anti_entropy_round()
     assert cluster.is_converged()
@@ -400,13 +403,13 @@ class TestMerkleAntiEntropyProtocol:
         assert cluster.merkle_stats.keys_transferred <= 2  # one key, both directions
 
     @pytest.mark.parametrize("divergence", sorted(DIVERGENCES))
-    def test_exchange_ships_exactly_the_divergent_keys(self, divergence):
+    def test_exchange_ships_exactly_the_divergent_keys(self, monkeypatch, divergence):
         """The keys the source names in its MERKLE_KEY_STATES (states it
         sends plus keys it asks back), together with the keys the target
         pushes unasked from ranges the source advertised no root for, are
         exactly what the from-scratch reference diff of the two replicas
         says differs — each key once."""
-        cluster = diverged_cluster(divergence)
+        cluster = diverged_cluster(monkeypatch, divergence)
         expected = reference_diff(cluster)
         assert expected
 
@@ -428,10 +431,10 @@ class TestMerkleAntiEntropyProtocol:
         assert sorted(named) == sorted(expected)
 
     @pytest.mark.parametrize("divergence", sorted(DIVERGENCES))
-    def test_one_exchange_converges_the_pair(self, divergence):
+    def test_one_exchange_converges_the_pair(self, monkeypatch, divergence):
         """States flow both ways in one exchange: afterwards the reference
         diff of the pair is empty and both hold the same values."""
-        cluster = diverged_cluster(divergence)
+        cluster = diverged_cluster(monkeypatch, divergence)
         divergent = reference_diff(cluster)
         cluster.start_exchange("n1", "n2")
         cluster.simulation.run_until_idle()
@@ -441,17 +444,17 @@ class TestMerkleAntiEntropyProtocol:
             assert sorted(map(str, left.values_of(key))) == \
                 sorted(map(str, right.values_of(key)))
 
-    def test_concurrent_writes_both_survive_the_exchange(self):
-        cluster = diverged_cluster("concurrent_write")
+    def test_concurrent_writes_both_survive_the_exchange(self, monkeypatch):
+        cluster = diverged_cluster(monkeypatch, "concurrent_write")
         cluster.start_exchange("n1", "n2")
         cluster.simulation.run_until_idle()
         for server_id in ("n1", "n2"):
             assert sorted(map(str, cluster.servers[server_id].node.values_of(SEEDED[5]))) == \
                 ["left", "right"]
 
-    def test_exchange_after_healing_is_clean(self):
+    def test_exchange_after_healing_is_clean(self, monkeypatch):
         """A pair one exchange just healed has nothing left to ship."""
-        cluster = diverged_cluster("scattered_writes")
+        cluster = diverged_cluster(monkeypatch, "scattered_writes")
         cluster.start_exchange("n1", "n2")
         cluster.simulation.run_until_idle()
         clean_before = cluster.merkle_stats.exchanges_clean

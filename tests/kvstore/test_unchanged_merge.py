@@ -36,7 +36,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.clocks import Sibling, available, create
-from repro.cluster import QuorumConfig
+from repro.cluster import PartitionMap, QuorumConfig
 from repro.core import DVVSet, Dot
 from repro.core.dvvset import _unique
 from repro.kvstore import ClusterCore, StorageNode, plan_read_repair
@@ -330,11 +330,10 @@ def test_plan_matches_todays_planner(case, picks):
 # The anti-entropy receiver against today's fingerprint rule
 # --------------------------------------------------------------------------- #
 def protocol_env(mechanism) -> ClusterCore:
-    return ClusterCore(mechanism, SERVERS, QuorumConfig(n=3, r=2, w=2, sloppy=True),
-                       partition_count=16)
+    return ClusterCore(mechanism, SERVERS, QuorumConfig(n=3, r=2, w=2, sloppy=True))
 
 
-def twin(node: StorageNode, partition_map=None) -> StorageNode:
+def twin(node: StorageNode, partition_map=PartitionMap(1)) -> StorageNode:
     """A fresh node holding the very same state objects as ``node``."""
     copy = StorageNode(node.node_id, node.mechanism, partition_map=partition_map)
     for key, state in node.storage.items():

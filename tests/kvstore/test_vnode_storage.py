@@ -88,12 +88,11 @@ class TestVnodeRouting:
         assert len(node.storage) == len(keys)
         assert sum(node.storage.vnode_len(pid)
                    for pid in node.storage.vnode_ids()) == len(keys)
-        assert storage.partition_count == 8
+        assert list(storage.vnode_ids()) == list(range(8))
 
     def test_without_a_map_everything_is_one_vnode(self):
         storage = NodeStorage(DVVMechanism())
-        assert storage.partition_count == 1
-        assert storage.partition_of("anything") == 0
+        assert storage.partition_map.partition_of("anything") == 0
         assert list(storage.vnode_ids()) == [0]
 
     def test_wipe_vnode_drops_only_that_range(self):
@@ -230,7 +229,7 @@ class TestVnodeIndexSet:
         roots_before = {pid: index.partition_root(pid)
                         for pid in index.partition_ids()}
         write(node, client, "key-0", "changed")
-        mutated = index.partition_of("key-0")
+        mutated = index.partition_map.partition_of("key-0")
         for partition_id in index.partition_ids():
             if partition_id == mutated:
                 assert index.partition_root(partition_id) != \

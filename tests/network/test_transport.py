@@ -180,8 +180,6 @@ class TestAccounting:
         transport.trace_enabled = True
         transport.send(ping("A", "B"))
         assert len(transport.trace) == 1
-        transport.clear_trace()
-        assert transport.trace == []
 
     def test_message_reply_correlation(self):
         request = ping("A", "B")

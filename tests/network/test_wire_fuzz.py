@@ -247,7 +247,11 @@ def _body(payload_bytes: bytes) -> bytes:
     b"d\x01l\x00N",                         # unhashable dict key
     b"z\x01l\x00",                          # unhashable set member
     b"i" + b"\xff" * 11 + b"\x01",          # varint longer than 10 bytes
-], ids=["utf8", "dot", "dvv", "dict-key", "set-member", "varint"])
+    b"V\x05\x01\x01A\x01N",                 # record length past its body
+    b"V\x03\x01\x01A\x01",                  # record length short of its body
+    b"V\x09\x01\x01A\x01",                  # record length past the frame
+], ids=["utf8", "dot", "dvv", "dict-key", "set-member", "varint",
+        "record-long", "record-short", "record-truncated"])
 def test_constructor_and_type_errors_surface_as_serialization_error(payload_bytes):
     with pytest.raises(SerializationError):
         decode_message(_body(payload_bytes))

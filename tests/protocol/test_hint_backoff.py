@@ -30,7 +30,6 @@ SLOW_EWMA_MS = 100.0
 def build_node(node_id: str = "A") -> ProtocolNode:
     env = ClusterCore(create("dvv"), SERVER_IDS,
                       QuorumConfig(n=3, r=2, w=2, sloppy=True),
-                      partition_count=16,
                       replica_timeout_ms=CEILING_MS)
     return ProtocolNode(node_id, env.mechanism, env)
 

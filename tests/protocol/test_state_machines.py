@@ -32,7 +32,7 @@ SERVER_IDS = ("A", "B", "C", "D", "E")
 def build_env(sloppy: bool = True, topology=None) -> ClusterCore:
     return ClusterCore(create("dvv"), SERVER_IDS,
                        QuorumConfig(n=3, r=2, w=2, sloppy=sloppy),
-                       partition_count=16, topology=topology)
+                       topology=topology)
 
 
 def coordinate_put(env, key: str = "cart", value: str = "beer",
@@ -570,12 +570,12 @@ def key_states_to(messages, receiver_id):
 def one_key_per_range(node, prefix, ranges=None):
     """One fresh key name in each of ``ranges`` (default: every range)."""
     storage = node.store.storage
-    wanted = set(range(storage.partition_count) if ranges is None else ranges)
+    wanted = set(storage.vnode_ids() if ranges is None else ranges)
     keys = {}
     index = 0
     while wanted - keys.keys():
         key = f"{prefix}-{index}"
-        keys.setdefault(storage.partition_of(key), key)
+        keys.setdefault(storage.partition_map.partition_of(key), key)
         index += 1
     return [keys[partition] for partition in sorted(wanted)]
 
@@ -701,7 +701,7 @@ def test_range_the_target_lacks_ships_whole_without_a_descent():
     keys = [f"key-{index}" for index in range(40)]
     for key in keys:
         write(donor, writer, key, "v")
-    ranges = {donor.store.storage.partition_of(key) for key in keys}
+    ranges = {donor.store.storage.partition_map.partition_of(key) for key in keys}
 
     messages = run_exchange(donor, victim)
 
@@ -725,7 +725,7 @@ def test_range_the_source_did_not_advertise_is_pushed_by_the_target():
     keys = [f"key-{index}" for index in range(40)]
     for key in keys:
         write(holder, writer, key, "v")
-    ranges = {holder.store.storage.partition_of(key) for key in keys}
+    ranges = {holder.store.storage.partition_map.partition_of(key) for key in keys}
 
     messages = run_exchange(source, holder)
 

@@ -192,7 +192,6 @@ class TestChurnCommand:
 class TestOutOfRangeFlags:
     @pytest.mark.parametrize("argv", [
         ["cluster", "--servers", "0"],
-        ["cluster", "--partitions", "0"],
         ["cluster", "--keys", "0"],
         ["compare", "--clients", "0"],
     ], ids=lambda argv: " ".join(argv))
@@ -273,11 +272,12 @@ def test_connect_processes_under_one_client_id_mint_distinct_dots(monkeypatch):
 
 
 def test_connect_ignores_manifest_keys_it_does_not_read(capsys, tmp_path):
-    """A manifest from before ``virtual_nodes`` and ``request_overhead_bytes``
-    became constants still connects."""
+    """A manifest from before ``virtual_nodes``, ``request_overhead_bytes``
+    and ``partition_count`` became constants still connects."""
     with serving() as (socket_dir, _server):
         manifest = json.loads(pathlib.Path(socket_dir, "cluster.json").read_text())
-        manifest.update(virtual_nodes=32, request_overhead_bytes=64)
+        manifest.update(virtual_nodes=32, request_overhead_bytes=64,
+                        partition_count=16)
         (tmp_path / "cluster.json").write_text(json.dumps(manifest))
         assert main(["connect", "--socket-dir", socket_dir, "put", "k", "v"]) == 0
         assert main(["connect", "--socket-dir", str(tmp_path), "get", "k"]) == 0
@@ -286,7 +286,7 @@ def test_connect_ignores_manifest_keys_it_does_not_read(capsys, tmp_path):
 
 MANIFEST = {"mechanism": "dvv", "server_ids": ["n0", "n1", "n2"],
             "quorum": {"n": 3, "r": 2, "w": 2, "sloppy": True},
-            "partition_count": 16, "request_timeout_ms": 1000.0,
+            "request_timeout_ms": 1000.0,
             "client_timeout_ms": 1500.0, "socket_dir": "/nonexistent"}
 
 
