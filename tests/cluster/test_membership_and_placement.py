@@ -132,6 +132,11 @@ class TestPlacementService:
         with pytest.raises(ConfigurationError):
             placement.coordinator_for("key")
 
+    def test_without_a_map_every_key_is_in_partition_0(self):
+        placement, _ = self.make()
+        assert len(placement.partition_map) == 1
+        assert {placement.partition_of(f"key-{i}") for i in range(100)} == {0}
+
     def test_describe(self):
         placement, _ = self.make()
         key = "key"

@@ -210,6 +210,15 @@ class TestMembershipDc:
         assert membership.dc_of("n9") == "west"
         assert topology.dc_of("n9") == "west"
 
+    def test_a_node_marked_down_keeps_its_dc(self):
+        topology = Topology({"n1": "east", "n2": "east", "n3": "west"})
+        membership = Membership(["n1", "n2", "n3"], topology=topology)
+        membership.mark_down("n1")
+        assert membership.up_nodes() == ["n2", "n3"]
+        assert membership.dc_of("n1") == "east"
+        assert [membership.dc_of(node) for node in membership.up_nodes()] == \
+            ["east", "west"]
+
     def test_without_topology_everyone_is_in_default_dc(self):
         membership = Membership(["n1", "n2"])
         assert membership.dc_of("n1") == DEFAULT_DC

@@ -22,6 +22,17 @@ def build_cluster(mechanism=None, **kwargs):
     return SimulatedCluster(mechanism or DVVMechanism(), **kwargs)
 
 
+class TestPartitionLayout:
+    def test_every_server_shares_the_cluster_partition_map(self):
+        cluster = build_cluster()
+        assert len(cluster.partition_map) == ring.PARTITION_COUNT
+        assert cluster.placement.partition_map is cluster.partition_map
+        for server in cluster.servers.values():
+            assert server.node.storage.partition_map is cluster.partition_map
+            assert list(server.node.merkle_index.partition_ids()) == \
+                list(range(ring.PARTITION_COUNT))
+
+
 class TestBasicRequestFlow:
     def test_put_then_get(self):
         cluster = build_cluster()

@@ -13,6 +13,7 @@ import pytest
 
 from repro.clocks import DVVMechanism
 from repro.cluster import PartitionMap
+from repro.cluster import ring
 from repro.cluster.ring import RING_BITS, rebalance_plan
 from repro.core import ConfigurationError
 from repro.kvstore import ClientSession, NodeStorage
@@ -70,6 +71,20 @@ class TestPartitionMap:
         assert len(partition_map) == 5
         assert list(partition_map.partition_ids()) == [0, 1, 2, 3, 4]
 
+    def test_default_count_is_the_cluster_constant(self):
+        assert ring.PARTITION_COUNT == 16
+        assert len(PartitionMap()) == ring.PARTITION_COUNT
+
+    def test_default_count_is_read_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(ring, "PARTITION_COUNT", 2)
+        assert len(PartitionMap()) == 2
+        assert list(PartitionMap().partition_ids()) == [0, 1]
+
+    def test_one_partition_holds_every_key_and_the_whole_ring(self):
+        partition_map = PartitionMap(1)
+        assert {partition_map.partition_of(f"key-{i}") for i in range(200)} == {0}
+        assert partition_map.partition_range(0) == (0, 1 << RING_BITS)
+
 
 class TestVnodeRouting:
     def test_keys_land_in_their_partitions_vnode(self):
@@ -94,6 +109,17 @@ class TestVnodeRouting:
         storage = NodeStorage(DVVMechanism())
         assert storage.partition_map.partition_of("anything") == 0
         assert list(storage.vnode_ids()) == [0]
+
+    def test_node_without_a_map_keeps_one_vnode_and_one_tree(self):
+        node = StorageNode("A", DVVMechanism())
+        client = ClientSession("writer")
+        keys = [f"key-{i}" for i in range(12)]
+        for key in keys:
+            write(node, client, key, f"{key}-v")
+        assert list(node.storage.vnode_ids()) == [0]
+        assert sorted(node.storage.vnode_keys(0)) == sorted(keys)
+        assert list(node.merkle_index.partition_ids()) == [0]
+        assert live_digest(node.merkle_index) == rebuilt_digest(node)
 
     def test_wipe_vnode_drops_only_that_range(self):
         node, index = vnode_node()

@@ -17,6 +17,7 @@ import pytest
 
 import repro
 from repro.cli import build_parser, main
+from repro.cluster import ring
 from repro.kvstore.asyncio_cluster import AsyncClusterClient
 
 
@@ -106,6 +107,19 @@ class TestClusterCommand:
         with pytest.raises(SystemExit):
             main(["cluster", "--request-mode", "async"])
         assert "--request-mode" in capsys.readouterr().err
+
+    def test_partitions_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["cluster", "--partitions", "4"])
+        assert exit_info.value.code == 2
+        assert "--partitions" in capsys.readouterr().err
+
+    def test_vnode_partitions_row_prints_the_constant(self, capsys):
+        assert main(["cluster", "--mechanism", "dvv", "--clients", "2",
+                     "--duration-ms", "100", "--seed", "5"]) == 0
+        rows = [re.split(r"\s{2,}", line.strip())
+                for line in capsys.readouterr().out.splitlines()]
+        assert ["vnode partitions", str(ring.PARTITION_COUNT)] in rows
 
     def test_deadline_mode_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
