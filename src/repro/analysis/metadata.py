@@ -10,7 +10,7 @@ benchmarks print.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..kvstore.cluster_core import ClusterCore

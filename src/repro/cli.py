@@ -270,6 +270,7 @@ def _cluster_table(args: argparse.Namespace, cluster, duration_ms: float,
         audit_rows = [["audit keys checked", checked],
                       ["audit mismatches", mismatches]]
     stats = cluster.stat_totals()
+    snapshot = cluster.metrics_snapshot()
     return render_table(
         ["metric", "value"],
         [
@@ -285,7 +286,8 @@ def _cluster_table(args: argparse.Namespace, cluster, duration_ms: float,
             ["throughput (req/s)", round(latency.throughput_per_s, 1)],
             ["context bytes / request", round(latency.mean_context_bytes, 1)],
             ["stored metadata bytes", metadata.total_bytes],
-            ["bytes on the wire", cluster.metrics_snapshot()["transport.bytes_sent"]],
+            ["bytes on the wire", snapshot["transport.bytes_sent"]],
+            ["unchanged read replies", snapshot["coordinator.unchanged_replies"]],
             ["merkle keys hashed", stats.get("keys_hashed", 0)],
             ["merkle buckets rehashed", stats.get("buckets_rehashed", 0)],
             ["merkle full rebuilds", stats.get("full_rebuilds", 0)],

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import AbstractSet, FrozenSet, Iterable, Iterator, Optional
 
 from .comparison import Ordering
-from .dot import Actor, Dot
+from .dot import Dot
 from .exceptions import InvalidClockError
 
 

@@ -30,6 +30,15 @@ quorum (or an exhausted ring) holds the hint locally and fails the request
 with ``ERROR_REPLY`` once the quorum is infeasible or the overall request
 deadline fires.
 
+A GET is a digest read when the coordinator's own state counts toward R:
+every ``REPLICA_GET`` of the session — reserve, hedge and fallback contacts
+too — carries the digest of the state the coordinator read at session start
+(:func:`~repro.kvstore.protocol.util.state_digest`).  A replica holding the
+same versions answers with a bare ``REPLICA_GET_REPLY`` (no ``state``), which
+stands for that snapshot, so read repair sees agreeing replies.  A digest
+collision can only make a read stale, never lose a write: the client's next
+write does not cover the versions it did not see, so they stay concurrent.
+
 Timer ids armed by this machine:
 
 * ``("replica", coordination_id, replica_id)`` — one contacted replica's ack
@@ -52,7 +61,7 @@ from ...network.message import Message, MessageType
 from ..read_repair import ReadRepairStats, plan_read_repair
 from .effects import ClearTimer, Send, SetTimer
 from .env import READ_REPAIR_BATCH_MS, REQUEST_OVERHEAD_BYTES, SYNC_BATCH_SIZE
-from .util import default_value_size
+from .util import default_value_size, state_digest
 
 
 @dataclass
@@ -67,6 +76,10 @@ class CoordinatorSession:
     replies: List = field(default_factory=list)
     replied_nodes: List[str] = field(default_factory=list)
     done: bool = False
+    #: get-only: the digest of the coordinator's own state at session start,
+    #: sent with every REPLICA_GET (None when that state does not count
+    #: toward R); a reply without ``state`` stands for that snapshot
+    digest: Optional[bytes] = None
     # put-only fields
     new_state: Any = None
     #: what every REPLICA_PUT of this session carries: the write's delta
@@ -105,6 +118,8 @@ class Coordinator:
         #: or by a contacted replica's deadline)
         self.read_hedges = 0
         self.reserve_contacts = 0
+        #: bare REPLICA_GET_REPLYs: the replica's state had the session digest
+        self.unchanged_replies = 0
         # Read-repair pushes are coalesced per target replica (mirroring
         # MERKLE_KEY_STATES batching): repairs queue here and flush as one
         # READ_REPAIR message per target when the batch fills or the
@@ -222,8 +237,10 @@ class Coordinator:
         # read (the client failed over to it, so it stands in the extended
         # top-N); a strict quorum accepts replies from primaries only.
         if node.node_id in primaries or config.sloppy:
-            pending.replies.append((node.node_id, node.store.state_of(key)))
+            state = node.store.state_of(key)
+            pending.replies.append((node.node_id, state))
             pending.replied_nodes.append(node.node_id)
+            pending.digest = state_digest(node.mechanism, state)
         ranked = self._rank_primaries(
             [replica_id for replica_id in primaries if replica_id != node.node_id])
         wanted = pending.needed - len(pending.replies)
@@ -291,11 +308,20 @@ class Coordinator:
             return
         if message.sender in pending.replied_nodes:
             return  # duplicate delivery
+        if "state" in message.payload:
+            state = message.payload["state"]
+        elif pending.digest is not None:
+            # "Unchanged": the replica holds the versions of the snapshot the
+            # digest was taken from, the coordinator's own (first) reply.
+            state = pending.replies[0][1]
+            self.unchanged_replies += 1
+        else:
+            return  # a bare reply to a request that offered no digest
         self._observe_ack_latency(pending, message.sender)
         self._trace_replica_end(pending, message.sender, "ok")
         if pending.deadlines.pop(message.sender, None):
             self._node.emit(ClearTimer(("replica", coordination_id, message.sender)))
-        pending.replies.append((message.sender, message.payload["state"]))
+        pending.replies.append((message.sender, state))
         pending.replied_nodes.append(message.sender)
         self._maybe_finish_get(coordination_id)
 
@@ -430,11 +456,14 @@ class Coordinator:
                 request_id=coordination_id,
             )
         else:
+            payload = {"key": pending.key, "coordination_id": coordination_id}
+            if pending.digest is not None:
+                payload["digest"] = pending.digest
             message = Message(
                 sender=node.node_id,
                 receiver=replica_id,
                 msg_type=MessageType.REPLICA_GET,
-                payload={"key": pending.key, "coordination_id": coordination_id},
+                payload=payload,
                 size_bytes=REQUEST_OVERHEAD_BYTES,
                 request_id=coordination_id,
             )

@@ -19,8 +19,9 @@ What is fixed by the implementation, as batch sizes and envelope sizes are
 in Riak, is not on the env but a constant here, beside the latency
 constants of :mod:`repro.kvstore.protocol.latency`:
 :data:`SYNC_BATCH_SIZE`, :data:`READ_REPAIR_BATCH_MS`,
-:data:`HINT_BACKOFF_MULTIPLIER` and :data:`REQUEST_OVERHEAD_BYTES`.  Every
-replica deadline is the env's ``replica_timeout_ms``.
+:data:`HINT_BACKOFF_MULTIPLIER`, :data:`REQUEST_OVERHEAD_BYTES` and
+:data:`READ_DIGEST_BYTES`.  Every replica deadline is the env's
+``replica_timeout_ms``.
 
 State machines only ever *read* the env.
 """
@@ -42,3 +43,7 @@ HINT_BACKOFF_MULTIPLIER = 6.0
 
 #: Modelled envelope size (bytes) of every message.
 REQUEST_OVERHEAD_BYTES = 64
+
+#: Length (bytes) of the state digest a REPLICA_GET carries: a prefix of the
+#: key's sibling-set fingerprint (``merkle_index.state_fingerprint``).
+READ_DIGEST_BYTES = 8

@@ -3,6 +3,12 @@
 The stateless half of the protocol — every handler answers one message from
 local storage and emits at most one reply.  Shared by both backends through
 :class:`~repro.kvstore.protocol.node.ProtocolNode`.
+
+A ``REPLICA_GET`` may carry the ``digest`` of the coordinator's own state for
+the key (:func:`~repro.kvstore.protocol.util.state_digest`).  A replica whose
+stored state has that digest holds the same versions, so its reply carries no
+``state`` — only the envelope — and the coordinator reads it as its own
+snapshot.  A mismatch, or a request without a digest, gets the full state.
 """
 
 from __future__ import annotations
@@ -10,6 +16,7 @@ from __future__ import annotations
 from ...network.message import Message, MessageType
 from .effects import Send
 from .env import REQUEST_OVERHEAD_BYTES
+from .util import state_digest
 
 
 class ReplicaHandler:
@@ -22,16 +29,20 @@ class ReplicaHandler:
         node = self._node
         key = message.payload["key"]
         state = node.store.state_of(key)
+        payload = {"key": key,
+                   "coordination_id": message.payload["coordination_id"]}
+        digest = message.payload.get("digest")
+        if digest is not None and digest == state_digest(node.mechanism, state):
+            size = REQUEST_OVERHEAD_BYTES    # "unchanged": no state rides back
+        else:
+            payload["state"] = state
+            size = node.state_size(key, state)
         node.emit(Send(Message(
             sender=node.node_id,
             receiver=message.sender,
             msg_type=MessageType.REPLICA_GET_REPLY,
-            payload={
-                "key": key,
-                "state": state,
-                "coordination_id": message.payload["coordination_id"],
-            },
-            size_bytes=node.state_size(key, state),
+            payload=payload,
+            size_bytes=size,
             request_id=message.request_id,
         )))
 

@@ -23,12 +23,11 @@ replicas loosely converged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..clocks.interface import CausalityMechanism, Sibling
 from ..cluster.preference_list import PlacementService
-from ..core.exceptions import ConfigurationError, KeyNotFoundError, StaleContextError
+from ..core.exceptions import ConfigurationError, StaleContextError
 from .client import ClientSession, GetResult, PutResult
 from .context import CausalContext
 from .server import StorageNode

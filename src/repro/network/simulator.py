@@ -20,7 +20,7 @@ import heapq
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..core.exceptions import SchedulingError, SimulationError
 

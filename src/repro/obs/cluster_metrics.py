@@ -79,11 +79,13 @@ def _read_repair_totals(cluster: Any) -> Dict[str, int]:
 
 
 def _coordinator_totals(cluster: Any) -> Dict[str, int]:
-    """Read hedges fired and reserve primaries asked, summed over coordinators."""
+    """Read hedges fired, reserve primaries asked and bare ("unchanged")
+    replica read replies taken, summed over coordinators."""
     coordinators = [server.protocol.coordinator
                     for server in cluster.servers.values()]
     return {"read_hedges": sum(c.read_hedges for c in coordinators),
-            "reserve_contacts": sum(c.reserve_contacts for c in coordinators)}
+            "reserve_contacts": sum(c.reserve_contacts for c in coordinators),
+            "unchanged_replies": sum(c.unchanged_replies for c in coordinators)}
 
 
 def _transport_totals(cluster: Any) -> Dict[str, int]:

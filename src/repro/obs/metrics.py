@@ -19,7 +19,7 @@ never mutate the underlying stats, so taking one is always safe mid-run.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 

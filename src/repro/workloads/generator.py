@@ -19,11 +19,11 @@ one generated workload can be replayed under every causality mechanism.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..core.exceptions import ConfigurationError
-from .traces import Operation, OpType, Trace
+from .traces import Trace
 
 
 def zipf_weights(count: int, s: float) -> List[float]:

@@ -36,7 +36,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..clocks.interface import CausalityMechanism
 from ..clocks.registry import create as create_mechanism
-from ..core.comparison import Ordering
 from .traces import ReplayResult, Trace, replay_trace
 
 

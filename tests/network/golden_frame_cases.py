@@ -7,6 +7,10 @@ last regenerated when ``PUT_REPLY`` stopped carrying the oracle's
 it prove that a codec refactor changes how frames are produced, never which
 bytes.
 
+A ``REPLICA_GET`` carrying a state digest and the bare ``REPLICA_GET_REPLY``
+a replica holding that state answers with (digest reads) were added later,
+after the sorted cases, so every earlier entry kept its bytes.
+
 Together the cases hold one message of every ``MessageType``, every wire tag,
 the clocks of all six mechanisms, a 30-sibling ``REPLICA_PUT`` state, a
 ``DVVSet`` with anonymous values, a sibling whose value is a list, negative /
@@ -151,9 +155,19 @@ def build_cases() -> List[Tuple[str, Message]]:
         "wide": (MessageType.REPLICA_PUT, _wide_payload()),
     })
     assert {msg_type for msg_type, _ in payloads.values()} == set(MessageType)
+    # Cases added since go after the sorted ones, so no earlier case's index
+    # (and with it its ids and size) moves.
+    added = [
+        ("replica_get_digest", (MessageType.REPLICA_GET,
+                                {"key": "cart", "coordination_id": 7,
+                                 "digest": digest[:8]})),
+        ("replica_get_reply_unchanged", (MessageType.REPLICA_GET_REPLY,
+                                         {"key": "cart", "coordination_id": 7})),
+    ]
 
     cases = []
-    for index, (name, (msg_type, payload)) in enumerate(sorted(payloads.items())):
+    for index, (name, (msg_type, payload)) in enumerate(
+            sorted(payloads.items()) + added):
         wide = name == "wide"
         cases.append((name, Message(
             sender=LONG if wide else "A",

@@ -10,7 +10,8 @@ no sender in the protocol and are built by hand.
 
 What is asserted:
 
-* unmutated frames round-trip exactly;
+* unmutated frames round-trip exactly, and the corpus holds both frames of a
+  digest read (a ``REPLICA_GET`` with a ``digest``, a bare reply);
 * whatever bytes arrive, :func:`decode_message` and :func:`split_frames` — the
   splitter an endpoint's ``data_received`` cuts frames with — either decode
   them or raise :class:`SerializationError` — no other exception, and no
@@ -157,6 +158,17 @@ def test_corpus_covers_every_message_type_and_round_trips(mechanism_name):
         assert [decode_message(body) for body in split_frames(buffer)] == [message]
         assert buffer == b""
         assert frame[4] == WIRE_VERSION == 4
+
+
+@pytest.mark.parametrize("mechanism_name", MECHANISMS)
+def test_corpus_holds_both_digest_read_frames(mechanism_name):
+    """The mutation fuzz draws a ``REPLICA_GET`` carrying a digest and a bare
+    ``REPLICA_GET_REPLY`` (the "unchanged" answer) for every mechanism."""
+    messages = corpus(mechanism_name)
+    assert any("digest" in m.payload for m in messages
+               if m.msg_type is MessageType.REPLICA_GET)
+    assert any("state" not in m.payload for m in messages
+               if m.msg_type is MessageType.REPLICA_GET_REPLY)
 
 
 @pytest.mark.parametrize("mechanism_name", MECHANISMS)

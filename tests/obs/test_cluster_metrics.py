@@ -68,6 +68,14 @@ async def run_asyncio_workload():
     return cluster, live
 
 
+def wipe_all_but_the_coordinator(cluster, key: str) -> None:
+    """Every replica a read of ``key`` may ask loses the key."""
+    coordinator = cluster.placement.extended_preference_list(key)[0]
+    for server_id, server in cluster.servers.items():
+        if server_id != coordinator:
+            server.node.wipe()
+
+
 class TestSnapshotSchema:
     def test_identical_key_set_across_backends(self):
         sim = run_simulated_workload().metrics_snapshot()
@@ -166,6 +174,41 @@ class TestSnapshotSchema:
         failing = run_golden_scenario("dvv").metrics_snapshot()
         assert failing["coordinator.read_hedges"] > 0
         assert failing["coordinator.reserve_contacts"] > 0
+
+    def test_unchanged_replies_are_counted_by_both_backends(self):
+        """An agreeing replica's bare reply counts; a diverged one's does not."""
+        def simulated(diverge: bool) -> int:
+            cluster = SimulatedCluster(
+                create("dvv"), server_ids=SERVER_IDS,
+                quorum=QuorumConfig(n=3, r=2, w=2, sloppy=True), seed=11,
+                anti_entropy_interval_ms=None, hint_replay_interval_ms=None)
+            client = cluster.client("c1")
+            client.put("k", "v")
+            cluster.run(until=50.0)
+            if diverge:
+                wipe_all_but_the_coordinator(cluster, "k")
+            client.get("k")
+            cluster.run(until=100.0)
+            return cluster.metrics_snapshot()["coordinator.unchanged_replies"]
+
+        async def real(diverge: bool) -> int:
+            cluster = AsyncioCluster(
+                create("dvv"), server_ids=SERVER_IDS,
+                quorum=QuorumConfig(n=3, r=2, w=2, sloppy=True),
+                anti_entropy_interval_ms=None, hint_replay_interval_ms=None)
+            async with cluster:
+                client = await cluster.client("c1")
+                await client.put("k", "v")
+                await cluster.converge(timeout_s=10.0)
+                if diverge:
+                    wipe_all_but_the_coordinator(cluster, "k")
+                await client.get("k")
+            return cluster.metrics_snapshot()["coordinator.unchanged_replies"]
+
+        assert simulated(diverge=False) > 0
+        assert simulated(diverge=True) == 0
+        assert asyncio.run(real(diverge=False)) > 0
+        assert asyncio.run(real(diverge=True)) == 0
 
     def test_snapshot_reads_do_not_mutate(self):
         cluster = run_simulated_workload()

@@ -100,6 +100,55 @@ deadline (``records``, ``ok`` and ``requests_completed`` 91 → 90; none
 failed), because the re-timed replies reach them at other times.  Every
 scenario stayed converged with no lost update or false concurrency.
 
+All three simulated fixtures were **re-captured again** by the change that
+made a GET a digest read: a replica whose state has the digest the
+coordinator's ``REPLICA_GET`` carries answers with a bare reply, modelled as
+the envelope alone, and the coordinator reads it as its own snapshot.  A
+lighter reply moves virtual time.  In the ``:async`` scenarios
+``bytes_delivered`` fell (``causal_history`` 42384 → 40975, ``dvv`` 34803 →
+34357, ``dvvset`` 34967 → 34622) and ``latency_sum`` fell (170.73 → 170.45,
+169.98 → 169.89, 169.99 → 169.92); under ``causal_history``
+``stat_totals.merges_unchanged`` rose 17 → 24 and ``keys_hashed`` fell 41 →
+40, because a bare reply is the coordinator's own state, where an equal-set
+reply in another sibling order used to be merged and stored again.  In
+``dvv:multi_dc`` ``bytes_delivered`` fell 81239 → 80020 and ``latency_sum``
+4429.76 → 4427.77, and ``now`` moved 1439.55 → 1440.44.  ``dvvset:multi_dc``
+now runs the schedule ``dvv:multi_dc`` does: ``bytes_delivered`` 83437 →
+80079, ``sync_bytes`` 46651 → 44636, ``transport_sent`` 721 → 711,
+``transport_delivered`` 668 → 658, ``deadlines_set`` 370 → 367, ``events``
+813 → 803, ``merkle.levels_sent`` 57 → 54, ``partitions_differing`` 45 → 42
+(``exchanges_clean`` 0 → 3), ``stat_totals.merges`` 138 → 137 and
+``merges_unchanged`` 75 → 71, ``now`` 1407.39 → 1440.44 and ``latency_sum``
+4455.64 → 4427.78; and, as ``dvv:multi_dc`` did at the delta change, its
+closed-loop clients finished one request fewer before the deadline
+(``records``, ``ok`` and ``requests_completed`` 91 → 90; none failed).  In
+the churn fixture only ``multi_dc`` (``now``), ``soak`` and
+``soak:600ms,1flap`` moved.  ``soak`` completed 199 → 200 requests, so
+``transport_sent`` rose 1588 → 1597 and ``sync_bytes`` 106319 → 107219;
+``soak:600ms,1flap`` completed 71 → 69 (``transport_sent`` 579 → 559,
+``sync_bytes`` 34397 → 33306); both moved ``events_processed``, ``now``,
+``final_values``, ``sibling_series`` and ``stats`` (``soak``:
+``buckets_rehashed`` 152 → 148, ``hint_replays`` 27 → 29, ``keys_hashed``
+175 → 172, ``merges_unchanged`` 157 → 165, ``merkle_syncs`` 90 → 94;
+``soak:600ms,1flap``: ``buckets_rehashed`` 67 → 63, ``keys_hashed`` 75 →
+71, ``merges`` 98 → 96, ``merges_unchanged`` 80 → 71, ``merkle_syncs`` 66
+→ 55, ``writes`` 26 → 25).  Those three moves do **not** meet the refusal
+rule of the earlier re-captures (no scenario completes fewer requests or
+fails more, neither ``transport_sent`` nor ``sync_bytes`` rises), and the
+pins hold them all the same.  They are the schedule, not the read: with
+the bare reply modelled at the full state's size every field stays
+bit-for-bit but the merge and hashing counters that the equal-set merges
+move (``causal_history:async`` above, ``soak``'s ``stats``); and resizing
+every replica read reply of the code before digest reads, with nothing
+else changed, moves the same pins as far (50 B lighter: ``soak`` 199 →
+197, ``soak:600ms,1flap`` 71 → 69, ``dvvset:multi_dc`` 91 → 90; 20 B
+heavier: ``soak`` ``transport_sent`` 1588 → 1639, ``sync_bytes`` 106319
+→ 114170).  Over seeds 1–100 of ``soak:600ms,1flap`` and of the churn
+``multi_dc`` scenario under dvv and under dvvset, and seeds 1–60 of
+``soak``, the change completed 37465 → 37504 requests (more in 77 runs,
+fewer in 62) and failed 149 → 147.  Every pinned scenario stayed converged
+with no lost update or false concurrency, and none failed more.
+
 The scenario is deliberately eventful: four servers, three clients, a mixed
 workload, one node failing mid-run and recovering later — so it exercises
 quorum coordination, deadlines and failover, sloppy quorums with hinted

@@ -21,7 +21,8 @@ from repro.kvstore import ClusterCore
 from repro.kvstore.client import ClientSession
 from repro.kvstore.protocol import ClientProtocol, ProtocolNode
 from repro.kvstore.protocol.effects import ClearTimer, Send, SetTimer
-from repro.kvstore.protocol.env import REQUEST_OVERHEAD_BYTES
+from repro.kvstore.protocol.env import READ_DIGEST_BYTES, REQUEST_OVERHEAD_BYTES
+from repro.kvstore.protocol.util import state_digest
 from repro.network.message import Message, MessageType
 
 from merkle_reference import live_digest
@@ -467,6 +468,126 @@ def test_suspected_primary_ranks_last_until_its_next_ack():
     node.on_recover(wipe=False)
     assert node.latency.suspected == set()
     assert first_asked(15.0) == primaries[1]
+
+
+# --------------------------------------------------------------------------- #
+# Digest reads: a replica that agrees answers "unchanged"
+# --------------------------------------------------------------------------- #
+def digest_read_setup(r: int = 2):
+    """A coordinator and its two fellow primaries, all holding one write."""
+    env = ClusterCore(create("dvv"), SERVER_IDS,
+                      QuorumConfig(n=3, r=r, w=2, sloppy=True))
+    key = "cart"
+    nodes = [ProtocolNode(node_id, env.mechanism, env)
+             for node_id in env.placement.primary_replicas(key)]
+    write(nodes[0], ClientSession("w"), key, "beer")
+    for replica in nodes[1:]:
+        replicate(nodes[0], replica, key)
+    return env, key, nodes
+
+
+def deliver(node, messages, now: float = 1.0):
+    """Hand ``node`` each message addressed to it; return what it sent."""
+    out = []
+    for message in messages:
+        if message.receiver == node.node_id:
+            out += sends(node.on_message(message, now=now))
+    return out
+
+
+def test_agreeing_replica_replies_bare_and_a_diverged_one_sends_its_state():
+    env, key, (coordinator, replica, _) = digest_read_setup()
+    fanout = coordinator.on_message(coordinate_get(env, key), now=0.0)
+    [get] = sends(fanout, MessageType.REPLICA_GET)
+    assert get.payload["digest"] == state_digest(
+        env.mechanism, coordinator.store.state_of(key))
+    assert len(get.payload["digest"]) == READ_DIGEST_BYTES
+
+    [reply] = deliver(replica, [get])
+    assert reply.payload == {"key": key,
+                             "coordination_id": get.payload["coordination_id"]}
+    assert reply.size_bytes == REQUEST_OVERHEAD_BYTES
+    [answer] = deliver(coordinator, [reply], now=2.0)
+    assert answer.payload["siblings"][0].value == "beer"
+    assert coordinator.coordinator.unchanged_replies == 1
+    assert coordinator.coordinator.read_repair_stats.repairs_triggered == 0
+
+    # The replica takes a write (over "beer") the coordinator has not seen:
+    # the digests differ and the full state rides back.
+    write(replica, ClientSession("x"), key, "wine")
+    fanout = coordinator.on_message(coordinate_get(env, key), now=3.0)
+    [reply] = deliver(replica, sends(fanout, MessageType.REPLICA_GET))
+    assert reply.payload["state"] == replica.store.state_of(key)
+    assert reply.size_bytes == replica.state_size(key, reply.payload["state"])
+    [answer] = deliver(coordinator, [reply], now=4.0)
+    assert [s.value for s in answer.payload["siblings"]] == ["wine"]
+    assert coordinator.coordinator.unchanged_replies == 1
+
+
+def test_strict_quorum_non_home_coordinator_sends_no_digest():
+    env = build_env(sloppy=False)
+    key = "cart"
+    primaries = env.placement.primary_replicas(key)
+    outsider = ProtocolNode(next(n for n in SERVER_IDS if n not in primaries),
+                            env.mechanism, env)
+    replica = ProtocolNode(primaries[0], env.mechanism, env)
+
+    fanout = outsider.on_message(coordinate_get(env, key), now=0.0)
+    gets = sends(fanout, MessageType.REPLICA_GET)
+    assert len(gets) == 2 and all("digest" not in m.payload for m in gets)
+    session = next(iter(outsider.coordinator.sessions.values()))
+    assert session.digest is None
+
+    # Both hold nothing, yet without a digest the replica sends its state...
+    [reply] = deliver(replica, gets)
+    assert "state" in reply.payload
+    # ...and a bare reply to a session that offered no digest counts for nothing.
+    bare = Message(sender=primaries[1], receiver=outsider.node_id,
+                   msg_type=MessageType.REPLICA_GET_REPLY,
+                   payload={"coordination_id": gets[0].payload["coordination_id"]},
+                   size_bytes=REQUEST_OVERHEAD_BYTES)
+    assert outsider.on_message(bare, now=1.0) == []
+    assert session.replies == [] and outsider.coordinator.unchanged_replies == 0
+
+
+def test_hedged_get_after_a_local_write_still_sends_the_session_start_digest():
+    env, key, (coordinator, asked, reserve) = digest_read_setup()
+    snapshot = coordinator.store.state_of(key)
+    coordinator.on_message(coordinate_get(env, key), now=0.0)
+    coordination_id = next(iter(coordinator.coordinator.sessions))
+    # A write lands on the coordinator while the read is in flight.
+    write(coordinator, ClientSession("y"), key, "cider")
+    assert coordinator.store.state_of(key) != snapshot
+
+    hedged = sends(coordinator.on_timer(("hedge", coordination_id),
+                                        now=env.hedge_floor_ms))
+    [get] = [m for m in hedged if m.receiver == reserve.node_id]
+    assert get.payload["digest"] == state_digest(env.mechanism, snapshot)
+
+    [reply] = deliver(reserve, [get])
+    assert "state" not in reply.payload
+    deliver(coordinator, [reply], now=3.0)
+    # Read as the session's snapshot, the bare reply agrees with the
+    # coordinator's own: no repair, not even of the coordinator itself.
+    stats = coordinator.coordinator.read_repair_stats
+    assert (stats.reads_checked, stats.repairs_triggered) == (1, 0)
+    assert coordinator.coordinator.unchanged_replies == 1
+
+
+def test_duplicate_bare_reply_is_ignored():
+    env, key, (coordinator, first, second) = digest_read_setup(r=3)
+    fanout = sends(coordinator.on_message(coordinate_get(env, key), now=0.0))
+    [reply] = deliver(first, fanout)
+    assert "state" not in reply.payload
+    session = next(iter(coordinator.coordinator.sessions.values()))
+
+    assert deliver(coordinator, [reply], now=2.0) == []
+    assert deliver(coordinator, [reply], now=3.0) == []     # duplicate
+    assert len(session.replies) == 2
+    assert coordinator.coordinator.unchanged_replies == 1
+    [answer] = deliver(coordinator, deliver(second, fanout), now=4.0)
+    assert answer.msg_type is MessageType.GET_REPLY
+    assert coordinator.coordinator.unchanged_replies == 2
 
 
 # --------------------------------------------------------------------------- #

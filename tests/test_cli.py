@@ -147,6 +147,14 @@ class TestClusterCommandAsyncio:
         assert set(sim_rows) <= set(row_labels(output))
         assert re.search(r"^converged +yes$", output, re.MULTILINE)
 
+    def test_both_backends_count_unchanged_read_replies(self, capsys):
+        for backend in ("sim", "asyncio"):
+            assert main(self.ARGS + ["--backend", backend]) == 0
+            rows = dict(re.split(r"\s{2,}", line.strip(), maxsplit=1)
+                        for line in capsys.readouterr().out.splitlines()
+                        if line.startswith("unchanged read replies"))
+            assert int(rows["unchanged read replies"]) > 0, backend
+
     def test_convergence_timeout_reports_no_and_exits_1(self, capsys, monkeypatch):
         from repro.kvstore import AsyncioCluster
 
