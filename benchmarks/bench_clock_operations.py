@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import render_table
-from repro.clocks import ClientVVMechanism, DVVMechanism, Sibling
+from repro.clocks import ClientVVMechanism, DVVMechanism, DVVSetMechanism, Sibling
 from repro.core import (
     CausalHistory,
     DVVSet,
@@ -22,6 +22,7 @@ from repro.core import (
     VersionVector,
 )
 from repro.core.dvv import join as dvv_join, sync as dvv_sync, update as dvv_update
+from repro.core.serialization import encoded_size
 
 SIBLING_COUNT = 8
 SERVERS = [f"S{i}" for i in range(3)]
@@ -102,6 +103,38 @@ def merge_operations():
         f"{REPLICA_APPLY} via absorb": (client_vv_mechanism.absorb, (stored, incoming)),
         "dvvset sync": (dvvset_stored.sync, (dvvset_stored,)),
     }
+
+
+def reference_dvvset_metadata_bytes(state):
+    """A dvvset key's modelled metadata size the long way: encode a freshly
+    built join (so never from a memo) and add two bytes per live value."""
+    return encoded_size(state.join()) + 2 * state.size()
+
+
+DVVSET_SIZING = "dvvset metadata_bytes"
+DVVSET_REFERENCE = "dvvset reference formula"
+DVVSET_SIZES = ((1, "1 value"), (SIBLING_COUNT, f"{SIBLING_COUNT} values"))
+
+
+def sizing_operations():
+    """The metadata-sizing rows: ``name → (callable, args)``.
+
+    ``metadata_bytes`` prices every state a replica ships or restores.  The
+    dvvset rows pair the mechanism's counted size with the reference formula
+    on the same state; the dvv and client VV rows size the 30-sibling hot key.
+    """
+    dvvset_mechanism = DVVSetMechanism()
+    rows = {}
+    for count, label in DVVSET_SIZES:
+        state = build_dvvset(count)
+        assert dvvset_mechanism.metadata_bytes(state) == \
+            reference_dvvset_metadata_bytes(state)
+        rows[f"{DVVSET_SIZING} ({label})"] = (dvvset_mechanism.metadata_bytes, (state,))
+        rows[f"{DVVSET_REFERENCE} ({label})"] = (reference_dvvset_metadata_bytes, (state,))
+    for mechanism in (DVVMechanism(), ClientVVMechanism()):
+        rows[f"{mechanism.name} metadata_bytes (30 siblings, 32 client ids)"] = (
+            mechanism.metadata_bytes, (build_hot_key_state(mechanism),))
+    return rows
 
 
 def build_histories(count=SIBLING_COUNT, depth=50):
@@ -243,6 +276,12 @@ PERF_GATE_FLOOR_NS = 2000.0
 #: same run, so unlike the 2x gates the bound does not depend on the machine.
 ABSORB_GATE_RATIO = 0.5
 
+#: In-run gate (CI): a dvvset key's counted ``metadata_bytes`` may cost at
+#: most this share of the reference formula on the same state, timed in the
+#: same run.  Building and encoding the join again fails it several times over.
+SIZING_GATE_RATIO = 0.25
+SIZING_ROUNDS = 10
+
 
 def check_perf_gate(baseline: dict, fresh: dict) -> list:
     """Regressions of the gated metrics vs the checked-in baseline, and an
@@ -265,12 +304,21 @@ def check_perf_gate(baseline: dict, fresh: dict) -> list:
         failures.append(
             f"{REPLICA_APPLY}: absorb {absorb:.1f}ns > {ABSORB_GATE_RATIO} x "
             f"merge {merge:.1f}ns")
+    sizing = fresh["sizing"]
+    for _, label in DVVSET_SIZES:
+        counted = sizing[f"{DVVSET_SIZING} ({label})"]["cost_ns"]
+        reference = sizing[f"{DVVSET_REFERENCE} ({label})"]["cost_ns"]
+        if counted > SIZING_GATE_RATIO * reference:
+            failures.append(
+                f"{DVVSET_SIZING} ({label}): {counted:.1f}ns > "
+                f"{SIZING_GATE_RATIO} x reference formula {reference:.1f}ns")
     return failures
 
 
 def run_smoke(results_path: str, iterations: int = 2000) -> int:
-    """Measure encode/decode cost and encoded size per clock type, and the
-    replica-merge rows of :func:`merge_operations`.
+    """Measure encode/decode cost and encoded size per clock type, the
+    replica-merge rows of :func:`merge_operations` and the metadata-sizing
+    rows of :func:`sizing_operations`.
 
     Encode runs against one representative instance per mechanism, so after
     the first (cold) iteration every call is served from the canonical-bytes
@@ -284,7 +332,7 @@ def run_smoke(results_path: str, iterations: int = 2000) -> int:
     import time
 
     from repro.core import codec
-    from repro.core.serialization import decode, encode, encoded_size, entry_count
+    from repro.core.serialization import decode, encode, entry_count
 
     def cost_ns(callable_, *args):
         start = time.perf_counter()
@@ -337,6 +385,19 @@ def run_smoke(results_path: str, iterations: int = 2000) -> int:
         [[name, row["cost_ns"]] for name, row in results["merges"].items()],
         title="Replica merge smoke"))
 
+    # Best of interleaved rounds: the in-run gate compares two sub-10us rows,
+    # and one descheduled round would otherwise decide it.
+    sizing = sizing_operations()
+    best = dict.fromkeys(sizing, float("inf"))
+    for _ in range(SIZING_ROUNDS):
+        for name, (callable_, args) in sizing.items():
+            best[name] = min(best[name], cost_ns(callable_, *args))
+    results["sizing"] = {name: {"cost_ns": round(ns, 1)} for name, ns in best.items()}
+    print(render_table(
+        ["operation", "cost (ns)"],
+        [[name, row["cost_ns"]] for name, row in results["sizing"].items()],
+        title="Metadata sizing smoke"))
+
     failures = check_perf_gate(baseline, results)
     pathlib.Path(results_path).write_text(json.dumps(results, indent=2) + "\n")
     print(f"wrote {results_path}")
@@ -354,7 +415,7 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
                         help="measure wire-codec encode/decode costs and sizes, "
-                             "and replica-merge costs")
+                             "replica-merge costs and metadata-sizing costs")
     parser.add_argument("--iterations", type=int, default=2000)
     parser.add_argument("--out", default="BENCH_clock_operations.json",
                         help="where --smoke writes its measured numbers as JSON")

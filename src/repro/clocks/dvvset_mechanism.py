@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import List
 
-from ..core import serialization
+from ..core import codec, serialization
 from ..core.dvvset import DVVSet
 from ..core.version_vector import VersionVector
 from .interface import CausalityMechanism, ReadResult, Sibling
@@ -39,10 +39,15 @@ class DVVSetMechanism(CausalityMechanism[DVVSet, VersionVector]):
         return _EMPTY
 
     def is_empty(self, state: DVVSet) -> bool:
-        return state.size() == 0
+        if state.anonymous:
+            return False
+        for _, _, values in state.entries:
+            if values:
+                return False
+        return True
 
     def siblings(self, state: DVVSet) -> List[Sibling]:
-        return list(state.values())
+        return state.values()  # a fresh list per call
 
     # ------------------------------------------------------------------ #
     # Client protocol
@@ -73,8 +78,13 @@ class DVVSetMechanism(CausalityMechanism[DVVSet, VersionVector]):
     def metadata_bytes(self, state: DVVSet) -> int:
         # Only the causality metadata is measured: per-entry actor + counter +
         # one dot marker per live value, not the application values themselves.
-        context_bytes = serialization.encoded_size(state.join())
-        return context_bytes + 2 * state.size()
+        # That is ``encoded_size(state.join()) + 2 * state.size()``, counted
+        # from the entries instead of building and encoding the join.
+        entries = state.entries
+        live = len(state.anonymous)
+        for _, _, values in entries:
+            live += len(values)
+        return codec.vv_encoded_size(entries) + 2 * live
 
     def context_entries(self, context: VersionVector) -> int:
         return len(context)

@@ -35,7 +35,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Tuple
 
 from .causal_history import CausalHistory
 from .dot import Dot
@@ -95,6 +95,35 @@ def _write_vv_body(out: bytearray, vv: VersionVector) -> None:
     for actor, counter in vv.items():
         _write_str(out, actor)
         _write_varint(out, counter)
+
+
+# Lengths of the encodings above, counted without writing them.
+def _varint_size(value: int) -> int:
+    """Number of bytes :func:`_write_varint` appends for ``value``."""
+    if not 0 <= value < _VARINT_LIMIT:
+        raise SerializationError(f"cannot encode integer {value} as a varint")
+    return (value.bit_length() + 6) // 7 or 1
+
+
+def vv_encoded_size(entries: Iterable[Tuple[Any, ...]]) -> int:
+    """``len(canonical_bytes(VersionVector({e[0]: e[1] for e in entries})))``,
+    counted: no vector is built or encoded.
+
+    Each entry starts with an actor and its counter, so a vector's items and
+    a DVVSet's ``(actor, counter, values)`` entries both count.  Actors are
+    distinct; zero counters are skipped, as a vector drops them.
+    """
+    count = 0
+    size = 1  # the "V" tag
+    for entry in entries:
+        counter = entry[1]
+        if counter:
+            count += 1
+            length = len(entry[0].encode())
+            # One-byte varints inlined: nearly every actor and counter is short.
+            size += (length + (1 if length < 0x80 else _varint_size(length))
+                     + (1 if counter < 0x80 else _varint_size(counter)))
+    return size + (1 if count < 0x80 else _varint_size(count))
 
 
 # The readers index ``data`` directly: running off the end is an IndexError,

@@ -341,3 +341,24 @@ def test_sibling_set_fingerprint_memoizes_and_matches_cold():
     stats = codec.codec_stats()
     assert stats["state_fp_misses"] == 1
     assert stats["state_fp_hits"] == 1
+
+
+# --------------------------------------------------------------------------- #
+# Counted sizes: the length of an encoding without writing it
+# --------------------------------------------------------------------------- #
+@settings(max_examples=120, deadline=None)
+@given(entries=st.dictionaries(
+    st.one_of(st.sampled_from(ACTORS),
+              st.text(min_size=1, max_size=3),
+              st.text(alphabet="xé", min_size=100, max_size=140)),
+    st.one_of(st.integers(min_value=0, max_value=200),
+              st.integers(min_value=0, max_value=2 ** 64)),
+    max_size=6))
+def test_vv_encoded_size_counts_the_canonical_bytes(entries):
+    vv = VersionVector(entries)
+    assert codec.vv_encoded_size(vv.items()) == len(codec.canonical_bytes(vv))
+
+
+def test_vv_encoded_size_of_130_actors_has_a_two_byte_count():
+    vv = VersionVector({f"a{i}": i + 1 for i in range(130)})
+    assert codec.vv_encoded_size(vv.items()) == len(codec.canonical_bytes(vv))
