@@ -44,8 +44,9 @@ def build_dvvset(count=SIBLING_COUNT):
     return clock
 
 
-def build_hot_key_state(mechanism, siblings=30):
-    """One hot key's stored state under ``mechanism``.
+def build_hot_key(mechanism, siblings=30):
+    """One hot key's stored state under ``mechanism``, and the context read
+    before its concurrent writes.
 
     Every one of the 32 client ids writes once after reading, then
     ``siblings`` of them write concurrently from one shared read, round-robin
@@ -63,36 +64,47 @@ def build_hot_key_state(mechanism, siblings=30):
     shared = mechanism.read(state).context
     for index, client in enumerate(CLIENT_IDS[:siblings]):
         state = write(state, shared, index, client, 2)
-    return state
+    return state, shared
+
+
+#: The write a hot key's replica folds in: a client whose last read came
+#: before the 30 concurrent writes writes once more.
+STALE_WRITE = Sibling(value="client-0-3", origin_dot=Dot(CLIENT_IDS[0], 3))
 
 
 def build_replica_apply(mechanism):
     """What a hot key's replica folds in: its stored state, a merge result,
-    and that state after one more write, by a client whose last read came
-    before the 30 concurrent writes."""
-    stored = mechanism.merge(build_hot_key_state(mechanism), mechanism.empty_state())
-    stale = VersionVector({client: 1 for client in CLIENT_IDS})
-    written = Sibling(value="client-0-3", origin_dot=Dot(CLIENT_IDS[0], 3))
-    return stored, mechanism.write(stored, stale, written, SERVERS[0])
+    and that state after the stale write, with that write's context."""
+    state, stale = build_hot_key(mechanism)
+    stored = mechanism.merge(state, mechanism.empty_state())
+    return stored, mechanism.write(stored, stale, STALE_WRITE, SERVERS[0]), stale
 
 
 REPLICA_APPLY = "client VV replica apply (30 siblings, one new write)"
+DVV_REPLICA_APPLY = "dvv replica apply (30 siblings, one new write)"
 
 
 def merge_operations():
     """The replica-merge rows: ``name → (callable, args)``.
 
     The two 30-sibling merges are the ones a hot key's replica pays; a
-    return of the siblings² client-VV merge shows up here first.  The
-    replica apply is timed through ``merge`` and through ``absorb``.
+    return of the siblings² client-VV merge shows up here first.  Each
+    replica apply is timed through ``merge`` and through ``absorb``: the
+    client VV one folds in the whole written state, the dvv one the write's
+    delta, as a replica is sent it.  The dvv write row is the coordinator's
+    side of the same write.
     """
     dvv_mechanism, client_vv_mechanism = DVVMechanism(), ClientVVMechanism()
-    dvv_state = build_hot_key_state(dvv_mechanism)
-    client_vv_state = build_hot_key_state(client_vv_mechanism)
+    dvv_state, _ = build_hot_key(dvv_mechanism)
+    client_vv_state, _ = build_hot_key(client_vv_mechanism)
     assert len(dvv_state) == len(client_vv_state) == 30
-    stored, incoming = build_replica_apply(client_vv_mechanism)
+    stored, incoming, _ = build_replica_apply(client_vv_mechanism)
     assert client_vv_mechanism.absorb(stored, incoming) == \
         client_vv_mechanism.merge(stored, incoming)
+    dvv_stored, dvv_written, dvv_stale = build_replica_apply(dvv_mechanism)
+    dvv_incoming = dvv_mechanism.write_delta(dvv_written)
+    assert dvv_mechanism.absorb(dvv_stored, dvv_incoming) == \
+        dvv_mechanism.merge(dvv_stored, dvv_incoming)
     dvvset_stored = build_dvvset()
     return {
         "dvv merge (30 siblings, 32 client ids)":
@@ -101,6 +113,10 @@ def merge_operations():
             (client_vv_mechanism.merge, (client_vv_state, client_vv_state)),
         f"{REPLICA_APPLY} via merge": (client_vv_mechanism.merge, (stored, incoming)),
         f"{REPLICA_APPLY} via absorb": (client_vv_mechanism.absorb, (stored, incoming)),
+        f"{DVV_REPLICA_APPLY} via merge": (dvv_mechanism.merge, (dvv_stored, dvv_incoming)),
+        f"{DVV_REPLICA_APPLY} via absorb": (dvv_mechanism.absorb, (dvv_stored, dvv_incoming)),
+        "dvv write (30 siblings)":
+            (dvv_mechanism.write, (dvv_stored, dvv_stale, STALE_WRITE, SERVERS[0])),
         "dvvset sync": (dvvset_stored.sync, (dvvset_stored,)),
     }
 
@@ -133,7 +149,7 @@ def sizing_operations():
         rows[f"{DVVSET_REFERENCE} ({label})"] = (reference_dvvset_metadata_bytes, (state,))
     for mechanism in (DVVMechanism(), ClientVVMechanism()):
         rows[f"{mechanism.name} metadata_bytes (30 siblings, 32 client ids)"] = (
-            mechanism.metadata_bytes, (build_hot_key_state(mechanism),))
+            mechanism.metadata_bytes, (build_hot_key(mechanism)[0],))
     return rows
 
 
@@ -235,6 +251,9 @@ def test_report_kernel_costs(publish):
         merge_row("client VV merge (30 siblings, 32 client ids)"),
         merge_row(f"{REPLICA_APPLY} via merge"),
         merge_row(f"{REPLICA_APPLY} via absorb"),
+        merge_row(f"{DVV_REPLICA_APPLY} via merge"),
+        merge_row(f"{DVV_REPLICA_APPLY} via absorb"),
+        merge_row("dvv write (30 siblings)"),
         ["causal history merge", round(cost(histories[0].merge, histories[1]), 2)],
         ["causal history compare", round(cost(histories[0].compare, histories[1]), 2)],
     ]
@@ -271,10 +290,11 @@ PERF_GATES = (
 )
 PERF_GATE_FLOOR_NS = 2000.0
 
-#: In-run gate (CI): the replica apply through ``absorb`` may cost at most
+#: In-run gate (CI): each replica apply through ``absorb`` may cost at most
 #: this share of the same apply through ``merge``.  Both are timed in the
 #: same run, so unlike the 2x gates the bound does not depend on the machine.
 ABSORB_GATE_RATIO = 0.5
+ABSORB_GATED = (REPLICA_APPLY, DVV_REPLICA_APPLY)
 
 #: In-run gate (CI): a dvvset key's counted ``metadata_bytes`` may cost at
 #: most this share of the reference formula on the same state, timed in the
@@ -298,12 +318,13 @@ def check_perf_gate(baseline: dict, fresh: dict) -> list:
                 f"{row} {metric} regressed: {new:.1f}ns > limit {limit:.1f}ns "
                 f"(baseline {reference:.1f}ns)")
     merges = fresh["merges"]
-    absorb = merges[f"{REPLICA_APPLY} via absorb"]["cost_ns"]
-    merge = merges[f"{REPLICA_APPLY} via merge"]["cost_ns"]
-    if absorb > ABSORB_GATE_RATIO * merge:
-        failures.append(
-            f"{REPLICA_APPLY}: absorb {absorb:.1f}ns > {ABSORB_GATE_RATIO} x "
-            f"merge {merge:.1f}ns")
+    for row in ABSORB_GATED:
+        absorb = merges[f"{row} via absorb"]["cost_ns"]
+        merge = merges[f"{row} via merge"]["cost_ns"]
+        if absorb > ABSORB_GATE_RATIO * merge:
+            failures.append(
+                f"{row}: absorb {absorb:.1f}ns > {ABSORB_GATE_RATIO} x "
+                f"merge {merge:.1f}ns")
     sizing = fresh["sizing"]
     for _, label in DVVSET_SIZES:
         counted = sizing[f"{DVVSET_SIZING} ({label})"]["cost_ns"]

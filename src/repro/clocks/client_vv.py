@@ -20,12 +20,12 @@ sibling that alone holds some actor's largest counter
 pairwise.  A replica folding a write into a state a merge left behind calls
 :meth:`ClientVVMechanism.absorb` instead, which compares only the entries the
 write adds.  :func:`distinct_versions` and :func:`version_order` are shared
-with the per-server variant.
+with the per-server variant, and :func:`place` with the dvv mechanism.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Any, Callable, List, Sequence, Tuple, TypeVar
 
 from ..core import serialization
 from ..core.dot import Actor
@@ -34,6 +34,7 @@ from .interface import CausalityMechanism, ReadResult, Sibling
 
 ClientVVState = Tuple[Tuple[VersionVector, Sibling], ...]
 Version = Tuple[VersionVector, Sibling]
+V = TypeVar("V")
 
 
 def distinct_versions(versions: ClientVVState) -> List[Version]:
@@ -55,13 +56,14 @@ def version_order(version: Version) -> Tuple[Tuple[Tuple[Actor, int], ...], Acto
     return version[0].sorted_items(), dot.actor, dot.counter
 
 
-def place(versions: Sequence[Version], order) -> int:
-    """Where a version sorting as ``order`` goes in the sorted ``versions``
-    (``bisect`` takes a ``key`` from Python 3.10 on)."""
+def place(versions: Sequence[V], order, key: Callable[[V], Any]) -> int:
+    """Where an entry sorting as ``order`` goes in ``versions``, sorted by
+    ``key`` (``bisect`` takes a ``key`` from Python 3.10 on).  The dvv
+    mechanism's ``absorb`` bisects with it too."""
     low, high = 0, len(versions)
     while low < high:
         middle = (low + high) // 2
-        if version_order(versions[middle]) < order:
+        if key(versions[middle]) < order:
             low = middle + 1
         else:
             high = middle
@@ -139,7 +141,7 @@ class ClientVVMechanism(CausalityMechanism[ClientVVState, VersionVector]):
             order = version_order(version)
             if order in orders:
                 continue
-            at = place(stored, order)
+            at = place(stored, order, version_order)
             if at < len(stored) and version_order(stored[at]) == order:
                 continue
             orders.add(order)
@@ -169,7 +171,7 @@ class ClientVVMechanism(CausalityMechanism[ClientVVState, VersionVector]):
             return stored
         kept = [version for index, version in enumerate(stored) if index not in beaten]
         for version in added:
-            kept.insert(place(kept, version_order(version)), version)
+            kept.insert(place(kept, version_order(version), version_order), version)
         return tuple(kept)
 
     # ------------------------------------------------------------------ #

@@ -17,11 +17,13 @@ from typing import List, Tuple
 from ..core import serialization
 from ..core.dvv import (
     DottedVersionVector,
+    dot_order,
     join as dvv_join,
     merge_versions,
     update as dvv_update,
 )
 from ..core.version_vector import VersionVector
+from .client_vv import place
 from .interface import CausalityMechanism, ReadResult, Sibling
 
 DVVState = Tuple[Tuple[DottedVersionVector, Sibling], ...]
@@ -61,14 +63,14 @@ class DVVMechanism(CausalityMechanism[DVVState, VersionVector]):
               sibling: Sibling,
               server_id: str) -> DVVState:
         """The survivors, then the one new ``(clock, sibling)`` entry last
-        (which :meth:`write_delta` relies on)."""
-        clocks = [clock for clock, _ in state]
-        new_clock = dvv_update(context, clocks, server_id)
-        survivors = tuple(
-            (clock, stored) for clock, stored in state
-            if not context.contains_dot(clock.dot)
-        )
-        return survivors + ((new_clock, sibling),)
+        (which :meth:`write_delta` relies on).  A survivor is an entry whose
+        dot ``context`` does not hold: one lookup per entry."""
+        new_clock = dvv_update(context, [entry[0] for entry in state], server_id)
+        seen = context._entries.get
+        survivors = [entry for entry in state
+                     if entry[0]._dot.counter > seen(entry[0]._dot.actor, 0)]
+        survivors.append((new_clock, sibling))
+        return tuple(survivors)
 
     def write_delta(self, written: DVVState) -> DVVState:
         """The new entry alone: ``update(S, ctx, r)`` is ``S ⊔ {(dot, ctx, v)}``."""
@@ -76,6 +78,51 @@ class DVVMechanism(CausalityMechanism[DVVState, VersionVector]):
 
     def merge(self, state_a: DVVState, state_b: DVVState) -> DVVState:
         return tuple(merge_versions(state_a + state_b))
+
+    def absorb(self, stored: DVVState, incoming: DVVState) -> DVVState:
+        """``merge(stored, incoming)`` in one pass when ``incoming`` is one
+        entry, as a replicated write's delta is.
+
+        ``stored`` is a merge result: sorted by dot, and no entry's dot lies
+        in any entry's past.  A new dot changes it two ways only: it is
+        covered if some stored past holds it, and it drops every stored
+        entry whose dot its own past holds.  One pass asks both, two lookups
+        per entry; the entry goes in at its bisected place unless covered.
+        A dot already stored follows the merge's rule: the stored entry
+        stays unless the incoming past descends it.  Any other ``incoming``
+        runs ``merge``: folding several entries in one at a time is not the
+        batch merge.
+        """
+        if len(incoming) != 1:
+            return self.merge(stored, incoming)
+        entry = incoming[0]
+        clock = entry[0]
+        order = dot_order(entry)
+        at = place(stored, order, dot_order)
+        if at < len(stored) and dot_order(stored[at]) == order:
+            held = stored[at]
+            if clock is not held[0] and not clock._vv.descends(held[0]._vv):
+                return stored
+            return stored if entry == held else self.merge(stored, incoming)
+        actor, counter = order
+        past = clock._vv._entries.get
+        covered = False
+        kept = []
+        below = at      # where the entry goes among the kept ones
+        for index, held in enumerate(stored):
+            other = held[0]
+            if other._vv._entries.get(actor, 0) >= counter:
+                covered = True
+            dot = other._dot
+            if past(dot.actor, 0) >= dot.counter:
+                if index < at:
+                    below -= 1
+            else:
+                kept.append(held)
+        if covered:
+            return stored if len(kept) == len(stored) else tuple(kept)
+        kept.insert(below, entry)
+        return tuple(kept)
 
     # ------------------------------------------------------------------ #
     # Metadata accounting

@@ -73,10 +73,6 @@ class PlacementService:
     def _multi_dc(self) -> bool:
         return self.topology is not None and self.topology.spans_multiple_dcs
 
-    def partition_of(self, key: str) -> int:
-        """The storage partition (vnode range) ``key`` belongs to."""
-        return self.partition_map.partition_of(key)
-
     # ------------------------------------------------------------------ #
     # Placement queries
     # ------------------------------------------------------------------ #
@@ -166,15 +162,3 @@ class PlacementService:
         if not replicas:
             raise ConfigurationError(f"no active replicas available for key {key!r}")
         return replicas[0]
-
-    def describe(self, key: str) -> dict:
-        """Placement snapshot for diagnostics and examples."""
-        return {
-            "key": key,
-            "partition": self.partition_of(key),
-            "primary": self.primary_replicas(key),
-            "active": self.active_replicas(key),
-            "extended": self.extended_preference_list(key),
-            "coordinator": self.coordinator_for(key),
-            "config": self.config,
-        }

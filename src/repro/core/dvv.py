@@ -192,13 +192,17 @@ def max_counter_for(actor: Actor, versions: Iterable[DottedVersionVector],
     """Highest event counter of ``actor`` known among ``versions`` and ``context``.
 
     Used by :func:`update` to mint a fresh dot that is greater than anything
-    the coordinating server has already issued or heard about.
+    the coordinating server has already issued or heard about.  Every write
+    runs it over every stored sibling, so it reads the slots in one pass.
     """
-    best = context.get(actor) if context is not None else 0
+    best = context._entries.get(actor, 0) if context is not None else 0
     for version in versions:
-        if version.dot.actor == actor:
-            best = max(best, version.dot.counter)
-        best = max(best, version.causal_past.get(actor))
+        dot = version._dot
+        if dot.counter > best and dot.actor == actor:
+            best = dot.counter
+        counter = version._vv._entries.get(actor, 0)
+        if counter > best:
+            best = counter
     return best
 
 
@@ -265,11 +269,11 @@ def merge_versions(entries: Iterable[Tuple[DottedVersionVector, T]]
     covered = ceiling(entry[0]._vv for entry in by_dot.values()).get
     survivors = [entry for dot, entry in by_dot.items()
                  if dot.counter > covered(dot.actor, 0)]
-    survivors.sort(key=_dot_order)
+    survivors.sort(key=dot_order)
     return survivors
 
 
-def _dot_order(entry: Tuple[DottedVersionVector, object]) -> Tuple[Actor, int]:
+def dot_order(entry: Tuple[DottedVersionVector, object]) -> Tuple[Actor, int]:
     """Sort key equal to :class:`Dot`'s own order, without comparing Dots."""
     dot = entry[0]._dot
     return dot.actor, dot.counter

@@ -2,8 +2,9 @@
 
 Three pieces, all optional and all inert by default:
 
-* :mod:`repro.obs.metrics` — :class:`MetricsRegistry` with counters, gauges
-  and histograms, plus *sources* that adapt the pre-existing stats objects;
+* :mod:`repro.obs.metrics` — :class:`MetricsRegistry` with counters and
+  gauges, plus *sources* that adapt the pre-existing stats objects, and the
+  :class:`Histogram` the cluster's latency summary uses;
   one :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` returns the whole
   cluster's metrics as a flat, stable, JSON-serializable dict.
 * :mod:`repro.obs.trace` — per-request span trees emitted by the protocol

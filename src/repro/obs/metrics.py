@@ -5,9 +5,9 @@ Five generations of subsystems each grew their own counters —
 :class:`~repro.kvstore.protocol.anti_entropy.MerkleSyncStats`,
 :class:`~repro.kvstore.read_repair.ReadRepairStats`, per-client request
 records.  The :class:`MetricsRegistry` gives them one front door: direct
-instruments (:class:`Counter` / :class:`Gauge` / :class:`Histogram`) for new
-code, and *sources* — callables returning plain dicts — for the existing
-stats objects, so none of them had to change shape to join.
+instruments (:class:`Counter` / :class:`Gauge`) for new code, and
+*sources* — callables returning plain dicts — for the existing stats
+objects, so none of them had to change shape to join.
 
 One :meth:`MetricsRegistry.snapshot` call flattens everything into a stable,
 JSON-serializable dict keyed by dotted names (``storage.hints_stored``,
@@ -151,10 +151,6 @@ class MetricsRegistry:
 
     def gauge(self, name: str, fn: Optional[Callable[[], Any]] = None) -> Gauge:
         return self._instrument(name, lambda: Gauge(name, fn), Gauge)
-
-    def histogram(self, name: str, sample_limit: int = 100_000) -> Histogram:
-        return self._instrument(
-            name, lambda: Histogram(name, sample_limit), Histogram)
 
     # ------------------------------------------------------------------ #
     # Sources (the bridge to pre-existing stats objects)

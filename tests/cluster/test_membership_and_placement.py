@@ -135,16 +135,15 @@ class TestPlacementService:
     def test_without_a_map_every_key_is_in_partition_0(self):
         placement, _ = self.make()
         assert len(placement.partition_map) == 1
-        assert {placement.partition_of(f"key-{i}") for i in range(100)} == {0}
+        assert {placement.partition_map.partition_of(f"key-{i}")
+                for i in range(100)} == {0}
 
-    def test_describe(self):
+    def test_the_coordinator_heads_the_primaries_and_the_extended_list(self):
         placement, _ = self.make()
         key = "key"
         primary = placement.primary_replicas(key)
-        description = placement.describe(key)
-        assert description["coordinator"] == primary[0]
-        assert description["primary"] == primary
-        assert description["extended"][:len(primary)] == primary
+        assert placement.coordinator_for(key) == primary[0]
+        assert placement.extended_preference_list(key)[:len(primary)] == primary
 
     def test_extended_preference_list_walks_whole_ring(self):
         placement, _ = self.make()

@@ -6,7 +6,8 @@ last stored or kept for the key.  A client write, a handoff that stores a
 state directly, a direct ``put_state`` and a wipe all replace or drop that
 object, so the next merge runs the full ``merge``.  Since ``absorb`` equals
 ``merge``, a simulated run with ``absorb`` replaced by ``merge`` must notify
-the same listeners with the same states and count the same unchanged merges.
+the same listeners with the same states and count the same unchanged merges,
+under client VV and under dvv alike.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import List
 
 import pytest
 
-from repro.clocks import ClientVVMechanism, Sibling, create
+from repro.clocks import ClientVVMechanism, DVVMechanism, Sibling, create
 from repro.core import Dot
 from repro.kvstore import NodeStorage, StorageNode
 from repro.workloads import CHURN_SCENARIOS, run_churn_scenario
@@ -120,12 +121,12 @@ def test_a_wipe_voids_the_certificate():
     assert replica.merge_in(replica.remote_write()) == "absorb"
 
 
-def replay(name: str, monkeypatch):
-    """One churn scenario under client VV: its report, every listener call
-    in order, and how many times ``absorb`` ran."""
+def replay(name: str, mechanism_class, monkeypatch):
+    """One churn scenario under ``mechanism_class``: its report, every
+    listener call in order, and how many times ``absorb`` ran."""
     notified, absorbed = [], []
     notify = NodeStorage._notify
-    absorb = ClientVVMechanism.absorb
+    absorb = mechanism_class.absorb
 
     def recording_notify(self, partition_id, key, state, fingerprint=None):
         notified.append((partition_id, key, state, fingerprint))
@@ -137,18 +138,30 @@ def replay(name: str, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(NodeStorage, "_notify", recording_notify)
-        patch.setattr(ClientVVMechanism, "absorb", counting_absorb)
-        report = run_churn_scenario(name, create("client_vv"))
+        patch.setattr(mechanism_class, "absorb", counting_absorb)
+        report = run_churn_scenario(name, create(mechanism_class.name))
     return report, notified, len(absorbed)
 
 
-@pytest.mark.parametrize("name", sorted(set(CHURN_SCENARIOS) - {"soak"}))
-def test_a_run_with_absorb_replaced_by_merge_is_the_same_run(name, monkeypatch):
-    report, notified, absorbed = replay(name, monkeypatch)
+def assert_absorb_replaced_by_merge_is_the_same_run(name, mechanism_class, monkeypatch):
+    report, notified, absorbed = replay(name, mechanism_class, monkeypatch)
     assert absorbed > 0
     with monkeypatch.context() as patch:
-        patch.setattr(ClientVVMechanism, "absorb", ClientVVMechanism.merge)
-        reference, reference_notified, _ = replay(name, patch)
+        patch.setattr(mechanism_class, "absorb", mechanism_class.merge)
+        reference, reference_notified, _ = replay(name, mechanism_class, patch)
     assert report == reference
     assert report.stats["merges_unchanged"] == reference.stats["merges_unchanged"]
     assert notified == reference_notified
+
+
+SCENARIOS = sorted(set(CHURN_SCENARIOS) - {"soak"})
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_a_run_with_absorb_replaced_by_merge_is_the_same_run(name, monkeypatch):
+    assert_absorb_replaced_by_merge_is_the_same_run(name, ClientVVMechanism, monkeypatch)
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_a_dvv_run_with_absorb_replaced_by_merge_is_the_same_run(name, monkeypatch):
+    assert_absorb_replaced_by_merge_is_the_same_run(name, DVVMechanism, monkeypatch)

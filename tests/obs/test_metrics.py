@@ -75,7 +75,7 @@ class TestMetricsRegistry:
     def test_instruments_are_created_once(self):
         registry = MetricsRegistry()
         assert registry.counter("x") is registry.counter("x")
-        assert registry.histogram("h") is registry.histogram("h")
+        assert registry.gauge("g") is registry.gauge("g")
 
     def test_kind_conflict_is_an_error(self):
         registry = MetricsRegistry()
@@ -86,7 +86,7 @@ class TestMetricsRegistry:
     def test_snapshot_flattens_and_sorts(self):
         registry = MetricsRegistry()
         registry.counter("zz").inc(3)
-        registry.histogram("lat").observe(5.0)
+        registry.gauge("lat", lambda: {"count": 1})
         registry.register_source("src", lambda: {"a": 1, "nested": {"b": 2}})
         snap = registry.snapshot()
         assert snap["zz"] == 3
