@@ -101,31 +101,6 @@ class CorrectnessReport:
         self.total_sibling_deficit += verdict.sibling_deficit
         self.total_session_superseded += len(verdict.session_superseded)
 
-    def as_row(self) -> List[object]:
-        """Row for the benchmark report tables."""
-        return [
-            self.mechanism,
-            self.keys_checked,
-            self.total_lost_updates,
-            self.total_false_concurrency,
-            self.total_sibling_surplus,
-            self.total_sibling_deficit,
-            self.is_correct,
-        ]
-
-    @staticmethod
-    def table_headers() -> List[str]:
-        """Headers matching :meth:`as_row`."""
-        return [
-            "mechanism",
-            "keys",
-            "lost updates",
-            "false concurrency",
-            "sibling surplus",
-            "sibling deficit",
-            "correct",
-        ]
-
 
 def check_key(key: str,
               surviving_siblings: Sequence[Sibling],

@@ -11,7 +11,7 @@ this module reduces those records to the summaries the benchmark prints
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ..kvstore.protocol import RequestRecord
 from .stats import Summary, summarize
@@ -34,35 +34,6 @@ class LatencyReport:
         if self.duration_ms <= 0:
             return 0.0
         return self.requests / (self.duration_ms / 1000.0)
-
-    def as_row(self) -> List[object]:
-        """Row for the benchmark report tables."""
-        get_summary = self.by_operation.get("get")
-        put_summary = self.by_operation.get("put")
-        return [
-            self.mechanism,
-            self.requests,
-            round(self.overall.mean, 3),
-            round(self.overall.p95, 3),
-            round(self.overall.p99, 3),
-            round(get_summary.mean, 3) if get_summary else 0.0,
-            round(put_summary.mean, 3) if put_summary else 0.0,
-            round(self.mean_context_bytes, 1),
-        ]
-
-    @staticmethod
-    def table_headers() -> List[str]:
-        """Headers matching :meth:`as_row`."""
-        return [
-            "mechanism",
-            "requests",
-            "mean ms",
-            "p95 ms",
-            "p99 ms",
-            "get mean ms",
-            "put mean ms",
-            "context bytes",
-        ]
 
 
 def analyze_requests(mechanism: str,

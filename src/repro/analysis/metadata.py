@@ -31,31 +31,6 @@ class MetadataReport:
     max_entries_per_key: int
     context_bytes: Optional[Summary] = None
 
-    def as_row(self) -> List[object]:
-        """Row for the benchmark report tables."""
-        return [
-            self.mechanism,
-            self.keys,
-            self.total_entries,
-            self.total_bytes,
-            round(self.per_key_entries.mean, 2),
-            self.max_entries_per_key,
-            round(self.per_key_bytes.mean, 1),
-        ]
-
-    @staticmethod
-    def table_headers() -> List[str]:
-        """Headers matching :meth:`as_row`."""
-        return [
-            "mechanism",
-            "keys",
-            "entries (total)",
-            "bytes (total)",
-            "entries/key (mean)",
-            "entries/key (max)",
-            "bytes/key (mean)",
-        ]
-
 
 def measure_sync_store(store: SyncReplicatedStore) -> MetadataReport:
     """Metadata footprint of a synchronous store, measured per key per replica.

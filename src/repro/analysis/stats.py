@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence
+from typing import Iterable, List, Sequence
 
 from ..core.exceptions import AnalysisError
 
@@ -49,19 +49,6 @@ class Summary:
     minimum: float
     maximum: float
     total: float
-
-    def as_dict(self) -> Dict[str, float]:
-        """Dictionary form for report tables."""
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "median": self.median,
-            "p95": self.p95,
-            "p99": self.p99,
-            "min": self.minimum,
-            "max": self.maximum,
-            "total": self.total,
-        }
 
 
 def summarize(values: Iterable[float]) -> Summary:

@@ -26,7 +26,6 @@ from typing import List, Optional, Sequence
 from .analysis import (
     analyze_requests,
     check_store,
-    measure_simulated_cluster,
     measure_sync_store,
     render_table,
 )
@@ -263,7 +262,6 @@ def _cluster_table(args: argparse.Namespace, cluster, duration_ms: float,
     """The ``cluster`` report: the same rows from either backend's cluster."""
     records = cluster.all_request_records()
     latency = analyze_requests(args.mechanism, records, duration_ms=duration_ms)
-    metadata = measure_simulated_cluster(cluster)
     audit_rows = []
     if args.audit:
         checked, mismatches = _run_cluster_audit(cluster, args.audit, args.seed)
@@ -285,7 +283,7 @@ def _cluster_table(args: argparse.Namespace, cluster, duration_ms: float,
             ["p99 latency (ms)", round(latency.overall.p99, 3)],
             ["throughput (req/s)", round(latency.throughput_per_s, 1)],
             ["context bytes / request", round(latency.mean_context_bytes, 1)],
-            ["stored metadata bytes", metadata.total_bytes],
+            ["stored metadata bytes", cluster.metadata_bytes()],
             ["bytes on the wire", snapshot["transport.bytes_sent"]],
             ["unchanged read replies", snapshot["coordinator.unchanged_replies"]],
             ["merkle keys hashed", stats.get("keys_hashed", 0)],

@@ -246,7 +246,7 @@ class AsyncioCluster(ClusterCore):
         # still alive: the daemons have stopped, so the counters are
         # complete, and snapshots taken after shutdown stay meaningful.
         if self.servers:
-            self._final_snapshot = self.metrics_registry().snapshot()
+            self._final_snapshot = self.metrics_snapshot()
         for host in (*self.clients.values(), *self.servers.values()):
             host.runner.cancel_all()
             await host.transport.close()

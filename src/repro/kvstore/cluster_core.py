@@ -47,8 +47,7 @@ from ..core.exceptions import ConfigurationError
 from ..network.message import Message
 from ..network.partition import PartitionManager
 from ..network.transport import TransportStats
-from ..obs.cluster_metrics import build_cluster_registry
-from ..obs.metrics import MetricsRegistry
+from ..obs.cluster_metrics import cluster_snapshot
 from ..obs.trace import NO_TRACER
 from .merkle_index import key_fingerprint
 from .protocol import (
@@ -246,7 +245,6 @@ class ClusterCore:
         self._exchange_index = 0
         #: Counters of decommissioned servers, still part of the run's totals.
         self._departed_stats: Dict[str, int] = {}
-        self._metrics_registry: Optional[MetricsRegistry] = None
         #: A snapshot a backend captured at shutdown, returned from then on.
         self._final_snapshot: Optional[Dict[str, Any]] = None
 
@@ -384,12 +382,6 @@ class ClusterCore:
                                       for server in self.servers.values())
         return totals
 
-    def metrics_registry(self) -> MetricsRegistry:
-        """The cluster's unified metrics registry (built once, reads live)."""
-        if self._metrics_registry is None:
-            self._metrics_registry = build_cluster_registry(self)
-        return self._metrics_registry
-
     def metrics_snapshot(self) -> Dict[str, Any]:
         """One flat, stable, JSON-serializable view of every cluster stat.
 
@@ -399,7 +391,7 @@ class ClusterCore:
         """
         if self._final_snapshot is not None:
             return dict(self._final_snapshot)
-        return self.metrics_registry().snapshot()
+        return cluster_snapshot(self)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (f"{type(self).__name__}(mechanism={self.mechanism.name!r}, "

@@ -12,7 +12,7 @@ repair is another place where it can silently drop concurrent versions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 from ..clocks.interface import CausalityMechanism
 
@@ -101,20 +101,3 @@ class ReadRepairStats:
         if not plan.agreed:
             self.repairs_triggered += 1
             self.replicas_repaired += len(plan.stale_replicas)
-
-    @property
-    def repair_rate(self) -> float:
-        """Fraction of reads that triggered a repair."""
-        if self.reads_checked == 0:
-            return 0.0
-        return self.repairs_triggered / self.reads_checked
-
-    def as_dict(self) -> Dict[str, float]:
-        """Snapshot for reports."""
-        return {
-            "reads_checked": self.reads_checked,
-            "repairs_triggered": self.repairs_triggered,
-            "replicas_repaired": self.replicas_repaired,
-            "batches_sent": self.batches_sent,
-            "repair_rate": self.repair_rate,
-        }

@@ -1,18 +1,22 @@
-"""One registry wiring shared by both cluster backends.
+"""One run snapshot shared by both cluster backends.
 
-:func:`build_cluster_registry` registers every pre-existing stats object of a
-cluster — storage counters, transport byte/deadline accounting, Merkle
-exchange stats, read-hedge and read-repair counters, request records — into
-one :class:`~repro.obs.metrics.MetricsRegistry`, purely through the
+:func:`cluster_snapshot` reads every stats object of a cluster — storage
+counters, transport byte/deadline accounting, Merkle exchange stats,
+read-hedge and read-repair counters, request records — purely through the
 attributes of :class:`~repro.kvstore.cluster_core.ClusterCore` that both
-backends share.  The snapshot schema is therefore **identical across
+backends share, and flattens them into one sorted, JSON-serializable dict of
+dotted names (``storage.hints_stored``, ``transport.bytes_delivered``,
+``requests.latency_ms.p95``).  The schema is therefore **identical across
 backends**: the only structural difference (the simulator has one shared
 :class:`Transport`, the asyncio backend one endpoint per node) is absorbed by
 summing every object ``cluster.transport_stats()`` lists into the same
 ``transport.*`` names.
 
-Sources read the live cluster at snapshot time, so nodes that join or leave
-after wiring are picked up automatically, and a registry never goes stale.
+The snapshot reads the live cluster at call time and never mutates it, so
+nodes that join or leave are picked up and taking one mid-run is safe.  The
+latency block is :func:`~repro.analysis.stats.summarize` over the successful
+requests, the same summary :func:`~repro.analysis.latency.analyze_requests`
+reports.
 """
 
 from __future__ import annotations
@@ -20,9 +24,9 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Dict
 
-from .metrics import Histogram, MetricsRegistry
+from ..analysis.stats import summarize
 
-__all__ = ["build_cluster_registry"]
+__all__ = ["cluster_snapshot"]
 
 #: The scalar TransportStats fields every snapshot reports (the per-type
 #: dict fields are summarised by ``transport.sync_bytes`` instead of being
@@ -38,17 +42,29 @@ _TRANSPORT_FIELDS = (
 )
 
 
-def build_cluster_registry(cluster: Any) -> MetricsRegistry:
-    """Wire every stats object of a (sim or asyncio) cluster into a registry."""
-    registry = MetricsRegistry()
-    registry.register_source("storage", cluster.stat_totals)
-    registry.register_source("merkle", lambda: _merkle_totals(cluster))
-    registry.register_source("coordinator", lambda: _coordinator_totals(cluster))
-    registry.register_source("read_repair", lambda: _read_repair_totals(cluster))
-    registry.register_source("transport", lambda: _transport_totals(cluster))
-    registry.register_source("requests", lambda: _request_totals(cluster))
-    registry.register_source("node", lambda: _per_node(cluster))
-    return registry
+def cluster_snapshot(cluster: Any) -> Dict[str, Any]:
+    """Every stat of a (sim or asyncio) cluster as one flat, sorted dict."""
+    sections = {
+        "storage": cluster.stat_totals(),
+        "merkle": _merkle_totals(cluster),
+        "coordinator": _coordinator_totals(cluster),
+        "read_repair": _read_repair_totals(cluster),
+        "transport": _transport_totals(cluster),
+        "requests": _request_totals(cluster),
+        "node": _per_node(cluster),
+    }
+    items: Dict[str, Any] = {}
+    for prefix, section in sections.items():
+        _flatten(prefix, section, items)
+    return {name: items[name] for name in sorted(items)}
+
+
+def _flatten(prefix: str, value: Any, into: Dict[str, Any]) -> None:
+    if isinstance(value, dict):
+        for key, child in value.items():
+            _flatten(f"{prefix}.{key}", child, into)
+    else:
+        into[prefix] = value
 
 
 def _dataclass_dict(stats: Any) -> Dict[str, Any]:
@@ -99,14 +115,18 @@ def _transport_totals(cluster: Any) -> Dict[str, int]:
 
 def _request_totals(cluster: Any) -> Dict[str, Any]:
     records = cluster.all_request_records()
-    ok = sum(1 for record in records if record.ok)
-    latency = Histogram("latency_ms")
-    latency.observe_many(record.latency_ms for record in records if record.ok)
+    latencies = [record.latency_ms for record in records if record.ok]
+    # No successful request reports every figure as 0, as analyze_requests does.
+    summary = summarize(latencies or [0.0])
+    latency = {"count": len(latencies), "sum": summary.total,
+               "min": summary.minimum, "max": summary.maximum,
+               "mean": summary.mean, "p50": summary.median,
+               "p95": summary.p95, "p99": summary.p99}
     return {
         "completed": len(records),
-        "ok": ok,
-        "failed": len(records) - ok,
-        "latency_ms": latency.snapshot(),
+        "ok": len(latencies),
+        "failed": len(records) - len(latencies),
+        "latency_ms": latency,
     }
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import CorrectnessReport, check_key, check_store
+from repro.analysis import check_key, check_store
 from repro.clocks import DVVMechanism, ServerVVMechanism, Sibling, create
 from repro.core import Dot
 from repro.kvstore import ClientSession, SyncReplicatedStore, WriteLog
@@ -79,9 +79,8 @@ class TestCheckStore:
         assert not server_report.is_correct
         assert server_report.total_lost_updates >= 1
 
-    def test_report_rows_and_headers_align(self):
+    def test_report_counts_the_checked_key(self):
         report = check_store(replay_trace(figure1_trace(), DVVMechanism()).store)
-        assert len(report.as_row()) == len(CorrectnessReport.table_headers())
         assert report.keys_checked == 1
 
     def test_check_store_without_convergence(self):

@@ -38,7 +38,6 @@ class TestSummarize:
         assert summary.mean == pytest.approx(22.0)
         assert summary.median == 3
         assert summary.p99 >= summary.p95 >= summary.median
-        assert summary.as_dict()["count"] == 5
 
     def test_empty_rejected(self):
         with pytest.raises(AnalysisError):

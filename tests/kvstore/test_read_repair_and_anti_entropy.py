@@ -99,6 +99,4 @@ class TestReadRepairPlanning:
         assert stats.reads_checked == 2
         assert stats.repairs_triggered == 1
         assert stats.replicas_repaired == 1
-        assert stats.repair_rate == 0.5
-        assert stats.as_dict()["repair_rate"] == 0.5
 

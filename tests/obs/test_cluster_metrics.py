@@ -1,6 +1,6 @@
 """The unified snapshot contract: one schema, both backends, goldens intact.
 
-Three properties pin the metrics layer down:
+Four properties pin the metrics layer down:
 
 * **Schema parity** — ``metrics_snapshot()`` returns the *same key set* from
   the simulator and the asyncio backend, so dashboards and ``--stats-json``
@@ -8,6 +8,10 @@ Three properties pin the metrics layer down:
 * **Shutdown flush** — the asyncio cluster's snapshot stays readable (and
   complete) after ``stop()``, because it is captured once the daemons have
   drained but before the transports close.
+* **One latency summary** — ``requests.latency_ms.*`` is
+  :func:`~repro.analysis.stats.summarize` over the successful requests, so
+  it equals :func:`~repro.analysis.latency.analyze_requests` and the
+  ``cluster`` table.
 * **Zero perturbation** — re-running the golden-fixture scenario with a live
   tracer attached reproduces every golden number bit-for-bit: observability
   reads the run, it never participates in it.
@@ -22,10 +26,12 @@ import sys
 
 import pytest
 
+from repro.analysis import analyze_requests
 from repro.clocks import create
 from repro.cluster import QuorumConfig
 from repro.kvstore import SimulatedCluster
 from repro.kvstore.asyncio_cluster import AsyncioCluster
+from repro.kvstore.protocol import RequestRecord
 from repro.obs import InMemoryTraceSink, Tracer
 
 # The golden scenario lives with the protocol tests; reuse it verbatim so
@@ -66,6 +72,24 @@ async def run_asyncio_workload():
         await client.get("k0")
         live = cluster.metrics_snapshot()
     return cluster, live
+
+
+LATENCY_KEYS = ("count", "sum", "min", "max", "mean", "p50", "p95", "p99")
+
+
+def idle_cluster():
+    """A simulated cluster that has served nothing, with one client."""
+    cluster = SimulatedCluster(
+        create("dvv"), server_ids=SERVER_IDS,
+        quorum=QuorumConfig(n=3, r=2, w=2, sloppy=True), seed=11,
+        anti_entropy_interval_ms=None, hint_replay_interval_ms=None)
+    cluster.client("c1")
+    return cluster
+
+
+def record(latency_ms: float, ok: bool = True) -> RequestRecord:
+    return RequestRecord(operation="get", key="k", client_id="c1",
+                         started_at=100.0, finished_at=100.0 + latency_ms, ok=ok)
 
 
 def wipe_all_but_the_coordinator(cluster, key: str) -> None:
@@ -213,6 +237,50 @@ class TestSnapshotSchema:
     def test_snapshot_reads_do_not_mutate(self):
         cluster = run_simulated_workload()
         assert cluster.metrics_snapshot() == cluster.metrics_snapshot()
+
+    def test_nested_stats_flatten_to_dotted_scalar_keys(self):
+        snap = run_simulated_workload().metrics_snapshot()
+        assert snap["node.A.pending_hints"] == 0
+        assert snap["requests.latency_ms.count"] == snap["requests.ok"]
+        assert not any(isinstance(value, (dict, list)) for value in snap.values())
+        assert {name.split(".")[0] for name in snap} == {
+            "coordinator", "merkle", "node", "read_repair", "requests",
+            "storage", "transport"}
+
+    def test_state_is_read_at_call_time(self):
+        cluster = run_simulated_workload()
+        first = cluster.metrics_snapshot()
+        cluster.servers["A"].node.stats["hints_stored"] += 5
+        cluster.clients["c1"].records.append(record(2.0, ok=False))
+        second = cluster.metrics_snapshot()
+        assert second["node.A.hints_stored"] == first["node.A.hints_stored"] + 5
+        assert second["storage.hints_stored"] == first["storage.hints_stored"] + 5
+        assert second["requests.failed"] == first["requests.failed"] + 1
+
+
+class TestLatencySummary:
+    def test_no_successful_request_reports_every_latency_key_as_zero(self):
+        cluster = idle_cluster()
+        assert cluster.metrics_snapshot()["requests.completed"] == 0
+        cluster.clients["c1"].records.append(record(3.0, ok=False))
+        snap = cluster.metrics_snapshot()
+        assert (snap["requests.completed"], snap["requests.ok"],
+                snap["requests.failed"]) == (1, 0, 1)
+        for name in LATENCY_KEYS:
+            assert snap[f"requests.latency_ms.{name}"] == 0, name
+
+    def test_latency_block_is_the_analysis_summary(self):
+        """Latencies 1..4 ms: the interpolated p95 is 3.85, nearest rank 4."""
+        cluster = idle_cluster()
+        cluster.clients["c1"].records.extend(
+            [record(latency) for latency in (4.0, 1.0, 3.0, 2.0)]
+            + [record(50.0, ok=False)])
+        snap = cluster.metrics_snapshot()
+        overall = analyze_requests("dvv", cluster.all_request_records()).overall
+        assert snap["requests.latency_ms.p95"] == pytest.approx(3.85)
+        assert [snap[f"requests.latency_ms.{name}"] for name in LATENCY_KEYS] == [
+            overall.count, overall.total, overall.minimum, overall.maximum,
+            overall.mean, overall.median, overall.p95, overall.p99]
 
 
 class TestAsyncioShutdownFlush:
