@@ -26,7 +26,8 @@ import sys
 
 import pytest
 
-from repro.analysis import analyze_requests
+from repro.analysis import analyze_requests, measure_simulated_cluster
+from repro.cli import _cluster_table, build_parser
 from repro.clocks import create
 from repro.cluster import QuorumConfig
 from repro.kvstore import SimulatedCluster
@@ -257,6 +258,44 @@ class TestSnapshotSchema:
         assert second["storage.hints_stored"] == first["storage.hints_stored"] + 5
         assert second["requests.failed"] == first["requests.failed"] + 1
 
+    def test_a_joined_node_appears_in_the_next_snapshot(self):
+        cluster = run_simulated_workload()
+        before = cluster.metrics_snapshot()
+        assert not any(name.startswith("node.D.") for name in before)
+        cluster.join_node("D")
+        cluster.drain()
+        after = cluster.metrics_snapshot()
+        assert after["node.D.pending_hints"] == 0
+        assert {name.split(".", 2)[2] for name in after
+                if name.startswith("node.D.")} == {
+            name.split(".", 2)[2] for name in after if name.startswith("node.A.")}
+        assert after["storage.handoffs"] == sum(
+            after[f"node.{node}.handoffs"] for node in (*SERVER_IDS, "D"))
+
+    def test_a_decommissioned_node_leaves_the_next_snapshot(self):
+        """Its per-node keys go; the storage totals keep its counters."""
+        cluster = run_simulated_workload()
+        before = cluster.metrics_snapshot()
+        assert before["node.C.merges"] > 0
+        cluster.decommission_node("C")
+        cluster.drain()
+        after = cluster.metrics_snapshot()
+        assert not any(name.startswith("node.C.") for name in after)
+        assert after["storage.merges"] == before["node.C.merges"] + sum(
+            after[f"node.{node}.merges"] for node in ("A", "B"))
+
+    def test_stored_metadata_row_is_the_metadata_report_total(self):
+        """``repro cluster`` reads ``metadata_bytes()``; the full report's
+        ``total_bytes`` is the same number."""
+        cluster = run_simulated_workload()
+        table = _cluster_table(build_parser().parse_args(["cluster"]),
+                               cluster, 300.0, "run")
+        row = next(line for line in table.splitlines()
+                   if line.startswith("stored metadata bytes"))
+        total = measure_simulated_cluster(cluster).total_bytes
+        assert total > 0
+        assert row.split()[-1] == str(total)
+
 
 class TestLatencySummary:
     def test_no_successful_request_reports_every_latency_key_as_zero(self):
@@ -283,6 +322,29 @@ class TestLatencySummary:
             overall.mean, overall.median, overall.p95, overall.p99]
 
 
+    def test_aggregates_are_exact(self):
+        cluster = idle_cluster()
+        cluster.clients["c1"].records.extend(
+            record(latency) for latency in (0.5, 2.0, 1.5, 4.0))
+        snap = cluster.metrics_snapshot()
+        assert [snap[f"requests.latency_ms.{name}"]
+                for name in ("count", "sum", "min", "max", "mean", "p50")] == [
+            4, 8.0, 0.5, 4.0, 2.0, 1.75]
+
+    def test_every_successful_request_counts_past_a_hundred_thousand(self):
+        """The summary keeps no sample cap: the slow tail recorded after
+        100,000 fast requests moves the percentiles."""
+        cluster = idle_cluster()
+        records = cluster.clients["c1"].records
+        records.extend(record(1.0) for _ in range(100_000))
+        records.extend(record(9.0) for _ in range(2_000))
+        snap = cluster.metrics_snapshot()
+        assert snap["requests.latency_ms.count"] == 102_000
+        assert snap["requests.latency_ms.max"] == pytest.approx(9.0)
+        assert snap["requests.latency_ms.p99"] == pytest.approx(9.0)
+        assert snap["requests.latency_ms.p95"] == pytest.approx(1.0)
+
+
 class TestAsyncioShutdownFlush:
     def test_post_stop_snapshot_keeps_final_stats(self):
         cluster, live = asyncio.run(run_asyncio_workload())
@@ -292,6 +354,14 @@ class TestAsyncioShutdownFlush:
         assert final["requests.completed"] == 7
         assert final["transport.delivered"] >= live["transport.delivered"]
         assert sorted(final) == sorted(live)
+
+    def test_post_stop_latency_block_is_the_analysis_summary(self):
+        cluster, _ = asyncio.run(run_asyncio_workload())
+        final = cluster.metrics_snapshot()
+        overall = analyze_requests("dvv", cluster.all_request_records()).overall
+        assert [final[f"requests.latency_ms.{name}"] for name in LATENCY_KEYS] == [
+            overall.count, overall.total, overall.minimum, overall.maximum,
+            overall.mean, overall.median, overall.p95, overall.p99]
 
 
 @pytest.mark.parametrize("scenario_key",
