@@ -39,13 +39,17 @@ class LatencyReport:
 def analyze_requests(mechanism: str,
                      records: Sequence[RequestRecord],
                      duration_ms: Optional[float] = None) -> LatencyReport:
-    """Reduce raw request records to a :class:`LatencyReport`."""
+    """Reduce raw request records to a :class:`LatencyReport`.
+
+    With no successful request every figure of ``overall`` reads 0,
+    ``count`` included.
+    """
     completed = [record for record in records if record.ok]
     if not completed:
-        empty = summarize([0.0])
         return LatencyReport(
             mechanism=mechanism,
-            overall=empty,
+            overall=Summary(count=0, mean=0.0, median=0.0, p95=0.0, p99=0.0,
+                            minimum=0.0, maximum=0.0, total=0.0),
             by_operation={},
             requests=0,
             duration_ms=duration_ms or 0.0,

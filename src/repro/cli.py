@@ -44,7 +44,7 @@ from .workloads import (
     replay_trace,
     run_churn_scenario,
     run_closed_loop_workload,
-    run_figure1_by_name,
+    run_figure1,
 )
 
 DEFAULT_COMPARISON = ["dvv", "dvvset", "client_vv", "client_vv_pruned_5", "server_vv"]
@@ -97,11 +97,19 @@ def cmd_mechanisms(_args: argparse.Namespace) -> int:
 
 
 def cmd_figure1(args: argparse.Namespace) -> int:
-    """Replay the paper's Figure 1 under the selected mechanisms."""
+    """Replay the paper's Figure 1 under the selected mechanisms.
+
+    Exit status: 1 when an exact mechanism lost the update or did not
+    converge to one value, else 0.
+    """
     mechanisms = args.mechanisms or ["causal_history", "server_vv", "dvv"]
     rows = []
+    broken = []
     for name in mechanisms:
-        result = run_figure1_by_name(name)
+        mechanism = create(name)
+        result = run_figure1(mechanism)
+        if mechanism.exact and (result.lost_update or not result.converged_to_single_value):
+            broken.append(name)
         rows.append([
             name,
             ",".join(result.values_after_concurrent_writes),
@@ -116,7 +124,7 @@ def cmd_figure1(args: argparse.Namespace) -> int:
         rows,
         title="Figure 1 replay",
     ))
-    return 0
+    return _exact_verdict(broken, "lost the update or did not converge")
 
 
 def cmd_scenario(args: argparse.Namespace) -> int:
@@ -149,7 +157,10 @@ def cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    """Replay one synthetic workload under several mechanisms and compare."""
+    """Replay one synthetic workload under several mechanisms and compare.
+
+    Exit status: 1 when an exact mechanism is not safe, else 0.
+    """
     config = WorkloadConfig(
         clients=args.clients,
         keys=args.keys,
@@ -161,10 +172,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
     trace = generate_workload(config)
     mechanisms = args.mechanisms or DEFAULT_COMPARISON
     rows = []
+    broken = []
     for name in mechanisms:
-        replay = replay_trace(trace, create(name))
+        mechanism = create(name)
+        replay = replay_trace(trace, mechanism)
         replay.store.converge()
         correctness = check_store(replay.store)
+        if mechanism.exact and not correctness.is_correct:
+            broken.append(name)
         metadata = measure_sync_store(replay.store)
         rows.append([
             name,
@@ -181,7 +196,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
         title=(f"Workload: {args.clients} clients, {args.operations} operations, "
                f"{args.keys} keys, seed {args.seed}"),
     ))
-    return 0
+    return _exact_verdict(broken, "is not safe")
+
+
+def _exact_verdict(broken: List[str], failure: str) -> int:
+    """1 when some exact mechanism failed (each named on stderr), else 0."""
+    for name in broken:
+        print(f"exact mechanism {name} {failure}", file=sys.stderr)
+    return 1 if broken else 0
 
 
 def cmd_churn(args: argparse.Namespace) -> int:

@@ -16,34 +16,18 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from ..core import serialization
 from ..core.causal_history import CausalHistory
-from .interface import CausalityMechanism, ReadResult, Sibling
+from .interface import ReadResult, Sibling, SiblingList, SiblingListMechanism
 
-HistoryState = Tuple[Tuple[CausalHistory, Sibling], ...]
+HistoryState = SiblingList[CausalHistory]
 
 
-class CausalHistoryMechanism(CausalityMechanism[HistoryState, CausalHistory]):
+class CausalHistoryMechanism(SiblingListMechanism[CausalHistory, CausalHistory]):
     """One explicit causal history per sibling; context is a causal history."""
 
     name = "causal_history"
     exact = True
 
-    # ------------------------------------------------------------------ #
-    # State lifecycle
-    # ------------------------------------------------------------------ #
-    def empty_state(self) -> HistoryState:
-        return ()
-
-    def is_empty(self, state: HistoryState) -> bool:
-        return not state
-
-    def siblings(self, state: HistoryState) -> List[Sibling]:
-        return [sibling for _, sibling in state]
-
-    # ------------------------------------------------------------------ #
-    # Client protocol
-    # ------------------------------------------------------------------ #
     def empty_context(self) -> CausalHistory:
         return CausalHistory.empty()
 
@@ -80,18 +64,3 @@ class CausalHistoryMechanism(CausalityMechanism[HistoryState, CausalHistory]):
         ]
         survivors.sort(key=lambda item: item[1].origin_dot)
         return tuple(survivors)
-
-    # ------------------------------------------------------------------ #
-    # Metadata accounting
-    # ------------------------------------------------------------------ #
-    def metadata_entries(self, state: HistoryState) -> int:
-        return sum(len(clock) for clock, _ in state)
-
-    def metadata_bytes(self, state: HistoryState) -> int:
-        return sum(serialization.encoded_size(clock) for clock, _ in state)
-
-    def context_entries(self, context: CausalHistory) -> int:
-        return len(context)
-
-    def context_bytes(self, context: CausalHistory) -> int:
-        return serialization.encoded_size(context)

@@ -27,12 +27,11 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, Sequence, Tuple, TypeVar
 
-from ..core import serialization
 from ..core.dot import Actor
 from ..core.version_vector import VersionVector, ceiling, undominated
-from .interface import CausalityMechanism, ReadResult, Sibling
+from .interface import ReadResult, Sibling, SiblingList, SiblingListMechanism
 
-ClientVVState = Tuple[Tuple[VersionVector, Sibling], ...]
+ClientVVState = SiblingList[VersionVector]
 Version = Tuple[VersionVector, Sibling]
 V = TypeVar("V")
 
@@ -70,23 +69,11 @@ def place(versions: Sequence[V], order, key: Callable[[V], Any]) -> int:
     return low
 
 
-class ClientVVMechanism(CausalityMechanism[ClientVVState, VersionVector]):
+class ClientVVMechanism(SiblingListMechanism[VersionVector, VersionVector]):
     """One version vector (keyed by client ids) per sibling."""
 
     name = "client_vv"
     exact = True
-
-    # ------------------------------------------------------------------ #
-    # State lifecycle
-    # ------------------------------------------------------------------ #
-    def empty_state(self) -> ClientVVState:
-        return ()
-
-    def is_empty(self, state: ClientVVState) -> bool:
-        return not state
-
-    def siblings(self, state: ClientVVState) -> List[Sibling]:
-        return [sibling for _, sibling in state]
 
     # ------------------------------------------------------------------ #
     # Client protocol
@@ -197,18 +184,3 @@ class ClientVVMechanism(CausalityMechanism[ClientVVState, VersionVector]):
         for clock, _ in state:
             top = max(top, clock.get(client_id))
         return context.with_entry(client_id, top + 1)
-
-    # ------------------------------------------------------------------ #
-    # Metadata accounting
-    # ------------------------------------------------------------------ #
-    def metadata_entries(self, state: ClientVVState) -> int:
-        return sum(len(clock) for clock, _ in state)
-
-    def metadata_bytes(self, state: ClientVVState) -> int:
-        return sum(serialization.encoded_size(clock) for clock, _ in state)
-
-    def context_entries(self, context: VersionVector) -> int:
-        return len(context)
-
-    def context_bytes(self, context: VersionVector) -> int:
-        return serialization.encoded_size(context)

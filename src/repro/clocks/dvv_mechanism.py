@@ -12,9 +12,6 @@ precisely the versions it read.
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
-from ..core import serialization
 from ..core.dvv import (
     DottedVersionVector,
     dot_order,
@@ -24,32 +21,17 @@ from ..core.dvv import (
 )
 from ..core.version_vector import VersionVector
 from .client_vv import place
-from .interface import CausalityMechanism, ReadResult, Sibling
+from .interface import ReadResult, Sibling, SiblingList, SiblingListMechanism
 
-DVVState = Tuple[Tuple[DottedVersionVector, Sibling], ...]
+DVVState = SiblingList[DottedVersionVector]
 
 
-class DVVMechanism(CausalityMechanism[DVVState, VersionVector]):
+class DVVMechanism(SiblingListMechanism[DottedVersionVector, VersionVector]):
     """One dotted version vector per sibling; context is a plain version vector."""
 
     name = "dvv"
     exact = True
 
-    # ------------------------------------------------------------------ #
-    # State lifecycle
-    # ------------------------------------------------------------------ #
-    def empty_state(self) -> DVVState:
-        return ()
-
-    def is_empty(self, state: DVVState) -> bool:
-        return not state
-
-    def siblings(self, state: DVVState) -> List[Sibling]:
-        return [sibling for _, sibling in state]
-
-    # ------------------------------------------------------------------ #
-    # Client protocol
-    # ------------------------------------------------------------------ #
     def empty_context(self) -> VersionVector:
         return VersionVector.empty()
 
@@ -123,18 +105,3 @@ class DVVMechanism(CausalityMechanism[DVVState, VersionVector]):
             return stored if len(kept) == len(stored) else tuple(kept)
         kept.insert(below, entry)
         return tuple(kept)
-
-    # ------------------------------------------------------------------ #
-    # Metadata accounting
-    # ------------------------------------------------------------------ #
-    def metadata_entries(self, state: DVVState) -> int:
-        return sum(serialization.entry_count(clock) for clock, _ in state)
-
-    def metadata_bytes(self, state: DVVState) -> int:
-        return sum(serialization.encoded_size(clock) for clock, _ in state)
-
-    def context_entries(self, context: VersionVector) -> int:
-        return len(context)
-
-    def context_bytes(self, context: VersionVector) -> int:
-        return serialization.encoded_size(context)

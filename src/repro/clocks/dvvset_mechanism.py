@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import List
 
-from ..core import codec, serialization
+from ..core import codec
 from ..core.dvvset import DVVSet
 from ..core.version_vector import VersionVector
 from .interface import CausalityMechanism, ReadResult, Sibling
@@ -85,9 +85,3 @@ class DVVSetMechanism(CausalityMechanism[DVVSet, VersionVector]):
         for _, _, values in entries:
             live += len(values)
         return codec.vv_encoded_size(entries) + 2 * live
-
-    def context_entries(self, context: VersionVector) -> int:
-        return len(context)
-
-    def context_bytes(self, context: VersionVector) -> int:
-        return serialization.encoded_size(context)

@@ -12,14 +12,20 @@ a :class:`CausalityMechanism`:
 * how a PUT (carrying such a context) is tagged and which stored siblings it
   supersedes,
 * how two replicas' states are merged during anti-entropy or read repair,
-* how much metadata the mechanism keeps (entries and encoded bytes).
+* how much metadata the mechanism keeps (entries and encoded bytes) and how
+  large a context is on the wire (encoded bytes).
 
 Each mechanism owns its per-key replica state (``state``) and its context
-representation; the store treats both as opaque.  Alongside the
-mechanism-specific clock, every stored version is a :class:`Sibling`: the
-value and the one name of the write, its globally unique *origin dot*.  The
-dot's actor is the writing client, the same id client-id version vectors
-count.  That dot is all the ground truth a stored version carries: the
+representation; the store treats both as opaque.  Every mechanism but the
+DVV-set stores a key as one ``(clock, sibling)`` entry per sibling and
+derives from :class:`SiblingListMechanism`, which keeps that state's
+lifecycle and metadata accounting in one place; the DVV-set describes all of
+a key's siblings with one clock and implements the interface directly.
+
+Alongside the mechanism-specific clock, every stored version is a
+:class:`Sibling`: the value and the one name of the write, its globally
+unique *origin dot*.  The dot's actor is the writing client, the same id
+client-id version vectors count.  That dot is all the ground truth a stored version carries: the
 write's causal history lives in the oracle's side channel
 (:class:`~repro.kvstore.write_log.WriteLog`, which rebuilds it from the
 origin dots each writer had read), so the analysis layer can detect when a
@@ -31,12 +37,14 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Generic, List, TypeVar
+from typing import Any, Generic, List, Tuple, TypeVar
 
+from ..core import serialization
 from ..core.dot import Dot
 
 State = TypeVar("State")
 Context = TypeVar("Context")
+Clock = TypeVar("Clock")
 
 
 @dataclass(frozen=True)
@@ -168,13 +176,9 @@ class CausalityMechanism(abc.ABC, Generic[State, Context]):
     def metadata_bytes(self, state: State) -> int:
         """Encoded size in bytes of the causality metadata stored for the key."""
 
-    @abc.abstractmethod
-    def context_entries(self, context: Context) -> int:
-        """Logical number of entries in a client context (what travels on GET/PUT)."""
-
-    @abc.abstractmethod
     def context_bytes(self, context: Context) -> int:
-        """Encoded size in bytes of a client context."""
+        """Encoded size in bytes of a client context (what travels on GET/PUT)."""
+        return serialization.encoded_size(context)
 
     # ------------------------------------------------------------------ #
     # Conveniences shared by implementations
@@ -186,3 +190,32 @@ class CausalityMechanism(abc.ABC, Generic[State, Context]):
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"<{type(self).__name__} name={self.name!r}>"
 
+
+#: The state of a :class:`SiblingListMechanism` key: one entry per sibling.
+SiblingList = Tuple[Tuple[Clock, Sibling], ...]
+
+
+class SiblingListMechanism(CausalityMechanism[SiblingList[Clock], Context]):
+    """A mechanism that stores a key as one ``(clock, sibling)`` entry per sibling.
+
+    The state is a tuple of such entries; the empty tuple is the absent key.
+    The metadata stored for the key is the sum over its clocks, counted by
+    :func:`~repro.core.serialization.entry_count` and sized by
+    :func:`~repro.core.serialization.encoded_size`.  Subclasses define how
+    clocks are minted, compared and merged (``read``, ``write``, ``merge``).
+    """
+
+    def empty_state(self) -> SiblingList[Clock]:
+        return ()
+
+    def is_empty(self, state: SiblingList[Clock]) -> bool:
+        return not state
+
+    def siblings(self, state: SiblingList[Clock]) -> List[Sibling]:
+        return [sibling for _, sibling in state]
+
+    def metadata_entries(self, state: SiblingList[Clock]) -> int:
+        return sum(serialization.entry_count(clock) for clock, _ in state)
+
+    def metadata_bytes(self, state: SiblingList[Clock]) -> int:
+        return sum(serialization.encoded_size(clock) for clock, _ in state)

@@ -25,35 +25,19 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from ..core import serialization
 from ..core.version_vector import VersionVector, ceiling, undominated
 from .client_vv import distinct_versions, version_order
-from .interface import CausalityMechanism, ReadResult, Sibling
+from .interface import ReadResult, Sibling, SiblingList, SiblingListMechanism
 
-ServerVVState = Tuple[Tuple[VersionVector, Sibling], ...]
+ServerVVState = SiblingList[VersionVector]
 
 
-class ServerVVMechanism(CausalityMechanism[ServerVVState, VersionVector]):
+class ServerVVMechanism(SiblingListMechanism[VersionVector, VersionVector]):
     """One version vector (keyed by server ids) per sibling."""
 
     name = "server_vv"
     exact = False
 
-    # ------------------------------------------------------------------ #
-    # State lifecycle
-    # ------------------------------------------------------------------ #
-    def empty_state(self) -> ServerVVState:
-        return ()
-
-    def is_empty(self, state: ServerVVState) -> bool:
-        return not state
-
-    def siblings(self, state: ServerVVState) -> List[Sibling]:
-        return [sibling for _, sibling in state]
-
-    # ------------------------------------------------------------------ #
-    # Client protocol
-    # ------------------------------------------------------------------ #
     def empty_context(self) -> VersionVector:
         return VersionVector.empty()
 
@@ -98,18 +82,3 @@ class ServerVVMechanism(CausalityMechanism[ServerVVState, VersionVector]):
             seen_clocks.add(clock)
             deduped.append((clock, sibling))
         return tuple(deduped)
-
-    # ------------------------------------------------------------------ #
-    # Metadata accounting
-    # ------------------------------------------------------------------ #
-    def metadata_entries(self, state: ServerVVState) -> int:
-        return sum(len(clock) for clock, _ in state)
-
-    def metadata_bytes(self, state: ServerVVState) -> int:
-        return sum(serialization.encoded_size(clock) for clock, _ in state)
-
-    def context_entries(self, context: VersionVector) -> int:
-        return len(context)
-
-    def context_bytes(self, context: VersionVector) -> int:
-        return serialization.encoded_size(context)

@@ -15,34 +15,20 @@ interleaved concurrent writes.
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
 from ..core import serialization
 from ..core.dot import Dot
 from ..core.version_vector import VersionVector
-from .interface import CausalityMechanism, ReadResult, Sibling
+from .interface import ReadResult, Sibling, SiblingList, SiblingListMechanism
 from .vve import DottedVVE, VersionVectorWithExceptions
 
-VVEState = Tuple[Tuple[DottedVVE, Sibling], ...]
+VVEState = SiblingList[DottedVVE]
 
 
-class DottedVVEMechanism(CausalityMechanism[VVEState, VersionVectorWithExceptions]):
+class DottedVVEMechanism(SiblingListMechanism[DottedVVE, VersionVectorWithExceptions]):
     """One dot + VVE causal past per sibling; context is a VVE."""
 
     name = "dotted_vve"
     exact = True
-
-    # ------------------------------------------------------------------ #
-    # State lifecycle
-    # ------------------------------------------------------------------ #
-    def empty_state(self) -> VVEState:
-        return ()
-
-    def is_empty(self, state: VVEState) -> bool:
-        return not state
-
-    def siblings(self, state: VVEState) -> List[Sibling]:
-        return [sibling for _, sibling in state]
 
     # ------------------------------------------------------------------ #
     # Client protocol
@@ -95,9 +81,6 @@ class DottedVVEMechanism(CausalityMechanism[VVEState, VersionVectorWithException
 
     def metadata_bytes(self, state: VVEState) -> int:
         return sum(self._clock_bytes(clock) for clock, _ in state)
-
-    def context_entries(self, context: VersionVectorWithExceptions) -> int:
-        return context.entry_count()
 
     def context_bytes(self, context: VersionVectorWithExceptions) -> int:
         return self._vve_bytes(context)

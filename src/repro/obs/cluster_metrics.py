@@ -14,9 +14,9 @@ summing every object ``cluster.transport_stats()`` lists into the same
 
 The snapshot reads the live cluster at call time and never mutates it, so
 nodes that join or leave are picked up and taking one mid-run is safe.  The
-latency block is :func:`~repro.analysis.stats.summarize` over the successful
-requests, the same summary :func:`~repro.analysis.latency.analyze_requests`
-reports.
+latency block is the ``overall`` summary
+:func:`~repro.analysis.latency.analyze_requests` reports for the successful
+requests (every figure 0 when there is none).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Dict
 
-from ..analysis.stats import summarize
+from ..analysis.latency import analyze_requests
 
 __all__ = ["cluster_snapshot"]
 
@@ -115,17 +115,15 @@ def _transport_totals(cluster: Any) -> Dict[str, int]:
 
 def _request_totals(cluster: Any) -> Dict[str, Any]:
     records = cluster.all_request_records()
-    latencies = [record.latency_ms for record in records if record.ok]
-    # No successful request reports every figure as 0, as analyze_requests does.
-    summary = summarize(latencies or [0.0])
-    latency = {"count": len(latencies), "sum": summary.total,
+    summary = analyze_requests(cluster.mechanism.name, records).overall
+    latency = {"count": summary.count, "sum": summary.total,
                "min": summary.minimum, "max": summary.maximum,
                "mean": summary.mean, "p50": summary.median,
                "p95": summary.p95, "p99": summary.p99}
     return {
         "completed": len(records),
-        "ok": len(latencies),
-        "failed": len(records) - len(latencies),
+        "ok": summary.count,
+        "failed": len(records) - summary.count,
         "latency_ms": latency,
     }
 

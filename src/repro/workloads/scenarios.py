@@ -572,9 +572,6 @@ def run_churn_scenario(name: str, mechanism: CausalityMechanism, tracer=None,
     return report
 
 
-SCENARIOS: Dict[str, Trace] = {}
-
-
 def named_scenarios() -> Dict[str, Trace]:
     """Fresh copies of every named scenario trace (excluding Figure 1)."""
     return {

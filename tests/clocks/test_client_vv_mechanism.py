@@ -61,7 +61,7 @@ class TestClientVVGrowth:
         for index in range(10):
             context = m.read(state).context
             state = m.write(state, context, sibling(f"v{index}", f"client-{index}", 1), "A")
-        assert m.context_entries(m.read(state).context) == 10
+        assert len(m.read(state).context) == 10
 
 
 class TestDottedVVEMechanism:

@@ -308,6 +308,16 @@ class TestLatencySummary:
         for name in LATENCY_KEYS:
             assert snap[f"requests.latency_ms.{name}"] == 0, name
 
+    def test_no_successful_request_counts_no_phantom_request(self):
+        cluster = idle_cluster()
+        overall = analyze_requests("dvv", []).overall
+        assert overall.count == 0
+        assert cluster.metrics_snapshot()["requests.latency_ms.count"] == overall.count
+        cluster.clients["c1"].records.append(record(3.0, ok=False))
+        failed_only = analyze_requests("dvv", cluster.all_request_records()).overall
+        assert failed_only.count == 0
+        assert cluster.metrics_snapshot()["requests.latency_ms.count"] == failed_only.count
+
     def test_latency_block_is_the_analysis_summary(self):
         """Latencies 1..4 ms: the interpolated p95 is 3.85, nearest rank 4."""
         cluster = idle_cluster()

@@ -16,9 +16,13 @@ import time
 import pytest
 
 import repro
+from repro import cli
+from repro.analysis import check_store
 from repro.cli import build_parser, main
+from repro.clocks import available
 from repro.cluster import ring
 from repro.kvstore.asyncio_cluster import AsyncClusterClient
+from repro.workloads import run_figure1
 
 
 class TestParser:
@@ -58,6 +62,33 @@ class TestFigure1Command:
         assert "dvv" in output
         assert "server_vv" not in output
 
+    def test_every_registered_mechanism_passes(self, capsys):
+        """server_vv and the pruned VVs are inexact: their lost update does
+        not fail the run."""
+        assert main(["figure1", "--mechanisms", ",".join(available())]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("flaw", ["lost_update", "not_converged"])
+    def test_exact_mechanism_failure_exits_1(self, capsys, monkeypatch, flaw):
+        def flawed(mechanism):
+            result = run_figure1(mechanism)
+            if flaw == "lost_update":
+                result.lost_update = True
+            else:
+                result.converged_to_single_value = False
+            return result
+        monkeypatch.setattr(cli, "run_figure1", flawed)
+        assert main(["figure1", "--mechanisms", "dvv"]) == 1
+        assert "exact mechanism dvv" in capsys.readouterr().err
+
+    def test_inexact_mechanism_failure_exits_0(self, capsys, monkeypatch):
+        def flawed(mechanism):
+            result = run_figure1(mechanism)
+            result.converged_to_single_value = False
+            return result
+        monkeypatch.setattr(cli, "run_figure1", flawed)
+        assert main(["figure1", "--mechanisms", "server_vv"]) == 0
+
 
 class TestScenarioCommand:
     def test_known_scenario(self, capsys):
@@ -83,6 +114,22 @@ class TestCompareCommand:
         output = capsys.readouterr().out
         assert "dvv" in output and "server_vv" in output
         assert "entries/key (max)" in output
+
+    def test_every_registered_mechanism_passes(self, capsys):
+        """server_vv and the pruned VVs lose updates here, but are inexact."""
+        assert main(["compare", "--mechanisms", ",".join(available())]) == 0
+        output = capsys.readouterr().out
+        assert re.search(r"^server_vv .* no$", output, re.MULTILINE)
+
+    def test_exact_mechanism_not_safe_exits_1(self, capsys, monkeypatch):
+        def lossy(store):
+            report = check_store(store)
+            report.total_lost_updates += 1
+            return report
+        monkeypatch.setattr(cli, "check_store", lossy)
+        assert main(["compare", "--clients", "6", "--operations", "40",
+                     "--seed", "3", "--mechanisms", "dvv"]) == 1
+        assert "exact mechanism dvv is not safe" in capsys.readouterr().err
 
 
 class TestClusterCommand:
