@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .analysis import (
     analyze_requests,
@@ -262,21 +262,29 @@ def cmd_churn(args: argparse.Namespace) -> int:
     return 0 if report.converged and not invariant_broken else 1
 
 
-def _run_cluster_audit(cluster, sample_size: int, seed: int):
+def _cluster_audit(args: argparse.Namespace, cluster) -> Tuple[List[list], bool]:
     """Audit every node's Merkle index against its storage after a run.
 
-    Returns ``(keys_checked, mismatches)`` summed over the nodes; each node
-    gets its own deterministically seeded sampler so runs are repeatable.
+    Returns the ``--audit`` rows of the ``cluster`` report (keys checked and
+    mismatches, summed over the nodes) and whether any key mismatched, which
+    makes the command exit 1 and is named on stderr.  Each node gets its own
+    deterministically seeded sampler so runs are repeatable.
     """
     import random
 
+    if not args.audit:
+        return [], False
     checked = mismatches = 0
     for position, (node_id, server) in enumerate(sorted(cluster.servers.items())):
-        rng = random.Random(seed * 1000 + position)
-        report = server.node.audit_merkle_index(sample_size=sample_size, rng=rng)
+        rng = random.Random(args.seed * 1000 + position)
+        report = server.node.audit_merkle_index(sample_size=args.audit, rng=rng)
         checked += report["keys_checked"]
         mismatches += report["mismatches"]
-    return checked, mismatches
+    if mismatches:
+        print(f"audit: {mismatches} of {checked} sampled keys disagree with "
+              "their node's Merkle index", file=sys.stderr)
+    return ([["audit keys checked", checked], ["audit mismatches", mismatches]],
+            mismatches > 0)
 
 
 def _cluster_table(args: argparse.Namespace, cluster, duration_ms: float,
@@ -284,11 +292,6 @@ def _cluster_table(args: argparse.Namespace, cluster, duration_ms: float,
     """The ``cluster`` report: the same rows from either backend's cluster."""
     records = cluster.all_request_records()
     latency = analyze_requests(args.mechanism, records, duration_ms=duration_ms)
-    audit_rows = []
-    if args.audit:
-        checked, mismatches = _run_cluster_audit(cluster, args.audit, args.seed)
-        audit_rows = [["audit keys checked", checked],
-                      ["audit mismatches", mismatches]]
     stats = cluster.stat_totals()
     snapshot = cluster.metrics_snapshot()
     return render_table(
@@ -316,7 +319,7 @@ def _cluster_table(args: argparse.Namespace, cluster, duration_ms: float,
             ["partitions compared", cluster.merkle_stats.partitions_compared],
             ["partitions differing", cluster.merkle_stats.partitions_differing],
             ["ranges shipped whole", cluster.merkle_stats.ranges_shipped_whole],
-        ] + list(extra_rows) + audit_rows,
+        ] + list(extra_rows),
         title=title,
     )
 
@@ -326,7 +329,8 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
     ``--backend sim`` (default) drives the deterministic simulator in virtual
     time; ``--backend asyncio`` runs the same protocol machines over real
-    Unix-domain sockets and reports wall-clock numbers.
+    Unix-domain sockets and reports wall-clock numbers.  Either exits 1 when
+    ``--audit`` finds a mismatch.
     """
     if args.backend == "asyncio":
         return _cmd_cluster_asyncio(args)
@@ -350,16 +354,19 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         stop_at_ms=args.duration_ms,
     )
     run_closed_loop_workload(cluster, client_count=args.clients, config=workload)
-    print(_cluster_table(args, cluster, args.duration_ms, "Simulated cluster run"))
+    audit_rows, audit_failed = _cluster_audit(args, cluster)
+    print(_cluster_table(args, cluster, args.duration_ms, "Simulated cluster run",
+                         audit_rows))
     _write_stats_json(cluster, args.stats_json)
     _finish_trace(sink, args.trace)
-    return 0
+    return 1 if audit_failed else 0
 
 
 def _cmd_cluster_asyncio(args: argparse.Namespace) -> int:
     """The asyncio-backend half of ``cmd_cluster`` (wall-clock run).
 
-    Exits 1 when the replicas do not converge within the timeout.
+    Exits 1 when the replicas do not converge within the timeout, or when
+    ``--audit`` finds a mismatch.
     """
     import asyncio
     import random
@@ -404,14 +411,15 @@ def _cmd_cluster_asyncio(args: argparse.Namespace) -> int:
                 converged = True
             except TimeoutError:
                 converged = False
+            audit_rows, audit_failed = _cluster_audit(args, cluster)
             print(_cluster_table(
                 args, cluster, elapsed_s * 1000.0, "Asyncio cluster run",
                 [["backend", "asyncio (unix sockets, wall clock)"],
-                 ["converged", converged]]))
+                 ["converged", converged]] + audit_rows))
         # The shutdown-captured snapshot includes the daemons' final work.
         _write_stats_json(cluster, args.stats_json)
         _finish_trace(sink, args.trace)
-        return 0 if converged else 1
+        return 0 if converged and not audit_failed else 1
 
     return asyncio.run(run())
 
@@ -645,7 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--audit", type=int, default=0, metavar="SAMPLE",
                          help="after the workload, cold-verify up to SAMPLE "
                               "stored keys per node against the maintained "
-                              "Merkle index and report mismatches")
+                              "Merkle index; exit 1 on any mismatch")
     cluster.add_argument("--stats-json", default=None, dest="stats_json", metavar="PATH",
                          help="write the cluster's unified metrics snapshot as JSON "
                               "(same schema for both backends)")

@@ -5,9 +5,9 @@ in :mod:`repro.kvstore.simulated`.  Both host the exact same state machines
 from :mod:`repro.kvstore.protocol`, hosted the same way on the same
 :class:`~repro.kvstore.cluster_core.ClusterCore` — but here every
 message crosses an actual TCP or Unix-domain socket through an
-:class:`~repro.network.asyncio_transport.AsyncioEndpoint`, timers are
-``loop.call_later``, the clock is the wall clock, and any number of clients
-issue requests concurrently.
+:class:`~repro.network.asyncio_transport.AsyncioEndpoint`, timers ride
+the endpoint's per-length queues on the event loop, the clock is the wall
+clock, and any number of clients issue requests concurrently.
 
 Coordination is Dynamo-style and deadline-driven, the one path the
 simulator runs too: reachability is decided by deadlines and sloppy-quorum

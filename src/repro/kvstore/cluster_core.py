@@ -7,10 +7,11 @@ stats and the tracer, the ``servers`` / ``clients`` registries, and the
 reporting every test, scenario and benchmark reads.
 
 The core *is* the protocol env (see :mod:`repro.kvstore.protocol.env`): every
-hosted machine reads its configuration and the two env queries,
-:meth:`ClusterCore.can_reach` and :meth:`ClusterCore.is_registered`, straight
-off the cluster object, so an attribute a test sets on a live cluster is seen
-at once.  What the implementation fixes — batch sizes, the read-repair
+hosted machine reads its configuration and the env queries,
+:meth:`ClusterCore.can_reach`, :meth:`ClusterCore.is_registered` and
+:meth:`ClusterCore.hosts_client`, straight off the cluster object, so an
+attribute a test sets on a live cluster is seen at once.  What the
+implementation fixes — batch sizes, the read-repair
 window, the hint backoff, the modelled envelope (constants in
 :mod:`repro.kvstore.protocol.env`), the ring's :data:`VIRTUAL_NODES` and the
 Merkle tree shape (:data:`~repro.kvstore.merkle_index.FANOUT` ×
@@ -258,6 +259,16 @@ class ClusterCore:
         shows up as a missed deadline.
         """
         return True
+
+    def hosts_client(self, address: str) -> bool:
+        """Whether ``address`` is one of this cluster's own clients — the only
+        receivers that take reply dots back out of :attr:`write_log`.
+
+        A ``serve`` process hosts none: its clients are other processes,
+        each with a log of its own.
+        """
+        host = self.clients.get(address.partition(":")[2])
+        return host is not None and host.address == address
 
     def can_reach(self, source_id: str, target_id: str) -> bool:
         """Whether ``source_id`` can currently deliver messages to ``target_id``.

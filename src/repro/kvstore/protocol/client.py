@@ -188,11 +188,7 @@ class ClientProtocol:
 
     def _arm_client_deadline(self, request_id: int) -> None:
         self._deadlines[request_id] = True
-        self.emit(SetTimer(
-            ("client", request_id),
-            self.env.client_timeout_ms,
-            label=f"client-deadline:{self.client_id}",
-        ))
+        self.emit(SetTimer(("client", request_id), self.env.client_timeout_ms))
 
     def _on_client_deadline(self, request_id: int) -> None:
         """No reply at all: fail over to the next candidate, or give up."""

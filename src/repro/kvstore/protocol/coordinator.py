@@ -276,8 +276,7 @@ class Coordinator:
         if delay_ms >= node.env.replica_timeout_ms:
             return
         pending.hedge = True
-        node.emit(SetTimer(("hedge", coordination_id), delay_ms, kind="task",
-                           label=f"read-hedge:{pending.key}"))
+        node.emit(SetTimer(("hedge", coordination_id), delay_ms, kind="task"))
 
     def on_hedge(self, coordination_id: int) -> None:
         """The quorum is slower than the asked replicas usually are: ask the
@@ -470,11 +469,8 @@ class Coordinator:
         node.emit(Send(message))
         pending.sent_at[replica_id] = node.now
         pending.deadlines[replica_id] = True
-        node.emit(SetTimer(
-            ("replica", coordination_id, replica_id),
-            node.env.replica_timeout_ms,
-            label=f"replica-deadline:{pending.kind}:{replica_id}",
-        ))
+        node.emit(SetTimer(("replica", coordination_id, replica_id),
+                           node.env.replica_timeout_ms))
 
     def _observe_ack_latency(self, pending: CoordinatorSession,
                              replica_id: str) -> None:
@@ -487,11 +483,8 @@ class Coordinator:
     def _arm_request_deadline(self, coordination_id: int,
                               pending: CoordinatorSession) -> None:
         pending.request_deadline = True
-        self._node.emit(SetTimer(
-            ("request", coordination_id),
-            self._node.env.request_timeout_ms,
-            label=f"request-deadline:{pending.kind}:{pending.key}",
-        ))
+        self._node.emit(SetTimer(("request", coordination_id),
+                                 self._node.env.request_timeout_ms))
 
     def on_replica_deadline(self, coordination_id: int, replica_id: str) -> None:
         """A contacted replica missed its deadline: extend or give up on it.
@@ -653,9 +646,10 @@ class Coordinator:
         )
         # The oracle's side channel: the origin dots the context covers are
         # the parents of the client's next write, and the client finds them
-        # under this reply's id.
-        node.env.write_log.note_reply(
-            reply.msg_id, [s.origin_dot for s in read.siblings])
+        # under this reply's id — if it shares this process's log at all.
+        if node.env.hosts_client(pending.client_address):
+            node.env.write_log.note_reply(
+                reply.msg_id, [s.origin_dot for s in read.siblings])
         node.emit(Send(reply))
         # The session span closes at quorum; its reference stays on the
         # session so the handoff tail (later fallback promotions, hints)
@@ -693,12 +687,8 @@ class Coordinator:
             self.flush_read_repairs(target_id)
         elif not self._repair_flush_scheduled:
             self._repair_flush_scheduled = True
-            node.emit(SetTimer(
-                ("repair-flush",),
-                READ_REPAIR_BATCH_MS,
-                kind="task",
-                label=f"read-repair-flush:{node.node_id}",
-            ))
+            node.emit(SetTimer(("repair-flush",), READ_REPAIR_BATCH_MS,
+                               kind="task"))
 
     def flush_all_read_repairs(self) -> None:
         self._repair_flush_scheduled = False

@@ -64,7 +64,6 @@ class SetTimer:
     timer_id: TimerId
     delay_ms: float
     kind: str = "deadline"
-    label: str = "timer"
 
 
 @dataclass
@@ -85,9 +84,9 @@ class EffectRunner:
     ----------
     transport:
         Anything with the :mod:`repro.network.base` transport contract:
-        ``send(message)``, ``schedule_deadline(delay_ms, callback, label)``,
-        ``cancel_deadline(handle)``, ``schedule_task(delay_ms, callback,
-        label)``, ``cancel_task(handle)`` and ``now_ms()``.
+        ``send(message)``, ``schedule_deadline(delay_ms, callback)``,
+        ``cancel_deadline(handle)``, ``schedule_task(delay_ms, callback)``,
+        ``cancel_task(handle)`` and ``now_ms()``.
     on_timer:
         Callback into the owning machine: ``on_timer(timer_id, now_ms) ->
         EffectList``.  The runner executes whatever it returns, so timer
@@ -127,11 +126,9 @@ class EffectRunner:
             self.run(self._on_timer(timer_id, self._transport.now_ms()))
 
         if effect.kind == "deadline":
-            handle = self._transport.schedule_deadline(effect.delay_ms, fire,
-                                                       label=effect.label)
+            handle = self._transport.schedule_deadline(effect.delay_ms, fire)
         else:
-            handle = self._transport.schedule_task(effect.delay_ms, fire,
-                                                   label=effect.label)
+            handle = self._transport.schedule_task(effect.delay_ms, fire)
         self._timers[timer_id] = (effect.kind, handle)
 
     def _clear_timer(self, timer_id: TimerId) -> None:

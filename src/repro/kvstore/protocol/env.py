@@ -6,7 +6,8 @@ services (placement, the ground-truth write log, cluster-wide sync
 statistics, the tracer) and the two oracle queries that differ per backend
 (``can_reach`` — the reachability view hint replay consults — and
 ``is_registered`` — "is this process still alive", used to drop queued work
-after a simulated crash).
+after a simulated crash), plus ``hosts_client`` — whether a reply's receiver
+runs in this process, the only kind that takes reply dots out of the log.
 
 Every backend passes its cluster, a
 :class:`~repro.kvstore.cluster_core.ClusterCore`, and the contract is the

@@ -233,8 +233,8 @@ class SimulatedCluster(ClusterCore):
         for server_id in server_ids:
             self._add_server(server_id)
         self._daemon_tasks = [
-            PeriodicTask(self.simulation, interval_ms, tick, label=label)
-            for label, interval_ms, tick in self.daemons()]
+            PeriodicTask(self.simulation, interval_ms, tick)
+            for _, interval_ms, tick in self.daemons()]
         # Nudge hint replay as soon as a node recovers rather than waiting
         # for the next daemon tick.
         self.membership.subscribe(self._on_membership_event)
@@ -278,9 +278,7 @@ class SimulatedCluster(ClusterCore):
             self.simulation.schedule(
                 0.1,
                 lambda: [self.servers[server_id].replay_hints()
-                         for server_id in holders if server_id in self.servers],
-                label=f"hint-replay-nudge:{node_id}",
-            )
+                         for server_id in holders if server_id in self.servers])
 
     def fail_node(self, server_id: str) -> None:
         """Crash a server: it stops receiving messages and is marked down."""

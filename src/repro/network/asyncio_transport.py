@@ -17,9 +17,15 @@ frame off that buffer (:func:`~repro.network.wire.split_frames`), decodes it
 and hands the message to the node's handler synchronously, exactly like the
 simulator's delivery callback — no stream reader, no task per connection, no
 allocation per read.
-Timers map to ``loop.call_later`` and the clock to ``loop.time()`` — the state
-machines never notice they moved from virtual milliseconds to wall-clock
-milliseconds.
+The clock is ``loop.time()`` — the state machines never notice they moved
+from virtual milliseconds to wall-clock milliseconds.  Timers do not each take
+a slot in the loop's heap: every timer length has one FIFO queue of timers
+(:class:`_TimerQueue`) and one ``loop.call_at`` armed for its head.  Every
+deadline on sockets is one of three constant lengths, so arming and
+cancelling a timer is an append and a flag, and the loop's heap holds about
+one handle per length.  The loop clock is monotonic, so timers of one length
+fall due in the order they were armed, and firing a queue's due prefix in
+order is exact.
 
 Failure semantics match the simulated transport's stance: a send toward an
 address nobody listens on, or over a connection that breaks, is a counted,
@@ -50,7 +56,9 @@ from __future__ import annotations
 
 import asyncio
 import logging
-from typing import Callable, Dict, List, Optional, Set, Tuple, Union
+import time
+from collections import deque
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple, Union
 
 from ..core.exceptions import SerializationError
 from . import wire
@@ -77,18 +85,47 @@ MAX_READ_CHUNK_BYTES = 256 * 1024
 logger = logging.getLogger(__name__)
 
 
-class _TimerHandle:
-    """Adapter giving ``loop.call_later`` handles the simulator's surface."""
+#: Resolution of the loop clock.  asyncio runs a ``call_at`` handle once it is
+#: due within this, so a queue is armed this much after its head's due time:
+#: the handle then never runs before the head is due, and never has to re-arm
+#: for a head it woke up a hair too early for.
+CLOCK_RESOLUTION_S = time.get_clock_info("monotonic").resolution
 
-    __slots__ = ("_handle", "cancelled")
 
-    def __init__(self, handle: asyncio.TimerHandle) -> None:
-        self._handle = handle
+class _Timer:
+    """One armed timer: the handle :meth:`AsyncioEndpoint.schedule_deadline`
+    and :meth:`~AsyncioEndpoint.schedule_task` return."""
+
+    __slots__ = ("due", "callback", "cancelled", "deadline")
+
+    def __init__(self, due: float, callback: Callable[[], None],
+                 deadline: bool) -> None:
+        self.due = due
+        self.callback = callback
         self.cancelled = False
+        self.deadline = deadline
 
-    def cancel(self) -> None:
-        self.cancelled = True
-        self._handle.cancel()
+
+class _TimerQueue:
+    """The armed timers of one length, in arming (= due) order, and the one
+    loop handle armed for the head.
+
+    Cancelling a timer only flags it; cancelled timers leave from the head,
+    when a timer is armed or the queue expires.  What a live head holds back
+    was armed within one timer length after it, so a queue holds at most
+    arm rate × timer length entries — and about as many as are in flight
+    while timers are cancelled roughly in the order they were armed, as
+    request deadlines are.
+    """
+
+    __slots__ = ("timers", "handle")
+
+    def __init__(self) -> None:
+        self.timers: Deque[_Timer] = deque()
+        #: The loop handle armed for the head; also set while the queue
+        #: expires, so a callback that arms a timer of this length adds no
+        #: second one.
+        self.handle: Optional[asyncio.TimerHandle] = None
 
 
 class _Peer(asyncio.Protocol):
@@ -200,6 +237,8 @@ class AsyncioEndpoint(ProtocolTransport):
         self._server: Optional[asyncio.base_events.Server] = None
         self._peers: Dict[str, _Peer] = {}
         self._inbound: Set[asyncio.Transport] = set()
+        #: Timer length (ms) → the queue of armed timers of that length.
+        self._timers: Dict[float, _TimerQueue] = {}
         self._closed = False
 
     # ------------------------------------------------------------------ #
@@ -219,8 +258,13 @@ class AsyncioEndpoint(ProtocolTransport):
             raise ValueError(f"unknown address kind {address[0]!r}")
 
     async def close(self) -> None:
-        """Stop listening and drop every connection, inbound and outbound."""
+        """Stop listening, drop every connection, inbound and outbound, and
+        disarm every timer."""
         self._closed = True
+        for queue in self._timers.values():
+            if queue.handle is not None:
+                queue.handle.cancel()
+        self._timers.clear()
         # Inbound connections first: since 3.12 ``wait_closed`` waits for them.
         for transport in self._inbound:
             transport.close()
@@ -319,32 +363,68 @@ class AsyncioEndpoint(ProtocolTransport):
     # ------------------------------------------------------------------ #
     # Timers and clock (the transport contract)
     # ------------------------------------------------------------------ #
-    def schedule_deadline(self, delay_ms: float, callback: Callable[[], None],
-                          label: str = "deadline") -> _TimerHandle:
+    def schedule_deadline(self, delay_ms: float,
+                          callback: Callable[[], None]) -> _Timer:
         self.stats.deadlines_set += 1
+        return self._arm(delay_ms, callback, True)
 
-        def fire() -> None:
-            self.stats.deadlines_fired += 1
-            callback()
-
-        return _TimerHandle(
-            self._require_loop().call_later(delay_ms / 1000.0, fire))
-
-    def cancel_deadline(self, handle: Optional[_TimerHandle]) -> None:
+    def cancel_deadline(self, handle: Optional[_Timer]) -> None:
         if handle is None or handle.cancelled:
             return
         self.stats.deadlines_cancelled += 1
-        handle.cancel()
+        handle.cancelled = True
 
-    def schedule_task(self, delay_ms: float, callback: Callable[[], None],
-                      label: str = "task") -> _TimerHandle:
-        return _TimerHandle(
-            self._require_loop().call_later(delay_ms / 1000.0, callback))
+    def schedule_task(self, delay_ms: float,
+                      callback: Callable[[], None]) -> _Timer:
+        return self._arm(delay_ms, callback, False)
 
-    def cancel_task(self, handle: Optional[_TimerHandle]) -> None:
-        if handle is None or handle.cancelled:
-            return
-        handle.cancel()
+    def cancel_task(self, handle: Optional[_Timer]) -> None:
+        if handle is not None:
+            handle.cancelled = True
+
+    def _arm(self, delay_ms: float, callback: Callable[[], None],
+             deadline: bool) -> _Timer:
+        loop = self._require_loop()
+        timer = _Timer(loop.time() + delay_ms / 1000.0, callback, deadline)
+        queue = self._timers.get(delay_ms)
+        if queue is None:
+            queue = self._timers[delay_ms] = _TimerQueue()
+        timers = queue.timers
+        while timers and timers[0].cancelled:
+            timers.popleft()
+        timers.append(timer)
+        if queue.handle is None:
+            queue.handle = loop.call_at(timers[0].due + CLOCK_RESOLUTION_S,
+                                        self._expire, delay_ms, queue)
+        return timer
+
+    def _expire(self, delay_ms: float, queue: _TimerQueue) -> None:
+        """Fire every due timer of one length in arming order, then re-arm
+        the queue's handle for its new head (or drop the emptied queue)."""
+        loop = self._loop
+        timers = queue.timers
+        now = loop.time()
+        try:
+            while timers:
+                timer = timers[0]
+                if timer.cancelled:
+                    timers.popleft()
+                    continue
+                if timer.due > now:
+                    break
+                timers.popleft()
+                if timer.deadline:
+                    self.stats.deadlines_fired += 1
+                timer.callback()
+        finally:
+            # Also after a raising callback: it costs that one timer, and
+            # the ones behind it still fire.
+            if timers:
+                queue.handle = loop.call_at(
+                    timers[0].due + CLOCK_RESOLUTION_S, self._expire,
+                    delay_ms, queue)
+            else:
+                del self._timers[delay_ms]
 
     def now_ms(self) -> float:
         return self._require_loop().time() * 1000.0

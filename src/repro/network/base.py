@@ -13,14 +13,15 @@ so a third backend only has to implement these six methods:
     the receiver's socket.  Unreachable receivers are a silent drop — the
     protocol is built to tolerate exactly that.
 
-``schedule_deadline(delay_ms, callback, label) -> handle``
-    Arm a failure-detection deadline.  Backends may account these separately
-    (the simulator's ``deadlines_set/fired/cancelled`` stats).
+``schedule_deadline(delay_ms, callback) -> handle``
+    Arm a failure-detection deadline: ``callback()`` runs once, no earlier
+    than ``delay_ms`` from now, unless the handle is cancelled first.  Both
+    backends count these (``deadlines_set/fired/cancelled``).
 
 ``cancel_deadline(handle)``
     Disarm a deadline; must tolerate ``None`` and already-fired handles.
 
-``schedule_task(delay_ms, callback, label) -> handle`` / ``cancel_task(handle)``
+``schedule_task(delay_ms, callback) -> handle`` / ``cancel_task(handle)``
     Same, for ordinary scheduled work (coalescing flushes) that is *not* a
     failure signal and must not pollute deadline statistics.
 
@@ -50,8 +51,8 @@ class ProtocolTransport(abc.ABC):
         """Best-effort delivery of ``message`` toward ``message.receiver``."""
 
     @abc.abstractmethod
-    def schedule_deadline(self, delay_ms: float, callback: Callable[[], None],
-                          label: str = "deadline") -> Any:
+    def schedule_deadline(self, delay_ms: float,
+                          callback: Callable[[], None]) -> Any:
         """Arm a failure-detection deadline; returns a cancellable handle."""
 
     @abc.abstractmethod
@@ -59,8 +60,8 @@ class ProtocolTransport(abc.ABC):
         """Disarm a deadline (idempotent; tolerates ``None``)."""
 
     @abc.abstractmethod
-    def schedule_task(self, delay_ms: float, callback: Callable[[], None],
-                      label: str = "task") -> Any:
+    def schedule_task(self, delay_ms: float,
+                      callback: Callable[[], None]) -> Any:
         """Schedule ordinary work; returns a cancellable handle."""
 
     @abc.abstractmethod

@@ -34,7 +34,6 @@ class _ScheduledEvent:
     time: float
     sequence: int
     callback: EventCallback = field(compare=False)
-    label: str = field(compare=False, default="")
     cancelled: bool = field(compare=False, default=False)
 
 
@@ -101,17 +100,17 @@ class Simulation:
         """Number of events still queued (including cancelled ones not yet popped)."""
         return len(self._queue)
 
-    def schedule(self, delay: float, callback: EventCallback, label: str = "") -> EventHandle:
+    def schedule(self, delay: float, callback: EventCallback) -> EventHandle:
         """Schedule ``callback`` to run ``delay`` time units from now."""
         if delay < 0:
             raise SchedulingError(f"cannot schedule {delay} time units in the past")
-        return self.schedule_at(self._now + delay, callback, label)
+        return self.schedule_at(self._now + delay, callback)
 
-    def schedule_at(self, when: float, callback: EventCallback, label: str = "") -> EventHandle:
+    def schedule_at(self, when: float, callback: EventCallback) -> EventHandle:
         """Schedule ``callback`` to run at absolute virtual time ``when``."""
         if when < self._now:
             raise SchedulingError(f"cannot schedule at {when}, current time is {self._now}")
-        event = _ScheduledEvent(when, next(self._sequence), callback, label)
+        event = _ScheduledEvent(when, next(self._sequence), callback)
         heapq.heappush(self._queue, event)
         return EventHandle(event)
 
@@ -187,23 +186,21 @@ class PeriodicTask:
                  simulation: Simulation,
                  interval: float,
                  callback: EventCallback,
-                 offset: float = 0.0,
-                 label: str = "periodic") -> None:
+                 offset: float = 0.0) -> None:
         if interval <= 0:
             raise SchedulingError(f"periodic interval must be positive, got {interval}")
         self._simulation = simulation
         self._interval = interval
         self._callback = callback
-        self._label = label
         self._stopped = False
-        self._handle = simulation.schedule(offset if offset > 0 else interval, self._fire, label)
+        self._handle = simulation.schedule(offset if offset > 0 else interval, self._fire)
 
     def _fire(self) -> None:
         if self._stopped:
             return
         self._callback()
         if not self._stopped:
-            self._handle = self._simulation.schedule(self._interval, self._fire, self._label)
+            self._handle = self._simulation.schedule(self._interval, self._fire)
 
     def stop(self) -> None:
         """Stop the recurrence (the currently scheduled firing is cancelled)."""

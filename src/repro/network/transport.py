@@ -186,13 +186,11 @@ class Transport:
             return
 
         delay = self._sample_delay(message)
-        self.simulation.schedule(delay, lambda: self._deliver(message),
-                                 label=f"deliver:{message.msg_type.value}")
+        self.simulation.schedule(delay, lambda: self._deliver(message))
         if self.duplicate_probability and rng.random() < self.duplicate_probability:
             self.stats.duplicated += 1
             extra_delay = delay + self._sample_delay(message)
-            self.simulation.schedule(extra_delay, lambda: self._deliver(message),
-                                     label=f"deliver-dup:{message.msg_type.value}")
+            self.simulation.schedule(extra_delay, lambda: self._deliver(message))
 
     def _sample_delay(self, message: Message) -> float:
         model = self.latency
@@ -213,8 +211,7 @@ class Transport:
     # ------------------------------------------------------------------ #
     # Deadlines
     # ------------------------------------------------------------------ #
-    def schedule_deadline(self, delay_ms: float, callback: Callable[[], None],
-                          label: str = "deadline"):
+    def schedule_deadline(self, delay_ms: float, callback: Callable[[], None]):
         """Schedule a timeout callback ``delay_ms`` from now.
 
         This is the timer primitive of request coordination: coordinators
@@ -230,7 +227,7 @@ class Transport:
             self.stats.deadlines_fired += 1
             callback()
 
-        return self.simulation.schedule(delay_ms, fire, label=label)
+        return self.simulation.schedule(delay_ms, fire)
 
     def cancel_deadline(self, handle) -> None:
         """Disarm a deadline (idempotent; None is tolerated for convenience)."""
@@ -242,15 +239,14 @@ class Transport:
     # ------------------------------------------------------------------ #
     # Plain scheduled work (not a failure-detection deadline)
     # ------------------------------------------------------------------ #
-    def schedule_task(self, delay_ms: float, callback: Callable[[], None],
-                      label: str = "task"):
+    def schedule_task(self, delay_ms: float, callback: Callable[[], None]):
         """Schedule ordinary work ``delay_ms`` from now.
 
         Unlike :meth:`schedule_deadline` this carries no deadline statistics:
         it is the primitive behind coalescing windows and similar scheduled
         work, where firing is the normal case rather than a failure signal.
         """
-        return self.simulation.schedule(delay_ms, callback, label=label)
+        return self.simulation.schedule(delay_ms, callback)
 
     def cancel_task(self, handle) -> None:
         """Disarm a scheduled task (idempotent; None is tolerated)."""

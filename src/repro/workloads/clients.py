@@ -118,8 +118,7 @@ class ClosedLoopClient:
     def start(self, initial_delay_ms: Optional[float] = None) -> None:
         """Schedule the driver's first operation."""
         delay = initial_delay_ms if initial_delay_ms is not None else self._think_time()
-        self.cluster.simulation.schedule(delay, self._next_operation,
-                                         label=f"client-loop:{self.client.client_id}")
+        self.cluster.simulation.schedule(delay, self._next_operation)
 
     def stop(self) -> None:
         """Stop issuing new operations (in-flight ones still complete)."""
@@ -177,8 +176,7 @@ class ClosedLoopClient:
     def _after_operation(self) -> None:
         if self._stopped:
             return
-        self.cluster.simulation.schedule(self._think_time(), self._next_operation,
-                                         label=f"client-loop:{self.client.client_id}")
+        self.cluster.simulation.schedule(self._think_time(), self._next_operation)
 
     def _think_time(self) -> float:
         if self.config.think_time_ms == 0:

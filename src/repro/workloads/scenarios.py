@@ -504,8 +504,7 @@ def run_churn_scenario(name: str, mechanism: CausalityMechanism, tracer=None,
         nodes = [cluster.placement.primary_replicas(hot_key)[int(item[len("primary:"):])]
                  if item.startswith("primary:") else item
                  for item in target.split(",") if item]
-        cluster.simulation.schedule_at(at_ms, lambda: act(action, nodes),
-                                       label=f"{spec.name}:{action}:{target}")
+        cluster.simulation.schedule_at(at_ms, lambda: act(action, nodes))
 
     for fraction, action, target in spec.faults:
         schedule(spec.duration_ms * fraction, action, target)
@@ -532,7 +531,7 @@ def run_churn_scenario(name: str, mechanism: CausalityMechanism, tracer=None,
     if spec.sample_every_ms:
         at_ms = spec.sample_every_ms
         while at_ms < spec.duration_ms:
-            cluster.simulation.schedule_at(at_ms, sample, label="sibling-sample")
+            cluster.simulation.schedule_at(at_ms, sample)
             at_ms += spec.sample_every_ms
 
     config = ClosedLoopConfig(

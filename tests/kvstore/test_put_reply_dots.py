@@ -17,6 +17,7 @@ client fails over and both coordinators answer.
 
 from __future__ import annotations
 
+import asyncio
 import random
 from typing import Dict, List, Tuple
 
@@ -25,7 +26,8 @@ import pytest
 from repro.clocks import create
 from repro.cluster import QuorumConfig
 from repro.core import Dot
-from repro.kvstore import SimulatedCluster
+from repro.kvstore import (
+    AsyncClusterClient, AsyncioCluster, ClusterCore, SimulatedCluster)
 from repro.network.message import Message, MessageType
 
 KEYS = ("hot", "warm")
@@ -137,3 +139,32 @@ def test_absorbed_put_reply_gets_the_dots_of_its_coordinators_state(
     assert log.take_reply(dropped[0].msg_id) == noted[dropped[0].msg_id]
     for msg_id in noted:
         assert log.take_reply(msg_id) == ()
+
+
+def test_a_served_core_notes_no_dots_for_a_foreign_clients_replies():
+    """A ``serve`` process hosts no client, so no reply's dots are ever taken
+    from its log: it must not note them (one entry per PUT, forever)."""
+    async def scenario():
+        served = AsyncioCluster(create("dvv"), server_ids=("A", "B", "C"),
+                                anti_entropy_interval_ms=None,
+                                hint_replay_interval_ms=None)
+        async with served:
+            # The client's own process, as ``connect`` builds it: a bare core
+            # describing the served cluster, with a write log of its own.
+            core = ClusterCore(create("dvv"), served.server_ids, served.quorum)
+            client = AsyncClusterClient("c1", core, served.address_book)
+            await client.start()
+            try:
+                for step in range(6):
+                    assert await client.put("cart", f"v{step}") is not None
+                local = await served.client("c2")
+                assert await local.put("cart", "local") is not None
+            finally:
+                await client.close()
+            return served.write_log, core.write_log, len(served.write_log)
+
+    served_log, client_log, writes = asyncio.run(scenario())
+    assert writes == 7
+    # The in-process client took its reply's dots; nothing else was noted.
+    assert served_log._replies == {}
+    assert client_log._replies == {}

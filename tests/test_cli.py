@@ -212,6 +212,31 @@ class TestClusterCommandAsyncio:
         assert main(self.ARGS + ["--backend", "asyncio"]) == 1
         assert re.search(r"^converged +no$", capsys.readouterr().out, re.MULTILINE)
 
+    @pytest.mark.parametrize("backend", ["sim", "asyncio"])
+    def test_audit_of_a_real_run_finds_nothing_and_exits_0(self, capsys, backend):
+        assert main(self.ARGS + ["--backend", backend, "--audit", "16"]) == 0
+        output = capsys.readouterr().out
+        assert re.search(r"^audit keys checked +[1-9]\d*$", output, re.MULTILINE)
+        assert re.search(r"^audit mismatches +0$", output, re.MULTILINE)
+
+    @pytest.mark.parametrize("backend", ["sim", "asyncio"])
+    def test_audit_mismatch_exits_1(self, capsys, monkeypatch, backend):
+        from repro.kvstore.server import StorageNode
+
+        audit = StorageNode.audit_merkle_index
+
+        def one_stale_key(self, sample_size=64, rng=None):
+            report = dict(audit(self, sample_size=sample_size, rng=rng))
+            report["mismatches"] += 1
+            return report
+
+        monkeypatch.setattr(StorageNode, "audit_merkle_index", one_stale_key)
+        assert main(self.ARGS + ["--backend", backend, "--audit", "16"]) == 1
+        captured = capsys.readouterr()
+        # One per server (three by default), each named in the table.
+        assert re.search(r"^audit mismatches +3$", captured.out, re.MULTILINE)
+        assert "disagree with their node's Merkle index" in captured.err
+
 
 class TestChurnCommand:
     def test_elasticity_scenario(self, capsys):
