@@ -1,6 +1,6 @@
 """Cluster substrate: consistent hashing, membership and replica placement."""
 
-from .membership import Membership, MembershipListener, NodeInfo, NodeStatus
+from .membership import Membership, NodeInfo, NodeStatus
 from .preference_list import PlacementService, QuorumConfig
 from .ring import (
     PARTITION_COUNT,
@@ -16,7 +16,6 @@ __all__ = [
     "PARTITION_COUNT",
     "ConsistentHashRing",
     "Membership",
-    "MembershipListener",
     "NodeInfo",
     "NodeStatus",
     "PartitionMap",

@@ -4,26 +4,19 @@ The membership view answers two questions the request path needs: which
 physical nodes exist (so the ring can be built) and which of them are
 currently reachable (so coordinators can skip down nodes and, with sloppy
 quorums, pick fallback replicas).  The view is dynamic: nodes can be added
-and removed at runtime (elastic clusters), and every mutation bumps a
-version counter and notifies subscribed listeners, which is how the
-simulated cluster's background daemons (anti-entropy pair scheduling, hinted
-handoff replay) learn about joins, departures, crashes and recoveries
-without polling.
+and removed at runtime (elastic clusters) and marked down and up as they
+crash and recover.  The cluster that makes a change acts on it itself; the
+view only records it.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List
+from typing import Dict, Iterable, List
 
 from ..core.exceptions import ConfigurationError
 from .topology import DEFAULT_DC, Topology
-
-#: Listener signature: ``callback(node_id, event)`` with event one of
-#: ``"added"``, ``"removed"``, ``"up"``, ``"down"``.
-MembershipListener = Callable[[str, str], None]
-
 
 class NodeStatus(enum.Enum):
     """Liveness state of a node as seen by the membership view."""
@@ -59,24 +52,9 @@ class Membership:
     def __init__(self, nodes: Iterable[str] = (),
                  topology: "Topology | None" = None) -> None:
         self._nodes: Dict[str, NodeInfo] = {}
-        self._listeners: List[MembershipListener] = []
         self.topology = topology
-        #: Monotonic view version, bumped on every mutation.
-        self.version = 0
         for node in nodes:
             self.add(node)
-
-    # ------------------------------------------------------------------ #
-    # Change notification
-    # ------------------------------------------------------------------ #
-    def subscribe(self, listener: MembershipListener) -> None:
-        """Register a callback invoked after every membership mutation."""
-        self._listeners.append(listener)
-
-    def _notify(self, node_id: str, event: str) -> None:
-        self.version += 1
-        for listener in self._listeners:
-            listener(node_id, event)
 
     # ------------------------------------------------------------------ #
     # Mutation
@@ -92,26 +70,18 @@ class Membership:
         elif self.topology is not None:
             self.topology.assign(node_id, dc)
         self._nodes[node_id] = NodeInfo(node_id, dc=dc)
-        self._notify(node_id, "added")
 
     def remove(self, node_id: str) -> None:
         """Remove a node from the membership entirely."""
-        if self._nodes.pop(node_id, None) is not None:
-            self._notify(node_id, "removed")
+        self._nodes.pop(node_id, None)
 
     def mark_down(self, node_id: str) -> None:
         """Mark a node as unreachable (crash / partition from everyone)."""
-        info = self._require(node_id)
-        if info.status is not NodeStatus.DOWN:
-            info.status = NodeStatus.DOWN
-            self._notify(node_id, "down")
+        self._require(node_id).status = NodeStatus.DOWN
 
     def mark_up(self, node_id: str) -> None:
         """Mark a node as reachable again."""
-        info = self._require(node_id)
-        if info.status is not NodeStatus.UP:
-            info.status = NodeStatus.UP
-            self._notify(node_id, "up")
+        self._require(node_id).status = NodeStatus.UP
 
     def _require(self, node_id: str) -> NodeInfo:
         try:
@@ -138,10 +108,6 @@ class Membership:
     def dc_of(self, node_id: str) -> str:
         """The datacenter a member lives in."""
         return self._require(node_id).dc
-
-    def status(self, node_id: str) -> NodeStatus:
-        """The liveness status of ``node_id``."""
-        return self._require(node_id).status
 
     def __contains__(self, node_id: str) -> bool:
         return node_id in self._nodes

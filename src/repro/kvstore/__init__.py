@@ -49,7 +49,7 @@ from .read_repair import ReadRepairStats, RepairPlan, plan_read_repair
 from .server import Hint, StorageNode
 from .simulated import SimulatedClient, SimulatedCluster
 from .protocol import MerkleSyncStats, RequestRecord, default_value_size
-from .storage import NodeStorage, VnodeStore
+from .storage import NodeStorage
 from .sync_store import SyncReplicatedStore
 from .write_log import WriteLog, WriteRecord
 
@@ -79,7 +79,6 @@ __all__ = [
     "SyncReplicatedStore",
     "UnionMerge",
     "VnodeIndexSet",
-    "VnodeStore",
     "WriteLog",
     "WriteRecord",
     "bucket_path",

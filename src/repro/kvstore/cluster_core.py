@@ -320,7 +320,7 @@ class ClusterCore:
     def hint_replay_tick(self) -> None:
         """Replay the hints of every up server that holds any, in id order."""
         holders = [server for server_id, server in sorted(self.servers.items())
-                   if server.node.pending_hints() > 0
+                   if server.node.storage.pending_hints() > 0
                    and self.membership.is_up(server_id)]
         for server in holders:
             self._daemon_step(server, server.replay_hints)
@@ -389,7 +389,7 @@ class ClusterCore:
         for server in self.servers.values():
             for name, value in server.node.stats.items():
                 totals[name] = totals.get(name, 0) + value
-        totals["pending_hints"] = sum(server.node.pending_hints()
+        totals["pending_hints"] = sum(server.node.storage.pending_hints()
                                       for server in self.servers.values())
         return totals
 

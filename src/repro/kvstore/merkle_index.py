@@ -23,9 +23,9 @@ produced them.
 Riak layout, where each partition carries its own hashtree:
 
 * every :class:`~repro.kvstore.server.StorageNode` builds one
-  :class:`VnodeIndexSet`, whose member :class:`MerkleIndex` per range
-  subscribes to that vnode's
-  :class:`~repro.kvstore.storage.NodeStorage` mutation stream, so **every**
+  :class:`VnodeIndexSet` and its :class:`~repro.kvstore.storage.NodeStorage`
+  with it; the disk calls the mutated key's range tree
+  (:meth:`MerkleIndex.on_state_changed`) on every put and drop, so **every**
   path that changes a key's sibling set — client writes, replica merges,
   read repair, Merkle-delta transfers, hint replay, rebalancing handoff —
   reaches it;
@@ -52,7 +52,8 @@ Riak layout, where each partition carries its own hashtree:
 * the index shares its owner's durability: a crash-restart rebuilds it from
   the surviving :class:`NodeStorage` contents
   (:meth:`VnodeIndexSet.rebuild` — per vnode, so only ranges that actually
-  hold keys pay), a disk wipe empties it (:meth:`VnodeIndexSet.reset`).
+  hold keys pay), a disk wipe empties it (:meth:`VnodeIndexSet.reset`, which
+  :meth:`NodeStorage.wipe` calls).
 
 Maintenance cost is observable through the counters the index increments in
 the owning node's stats dict — ``keys_hashed`` (fingerprints computed, at
@@ -176,11 +177,11 @@ class MerkleIndex:
         self._dirty: Set[Tuple[int, ...]] = set()
 
     # ------------------------------------------------------------------ #
-    # Mutation tracking (per-vnode NodeStorage listener)
+    # Mutation tracking (called by the owning NodeStorage)
     # ------------------------------------------------------------------ #
     def on_state_changed(self, key: str, state: Any,
                          fingerprint: Optional[bytes] = None) -> None:
-        """Storage listener: note one key's new state; hash it when read.
+        """Note one key's new state; hash it when read.
 
         ``state`` is the key's new mechanism state, or ``None``/empty when the
         key was dropped.  A live state is only recorded: the key is
@@ -381,11 +382,11 @@ class MerkleIndex:
 class VnodeIndexSet:
     """One :class:`MerkleIndex` per vnode range — Riak's per-partition trees.
 
-    The set subscribes each member index to its partition's mutation stream
-    (:meth:`attach`), so a write only ever touches the tree of the range it
-    lands in.  Per-range anti-entropy compares and descends a single range
-    through :meth:`partition_root` and :meth:`index_for`; the restart, wipe
-    and handoff paths use the whole-node ``fingerprint`` / ``flush`` /
+    The node's :class:`NodeStorage` calls the member index of the partition
+    a write lands in, so a write only ever touches that range's tree.
+    Per-range anti-entropy compares and descends a single range through
+    :meth:`partition_root` and :meth:`index_for`; the restart, wipe and
+    handoff paths use the whole-node ``fingerprint`` / ``flush`` /
     ``rebuild`` / ``reset`` / ``audit``.
 
     All member indexes share one ``counters`` mapping, so maintenance cost
@@ -428,14 +429,6 @@ class VnodeIndexSet:
             self.indexes[partition_id].rebuild_from(items)
         else:
             self.indexes[partition_id].reset()
-
-    # ------------------------------------------------------------------ #
-    # Storage attachment (listener plumbing)
-    # ------------------------------------------------------------------ #
-    def attach(self, storage: NodeStorage) -> None:
-        """Subscribe each member index to its partition's mutation stream."""
-        for partition_id, index in self.indexes.items():
-            storage.subscribe_vnode(partition_id, index.on_state_changed)
 
     # ------------------------------------------------------------------ #
     # Whole-node surface

@@ -42,8 +42,9 @@ class HintReplayer:
         """
         node = self._node
         env = node.env
+        storage = node.store.storage
         batches = 0
-        for target_id in node.store.hint_targets():
+        for target_id in storage.hint_targets():
             if not env.can_reach(node.node_id, target_id):
                 continue
             if node.now < self.next_attempt.get(target_id, 0.0):
@@ -56,7 +57,7 @@ class HintReplayer:
                     node.now
                     + node.latency.ewma[target_id] * HINT_BACKOFF_MULTIPLIER
                 )
-            hints = node.store.hints_for(target_id)
+            hints = storage.hints_for(target_id)
             tracer = node.tracer
             for chunk in chunked(hints, SYNC_BATCH_SIZE):
                 if tracer.enabled:
@@ -98,7 +99,7 @@ class HintReplayer:
         )))
 
     def on_hint_ack(self, message: Message) -> None:
-        self._node.store.clear_hints(message.sender, message.payload["hint_ids"])
+        self._node.store.storage.clear_hints(message.sender, message.payload["hint_ids"])
 
     def on_recover(self) -> None:
         """Forget backoff state (process memory died with the crash)."""

@@ -1,15 +1,15 @@
 """Storage node: the replica-local half of the store.
 
 A :class:`StorageNode` owns a :class:`~repro.kvstore.storage.NodeStorage` and
-the :class:`~repro.kvstore.merkle_index.VnodeIndexSet` it builds over it —
-one write-maintained hash tree per vnode range, subscribed to that range's
-mutations — and executes the replica-local steps of the protocol: read a
-key's state, apply a coordinated write through the causality mechanism,
-merge a remote replica's state.  It knows nothing about quorums, placement or
-the network; the synchronous store (:mod:`repro.kvstore.sync_store`) calls it
-directly, and there the index only records written states, because nothing
-reads its digests; the protocol node
-(:mod:`repro.kvstore.protocol.node`) wraps it in message handlers.
+the :class:`~repro.kvstore.merkle_index.VnodeIndexSet` the disk tells of
+every mutation — one write-maintained hash tree per vnode range — and
+executes the replica-local steps of the protocol: read a key's state, apply
+a coordinated write through the causality mechanism, merge a remote
+replica's state.  It knows nothing about quorums, placement or the network;
+the synchronous store (:mod:`repro.kvstore.sync_store`) calls it directly,
+and there the index only records written states, because nothing reads its
+digests; the protocol node (:mod:`repro.kvstore.protocol.node`) wraps it in
+message handlers.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ class StorageNode:
                  partition_map: PartitionMap = PartitionMap(1)) -> None:
         self.node_id = node_id
         self.mechanism = mechanism
-        self.storage = NodeStorage(mechanism, partition_map=partition_map)
         #: Operation counters for diagnostics and reports.  ``merges`` counts
         #: ordinary replication/read-repair merges only; hint replays, Merkle
         #: anti-entropy transfers and rebalancing handoffs have their own
@@ -67,7 +66,7 @@ class StorageNode:
         #: key's range tree.
         self.merkle_index = VnodeIndexSet(mechanism, partition_map=partition_map,
                                           counters=self.stats)
-        self.merkle_index.attach(self.storage)
+        self.storage = NodeStorage(mechanism, self.merkle_index, partition_map)
         # Set by a clean shutdown, consumed (or voided) by the next restart,
         # wipe or mutation: "the flushed index still matches the disk".
         self._index_clean = False
@@ -119,8 +118,8 @@ class StorageNode:
 
         A merge that changes nothing stores nothing: when ``remote_state`` is
         the stored state, or the merge result equals it, the stored state is
-        returned as it is (counted in ``merges_unchanged``) and no listener
-        hears of it, so the Merkle index has nothing to re-hash.
+        returned as it is (counted in ``merges_unchanged``) and the disk is
+        not written, so the Merkle index has nothing to re-hash.
 
         When the stored state is the one this method last stored or kept,
         it is a merge result, and the mechanism's ``absorb`` folds the remote
@@ -154,23 +153,20 @@ class StorageNode:
 
         With ``partition`` given, only that vnode's key states (and the hints
         for keys in its range) are dropped; the other vnodes survive intact.
-        The index hears the per-key drops through the mutation stream, so
-        only the wiped range's tree empties.
+        The disk tells the wiped range's tree of each drop, so only that
+        tree empties.
 
-        With no partition, the whole disk is replaced (hints and key states
-        lost).  The Merkle index summarises the disk, so it is emptied with
-        it — a wiped node's tree must advertise "I hold nothing" or
+        With no partition, the whole disk is cleared in place (hints and key
+        states lost).  The Merkle index summarises the disk, so it is emptied
+        with it — a wiped node's tree must advertise "I hold nothing" or
         anti-entropy would skip the repopulation it needs.
         """
         self._index_clean = False
         self._merged.clear()
         if partition is not None:
             self.storage.wipe_vnode(partition)
-            return
-        self.storage = NodeStorage(self.mechanism,
-                                   partition_map=self.storage.partition_map)
-        self.merkle_index.reset()
-        self.merkle_index.attach(self.storage)
+        else:
+            self.storage.wipe()
 
     def shutdown(self) -> None:
         """Clean shutdown: flush the Merkle index and mark it durable.
@@ -258,22 +254,6 @@ class StorageNode:
         """
         self.stats["hints_stored"] += 1
         return self.storage.store_hint(target_id, key, state, trace=trace)
-
-    def hints_for(self, target_id: str) -> List[Hint]:
-        """The outstanding hints destined for ``target_id`` (oldest first)."""
-        return self.storage.hints_for(target_id)
-
-    def hint_targets(self) -> List[str]:
-        """Node ids with at least one outstanding hint, sorted."""
-        return self.storage.hint_targets()
-
-    def pending_hints(self) -> int:
-        """Total outstanding hints across all targets."""
-        return self.storage.pending_hints()
-
-    def clear_hints(self, target_id: str, hint_ids: Optional[List[int]] = None) -> None:
-        """Drop acknowledged hints (all of a target's when ``hint_ids`` is None)."""
-        self.storage.clear_hints(target_id, hint_ids)
 
     # ------------------------------------------------------------------ #
     # Accounting

@@ -78,8 +78,8 @@ convergence until a later round.
 
 The trees themselves are **incrementally maintained**, Riak-style: each
 server carries a :class:`~repro.kvstore.merkle_index.VnodeIndexSet` — one
-:class:`~repro.kvstore.merkle_index.MerkleIndex` per vnode range, each
-subscribed to its range's slice of the storage mutation stream — so every
+:class:`~repro.kvstore.merkle_index.MerkleIndex` per vnode range, which the
+node's storage calls for every put and drop in that range — so every
 write path (client puts, replica merges, read repair, Merkle-delta
 transfers, hint replay, rebalancing handoff) marks only the mutated key for
 re-fingerprinting in the one affected range tree, hashed once when that
@@ -114,11 +114,12 @@ post-write state — persisted in the holder's storage layer, so a process
 restart of the holder does not lose it (a wiped disk does).  The
 background hint-replay daemon (a ``PeriodicTask`` calling
 :meth:`~repro.kvstore.cluster_core.ClusterCore.hint_replay_tick`) replays
-hints (``HINT_REPLAY`` / ``HINT_ACK``) once the target is reachable again; a
-membership listener also nudges replay immediately on recovery.  Replay
-targeting consults the per-replica latency EWMAs: a persistently slow peer is
-replayed to once and then backed off for a multiple of its observed round
-trip (``HINT_BACKOFF_MULTIPLIER``) instead of being hammered every tick.
+hints (``HINT_REPLAY`` / ``HINT_ACK``) once the target is reachable again;
+:meth:`SimulatedCluster.recover_node` also nudges replay 0.1 ms after a
+crashed node comes back.  Replay targeting consults the per-replica latency
+EWMAs: a persistently slow peer is replayed to once and then backed off for
+a multiple of its observed round trip (``HINT_BACKOFF_MULTIPLIER``) instead
+of being hammered every tick.
 
 Deadline-driven coordination
 ----------------------------
@@ -235,9 +236,6 @@ class SimulatedCluster(ClusterCore):
         self._daemon_tasks = [
             PeriodicTask(self.simulation, interval_ms, tick)
             for _, interval_ms, tick in self.daemons()]
-        # Nudge hint replay as soon as a node recovers rather than waiting
-        # for the next daemon tick.
-        self.membership.subscribe(self._on_membership_event)
 
     def _add_server(self, server_id: str) -> None:
         server = ServerHost(server_id, self.mechanism, self, self.transport)
@@ -268,17 +266,6 @@ class SimulatedCluster(ClusterCore):
         source = self.servers.get(source_id)
         if source is not None:
             source.start_merkle_sync_with(target_id)
-
-    def _on_membership_event(self, node_id: str, event: str) -> None:
-        if event != "up" or not self.hinted_handoff_enabled:
-            return
-        holders = [server_id for server_id, server in sorted(self.servers.items())
-                   if node_id in server.node.hint_targets()]
-        if holders:
-            self.simulation.schedule(
-                0.1,
-                lambda: [self.servers[server_id].replay_hints()
-                         for server_id in holders if server_id in self.servers])
 
     def fail_node(self, server_id: str) -> None:
         """Crash a server: it stops receiving messages and is marked down."""
@@ -330,6 +317,17 @@ class SimulatedCluster(ClusterCore):
         if not self.transport.is_registered(server_id):
             self.transport.register(server_id, server.handle_message)
         self.membership.mark_up(server_id)
+        if not self.hinted_handoff_enabled:
+            return
+        # Nudge hint replay 0.1 ms after the recovery rather than waiting
+        # for the next daemon tick.
+        holders = [holder_id for holder_id, holder in sorted(self.servers.items())
+                   if server_id in holder.node.storage.hint_targets()]
+        if holders:
+            self.simulation.schedule(
+                0.1,
+                lambda: [self.servers[holder_id].replay_hints()
+                         for holder_id in holders if holder_id in self.servers])
 
     def join_node(self, server_id: str, dc: Optional[str] = None) -> int:
         """Add a new (empty) server to the running cluster.
@@ -419,7 +417,7 @@ class SimulatedCluster(ClusterCore):
         # Hints destined for the removed node can never be replayed; purge
         # them everywhere so they don't sit in the pending counts forever.
         for remaining in self.servers.values():
-            remaining.node.clear_hints(server_id)
+            remaining.node.storage.clear_hints(server_id)
         return handed_off
 
     # ------------------------------------------------------------------ #

@@ -2,31 +2,26 @@
 
 Storage layout
 --------------
-A node's disk is divided into **vnode stores**, one per partition of the
-cluster's :class:`~repro.cluster.ring.PartitionMap` — the Riak layout the
-paper's evaluation ran on, where each partition owns its keys (and its own
-hashtree, see :mod:`repro.kvstore.merkle_index`).  :class:`NodeStorage` is
-the thin **vnode manager** in front of them: it routes every key to its
-partition's :class:`VnodeStore` while preserving the flat key → state API
-callers that don't care about ranges have always used.  Given a
+A node's disk is divided per partition of the cluster's
+:class:`~repro.cluster.ring.PartitionMap` — the Riak layout the paper's
+evaluation ran on, where each partition owns its keys and its own hashtree
+(see :mod:`repro.kvstore.merkle_index`).  :class:`NodeStorage` is that disk:
+one plain ``dict`` of key → mechanism state per partition, behind the flat
+key → state API callers that don't care about ranges use.  Given a
 one-partition map (the synchronous store, unit tests) it is a single vnode
-holding everything.
+holding everything.  Anything kept here survives a process restart, and is
+lost only when it is wiped (:meth:`NodeStorage.wipe_vnode` for one
+partition, :meth:`NodeStorage.wipe` for the whole disk).  Besides get/put
+of states it can report how many metadata entries and encoded bytes the
+causality mechanism is holding (experiment E2's storage-footprint series).
 
-Each :class:`VnodeStore` keeps, per key, the mechanism-specific state
-describing the key's live sibling versions.  The backend is a plain
-dictionary — a stand-in for one partition's slice of the node's disk:
-anything kept here survives a process restart, and is lost only when that
-slice is wiped (:meth:`NodeStorage.wipe_vnode` for one partition,
-replacing the :class:`NodeStorage` wholesale for the whole disk).  Besides
-get/put of states the manager can report, per key and in aggregate, how many
-metadata entries and encoded bytes the causality mechanism is holding
-(experiment E2's storage-footprint series).
-
-Mutation listeners are per vnode: each receives ``(key, state,
-fingerprint)`` for every mutation inside one partition — the node's range
-index (:class:`~repro.kvstore.merkle_index.VnodeIndexSet`) subscribes one per
-range.  The ``fingerprint`` is an optional *maintained digest* riding along
-with the write (vnode handoff ships them), letting the range index adopt it
+The disk is built with its node's
+:class:`~repro.kvstore.merkle_index.VnodeIndexSet` and tells it of every
+mutation: a put or drop calls the key's range tree's
+:meth:`~repro.kvstore.merkle_index.MerkleIndex.on_state_changed` with
+``(key, state, fingerprint)``, and a whole-disk wipe empties every tree.
+The ``fingerprint`` is an optional *maintained digest* riding along with
+the write (vnode handoff ships them), letting the range tree adopt it
 instead of re-hashing the state.
 
 Outstanding hinted-handoff hints also live here, *in the storage layer*,
@@ -43,21 +38,14 @@ up-to-date state instead of a chain of stale ones.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
 from ..clocks.interface import CausalityMechanism
 from ..cluster.ring import PartitionMap
 
-#: A per-vnode mutation listener: called with ``(key, state, fingerprint)``
-#: after every state change inside one partition, where ``state`` is the new
-#: mechanism state or ``None`` when the key was dropped, so every write path
-#: — client puts, replica merges, read repair, hint replay, handoff
-#: ingestion — keeps the range's hash tree current.  ``fingerprint`` is the
-#: maintained state fingerprint supplied by the writer (vnode handoff ships
-#: digests alongside states) or ``None`` when the receiver must hash the
-#: state itself.
-VnodeListener = Callable[[str, Any, Optional[bytes]], None]
+if TYPE_CHECKING:
+    from .merkle_index import VnodeIndexSet
 
 
 @dataclass
@@ -80,37 +68,29 @@ class Hint:
     trace: Any = None
 
 
-@dataclass
-class VnodeStore:
-    """One partition's slice of a node's disk: its key → state map."""
-
-    partition_id: int
-    states: Dict[str, Any] = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-
 class NodeStorage:
-    """The vnode manager: per-partition stores behind the flat key/state API.
+    """A node's disk: one key → state dict per partition, plus hints.
 
     Its :class:`~repro.cluster.ring.PartitionMap` routes every key to its
-    partition's :class:`VnodeStore`; under the default one-partition map a
-    single vnode (partition 0) holds the whole key space.  Durable hints are
-    node-level — they are obligations *to other nodes*, keyed by replay
-    target — but share the fate of the vnode their key lives in.
+    partition's dict; under a one-partition map a single vnode (partition 0)
+    holds the whole key space.  Every mutation reaches the key's range tree
+    in ``index``.  Durable hints are node-level — they are obligations *to
+    other nodes*, keyed by replay target — but share the fate of the vnode
+    their key lives in.
     """
 
     def __init__(self,
                  mechanism: CausalityMechanism,
-                 partition_map: PartitionMap = PartitionMap(1)) -> None:
+                 index: VnodeIndexSet,
+                 partition_map: PartitionMap) -> None:
         self._mechanism = mechanism
+        self._index = index
         #: The range ↔ vnode mapping every key is routed by.
         self.partition_map = partition_map
-        self._vnodes: Dict[int, VnodeStore] = {}
+        self._vnodes: Dict[int, Dict[str, Any]] = {
+            partition_id: {} for partition_id in partition_map.partition_ids()}
         self._hints: Dict[str, List[Hint]] = {}
         self._hint_ids = itertools.count(1)
-        self._vnode_listeners: Dict[int, List[VnodeListener]] = {}
 
     # ------------------------------------------------------------------ #
     # Partition routing
@@ -121,35 +101,31 @@ class NodeStorage:
 
     def vnode_keys(self, partition_id: int) -> List[str]:
         """The keys held by one vnode, sorted."""
-        vnode = self._vnodes.get(partition_id)
-        return sorted(vnode.states) if vnode is not None else []
+        return sorted(self._vnodes[partition_id])
 
     def vnode_items(self, partition_id: int) -> List[Tuple[str, Any]]:
         """``(key, state)`` pairs held by one vnode, in key order."""
-        vnode = self._vnodes.get(partition_id)
-        if vnode is None:
-            return []
-        return [(key, vnode.states[key]) for key in sorted(vnode.states)]
+        states = self._vnodes[partition_id]
+        return [(key, states[key]) for key in sorted(states)]
 
     def vnode_len(self, partition_id: int) -> int:
         """Number of keys held by one vnode."""
-        vnode = self._vnodes.get(partition_id)
-        return len(vnode) if vnode is not None else 0
+        return len(self._vnodes[partition_id])
 
     def wipe_vnode(self, partition_id: int) -> int:
         """Lose one partition's slice of the disk; returns keys dropped.
 
-        The vnode's key states are removed (listeners see each drop, so the
-        node's index empties that range), and hints whose key lived in the
-        partition are lost with it — they were stored in the same slice.
-        Other vnodes are untouched.
+        The vnode's key states are removed (its range tree hears each drop
+        and empties), and hints whose key lived in the partition are lost
+        with it — they were stored in the same slice.  Other vnodes are
+        untouched.
         """
-        vnode = self._vnodes.pop(partition_id, None)
-        dropped = sorted(vnode.states) if vnode is not None else []
-        if vnode is not None:
-            vnode.states.clear()
+        states = self._vnodes[partition_id]
+        dropped = sorted(states)
+        states.clear()
+        index = self._index.indexes[partition_id]
         for key in dropped:
-            self._notify(partition_id, key, None)
+            index.on_state_changed(key, None)
         for target_id in list(self._hints):
             kept = [hint for hint in self._hints[target_id]
                     if self.partition_map.partition_of(hint.key) != partition_id]
@@ -159,39 +135,25 @@ class NodeStorage:
                 self._hints.pop(target_id)
         return len(dropped)
 
-    # ------------------------------------------------------------------ #
-    # Mutation listeners
-    # ------------------------------------------------------------------ #
-    def subscribe_vnode(self, partition_id: int, listener: VnodeListener) -> None:
-        """Register a per-vnode callback for one partition's mutations.
+    def wipe(self) -> None:
+        """Lose the whole disk: every key state, every hint, every tree.
 
-        The listener receives ``(key, state, fingerprint)``; ``fingerprint``
-        is the writer-supplied maintained digest or ``None``.  Listeners
-        belong to the process, not the disk: a replaced storage starts with
-        none.
+        Hint ids restart at 1, as a fresh disk's do.
         """
-        listeners = self._vnode_listeners.setdefault(partition_id, [])
-        if listener not in listeners:
-            listeners.append(listener)
-
-    def _notify(self, partition_id: int, key: str, state: Any,
-                fingerprint: Optional[bytes] = None) -> None:
-        for listener in self._vnode_listeners.get(partition_id, ()):
-            listener(key, state, fingerprint)
+        for states in self._vnodes.values():
+            states.clear()
+        self._hints.clear()
+        self._hint_ids = itertools.count(1)
+        self._index.reset()
 
     # ------------------------------------------------------------------ #
     # State access
     # ------------------------------------------------------------------ #
-    @property
-    def mechanism(self) -> CausalityMechanism:
-        """The causality mechanism whose states this node stores."""
-        return self._mechanism
-
     def get_state(self, key: str) -> Any:
         """The stored state for ``key`` (the mechanism's empty state when absent)."""
-        vnode = self._vnodes.get(self.partition_map.partition_of(key))
-        if vnode is not None and key in vnode.states:
-            return vnode.states[key]
+        states = self._vnodes[self.partition_map.partition_of(key)]
+        if key in states:
+            return states[key]
         return self._mechanism.empty_state()
 
     def put_state(self, key: str, state: Any,
@@ -199,58 +161,43 @@ class NodeStorage:
         """Replace the stored state for ``key`` (dropping it when empty).
 
         ``fingerprint`` optionally passes the state's maintained Merkle
-        fingerprint through to per-vnode listeners — vnode handoff uses this
-        so the receiving range index adopts the sender's digest instead of
-        re-hashing the state.
+        fingerprint through to the range tree — vnode handoff uses this so
+        the receiving tree adopts the sender's digest instead of re-hashing
+        the state.
         """
         partition_id = self.partition_map.partition_of(key)
+        index = self._index.indexes[partition_id]
         if self._mechanism.is_empty(state):
-            vnode = self._vnodes.get(partition_id)
-            if vnode is not None:
-                vnode.states.pop(key, None)
-                if not vnode.states:
-                    self._vnodes.pop(partition_id)
-            self._notify(partition_id, key, None)
+            self._vnodes[partition_id].pop(key, None)
+            index.on_state_changed(key, None)
         else:
-            vnode = self._vnodes.get(partition_id)
-            if vnode is None:
-                vnode = self._vnodes[partition_id] = VnodeStore(partition_id)
-            vnode.states[key] = state
-            self._notify(partition_id, key, state, fingerprint)
+            self._vnodes[partition_id][key] = state
+            index.on_state_changed(key, state, fingerprint)
 
     def delete(self, key: str) -> None:
         """Remove a key entirely."""
         partition_id = self.partition_map.partition_of(key)
-        vnode = self._vnodes.get(partition_id)
-        if vnode is not None:
-            vnode.states.pop(key, None)
-            if not vnode.states:
-                self._vnodes.pop(partition_id)
-        self._notify(partition_id, key, None)
+        self._vnodes[partition_id].pop(key, None)
+        self._index.indexes[partition_id].on_state_changed(key, None)
 
     def has_key(self, key: str) -> bool:
         """True iff the node holds live versions for ``key``."""
-        vnode = self._vnodes.get(self.partition_map.partition_of(key))
-        return vnode is not None and key in vnode.states
+        return key in self._vnodes[self.partition_map.partition_of(key)]
 
     def keys(self) -> List[str]:
         """All keys with live versions across every vnode, sorted."""
-        return sorted(key for vnode in self._vnodes.values()
-                      for key in vnode.states)
+        return sorted(key for states in self._vnodes.values() for key in states)
 
     def items(self) -> Iterator[Tuple[str, Any]]:
         """Iterate ``(key, state)`` pairs across every vnode, in key order."""
         merged: Dict[str, Any] = {}
-        for vnode in self._vnodes.values():
-            merged.update(vnode.states)
+        for states in self._vnodes.values():
+            merged.update(states)
         for key in sorted(merged):
             yield key, merged[key]
 
     def __len__(self) -> int:
-        return sum(len(vnode) for vnode in self._vnodes.values())
-
-    def __contains__(self, key: str) -> bool:
-        return self.has_key(key)
+        return sum(len(states) for states in self._vnodes.values())
 
     # ------------------------------------------------------------------ #
     # Durable hints (hinted handoff)
@@ -304,26 +251,21 @@ class NodeStorage:
     # ------------------------------------------------------------------ #
     # Metadata accounting
     # ------------------------------------------------------------------ #
-    def sibling_count(self, key: str) -> int:
-        """Number of live sibling versions stored for ``key``."""
-        return len(self._mechanism.siblings(self.get_state(key)))
-
     def metadata_entries(self, key: Optional[str] = None) -> int:
         """Causality-metadata entries stored for one key or for the whole node."""
         if key is not None:
             return self._mechanism.metadata_entries(self.get_state(key))
         return sum(self._mechanism.metadata_entries(state)
-                   for vnode in self._vnodes.values()
-                   for state in vnode.states.values())
+                   for states in self._vnodes.values()
+                   for state in states.values())
 
     def metadata_bytes(self, key: Optional[str] = None) -> int:
         """Encoded causality-metadata bytes stored for one key or for the whole node."""
         if key is not None:
             return self._mechanism.metadata_bytes(self.get_state(key))
         return sum(self._mechanism.metadata_bytes(state)
-                   for vnode in self._vnodes.values()
-                   for state in vnode.states.values())
+                   for states in self._vnodes.values()
+                   for state in states.values())
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
-        return (f"NodeStorage(mechanism={self._mechanism.name!r}, "
-                f"keys={len(self)}, vnodes={len(self._vnodes)})")
+        return f"NodeStorage(mechanism={self._mechanism.name!r}, keys={len(self)})"

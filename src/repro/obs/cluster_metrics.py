@@ -132,6 +132,6 @@ def _per_node(cluster: Any) -> Dict[str, Dict[str, int]]:
     per_node: Dict[str, Dict[str, int]] = {}
     for node_id, server in cluster.servers.items():
         stats = dict(server.node.stats)
-        stats["pending_hints"] = server.node.pending_hints()
+        stats["pending_hints"] = server.node.storage.pending_hints()
         per_node[node_id] = stats
     return per_node

@@ -7,7 +7,6 @@ import pytest
 from repro.cluster import (
     ConsistentHashRing,
     Membership,
-    NodeStatus,
     PlacementService,
     QuorumConfig,
 )
@@ -19,7 +18,6 @@ class TestMembership:
         membership = Membership(["A", "B"])
         assert membership.nodes() == ["A", "B"]
         assert membership.is_up("A")
-        assert membership.status("A") is NodeStatus.UP
 
     def test_mark_down_and_up(self):
         membership = Membership(["A", "B"])
@@ -34,7 +32,7 @@ class TestMembership:
         with pytest.raises(ConfigurationError):
             membership.mark_down("Z")
         with pytest.raises(ConfigurationError):
-            membership.status("Z")
+            membership.mark_up("Z")
 
     def test_duplicate_add_rejected(self):
         membership = Membership(["A"])
@@ -46,29 +44,6 @@ class TestMembership:
         membership.remove("A")
         assert "A" not in membership
         assert len(membership) == 1
-
-    def test_version_bumps_on_every_mutation(self):
-        membership = Membership(["A", "B"])
-        version = membership.version
-        membership.mark_down("A")
-        assert membership.version == version + 1
-        membership.mark_down("A")            # no-op: already down
-        assert membership.version == version + 1
-        membership.mark_up("A")
-        membership.add("C")
-        membership.remove("C")
-        assert membership.version == version + 4
-
-    def test_listeners_observe_churn(self):
-        events = []
-        membership = Membership(["A"])
-        membership.subscribe(lambda node_id, event: events.append((node_id, event)))
-        membership.add("B")
-        membership.mark_down("B")
-        membership.mark_up("B")
-        membership.remove("B")
-        membership.remove("B")               # no-op: already gone
-        assert events == [("B", "added"), ("B", "down"), ("B", "up"), ("B", "removed")]
 
 
 class TestQuorumConfig:

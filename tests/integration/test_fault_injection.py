@@ -204,7 +204,7 @@ class TestCoordinatorCrashWithHints:
         cluster.run(until=cluster.simulation.now + 200.0)
 
         holders = [server_id for server_id, server in cluster.servers.items()
-                   if server.node.pending_hints() > 0]
+                   if server.node.storage.pending_hints() > 0]
         assert holders, "expected coordinators to hold hints for the down replica"
         total_hints = sum(server.node.stats["hints_stored"]
                           for server in cluster.servers.values())
@@ -217,13 +217,13 @@ class TestCoordinatorCrashWithHints:
         cluster.run(until=cluster.simulation.now + 10.0)
         for holder in holders:
             cluster.recover_node(holder)
-            assert cluster.servers[holder].node.pending_hints() > 0
+            assert cluster.servers[holder].node.storage.pending_hints() > 0
 
         # The victim comes back; the restarted holders' hints replay to it.
         cluster.recover_node("n3")
         cluster.run(until=cluster.simulation.now + 90.0)
         assert cluster.servers["n3"].node.stats["hint_replays"] >= len(keys)
-        assert sum(server.node.pending_hints()
+        assert sum(server.node.storage.pending_hints()
                    for server in cluster.servers.values()) == 0
         for key in keys:
             assert f"{key}-while-down" in map(str, cluster.servers["n3"].node.values_of(key))
@@ -243,7 +243,7 @@ class TestCoordinatorCrashWithHints:
             client.get(key, lambda _r, k=key: client.put(k, f"{k}-while-down"))
         cluster.run(until=cluster.simulation.now + 25.0)
         holders = [server_id for server_id, server in cluster.servers.items()
-                   if server.node.pending_hints() > 0]
+                   if server.node.storage.pending_hints() > 0]
         assert holders
 
         # Wipe one holder's disk: its hints go with it.  The write itself
@@ -253,7 +253,7 @@ class TestCoordinatorCrashWithHints:
         cluster.fail_node(wiped)
         cluster.run(until=cluster.simulation.now + 10.0)
         cluster.recover_node(wiped, wipe=True)
-        assert cluster.servers[wiped].node.pending_hints() == 0
+        assert cluster.servers[wiped].node.storage.pending_hints() == 0
 
         cluster.recover_node("n3")
         cluster.converge(max_rounds=20)
@@ -319,7 +319,7 @@ class TestSloppyQuorumWrites:
 
         # Sloppy mode parked the write on fallback nodes with hints naming
         # the unreachable primaries.
-        fallback_hints = sum(server.node.pending_hints()
+        fallback_hints = sum(server.node.storage.pending_hints()
                              for server in sloppy_cluster.servers.values())
         assert fallback_hints > 0
 
@@ -339,7 +339,7 @@ class TestSloppyQuorumWrites:
                 reference = values
             else:
                 assert values == reference, f"{server_id} diverged: {values}"
-        assert sum(server.node.pending_hints()
+        assert sum(server.node.storage.pending_hints()
                    for server in sloppy_cluster.servers.values()) == 0
 
     def test_fallback_write_reaches_primary_via_hint_replay(self):
@@ -357,9 +357,9 @@ class TestSloppyQuorumWrites:
         client.get(key, lambda _r: client.put(key, "hinted"))
         cluster.run(until=cluster.simulation.now + 100.0)
 
-        holders = {server_id: server.node.hints_for(victim)
+        holders = {server_id: server.node.storage.hints_for(victim)
                    for server_id, server in cluster.servers.items()
-                   if server.node.hints_for(victim)}
+                   if server.node.storage.hints_for(victim)}
         assert holders, "expected a fallback (or the coordinator) to hold a hint"
         assert all(hint.key == key for hints in holders.values() for hint in hints)
         assert victim not in holders
@@ -368,7 +368,7 @@ class TestSloppyQuorumWrites:
         cluster.run(until=cluster.simulation.now + 100.0)
         assert "hinted" in map(str, cluster.servers[victim].node.values_of(key))
         assert cluster.servers[victim].node.stats["hint_replays"] >= 1
-        assert sum(server.node.pending_hints()
+        assert sum(server.node.storage.pending_hints()
                    for server in cluster.servers.values()) == 0
 
 
@@ -383,12 +383,12 @@ class TestHintReplayToWipedNode:
             client.get(key, lambda _r, k=key: client.put(k, f"{k}-hinted"))
         # two client failovers off n3, then its replica deadline (as above)
         cluster.run(until=cluster.simulation.now + 200.0)
-        pending_before = sum(server.node.pending_hints()
+        pending_before = sum(server.node.storage.pending_hints()
                              for server in cluster.servers.values())
         assert pending_before >= len(keys)
 
         # The victim rejoins with wiped storage; hint replay (nudged by the
-        # membership listener and driven by the daemon) repopulates it.
+        # recovery itself and driven by the daemon) repopulates it.
         cluster.recover_node("n3", wipe=True)
         assert cluster.servers["n3"].node.storage.keys() == []
         cluster.run(until=cluster.simulation.now + 80.0)
@@ -399,7 +399,7 @@ class TestHintReplayToWipedNode:
             assert f"{key}-hinted" in map(str, cluster.servers["n3"].node.values_of(key))
         # Acked hints are cleared, and replays were counted separately from
         # ordinary merges on the receiving node.
-        assert sum(server.node.pending_hints()
+        assert sum(server.node.storage.pending_hints()
                    for server in cluster.servers.values()) == 0
         cluster.converge(max_rounds=20)
         assert cluster.is_converged()

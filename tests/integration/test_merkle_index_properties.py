@@ -7,10 +7,9 @@ randomized churn with fault injection (crash-restart, wiped recovery,
 partitions and heals, hint replay, Merkle-delta transfers, read repair, join
 handoff) and after every step compare each live node's incremental root
 digest against a from-scratch tree (``tests/merkle_reference.py``) on the
-same storage.  Any write path
-that forgets to go through the mutation listener — or any staleness bug in
-the dirty-bucket bookkeeping — shows up as a digest mismatch at the first
-checkpoint after it fires.
+same storage.  Any write path that forgets to tell the range tree — or any
+staleness bug in the dirty-bucket bookkeeping — shows up as a digest
+mismatch at the first checkpoint after it fires.
 
 The index hashes a key only when something reads it, so a second property
 drives writes, merges, drops, imports, flushes and reads in random order and
@@ -92,6 +91,9 @@ _STEP = st.one_of(
     st.tuples(st.just("merge"), _SIDE, _KEY),      # pull the other side's state
     st.tuples(st.just("handoff"), _SIDE, _KEY),    # ... with its fingerprint
     st.tuples(st.just("drop"), _SIDE, _KEY),
+    st.tuples(st.just("wipe"), _SIDE, _KEY),       # the whole disk (key unused)
+    st.tuples(st.just("wipe_range"), _SIDE, _KEY),  # the key's partition only
+    st.tuples(st.just("restart"), _SIDE, _KEY),    # crash-restart (key unused)
 )
 
 
@@ -147,6 +149,10 @@ def assert_descent_surface_matches_rebuild(node: StorageNode,
 
 @settings(max_examples=60, deadline=None)
 @given(steps=st.lists(_STEP, min_size=1, max_size=30))
+@example(steps=[("put", "left", CROWDED[0]), ("put", "left", CROWDED[3]),
+                ("wipe_range", "left", CROWDED[0]), ("restart", "left", CROWDED[0]),
+                ("put", "right", CROWDED[0]), ("merge", "left", CROWDED[0]),
+                ("wipe", "left", CROWDED[0]), ("merge", "left", CROWDED[0])])
 def test_live_descent_queries_equal_a_from_scratch_tree(steps):
     nodes = {"left": ranged_node("L"), "right": ranged_node("R")}
     writers = {side: ClientSession(f"writer-{side}") for side in nodes}
@@ -160,6 +166,12 @@ def test_live_descent_queries_equal_a_from_scratch_tree(steps):
             node.local_write(key, context, writer.prepare_write(key, number))
         elif action == "drop":
             node.storage.delete(key)
+        elif action == "wipe":
+            node.wipe()
+        elif action == "wipe_range":
+            node.wipe(partition=node.storage.partition_map.partition_of(key))
+        elif action == "restart":
+            node.restart()
         elif other.storage.has_key(key):
             fingerprint = (other_index.fingerprint(key)
                            if action == "handoff" else None)
@@ -346,7 +358,7 @@ class TestIndexEqualsRebuildUnderChurn:
         assert_index_matches_rebuild(cluster, context="after convergence")
 
     def test_hint_replay_to_wiped_node_keeps_index_current(self):
-        """Hint replay repopulates a wiped disk *through the index listener*."""
+        """Hint replay repopulates a wiped disk *through its range trees*."""
         cluster = build_cluster("dvv", seed=11)
         client = cluster.client("writer")
         for key in KEYS:
@@ -389,7 +401,7 @@ class TestIndexEqualsRebuildUnderChurn:
         assert_index_matches_rebuild(cluster, context="after decommission")
 
     def test_read_repair_path_keeps_index_current(self):
-        """Batched READ_REPAIR merges flow through the mutation listener."""
+        """Batched READ_REPAIR merges reach the range trees."""
         cluster = build_cluster("dvv", seed=19, hint_replay_interval_ms=None,
                                 quorum=QuorumConfig(n=3, r=3, w=1))
         client = cluster.client("writer")

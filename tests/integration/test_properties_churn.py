@@ -189,7 +189,7 @@ class TestSloppyQuorumConvergence:
         # Every crashed primary is covered by a hint somewhere.
         hinted_targets = set()
         for server in cluster.servers.values():
-            hinted_targets.update(server.node.hint_targets())
+            hinted_targets.update(server.node.storage.hint_targets())
         assert hinted_targets == set(primaries)
 
         # Primaries recover; hint replay + anti-entropy must converge all
@@ -204,7 +204,7 @@ class TestSloppyQuorumConvergence:
             assert "fallback-only" in map(str, server.node.values_of(key)), (
                 f"{mechanism_name}: {server_id} lost the fallback-only write"
             )
-        assert sum(server.node.pending_hints()
+        assert sum(server.node.storage.pending_hints()
                    for server in cluster.servers.values()) == 0
 
     @pytest.mark.parametrize("mechanism_name", ["dvv", "dvvset"])

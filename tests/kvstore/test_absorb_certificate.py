@@ -5,9 +5,9 @@ node vouches by identity: ``stored`` must be the very object ``local_merge``
 last stored or kept for the key.  A client write, a handoff that stores a
 state directly, a direct ``put_state`` and a wipe all replace or drop that
 object, so the next merge runs the full ``merge``.  Since ``absorb`` equals
-``merge``, a simulated run with ``absorb`` replaced by ``merge`` must notify
-the same listeners with the same states and count the same unchanged merges,
-under client VV and under dvv alike.
+``merge``, a simulated run with ``absorb`` replaced by ``merge`` must hand
+the Merkle trees the same states and count the same unchanged merges, under
+client VV and under dvv alike.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ import pytest
 
 from repro.clocks import ClientVVMechanism, DVVMechanism, Sibling, create
 from repro.core import Dot
-from repro.kvstore import NodeStorage, StorageNode
+from repro.kvstore import StorageNode
+from repro.kvstore.merkle_index import MerkleIndex
 from repro.workloads import CHURN_SCENARIOS, run_churn_scenario
 
 
@@ -123,21 +124,21 @@ def test_a_wipe_voids_the_certificate():
 
 def replay(name: str, mechanism_class, monkeypatch):
     """One churn scenario under ``mechanism_class``: its report, every
-    listener call in order, and how many times ``absorb`` ran."""
+    Merkle tree update in order, and how many times ``absorb`` ran."""
     notified, absorbed = [], []
-    notify = NodeStorage._notify
+    on_state_changed = MerkleIndex.on_state_changed
     absorb = mechanism_class.absorb
 
-    def recording_notify(self, partition_id, key, state, fingerprint=None):
-        notified.append((partition_id, key, state, fingerprint))
-        notify(self, partition_id, key, state, fingerprint)
+    def recording_update(self, key, state, fingerprint=None):
+        notified.append((key, state, fingerprint))
+        on_state_changed(self, key, state, fingerprint)
 
     def counting_absorb(self, stored, incoming):
         absorbed.append(stored)
         return absorb(self, stored, incoming)
 
     with monkeypatch.context() as patch:
-        patch.setattr(NodeStorage, "_notify", recording_notify)
+        patch.setattr(MerkleIndex, "on_state_changed", recording_update)
         patch.setattr(mechanism_class, "absorb", counting_absorb)
         report = run_churn_scenario(name, create(mechanism_class.name))
     return report, notified, len(absorbed)

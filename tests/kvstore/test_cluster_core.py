@@ -15,14 +15,14 @@ import os
 
 import pytest
 
-from repro.clocks import create
+from repro.clocks import Sibling, create
 from repro.cluster import QuorumConfig
+from repro.core import Dot
 from repro.core.exceptions import ConfigurationError
 from repro.kvstore import AsyncioCluster, ClusterCore, ServerHost, SimulatedCluster
 from repro.kvstore.client import ClientSession
 from repro.kvstore.protocol import ProtocolNode, SetTimer
 from repro.kvstore.protocol.env import REQUEST_OVERHEAD_BYTES
-from repro.kvstore.server import StorageNode
 from repro.network.message import Message, MessageType
 
 SERVER_IDS = ("A", "B", "C", "D")
@@ -231,11 +231,12 @@ def test_a_single_server_cluster_ticks_without_starting_anything(exchanges):
 
 def test_hint_replay_ticks_every_up_holder_in_id_order(monkeypatch):
     replayed = []
-    monkeypatch.setattr(StorageNode, "pending_hints",
-                        lambda node: 0 if node.node_id == "C" else 1)
     monkeypatch.setattr(ServerHost, "replay_hints",
                         lambda server: replayed.append(server.node_id))
     cluster = idle_cluster("sim", server_ids=("D", "C", "B", "A"))
+    for holder in ("D", "B", "A"):
+        node = cluster.servers[holder].node
+        node.store_hint("C", "k", node.local_write("k", None, Sibling("v", Dot("c", 1))))
     cluster.fail_node("B")
     cluster.hint_replay_tick()
     assert replayed == ["A", "D"]

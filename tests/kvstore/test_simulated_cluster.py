@@ -6,7 +6,7 @@ import pytest
 
 from repro.clocks import ClientVVMechanism, DVVMechanism
 from repro.cluster import QuorumConfig, ring
-from repro.kvstore import ClientSession, SimulatedCluster, default_value_size
+from repro.kvstore import ClientSession, ServerHost, SimulatedCluster, default_value_size
 from repro.kvstore.protocol import anti_entropy, coordinator
 from repro.kvstore.protocol.env import READ_REPAIR_BATCH_MS
 from repro.network import FixedLatency, MessageType, SizeDependentLatency
@@ -111,7 +111,7 @@ class TestAsyncRequestMode:
         cluster.run(until=cluster.simulation.now + 100.0)
         assert outcomes["put"] is not None
         holders = [server_id for server_id, server in cluster.servers.items()
-                   if server.node.hints_for(victim)]
+                   if server.node.storage.hints_for(victim)]
         assert holders and victim not in holders
 
     def test_strict_mode_records_failed_write(self):
@@ -205,7 +205,7 @@ class TestNoMembershipOracle:
         cluster.run(until=cluster.simulation.now + 50.0)
         assert results and results[0].coordinator == candidates[0]
         holders = [server_id for server_id, server in cluster.servers.items()
-                   if server.node.hints_for(victim)]
+                   if server.node.storage.hints_for(victim)]
         assert holders == [candidates[0]]
 
 
@@ -645,7 +645,7 @@ class TestReplicaDeadlines:
         cluster.run(until=cluster.simulation.now + 100.0)
         assert outcomes["put"] is not None
         holders = [server_id for server_id, server in cluster.servers.items()
-                   if server.node.hints_for(victim)]
+                   if server.node.storage.hints_for(victim)]
         assert holders and victim not in holders
 
 
@@ -657,7 +657,7 @@ class TestHintedHandoff:
         client = cluster.client("alice")
         client.put("k", "v1")
         cluster.simulation.run_until_idle()
-        assert sum(s.node.pending_hints() for s in cluster.servers.values()) == 0
+        assert sum(s.node.storage.pending_hints() for s in cluster.servers.values()) == 0
 
         cluster = build_cluster(hint_replay_interval_ms=40.0)
         cluster.fail_node("n3")
@@ -667,10 +667,10 @@ class TestHintedHandoff:
         # over on its 75 ms deadline, and the new coordinator holds the hint
         # when n3's 10 ms replica deadline fires.
         cluster.run(until=cluster.simulation.now + 120.0)
-        holders = [s for s in cluster.servers.values() if s.node.pending_hints()]
+        holders = [s for s in cluster.servers.values() if s.node.storage.pending_hints()]
         assert holders
         assert holders[0].node.stats["hints_stored"] == 1
-        assert holders[0].node.hints_for("n3")[0].key == "k"
+        assert holders[0].node.storage.hints_for("n3")[0].key == "k"
 
     def test_hint_replayed_on_recovery(self):
         cluster = build_cluster(hint_replay_interval_ms=30.0)
@@ -685,7 +685,34 @@ class TestHintedHandoff:
         assert list(map(str, cluster.servers["n3"].node.values_of("k"))) == ["v1"]
         assert cluster.servers["n3"].node.stats["hint_replays"] == 1
         # acked hints are cleared everywhere
-        assert sum(s.node.pending_hints() for s in cluster.servers.values()) == 0
+        assert sum(s.node.storage.pending_hints() for s in cluster.servers.values()) == 0
+
+    def test_recovery_replays_hints_without_waiting_for_a_tick(self, monkeypatch):
+        """The daemon would not tick within the run: the recovery itself
+        replays the hints held for the node, 0.1 ms after it."""
+        cluster = build_cluster(hint_replay_interval_ms=100_000.0)
+        cluster.fail_node("n3")
+        cluster.client("alice").put("k", "v1")
+        cluster.run(until=cluster.simulation.now + 120.0)
+        holders = sorted(server_id for server_id, server in cluster.servers.items()
+                         if server.node.storage.hints_for("n3"))
+        assert holders
+        replays = []
+        replay_hints = ServerHost.replay_hints
+
+        def recording_replay(server):
+            replays.append((server.node_id, cluster.simulation.now))
+            return replay_hints(server)
+
+        monkeypatch.setattr(ServerHost, "replay_hints", recording_replay)
+        recovered_at = cluster.simulation.now
+        cluster.recover_node("n3")
+        cluster.run(until=recovered_at + 10.0)
+        assert replays == [(holder, pytest.approx(recovered_at + 0.1))
+                           for holder in holders]
+        assert list(map(str, cluster.servers["n3"].node.values_of("k"))) == ["v1"]
+        assert cluster.servers["n3"].node.stats["hint_replays"] == 1
+        assert sum(s.node.storage.pending_hints() for s in cluster.servers.values()) == 0
 
 
 class TestElasticMembership:
@@ -759,11 +786,11 @@ class TestElasticMembership:
         # the get and then the put each fail over off n3 (75 ms apiece)
         # before the put's coordinator holds a hint for it
         cluster.run(until=cluster.simulation.now + 200.0)
-        assert sum(s.node.pending_hints() for s in cluster.servers.values()) > 0
+        assert sum(s.node.storage.pending_hints() for s in cluster.servers.values()) > 0
         handed_off = cluster.decommission_node("n3")
         assert handed_off == 0  # a crashed disk cannot push its keys
         # hints for the removed node are purged everywhere
-        assert sum(s.node.pending_hints() for s in cluster.servers.values()) == 0
+        assert sum(s.node.storage.pending_hints() for s in cluster.servers.values()) == 0
         assert cluster.stat_totals()["pending_hints"] == 0
 
     def test_decommission_into_partition_refused(self):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.clocks import DVVMechanism, Sibling
 from repro.core import Dot, StaleContextError
-from repro.kvstore import NodeStorage, StorageNode
+from repro.kvstore import StorageNode
 from repro.kvstore.context import CausalContext
 
 
@@ -15,26 +15,32 @@ def sibling(value, writer="c1", seq=1):
     return Sibling(value=value, origin_dot=dot)
 
 
+def disk(mechanism):
+    """A fresh node's storage."""
+    return StorageNode("A", mechanism).storage
+
+
 class TestNodeStorage:
     def test_missing_key_returns_empty_state(self):
-        storage = NodeStorage(DVVMechanism())
+        mechanism = DVVMechanism()
+        storage = disk(mechanism)
         state = storage.get_state("nope")
-        assert storage.mechanism.is_empty(state)
-        assert "nope" not in storage
+        assert mechanism.is_empty(state)
+        assert not storage.has_key("nope")
 
     def test_put_and_get_state(self):
         mechanism = DVVMechanism()
-        storage = NodeStorage(mechanism)
+        storage = disk(mechanism)
         state = mechanism.write(mechanism.empty_state(), mechanism.empty_context(),
                                 sibling("v1"), "A")
         storage.put_state("k", state)
         assert storage.has_key("k")
-        assert storage.sibling_count("k") == 1
+        assert len(mechanism.siblings(storage.get_state("k"))) == 1
         assert storage.keys() == ["k"]
 
     def test_storing_empty_state_removes_key(self):
         mechanism = DVVMechanism()
-        storage = NodeStorage(mechanism)
+        storage = disk(mechanism)
         state = mechanism.write(mechanism.empty_state(), mechanism.empty_context(),
                                 sibling("v1"), "A")
         storage.put_state("k", state)
@@ -43,7 +49,7 @@ class TestNodeStorage:
 
     def test_delete_and_len(self):
         mechanism = DVVMechanism()
-        storage = NodeStorage(mechanism)
+        storage = disk(mechanism)
         state = mechanism.write(mechanism.empty_state(), mechanism.empty_context(),
                                 sibling("v1"), "A")
         storage.put_state("k1", state)
@@ -55,7 +61,7 @@ class TestNodeStorage:
 
     def test_metadata_accounting_aggregates(self):
         mechanism = DVVMechanism()
-        storage = NodeStorage(mechanism)
+        storage = disk(mechanism)
         state = mechanism.write(mechanism.empty_state(), mechanism.empty_context(),
                                 sibling("v1"), "A")
         storage.put_state("k1", state)
@@ -109,10 +115,9 @@ class TestHintDurability:
     def test_hints_are_persisted_in_node_storage(self):
         node, state = self.make_node()
         hint = node.store_hint("B", "k", state)
-        assert node.pending_hints() == 1
-        assert node.hint_targets() == ["B"]
         # The hint is held by the storage layer, not by in-memory server state.
         assert node.storage.pending_hints() == 1
+        assert node.storage.hint_targets() == ["B"]
         assert [h.hint_id for h in node.storage.hints_for("B")] == [hint.hint_id]
         assert node.stats["hints_stored"] == 1
 
@@ -121,23 +126,37 @@ class TestHintDurability:
         node, state = self.make_node()
         node.store_hint("B", "k", state)
         disk = node.storage
-        restarted = StorageNode("A", DVVMechanism())
-        restarted.storage = disk            # same disk, new process
-        assert restarted.pending_hints() == 1
-        assert restarted.hints_for("B")[0].key == "k"
+        node.restart()
+        assert node.storage is disk
+        assert node.storage.pending_hints() == 1
+        assert node.storage.hints_for("B")[0].key == "k"
 
     def test_wiped_storage_loses_hints(self):
         node, state = self.make_node()
         node.store_hint("B", "k", state)
-        node.storage = NodeStorage(DVVMechanism())   # disk loss
-        assert node.pending_hints() == 0
-        assert node.hint_targets() == []
+        node.wipe()   # disk loss
+        assert node.storage.pending_hints() == 0
+        assert node.storage.hint_targets() == []
+
+    def test_a_wipe_clears_the_same_disk_and_restarts_hint_ids(self):
+        """Hint ids ride HINT_REPLAY / HINT_ACK, so a wiped disk numbers its
+        hints from 1 again, as a fresh one does."""
+        node, state = self.make_node()
+        node.store_hint("B", "k", state)
+        node.store_hint("C", "k", state)
+        disk = node.storage
+        node.wipe()
+        assert node.storage is disk
+        assert disk.keys() == [] and len(disk) == 0
+        assert disk.pending_hints() == 0 and disk.hint_targets() == []
+        assert node.merkle_index.indexes[0].key_count == 0
+        assert node.store_hint("B", "k", state).hint_id == 1
 
     def test_clear_hints_partial_and_full(self):
         node, state = self.make_node()
         first = node.store_hint("B", "k", state)
         second = node.store_hint("B", "k2", state)
-        node.clear_hints("B", [first.hint_id])
-        assert [h.hint_id for h in node.hints_for("B")] == [second.hint_id]
-        node.clear_hints("B")
-        assert node.pending_hints() == 0
+        node.storage.clear_hints("B", [first.hint_id])
+        assert [h.hint_id for h in node.storage.hints_for("B")] == [second.hint_id]
+        node.storage.clear_hints("B")
+        assert node.storage.pending_hints() == 0

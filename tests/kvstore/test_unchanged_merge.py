@@ -41,7 +41,7 @@ from repro.core import DVVSet, Dot
 from repro.core.dvvset import _unique
 from repro.kvstore import ClusterCore, StorageNode, plan_read_repair
 from repro.kvstore.context import CausalContext
-from repro.kvstore.merkle_index import state_fingerprint
+from repro.kvstore.merkle_index import MerkleIndex, state_fingerprint
 from repro.kvstore.protocol import ProtocolNode
 from repro.kvstore.protocol.effects import Send
 from repro.kvstore.read_repair import RepairPlan
@@ -258,14 +258,20 @@ def test_local_merge_stores_the_reference_state_and_indexes_stay_exact(case):
     trace.assert_indexes_match_rebuilds()
 
 
-def test_unchanged_merge_notifies_no_listener_and_hashes_nothing():
+def test_unchanged_merge_notifies_no_listener_and_hashes_nothing(monkeypatch):
     m = create("dvvset")
     node = StorageNode("A", m)
     sibling = Sibling(value="v", origin_dot=Dot("c", 1))
     state = node.local_write("cart", None, sibling)
     node.merkle_index.flush()
     heard = []
-    node.storage.subscribe_vnode(0, lambda key, new, fingerprint: heard.append(key))
+    on_state_changed = MerkleIndex.on_state_changed
+
+    def recording_update(self, key, new, fingerprint=None):
+        heard.append(key)
+        on_state_changed(self, key, new, fingerprint)
+
+    monkeypatch.setattr(MerkleIndex, "on_state_changed", recording_update)
     hashed = node.stats["keys_hashed"]
 
     assert node.local_merge("cart", state) is state

@@ -16,7 +16,7 @@ from repro.cluster import PartitionMap
 from repro.cluster import ring
 from repro.cluster.ring import RING_BITS, rebalance_plan
 from repro.core import ConfigurationError
-from repro.kvstore import ClientSession, NodeStorage
+from repro.kvstore import ClientSession
 from repro.kvstore.merkle_index import EMPTY_DIGESTS, state_fingerprint
 from repro.kvstore.server import StorageNode
 
@@ -89,7 +89,6 @@ class TestPartitionMap:
 class TestVnodeRouting:
     def test_keys_land_in_their_partitions_vnode(self):
         partition_map = PartitionMap(8)
-        storage = NodeStorage(DVVMechanism(), partition_map=partition_map)
         node = StorageNode("A", DVVMechanism(), partition_map=partition_map)
         client = ClientSession("writer")
         keys = [f"key-{i}" for i in range(20)]
@@ -103,10 +102,10 @@ class TestVnodeRouting:
         assert len(node.storage) == len(keys)
         assert sum(node.storage.vnode_len(pid)
                    for pid in node.storage.vnode_ids()) == len(keys)
-        assert list(storage.vnode_ids()) == list(range(8))
+        assert list(node.storage.vnode_ids()) == list(range(8))
 
     def test_without_a_map_everything_is_one_vnode(self):
-        storage = NodeStorage(DVVMechanism())
+        storage = StorageNode("A", DVVMechanism()).storage
         assert storage.partition_map.partition_of("anything") == 0
         assert list(storage.vnode_ids()) == [0]
 
@@ -149,11 +148,11 @@ class TestVnodeRouting:
             node.store_hint("B", key, node.state_of(key))
         victim = partition_map.partition_of(keys[0])
         in_range = [k for k in keys if partition_map.partition_of(k) == victim]
-        before = node.pending_hints()
+        before = node.storage.pending_hints()
         node.storage.wipe_vnode(victim)
-        assert node.pending_hints() == before - len(in_range)
+        assert node.storage.pending_hints() == before - len(in_range)
         assert all(partition_map.partition_of(hint.key) != victim
-                   for hint in node.hints_for("B"))
+                   for hint in node.storage.hints_for("B"))
 
 
 class TestHintCoalescing:
@@ -164,7 +163,7 @@ class TestHintCoalescing:
         first = node.store_hint("B", "k", node.state_of("k"))
         write(node, writer_b, "k", "v2")
         second = node.store_hint("B", "k", node.state_of("k"))
-        assert node.pending_hints() == 1
+        assert node.storage.pending_hints() == 1
         assert second is first                     # merged in place
         assert second.hint_id == first.hint_id     # replay acks still match
 
@@ -176,7 +175,7 @@ class TestHintCoalescing:
         holder.store_hint("B", "k", holder.state_of("k"))
         write(holder, ClientSession("cb"), "k", "v2")
         holder.store_hint("B", "k", holder.state_of("k"))
-        [hint] = holder.hints_for("B")
+        [hint] = holder.storage.hints_for("B")
         target = StorageNode("B", mechanism)
         target.local_merge("k", hint.state, reason="hint")
         # one replay delivered the union of both held writes
@@ -190,8 +189,8 @@ class TestHintCoalescing:
         for key in ("k1", "k2"):
             write(node, client, key, "v")
             node.store_hint("B", key, node.state_of(key))
-        assert node.pending_hints() == 2
-        hint_ids = {hint.hint_id for hint in node.hints_for("B")}
+        assert node.storage.pending_hints() == 2
+        hint_ids = {hint.hint_id for hint in node.storage.hints_for("B")}
         assert len(hint_ids) == 2
 
 

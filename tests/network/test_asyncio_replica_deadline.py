@@ -58,8 +58,8 @@ def test_a_put_past_a_closed_primary_fires_its_deadline_and_hints_it():
             stats = coordinator.transport.stats
             await until(lambda: stats.deadlines_fired >= 1)
             node = coordinator.node
-            return (key, result, stats.deadlines_fired, node.hint_targets(),
-                    [hint.key for hint in node.hints_for("B")])
+            return (key, result, stats.deadlines_fired, node.storage.hint_targets(),
+                    [hint.key for hint in node.storage.hints_for("B")])
 
     key, result, fired, hint_targets, hinted_keys = asyncio.run(scenario())
     # W=2: the coordinator's own write and C's ack.

@@ -103,7 +103,7 @@ def test_sloppy_quorum_write_span_tree_simulated():
 
     cluster.recover_node(down)
     cluster.run(until=400.0)
-    assert sum(server.node.pending_hints()
+    assert sum(server.node.storage.pending_hints()
                for server in cluster.servers.values()) == 0
 
     (trace_id,) = [t for t in sink.trace_ids() if t.startswith("client:c1#")]
@@ -144,7 +144,7 @@ def test_sloppy_quorum_write_span_tree_asyncio():
             # deadline fires — wait for the handoff tail to store the hint
             loop = asyncio.get_running_loop()
             deadline = loop.time() + 10.0
-            while sum(s.node.pending_hints()
+            while sum(s.node.storage.pending_hints()
                       for s in cluster.servers.values()) == 0:
                 assert loop.time() < deadline, "hint never stored"
                 await asyncio.sleep(0.01)
@@ -157,7 +157,7 @@ def test_sloppy_quorum_write_span_tree_asyncio():
             cluster.servers[down] = server
 
             deadline = loop.time() + 10.0
-            while sum(s.node.pending_hints()
+            while sum(s.node.storage.pending_hints()
                       for s in cluster.servers.values()) > 0:
                 assert loop.time() < deadline, "hints never drained"
                 await asyncio.sleep(0.05)

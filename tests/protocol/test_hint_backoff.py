@@ -109,6 +109,6 @@ def test_crash_forgets_backoff_state():
     assert not node.hints.next_attempt
     # hints live on disk and survived; the EWMAs died with the process, so
     # the next tick replays immediately instead of honouring a stale backoff
-    assert node.store.pending_hints() == 1
+    assert node.store.storage.pending_hints() == 1
     assert replay(node, now=1.0) == 1
     assert node.store.stats["hint_replays_deferred"] == 0

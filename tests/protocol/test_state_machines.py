@@ -222,7 +222,7 @@ def test_replica_put_carries_the_delta_and_a_fallback_hints_what_it_got():
     promoted = sends(effects, MessageType.REPLICA_PUT)[0]
     fallback = ProtocolNode(promoted.receiver, env.mechanism, env)
     fallback.on_message(promoted, now=12.0)
-    assert [hint.state for hint in fallback.store.hints_for(late)] == [delta]
+    assert [hint.state for hint in fallback.store.storage.hints_for(late)] == [delta]
 
 
 def test_coordinator_held_hint_keeps_the_whole_new_state():
@@ -232,7 +232,7 @@ def test_coordinator_held_hint_keeps_the_whole_new_state():
 
     node.on_timer(("replica", coordination_id, late), now=11.0)
 
-    assert [hint.state for hint in node.store.hints_for(late)] == [new_state]
+    assert [hint.state for hint in node.store.storage.hints_for(late)] == [new_state]
 
 
 def test_strict_quorum_fails_with_quorum_unreachable():
@@ -249,7 +249,7 @@ def test_strict_quorum_fails_with_quorum_unreachable():
     assert not sends(first, MessageType.REPLICA_PUT)
     assert not sends(first, MessageType.ERROR_REPLY)
     # The write is still held for the unreachable primary as a local hint.
-    assert primaries[1] in node.store.hint_targets()
+    assert primaries[1] in node.store.storage.hint_targets()
 
     # Second deadline makes the quorum infeasible: ERROR_REPLY to the client.
     second = node.on_timer(("replica", coordination_id, primaries[2]), now=20.0)
