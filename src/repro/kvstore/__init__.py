@@ -11,7 +11,7 @@ Two store frontends share the same replica-local machinery
   Merkle-delta anti-entropy; used by the latency experiment and the
   integration tests.
 * :class:`~repro.kvstore.asyncio_cluster.AsyncioCluster` — the same protocol
-  machines over real TCP/Unix-domain sockets, for wall-clock benchmarking.
+  machines over real Unix-domain sockets, for wall-clock benchmarking.
 
 The synchronous store merges replica pairs directly (``sync_key`` /
 ``sync_all`` / ``converge``); the clusters heal replicas with one

@@ -4,7 +4,7 @@ This is the "serves real traffic" counterpart of the deterministic simulator
 in :mod:`repro.kvstore.simulated`.  Both host the exact same state machines
 from :mod:`repro.kvstore.protocol`, hosted the same way on the same
 :class:`~repro.kvstore.cluster_core.ClusterCore` — but here every
-message crosses an actual TCP or Unix-domain socket through an
+message crosses an actual Unix-domain socket through an
 :class:`~repro.network.asyncio_transport.AsyncioEndpoint`, timers ride
 the endpoint's per-length queues on the event loop, the clock is the wall
 clock, and any number of clients issue requests concurrently.
@@ -75,7 +75,7 @@ class UnixDirAddressBook:
         return True
 
     def __getitem__(self, node_id: str) -> Address:
-        return ("unix", os.path.join(self.directory, _socket_name(node_id)))
+        return os.path.join(self.directory, _socket_name(node_id))
 
 
 class AsyncClusterClient(ClientHost):
@@ -132,19 +132,15 @@ class AsyncioCluster(ClusterCore):
     whatever the kernel provides.  Every replica deadline is
     ``replica_timeout_ms``; a GET's hedge floor is ``replica_timeout_ms / 5``.
 
-    ``transport="unix"`` (default) listens on Unix-domain sockets under
-    ``socket_dir`` (a fresh temp dir when omitted); ``transport="tcp"``
-    listens on ``host`` with consecutive ports from ``base_port``.
+    Every node listens on a Unix-domain socket under ``socket_dir`` (a fresh
+    temp dir when omitted, removed again at :meth:`stop`).
     """
 
     def __init__(self,
                  mechanism: CausalityMechanism,
                  server_ids: Sequence[str] = ("A", "B", "C"),
                  quorum: Optional[QuorumConfig] = None,
-                 transport: str = "unix",
                  socket_dir: Optional[str] = None,
-                 host: str = "127.0.0.1",
-                 base_port: int = 0,
                  anti_entropy_interval_ms: Optional[float] = 100.0,
                  hint_replay_interval_ms: Optional[float] = 50.0,
                  replica_timeout_ms: float = 250.0,
@@ -152,12 +148,6 @@ class AsyncioCluster(ClusterCore):
                  client_timeout_ms: Optional[float] = None,
                  topology: Optional[Topology] = None,
                  tracer: Optional[Any] = None) -> None:
-        if transport not in ("unix", "tcp"):
-            raise ConfigurationError(
-                f"unknown transport {transport!r}; choose 'unix' or 'tcp'")
-        if transport == "tcp" and base_port <= 0:
-            raise ConfigurationError(
-                "transport='tcp' needs an explicit base_port")
         super().__init__(
             mechanism, server_ids, quorum,
             anti_entropy_interval_ms=anti_entropy_interval_ms,
@@ -170,13 +160,10 @@ class AsyncioCluster(ClusterCore):
             tracer=tracer,
         )
         self.server_ids = list(server_ids)
-        self.transport_kind = transport
         self._socket_dir = socket_dir
         self._owns_socket_dir = socket_dir is None
-        self._host = host
-        self._next_port = base_port
-        #: node id → listen address; a plain dict for TCP, a
-        #: :class:`UnixDirAddressBook` once a unix cluster starts.
+        #: node id → socket path; a :class:`UnixDirAddressBook` once the
+        #: cluster starts.
         self.address_book: Any = {}
         self._daemon_tasks: List[asyncio.Task] = []
         self._started = False
@@ -187,14 +174,9 @@ class AsyncioCluster(ClusterCore):
     # ------------------------------------------------------------------ #
     @property
     def socket_dir(self) -> Optional[str]:
-        """Directory of the Unix-domain sockets (None before a unix start)."""
+        """Directory of the Unix-domain sockets (None before a start that
+        makes one)."""
         return self._socket_dir
-
-    def _assign_address(self, node_id: str) -> None:
-        if self.transport_kind == "unix":
-            return  # derived by the UnixDirAddressBook convention
-        self.address_book[node_id] = ("tcp", self._host, self._next_port)
-        self._next_port += 1
 
     def transport_stats(self) -> List[TransportStats]:
         """One stats object per endpoint: each message is counted once as
@@ -214,12 +196,9 @@ class AsyncioCluster(ClusterCore):
                 "build a new one")
         if self._started:
             return
-        if self.transport_kind == "unix":
-            if self._socket_dir is None:
-                self._socket_dir = tempfile.mkdtemp(prefix="repro-cluster-")
-            self.address_book = UnixDirAddressBook(self._socket_dir)
-        for server_id in self.server_ids:
-            self._assign_address(server_id)
+        if self._socket_dir is None:
+            self._socket_dir = tempfile.mkdtemp(prefix="repro-cluster-")
+        self.address_book = UnixDirAddressBook(self._socket_dir)
         for server_id in self.server_ids:
             endpoint = AsyncioEndpoint(server_id, self.address_book)
             server = ServerHost(server_id, self.mechanism, self, endpoint)
@@ -250,8 +229,7 @@ class AsyncioCluster(ClusterCore):
         for host in (*self.clients.values(), *self.servers.values()):
             host.runner.cancel_all()
             await host.transport.close()
-        if (self.transport_kind == "unix" and self._owns_socket_dir
-                and self._socket_dir is not None):
+        if self._owns_socket_dir and self._socket_dir is not None:
             for name in os.listdir(self._socket_dir):
                 try:
                     os.unlink(os.path.join(self._socket_dir, name))
@@ -277,7 +255,6 @@ class AsyncioCluster(ClusterCore):
         if client_id in self.clients:
             return self.clients[client_id]
         client = AsyncClusterClient(client_id, self, self.address_book)
-        self._assign_address(client.address)
         self.clients[client_id] = client
         await client.start()
         return client

@@ -8,12 +8,14 @@ asynchronous: callers pass a callback that receives the
 :class:`~repro.kvstore.client.PutResult` when the reply arrives (or ``None``
 on failure).  Like the server-side machines it emits effects and arms named
 timers — ``("client", request_id)`` is the per-attempt failover deadline.
+Each in-flight request is one :class:`_Request`, filed under the ``msg_id``
+of its current attempt.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ...network.message import Message, MessageType
 from ..client import ClientSession, GetResult, PutResult
@@ -44,6 +46,27 @@ class RequestRecord:
         return self.finished_at - self.started_at
 
 
+@dataclass
+class _Request:
+    """One in-flight request: what a failover re-sends and a reply completes.
+
+    ``started_at`` and ``message`` are the first attempt's; ``attempt``
+    indexes ``candidates``; ``span`` is the root span, when tracing.
+    """
+
+    __slots__ = ("operation", "key", "callback", "started_at", "candidates",
+                 "attempt", "message", "span")
+
+    operation: str
+    key: str
+    callback: Optional[Callable]
+    started_at: float
+    candidates: List[str]
+    attempt: int
+    message: Message
+    span: Optional[Tuple]
+
+
 class ClientProtocol:
     """The client half of the protocol, as a transport-agnostic machine."""
 
@@ -54,10 +77,8 @@ class ClientProtocol:
         self.session = ClientSession(client_id)
         self.records: List[RequestRecord] = []
         self.now = 0.0
-        self._callbacks: Dict[int, Optional[Callable]] = {}
-        self._started: Dict[int, float] = {}
-        self._operations: Dict[int, Dict[str, Any]] = {}
-        self._deadlines: Dict[int, bool] = {}
+        #: In-flight requests, by the ``msg_id`` of their current attempt.
+        self._requests: Dict[int, _Request] = {}
         self._out: EffectList = []
 
     @property
@@ -168,36 +189,24 @@ class ClientProtocol:
                 trace=f"{self.address}#{message.msg_id}",
                 key=key, coordinator=candidates[0])
             payload["trace"] = span
-        self._register(message, operation, key, callback)
-        self._operations[message.msg_id].update({
-            "candidates": candidates,
-            "attempt": 0,
-            "msg_type": msg_type,
-            "payload": payload,
-            "size_bytes": size_bytes,
-            "span": span,
-        })
-        self._arm_client_deadline(message.msg_id)
+        self._send(message, _Request(operation, key, callback, self.now,
+                                     candidates, 0, message, span))
+
+    def _send(self, message: Message, request: _Request) -> None:
+        """File ``request`` under ``message``'s id, arm that attempt's
+        deadline and send it."""
+        self._requests[message.msg_id] = request
+        self.emit(SetTimer(("client", message.msg_id),
+                           self.env.client_timeout_ms))
         self.emit(Send(message))
-
-    def _register(self, message: Message, operation: str, key: str,
-                  callback: Optional[Callable]) -> None:
-        self._callbacks[message.msg_id] = callback
-        self._started[message.msg_id] = self.now
-        self._operations[message.msg_id] = {"operation": operation, "key": key}
-
-    def _arm_client_deadline(self, request_id: int) -> None:
-        self._deadlines[request_id] = True
-        self.emit(SetTimer(("client", request_id), self.env.client_timeout_ms))
 
     def _on_client_deadline(self, request_id: int) -> None:
         """No reply at all: fail over to the next candidate, or give up."""
-        info = self._operations.get(request_id)
-        self._deadlines.pop(request_id, None)
-        if info is None:
+        request = self._requests.get(request_id)
+        if request is None:
             return  # a reply won the race
-        attempt = info["attempt"] + 1
-        candidates = info["candidates"]
+        attempt = request.attempt + 1
+        candidates = request.candidates
         if attempt >= len(candidates):
             self._finish_failed(request_id, reason="timeout")
             return
@@ -207,57 +216,52 @@ class ClientProtocol:
         # the retry's coordinator mints a second server-side dot over the
         # same causal past, and the value can survive as a duplicate sibling
         # — the standard Dynamo client-retry trade-off; nothing is lost.
-        span = info.get("span")
+        span = request.span
         if span is not None and self.tracer.enabled:
             self.tracer.point("client.failover", self.address, self.now,
                               trace=span[0], parent=span[1],
                               abandoned=candidates[attempt - 1],
                               next=candidates[attempt])
-        self._operations.pop(request_id, None)
-        callback = self._callbacks.pop(request_id, None)
-        started = self._started.pop(request_id, self.now)
-        message = Message(
+        del self._requests[request_id]
+        request.attempt = attempt
+        first = request.message
+        self._send(Message(
             sender=self.address,
             receiver=candidates[attempt],
-            msg_type=info["msg_type"],
-            payload=info["payload"],
-            size_bytes=info["size_bytes"],
-        )
-        self._callbacks[message.msg_id] = callback
-        self._started[message.msg_id] = started
-        retried = dict(info)
-        retried["attempt"] = attempt
-        self._operations[message.msg_id] = retried
-        self._arm_client_deadline(message.msg_id)
-        self.emit(Send(message))
+            msg_type=first.msg_type,
+            payload=first.payload,
+            size_bytes=first.size_bytes,
+        ), request)
+
+    def _take(self, request_id: int, status: str) -> Optional[_Request]:
+        """Stop tracking an answered or failed request: clear its deadline
+        (a no-op once it fired) and end its root span."""
+        request = self._requests.pop(request_id, None)
+        if request is not None:
+            self.emit(ClearTimer(("client", request_id)))
+            if request.span is not None and self.tracer.enabled:
+                self.tracer.end(request.span, self.now, status=status)
+        return request
+
+    def _finish(self, request: _Request, result: Any, **fields: Any) -> None:
+        """Record ``request`` as answered with ``result`` (or failed, when it
+        is ``None``) and hand ``result`` to its callback."""
+        self.records.append(RequestRecord(
+            operation=request.operation,
+            key=request.key,
+            client_id=self.client_id,
+            started_at=request.started_at,
+            finished_at=self.now,
+            ok=result is not None,
+            **fields,
+        ))
+        if request.callback is not None:
+            request.callback(result)
 
     def _finish_failed(self, request_id: int, reason: str, coordinator: str = "") -> None:
-        info = self._operations.pop(request_id, None)
-        if info is None:
-            return
-        callback = self._callbacks.pop(request_id, None)
-        started = self._started.pop(request_id, self.now)
-        if self._deadlines.pop(request_id, None):
-            self.emit(ClearTimer(("client", request_id)))
-        self._end_root_span(info, status=reason)
-        self.records.append(RequestRecord(
-            operation=info["operation"],
-            key=info["key"],
-            client_id=self.client_id,
-            started_at=started,
-            finished_at=self.now,
-            ok=False,
-            coordinator=coordinator,
-            error=reason,
-        ))
-        if callback is not None:
-            callback(None)
-
-    def _end_root_span(self, info: Optional[Dict[str, Any]],
-                       status: str) -> None:
-        span = info.get("span") if info else None
-        if span is not None and self.tracer.enabled:
-            self.tracer.end(span, self.now, status=status)
+        request = self._take(request_id, status=reason)
+        if request is not None:
+            self._finish(request, None, coordinator=coordinator, error=reason)
 
     def _on_error_reply(self, message: Message) -> None:
         """The coordinator gave up (quorum infeasible / request deadline)."""
@@ -271,41 +275,25 @@ class ClientProtocol:
     # Handling replies
     # ------------------------------------------------------------------ #
     def _on_get_reply(self, message: Message) -> None:
-        request_id = message.request_id
-        info = self._operations.pop(request_id, None)
-        if info is None:
+        request = self._take(message.request_id, status="ok")
+        if request is None:
             return
-        if self._deadlines.pop(request_id, None):
-            self.emit(ClearTimer(("client", request_id)))
-        self._end_root_span(info, status="ok")
-        callback = self._callbacks.pop(request_id, None)
-        started = self._started.pop(request_id, self.now)
-        key = message.payload["key"]
-        siblings = message.payload["siblings"]
-
+        payload = message.payload
+        siblings = payload["siblings"]
         context = self.session.absorb(
-            key, message.payload["mechanism_context"],
+            payload["key"], payload["mechanism_context"],
             [sibling.origin_dot for sibling in siblings],
             self.env.mechanism.name)
         result = GetResult(
-            key=key,
+            key=payload["key"],
             values=[s.value for s in siblings],
             siblings=list(siblings),
             context=context,
         )
-        self.records.append(RequestRecord(
-            operation="get",
-            key=key,
-            client_id=self.client_id,
-            started_at=started,
-            finished_at=self.now,
-            ok=True,
-            coordinator=message.payload["coordinator"],
-            sibling_count=len(siblings),
-            context_bytes=message.payload.get("context_bytes", 0),
-        ))
-        if callback is not None:
-            callback(result)
+        self._finish(request, result,
+                     coordinator=payload["coordinator"],
+                     sibling_count=len(siblings),
+                     context_bytes=payload.get("context_bytes", 0))
 
     def _on_put_reply(self, message: Message) -> None:
         # The origin dots the reply's context covers, which the coordinator
@@ -313,39 +301,23 @@ class ClientProtocol:
         # request is matched, so a reply that lost the race to a failover or
         # a duplicate does not stay in the log.
         read_dots = self.env.write_log.take_reply(message.msg_id)
-        request_id = message.request_id
-        info = self._operations.pop(request_id, None)
-        if info is None:
+        request = self._take(message.request_id, status="ok")
+        if request is None:
             return
-        if self._deadlines.pop(request_id, None):
-            self.emit(ClearTimer(("client", request_id)))
-        self._end_root_span(info, status="ok")
-        callback = self._callbacks.pop(request_id, None)
-        started = self._started.pop(request_id, self.now)
-        key = message.payload["key"]
-
+        payload = message.payload
         # The put reply carries the post-write context, not the sibling
         # bodies; absorbing it keeps the session able to chain further
         # writes.  The sibling this request wrote is the one the client sent.
         context = self.session.absorb(
-            key, message.payload["mechanism_context"], read_dots,
+            payload["key"], payload["mechanism_context"], read_dots,
             self.env.mechanism.name)
         result = PutResult(
-            key=key,
+            key=payload["key"],
             context=context,
-            coordinator=message.payload["coordinator"],
-            sibling=info["payload"]["sibling"],
+            coordinator=payload["coordinator"],
+            sibling=request.message.payload["sibling"],
         )
-        self.records.append(RequestRecord(
-            operation="put",
-            key=key,
-            client_id=self.client_id,
-            started_at=started,
-            finished_at=self.now,
-            ok=True,
-            coordinator=message.payload["coordinator"],
-            sibling_count=len(read_dots),
-            context_bytes=message.payload.get("context_bytes", 0),
-        ))
-        if callback is not None:
-            callback(result)
+        self._finish(request, result,
+                     coordinator=payload["coordinator"],
+                     sibling_count=len(read_dots),
+                     context_bytes=payload.get("context_bytes", 0))

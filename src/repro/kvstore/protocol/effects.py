@@ -19,12 +19,14 @@ Because effects are data, the machines can be driven with no transport at all
 
 :class:`EffectRunner` is the shared interpreter: it executes effect lists
 against anything satisfying the transport contract of
-:mod:`repro.network.base`, keeps the timer-id → backend-handle map, and feeds
-timer firings back into the machine.  Effect order is significant — backends
-must execute a list strictly in order, because the deterministic simulator's
-reproducibility (and therefore the equivalence suite) depends on sends and
-timer arms hitting the event queue exactly as the pre-extraction code issued
-them.
+:mod:`repro.network.base`, keeps the timer-id → backend-handle map, feeds
+timer firings back into the machine, and is the one place that knows a
+timer's kind: it counts failure-detection deadlines (not tasks) in the
+transport's ``deadlines_set/fired/cancelled``.  Effect order is significant —
+backends must execute a list strictly in order, because the deterministic
+simulator's reproducibility (and therefore the equivalence suite) depends on
+sends and timer arms hitting the event queue exactly as the pre-extraction
+code issued them.
 """
 
 from __future__ import annotations
@@ -38,11 +40,6 @@ from ...network.message import Message
 #: stay hashable and self-describing, e.g. ``("replica", 7, "B")`` for the
 #: per-replica ack deadline of coordination 7 on replica B.
 TimerId = Tuple
-
-#: Timer kinds: ``"deadline"`` timers are failure-detection deadlines and are
-#: counted in the transport's deadline statistics; ``"task"`` timers are
-#: ordinary scheduled work (e.g. the read-repair coalescing flush).
-TIMER_KINDS = ("deadline", "task")
 
 
 @dataclass
@@ -63,6 +60,7 @@ class SetTimer:
 
     timer_id: TimerId
     delay_ms: float
+    #: ``"deadline"`` (failure detection: the runner counts it) or ``"task"``.
     kind: str = "deadline"
 
 
@@ -84,9 +82,9 @@ class EffectRunner:
     ----------
     transport:
         Anything with the :mod:`repro.network.base` transport contract:
-        ``send(message)``, ``schedule_deadline(delay_ms, callback)``,
-        ``cancel_deadline(handle)``, ``schedule_task(delay_ms, callback)``,
-        ``cancel_task(handle)`` and ``now_ms()``.
+        ``send(message)``, ``schedule(delay_ms, callback)``,
+        ``cancel(handle)``, ``now_ms()`` and a ``stats`` the runner counts
+        deadlines in.
     on_timer:
         Callback into the owning machine: ``on_timer(timer_id, now_ms) ->
         EffectList``.  The runner executes whatever it returns, so timer
@@ -99,7 +97,9 @@ class EffectRunner:
                  on_timer: Callable[[TimerId, float], EffectList]) -> None:
         self._transport = transport
         self._on_timer = on_timer
-        self._timers: Dict[TimerId, Tuple[str, object]] = {}
+        self._stats = transport.stats
+        #: Armed timer id → (is a deadline, backend handle).
+        self._timers: Dict[TimerId, Tuple[bool, object]] = {}
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -118,28 +118,29 @@ class EffectRunner:
 
     def _set_timer(self, effect: SetTimer) -> None:
         timer_id = effect.timer_id
+        deadline = effect.kind == "deadline"
 
         def fire() -> None:
             # The timer is no longer armed once it fires; forget it before
             # re-entering the machine so a ClearTimer for it is a no-op.
             self._timers.pop(timer_id, None)
+            if deadline:
+                self._stats.deadlines_fired += 1
             self.run(self._on_timer(timer_id, self._transport.now_ms()))
 
-        if effect.kind == "deadline":
-            handle = self._transport.schedule_deadline(effect.delay_ms, fire)
-        else:
-            handle = self._transport.schedule_task(effect.delay_ms, fire)
-        self._timers[timer_id] = (effect.kind, handle)
+        if deadline:
+            self._stats.deadlines_set += 1
+        self._timers[timer_id] = (
+            deadline, self._transport.schedule(effect.delay_ms, fire))
 
     def _clear_timer(self, timer_id: TimerId) -> None:
         entry = self._timers.pop(timer_id, None)
         if entry is None:
             return
-        kind, handle = entry
-        if kind == "deadline":
-            self._transport.cancel_deadline(handle)
-        else:
-            self._transport.cancel_task(handle)
+        deadline, handle = entry
+        if deadline:
+            self._stats.deadlines_cancelled += 1
+        self._transport.cancel(handle)
 
     # ------------------------------------------------------------------ #
     # Lifecycle

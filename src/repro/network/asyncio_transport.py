@@ -2,8 +2,8 @@
 
 Where the simulator delivers :class:`~repro.network.message.Message` objects
 through a virtual-time event queue, an :class:`AsyncioEndpoint` puts the same
-messages on actual sockets — TCP or Unix-domain — using the length-prefixed
-framing of :mod:`repro.network.wire`.  One endpoint is one addressable node
+messages on actual Unix-domain sockets, using the length-prefixed framing of
+:mod:`repro.network.wire`.  One endpoint is one addressable node
 (a storage server or a client): it listens on its own address for inbound
 frames and lazily opens one persistent outbound connection per peer it sends
 to, so the socket topology mirrors the message-passing model the protocol
@@ -21,11 +21,13 @@ The clock is ``loop.time()`` — the state machines never notice they moved
 from virtual milliseconds to wall-clock milliseconds.  Timers do not each take
 a slot in the loop's heap: every timer length has one FIFO queue of timers
 (:class:`_TimerQueue`) and one ``loop.call_at`` armed for its head.  Every
-deadline on sockets is one of three constant lengths, so arming and
-cancelling a timer is an append and a flag, and the loop's heap holds about
-one handle per length.  The loop clock is monotonic, so timers of one length
-fall due in the order they were armed, and firing a queue's due prefix in
-order is exact.
+timer the machines arm on sockets has one of a handful of constant lengths,
+so :meth:`AsyncioEndpoint.schedule` and :meth:`~AsyncioEndpoint.cancel` are
+an append and a flag, and the loop's heap holds about one handle per length.
+The loop clock is monotonic, so timers of one length fall due in the order
+they were armed, and firing a queue's due prefix in order is exact.  The
+endpoint does not tell deadlines from tasks: the runner that arms them counts
+deadlines in ``stats``.
 
 Failure semantics match the simulated transport's stance: a send toward an
 address nobody listens on, or over a connection that breaks, is a counted,
@@ -67,8 +69,8 @@ from .message import Message
 from .transport import TransportStats
 from .wire import MAX_FRAME_BYTES, RecordTable, frame_message, split_frames
 
-#: Where an endpoint listens: ``("tcp", host, port)`` or ``("unix", path)``.
-Address = Union[Tuple[str, str, int], Tuple[str, str]]
+#: Where an endpoint listens: the path of its Unix-domain socket.
+Address = str
 
 MessageHandler = Callable[[Message], None]
 
@@ -93,17 +95,14 @@ CLOCK_RESOLUTION_S = time.get_clock_info("monotonic").resolution
 
 
 class _Timer:
-    """One armed timer: the handle :meth:`AsyncioEndpoint.schedule_deadline`
-    and :meth:`~AsyncioEndpoint.schedule_task` return."""
+    """One armed timer: the handle :meth:`AsyncioEndpoint.schedule` returns."""
 
-    __slots__ = ("due", "callback", "cancelled", "deadline")
+    __slots__ = ("due", "callback", "cancelled")
 
-    def __init__(self, due: float, callback: Callable[[], None],
-                 deadline: bool) -> None:
+    def __init__(self, due: float, callback: Callable[[], None]) -> None:
         self.due = due
         self.callback = callback
         self.cancelled = False
-        self.deadline = deadline
 
 
 class _TimerQueue:
@@ -214,14 +213,15 @@ class AsyncioEndpoint(ProtocolTransport):
         The address the protocol knows this node by (``"A"``,
         ``"client:c1"``, ...).
     address_book:
-        Shared map from node id to listen address for every node this one
+        Shared map from node id to socket path for every node this one
         may talk to (including itself).  Ids absent from the book are
         undeliverable — counted drops, like the simulator's unregistered
         receivers.
     handler:
         Called synchronously with every decoded inbound message.
-    loop:
-        Event loop; defaults to the running loop at :meth:`start` time.
+
+    The event loop is the one running at :meth:`start` (or at the first
+    send or timer, for an endpoint that never listens).
     """
 
     def __init__(self,
@@ -247,15 +247,8 @@ class AsyncioEndpoint(ProtocolTransport):
     async def start(self) -> None:
         """Bind the listen socket and start accepting inbound connections."""
         loop = self._loop = asyncio.get_running_loop()
-        address = self.address_book[self.node_id]
-        if address[0] == "unix":
-            self._server = await loop.create_unix_server(
-                lambda: _Inbound(self), path=address[1])
-        elif address[0] == "tcp":
-            self._server = await loop.create_server(
-                lambda: _Inbound(self), host=address[1], port=address[2])
-        else:
-            raise ValueError(f"unknown address kind {address[0]!r}")
+        self._server = await loop.create_unix_server(
+            lambda: _Inbound(self), path=self.address_book[self.node_id])
 
     async def close(self) -> None:
         """Stop listening, drop every connection, inbound and outbound, and
@@ -340,12 +333,8 @@ class AsyncioEndpoint(ProtocolTransport):
     async def _connect(self, peer: _Peer) -> None:
         loop = self._require_loop()
         try:
-            if peer.address[0] == "unix":
-                transport, _ = await loop.create_unix_connection(
-                    lambda: peer, path=peer.address[1])
-            else:
-                transport, _ = await loop.create_connection(
-                    lambda: peer, host=peer.address[1], port=peer.address[2])
+            transport, _ = await loop.create_unix_connection(
+                lambda: peer, path=peer.address)
         except OSError:
             # Nobody listening: everything queued for this peer is a counted
             # drop, and the *next* send attempts a fresh connection.
@@ -363,29 +352,10 @@ class AsyncioEndpoint(ProtocolTransport):
     # ------------------------------------------------------------------ #
     # Timers and clock (the transport contract)
     # ------------------------------------------------------------------ #
-    def schedule_deadline(self, delay_ms: float,
-                          callback: Callable[[], None]) -> _Timer:
-        self.stats.deadlines_set += 1
-        return self._arm(delay_ms, callback, True)
-
-    def cancel_deadline(self, handle: Optional[_Timer]) -> None:
-        if handle is None or handle.cancelled:
-            return
-        self.stats.deadlines_cancelled += 1
-        handle.cancelled = True
-
-    def schedule_task(self, delay_ms: float,
-                      callback: Callable[[], None]) -> _Timer:
-        return self._arm(delay_ms, callback, False)
-
-    def cancel_task(self, handle: Optional[_Timer]) -> None:
-        if handle is not None:
-            handle.cancelled = True
-
-    def _arm(self, delay_ms: float, callback: Callable[[], None],
-             deadline: bool) -> _Timer:
+    def schedule(self, delay_ms: float,
+                 callback: Callable[[], None]) -> _Timer:
         loop = self._require_loop()
-        timer = _Timer(loop.time() + delay_ms / 1000.0, callback, deadline)
+        timer = _Timer(loop.time() + delay_ms / 1000.0, callback)
         queue = self._timers.get(delay_ms)
         if queue is None:
             queue = self._timers[delay_ms] = _TimerQueue()
@@ -397,6 +367,10 @@ class AsyncioEndpoint(ProtocolTransport):
             queue.handle = loop.call_at(timers[0].due + CLOCK_RESOLUTION_S,
                                         self._expire, delay_ms, queue)
         return timer
+
+    def cancel(self, handle: Optional[_Timer]) -> None:
+        if handle is not None:
+            handle.cancelled = True
 
     def _expire(self, delay_ms: float, queue: _TimerQueue) -> None:
         """Fire every due timer of one length in arming order, then re-arm
@@ -413,8 +387,6 @@ class AsyncioEndpoint(ProtocolTransport):
                 if timer.due > now:
                     break
                 timers.popleft()
-                if timer.deadline:
-                    self.stats.deadlines_fired += 1
                 timer.callback()
         finally:
             # Also after a raising callback: it costs that one timer, and

@@ -8,6 +8,9 @@ configurable probability, duplicated, and blocked entirely by a
 it must therefore tolerate exactly the failure modes a real Dynamo-style
 deployment tolerates, which keeps the substitution for the paper's Riak
 cluster honest.
+
+:class:`Transport` is the simulator's side of the transport contract
+(:mod:`repro.network.base`): a timer is a plain simulation event.
 """
 
 from __future__ import annotations
@@ -16,10 +19,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from ..core.exceptions import ConfigurationError
+from .base import ProtocolTransport
 from .latency import FixedLatency, LatencyModel, PerLinkLatency
 from .message import Message
 from .partition import PartitionManager
-from .simulator import Simulation
+from .simulator import EventHandle, Simulation
 
 MessageHandler = Callable[[Message], None]
 
@@ -35,6 +39,9 @@ class TransportStats:
     byte-series built from :meth:`bytes_for` no longer over-report traffic
     that never reached a handler.  A duplicated message that arrives twice is
     counted as delivered twice — it really did cross the wire twice.
+
+    ``deadlines_*`` count failure-detection deadlines, not tasks; the
+    :class:`~repro.kvstore.protocol.effects.EffectRunner` bumps them.
 
     ``decode_errors`` (an inbound frame that did not decode; the connection
     it arrived on was closed) and ``handler_errors`` (a node's handler raised
@@ -98,7 +105,7 @@ class TransportStats:
         return sum(self.bytes_per_type.get(msg_type, 0) for msg_type in msg_types)
 
 
-class Transport:
+class Transport(ProtocolTransport):
     """Delivers messages between registered nodes through the simulation.
 
     Parameters
@@ -209,50 +216,16 @@ class Transport:
         handler(message)
 
     # ------------------------------------------------------------------ #
-    # Deadlines
+    # Timers and clock
     # ------------------------------------------------------------------ #
-    def schedule_deadline(self, delay_ms: float, callback: Callable[[], None]):
-        """Schedule a timeout callback ``delay_ms`` from now.
-
-        This is the timer primitive of request coordination: coordinators
-        and clients arm a deadline per outstanding request (or per replica
-        fan-out) and treat its firing as the failure signal, instead of
-        consulting the membership view's failure detector.  Returns an event
-        handle; pass it to :meth:`cancel_deadline` when the awaited reply
-        arrives first.
-        """
-        self.stats.deadlines_set += 1
-
-        def fire() -> None:
-            self.stats.deadlines_fired += 1
-            callback()
-
-        return self.simulation.schedule(delay_ms, fire)
-
-    def cancel_deadline(self, handle) -> None:
-        """Disarm a deadline (idempotent; None is tolerated for convenience)."""
-        if handle is None or handle.cancelled:
-            return
-        self.stats.deadlines_cancelled += 1
-        handle.cancel()
-
-    # ------------------------------------------------------------------ #
-    # Plain scheduled work (not a failure-detection deadline)
-    # ------------------------------------------------------------------ #
-    def schedule_task(self, delay_ms: float, callback: Callable[[], None]):
-        """Schedule ordinary work ``delay_ms`` from now.
-
-        Unlike :meth:`schedule_deadline` this carries no deadline statistics:
-        it is the primitive behind coalescing windows and similar scheduled
-        work, where firing is the normal case rather than a failure signal.
-        """
+    def schedule(self, delay_ms: float, callback: Callable[[], None]) -> EventHandle:
+        """Run ``callback`` ``delay_ms`` of virtual time from now."""
         return self.simulation.schedule(delay_ms, callback)
 
-    def cancel_task(self, handle) -> None:
-        """Disarm a scheduled task (idempotent; None is tolerated)."""
-        if handle is None or handle.cancelled:
-            return
-        handle.cancel()
+    def cancel(self, handle: Optional[EventHandle]) -> None:
+        """Disarm a scheduled callback (idempotent; tolerates ``None``)."""
+        if handle is not None:
+            handle.cancel()
 
     def now_ms(self) -> float:
         """The transport's clock (virtual milliseconds)."""

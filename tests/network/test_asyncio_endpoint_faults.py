@@ -54,7 +54,7 @@ def test_bad_frame_and_handler_bug_are_counted_and_contained(tmp_path, caplog,
     async def scenario() -> AsyncioEndpoint:
         asyncio.get_running_loop().set_exception_handler(
             lambda _loop, context: loop_errors.append(context))
-        endpoint = AsyncioEndpoint("A", {"A": ("unix", path)}, handler=handler)
+        endpoint = AsyncioEndpoint("A", {"A": path}, handler=handler)
         await endpoint.start()
         try:
             # 1. a well-framed body that is not a message: the connection is
@@ -100,8 +100,8 @@ def test_bad_frame_and_handler_bug_are_counted_and_contained(tmp_path, caplog,
 def test_send_redials_a_peer_that_restarted_on_the_same_address(tmp_path):
     """``write`` on a stream the peer closed does not raise; without a check
     every later frame toward a restarted node would vanish uncounted."""
-    book = {"A": ("unix", str(tmp_path / "A.sock")),
-            "B": ("unix", str(tmp_path / "B.sock"))}
+    book = {"A": str(tmp_path / "A.sock"),
+            "B": str(tmp_path / "B.sock")}
     delivered = []
 
     def to_b(tag: str) -> Message:
@@ -142,8 +142,8 @@ def test_send_redials_a_peer_that_restarted_on_the_same_address(tmp_path):
 
 
 def test_frames_dropped_from_a_connect_backlog_are_counted(tmp_path):
-    book = {"A": ("unix", str(tmp_path / "A.sock")),
-            "B": ("unix", str(tmp_path / "B.sock"))}
+    book = {"A": str(tmp_path / "A.sock"),
+            "B": str(tmp_path / "B.sock")}
     delivered = []
 
     def to_b(tag: str) -> Message:
@@ -187,7 +187,7 @@ def test_what_is_queued_toward_a_peer_that_never_reads_is_bounded(tmp_path):
 
     from repro.network.asyncio_transport import MAX_QUEUED_BYTES
 
-    book = {name: ("unix", str(tmp_path / f"{name}.sock")) for name in "ABC"}
+    book = {name: str(tmp_path / f"{name}.sock") for name in "ABC"}
     blob = b"x" * (4 << 20)
     delivered = []
 
@@ -198,7 +198,7 @@ def test_what_is_queued_toward_a_peer_that_never_reads_is_bounded(tmp_path):
     async def scenario() -> AsyncioEndpoint:
         loop = asyncio.get_running_loop()
         listener = socket.socket(socket.AF_UNIX)    # accepts, never reads
-        listener.bind(book["B"][1])
+        listener.bind(book["B"])
         listener.listen()
         listener.setblocking(False)
         sender = AsyncioEndpoint("A", book)

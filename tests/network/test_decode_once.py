@@ -153,7 +153,7 @@ def test_the_table_never_exceeds_its_bounds():
 
 def test_each_endpoint_owns_its_records(tmp_path):
     """Two endpoints in one process decoding the same frame both miss once."""
-    book = {name: ("unix", str(tmp_path / f"{name}.sock")) for name in "ABC"}
+    book = {name: str(tmp_path / f"{name}.sock") for name in "ABC"}
     clock = DottedVersionVector(Dot("A", 2), VersionVector({"A": 1}))
     got: List[Message] = []
 

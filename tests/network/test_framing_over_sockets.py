@@ -52,7 +52,7 @@ def _serve(tmp_path, scenario):
         asyncio.get_running_loop().set_exception_handler(
             lambda _loop, context: loop_errors.append(context))
         endpoint = AsyncioEndpoint(
-            "A", {"A": ("unix", path)},
+            "A", {"A": path},
             handler=lambda message: delivered.append(message.payload["tag"]))
         await endpoint.start()
         try:

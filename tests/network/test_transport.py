@@ -193,26 +193,21 @@ class TestDeadlines:
     def test_deadline_fires_after_delay(self):
         sim, transport = make_transport()
         fired = []
-        transport.schedule_deadline(7.5, lambda: fired.append(sim.now))
+        transport.schedule(7.5, lambda: fired.append(sim.now))
         sim.run_until_idle()
         assert fired == [7.5]
-        assert transport.stats.deadlines_set == 1
-        assert transport.stats.deadlines_fired == 1
 
     def test_cancelled_deadline_does_not_fire(self):
         sim, transport = make_transport()
         fired = []
-        handle = transport.schedule_deadline(5.0, lambda: fired.append(True))
-        transport.cancel_deadline(handle)
+        handle = transport.schedule(5.0, lambda: fired.append(True))
+        transport.cancel(handle)
         sim.run_until_idle()
         assert fired == []
-        assert transport.stats.deadlines_cancelled == 1
-        assert transport.stats.deadlines_fired == 0
 
     def test_cancel_is_idempotent_and_tolerates_none(self):
         sim, transport = make_transport()
-        handle = transport.schedule_deadline(1.0, lambda: None)
-        transport.cancel_deadline(handle)
-        transport.cancel_deadline(handle)
-        transport.cancel_deadline(None)
-        assert transport.stats.deadlines_cancelled == 1
+        handle = transport.schedule(1.0, lambda: None)
+        transport.cancel(handle)
+        transport.cancel(handle)
+        transport.cancel(None)

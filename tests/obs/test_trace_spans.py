@@ -133,7 +133,7 @@ def test_sloppy_quorum_write_span_tree_asyncio():
             dead = cluster.servers[down]
             dead.runner.cancel_all()
             await dead.transport.close()
-            socket_path = cluster.address_book[down][1]
+            socket_path = cluster.address_book[down]
             with contextlib.suppress(OSError):
                 os.unlink(socket_path)
 

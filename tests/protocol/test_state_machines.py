@@ -627,6 +627,47 @@ def test_client_failover_walks_candidates_then_gives_up():
     assert client.records[0].error == "timeout"
 
 
+def put_reply(request: Message) -> Message:
+    """The PUT_REPLY the coordinator ``request`` went to sends back."""
+    return request.reply(MessageType.PUT_REPLY, {
+        "key": request.payload["key"],
+        "coordinator": request.receiver,
+        "mechanism_context": None,
+        "context_bytes": 0,
+    })
+
+
+def test_put_failover_ignores_the_abandoned_coordinator_and_completes_once():
+    env = build_env()
+    client = ClientProtocol("c1", env)
+    outcomes = []
+    first = sends(client.put("cart", "beer", outcomes.append, now=1.0))[0]
+    sent = first.payload["sibling"]
+
+    effects = client.on_timer(("client", first.msg_id), now=80.0)
+    second = sends(effects)[0]
+    assert second.receiver != first.receiver
+    assert second.payload["sibling"] is sent
+    assert {t.timer_id for t in set_timers(effects)} == {("client", second.msg_id)}
+
+    # The abandoned coordinator answers late: nothing completes.
+    assert client.on_message(put_reply(first), now=90.0) == []
+    assert outcomes == [] and client.records == []
+
+    effects = client.on_message(put_reply(second), now=100.0)
+    assert cleared(effects) == [("client", second.msg_id)]
+    # A duplicate of the winning reply completes nothing a second time.
+    assert client.on_message(put_reply(second), now=110.0) == []
+
+    assert len(outcomes) == 1
+    assert outcomes[0].sibling is sent
+    assert outcomes[0].coordinator == second.receiver
+    [record] = client.records
+    assert record.ok and record.operation == "put" and record.key == "cart"
+    assert (record.started_at, record.finished_at) == (1.0, 100.0)
+    assert record.coordinator == second.receiver
+
+
 def test_client_error_reply_fails_fast():
     env = build_env()
     client = ClientProtocol("c1", env)
